@@ -1239,9 +1239,10 @@ fn e11_concurrent_engine(quick: bool, report: &mut Report) {
 
 /// Seeds a store with `seeded` committed batches and measures the latency of
 /// appending one more: the median over `probes` appends (each a real durable
-/// commit — on `FsBackend` that includes the fsync). Probes go through
-/// `append_batch_grouped` so the `fs-grp` backend exercises its group-commit
-/// pipeline; on ungrouped backends that is the identical synchronous call.
+/// commit — on `FsBackend` that includes the fsync). Probes go through the
+/// ticketed `append_batch_enqueue(..).wait()`, the engine's commit entry
+/// point: the `fs-grp` backend exercises its group-commit pipeline, and on
+/// ungrouped backends the ticket comes back already resolved.
 fn e12_probe(
     store: &dyn StorageBackend,
     seeded: usize,
@@ -1259,7 +1260,7 @@ fn e12_probe(
         .iter()
         .map(|batch| {
             let start = Instant::now();
-            store.append_batch_grouped("people", batch).unwrap();
+            store.append_batch_enqueue("people", batch).wait().unwrap();
             start.elapsed()
         })
         .collect();

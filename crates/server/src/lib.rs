@@ -33,4 +33,4 @@ pub use client::{
     Client, ClientConfig, ClientError, RemoteAnswer, RemoteAnswers, RemoteStats, RetryPolicy,
 };
 pub use frame::{FrameError, DEFAULT_MAX_FRAME_BYTES};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_PENDING_ASYNC};

@@ -42,7 +42,7 @@
 //! rank ordering). No server lock is ever held across an engine call that
 //! blocks on another server lock.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -65,7 +65,7 @@ use crate::frame::{split_doc_payload, tag};
 /// Most async commits a single connection may leave un-drained; beyond
 /// this the oldest pending commit is waited out before accepting the next,
 /// bounding the per-connection ticket memory.
-const MAX_PENDING_ASYNC: usize = 256;
+pub const MAX_PENDING_ASYNC: usize = 256;
 
 /// Everything the server needs to know at start-up.
 #[derive(Debug, Clone)]
@@ -329,22 +329,36 @@ fn accept_loop(inner: Arc<ServerInner>, listener: TcpListener) {
     }
 }
 
-/// An async commit a connection has accepted but not yet reported durable.
-struct PendingCommit {
-    commit: AsyncCommit,
+/// One connection's async commits: the ones accepted but not yet reported
+/// durable (oldest first), and how many of those already waited out — by
+/// the [`MAX_PENDING_ASYNC`] bound — never became durable.
+#[derive(Default)]
+struct AsyncBacklog {
+    pending: VecDeque<AsyncCommit>,
+    failed: usize,
 }
 
-/// Waits out every pending async commit and summarizes the outcome — the
-/// payload of the `close` acknowledgement.
-fn drain_pending(pending: &mut Vec<PendingCommit>) -> String {
-    let total = pending.len();
-    let mut failed = 0usize;
-    for entry in pending.drain(..) {
-        if entry.commit.wait().is_err() {
-            failed += 1;
+impl AsyncBacklog {
+    /// Waits out the oldest pending commit, counting a lost one.
+    fn settle_oldest(&mut self) {
+        if let Some(oldest) = self.pending.pop_front() {
+            if oldest.wait().is_err() {
+                self.failed += 1;
+            }
         }
     }
-    format!("closed pending={total} failed={failed}")
+
+    /// Waits out every pending async commit and summarizes the outcome —
+    /// the payload of the `close` acknowledgement. `failed` counts every
+    /// commit this connection had accepted that did not become durable,
+    /// including those settled early.
+    fn drain(&mut self) -> String {
+        let total = self.pending.len();
+        while !self.pending.is_empty() {
+            self.settle_oldest();
+        }
+        format!("closed pending={total} failed={}", self.failed)
+    }
 }
 
 fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
@@ -360,7 +374,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
         Err(_) => return,
     };
     let mut reader = stream;
-    let mut pending: Vec<PendingCommit> = Vec::new();
+    let mut backlog = AsyncBacklog::default();
     loop {
         let request = match read_request(&mut reader, inner.config.max_frame_bytes) {
             Ok(request) => request,
@@ -387,7 +401,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
             break;
         }
         if request.tag == tag::CLOSE {
-            let summary = drain_pending(&mut pending);
+            let summary = backlog.drain();
             let _ = respond(
                 &mut writer,
                 RawResponse {
@@ -397,7 +411,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
             );
             break;
         }
-        let response = inner.execute(&request, &mut pending);
+        let response = inner.execute(&request, &mut backlog);
         if respond(&mut writer, response).is_err() {
             break;
         }
@@ -405,7 +419,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     // An abrupt disconnect still drains: waiting the tickets out keeps the
     // documented contract that nothing this handler enqueued is abandoned
     // in an open window.
-    drain_pending(&mut pending);
+    backlog.drain();
     inner.conns.lock().streams.remove(&conn_id);
 }
 
@@ -479,7 +493,7 @@ fn valid_name(name: &str) -> bool {
 }
 
 impl ServerInner {
-    fn execute(&self, request: &RawRequest, pending: &mut Vec<PendingCommit>) -> RawResponse {
+    fn execute(&self, request: &RawRequest, backlog: &mut AsyncBacklog) -> RawResponse {
         if !valid_name(&request.tenant) {
             return error_response(
                 "bad-tenant",
@@ -509,7 +523,7 @@ impl ServerInner {
             | tag::COMMIT
             | tag::COMMIT_ASYNC
             | tag::SNAPSHOT
-            | tag::SIMPLIFY => self.admitted(request, pending),
+            | tag::SIMPLIFY => self.admitted(request, backlog),
             other => error_response(
                 "unknown-tag",
                 false,
@@ -520,7 +534,7 @@ impl ServerInner {
 
     /// The gated path: global budget, tenant resolution, tenant budget,
     /// then the actual operation. Shedding releases every slot it took.
-    fn admitted(&self, request: &RawRequest, pending: &mut Vec<PendingCommit>) -> RawResponse {
+    fn admitted(&self, request: &RawRequest, backlog: &mut AsyncBacklog) -> RawResponse {
         let timeout = self.config.admission_timeout;
         if !self.global.try_enter(timeout) {
             let response = busy_response(
@@ -544,7 +558,7 @@ impl ServerInner {
                         ),
                     )
                 } else {
-                    let response = self.dispatch(&tenant, request, pending);
+                    let response = self.dispatch(&tenant, request, backlog);
                     tenant.gate.leave();
                     response
                 }
@@ -685,7 +699,7 @@ impl ServerInner {
         &self,
         tenant: &Tenant,
         request: &RawRequest,
-        pending: &mut Vec<PendingCommit>,
+        backlog: &mut AsyncBacklog,
     ) -> RawResponse {
         let (doc, rest) = match split_doc_payload(&request.payload) {
             Ok(parts) => parts,
@@ -764,18 +778,20 @@ impl ServerInner {
                 };
                 // Bound the un-drained ticket backlog: wait out the oldest
                 // before accepting more.
-                if pending.len() >= MAX_PENDING_ASYNC {
-                    let oldest = pending.remove(0);
-                    let _ = oldest.commit.wait();
+                if backlog.pending.len() >= MAX_PENDING_ASYNC {
+                    backlog.settle_oldest();
                 }
                 match warehouse.commit_batch_async(&doc, &batch, None) {
                     Ok(commit) => {
                         let applied = commit.stats().len();
-                        pending.push(PendingCommit { commit });
+                        backlog.pending.push_back(commit);
                         RawResponse {
                             tag: tag::ACCEPTED,
-                            payload: format!("applied={applied} pending={}", pending.len())
-                                .into_bytes(),
+                            payload: format!(
+                                "applied={applied} pending={}",
+                                backlog.pending.len()
+                            )
+                            .into_bytes(),
                         }
                     }
                     Err(err) => engine_error(err),

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use pxml_core::UpdateTransaction;
 use pxml_query::Pattern;
-use pxml_server::{Client, ClientError, RetryPolicy, Server, ServerConfig};
-use pxml_store::{FaultOp, FaultPlan};
+use pxml_server::{Client, ClientError, RetryPolicy, Server, ServerConfig, MAX_PENDING_ASYNC};
+use pxml_store::{CommitPolicy, FaultOp, FaultPlan};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -142,6 +142,41 @@ fn quarantine_is_per_document_not_per_server() {
     beta.commit("doc", &phone_batch(0.9)).unwrap();
     let stats = beta.stats().unwrap();
     assert_eq!(stats.quarantined_docs, 0);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Lost-commit accounting across the async backlog bound: one connection
+/// pipelines `MAX_PENDING_ASYNC + 1` async commits under the grouped policy
+/// while the first window fsync is scheduled to fail. Nothing flushes until
+/// the backlog bound makes the server wait out the oldest commit — that
+/// wait leads the one window holding every accepted commit into the failed
+/// fsync. The `close` summary must count **every** accepted commit as
+/// failed, the early-settled oldest one included: it is the figure a client
+/// reconciles its un-acked async commits against.
+#[test]
+fn close_counts_async_commits_lost_while_settling_the_backlog() {
+    let dir = scratch("backlog-failed");
+    let mut config = ServerConfig::new(&dir);
+    config.session.commit = CommitPolicy::grouped();
+    config.fs.fault = Some(Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1)));
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    client.open("doc", Some(PEOPLE_XML)).unwrap();
+
+    let accepted = (0..=MAX_PENDING_ASYNC)
+        .filter(|_| client.commit_async("doc", &phone_batch(0.5)).is_ok())
+        .count();
+    // The last request settled the oldest commit first, which quarantined
+    // the document, so it was itself refused.
+    assert_eq!(accepted, MAX_PENDING_ASYNC);
+
+    let goodbye = client.close().unwrap();
+    assert_eq!(
+        goodbye,
+        format!("closed pending={} failed={accepted}", accepted - 1)
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -96,35 +96,20 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// [`append_batch`](StorageBackend::append_batch) through the backend's
-    /// group-commit pipeline, when it has one: the batch may share its
-    /// durability fsync with concurrently committed batches of *other*
-    /// documents, and the call blocks until that shared fsync. The
-    /// acknowledgement contract is unchanged — on `Ok` the batch is durable
-    /// and recovery replays it; on a crash before the fsync, recovery never
-    /// surfaces it.
+    /// The ticketed form of [`append_batch`](StorageBackend::append_batch):
+    /// hands the batch to the backend's commit pipeline and returns a
+    /// [`CommitTicket`] that resolves once the batch is durable — under
+    /// group commit, at the fsync its window shares with concurrently
+    /// committed batches of *other* documents. The batch must not be
+    /// acknowledged to clients until the ticket resolves `Ok`; on a crash
+    /// before that, recovery never surfaces it. `append_batch` must behave
+    /// as `append_batch_enqueue(..).wait()`: same journal order, same
+    /// durability point.
     ///
-    /// The default implementation **degrades to the synchronous path**: it
-    /// forwards to `append_batch`, so backends without a group committer
-    /// (e.g. [`MemBackend`](crate::MemBackend)) meet the same contract with
-    /// per-append durability and the conformance suite passes untouched.
-    fn append_batch_grouped(
-        &self,
-        name: &str,
-        batch: &[UpdateTransaction],
-    ) -> Result<(), StoreError> {
-        self.append_batch(name, batch)
-    }
-
-    /// The asynchronous half of group commit: hands the batch to the
-    /// backend's commit pipeline and returns a [`CommitTicket`] that
-    /// resolves once the batch's fsync window completes. The batch must not
-    /// be acknowledged to clients until the ticket resolves `Ok`.
-    ///
-    /// The default implementation **degrades to the synchronous path**: the
-    /// append runs to completion inside this call and the returned ticket is
-    /// already resolved with its outcome, so polling or waiting on it never
-    /// blocks.
+    /// The default implementation serves backends **without a commit
+    /// pipeline**: the append runs to completion inside this call and the
+    /// returned ticket is already resolved with its outcome, so polling or
+    /// waiting on it never blocks.
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
         CommitTicket::resolved(self.append_batch(name, batch))
     }

@@ -1,12 +1,10 @@
 //! Deterministic fault injection for the storage layer.
 //!
-//! [`FaultBackend`] wraps any `Arc<dyn StorageBackend>` and consults a shared
-//! [`FaultPlan`] before the operations it forwards; the same plan can be
-//! installed into [`FsOptions::fault`](crate::FsOptions) so the `FsBackend`
-//! **fsync funnel** consults it too — the one injection point the trait
-//! surface cannot see. Together they cover the four faultable operations the
-//! robustness battery drives: journal appends, fsync rounds, checkpoint
-//! loads and checkpoint folds.
+//! A [`FaultPlan`] installed through [`FsOptions::fault`](crate::FsOptions)
+//! is consulted by [`FsBackend`](crate::FsBackend) at its two durability
+//! steps — the journal-append entry point and the fsync funnel every append
+//! path ends in. That is the only door faults enter by: there is no wrapper
+//! backend, so one plan on one backend covers the whole stack above it.
 //!
 //! Everything is deterministic: "fail the Nth append" faults are exact
 //! per-operation counters, and rate-based faults draw from a seeded
@@ -14,35 +12,27 @@
 //!
 //! # Fault semantics
 //!
-//! * [`FaultKind::Error`] fires **before** the operation touches the inner
-//!   backend: nothing is written, the caller gets a typed
-//!   [`StoreError::Io`] whose message carries the [`INJECTED_FAULT`] marker.
-//! * [`FaultKind::TornWrite`] (appends only) lets the inner append land and
-//!   then shears trailing bytes off the newest segment file — the on-disk
-//!   shape of a crash mid-record. The error is reported to the caller and
-//!   the document **must be reopened** before further appends: the in-memory
-//!   meters are deliberately left stale, exactly like a real torn write,
-//!   and only a rescan (`reopen_document`) truncates the torn tail away.
+//! * [`FaultKind::Error`] fires **before** the operation runs: nothing is
+//!   written (an append) or flushed (an fsync round — the backend rolls the
+//!   unsynced records back), and the caller gets a typed [`StoreError::Io`]
+//!   whose message carries the [`INJECTED_FAULT`] marker.
+//! * [`FaultKind::TornWrite`] (appends only) lets the record land and then
+//!   shears trailing bytes off its segment file — the on-disk shape of a
+//!   crash mid-record. The error is reported to the caller and the document
+//!   **must be reopened** before further appends: the in-memory meters are
+//!   deliberately left stale, exactly like a real torn write, and only a
+//!   rescan (`reopen_document`) truncates the torn tail away.
 //! * [`FaultKind::Latency`] sleeps, then lets the operation through — the
 //!   slow-disk half of the chaos battery.
 //!
-//! Fsync faults against a backend with no filesystem under it (no
-//! [`root_dir`](crate::StorageBackend::root_dir)) fire at the append itself:
-//! for such backends the append *is* the durability point, so the
-//! conservative pre-write semantics apply and nothing phantom survives.
+//! `reopen_document` consults no plan: a quarantined document can always be
+//! reopened, even under an aggressive schedule.
 
 use std::fmt;
-use std::fs;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use pxml_core::{FuzzyTree, UpdateTransaction};
-
-use crate::backend::StorageBackend;
 use crate::error::StoreError;
-use crate::group::{CommitTicket, DurabilityStats};
 
 /// Marker every injected error message starts with; [`is_injected`] keys on
 /// it so tests can tell planned faults from real I/O trouble.
@@ -56,27 +46,19 @@ pub fn is_injected(error: &StoreError) -> bool {
 /// The storage operations a [`FaultPlan`] can target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultOp {
-    /// A journal append (any of the `append_batch*` entry points).
+    /// A journal append, consulted once at the backend's append entry point.
     Append,
-    /// A device fsync round — consulted by the `FsBackend` fsync funnel
-    /// when the plan is installed via [`FsOptions::fault`](crate::FsOptions),
-    /// or at the append itself on backends with no filesystem below.
+    /// A device fsync round, consulted by the backend's fsync funnel.
     Fsync,
-    /// A checkpoint read (`load_document`).
-    Load,
-    /// A checkpoint fold (`checkpoint`).
-    Checkpoint,
 }
 
 impl FaultOp {
-    const ALL: usize = 4;
+    const ALL: usize = 2;
 
     fn index(self) -> usize {
         match self {
             FaultOp::Append => 0,
             FaultOp::Fsync => 1,
-            FaultOp::Load => 2,
-            FaultOp::Checkpoint => 3,
         }
     }
 
@@ -84,8 +66,6 @@ impl FaultOp {
         match self {
             FaultOp::Append => "append",
             FaultOp::Fsync => "fsync",
-            FaultOp::Load => "load",
-            FaultOp::Checkpoint => "checkpoint",
         }
     }
 }
@@ -96,11 +76,9 @@ impl FaultOp {
 pub enum FaultKind {
     /// Fail with a typed I/O error before the operation runs.
     Error,
-    /// Let an append land, then shear bytes off the newest segment file —
-    /// the on-disk shape of a crash mid-record. Falls back to [`Error`]
-    /// semantics on backends with no filesystem. Appends only.
-    ///
-    /// [`Error`]: FaultKind::Error
+    /// Let an append land, then shear bytes off its segment file — the
+    /// on-disk shape of a crash mid-record. Appends only: on an fsync round
+    /// it degrades to [`FaultKind::Error`].
     TornWrite,
     /// Sleep this long, then let the operation through.
     Latency(Duration),
@@ -256,225 +234,6 @@ impl FaultPlan {
             op.label()
         )));
         Some((kind, error))
-    }
-
-    /// [`FaultPlan::decide`] for injection points that cannot carry a torn
-    /// write (everything but appends): torn writes degrade to plain errors.
-    pub(crate) fn decide_error(&self, op: FaultOp) -> Result<(), StoreError> {
-        match self.decide(op) {
-            Some((_, error)) => Err(error),
-            None => Ok(()),
-        }
-    }
-}
-
-/// A [`StorageBackend`] decorator injecting the faults of a [`FaultPlan`]
-/// (see the module docs). With an empty plan it is a pure pass-through —
-/// the backend conformance suite runs against it in exactly that mode.
-#[derive(Debug, Clone)]
-pub struct FaultBackend {
-    inner: Arc<dyn StorageBackend>,
-    plan: Arc<FaultPlan>,
-}
-
-impl FaultBackend {
-    /// Wraps `inner`, consulting `plan` before appends, loads and
-    /// checkpoints. For fsync faults against an `FsBackend`, install the
-    /// same plan via [`FsOptions::fault`](crate::FsOptions) too.
-    pub fn new(inner: Arc<dyn StorageBackend>, plan: Arc<FaultPlan>) -> Self {
-        FaultBackend { inner, plan }
-    }
-
-    /// The shared plan (op counters, injected-fault count).
-    pub fn plan(&self) -> &Arc<FaultPlan> {
-        &self.plan
-    }
-
-    /// The fault decision every append entry point funnels through: counts
-    /// the append, and on backends with no filesystem below also lets
-    /// planned fsync faults fire here (the append is their durability
-    /// point). Returns the error to surface without touching the inner
-    /// backend, or the torn-write marker.
-    fn append_fault(&self) -> Result<Option<StoreError>, StoreError> {
-        match self.plan.decide(FaultOp::Append) {
-            Some((FaultKind::TornWrite, error)) if self.inner.root_dir().is_some() => {
-                return Ok(Some(error));
-            }
-            Some((_, error)) => return Err(error),
-            None => {}
-        }
-        if self.inner.root_dir().is_none() {
-            self.plan.decide_error(FaultOp::Fsync)?;
-        }
-        Ok(None)
-    }
-
-    /// The torn-write shear: chops `TEAR_BYTES` off the end of the newest
-    /// segment file of `name`, leaving a record whose payload is shorter
-    /// than its header promises — what a crash mid-append leaves behind.
-    fn tear_tail(&self, name: &str) -> Result<(), StoreError> {
-        const TEAR_BYTES: u64 = 3;
-        let root = self
-            .inner
-            .root_dir()
-            .ok_or_else(|| StoreError::Format("torn write needs a filesystem backend".into()))?;
-        let Some((path, len)) = newest_segment(root, name)? else {
-            return Ok(());
-        };
-        let file = fs::OpenOptions::new().write(true).open(&path)?;
-        file.set_len(len.saturating_sub(TEAR_BYTES))?;
-        file.sync_all()?;
-        Ok(())
-    }
-}
-
-/// The highest-(epoch, seq) segment file of `name` under `root`, with its
-/// length — the file the last append touched.
-fn newest_segment(root: &Path, name: &str) -> Result<Option<(PathBuf, u64)>, StoreError> {
-    let mut newest: Option<(u64, u64, PathBuf)> = None;
-    let prefix = format!("{name}.journal.");
-    for entry in fs::read_dir(root)? {
-        let path = entry?.path();
-        let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-            continue;
-        };
-        let Some(parts) = file_name
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".seg"))
-        else {
-            continue;
-        };
-        let Some((epoch, seq)) = parts.split_once('.') else {
-            continue;
-        };
-        let (Ok(epoch), Ok(seq)) = (epoch.parse::<u64>(), seq.parse::<u64>()) else {
-            continue;
-        };
-        if newest
-            .as_ref()
-            .is_none_or(|(e, s, _)| (epoch, seq) > (*e, *s))
-        {
-            newest = Some((epoch, seq, path));
-        }
-    }
-    match newest {
-        Some((_, _, path)) => {
-            let len = fs::metadata(&path)?.len();
-            Ok(Some((path, len)))
-        }
-        None => Ok(None),
-    }
-}
-
-impl StorageBackend for FaultBackend {
-    fn list_documents(&self) -> Result<Vec<String>, StoreError> {
-        self.inner.list_documents()
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        self.inner.contains(name)
-    }
-
-    fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        self.inner.save_document(name, fuzzy)
-    }
-
-    fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        self.plan.decide_error(FaultOp::Load)?;
-        self.inner.load_document(name)
-    }
-
-    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        match self.append_fault()? {
-            None => self.inner.append_batch(name, batch),
-            Some(error) => {
-                self.inner.append_batch(name, batch)?;
-                self.tear_tail(name)?;
-                Err(error)
-            }
-        }
-    }
-
-    fn append_batch_grouped(
-        &self,
-        name: &str,
-        batch: &[UpdateTransaction],
-    ) -> Result<(), StoreError> {
-        match self.append_fault()? {
-            None => self.inner.append_batch_grouped(name, batch),
-            Some(error) => {
-                self.inner.append_batch_grouped(name, batch)?;
-                self.tear_tail(name)?;
-                Err(error)
-            }
-        }
-    }
-
-    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        match self.append_fault() {
-            Err(error) => CommitTicket::resolved(Err(error)),
-            // A torn write cannot resolve asynchronously (the shear must
-            // happen after the write, before the caller sees the ticket),
-            // so it runs the append synchronously.
-            Ok(Some(error)) => CommitTicket::resolved(
-                self.inner
-                    .append_batch_grouped(name, batch)
-                    .and_then(|()| self.tear_tail(name))
-                    .and(Err(error)),
-            ),
-            Ok(None) => self.inner.append_batch_enqueue(name, batch),
-        }
-    }
-
-    fn durability_stats(&self) -> DurabilityStats {
-        self.inner.durability_stats()
-    }
-
-    fn group_barrier(&self) {
-        self.inner.group_barrier();
-    }
-
-    fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        self.inner.read_batches(name)
-    }
-
-    fn read_journal(&self, name: &str) -> Result<Vec<UpdateTransaction>, StoreError> {
-        self.inner.read_journal(name)
-    }
-
-    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        self.inner.journal_length(name)
-    }
-
-    fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        self.inner.journal_batches(name)
-    }
-
-    fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
-        self.inner.journal_size_bytes(name)
-    }
-
-    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        self.plan.decide_error(FaultOp::Checkpoint)?;
-        self.inner.checkpoint(name, fuzzy)
-    }
-
-    fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        self.inner.remove_document(name)
-    }
-
-    fn recover_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        self.inner.recover_document(name)
-    }
-
-    /// Recovery entry point: deliberately fault-free, so a quarantined
-    /// document can always be reopened even under an aggressive plan.
-    fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        self.inner.reopen_document(name)
-    }
-
-    fn root_dir(&self) -> Option<&Path> {
-        self.inner.root_dir()
     }
 }
 

@@ -17,10 +17,12 @@
 //! [payload_len: u32 LE][update_count: u32 LE][payload: UTF-8 <pxml:batch> XML]
 //! ```
 //!
-//! [`FsBackend::append_batch`] appends one record to the highest-sequence
-//! segment of the current epoch (rolling to a new sequence number once the
-//! active segment exceeds the roll threshold) and fsyncs it — commit cost is
-//! **O(batch)**, independent of how many batches the journal already holds.
+//! An append ([`FsBackend::append_batch_enqueue`]; [`FsBackend::append_batch`]
+//! is that call plus the wait on its ticket) adds one record to the
+//! highest-sequence segment of the current epoch (rolling to a new sequence
+//! number once the active segment exceeds the roll threshold) and fsyncs it,
+//! alone or inside a group-commit window — commit cost is **O(batch)**,
+//! independent of how many batches the journal already holds.
 //! The `update_count` header field lets the store rebuild its per-document
 //! journal meters (batches, updates, bytes) by walking headers only, so
 //! [`FsBackend::journal_length`] is O(1) after the one-time scan.
@@ -39,16 +41,15 @@
 //!   (tmp + rename, stamped with `epoch + 1`) and only then deletes the
 //!   folded segments. The rename is the single commit point: a crash in
 //!   between leaves old-epoch segments on disk, which recovery ignores (their
-//!   batches are already inside the checkpoint) and the next open sweeps;
-//! * a **legacy monolithic journal** (`<name>.journal`, the pre-segment
-//!   layout) is auto-migrated at [`FsBackend::open`]: its batches are
-//!   rewritten as records of segment `<name>.journal.0.0.seg` and the old
-//!   file is removed.
+//!   batches are already inside the checkpoint) and the next open sweeps.
 //!
 //! [`FsBackend::open`] also sweeps stale debris: `.tmp` staging files of
 //! checkpoints/compactions that never reached their rename, and orphaned
-//! segment or legacy-journal files whose checkpoint is gone (the remains of a
-//! document removal killed halfway).
+//! segment files whose checkpoint is gone (the remains of a document removal
+//! killed halfway). Segment records are the **only** journal layout it reads:
+//! a root holding a pre-segment monolithic `<name>.journal` beside a live
+//! `<name>.pxml` is refused with a typed [`StoreError::Format`] rather than
+//! opened with that journal silently ignored.
 //!
 //! # Concurrency
 //!
@@ -72,13 +73,17 @@ use pxml_core::{FuzzyTree, UpdateTransaction};
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
-use crate::fault::{FaultOp, FaultPlan};
+use crate::fault::{FaultKind, FaultOp, FaultPlan};
 use crate::format::{extract_epoch, parse_fuzzy_document, serialize_fuzzy_document_with_epoch};
 use crate::group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter, PendingAppend};
-use crate::journal::{parse_batch, parse_batched_journal, serialize_batch};
+use crate::journal::{parse_batch, serialize_batch};
 
 /// Bytes of each record header: `payload_len: u32 LE` + `update_count: u32 LE`.
 const RECORD_HEADER_BYTES: u64 = 8;
+
+/// Bytes an injected [`FaultKind::TornWrite`] shears off the record it tore:
+/// enough to leave the payload shorter than its header promises.
+const TEAR_BYTES: u64 = 3;
 
 /// Default segment roll threshold: once the active segment grows past this
 /// many bytes, the next append starts a new segment file. Bounding the
@@ -173,12 +178,10 @@ pub struct FsOptions {
     /// immediately (see [`GroupCommitter`]'s module docs). `false` (the
     /// default) is what production sessions want.
     pub group_fill_idle_windows: bool,
-    /// A fault plan the backend's **fsync funnel** consults before every
-    /// real device flush — the injection point a
-    /// [`FaultBackend`](crate::FaultBackend) wrapper cannot see from the
-    /// trait surface. Share the same plan with the wrapper so its op
-    /// counters cover the whole stack. `None` (the default) disables fsync
-    /// injection entirely.
+    /// The fault plan the backend consults at its append entry point and
+    /// in its fsync funnel (see [`crate::fault`]) — the single door faults
+    /// enter the storage stack by. `None` (the default) disables injection
+    /// entirely.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -226,12 +229,12 @@ pub struct FsBackend {
     /// document removal (see [`FsBackend::remove_document`]).
     metas: Arc<Mutex<HashMap<String, Arc<Mutex<DocMeta>>>>>,
     /// The group committer under [`CommitPolicy::Grouped`]; `None` makes
-    /// every grouped entry point degrade to the synchronous path.
+    /// the append entry point write and fsync in place.
     group: Option<Arc<GroupCommitter>>,
     device: Arc<Device>,
     counters: Arc<SyncCounters>,
-    /// The fault plan of [`FsOptions::fault`], consulted by the fsync
-    /// funnel; `None` in production.
+    /// The fault plan of [`FsOptions::fault`], consulted at the append entry
+    /// point and by the fsync funnel; `None` in production.
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -266,10 +269,10 @@ fn parse_segment_name(file_name: &str) -> Option<SegmentName> {
 }
 
 impl FsBackend {
-    /// Opens (creating it if needed) a store rooted at `root`: sweeps stale
-    /// debris (`.tmp` staging files, orphaned segments and legacy journals of
-    /// removed documents) and migrates any legacy monolithic `<name>.journal`
-    /// files to the segment format.
+    /// Opens (creating it if needed) a store rooted at `root` and sweeps
+    /// stale debris (`.tmp` staging files, orphaned segments of removed
+    /// documents). Refuses a root that holds a pre-segment monolithic
+    /// `<name>.journal` beside a live checkpoint (see the module docs).
     pub fn open(root: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::with_options(root, FsOptions::default())
     }
@@ -320,14 +323,14 @@ impl FsBackend {
             counters: Arc::new(SyncCounters::default()),
             fault: options.fault,
         };
-        backend.sweep_and_migrate()?;
+        backend.sweep()?;
         Ok(backend)
     }
 
     /// A clone with the group committer detached: it shares every meter,
-    /// counter and the device gate, but its appends take the synchronous
-    /// path. Window flushes and ticket waits run through such a handle so
-    /// they can never re-enter the committer they serve.
+    /// counter and the device gate, but its appends write in place. Window
+    /// flushes and ticket waits run through such a handle so they can never
+    /// re-enter the committer they serve.
     fn degrouped(&self) -> FsBackend {
         FsBackend {
             group: None,
@@ -336,12 +339,10 @@ impl FsBackend {
     }
 
     /// The open-time sweep: discard commit debris that never reached a
-    /// rename commit point, drop files orphaned by a half-done removal, and
-    /// migrate legacy monolithic journals.
-    fn sweep_and_migrate(&self) -> Result<(), StoreError> {
+    /// rename commit point and drop segments orphaned by a half-done removal.
+    fn sweep(&self) -> Result<(), StoreError> {
         let mut checkpoints: Vec<String> = Vec::new();
         let mut segments: Vec<(PathBuf, SegmentName)> = Vec::new();
-        let mut legacy: Vec<(PathBuf, String)> = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let path = entry?.path();
             let (Some(file_name), Some(ext)) = (
@@ -351,20 +352,25 @@ impl FsBackend {
                 continue;
             };
             match ext.as_str() {
-                // A `.tmp` is a staged checkpoint, compaction output or
-                // migration that was killed before its rename: the state it
-                // carried never reached a commit point, so it must not
-                // survive into recovery.
+                // A `.tmp` is a staged checkpoint or compaction output that
+                // was killed before its rename: the state it carried never
+                // reached a commit point, so it must not survive into
+                // recovery.
                 "tmp" => fs::remove_file(&path)?,
                 "seg" => {
                     if let Some(parsed) = parse_segment_name(&file_name) {
                         segments.push((path, parsed));
                     }
                 }
-                "journal" => {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        legacy.push((path.clone(), stem.to_string()));
-                    }
+                // A pre-segment monolithic journal of a live document: this
+                // build cannot replay it, and opening the document without
+                // it would silently serve a different distribution.
+                "journal" if path.with_extension("pxml").exists() => {
+                    return Err(StoreError::Format(format!(
+                        "{} is a pre-segment monolithic journal, a layout this version \
+                         no longer reads — refusing to open its document without it",
+                        path.display()
+                    )));
                 }
                 "pxml" => {
                     if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
@@ -377,55 +383,11 @@ impl FsBackend {
         // Orphaned segments: a document removal deletes the checkpoint first,
         // so segments without a checkpoint belong to a removal that died
         // before finishing.
-        let mut has_segments: std::collections::HashSet<String> = std::collections::HashSet::new();
         for (path, parsed) in &segments {
-            if checkpoints.iter().any(|c| c == &parsed.document) {
-                has_segments.insert(parsed.document.clone());
-            } else {
+            if !checkpoints.iter().any(|c| c == &parsed.document) {
                 fs::remove_file(path)?;
             }
         }
-        for (path, name) in legacy {
-            if !checkpoints.iter().any(|c| c == &name) {
-                // Same orphan rule as segments.
-                fs::remove_file(&path)?;
-            } else if has_segments.contains(&name) {
-                // Segments can only coexist with a legacy journal when a
-                // previous migration was killed after its rename commit
-                // point: the segment already holds the journal, so the
-                // leftover source file is safe to drop.
-                fs::remove_file(&path)?;
-            } else {
-                self.migrate_legacy_journal(&path, &name)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Rewrites a legacy monolithic journal as segment
-    /// `<name>.journal.0.0.seg` (legacy checkpoints are always epoch 0). The
-    /// segment is staged to a `.tmp` and renamed — the commit point — before
-    /// the legacy file is removed, so a crash at any step leaves a state the
-    /// next open handles.
-    fn migrate_legacy_journal(&self, legacy_path: &Path, name: &str) -> Result<(), StoreError> {
-        let batches = parse_batched_journal(&fs::read_to_string(legacy_path)?)?;
-        if !batches.is_empty() {
-            let mut encoded = Vec::new();
-            for batch in &batches {
-                encoded.extend_from_slice(&encode_record(batch));
-            }
-            let staged = self.root.join(format!(".{name}.journal.0.0.seg.tmp"));
-            let mut file = fs::File::create(&staged)?;
-            file.write_all(&encoded)?;
-            file.sync_all()?;
-            drop(file);
-            fs::rename(&staged, self.segment_path(name, 0, 0))?;
-            // The rename is the migration's commit point: make it durable
-            // before the source is unlinked, or power loss could reorder the
-            // two and drop the journal entirely.
-            self.sync_dir()?;
-        }
-        fs::remove_file(legacy_path)?;
         Ok(())
     }
 
@@ -663,11 +625,63 @@ impl FsBackend {
     }
 
     /// Durably appends one committed transaction batch to a document's
-    /// journal: one length-prefixed record written to the active segment and
-    /// covered by its own fsync round — **O(batch)**, never a rewrite of
-    /// earlier records. The write lands in a new segment file when the
-    /// active one has grown past the roll threshold.
+    /// journal: the ticketed append, waited out. Under
+    /// [`CommitPolicy::Grouped`] the batch therefore rides the commit window
+    /// like every other append — it can never be written around (and so
+    /// reordered against) batches already enqueued.
     pub fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
+        self.append_batch_enqueue(name, batch).wait()
+    }
+
+    /// The append entry point — every journal write starts here. Consults
+    /// the fault plan once, then hands the batch to the group-commit window
+    /// and returns a [`CommitTicket`] that resolves at the window's fsync;
+    /// without a committer ([`CommitPolicy::Sync`]) the append runs to
+    /// completion here and the ticket comes back already resolved.
+    pub fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
+        let torn = match self
+            .fault
+            .as_ref()
+            .and_then(|plan| plan.decide(FaultOp::Append))
+        {
+            Some((FaultKind::TornWrite, error)) => Some(error),
+            Some((_, error)) => return CommitTicket::resolved(Err(error)),
+            None => None,
+        };
+        let group = match &self.group {
+            Some(group) if torn.is_none() => group,
+            _ => {
+                // No committer — or a torn write, which cannot resolve
+                // asynchronously (the shear must follow the write before
+                // the caller sees the ticket): settle any open window first
+                // so enqueue order holds, then write in place.
+                self.group_barrier();
+                return CommitTicket::resolved(self.append_now(name, batch, torn));
+            }
+        };
+        // Fail a missing document eagerly, before it can poison a window.
+        // (A removal racing the window is still caught by the flush itself.)
+        if !self.contains(name) {
+            return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
+        }
+        let slot = group.enqueue(name, batch);
+        CommitTicket::window(slot, group.clone(), self.degrouped())
+    }
+
+    /// The committer-less arm of [`FsBackend::append_batch_enqueue`]: one
+    /// length-prefixed record written to the active segment and covered by
+    /// its own fsync round — **O(batch)**, never a rewrite of earlier
+    /// records. The write lands in a new segment file when the active one
+    /// has grown past the roll threshold. `torn` carries the error of an
+    /// injected [`FaultKind::TornWrite`]: the record lands, its tail is
+    /// sheared off through the segment handle still held, and the error is
+    /// returned with the meters left stale — a reopen rescans them.
+    fn append_now(
+        &self,
+        name: &str,
+        batch: &[UpdateTransaction],
+        torn: Option<StoreError>,
+    ) -> Result<(), StoreError> {
         let meta = self.meta(name);
         let mut meta = meta.lock();
         self.ensure_loaded(name, &mut meta)?;
@@ -676,13 +690,19 @@ impl FsBackend {
         }
         let saved = meta.snapshot();
         let appended = self.write_record(name, &mut meta, batch)?;
-        match self.fsync_round(std::slice::from_ref(&appended.file), appended.fresh) {
-            Ok(()) => Ok(()),
-            Err(error) => {
-                // The record is in the page cache but never reached the
-                // device: roll it back so replay surfaces exactly the
-                // acknowledged batches and nothing more.
-                self.rollback_unsynced(name, &mut meta, &saved);
+        if let Err(error) = self.fsync_round(std::slice::from_ref(&appended.file), appended.fresh) {
+            // The record is in the page cache but never reached the device:
+            // roll it back so replay surfaces exactly the acknowledged
+            // batches and nothing more.
+            self.rollback_unsynced(name, &mut meta, &saved);
+            return Err(error);
+        }
+        match torn {
+            None => Ok(()),
+            Some(error) => {
+                let sheared = meta.active_len.saturating_sub(TEAR_BYTES);
+                appended.file.set_len(sheared)?;
+                appended.file.sync_all()?;
                 Err(error)
             }
         }
@@ -780,11 +800,16 @@ impl FsBackend {
     /// the round is the unit the device serializes on, and the quantity
     /// group commit divides.
     fn fsync_round(&self, files: &[fs::File], fresh_segment: bool) -> Result<(), StoreError> {
-        if let Some(plan) = &self.fault {
-            // An injected fsync fault preempts the round entirely: the data
-            // was written but never reached the device — exactly the state a
-            // real fsync failure leaves (callers roll the records back).
-            plan.decide_error(FaultOp::Fsync)?;
+        if let Some((_, error)) = self
+            .fault
+            .as_ref()
+            .and_then(|plan| plan.decide(FaultOp::Fsync))
+        {
+            // An injected fsync fault (a torn write degrades to a plain
+            // error here) preempts the round entirely: the data was written
+            // but never reached the device — exactly the state a real fsync
+            // failure leaves (callers roll the records back).
+            return Err(error);
         }
         if self.device.latency > Duration::ZERO {
             let _gate = self.device.gate.lock();
@@ -798,36 +823,6 @@ impl FsBackend {
         }
         self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
-    }
-
-    /// [`FsBackend::append_batch`] through the group-commit window when the
-    /// backend was opened with [`CommitPolicy::Grouped`]: the batch is
-    /// enqueued and the call blocks until its window's shared fsync round.
-    /// Under [`CommitPolicy::Sync`] it degrades to the synchronous append.
-    /// Either way the batch is durable when the call returns `Ok`.
-    pub fn append_batch_grouped(
-        &self,
-        name: &str,
-        batch: &[UpdateTransaction],
-    ) -> Result<(), StoreError> {
-        self.append_batch_enqueue(name, batch).wait()
-    }
-
-    /// The asynchronous half of group commit: enqueues the batch into the
-    /// open window and returns a [`CommitTicket`] that resolves at the
-    /// window's fsync. Under [`CommitPolicy::Sync`] the append happens
-    /// synchronously and the ticket comes back already resolved.
-    pub fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        let Some(group) = &self.group else {
-            return CommitTicket::resolved(self.append_batch(name, batch));
-        };
-        // Fail a missing document eagerly, before it can poison a window.
-        // (A removal racing the window is still caught by the flush itself.)
-        if !self.contains(name) {
-            return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
-        }
-        let slot = group.enqueue(name, batch);
-        CommitTicket::window(slot, group.clone(), self.degrouped())
     }
 
     /// Flushes one drained group-commit window: writes every member's
@@ -1072,14 +1067,6 @@ impl StorageBackend for FsBackend {
 
     fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
         FsBackend::append_batch(self, name, batch)
-    }
-
-    fn append_batch_grouped(
-        &self,
-        name: &str,
-        batch: &[UpdateTransaction],
-    ) -> Result<(), StoreError> {
-        FsBackend::append_batch_grouped(self, name, batch)
     }
 
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
@@ -1590,7 +1577,8 @@ mod tests {
         let store = grouped(&dir, 8);
         store.save_document("people", &sample_fuzzy()).unwrap();
         store
-            .append_batch_grouped("people", &[sample_update()])
+            .append_batch_enqueue("people", &[sample_update()])
+            .wait()
             .unwrap();
         assert_eq!(store.journal_batches("people").unwrap(), 1);
         assert_eq!(
@@ -1632,7 +1620,8 @@ mod tests {
                     barrier.wait();
                     for _ in 0..per_thread {
                         store
-                            .append_batch_grouped(name, &[sample_update()])
+                            .append_batch_enqueue(name, &[sample_update()])
+                            .wait()
                             .unwrap();
                     }
                 });
@@ -1770,7 +1759,8 @@ mod tests {
         .unwrap();
         store.save_document("people", &sample_fuzzy()).unwrap();
         let error = store
-            .append_batch_grouped("people", &[sample_update()])
+            .append_batch_enqueue("people", &[sample_update()])
+            .wait()
             .unwrap_err();
         assert!(is_injected(&error), "unexpected error: {error}");
         // Rolled back: no journal on disk, meters agree.
@@ -1780,7 +1770,8 @@ mod tests {
         // device — there is no retry-fsync-then-ack.
         let fsyncs_before = store.durability_stats().fsyncs;
         let poisoned = store
-            .append_batch_grouped("people", &[sample_update()])
+            .append_batch_enqueue("people", &[sample_update()])
+            .wait()
             .unwrap_err();
         assert!(poisoned.to_string().contains("poisoned"));
         assert_eq!(store.durability_stats().fsyncs, fsyncs_before);
@@ -1788,7 +1779,8 @@ mod tests {
         let recovered = store.reopen_document("people").unwrap();
         assert!(recovered.tree().find_elements("email").is_empty());
         store
-            .append_batch_grouped("people", &[sample_update()])
+            .append_batch_enqueue("people", &[sample_update()])
+            .wait()
             .unwrap();
         assert_eq!(store.journal_batches("people").unwrap(), 1);
         assert_eq!(
@@ -1801,6 +1793,44 @@ mod tests {
             1
         );
         fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// An injected torn write, under either policy: the error is the
+    /// injected one, the record landed minus its sheared tail, the meters
+    /// stay stale until a reopen truncates the torn record away — and an
+    /// earlier unresolved ticket of the same document still lands first.
+    #[test]
+    fn torn_write_shears_the_record_until_reopen() {
+        use crate::fault::{is_injected, FaultKind, FaultOp, FaultPlan};
+        for commit in [CommitPolicy::Sync, CommitPolicy::grouped()] {
+            let dir = scratch("torn-write");
+            let plan = FaultPlan::new().fail_nth_with(FaultOp::Append, 2, FaultKind::TornWrite);
+            let store = FsBackend::with_options(
+                &dir,
+                FsOptions {
+                    commit,
+                    fault: Some(Arc::new(plan)),
+                    ..FsOptions::default()
+                },
+            )
+            .unwrap();
+            store.save_document("people", &sample_fuzzy()).unwrap();
+            let first = store.append_batch_enqueue("people", &[sample_update()]);
+            let error = store
+                .append_batch("people", &[sample_update()])
+                .unwrap_err();
+            assert!(is_injected(&error), "unexpected error: {error}");
+            first.wait().unwrap();
+            let segment = dir.join("people.journal.0.0.seg");
+            let whole = 2 * encode_record(&[sample_update()]).len() as u64;
+            assert_eq!(fs::metadata(&segment).unwrap().len(), whole - TEAR_BYTES);
+            assert_eq!(store.journal_batches("people").unwrap(), 2, "stale meters");
+            let recovered = store.reopen_document("people").unwrap();
+            assert_eq!(recovered.tree().find_elements("email").len(), 1);
+            assert_eq!(store.journal_batches("people").unwrap(), 1);
+            assert_eq!(fs::metadata(&segment).unwrap().len(), whole / 2);
+            fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]

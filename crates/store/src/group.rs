@@ -1,7 +1,7 @@
 //! Group commit: cross-document fsync coalescing for the segment journal.
 //!
-//! [`FsBackend::append_batch`](crate::FsBackend::append_batch) pays one fsync
-//! round per batch per document. Under many concurrent writers those fsyncs —
+//! Under [`CommitPolicy::Sync`] every append pays one fsync round per batch
+//! per document. Under many concurrent writers those fsyncs —
 //! not the CPU work — cap commit throughput: eight writers on eight documents
 //! issue eight device flushes where one would durably cover them all. The
 //! [`GroupCommitter`] closes that gap with the leader/follower protocol real
@@ -19,7 +19,7 @@
 //!
 //! # Durability contract
 //!
-//! Identical to the synchronous path: a commit is **acknowledged** (its
+//! Identical to the `Sync` policy's: a commit is **acknowledged** (its
 //! ticket resolves `Ok`) only after its window's fsync round, and crash
 //! replay never surfaces an unacknowledged batch — before the round the
 //! records are at most torn tails that recovery truncates away. Grouping
@@ -485,7 +485,7 @@ impl fmt::Debug for CommitTicket {
 impl CommitTicket {
     /// A ticket for an append that already completed synchronously with
     /// `outcome` — what every backend without a group-commit pipeline
-    /// returns (the default-impl degradation path).
+    /// returns.
     pub fn resolved(outcome: Result<(), StoreError>) -> Self {
         CommitTicket {
             inner: Some(TicketInner::Resolved(outcome)),

@@ -14,11 +14,9 @@
 //! `target` is the index of the pattern node (in `Pattern::node_ids` order)
 //! at whose image the operation is applied.
 //!
-//! A journal file is a sequence of **batches** wrapped in `<pxml:journal>`:
-//! each `<pxml:batch>` element holds the updates of one committed
-//! transaction, in application order. Bare `<pxml:update>` children are also
-//! accepted (the pre-batch journal layout) and read back as single-update
-//! batches, so journals written before the session API keep replaying.
+//! The journal itself has exactly one layout: a sequence of segment records
+//! (see [`crate::fs`]), each carrying one standalone `<pxml:batch>` document
+//! — the updates of one committed transaction, in application order.
 
 use pxml_core::{UpdateOperation, UpdateTransaction};
 use pxml_query::{PNodeId, Pattern};
@@ -145,69 +143,6 @@ pub fn parse_batch(input: &str) -> Result<Vec<UpdateTransaction>, StoreError> {
         .collect()
 }
 
-/// Serializes a whole journal as a sequence of single-update batches.
-pub fn serialize_journal(updates: &[UpdateTransaction]) -> String {
-    let batches: Vec<Vec<UpdateTransaction>> = updates.iter().map(|u| vec![u.clone()]).collect();
-    serialize_batched_journal(&batches)
-}
-
-/// Serializes a whole journal: one `<pxml:batch>` element per committed
-/// transaction.
-pub fn serialize_batched_journal(batches: &[Vec<UpdateTransaction>]) -> String {
-    let mut journal = XmlElement::new("pxml:journal");
-    for batch in batches {
-        let mut element = XmlElement::new("pxml:batch");
-        for update in batch {
-            element
-                .children
-                .push(XmlNode::Element(update_to_element(update)));
-        }
-        journal.children.push(XmlNode::Element(element));
-    }
-    XmlDocument::new(journal).to_xml_string(true)
-}
-
-/// Parses a whole journal, flattened to application order.
-pub fn parse_journal(input: &str) -> Result<Vec<UpdateTransaction>, StoreError> {
-    Ok(parse_batched_journal(input)?
-        .into_iter()
-        .flatten()
-        .collect())
-}
-
-/// Parses a whole journal, one entry per committed batch. Bare
-/// `<pxml:update>` children (the pre-batch layout) are read as single-update
-/// batches.
-pub fn parse_batched_journal(input: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-    let document = XmlDocument::parse(input)?;
-    if document.root.name != "pxml:journal" {
-        return Err(StoreError::Format(format!(
-            "expected <pxml:journal>, found <{}>",
-            document.root.name
-        )));
-    }
-    let mut batches = Vec::new();
-    for child in document.root.child_elements() {
-        match child.name.as_str() {
-            "pxml:batch" => {
-                batches.push(
-                    child
-                        .child_elements()
-                        .map(update_from_element)
-                        .collect::<Result<Vec<_>, _>>()?,
-                );
-            }
-            "pxml:update" => batches.push(vec![update_from_element(child)?]),
-            other => {
-                return Err(StoreError::Format(format!(
-                    "unexpected <{other}> inside <pxml:journal>"
-                )))
-            }
-        }
-    }
-    Ok(batches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,53 +197,22 @@ mod tests {
     }
 
     #[test]
-    fn journal_round_trips() {
-        let updates = vec![sample_update(), {
+    fn batch_round_trips() {
+        let batch = vec![sample_update(), {
             let pattern = Pattern::parse("person { name }").unwrap();
             let name = pattern.node_ids().nth(1).unwrap();
             UpdateTransaction::new(pattern, 0.5)
                 .unwrap()
                 .with_delete(name)
         }];
-        let text = serialize_journal(&updates);
-        let reparsed = parse_journal(&text).unwrap();
-        assert_eq!(reparsed.len(), 2);
-        assert_eq!(reparsed[1].pattern().to_string(), "person { name }");
-    }
-
-    #[test]
-    fn empty_journal_round_trips() {
-        let text = serialize_journal(&[]);
-        assert!(parse_journal(&text).unwrap().is_empty());
-    }
-
-    #[test]
-    fn batched_journal_round_trips() {
-        let batches = vec![
-            vec![sample_update(), sample_update()],
-            vec![sample_update()],
-        ];
-        let text = serialize_batched_journal(&batches);
+        let text = serialize_batch(&batch);
         assert!(text.contains("pxml:batch"));
-        let reparsed = parse_batched_journal(&text).unwrap();
+        let reparsed = parse_batch(&text).unwrap();
+        // Application order is preserved.
         assert_eq!(reparsed.len(), 2);
-        assert_eq!(reparsed[0].len(), 2);
-        assert_eq!(reparsed[1].len(), 1);
-        // The flat view preserves application order.
-        assert_eq!(parse_journal(&text).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn flat_entries_parse_as_singleton_batches() {
-        use pxml_tree::{XmlDocument, XmlElement, XmlNode};
-        let mut journal = XmlElement::new("pxml:journal");
-        journal
-            .children
-            .push(XmlNode::Element(update_to_element(&sample_update())));
-        let text = XmlDocument::new(journal).to_xml_string(true);
-        let batches = parse_batched_journal(&text).unwrap();
-        assert_eq!(batches.len(), 1);
-        assert_eq!(batches[0].len(), 1);
+        assert_eq!(reparsed[0].pattern().to_string(), "/A { B, C }");
+        assert_eq!(reparsed[1].pattern().to_string(), "person { name }");
+        assert!(parse_batch(&serialize_batch(&[])).unwrap().is_empty());
     }
 
     #[test]
@@ -342,7 +246,7 @@ mod tests {
             Err(StoreError::Core(_))
         ));
         assert!(matches!(
-            parse_journal("<pxml:updates/>"),
+            parse_batch("<pxml:journal/>"),
             Err(StoreError::Format(_))
         ));
     }

@@ -14,19 +14,20 @@
 //!   ordinary XML document whose uncertain nodes carry a `pxml:cond`
 //!   attribute, whose event table is stored in a `pxml:events` header, and
 //!   whose root carries the journal epoch its checkpoint folded;
-//! * [`journal`] — the textual form of probabilistic update transactions,
-//!   batch payloads, and the legacy monolithic journal layout;
+//! * [`journal`] — the textual form of probabilistic update transactions
+//!   and of the `<pxml:batch>` payload of a journal record;
 //! * [`fs`] — [`FsBackend`]: the durable file-system backend with an
 //!   **append-only segment journal** (O(batch) commits, torn-tail crash
-//!   recovery, auto-migration of legacy monolithic journals);
+//!   recovery; length-prefixed batch records are the one journal layout);
 //! * [`group`] — the cross-document **group-commit** layer: [`CommitPolicy`],
 //!   the leader/follower [`GroupCommitter`] coalescing many documents'
 //!   appends into one fsync window, and the [`CommitTicket`] handle of an
 //!   enqueued append;
 //! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benches;
-//! * [`fault`] — [`FaultBackend`]: deterministic fault injection over any
-//!   backend, driven by a seeded [`FaultPlan`] (the chaos battery and the
-//!   E18 sweep run the whole stack through it).
+//! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
+//!   installed through [`FsOptions::fault`] and consulted by [`FsBackend`]
+//!   at its append entry point and fsync funnel (the chaos battery and the
+//!   E18 sweep run the whole stack over it).
 //!
 //! [`DocumentStore`] is the historical name of the file-system store and
 //! remains an alias for [`FsBackend`].
@@ -52,14 +53,11 @@ pub mod mem;
 
 pub use backend::StorageBackend;
 pub use error::StoreError;
-pub use fault::{is_injected, FaultBackend, FaultKind, FaultOp, FaultPlan};
+pub use fault::{is_injected, FaultKind, FaultOp, FaultPlan};
 pub use format::{parse_fuzzy_document, serialize_fuzzy_document};
 pub use fs::{FsBackend, FsOptions, DEFAULT_SEGMENT_ROLL_BYTES};
 pub use group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter};
-pub use journal::{
-    parse_batch, parse_batched_journal, parse_update, serialize_batch, serialize_batched_journal,
-    serialize_update,
-};
+pub use journal::{parse_batch, parse_update, serialize_batch, serialize_update};
 pub use mem::MemBackend;
 
 /// The historical name of the file-system store: an alias for [`FsBackend`].

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
 use pxml_store::{
-    is_injected, CommitPolicy, FaultBackend, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend,
+    is_injected, CommitPolicy, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend,
     StorageBackend, StoreError,
 };
 use pxml_tree::parse_data_tree;
@@ -48,6 +48,22 @@ fn tagged_update(tag: &str) -> UpdateTransaction {
         target,
         parse_data_tree(&format!("<email>{tag}@example.org</email>")).unwrap(),
     )
+}
+
+/// The text of each journaled insert, in replay order.
+fn journal_tags(backend: &dyn StorageBackend, name: &str) -> Vec<String> {
+    backend
+        .read_journal(name)
+        .unwrap()
+        .iter()
+        .map(|u| match &u.operations()[0] {
+            pxml_core::UpdateOperation::Insert { subtree, .. } => subtree
+                .node_value(subtree.root())
+                .unwrap_or_default()
+                .to_string(),
+            _ => unreachable!("conformance updates are inserts"),
+        })
+        .collect()
 }
 
 /// Runs every conformance check against one backend.
@@ -97,20 +113,8 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     assert_eq!(batches[0].len(), 2, "batch boundaries preserved");
     assert_eq!(batches[1].len(), 1);
     // Commit order is replay order.
-    let tags: Vec<String> = backend
-        .read_journal("people")
-        .unwrap()
-        .iter()
-        .map(|u| match &u.operations()[0] {
-            pxml_core::UpdateOperation::Insert { subtree, .. } => subtree
-                .node_value(subtree.root())
-                .unwrap_or_default()
-                .to_string(),
-            _ => unreachable!("conformance updates are inserts"),
-        })
-        .collect();
     assert_eq!(
-        tags,
+        journal_tags(backend, "people"),
         vec!["b1u1@example.org", "b1u2@example.org", "b2u1@example.org",]
     );
 
@@ -198,9 +202,9 @@ fn conformance_suite(backend: &dyn StorageBackend) {
 /// Concurrent same-document appends must serialize (none lost), and
 /// distinct-document appends must not interleave — exercised through the
 /// `Arc<dyn StorageBackend>` the engine actually uses. Appends go through
-/// `append_batch_grouped`, the engine's commit entry point: on ungrouped
-/// backends that is the identical synchronous call, on a grouped backend it
-/// pushes the same guarantees through shared fsync windows.
+/// the ticketed `append_batch_enqueue(..).wait()`, the engine's commit entry
+/// point: on ungrouped backends the ticket comes back resolved, on a grouped
+/// backend it pushes the same guarantees through shared fsync windows.
 fn concurrent_conformance(backend: Arc<dyn StorageBackend>) {
     backend.save_document("shared", &sample_fuzzy()).unwrap();
     let threads = 4;
@@ -214,7 +218,8 @@ fn concurrent_conformance(backend: Arc<dyn StorageBackend>) {
                 barrier.wait();
                 for k in 0..per_thread {
                     backend
-                        .append_batch_grouped("shared", &[tagged_update(&format!("t{t}k{k}"))])
+                        .append_batch_enqueue("shared", &[tagged_update(&format!("t{t}k{k}"))])
+                        .wait()
                         .unwrap();
                 }
             });
@@ -298,65 +303,74 @@ fn fs_backend_conforms_concurrently_grouped() {
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-/// With an empty plan the fault decorator must be a pure pass-through:
-/// the full suite runs unchanged, the plan counts every operation it saw,
-/// and no fault is ever injected.
+/// A blocking append issued while an earlier ticket of the same document is
+/// still unresolved must queue up behind it: the journal — and therefore
+/// replay — holds the batches in call order. (A blocking append that wrote
+/// around the commit window would land first and reorder them.)
 #[test]
-fn fault_backend_passthrough_conforms_over_fs() {
-    let dir = scratch("fault-passthrough-fs");
-    let plan = Arc::new(FaultPlan::new());
-    let backend = FaultBackend::new(Arc::new(FsBackend::open(&dir).unwrap()), plan.clone());
-    conformance_suite(&backend);
-    assert_eq!(plan.injected_faults(), 0);
-    assert!(plan.ops(FaultOp::Append) > 0, "appends must be counted");
-    assert!(plan.ops(FaultOp::Load) > 0, "loads must be counted");
+fn blocking_append_queues_behind_an_unresolved_ticket() {
+    let dir = scratch("fs-grouped-enqueue-then-append");
+    let backend = grouped_backend(&dir);
+    backend.save_document("doc", &sample_fuzzy()).unwrap();
+    let ticket = backend.append_batch_enqueue("doc", &[tagged_update("first")]);
+    backend
+        .append_batch("doc", &[tagged_update("second")])
+        .unwrap();
+    ticket.wait().unwrap();
+    assert_eq!(
+        journal_tags(&backend, "doc"),
+        vec!["first@example.org", "second@example.org"]
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }
 
-#[test]
-fn fault_backend_passthrough_conforms_over_mem() {
-    let plan = Arc::new(FaultPlan::new());
-    let backend = FaultBackend::new(Arc::new(MemBackend::new()), plan.clone());
-    conformance_suite(&backend);
-    assert_eq!(plan.injected_faults(), 0);
-}
-
-#[test]
-fn fault_backend_passthrough_conforms_concurrently_over_fs() {
-    let dir = scratch("fault-passthrough-fs-concurrent");
-    concurrent_conformance(Arc::new(FaultBackend::new(
-        Arc::new(FsBackend::open(&dir).unwrap()),
-        Arc::new(FaultPlan::new()),
-    )));
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
-#[test]
-fn fault_backend_passthrough_conforms_concurrently_over_mem() {
-    concurrent_conformance(Arc::new(FaultBackend::new(
-        Arc::new(MemBackend::new()),
-        Arc::new(FaultPlan::new()),
-    )));
-}
-
-/// A planned fsync failure on `FsBackend` (plan installed through
-/// [`FsOptions::fault`], decorator sharing the same plan): the poisoned
-/// append surfaces a typed injected error, the unsynced record is rolled
-/// back so the journal holds exactly the acknowledged prefix, and the
-/// backend keeps working once the one-shot fault has fired.
-#[test]
-fn injected_fsync_failure_rolls_back_the_append_over_fs() {
-    let dir = scratch("fault-fsync-fs");
-    let plan = Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1));
-    let inner = FsBackend::with_options(
-        &dir,
+/// A sync-policy `FsBackend` with `plan` installed through
+/// [`FsOptions::fault`] — the one door faults enter by.
+fn fs_backend_with_plan(dir: &std::path::Path, plan: &Arc<FaultPlan>) -> FsBackend {
+    FsBackend::with_options(
+        dir,
         FsOptions {
             fault: Some(plan.clone()),
             ..FsOptions::default()
         },
     )
-    .unwrap();
-    let backend = FaultBackend::new(Arc::new(inner), plan.clone());
+    .unwrap()
+}
+
+/// An installed fault plan that schedules nothing must be invisible: the
+/// full suite runs unchanged, the plan counts every append and fsync round
+/// the backend ran past it, and no fault is ever injected.
+#[test]
+fn fs_backend_with_empty_fault_plan_conforms() {
+    let dir = scratch("fault-plan-empty-fs");
+    let plan = Arc::new(FaultPlan::new());
+    conformance_suite(&fs_backend_with_plan(&dir, &plan));
+    assert_eq!(plan.injected_faults(), 0);
+    assert!(plan.ops(FaultOp::Append) > 0, "appends must be counted");
+    assert!(plan.ops(FaultOp::Fsync) > 0, "fsync rounds must be counted");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+#[test]
+fn fs_backend_with_empty_fault_plan_conforms_concurrently() {
+    let dir = scratch("fault-plan-empty-fs-concurrent");
+    let plan = Arc::new(FaultPlan::new());
+    concurrent_conformance(Arc::new(fs_backend_with_plan(&dir, &plan)));
+    assert_eq!(plan.injected_faults(), 0);
+    assert_eq!(plan.ops(FaultOp::Append), 20, "one consult per append");
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A planned fsync failure on `FsBackend` (plan installed through
+/// [`FsOptions::fault`], the one fault door): the poisoned append surfaces
+/// a typed injected error, the unsynced record is rolled back so the
+/// journal holds exactly the acknowledged prefix, and the backend keeps
+/// working once the one-shot fault has fired.
+#[test]
+fn injected_fsync_failure_rolls_back_the_append_over_fs() {
+    let dir = scratch("fault-fsync-fs");
+    let plan = Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1));
+    let backend = fs_backend_with_plan(&dir, &plan);
 
     // `save_document` syncs outside the fsync-round path, so the first
     // append is fsync #1 — the planned failure.
@@ -387,35 +401,4 @@ fn injected_fsync_failure_rolls_back_the_append_over_fs() {
         1
     );
     std::fs::remove_dir_all(dir).unwrap();
-}
-
-/// The same planned fsync failure over `MemBackend`: with no filesystem
-/// below, the decorator fires the fault at the append boundary — before
-/// the inner backend is touched — so the journal again holds exactly the
-/// acknowledged prefix.
-#[test]
-fn injected_fsync_failure_rolls_back_the_append_over_mem() {
-    let plan = Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 1));
-    let backend = FaultBackend::new(Arc::new(MemBackend::new()), plan.clone());
-
-    backend.save_document("people", &sample_fuzzy()).unwrap();
-    let error = backend
-        .append_batch("people", &[tagged_update("lost")])
-        .unwrap_err();
-    assert!(is_injected(&error), "unexpected error: {error}");
-    assert_eq!(backend.journal_batches("people").unwrap(), 0);
-
-    backend
-        .append_batch("people", &[tagged_update("kept")])
-        .unwrap();
-    assert_eq!(backend.journal_batches("people").unwrap(), 1);
-    assert_eq!(
-        backend
-            .recover_document("people")
-            .unwrap()
-            .tree()
-            .find_elements("email")
-            .len(),
-        1
-    );
 }

@@ -133,7 +133,8 @@ fn kill_before_window_fsync_discards_all_members() {
         for doc in ["doc-a", "doc-b"] {
             store.save_document(doc, &sample_fuzzy()).unwrap();
             store
-                .append_batch_grouped(doc, &[tagged_update("acked")])
+                .append_batch_enqueue(doc, &[tagged_update("acked")])
+                .wait()
                 .unwrap();
         }
         // The crash: a window spanning both documents died before its
@@ -176,7 +177,8 @@ fn kill_after_window_fsync_replays_all_members() {
                 scope.spawn(move || {
                     barrier.wait();
                     store
-                        .append_batch_grouped(doc, &[tagged_update("shared")])
+                        .append_batch_enqueue(doc, &[tagged_update("shared")])
+                        .wait()
                         .unwrap();
                 });
             }
@@ -213,7 +215,8 @@ fn mixed_window_replays_sound_member_and_discards_torn_member() {
         for doc in ["doc-a", "doc-b"] {
             store.save_document(doc, &sample_fuzzy()).unwrap();
             store
-                .append_batch_grouped(doc, &[tagged_update("base")])
+                .append_batch_enqueue(doc, &[tagged_update("base")])
+                .wait()
                 .unwrap();
         }
         // The crash: doc-a's window member is whole on disk, doc-b's is
@@ -275,7 +278,8 @@ fn window_with_segment_roll_survives_crash_after_fsync() {
                     scope.spawn(move || {
                         barrier.wait();
                         store
-                            .append_batch_grouped(doc, &[tagged_update(tag)])
+                            .append_batch_enqueue(doc, &[tagged_update(tag)])
+                            .wait()
                             .unwrap();
                     });
                 }
@@ -314,7 +318,8 @@ fn grouped_and_sync_hammers_yield_identical_journals() {
                     barrier.wait();
                     for c in 0..commits_per_writer {
                         store
-                            .append_batch_grouped(&name, &[tagged_update(&format!("w{w}c{c}"))])
+                            .append_batch_enqueue(&name, &[tagged_update(&format!("w{w}c{c}"))])
+                            .wait()
                             .unwrap();
                     }
                 });

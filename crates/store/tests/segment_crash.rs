@@ -1,8 +1,8 @@
 //! The segment-level crash battery: every kill-point of the append-only
 //! journal and its compaction protocol, simulated by leaving the exact disk
 //! state the killed process would have left, then recovering through a fresh
-//! [`FsBackend`]. Also covers the auto-migration of legacy monolithic
-//! journals and the open-time debris sweep.
+//! [`FsBackend`]. Also covers the open-time debris sweep and the refusal of
+//! the pre-segment monolithic journal layout.
 
 use std::fs;
 use std::path::PathBuf;
@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
-use pxml_store::{serialize_batch, serialize_batched_journal, FsBackend};
+use pxml_store::{serialize_batch, FsBackend, StoreError};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -224,96 +224,35 @@ fn half_written_compaction_output_is_swept_at_open() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// A legacy monolithic `<name>.journal` is auto-migrated at open: the same
-/// batches, in the same order, now in segment form — and the round trip
-/// through a full recovery matches what the legacy layout would have
-/// replayed.
+/// Segment records are the only journal layout: a pre-segment monolithic
+/// `<name>.journal` beside a live checkpoint is refused at open with a typed
+/// format error naming the file — never skipped, which would serve the
+/// document without its journaled updates — and left untouched on disk.
 #[test]
-fn legacy_monolithic_journal_migrates_on_open() {
-    let dir = scratch("legacy-migration");
-    fs::create_dir_all(&dir).unwrap();
-    // Fabricate a pre-segment store state by hand: checkpoint + monolithic
-    // batched journal.
-    let fuzzy = sample_fuzzy();
-    {
-        let store = FsBackend::open(&dir).unwrap();
-        store.save_document("doc", &fuzzy).unwrap();
-    }
-    let batches = vec![
-        vec![tagged_update("m1a"), tagged_update("m1b")],
-        vec![tagged_update("m2")],
-    ];
-    fs::write(dir.join("doc.journal"), serialize_batched_journal(&batches)).unwrap();
-
-    // Reference: what the legacy layout replays.
-    let mut reference = fuzzy.clone();
-    for update in batches.iter().flatten() {
-        update.apply_to_fuzzy(&mut reference).unwrap();
-    }
-
-    let migrated = FsBackend::open(&dir).unwrap();
-    assert!(!dir.join("doc.journal").exists(), "legacy journal removed");
-    assert!(dir.join("doc.journal.0.0.seg").exists(), "segment written");
-    assert_eq!(migrated.journal_batches("doc").unwrap(), 2);
-    assert_eq!(migrated.journal_length("doc").unwrap(), 3);
-    let recovered = migrated.recover_document("doc").unwrap();
-    assert!(recovered.semantically_equivalent(&reference, 1e-9).unwrap());
-    assert_eq!(recovered_tags(&migrated, "doc"), vec!["m1a", "m1b", "m2"]);
-
-    // Appends continue into the migrated segment and everything replays.
-    migrated
-        .append_batch("doc", &[tagged_update("post")])
-        .unwrap();
-    let reopened = FsBackend::open(&dir).unwrap();
-    assert_eq!(
-        recovered_tags(&reopened, "doc"),
-        vec!["m1a", "m1b", "m2", "post"]
-    );
-    fs::remove_dir_all(dir).unwrap();
-}
-
-/// A migration killed after its rename commit point but before the legacy
-/// file's removal leaves both forms on disk; the next open must keep the
-/// segment (already authoritative) and drop the leftover source instead of
-/// double-migrating.
-#[test]
-fn migration_crash_after_rename_does_not_double_migrate() {
-    let dir = scratch("legacy-double");
-    fs::create_dir_all(&dir).unwrap();
+fn legacy_monolithic_journal_is_refused_at_open() {
+    let dir = scratch("legacy-refused");
     {
         let store = FsBackend::open(&dir).unwrap();
         store.save_document("doc", &sample_fuzzy()).unwrap();
     }
-    let batches = vec![vec![tagged_update("once")]];
-    let legacy = serialize_batched_journal(&batches);
-    fs::write(dir.join("doc.journal"), &legacy).unwrap();
-    // First open migrates…
-    let _ = FsBackend::open(&dir).unwrap();
-    // …then the "crash": the legacy file reappears next to the segment,
-    // exactly as if the process had died before removing it.
+    let legacy = format!(
+        "<pxml:journal>{}</pxml:journal>",
+        serialize_batch(&[tagged_update("old")])
+    );
     fs::write(dir.join("doc.journal"), &legacy).unwrap();
 
-    let reopened = FsBackend::open(&dir).unwrap();
-    assert!(!dir.join("doc.journal").exists());
-    assert_eq!(reopened.journal_batches("doc").unwrap(), 1, "no duplicate");
-    assert_eq!(recovered_tags(&reopened, "doc"), vec!["once"]);
-    fs::remove_dir_all(dir).unwrap();
-}
+    match FsBackend::open(&dir) {
+        Err(StoreError::Format(message)) => {
+            assert!(message.contains("doc.journal"), "got: {message}")
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
+    assert_eq!(fs::read_to_string(dir.join("doc.journal")).unwrap(), legacy);
 
-/// An orphaned legacy journal (its document was removed under the old
-/// layout) is swept, not migrated.
-#[test]
-fn orphaned_legacy_journal_is_swept_at_open() {
-    let dir = scratch("legacy-orphan");
-    fs::create_dir_all(&dir).unwrap();
-    fs::write(
-        dir.join("gone.journal"),
-        serialize_batched_journal(&[vec![tagged_update("x")]]),
-    )
-    .unwrap();
+    // Moved out of the way by an operator, the store opens again.
+    fs::remove_file(dir.join("doc.journal")).unwrap();
     let store = FsBackend::open(&dir).unwrap();
-    assert!(!dir.join("gone.journal").exists());
-    assert!(store.list_documents().unwrap().is_empty());
+    assert_eq!(store.journal_batches("doc").unwrap(), 0);
     fs::remove_dir_all(dir).unwrap();
 }
 

@@ -667,35 +667,62 @@ impl Warehouse {
         batch: &[UpdateTransaction],
         policy: Option<SimplifyPolicy>,
     ) -> Result<BatchStats, WarehouseError> {
+        Ok(self.commit(name, batch, policy, true)?.stats)
+    }
+
+    /// The one commit body behind [`Warehouse::commit_batch`] and
+    /// [`Warehouse::commit_batch_async`]. Staging is shared — slot, commit
+    /// mutex, base pin, quarantine gate, apply to a copy-on-write clone
+    /// (rollback = dropping the clone), ticketed journal append — and the
+    /// paths differ only in `wait_durable`: the blocking path waits out the
+    /// ticket, publishes, then runs due compaction under the commit mutex;
+    /// the async path publishes and hands the unresolved ticket back.
+    fn commit(
+        &self,
+        name: &str,
+        batch: &[UpdateTransaction],
+        policy: Option<SimplifyPolicy>,
+        wait_durable: bool,
+    ) -> Result<AsyncCommit, WarehouseError> {
         let policy = policy.unwrap_or(self.config.simplify);
         let slot = self.slot(name)?;
-        let _commit = slot.commit.lock();
+        let commit = slot.commit.lock();
         let base = Self::pin(&slot, name)?;
         Self::check_quarantine(&slot, name)?;
         if batch.is_empty() {
-            return Ok(BatchStats::default());
+            return Ok(AsyncCommit {
+                stats: BatchStats::default(),
+                ticket: CommitTicket::resolved(Ok(())),
+                guard: None,
+            });
         }
-        // Apply to a working copy first (rollback = dropping the copy), make
-        // the batch durable, then publish the new snapshot. The grouped
-        // append lets the backend share this batch's fsync with concurrent
-        // commits to other documents; on `Sync` backends it is the plain
-        // append.
         let mut working = base.fuzzy().clone();
-        let mut batch_stats = BatchStats::default();
+        let mut stats = BatchStats::default();
         for update in batch {
-            batch_stats
+            stats
                 .updates
                 .push(update.apply_to_fuzzy_with(&mut working, policy)?);
         }
-        if let Err(error) = self.store.append_batch_grouped(name, batch) {
-            // The durable commit point failed. MVCC rollback is dropping the
-            // working copy — the published snapshot never moved — but the
-            // journal (and, under group commit, the whole pipeline) can no
-            // longer be trusted: quarantine the document so writes stop until
-            // a reopen re-establishes the on-disk truth. Readers keep serving
-            // the snapshot we just declined to replace.
-            Self::quarantine(&slot, error.to_string());
-            return Err(error.into());
+        // The ticketed append lets the backend share this batch's fsync with
+        // concurrent commits to other documents. The blocking path waits it
+        // out before publishing; the async path settles only a ticket that
+        // came back already resolved (a committer-less backend's finished
+        // append, a poisoned committer's refusal), so a failure known now
+        // never publishes.
+        let mut ticket = self.store.append_batch_enqueue(name, batch);
+        if wait_durable || ticket.is_durable() {
+            if let Err(error) = ticket.wait() {
+                // The durable commit point failed. MVCC rollback is dropping
+                // the working copy — the published snapshot never moved —
+                // but the journal (and, under group commit, the whole
+                // pipeline) can no longer be trusted: quarantine the
+                // document so writes stop until a reopen re-establishes the
+                // on-disk truth. Readers keep serving the snapshot we just
+                // declined to replace.
+                Self::quarantine(&slot, error.to_string());
+                return Err(error.into());
+            }
+            ticket = CommitTicket::resolved(Ok(()));
         }
         let published = Self::publish(&slot, &base, working);
 
@@ -705,20 +732,27 @@ impl Warehouse {
             .fetch_add(batch.len(), Ordering::Relaxed);
         self.stats
             .simplifications
-            .fetch_add(batch_stats.simplify_runs(), Ordering::Relaxed);
-        // Compaction rides the commit pipeline: the journal meters are O(1)
-        // backend metadata, so an undue policy costs two counter reads. The
-        // commit mutex is still held, so the save + truncate cannot
-        // interleave with another commit's journal append.
-        let due = self.config.compaction.is_due(
-            self.store.journal_batches(name)?,
-            self.store.journal_size_bytes(name)?,
-        );
-        if due {
+            .fetch_add(stats.simplify_runs(), Ordering::Relaxed);
+        // Compaction rides the blocking pipeline (the async path skips it,
+        // see `commit_batch_async`): the journal meters are O(1) backend
+        // metadata, so an undue policy costs two counter reads. The commit
+        // mutex is still held, so the save + truncate cannot interleave with
+        // another commit's journal append.
+        if wait_durable
+            && self.config.compaction.is_due(
+                self.store.journal_batches(name)?,
+                self.store.journal_size_bytes(name)?,
+            )
+        {
             self.store.checkpoint(name, published.fuzzy())?;
             self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(batch_stats)
+        drop(commit);
+        Ok(AsyncCommit {
+            stats,
+            ticket,
+            guard: Some(slot),
+        })
     }
 
     /// Publishes `working` as the document's next snapshot (reclaiming dead
@@ -760,52 +794,7 @@ impl Warehouse {
         batch: &[UpdateTransaction],
         policy: Option<SimplifyPolicy>,
     ) -> Result<AsyncCommit, WarehouseError> {
-        let policy = policy.unwrap_or(self.config.simplify);
-        let slot = self.slot(name)?;
-        let commit = slot.commit.lock();
-        let base = Self::pin(&slot, name)?;
-        Self::check_quarantine(&slot, name)?;
-        if batch.is_empty() {
-            return Ok(AsyncCommit {
-                stats: BatchStats::default(),
-                ticket: CommitTicket::resolved(Ok(())),
-                guard: None,
-            });
-        }
-        let mut working = base.fuzzy().clone();
-        let mut batch_stats = BatchStats::default();
-        for update in batch {
-            batch_stats
-                .updates
-                .push(update.apply_to_fuzzy_with(&mut working, policy)?);
-        }
-        let ticket = self.store.append_batch_enqueue(name, batch);
-        // A ticket that comes back already failed — a sync-degraded backend's
-        // append erred, or a poisoned committer refused the enqueue — must
-        // not publish: surface the failure and quarantine exactly like the
-        // blocking path.
-        let ticket = if ticket.is_durable() {
-            if let Err(error) = ticket.wait() {
-                Self::quarantine(&slot, error.to_string());
-                return Err(error.into());
-            }
-            CommitTicket::resolved(Ok(()))
-        } else {
-            ticket
-        };
-        Self::publish(&slot, &base, working);
-        drop(commit);
-        self.stats
-            .updates_applied
-            .fetch_add(batch.len(), Ordering::Relaxed);
-        self.stats
-            .simplifications
-            .fetch_add(batch_stats.simplify_runs(), Ordering::Relaxed);
-        Ok(AsyncCommit {
-            stats: batch_stats,
-            ticket,
-            guard: Some(slot),
-        })
+        self.commit(name, batch, policy, false)
     }
 
     /// Number of journaled updates a document has accumulated since its last

@@ -13,9 +13,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use pxml_core::UpdateTransaction;
 use pxml_query::Pattern;
-use pxml_store::{
-    FaultBackend, FaultKind, FaultOp, FaultPlan, FsBackend, FsOptions, StorageBackend,
-};
+use pxml_store::{FaultKind, FaultOp, FaultPlan, FsBackend, FsOptions, StorageBackend};
 use pxml_tree::parse_data_tree;
 use pxml_warehouse::{CompactionPolicy, SessionConfig, Warehouse};
 
@@ -96,19 +94,16 @@ proptest! {
     #[test]
     fn cold_restart_replays_exactly_the_acked_commits(plan in plan_strategy()) {
         let dir = scratch();
-        let plan = Arc::new(plan);
-        let inner = FsBackend::with_options(
+        let store = FsBackend::with_options(
             &dir,
             FsOptions {
-                fault: Some(plan.clone()),
+                fault: Some(Arc::new(plan)),
                 ..FsOptions::default()
             },
         )
         .unwrap();
-        let store: Arc<dyn StorageBackend> =
-            Arc::new(FaultBackend::new(Arc::new(inner), plan.clone()));
         let warehouse = Warehouse::with_backend(
-            store,
+            Arc::new(store),
             SessionConfig {
                 compaction: CompactionPolicy::Never,
                 ..SessionConfig::default()

@@ -70,28 +70,10 @@
 //! [`FuzzyTree`](prelude::FuzzyTree), query it, expand it to possible worlds
 //! — exactly as in the paper's examples (see `examples/quickstart.rs`).
 //!
-//! ## Migrating from the pre-session API
-//!
-//! The free-standing warehouse calls (`Warehouse::open` / `update`,
-//! `WarehouseConfig`, `DocumentStore::append_update`) survived release 0.2
-//! as shims and are now **removed**; the session API is the only path:
-//!
-//! | Removed call | Replacement |
-//! |---|---|
-//! | `Warehouse::open(path, WarehouseConfig { auto_simplify_above_literals, .. })` | `Session::open(path, SessionConfig { simplify: SimplifyPolicy::…, .. })` |
-//! | `warehouse.create_document(name, tree)` | `session.create(name, tree)` → [`Document`](prelude::Document) handle |
-//! | `warehouse.query(name, &pattern)` | `document.query(&pattern)` |
-//! | `warehouse.document(name)` | `document.snapshot()` |
-//! | `UpdateTransaction::new(pattern, c)?.with_insert(t, sub)` | `Update::matching(pattern).insert_at(t, sub).with_confidence(c)` |
-//! | `warehouse.update(name, &tx)` | `document.begin().stage(update).commit()` |
-//! | `warehouse.simplify(name)` / `warehouse.checkpoint(name)` | `document.simplify()` / `document.checkpoint()` |
-//! | `store.append_update(name, &tx)` | `store.append_batch(name, &[tx])` |
-//! | `SessionConfig { checkpoint_every: Some(n)/None, .. }` | `SessionConfig { compaction: CompactionPolicy::EveryNBatches(n)/Never, .. }` |
-//!
 //! Storage is pluggable since 0.4: [`Session::open`](prelude::Session::open)
 //! keeps its one-line file-backed default
 //! ([`FsBackend`](prelude::FsBackend), an append-only segment journal with
-//! O(batch) commits that auto-migrates pre-0.4 monolithic journals), while
+//! O(batch) commits), while
 //! `Session::open_with_backend` accepts any
 //! [`StorageBackend`](prelude::StorageBackend) — e.g. the in-memory
 //! [`MemBackend`](prelude::MemBackend). See the README's "Storage
