@@ -1,9 +1,8 @@
-//! Shared workload builders for the benchmarks and the experiment harness.
+//! Shared workload builders for the experiment harness.
 //!
-//! Every experiment (E1–E10, described in the doc comments of
-//! `src/bin/harness.rs`) gets its inputs from here so that the Criterion
-//! benches (`benches/`) and the table-printing harness measure exactly the
-//! same workloads.
+//! Every experiment that needs a generated input (E2–E10 and E13, described
+//! in the doc comments of `src/bin/harness.rs`) gets it from here, seeded
+//! with [`BENCH_SEED`] so a table is reproducible run to run.
 
 use pxml_core::{FuzzyTree, Update, UpdateTransaction};
 use pxml_event::{Condition, EventId, Literal};

@@ -6,8 +6,8 @@
 //!
 //! Runs the full scenario battery, prints a coverage table, and exits
 //! non-zero if any schedule violates the durability/ordering invariants.
-//! With `--json <dir>` it also writes `BENCH_LOOM.json` in the same shape
-//! as the bench harness artifacts (`{"experiment", "quick", "tables"}`).
+//! With `--json <dir>` it also writes the coverage record `BENCH_LOOM.json`
+//! (`{"experiment", "quick", "tables"}`).
 
 use std::fmt::Write as _;
 use std::path::PathBuf;

@@ -97,51 +97,34 @@ impl SimplifyReport {
     }
 }
 
-/// Configurable simplification driver.
-#[derive(Debug, Clone)]
-pub struct Simplifier {
-    /// Upper bound on fixpoint iterations (a safety net; 2–3 passes normally
-    /// suffice).
-    pub max_passes: usize,
-    /// Whether to merge Shannon-complementary siblings.
-    pub merge_siblings: bool,
-    /// Whether to drop unused events from the table.
-    pub collect_events: bool,
-}
+/// Upper bound on fixpoint iterations (a safety net; 2–3 passes normally
+/// suffice).
+const MAX_PASSES: usize = 8;
 
-impl Default for Simplifier {
-    fn default() -> Self {
-        Simplifier {
-            max_passes: 8,
-            merge_siblings: true,
-            collect_events: true,
-        }
-    }
-}
+/// The simplification driver: runs every pass of the module docs to a
+/// fixpoint.
+#[derive(Debug, Clone, Default)]
+pub struct Simplifier;
 
 impl Simplifier {
-    /// A simplifier with default settings.
+    /// A simplifier.
     pub fn new() -> Self {
-        Simplifier::default()
+        Simplifier
     }
 
-    /// Runs simplification passes until nothing changes (or `max_passes` is
+    /// Runs simplification passes until nothing changes (or `MAX_PASSES` is
     /// reached) and reports the cumulative effect.
     pub fn run(&self, fuzzy: &mut FuzzyTree) -> Result<SimplifyReport, CoreError> {
         let mut total = SimplifyReport::default();
-        for pass in 0..self.max_passes {
-            let mut report = SimplifyReport {
+        for pass in 0..MAX_PASSES {
+            let report = SimplifyReport {
                 removed_impossible_nodes: prune_impossible_nodes(fuzzy)?,
                 resolved_deterministic_literals: resolve_deterministic_events(fuzzy)?,
                 stripped_literals: strip_implied_literals(fuzzy)?,
-                ..SimplifyReport::default()
+                merged_nodes: merge_complementary_siblings(fuzzy)?,
+                removed_events: garbage_collect_events(fuzzy),
+                passes: 0,
             };
-            if self.merge_siblings {
-                report.merged_nodes = merge_complementary_siblings(fuzzy)?;
-            }
-            if self.collect_events {
-                report.removed_events = garbage_collect_events(fuzzy);
-            }
             let changed = !report.is_noop();
             total.absorb(&report);
             total.passes = pass + 1;
@@ -366,35 +349,39 @@ fn recover_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
             // Removed by an earlier group rebuild in this same pass.
             continue;
         }
-        let children = fuzzy.tree().children(parent).to_vec();
+        let children = fuzzy.tree().children(parent);
         if children.len() < 2 {
             continue;
         }
-        let mut groups: HashMap<String, Vec<NodeId>> = HashMap::new();
-        for &child in &children {
-            groups
-                .entry(body_key(fuzzy, child))
-                .or_default()
-                .push(child);
-        }
-        for group in groups.into_values() {
+        // Group by sorting, as `merge_children_of` does: hash-map iteration
+        // order would decide which group is rebuilt first — and so where its
+        // duplicates are grafted and which node ids they get — differently in
+        // every process. The sort is stable, so each group keeps document
+        // order and its first child stays the representative.
+        let mut keyed: Vec<(String, NodeId)> = children
+            .iter()
+            .map(|&child| (body_key(fuzzy, child), child))
+            .collect();
+        keyed.sort_by(|a, b| a.0.cmp(&b.0));
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
             if group.len() < 2 {
                 continue;
             }
-            let conditions: Vec<Condition> = group.iter().map(|&n| fuzzy.condition(n)).collect();
+            let conditions: Vec<Condition> =
+                group.iter().map(|(_, n)| fuzzy.condition(*n)).collect();
             let Some(cover) = disjoint_group_cover(&conditions) else {
                 continue;
             };
             // Rebuild the group from the smaller cover: keep one
             // representative subtree, duplicate it once per extra term.
-            let representative = group[0];
+            let representative = group[0].1;
             let body_size = fuzzy.tree().subtree_size(representative);
             for term in cover.iter().skip(1) {
                 fuzzy.duplicate_subtree(parent, representative, term.clone());
             }
             fuzzy.set_condition(representative, cover[0].clone())?;
-            for &node in group.iter().skip(1) {
-                fuzzy.remove_subtree(node)?;
+            for (_, node) in group.iter().skip(1) {
+                fuzzy.remove_subtree(*node)?;
             }
             merged_nodes += (group.len() - cover.len()) * body_size;
         }

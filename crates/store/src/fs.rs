@@ -277,21 +277,6 @@ impl FsBackend {
         Self::with_options(root, FsOptions::default())
     }
 
-    /// [`FsBackend::open`] with an explicit segment roll threshold (exposed
-    /// for tests that need multi-segment journals without megabytes of data).
-    pub fn with_segment_roll_bytes(
-        root: impl AsRef<Path>,
-        roll_bytes: u64,
-    ) -> Result<Self, StoreError> {
-        Self::with_options(
-            root,
-            FsOptions {
-                segment_roll_bytes: roll_bytes,
-                ..FsOptions::default()
-            },
-        )
-    }
-
     /// [`FsBackend::open`] with full [`FsOptions`] — notably the
     /// [`CommitPolicy`] selecting per-append fsyncs or group commit.
     pub fn with_options(root: impl AsRef<Path>, options: FsOptions) -> Result<Self, StoreError> {
@@ -1432,7 +1417,11 @@ mod tests {
     fn appends_roll_into_new_segments_past_the_threshold() {
         let dir = scratch("roll");
         // A 1-byte threshold rolls after every record.
-        let store = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let rolling = || FsOptions {
+            segment_roll_bytes: 1,
+            ..FsOptions::default()
+        };
+        let store = FsBackend::with_options(&dir, rolling()).unwrap();
         store.save_document("people", &sample_fuzzy()).unwrap();
         for _ in 0..3 {
             store.append_batch("people", &[sample_update()]).unwrap();
@@ -1448,7 +1437,7 @@ mod tests {
         assert_eq!(store.journal_batches("people").unwrap(), 3);
         // A fresh handle rebuilds the same meters from the headers and
         // continues the sequence instead of overwriting.
-        let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let reopened = FsBackend::with_options(&dir, rolling()).unwrap();
         assert_eq!(reopened.journal_batches("people").unwrap(), 3);
         reopened.append_batch("people", &[sample_update()]).unwrap();
         assert_eq!(segment_files(&dir).len(), 4);

@@ -316,76 +316,16 @@ impl GroupCommitter {
                 SLOT_ERR => return Err(slot.take_error()),
                 _ => {}
             }
-            let mut window = self.lock();
+            let window = self.lock();
             // Re-check under the lock: a leader may have completed the slot
             // between the fast-path check and the lock.
             if slot.status() != SLOT_PENDING {
                 continue;
             }
-            if window.leader_active {
-                // Follower: the leader always notifies after it releases
-                // leadership, and every slot it drained is completed by then.
-                self.wakeup.wait(&mut window);
-                drop(window);
-                continue;
-            }
-            if let Some(cause) = window.poisoned.clone() {
-                // Poisoned: nothing may flush. Fail whatever is queued (our
-                // own slot included — it was enqueued before the poison
-                // landed) and let the loop observe the failure.
-                let drained = std::mem::take(&mut window.pending);
-                window.opened_at = None;
-                drop(window);
-                let message = poisoned_message(&cause);
-                for member in &drained {
-                    member.slot.complete_err(message.clone());
-                }
-                self.wakeup.notify_all();
-                continue;
-            }
-            // No leader and our slot is still pending, so it is still in the
-            // queue: take leadership and fill the window. Idle fast-path: a
-            // lone append with no evidence of concurrency skips the fill-wait
-            // entirely (see the module docs).
-            window.leader_active = true;
-            let fill =
-                self.fill_idle_windows || window.concurrency_hint || window.pending.len() > 1;
-            if fill {
-                let opened = window.opened_at.unwrap_or_else(Instant::now);
-                while window.pending.len() < self.window_max_batches {
-                    let elapsed = opened.elapsed();
-                    if elapsed >= self.window_max_wait {
-                        break;
-                    }
-                    self.wakeup
-                        .wait_for(&mut window, self.window_max_wait - elapsed);
-                }
-                if window.pending.len() == 1 && !self.fill_idle_windows {
-                    // A full fill-wait still drained solo: the concurrency is
-                    // over, let the next lone committer fast-path again.
-                    window.concurrency_hint = false;
-                }
-            }
-            let drained = std::mem::take(&mut window.pending);
-            window.opened_at = None;
-            // Flush outside the lock so new appends can enqueue into the
-            // next window meanwhile; `leader_active` stays set, serializing
-            // windows (and journal order) until this one is fully complete.
-            drop(window);
-            let flushed = backend.flush_window(drained);
-            let mut window = self.lock();
-            if let Err(cause) = flushed {
-                // The window fsync failed: every slot in it is already
-                // errored and the unsynced records rolled back — poison the
-                // committer so nothing flushes until a reopen (see the
-                // module docs for why there is no retry).
-                window.poisoned = Some(cause);
-            }
-            window.leader_active = false;
-            drop(window);
-            self.wakeup.notify_all();
-            // Loop: our own slot was in the drained window, so it is
-            // completed now and the next iteration returns.
+            // Our slot is still pending, so it is still in the queue: the
+            // step below follows a leader, or fails or flushes a window that
+            // holds it, and the next iteration observes the outcome.
+            self.step(window, backend, true);
         }
     }
 
@@ -397,43 +337,84 @@ impl GroupCommitter {
     /// would double-apply them.
     pub(crate) fn barrier(&self, backend: &FsBackend) {
         loop {
-            let mut window = self.lock();
-            if window.leader_active {
-                self.wakeup.wait(&mut window);
-                drop(window);
-                continue;
-            }
-            if let Some(cause) = window.poisoned.clone() {
-                // Poisoned: nothing may flush. Fail the queue — that *is*
-                // the settled state a barrier caller needs.
-                let drained = std::mem::take(&mut window.pending);
-                window.opened_at = None;
-                drop(window);
-                let message = poisoned_message(&cause);
-                for member in &drained {
-                    member.slot.complete_err(message.clone());
-                }
-                self.wakeup.notify_all();
-                return;
-            }
-            if window.pending.is_empty() {
+            let window = self.lock();
+            if !window.leader_active && window.pending.is_empty() {
                 return;
             }
             // Drain immediately — no fill-wait: the barrier caller must not
-            // stall for the window deadline.
-            window.leader_active = true;
+            // stall for the window deadline. On a poisoned committer the
+            // step fails the queue, which *is* the settled state a barrier
+            // caller needs.
+            self.step(window, backend, false);
+        }
+    }
+
+    /// One step of the window protocol, shared by [`GroupCommitter::wait`]
+    /// and [`GroupCommitter::barrier`]: follow the active leader until its
+    /// wake-up, or fail the whole queue on a poisoned committer, or take
+    /// leadership of the open window — fill it when `fill_wait` and the
+    /// policy say so — drain it and flush it through `backend`.
+    fn step(&self, mut window: MutexGuard<'_, Window>, backend: &FsBackend, fill_wait: bool) {
+        if window.leader_active {
+            // Follower: the leader always notifies after it releases
+            // leadership, and every slot it drained is completed by then.
+            self.wakeup.wait(&mut window);
+            return;
+        }
+        if let Some(cause) = window.poisoned.clone() {
+            // Poisoned: nothing may flush. Fail whatever is queued (a
+            // waiter's own slot included — it was enqueued before the poison
+            // landed).
             let drained = std::mem::take(&mut window.pending);
             window.opened_at = None;
             drop(window);
-            let flushed = backend.flush_window(drained);
-            let mut window = self.lock();
-            if let Err(cause) = flushed {
-                window.poisoned = Some(cause);
+            let message = poisoned_message(&cause);
+            for member in &drained {
+                member.slot.complete_err(message.clone());
             }
-            window.leader_active = false;
-            drop(window);
             self.wakeup.notify_all();
+            return;
         }
+        // No leader: take leadership and fill the window. Idle fast-path: a
+        // lone append with no evidence of concurrency skips the fill-wait
+        // entirely (see the module docs).
+        window.leader_active = true;
+        let fill = fill_wait
+            && (self.fill_idle_windows || window.concurrency_hint || window.pending.len() > 1);
+        if fill {
+            let opened = window.opened_at.unwrap_or_else(Instant::now);
+            while window.pending.len() < self.window_max_batches {
+                let elapsed = opened.elapsed();
+                if elapsed >= self.window_max_wait {
+                    break;
+                }
+                self.wakeup
+                    .wait_for(&mut window, self.window_max_wait - elapsed);
+            }
+            if window.pending.len() == 1 && !self.fill_idle_windows {
+                // A full fill-wait still drained solo: the concurrency is
+                // over, let the next lone committer fast-path again.
+                window.concurrency_hint = false;
+            }
+        }
+        let drained = std::mem::take(&mut window.pending);
+        window.opened_at = None;
+        // Flush outside the lock so new appends can enqueue into the next
+        // window meanwhile; `leader_active` stays set, serializing windows
+        // (and journal order) until this one is fully complete.
+        drop(window);
+        let flushed = backend.flush_window(drained);
+        let mut window = self.lock();
+        if let Err(cause) = flushed {
+            // The window fsync failed: every slot in it is already errored
+            // and the unsynced records rolled back — poison the committer so
+            // nothing flushes until a reopen (see the module docs for why
+            // there is no retry).
+            window.poisoned = Some(cause);
+        }
+        window.leader_active = false;
+        drop(window);
+        self.wakeup.notify_all();
     }
 
     /// Lifts the poison after a document reopen re-established the on-disk

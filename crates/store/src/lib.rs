@@ -23,20 +23,17 @@
 //!   the leader/follower [`GroupCommitter`] coalescing many documents'
 //!   appends into one fsync window, and the [`CommitTicket`] handle of an
 //!   enqueued append;
-//! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benches;
+//! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benchmarks;
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   installed through [`FsOptions::fault`] and consulted by [`FsBackend`]
 //!   at its append entry point and fsync funnel (the chaos battery and the
 //!   E18 sweep run the whole stack over it).
 //!
-//! [`DocumentStore`] is the historical name of the file-system store and
-//! remains an alias for [`FsBackend`].
-//!
 //! ```no_run
 //! use pxml_core::FuzzyTree;
-//! use pxml_store::DocumentStore;
+//! use pxml_store::FsBackend;
 //!
-//! let store = DocumentStore::open("/tmp/pxml-warehouse").unwrap();
+//! let store = FsBackend::open("/tmp/pxml-warehouse").unwrap();
 //! store.save_document("people", &FuzzyTree::new("directory")).unwrap();
 //! let loaded = store.load_document("people").unwrap();
 //! assert_eq!(loaded.node_count(), 1);
@@ -59,6 +56,3 @@ pub use fs::{FsBackend, FsOptions, DEFAULT_SEGMENT_ROLL_BYTES};
 pub use group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter};
 pub use journal::{parse_batch, parse_update, serialize_batch, serialize_update};
 pub use mem::MemBackend;
-
-/// The historical name of the file-system store: an alias for [`FsBackend`].
-pub type DocumentStore = FsBackend;

@@ -264,7 +264,11 @@ fn mem_backend_conforms_concurrently() {
 #[test]
 fn fs_backend_conforms_with_tiny_segments() {
     let dir = scratch("fs-tiny-segments");
-    conformance_suite(&FsBackend::with_segment_roll_bytes(&dir, 64).unwrap());
+    let options = FsOptions {
+        segment_roll_bytes: 64,
+        ..FsOptions::default()
+    };
+    conformance_suite(&FsBackend::with_options(&dir, options).unwrap());
     std::fs::remove_dir_all(dir).unwrap();
 }
 

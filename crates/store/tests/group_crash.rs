@@ -287,7 +287,14 @@ fn window_with_segment_roll_survives_crash_after_fsync() {
         }
         // Dropped without checkpoint: the crash.
     }
-    let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+    let reopened = FsBackend::with_options(
+        &dir,
+        FsOptions {
+            segment_roll_bytes: 1,
+            ..FsOptions::default()
+        },
+    )
+    .unwrap();
     for doc in ["doc-a", "doc-b"] {
         assert_eq!(recovered_tags(&reopened, doc), vec!["r0", "r1"]);
         assert_eq!(reopened.journal_batches(doc).unwrap(), 2);

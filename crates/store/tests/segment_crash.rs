@@ -5,12 +5,12 @@
 //! the pre-segment monolithic journal layout.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
-use pxml_store::{serialize_batch, FsBackend, StoreError};
+use pxml_store::{serialize_batch, FsBackend, FsOptions, StoreError};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -22,6 +22,18 @@ fn scratch(label: &str) -> PathBuf {
         label,
         COUNTER.fetch_add(1, Ordering::SeqCst)
     ))
+}
+
+/// A store with a 1-byte roll threshold: every record gets its own segment.
+fn open_rolling_every_record(dir: &Path) -> FsBackend {
+    FsBackend::with_options(
+        dir,
+        FsOptions {
+            segment_roll_bytes: 1,
+            ..FsOptions::default()
+        },
+    )
+    .unwrap()
 }
 
 fn sample_fuzzy() -> FuzzyTree {
@@ -128,7 +140,7 @@ fn kill_between_segments_replays_the_prefix() {
     let dir = scratch("between-segments");
     {
         // 1-byte roll threshold: every record gets its own segment.
-        let store = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let store = open_rolling_every_record(&dir);
         store.save_document("doc", &sample_fuzzy()).unwrap();
         for tag in ["s0", "s1", "s2"] {
             store.append_batch("doc", &[tagged_update(tag)]).unwrap();
@@ -137,7 +149,7 @@ fn kill_between_segments_replays_the_prefix() {
         let torn = encode_record(&[tagged_update("s3")]);
         fs::write(dir.join("doc.journal.0.3.seg"), &torn[..torn.len() / 2]).unwrap();
     }
-    let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+    let reopened = open_rolling_every_record(&dir);
     assert_eq!(recovered_tags(&reopened, "doc"), vec!["s0", "s1", "s2"]);
     assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
     // The journal keeps rolling from where the sound prefix ended.
@@ -267,7 +279,7 @@ fn crash_right_after_a_roll_keeps_the_new_segment() {
     {
         // 1-byte roll threshold: every append ends with a just-rolled
         // segment, the worst case for directory durability.
-        let store = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+        let store = open_rolling_every_record(&dir);
         store.save_document("doc", &sample_fuzzy()).unwrap();
         for tag in ["r0", "r1", "r2"] {
             store.append_batch("doc", &[tagged_update(tag)]).unwrap();
@@ -280,7 +292,7 @@ fn crash_right_after_a_roll_keeps_the_new_segment() {
             "segment {seq} must still have its directory entry"
         );
     }
-    let reopened = FsBackend::with_segment_roll_bytes(&dir, 1).unwrap();
+    let reopened = open_rolling_every_record(&dir);
     assert_eq!(recovered_tags(&reopened, "doc"), vec!["r0", "r1", "r2"]);
     assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
     fs::remove_dir_all(dir).unwrap();

@@ -1452,7 +1452,7 @@ mod tests {
         commit_one(&warehouse, "people", &add_phone("bob", 0.6)).unwrap();
         assert_eq!(warehouse.query("people", &phones).unwrap().len(), 1);
         // The new document's journal holds exactly its own single batch.
-        let store = pxml_store::DocumentStore::open(&dir).unwrap();
+        let store = pxml_store::FsBackend::open(&dir).unwrap();
         assert_eq!(store.read_batches("people").unwrap().len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
     }

@@ -98,9 +98,7 @@ pub mod prelude {
         Bdd, BddRef, Condition, EventId, EventTable, Formula, Literal, Valuation,
     };
     pub use pxml_query::{Axis, MatchStrategy, Pattern, QueryAnswers};
-    pub use pxml_store::{
-        CommitPolicy, DocumentStore, FsBackend, FsOptions, MemBackend, StorageBackend,
-    };
+    pub use pxml_store::{CommitPolicy, FsBackend, FsOptions, MemBackend, StorageBackend};
     pub use pxml_tree::{parse_data_tree, write_data_tree, Label, NodeId, Tree};
     pub use pxml_warehouse::{
         AsyncCommit, CompactionPolicy, DocSnapshot, Document, Session, SessionConfig, Txn,

@@ -114,7 +114,7 @@ fn concurrent_writers_equal_sequential_replay_per_document() {
     // A second store handle over the same directory sees the journals the
     // commits wrote; its recovery (checkpoint + in-order journal replay) is
     // the sequential-replay reference.
-    let store = DocumentStore::open(&dir).unwrap();
+    let store = FsBackend::open(&dir).unwrap();
     let mut journaled_total = 0;
     for (i, doc) in documents.iter().enumerate() {
         let name = format!("doc-{i}");
@@ -178,7 +178,7 @@ fn crash_with_two_in_flight_documents_recovers_independently() {
     // Per-document journals never interleave: `committed`'s journal holds
     // exactly its own two updates, `staged`'s is empty (the torn record was
     // truncated away).
-    let store = DocumentStore::open(&dir).unwrap();
+    let store = FsBackend::open(&dir).unwrap();
     let batches = store.read_batches("committed").unwrap();
     assert_eq!(batches.len(), 1);
     assert_eq!(
@@ -227,7 +227,7 @@ fn concurrent_commits_keep_journals_separate_across_a_crash() {
     }
 
     let session = Session::open(&dir, plain_config()).unwrap();
-    let store = DocumentStore::open(&dir).unwrap();
+    let store = FsBackend::open(&dir).unwrap();
     let phones = Pattern::parse("person { phone }").unwrap();
     for i in 0..2 {
         let name = format!("doc-{i}");

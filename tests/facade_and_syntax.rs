@@ -3,7 +3,7 @@
 //! and end-to-end flows that touch several crates at once.
 
 use pxml::prelude::*;
-use pxml::store::{parse_update, serialize_update};
+use pxml::store::{parse_update, serialize_fuzzy_document, serialize_update};
 
 #[test]
 fn query_syntax_round_trips_for_representative_patterns() {
@@ -56,7 +56,7 @@ fn update_transactions_round_trip_through_their_textual_form() {
 fn store_persists_query_results_across_process_boundaries() {
     let dir = std::env::temp_dir().join(format!("pxml-facade-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let store = DocumentStore::open(&dir).unwrap();
+    let store = FsBackend::open(&dir).unwrap();
 
     // Build an uncertain document, save it, reload it, and check that a
     // query sees the same probabilities.
@@ -123,4 +123,53 @@ fn updates_compose_with_queries_through_the_facade() {
     assert_eq!(worlds.len(), 2);
     let priced = worlds.probability_that(|t| !t.find_elements("price").is_empty());
     assert!((priced - 0.75).abs() < 1e-12);
+}
+
+/// The simplifier's output must be a function of its input alone: recovery
+/// replays the journal through it, so a restart snapshot can only be
+/// byte-identical if the same sibling survives and the re-cover's duplicates
+/// are grafted in the same place every time. One person carries two
+/// uncertain phones and three uncertain contact items; retracting each item
+/// "when the person has a phone" fragments it into three same-body pieces
+/// (the E8 shape), which leaves the group re-cover three groups to rebuild
+/// under one parent — in hash-map order, before it grouped by sorting.
+#[test]
+fn simplifier_output_is_byte_identical_from_run_to_run() {
+    let mut fuzzy = FuzzyTree::new("person");
+    let root = fuzzy.root();
+    for (index, label) in ["phone", "phone", "email", "fax", "pager"]
+        .into_iter()
+        .enumerate()
+    {
+        let event = fuzzy
+            .add_event(format!("w{index}"), 0.5 + 0.05 * index as f64)
+            .unwrap();
+        let node = fuzzy.add_element(root, label);
+        fuzzy
+            .set_condition(node, Condition::from_literal(Literal::pos(event)))
+            .unwrap();
+    }
+    for item in ["email", "fax", "pager"] {
+        let pattern = Pattern::parse(&format!("person {{ phone, {item} }}")).unwrap();
+        let target = pattern.node_ids().nth(2).unwrap();
+        UpdateTransaction::new(pattern, 0.9)
+            .unwrap()
+            .with_delete(target)
+            .apply_to_fuzzy(&mut fuzzy)
+            .unwrap();
+        assert_eq!(fuzzy.tree().find_elements(item).len(), 3);
+    }
+
+    let simplified: Vec<String> = (0..16)
+        .map(|_| {
+            let mut copy = fuzzy.clone();
+            let report = Simplifier::new().run(&mut copy).unwrap();
+            assert_eq!(report.merged_nodes, 3, "each group re-covers 3 -> 2");
+            assert!(fuzzy.semantically_equivalent(&copy, 1e-9).unwrap());
+            serialize_fuzzy_document(&copy, false)
+        })
+        .collect();
+    for (run, document) in simplified.iter().enumerate() {
+        assert_eq!(document, &simplified[0], "run {run} diverged from run 0");
+    }
 }
