@@ -537,7 +537,10 @@ fn e8_simplification(quick: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// E9 — query evaluation scaling and the matcher ablation.
+// E9 — query evaluation scaling and the matcher ablation. Both columns seed
+// the pattern root from one element scan; "naive" rescans every element for
+// each further pattern node, "indexed" (the column keeps its name; no index
+// is built) takes them from the parent's image.
 // ---------------------------------------------------------------------------
 
 fn e9_query_scaling(quick: bool) {

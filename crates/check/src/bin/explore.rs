@@ -84,7 +84,8 @@ fn main() -> ExitCode {
             "{{\n  \"experiment\": \"loom\",\n  \"quick\": false,\n  \"tables\": {{\n    \"explorer\": [\n{rows}\n    ]\n  }}\n}}\n"
         );
         let path = dir.join("BENCH_LOOM.json");
-        if let Err(error) = std::fs::write(&path, json) {
+        if let Err(error) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json))
+        {
             eprintln!("explore: failed to write {}: {error}", path.display());
             return ExitCode::from(2);
         }

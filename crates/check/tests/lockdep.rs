@@ -115,7 +115,7 @@ fn real_grouped_commit_path_is_clean_under_the_witness() {
     // declaration (any inversion panics and fails the test).
     use pxml_core::{FuzzyTree, UpdateTransaction};
     use pxml_query::Pattern;
-    use pxml_store::{CommitPolicy, FsBackend, FsOptions};
+    use pxml_store::{CommitPolicy, FsBackend, FsOptions, StorageBackend};
     use pxml_tree::parse_data_tree;
 
     let dir = std::env::temp_dir().join(format!("pxml-lockdep-{}", std::process::id()));

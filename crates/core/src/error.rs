@@ -21,6 +21,9 @@ pub enum CoreError {
     InvalidConfidence(f64),
     /// An update transaction attempted to delete the document root.
     CannotDeleteRoot,
+    /// An insertion would put a node at this depth, below
+    /// [`pxml_tree::MAX_TREE_DEPTH`].
+    InsertionTooDeep(usize),
     /// Possible-worlds sets can only be encoded into a fuzzy tree when all
     /// worlds share the same root label.
     HeterogeneousRoots,
@@ -48,6 +51,11 @@ impl fmt::Display for CoreError {
             CoreError::CannotDeleteRoot => {
                 write!(f, "an update transaction cannot delete the document root")
             }
+            CoreError::InsertionTooDeep(depth) => write!(
+                f,
+                "insertion would put a node at depth {depth}, the deepest allowed is {}",
+                pxml_tree::MAX_TREE_DEPTH
+            ),
             CoreError::HeterogeneousRoots => write!(
                 f,
                 "cannot encode a possible-worlds set whose worlds have different root labels"

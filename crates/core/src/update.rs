@@ -22,8 +22,8 @@
 use std::collections::HashMap;
 
 use pxml_event::{Condition, EventId, Literal};
-use pxml_query::{MatchStrategy, Matching, PNodeId, Pattern};
-use pxml_tree::{NodeId, Tree};
+use pxml_query::{Matching, PNodeId, Pattern};
+use pxml_tree::{NodeId, Tree, MAX_TREE_DEPTH};
 
 use crate::error::CoreError;
 use crate::fuzzy::FuzzyTree;
@@ -144,7 +144,7 @@ impl UpdateTransaction {
     /// (deduplicated per target node). The tree is returned unchanged when
     /// the query does not match.
     pub fn apply_to_tree(&self, tree: &Tree) -> Tree {
-        let matches = self.pattern.find_matches_with(tree, MatchStrategy::Indexed);
+        let matches = self.pattern.find_matches(tree);
         self.apply_to_tree_with_matches(tree, &matches)
     }
 
@@ -219,9 +219,7 @@ impl UpdateTransaction {
     /// The raw operation pipeline: match, insert, delete.
     fn apply_operations(&self, fuzzy: &mut FuzzyTree) -> Result<UpdateStats, CoreError> {
         let mut stats = UpdateStats::default();
-        let matches = self
-            .pattern
-            .find_matches_with(fuzzy.tree(), MatchStrategy::Indexed);
+        let matches = self.pattern.find_matches(fuzzy.tree());
         stats.match_count = matches.len();
         if matches.is_empty() {
             return Ok(stats);
@@ -260,6 +258,10 @@ impl UpdateTransaction {
                     let parent = matching.image(*target);
                     if !fuzzy.tree().contains(parent) || !fuzzy.tree().is_element(parent) {
                         continue;
+                    }
+                    let deepest = fuzzy.tree().depth(parent) + 1 + subtree.height();
+                    if deepest > MAX_TREE_DEPTH {
+                        return Err(CoreError::InsertionTooDeep(deepest));
                     }
                     let context = fuzzy.existence_condition(parent);
                     let root_condition = condition.without_implied_by(&context);
@@ -691,5 +693,31 @@ mod tests {
         assert_eq!(stats.removed_nodes, 1);
         assert_eq!(stats.duplicated_nodes, 1);
         assert!(fuzzy.validate().is_ok());
+    }
+
+    #[test]
+    fn insertion_below_the_depth_bound_is_refused() {
+        // A chain whose last element, `leaf`, sits two levels above the bound.
+        let mut tree = Tree::new("root");
+        let mut node = tree.root();
+        for _ in 0..MAX_TREE_DEPTH - 3 {
+            node = tree.add_element(node, "n");
+        }
+        tree.add_element(node, "leaf");
+        let pattern = Pattern::parse("leaf").unwrap();
+        let target = pattern.root();
+        let insert = |xml: &str| {
+            UpdateTransaction::new(pattern.clone(), 0.5)
+                .unwrap()
+                .with_insert(target, parse_data_tree(xml).unwrap())
+        };
+
+        let mut fuzzy = FuzzyTree::from_tree(tree);
+        insert("<x>v</x>").apply_to_fuzzy(&mut fuzzy).unwrap();
+        assert_eq!(fuzzy.tree().height(), MAX_TREE_DEPTH);
+        assert_eq!(
+            insert("<x><y>v</y></x>").apply_to_fuzzy(&mut fuzzy),
+            Err(CoreError::InsertionTooDeep(MAX_TREE_DEPTH + 1))
+        );
     }
 }

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use pxml_query::{MatchStrategy, Pattern};
+use pxml_query::Pattern;
 use pxml_tree::{CanonicalForm, Tree};
 
 use crate::error::CoreError;
@@ -194,9 +194,7 @@ impl PossibleWorlds {
         let mut result = PossibleWorlds::new();
         let confidence = update.confidence();
         for (tree, p) in &self.worlds {
-            let matches = update
-                .pattern()
-                .find_matches_with(tree, MatchStrategy::Indexed);
+            let matches = update.pattern().find_matches(tree);
             if matches.is_empty() {
                 result.push(tree.clone(), *p);
                 continue;

@@ -2,16 +2,13 @@
 //!
 //! Slide 6: *"Result: minimal subtree containing all the nodes mapped by the
 //! query."* For every match we build that subtree (a Steiner tree of the
-//! mapped nodes) as an independent [`Tree`], keeping the mapping from data
-//! nodes to answer nodes so that probabilistic evaluation can attach node
-//! conditions to the answer.
-
-use std::collections::HashMap;
+//! mapped nodes) as an independent [`Tree`]; the match itself keeps the data
+//! nodes, which is where probabilistic evaluation reads node conditions.
 
 use pxml_tree::path::steiner_tree;
-use pxml_tree::{CanonicalForm, NodeId, Tree};
+use pxml_tree::{CanonicalForm, Tree};
 
-use crate::matcher::{find_matches, MatchStrategy, Matching};
+use crate::matcher::Matching;
 use crate::pattern::Pattern;
 
 /// The answer derived from a single match.
@@ -21,9 +18,6 @@ pub struct MatchAnswer {
     pub matching: Matching,
     /// The minimal subtree of the data tree containing all mapped nodes.
     pub answer: Tree,
-    /// Mapping from data-tree nodes (those kept in the answer) to the
-    /// corresponding nodes of `answer`.
-    pub node_map: HashMap<NodeId, NodeId>,
 }
 
 /// The result of evaluating a query over a data tree.
@@ -66,9 +60,9 @@ impl QueryAnswers {
 
 /// Evaluates a pattern over a tree: all matches plus their minimal-subtree
 /// answers.
-pub fn evaluate(pattern: &Pattern, tree: &Tree, strategy: MatchStrategy) -> QueryAnswers {
-    let matches = find_matches(pattern, tree, strategy);
-    let matches = matches
+pub fn evaluate(pattern: &Pattern, tree: &Tree) -> QueryAnswers {
+    let matches = pattern
+        .find_matches(tree)
         .into_iter()
         .map(|matching| answer_for(tree, matching))
         .collect();
@@ -78,12 +72,8 @@ pub fn evaluate(pattern: &Pattern, tree: &Tree, strategy: MatchStrategy) -> Quer
 /// Builds the minimal-subtree answer for one match.
 pub fn answer_for(tree: &Tree, matching: Matching) -> MatchAnswer {
     let mapped = matching.mapped_nodes();
-    let (answer, node_map) = steiner_tree(tree, &mapped).expect("a match maps at least one node");
-    MatchAnswer {
-        matching,
-        answer,
-        node_map,
-    }
+    let answer = steiner_tree(tree, &mapped).expect("a match maps at least one node");
+    MatchAnswer { matching, answer }
 }
 
 #[cfg(test)]
@@ -109,7 +99,7 @@ mod tests {
         let mut pattern = Pattern::element("book");
         pattern.add_child(pattern.root(), Axis::Child, Some("author"));
         pattern.add_child(pattern.root(), Axis::Child, Some("title"));
-        let answers = evaluate(&pattern, &tree, MatchStrategy::Indexed);
+        let answers = evaluate(&pattern, &tree);
         assert_eq!(answers.len(), 2);
         for answer in &answers.matches {
             // book + author + title, but not the text values (they are not
@@ -124,22 +114,6 @@ mod tests {
     }
 
     #[test]
-    fn node_map_relates_data_and_answer_nodes() {
-        let tree = library();
-        let mut pattern = Pattern::element("book");
-        let author = pattern.add_child(pattern.root(), Axis::Child, Some("author"));
-        let answers = evaluate(&pattern, &tree, MatchStrategy::Indexed);
-        for answer in &answers.matches {
-            let data_author = answer.matching.image(author);
-            let answer_author = answer.node_map[&data_author];
-            assert_eq!(
-                answer.answer.label(answer_author).element_name(),
-                Some("author")
-            );
-        }
-    }
-
-    #[test]
     fn answers_spanning_branches_go_through_the_lca() {
         let tree = library();
         // author and a title anywhere below library: LCA is the library root
@@ -147,7 +121,7 @@ mod tests {
         let mut pattern = Pattern::element("library");
         pattern.add_child(pattern.root(), Axis::Descendant, Some("author"));
         pattern.add_child(pattern.root(), Axis::Descendant, Some("title"));
-        let answers = evaluate(&pattern, &tree, MatchStrategy::Indexed);
+        let answers = evaluate(&pattern, &tree);
         // 2 authors × 3 titles.
         assert_eq!(answers.len(), 6);
         for answer in &answers.matches {
@@ -165,7 +139,7 @@ mod tests {
                 .unwrap();
         let mut pattern = Pattern::element("p");
         pattern.add_child(pattern.root(), Axis::Child, Some("q"));
-        let answers = evaluate(&pattern, &tree, MatchStrategy::Indexed);
+        let answers = evaluate(&pattern, &tree);
         assert_eq!(answers.len(), 3);
         // All three answers are p(q) — identical once text is excluded — so
         // they merge into a single distinct answer.
@@ -178,7 +152,7 @@ mod tests {
     fn distinct_answers_keep_structurally_different_results_apart() {
         let tree = library();
         let pattern = Pattern::parse("* { title }").unwrap();
-        let answers = evaluate(&pattern, &tree, MatchStrategy::Indexed);
+        let answers = evaluate(&pattern, &tree);
         // book{title} twice and journal{title} once → two distinct shapes.
         let distinct = answers.distinct_answers();
         assert_eq!(distinct.len(), 2);
@@ -190,7 +164,7 @@ mod tests {
     fn empty_result_set() {
         let tree = library();
         let pattern = Pattern::element("nonexistent");
-        let answers = evaluate(&pattern, &tree, MatchStrategy::Indexed);
+        let answers = evaluate(&pattern, &tree);
         assert!(answers.is_empty());
         assert!(answers.distinct_answers().is_empty());
     }

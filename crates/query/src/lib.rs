@@ -30,7 +30,7 @@
 //!
 //! The module split mirrors the processing pipeline:
 //! [`pattern`] (the query data structure and builder), [`parser`] (the text
-//! syntax), [`matcher`] (naive and index-based evaluation, used as the
+//! syntax), [`matcher`] (naive and parent-narrowed evaluation, used as the
 //! baseline/optimised pair of experiment E9), and [`answer`] (minimal-subtree
 //! answer construction).
 
@@ -42,5 +42,5 @@ pub mod pattern;
 
 pub use answer::{MatchAnswer, QueryAnswers};
 pub use error::QueryError;
-pub use matcher::{LabelIndex, MatchStrategy, Matching};
+pub use matcher::{MatchStrategy, Matching};
 pub use pattern::{Axis, JoinId, PNodeId, Pattern, PatternNode};

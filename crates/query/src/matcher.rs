@@ -1,16 +1,16 @@
 //! Evaluation of TPWJ patterns: finding all matches (homomorphisms).
 //!
 //! Two interchangeable strategies are provided; they return exactly the same
-//! set of matches and form the baseline / optimised pair of experiment E9:
+//! matches in the same order and form the baseline / optimised pair of
+//! experiment E9. Both seed the pattern root from the tree root (anchored
+//! patterns) or from every element in document order, and differ only in
+//! where the other pattern nodes' candidates come from:
 //!
-//! * [`MatchStrategy::Naive`] — for each pattern node, scan *all* element
-//!   nodes with a compatible label and check the structural edge afterwards;
-//! * [`MatchStrategy::Indexed`] — build a [`LabelIndex`] once, seed the root
-//!   from the index, and generate candidates for non-root pattern nodes
-//!   directly from the image of their parent (children or descendants),
-//!   which prunes the search space early.
-
-use std::collections::HashMap;
+//! * [`MatchStrategy::Naive`] — scan *all* element nodes for every pattern
+//!   node and check the structural edge afterwards (the reference);
+//! * [`MatchStrategy::Indexed`] — take candidates directly from the image of
+//!   the parent pattern node (its children or descendants), which prunes the
+//!   search space early (no index is built; the name is E9's column).
 
 use pxml_tree::{NodeId, Tree};
 
@@ -21,7 +21,7 @@ use crate::pattern::{Axis, PNodeId, Pattern};
 pub enum MatchStrategy {
     /// Scan all nodes for every pattern node (baseline).
     Naive,
-    /// Use a label index and parent-image narrowing (optimised).
+    /// Narrow each pattern node to the image of its parent (optimised).
     Indexed,
 }
 
@@ -51,61 +51,17 @@ impl Matching {
     }
 }
 
-/// An index from element names to the nodes bearing them.
-#[derive(Debug, Clone, Default)]
-pub struct LabelIndex {
-    by_label: HashMap<String, Vec<NodeId>>,
-    element_count: usize,
-}
-
-impl LabelIndex {
-    /// Builds the index for a tree (one pass).
-    pub fn build(tree: &Tree) -> Self {
-        let mut by_label: HashMap<String, Vec<NodeId>> = HashMap::new();
-        let mut element_count = 0;
-        for node in tree.nodes() {
-            if let Some(name) = tree.label(node).element_name() {
-                by_label.entry(name.to_string()).or_default().push(node);
-                element_count += 1;
-            }
-        }
-        LabelIndex {
-            by_label,
-            element_count,
-        }
-    }
-
-    /// The nodes carrying a given element name.
-    pub fn nodes_with_label(&self, label: &str) -> &[NodeId] {
-        self.by_label.get(label).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The number of nodes a label test would have to consider: the label's
-    /// occurrence count, or the total element count for a wildcard.
-    pub fn selectivity(&self, label: Option<&str>) -> usize {
-        match label {
-            Some(name) => self.nodes_with_label(name).len(),
-            None => self.element_count,
-        }
-    }
-
-    /// The number of element nodes in the indexed tree.
-    pub fn element_count(&self) -> usize {
-        self.element_count
-    }
-}
-
 /// Finds every match of `pattern` in `tree` using the requested strategy.
 pub fn find_matches(pattern: &Pattern, tree: &Tree, strategy: MatchStrategy) -> Vec<Matching> {
-    let index = match strategy {
-        MatchStrategy::Indexed => Some(LabelIndex::build(tree)),
-        MatchStrategy::Naive => None,
+    // An anchored pattern under `Indexed` never reads the scan.
+    let all_elements: Vec<NodeId> = if strategy == MatchStrategy::Indexed && pattern.is_anchored() {
+        Vec::new()
+    } else {
+        tree.nodes()
+            .into_iter()
+            .filter(|&n| tree.is_element(n))
+            .collect()
     };
-    let all_elements: Vec<NodeId> = tree
-        .nodes()
-        .into_iter()
-        .filter(|&n| tree.is_element(n))
-        .collect();
 
     let mut assignment: Vec<Option<NodeId>> = vec![None; pattern.len()];
     let mut results = Vec::new();
@@ -113,7 +69,6 @@ pub fn find_matches(pattern: &Pattern, tree: &Tree, strategy: MatchStrategy) -> 
         pattern,
         tree,
         strategy,
-        index.as_ref(),
         &all_elements,
         0,
         &mut assignment,
@@ -122,18 +77,10 @@ pub fn find_matches(pattern: &Pattern, tree: &Tree, strategy: MatchStrategy) -> 
     results
 }
 
-/// Checks whether the pattern has at least one match ("the tree is selected
-/// by the query", as the update semantics puts it).
-pub fn has_match(pattern: &Pattern, tree: &Tree) -> bool {
-    !find_matches(pattern, tree, MatchStrategy::Indexed).is_empty()
-}
-
-#[allow(clippy::too_many_arguments)]
 fn assign(
     pattern: &Pattern,
     tree: &Tree,
     strategy: MatchStrategy,
-    index: Option<&LabelIndex>,
     all_elements: &[NodeId],
     next: usize,
     assignment: &mut Vec<Option<NodeId>>,
@@ -152,19 +99,11 @@ fn assign(
     let pattern_node = pattern.node(pattern_node_id);
 
     let candidates: Vec<NodeId> = match (strategy, pattern_node.parent) {
-        // Root candidates.
         (_, None) if pattern.is_anchored() => vec![tree.root()],
-        (MatchStrategy::Naive, None) => all_elements.to_vec(),
-        (MatchStrategy::Indexed, None) => match &pattern_node.label {
-            Some(label) => index
-                .expect("indexed strategy builds an index")
-                .nodes_with_label(label)
-                .to_vec(),
-            None => all_elements.to_vec(),
-        },
+        // An unanchored root, and every pattern node under `Naive`.
+        (MatchStrategy::Naive, _) | (_, None) => all_elements.to_vec(),
         // Non-root: the parent pattern node has an image already (pattern
         // nodes are created parent-first, so its index is smaller).
-        (MatchStrategy::Naive, Some(_)) => all_elements.to_vec(),
         (MatchStrategy::Indexed, Some((parent, axis))) => {
             let parent_image = assignment[parent.index()].expect("parent assigned before child");
             match axis {
@@ -217,7 +156,6 @@ fn assign(
             pattern,
             tree,
             strategy,
-            index,
             all_elements,
             next + 1,
             assignment,
@@ -395,24 +333,6 @@ mod tests {
         let (naive, indexed) = both_strategies(&pattern, &tree);
         assert_eq!(naive.len(), 2);
         assert_eq!(as_sets(&naive), as_sets(&indexed));
-    }
-
-    #[test]
-    fn has_match_reports_selection() {
-        let tree = sample_tree();
-        assert!(has_match(&Pattern::element("C"), &tree));
-        assert!(!has_match(&Pattern::element("Z"), &tree));
-    }
-
-    #[test]
-    fn label_index_counts_and_lookup() {
-        let tree = sample_tree();
-        let index = LabelIndex::build(&tree);
-        assert_eq!(index.nodes_with_label("B").len(), 2);
-        assert_eq!(index.nodes_with_label("missing").len(), 0);
-        assert_eq!(index.selectivity(Some("D")), 2);
-        assert_eq!(index.selectivity(None), index.element_count());
-        assert_eq!(index.element_count(), 7);
     }
 
     #[test]

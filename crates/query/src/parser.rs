@@ -22,6 +22,8 @@
 //! * `/A { B, C[$x], //D[$x] }` — the slide-6 query: anchored at the root
 //!   `A`, a `B` child, a `C` child and a `D` descendant joined by value.
 
+use pxml_tree::MAX_NESTING_DEPTH;
+
 use crate::error::QueryError;
 use crate::pattern::{Axis, JoinId, PNodeId, Pattern};
 
@@ -30,6 +32,7 @@ pub fn parse(input: &str) -> Result<Pattern, QueryError> {
     let mut parser = Parser {
         input: input.as_bytes(),
         pos: 0,
+        depth: 1,
         joins: Vec::new(),
     };
     parser.skip_ws();
@@ -52,6 +55,8 @@ pub fn parse(input: &str) -> Result<Pattern, QueryError> {
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    /// Nesting level of the node being parsed (the root is at 1).
+    depth: usize,
     /// Join variables seen so far: `(name, id)`.
     joins: Vec<(String, JoinId)>,
 }
@@ -115,6 +120,13 @@ impl<'a> Parser<'a> {
 
     fn parse_body(&mut self, pattern: &mut Pattern, parent: PNodeId) -> Result<(), QueryError> {
         self.expect(b'{')?;
+        self.depth += 1;
+        if self.depth > MAX_NESTING_DEPTH {
+            return Err(QueryError::parse(
+                format!("pattern nests deeper than {MAX_NESTING_DEPTH} levels"),
+                self.pos,
+            ));
+        }
         loop {
             self.skip_ws();
             let axis = if self.eat_str("//") {
@@ -131,6 +143,7 @@ impl<'a> Parser<'a> {
                 continue;
             }
             self.expect(b'}')?;
+            self.depth -= 1;
             return Ok(());
         }
     }
@@ -373,5 +386,15 @@ mod tests {
         let p = parse("  A{B ,//C[ $x ] ,D[ =\"1\" ]{E[$x]}}  ").unwrap();
         assert_eq!(p.len(), 5);
         assert_eq!(p.join_count(), 1);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting_depth() {
+        let nested = |levels: usize| "a{".repeat(levels - 1) + "a" + &"}".repeat(levels - 1);
+        assert_eq!(parse(&nested(MAX_NESTING_DEPTH)).unwrap().len(), 256);
+        let err = parse(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("deeper than 256"), "{err}");
+        // Far past the bound is the same typed error, not a stack overflow.
+        assert!(parse(&"a{".repeat(100_000)).is_err());
     }
 }

@@ -241,7 +241,7 @@ impl Pattern {
     }
 
     /// Finds every match of this pattern in `tree` using the optimised
-    /// (index-based) strategy.
+    /// (parent-image narrowing) strategy.
     pub fn find_matches(&self, tree: &Tree) -> Vec<Matching> {
         crate::matcher::find_matches(self, tree, MatchStrategy::Indexed)
     }
@@ -255,7 +255,7 @@ impl Pattern {
     /// Evaluates the query: every match together with its minimal-subtree
     /// answer.
     pub fn evaluate(&self, tree: &Tree) -> QueryAnswers {
-        crate::answer::evaluate(self, tree, MatchStrategy::Indexed)
+        crate::answer::evaluate(self, tree)
     }
 
     /// Renders the pattern in the textual syntax accepted by

@@ -125,7 +125,8 @@ pub struct RemoteAnswers {
     pub seq: u64,
     /// Probability that the pattern matches at all.
     pub selection: f64,
-    /// Merged answers, most probable first.
+    /// Merged answers, in document order of each distinct answer's first
+    /// match (not sorted by probability).
     pub answers: Vec<RemoteAnswer>,
 }
 

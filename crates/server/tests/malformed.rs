@@ -236,6 +236,60 @@ fn bad_tenant_and_bad_doc_names_are_typed_errors_on_a_live_connection() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A payload nested far past `MAX_NESTING_DEPTH` — small next to the frame
+/// cap, deep enough to overflow a handler's stack if a parser recursed into
+/// it — must be a final typed error naming the bound, on a connection and a
+/// server that keep serving.
+fn assert_deep_payload_is_refused(label: &str, request_tag: u8, payload: String, code: &str) {
+    let dir = scratch(label);
+    let server = Server::start(ServerConfig::new(&dir)).unwrap();
+
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .write_all(&raw_request(request_tag, b"acme", payload.as_bytes()))
+        .unwrap();
+    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(response.tag, tag::ERROR);
+    let text = response.text();
+    assert!(text.starts_with(&format!("{code}\nfinal\n")), "{text}");
+    assert!(text.contains("deeper than 256"), "{text}");
+    stream
+        .write_all(&raw_request(tag::STATS, b"acme", b""))
+        .unwrap();
+    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(response.tag, tag::STATS_DATA);
+
+    assert_tenant_alive(&server);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+fn deep_xml(levels: usize) -> String {
+    "<a>".repeat(levels) + &"</a>".repeat(levels)
+}
+
+#[test]
+fn deeply_nested_open_content_is_a_typed_error() {
+    let payload = format!("doc\n{}", deep_xml(10_000));
+    assert_deep_payload_is_refused("deep-open", tag::OPEN, payload, "bad-payload");
+}
+
+#[test]
+fn deeply_nested_commit_batch_is_a_typed_error() {
+    let payload = format!(
+        "doc\n<pxml:batch><pxml:update confidence=\"0.5\" query=\"a\">\
+         <pxml:insert target=\"0\">{}</pxml:insert></pxml:update></pxml:batch>",
+        deep_xml(10_000)
+    );
+    assert_deep_payload_is_refused("deep-commit", tag::COMMIT, payload, "bad-payload");
+}
+
+#[test]
+fn deeply_nested_query_pattern_is_a_typed_error() {
+    let payload = format!("doc\n{}a{}", "a{".repeat(100_000), "}".repeat(100_000));
+    assert_deep_payload_is_refused("deep-query", tag::QUERY, payload, "bad-pattern");
+}
+
 #[test]
 fn oversized_client_frame_is_capped_by_config() {
     let dir = scratch("cap");

@@ -305,6 +305,25 @@ mod tests {
     }
 
     #[test]
+    fn deepest_allowed_document_round_trips() {
+        // The worst case `MAX_TREE_DEPTH` reserves for: a conditional text
+        // node at the bound, wrapped in `pxml:text` under the envelope.
+        let mut fuzzy = FuzzyTree::new("root");
+        let w = fuzzy.add_event("w", 0.5).unwrap();
+        let mut node = fuzzy.root();
+        for _ in 0..pxml_tree::MAX_TREE_DEPTH - 1 {
+            node = fuzzy.add_element(node, "n");
+        }
+        let leaf = fuzzy.add_text(node, "v");
+        fuzzy
+            .set_condition(leaf, Condition::from_literal(Literal::pos(w)))
+            .unwrap();
+        assert_eq!(fuzzy.tree().depth(leaf), pxml_tree::MAX_TREE_DEPTH);
+        let reparsed = parse_fuzzy_document(&serialize_fuzzy_document(&fuzzy, false)).unwrap();
+        assert_eq!(reparsed.tree().height(), pxml_tree::MAX_TREE_DEPTH);
+    }
+
+    #[test]
     fn certain_documents_round_trip_with_empty_event_table() {
         let fuzzy = FuzzyTree::from_tree(
             pxml_tree::parse_data_tree("<lib><book><title>TAOCP</title></book></lib>").unwrap(),

@@ -490,36 +490,6 @@ impl FsBackend {
         Ok(())
     }
 
-    /// Lists the names of the stored documents (sorted).
-    pub fn list_documents(&self) -> Result<Vec<String>, StoreError> {
-        let mut names = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let path = entry?.path();
-            if path.extension().and_then(|ext| ext.to_str()) == Some("pxml") {
-                if let Some(stem) = path.file_stem().and_then(|stem| stem.to_str()) {
-                    names.push(stem.to_string());
-                }
-            }
-        }
-        names.sort();
-        Ok(names)
-    }
-
-    /// Returns `true` if a document with this name exists.
-    pub fn contains(&self, name: &str) -> bool {
-        self.document_path(name).exists()
-    }
-
-    /// Saves a document checkpoint atomically (write to a temporary file in
-    /// the same directory, then rename over the target), preserving the
-    /// document's journal epoch and leaving the journal untouched.
-    pub fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        self.write_checkpoint(name, fuzzy, meta.epoch)
-    }
-
     /// The atomic checkpoint write itself, assuming the caller holds the
     /// document's mutex.
     fn write_checkpoint(
@@ -541,116 +511,6 @@ impl FsBackend {
         // checkpoint.
         self.sync_dir()?;
         Ok(())
-    }
-
-    /// Loads the last checkpoint of a document (ignoring any journal).
-    pub fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        let path = self.document_path(name);
-        if !path.exists() {
-            return Err(StoreError::MissingDocument(name.to_string()));
-        }
-        let text = fs::read_to_string(path)?;
-        parse_fuzzy_document(&text)
-    }
-
-    /// Deletes a document, its checkpoint and its journal segments.
-    ///
-    /// The name's meta mutex deliberately stays in the registry: dropping it
-    /// would let a thread still holding the old `Arc` interleave its append
-    /// with a writer of a same-named *re-created* document under a fresh
-    /// mutex, silently corrupting a segment. One retained mutex per name ever
-    /// removed is a bounded price for that guarantee.
-    pub fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        // Settle any in-flight group-commit window first (before the meta
-        // lock — the flush needs it): a window flushing after the removal
-        // would resurrect segment files for the deleted document.
-        self.group_barrier();
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        let path = self.document_path(name);
-        if !path.exists() {
-            return Err(StoreError::MissingDocument(name.to_string()));
-        }
-        // Checkpoint first: if the removal dies halfway, the leftover
-        // segments are recognizably orphaned (no checkpoint) and swept at the
-        // next open. The directory flush pins that ordering against power
-        // loss too.
-        fs::remove_file(path)?;
-        self.sync_dir()?;
-        for (segment, _) in self.segments_of(name)? {
-            fs::remove_file(segment)?;
-        }
-        meta.reset_journal(0);
-        meta.loaded = false;
-        Ok(())
-    }
-
-    /// The updates recorded in a document's journal, flattened to application
-    /// order (empty when there is no journal).
-    pub fn read_journal(&self, name: &str) -> Result<Vec<UpdateTransaction>, StoreError> {
-        Ok(self.read_batches(name)?.into_iter().flatten().collect())
-    }
-
-    /// The committed transaction batches recorded in a document's journal
-    /// (empty when there is no journal).
-    pub fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        let mut batches = Vec::with_capacity(meta.batches);
-        for path in self.current_segment_paths(name, &meta) {
-            let bytes = fs::read(&path)?;
-            let mut offset = 0usize;
-            while let Some(record) = sound_record(&bytes, offset) {
-                batches.push(parse_batch(record.payload)?);
-                offset = record.next;
-            }
-        }
-        Ok(batches)
-    }
-
-    /// Durably appends one committed transaction batch to a document's
-    /// journal: the ticketed append, waited out. Under
-    /// [`CommitPolicy::Grouped`] the batch therefore rides the commit window
-    /// like every other append — it can never be written around (and so
-    /// reordered against) batches already enqueued.
-    pub fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        self.append_batch_enqueue(name, batch).wait()
-    }
-
-    /// The append entry point — every journal write starts here. Consults
-    /// the fault plan once, then hands the batch to the group-commit window
-    /// and returns a [`CommitTicket`] that resolves at the window's fsync;
-    /// without a committer ([`CommitPolicy::Sync`]) the append runs to
-    /// completion here and the ticket comes back already resolved.
-    pub fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        let torn = match self
-            .fault
-            .as_ref()
-            .and_then(|plan| plan.decide(FaultOp::Append))
-        {
-            Some((FaultKind::TornWrite, error)) => Some(error),
-            Some((_, error)) => return CommitTicket::resolved(Err(error)),
-            None => None,
-        };
-        let group = match &self.group {
-            Some(group) if torn.is_none() => group,
-            _ => {
-                // No committer — or a torn write, which cannot resolve
-                // asynchronously (the shear must follow the write before
-                // the caller sees the ticket): settle any open window first
-                // so enqueue order holds, then write in place.
-                self.group_barrier();
-                return CommitTicket::resolved(self.append_now(name, batch, torn));
-            }
-        };
-        // Fail a missing document eagerly, before it can poison a window.
-        // (A removal racing the window is still caught by the flush itself.)
-        if !self.contains(name) {
-            return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
-        }
-        let slot = group.enqueue(name, batch);
-        CommitTicket::window(slot, group.clone(), self.degrouped())
     }
 
     /// The committer-less arm of [`FsBackend::append_batch_enqueue`]: one
@@ -931,35 +791,6 @@ impl FsBackend {
         }
     }
 
-    /// Waits out any in-flight group-commit window and flushes everything
-    /// enqueued. Runs **before** this backend takes a document meta lock:
-    /// the flush itself takes those locks, so a barrier under one would
-    /// self-deadlock.
-    fn group_barrier(&self) {
-        if let Some(group) = &self.group {
-            group.barrier(&self.degrouped());
-        }
-    }
-
-    /// Fsync/window counters since this backend (or the clone family it
-    /// belongs to) was opened. Lock-free snapshot.
-    pub fn durability_stats(&self) -> DurabilityStats {
-        DurabilityStats {
-            fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
-            grouped_commits: self.counters.grouped_commits.load(Ordering::Relaxed),
-            grouped_windows: self.counters.grouped_windows.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of journaled updates awaiting a checkpoint — O(1) from the
-    /// segment meters, no re-parsing.
-    pub fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        Ok(meta.updates)
-    }
-
     /// Number of journaled batches awaiting a checkpoint (O(1)).
     pub fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
         let meta = self.meta(name);
@@ -975,15 +806,153 @@ impl FsBackend {
         self.ensure_loaded(name, &mut meta)?;
         Ok(meta.bytes)
     }
+}
 
-    /// Recovery: the last checkpoint with the journal replayed on top. This
-    /// is what the warehouse loads at start-up after a crash.
-    pub fn recover_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        let mut fuzzy = self.load_document(name)?;
-        for update in self.read_journal(name)? {
-            update.apply_to_fuzzy(&mut fuzzy)?;
+impl StorageBackend for FsBackend {
+    fn list_documents(&self) -> Result<Vec<String>, StoreError> {
+        let mut names = Vec::new();
+        for entry in fs::read_dir(&self.root)? {
+            let path = entry?.path();
+            if path.extension().and_then(|ext| ext.to_str()) == Some("pxml") {
+                if let Some(stem) = path.file_stem().and_then(|stem| stem.to_str()) {
+                    names.push(stem.to_string());
+                }
+            }
         }
-        Ok(fuzzy)
+        names.sort();
+        Ok(names)
+    }
+
+    fn contains(&self, name: &str) -> bool {
+        self.document_path(name).exists()
+    }
+
+    fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        self.ensure_loaded(name, &mut meta)?;
+        self.write_checkpoint(name, fuzzy, meta.epoch)
+    }
+
+    fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
+        let path = self.document_path(name);
+        if !path.exists() {
+            return Err(StoreError::MissingDocument(name.to_string()));
+        }
+        let text = fs::read_to_string(path)?;
+        parse_fuzzy_document(&text)
+    }
+
+    /// The name's meta mutex deliberately stays in the registry: dropping it
+    /// would let a thread still holding the old `Arc` interleave its append
+    /// with a writer of a same-named *re-created* document under a fresh
+    /// mutex, silently corrupting a segment. One retained mutex per name ever
+    /// removed is a bounded price for that guarantee.
+    fn remove_document(&self, name: &str) -> Result<(), StoreError> {
+        // Settle any in-flight group-commit window first (before the meta
+        // lock — the flush needs it): a window flushing after the removal
+        // would resurrect segment files for the deleted document.
+        self.group_barrier();
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        let path = self.document_path(name);
+        if !path.exists() {
+            return Err(StoreError::MissingDocument(name.to_string()));
+        }
+        // Checkpoint first: if the removal dies halfway, the leftover
+        // segments are recognizably orphaned (no checkpoint) and swept at the
+        // next open. The directory flush pins that ordering against power
+        // loss too.
+        fs::remove_file(path)?;
+        self.sync_dir()?;
+        for (segment, _) in self.segments_of(name)? {
+            fs::remove_file(segment)?;
+        }
+        meta.reset_journal(0);
+        meta.loaded = false;
+        Ok(())
+    }
+
+    fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        self.ensure_loaded(name, &mut meta)?;
+        let mut batches = Vec::with_capacity(meta.batches);
+        for path in self.current_segment_paths(name, &meta) {
+            let bytes = fs::read(&path)?;
+            let mut offset = 0usize;
+            while let Some(record) = sound_record(&bytes, offset) {
+                batches.push(parse_batch(record.payload)?);
+                offset = record.next;
+            }
+        }
+        Ok(batches)
+    }
+
+    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
+        self.append_batch_enqueue(name, batch).wait()
+    }
+
+    /// The append entry point — every journal write starts here. Consults
+    /// the fault plan once, then hands the batch to the group-commit window
+    /// and returns a [`CommitTicket`] that resolves at the window's fsync;
+    /// without a committer ([`CommitPolicy::Sync`]) the append runs to
+    /// completion here and the ticket comes back already resolved.
+    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
+        let torn = match self
+            .fault
+            .as_ref()
+            .and_then(|plan| plan.decide(FaultOp::Append))
+        {
+            Some((FaultKind::TornWrite, error)) => Some(error),
+            Some((_, error)) => return CommitTicket::resolved(Err(error)),
+            None => None,
+        };
+        let group = match &self.group {
+            Some(group) if torn.is_none() => group,
+            _ => {
+                // No committer — or a torn write, which cannot resolve
+                // asynchronously (the shear must follow the write before
+                // the caller sees the ticket): settle any open window first
+                // so enqueue order holds, then write in place.
+                self.group_barrier();
+                return CommitTicket::resolved(self.append_now(name, batch, torn));
+            }
+        };
+        // Fail a missing document eagerly, before it can poison a window.
+        // (A removal racing the window is still caught by the flush itself.)
+        if !self.contains(name) {
+            return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
+        }
+        let slot = group.enqueue(name, batch);
+        CommitTicket::window(slot, group.clone(), self.degrouped())
+    }
+
+    /// Waits out any in-flight group-commit window and flushes everything
+    /// enqueued. Runs **before** this backend takes a document meta lock:
+    /// the flush itself takes those locks, so a barrier under one would
+    /// self-deadlock.
+    fn group_barrier(&self) {
+        if let Some(group) = &self.group {
+            group.barrier(&self.degrouped());
+        }
+    }
+
+    /// Fsync/window counters since this backend (or the clone family it
+    /// belongs to) was opened. Lock-free snapshot.
+    fn durability_stats(&self) -> DurabilityStats {
+        DurabilityStats {
+            fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
+            grouped_commits: self.counters.grouped_commits.load(Ordering::Relaxed),
+            grouped_windows: self.counters.grouped_windows.load(Ordering::Relaxed),
+        }
+    }
+
+    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
+        let meta = self.meta(name);
+        let mut meta = meta.lock();
+        self.ensure_loaded(name, &mut meta)?;
+        Ok(meta.updates)
     }
 
     /// In-place recovery after a failed commit: clears a poisoned group
@@ -992,7 +961,7 @@ impl FsBackend {
     /// touch rescans the on-disk truth (truncating any torn tail), and
     /// returns the recovered tree. `Warehouse::reopen_document` routes
     /// through this to lift a document out of quarantine.
-    pub fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
+    fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
         if let Some(group) = &self.group {
             group.clear_poison();
         }
@@ -1001,7 +970,7 @@ impl FsBackend {
             let mut meta = meta.lock();
             meta.loaded = false;
         }
-        FsBackend::recover_document(self, name)
+        self.recover_document(name)
     }
 
     /// Checkpoints a document: writes `fuzzy` as the new checkpoint (stamped
@@ -1009,7 +978,7 @@ impl FsBackend {
     /// checkpoint rename is the single commit point — a crash before it keeps
     /// the old checkpoint + journal, a crash after it leaves stale-epoch
     /// segments that recovery ignores and the next open/scan sweeps.
-    pub fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
         // Settle any in-flight group-commit window first (before the meta
         // lock — the flush needs it): a pre-fold batch flushing *after* the
         // fold would land in the new epoch and be double-applied by replay.
@@ -1031,71 +1000,16 @@ impl FsBackend {
         }
         Ok(())
     }
-}
 
-impl StorageBackend for FsBackend {
-    fn list_documents(&self) -> Result<Vec<String>, StoreError> {
-        FsBackend::list_documents(self)
-    }
-
-    fn contains(&self, name: &str) -> bool {
-        FsBackend::contains(self, name)
-    }
-
-    fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        FsBackend::save_document(self, name, fuzzy)
-    }
-
-    fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        FsBackend::load_document(self, name)
-    }
-
-    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        FsBackend::append_batch(self, name, batch)
-    }
-
-    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        FsBackend::append_batch_enqueue(self, name, batch)
-    }
-
-    fn durability_stats(&self) -> DurabilityStats {
-        FsBackend::durability_stats(self)
-    }
-
-    fn group_barrier(&self) {
-        FsBackend::group_barrier(self);
-    }
-
-    fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        FsBackend::read_batches(self, name)
-    }
-
-    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        FsBackend::journal_length(self, name)
-    }
-
+    // Inherent too: pxbench calls it on a concrete `FsBackend` without the
+    // trait in scope.
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
         FsBackend::journal_batches(self, name)
     }
 
+    // Inherent too, for the same reason.
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
         FsBackend::journal_size_bytes(self, name)
-    }
-
-    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        FsBackend::checkpoint(self, name, fuzzy)
-    }
-
-    fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        FsBackend::remove_document(self, name)
-    }
-
-    fn recover_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        FsBackend::recover_document(self, name)
-    }
-
-    fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        FsBackend::reopen_document(self, name)
     }
 
     fn root_dir(&self) -> Option<&Path> {

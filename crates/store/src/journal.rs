@@ -216,6 +216,23 @@ mod tests {
     }
 
     #[test]
+    fn deepest_allowed_insertion_round_trips() {
+        // Inserted under a root match, this subtree reaches `MAX_TREE_DEPTH`.
+        let mut subtree = pxml_tree::Tree::new("n");
+        let mut node = subtree.root();
+        for _ in 0..pxml_tree::MAX_TREE_DEPTH - 1 {
+            node = subtree.add_element(node, "n");
+        }
+        let pattern = Pattern::parse("/A").unwrap();
+        let root = pattern.root();
+        let update = UpdateTransaction::new(pattern, 0.5)
+            .unwrap()
+            .with_insert(root, subtree);
+        let reparsed = parse_batch(&serialize_batch(&[update])).unwrap();
+        assert_eq!(reparsed.len(), 1);
+    }
+
+    #[test]
     fn malformed_updates_are_rejected() {
         assert!(matches!(
             parse_update("<pxml:update query=\"A\"/>"),

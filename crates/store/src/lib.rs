@@ -31,7 +31,7 @@
 //!
 //! ```no_run
 //! use pxml_core::FuzzyTree;
-//! use pxml_store::FsBackend;
+//! use pxml_store::{FsBackend, StorageBackend};
 //!
 //! let store = FsBackend::open("/tmp/pxml-warehouse").unwrap();
 //! store.save_document("people", &FuzzyTree::new("directory")).unwrap();

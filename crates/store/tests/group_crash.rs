@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
-use pxml_store::{serialize_batch, CommitPolicy, FsBackend, FsOptions};
+use pxml_store::{serialize_batch, CommitPolicy, FsBackend, FsOptions, StorageBackend};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);

@@ -9,7 +9,7 @@
 
 use crate::error::XmlError;
 use crate::label::Label;
-use crate::tree::{NodeId, Tree};
+use crate::tree::{NodeId, Tree, MAX_TREE_DEPTH};
 use crate::xml::{parse, XmlDocument, XmlElement, XmlNode};
 
 /// Converts a parsed XML document into a data tree.
@@ -67,9 +67,21 @@ fn build_element(tree: &Tree, node: NodeId) -> XmlElement {
     element
 }
 
-/// Parses an XML string directly into a data tree.
+/// Parses an XML string directly into a data tree, refusing one with a node
+/// below [`MAX_TREE_DEPTH`] (it could be stored but never read back).
 pub fn parse_data_tree(input: &str) -> Result<Tree, XmlError> {
-    Ok(xml_to_data_tree(&parse(input)?))
+    let tree = xml_to_data_tree(&parse(input)?);
+    let height = tree.height();
+    if height > MAX_TREE_DEPTH {
+        return Err(XmlError::new(
+            format!(
+                "document has a node at depth {height}, the deepest allowed is {MAX_TREE_DEPTH}"
+            ),
+            1,
+            1,
+        ));
+    }
+    Ok(tree)
 }
 
 /// Serializes a data tree to XML text (pretty-printed when `pretty` is true).

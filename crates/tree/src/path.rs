@@ -1,83 +1,12 @@
-//! Node paths and minimal connecting subtrees.
+//! Minimal connecting subtrees.
 //!
-//! Two utilities used by the query answer construction:
-//!
-//! * [`NodePath`] — a stable, position-independent address of a node given as
-//!   the sequence of element labels from the root (plus a disambiguating
-//!   occurrence index at each step), useful for persisting references to
-//!   nodes of an unordered tree;
-//! * [`steiner_nodes`] / [`steiner_tree`] — the *minimal subtree* of a data
-//!   tree containing a given set of nodes, which is exactly how the paper
-//!   defines the answer to a tree-pattern query (slide 6).
+//! [`steiner_nodes`] / [`steiner_tree`] compute the *minimal subtree* of a
+//! data tree containing a given set of nodes, which is exactly how the paper
+//! defines the answer to a tree-pattern query (slide 6).
 
 use std::collections::{HashMap, HashSet};
 
 use crate::tree::{NodeId, Tree};
-
-/// A label path from the root to a node: at each step the child label and the
-/// occurrence index among same-labelled siblings (in canonical-string order,
-/// so the address does not depend on insertion order).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct NodePath {
-    steps: Vec<(String, usize)>,
-}
-
-impl NodePath {
-    /// Computes the path of `node` within `tree`.
-    pub fn of(tree: &Tree, node: NodeId) -> Self {
-        let mut chain = tree.ancestors_or_self(node);
-        chain.reverse(); // root … node
-        let mut steps = Vec::new();
-        for window in chain.windows(2) {
-            let (parent, child) = (window[0], window[1]);
-            let label = tree.label(child);
-            // Occurrence index among siblings with the same label, ordered by
-            // canonical form for determinism in an unordered tree.
-            let mut same: Vec<NodeId> = tree
-                .children(parent)
-                .iter()
-                .copied()
-                .filter(|&c| tree.label(c) == label)
-                .collect();
-            same.sort_by_key(|&c| crate::iso::subtree_canonical_string(tree, c));
-            let index = same.iter().position(|&c| c == child).unwrap_or(0);
-            steps.push((label.as_str().to_string(), index));
-        }
-        NodePath { steps }
-    }
-
-    /// Resolves this path against a tree, if a matching node exists.
-    ///
-    /// Resolution follows the same canonical ordering used by [`NodePath::of`],
-    /// so `resolve(of(t, n), t) == Some(n)` as long as the tree is unchanged.
-    pub fn resolve(&self, tree: &Tree) -> Option<NodeId> {
-        let mut current = tree.root();
-        for (label, index) in &self.steps {
-            let mut same: Vec<NodeId> = tree
-                .children(current)
-                .iter()
-                .copied()
-                .filter(|&c| tree.label(c).as_str() == label)
-                .collect();
-            if same.is_empty() {
-                return None;
-            }
-            same.sort_by_key(|&c| crate::iso::subtree_canonical_string(tree, c));
-            current = *same.get(*index)?;
-        }
-        Some(current)
-    }
-
-    /// The number of steps (the depth of the addressed node).
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// `true` if the path addresses the root.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-}
 
 /// The node set of the minimal subtree of `tree` containing every node in
 /// `nodes`: the union, over all selected nodes, of the path from the lowest
@@ -109,31 +38,25 @@ pub fn steiner_nodes(tree: &Tree, nodes: &[NodeId]) -> Vec<NodeId> {
 }
 
 /// Builds the minimal subtree of `tree` containing every node in `nodes` as a
-/// fresh [`Tree`], together with the mapping from original node ids to nodes
-/// of the answer tree.
+/// fresh [`Tree`].
 ///
 /// Returns `None` when `nodes` is empty.
-pub fn steiner_tree(tree: &Tree, nodes: &[NodeId]) -> Option<(Tree, HashMap<NodeId, NodeId>)> {
+pub fn steiner_tree(tree: &Tree, nodes: &[NodeId]) -> Option<Tree> {
     let keep = steiner_nodes(tree, nodes);
-    if keep.is_empty() {
-        return None;
-    }
-    let keep_set: HashSet<NodeId> = keep.iter().copied().collect();
-    let root = keep[0];
+    let (&root, rest) = keep.split_first()?;
     let mut out = Tree::new(tree.label(root).clone());
     let mut mapping = HashMap::new();
     mapping.insert(root, out.root());
     // keep is in preorder, so every non-root node's parent was mapped already.
-    for &node in &keep[1..] {
+    for &node in rest {
         let parent = tree
             .parent(node)
             .expect("non-root steiner node has a parent");
-        debug_assert!(keep_set.contains(&parent));
         let mapped_parent = mapping[&parent];
         let copy = out.add_child(mapped_parent, tree.label(node).clone());
         mapping.insert(node, copy);
     }
-    Some((out, mapping))
+    Some(out)
 }
 
 #[cfg(test)]
@@ -153,39 +76,6 @@ mod tests {
         let d = t.add_element(t.root(), "D");
         t.add_element(d, "F");
         t
-    }
-
-    #[test]
-    fn node_path_round_trips() {
-        let t = sample();
-        for node in t.nodes() {
-            let path = NodePath::of(&t, node);
-            assert_eq!(path.resolve(&t), Some(node), "path {path:?}");
-            assert_eq!(path.len(), t.depth(node));
-        }
-    }
-
-    #[test]
-    fn node_path_distinguishes_same_labelled_siblings() {
-        let t = sample();
-        let bs = t.find_elements("B");
-        let p0 = NodePath::of(&t, bs[0]);
-        let p1 = NodePath::of(&t, bs[1]);
-        assert_ne!(p0, p1);
-        assert_eq!(p0.resolve(&t), Some(bs[0]));
-        assert_eq!(p1.resolve(&t), Some(bs[1]));
-    }
-
-    #[test]
-    fn node_path_missing_node_resolves_to_none() {
-        let t = sample();
-        let c = t.find_elements("C")[0];
-        let path = NodePath::of(&t, c);
-        let mut pruned = t.clone();
-        let e = pruned.find_elements("E")[0];
-        pruned.remove_subtree(e).unwrap();
-        assert_eq!(path.resolve(&pruned), None);
-        assert!(NodePath::default().is_empty());
     }
 
     #[test]
@@ -214,10 +104,9 @@ mod tests {
         let t = sample();
         let c = t.find_elements("C")[0];
         let f = t.find_elements("F")[0];
-        let (answer, mapping) = steiner_tree(&t, &[c, f]).unwrap();
+        let answer = steiner_tree(&t, &[c, f]).unwrap();
         assert_eq!(answer.node_count(), 5);
         assert_eq!(answer.label(answer.root()).element_name(), Some("A"));
-        assert_eq!(answer.label(mapping[&c]).element_name(), Some("C"));
         assert!(answer.validate().is_ok());
         // The "foo"/"bar" B nodes are not part of the minimal subtree.
         assert!(answer.find_elements("B").is_empty());
@@ -228,7 +117,7 @@ mod tests {
         let t = sample();
         let c = t.find_elements("C")[0];
         let nee = t.children(c)[0];
-        let (answer, _) = steiner_tree(&t, &[c, nee]).unwrap();
+        let answer = steiner_tree(&t, &[c, nee]).unwrap();
         // LCA of C and "nee" is C itself.
         assert_eq!(answer.label(answer.root()).element_name(), Some("C"));
         assert_eq!(answer.node_count(), 2);

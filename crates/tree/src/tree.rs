@@ -13,6 +13,21 @@ use crate::chunk::ChunkedVec;
 use crate::error::TreeError;
 use crate::label::Label;
 
+/// The deepest nesting the recursive parsers accept — XML elements in
+/// [`crate::xml::parse`], pattern nodes in the query parser — so that a
+/// hostile frame is a typed error, not a stack overflow on a connection
+/// thread.
+pub const MAX_NESTING_DEPTH: usize = 256;
+
+/// The deepest node (the root is at depth 0) a data tree may gain from
+/// outside: an `OPEN` content or an insertion. Derived, not a second bound:
+/// a node at depth `d` sits `d + 1` elements deep and storage wraps a tree
+/// in up to three more (`pxml:document`/`pxml:content` plus `pxml:text`
+/// around a conditional text node; `pxml:batch`/`pxml:update`/`pxml:insert`
+/// around an inserted subtree), so every checkpoint and journal record of
+/// such a tree stays within [`MAX_NESTING_DEPTH`] and parses back.
+pub const MAX_TREE_DEPTH: usize = MAX_NESTING_DEPTH - 3;
+
 /// A handle to a node of a [`Tree`].
 ///
 /// Node ids are only meaningful relative to the tree that created them; they

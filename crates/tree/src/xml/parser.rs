@@ -7,6 +7,7 @@
 //! with 1-based line/column positions.
 
 use crate::error::XmlError;
+use crate::tree::MAX_NESTING_DEPTH;
 
 use super::{XmlDocument, XmlElement, XmlNode};
 
@@ -14,7 +15,7 @@ use super::{XmlDocument, XmlElement, XmlNode};
 pub fn parse(input: &str) -> Result<XmlDocument, XmlError> {
     let mut parser = Parser::new(input);
     parser.skip_misc()?;
-    let root = parser.parse_element()?;
+    let root = parser.parse_element(1)?;
     parser.skip_misc()?;
     if !parser.at_end() {
         return Err(parser.error("unexpected content after the root element"));
@@ -138,7 +139,13 @@ impl<'a> Parser<'a> {
         String::from_utf8(raw.to_vec()).map_err(|_| self.error("name is not valid UTF-8"))
     }
 
-    fn parse_element(&mut self) -> Result<XmlElement, XmlError> {
+    /// Parses one element; `depth` is its nesting level (the root is at 1).
+    fn parse_element(&mut self, depth: usize) -> Result<XmlElement, XmlError> {
+        if depth > MAX_NESTING_DEPTH {
+            return Err(self.error(format!(
+                "elements nest deeper than {MAX_NESTING_DEPTH} levels"
+            )));
+        }
         self.expect_str("<")?;
         let name = self.parse_name()?;
         let mut element = XmlElement::new(name);
@@ -196,7 +203,7 @@ impl<'a> Parser<'a> {
             } else if self.starts_with("<?") {
                 self.skip_until("?>")?;
             } else if self.peek() == Some(b'<') {
-                let child = self.parse_element()?;
+                let child = self.parse_element(depth + 1)?;
                 element.children.push(XmlNode::Element(child));
             } else {
                 let text = self.parse_text()?;
@@ -460,5 +467,15 @@ mod tests {
     fn unicode_content_is_preserved() {
         let doc = parse("<a>héllo wörld — ✓</a>").unwrap();
         assert_eq!(doc.root.text(), "héllo wörld — ✓");
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting_depth() {
+        let nested = |levels: usize| "<a>".repeat(levels) + &"</a>".repeat(levels);
+        assert!(parse(&nested(MAX_NESTING_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_NESTING_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("deeper than 256"), "{err}");
+        // Far past the bound is the same typed error, not a stack overflow.
+        assert!(parse(&nested(100_000)).is_err());
     }
 }

@@ -1105,6 +1105,35 @@ mod tests {
         }
     }
 
+    /// Merged answers come back in document order of each distinct answer's
+    /// first match — neither sorted nor in hash order — so a wire-level
+    /// oracle can compare answer lists position by position.
+    #[test]
+    fn merged_answers_arrive_in_document_order_of_first_match() {
+        let warehouse =
+            Warehouse::with_backend(Arc::new(pxml_store::MemBackend::new()), plain_config())
+                .unwrap();
+        let tree = parse_data_tree(
+            "<dir>\
+               <person><name>p1</name></person>\
+               <org><name>o1</name></org>\
+               <person><name>p2</name></person>\
+               <club><name>c1</name></club>\
+             </dir>",
+        )
+        .unwrap();
+        warehouse.create_document("dir", tree).unwrap();
+        let merged = warehouse
+            .query_merged("dir", &Pattern::parse("* { name }").unwrap())
+            .unwrap();
+        let roots: Vec<&str> = merged
+            .answers
+            .iter()
+            .map(|(answer, _)| answer.label(answer.root()).element_name().unwrap())
+            .collect();
+        assert_eq!(roots, ["person", "org", "club"]);
+    }
+
     #[test]
     fn create_query_update_cycle() {
         let dir = scratch("cycle");

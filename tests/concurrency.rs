@@ -9,7 +9,7 @@ use std::sync::{Arc, Barrier};
 
 use pxml::gen::scenarios::{people_directory, PeopleScenarioConfig};
 use pxml::prelude::*;
-use pxml::store::serialize_batch;
+use pxml::store::{serialize_batch, StorageBackend};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 

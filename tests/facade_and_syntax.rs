@@ -3,7 +3,7 @@
 //! and end-to-end flows that touch several crates at once.
 
 use pxml::prelude::*;
-use pxml::store::{parse_update, serialize_fuzzy_document, serialize_update};
+use pxml::store::{parse_update, serialize_fuzzy_document, serialize_update, StorageBackend};
 
 #[test]
 fn query_syntax_round_trips_for_representative_patterns() {

@@ -139,20 +139,36 @@ proptest! {
         prop_assert!(tree.check_data_model().is_ok());
     }
 
-    /// The naive and indexed matchers return exactly the same match sets.
+    /// The naive and indexed matchers return exactly the same matches, in
+    /// the same (document) order — over every way a pattern root and a
+    /// pattern edge find their candidates.
     #[test]
     fn matcher_strategies_agree(spec in spec_strategy(), anchored in any::<bool>()) {
         let tree = build(&spec);
-        let mut pattern = Pattern::new(Some("l1"));
-        pattern.add_child(pattern.root(), Axis::Descendant, Some("l2"));
-        pattern.set_anchored(anchored);
-        let naive = pattern.find_matches_with(&tree, MatchStrategy::Naive);
-        let indexed = pattern.find_matches_with(&tree, MatchStrategy::Indexed);
-        let naive_set: std::collections::BTreeSet<Vec<NodeId>> =
-            naive.iter().map(|m| m.images().to_vec()).collect();
-        let indexed_set: std::collections::BTreeSet<Vec<NodeId>> =
-            indexed.iter().map(|m| m.images().to_vec()).collect();
-        prop_assert_eq!(naive_set, indexed_set);
+        for text in [
+            "l1 { //l2 }",
+            "l1",
+            "*",
+            "l1 { l2 }",
+            "* { //l2[=\"v1\"] }",
+            "* { l1[$x], //l2[$x] }",
+        ] {
+            let mut pattern = Pattern::parse(text).unwrap();
+            pattern.set_anchored(anchored);
+            let images = |strategy| -> Vec<Vec<NodeId>> {
+                pattern
+                    .find_matches_with(&tree, strategy)
+                    .iter()
+                    .map(|m| m.images().to_vec())
+                    .collect()
+            };
+            prop_assert!(
+                images(MatchStrategy::Naive) == images(MatchStrategy::Indexed),
+                "strategies disagree on `{}` (anchored = {})",
+                text,
+                anchored
+            );
+        }
     }
 
     /// The probability of a fuzzy tree's worlds always sums to 1, and every
