@@ -20,14 +20,18 @@
 //! An argument that is neither `--quick` nor an experiment name prints the
 //! valid ones and exits 2.
 
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use pxml_bench::{
     cleaning_history, deletion_growth_document, deletion_growth_step, document, fuzzy_document,
     insert_update_for, merged_answer_document, query_for, slide12, update_for, BENCH_SEED,
 };
-use pxml_core::{encode_possible_worlds, FuzzyTree, Simplifier, SimplifyPolicy, UpdateTransaction};
-use pxml_event::Formula;
+use pxml_core::{
+    encode_possible_worlds, FuzzyQueryResult, FuzzyTree, Simplifier, SimplifyPolicy, Update,
+    UpdateTransaction,
+};
+use pxml_event::{Condition, EventId, Formula};
 use pxml_gen::concurrent::{
     concurrent_workload, initial_document, ConcurrentWorkloadConfig, DocumentWorkload, WorkloadOp,
 };
@@ -1013,7 +1017,14 @@ fn e12_commit_latency_vs_journal(quick: bool) {
 /// intractable. The second table sweeps the width of deletion-fragmented
 /// sibling groups through the simplifier's re-cover, which the BDD lifted
 /// from 8 to `GROUP_RECOVER_MAX_EVENTS` (24) events: widths above 8 were
-/// previously not re-covered at all.
+/// previously not re-covered at all. The third table shows what decides the
+/// cost of a query's disjunction — not its width but how it falls apart:
+/// `person { phone }` on directories past pxbench's "cliff" is hundreds of
+/// conditions in small event-independent components and costs microseconds,
+/// because `disjunction_probability` never builds the diagram of the whole
+/// list; one directory-wide retraction puts one shared event into every
+/// condition and the same query is a single component again — the case
+/// factoring cannot split, printed so nobody reads the table as "solved".
 fn e13_bdd_vs_shannon(quick: bool) {
     header(
         "E13",
@@ -1101,7 +1112,126 @@ fn e13_bdd_vs_shannon(quick: bool) {
             ms(simplify_time)
         );
     }
+
+    println!(
+        "\ndisjunction probability vs independence structure \
+         (`person {{ phone }}` on people x updates directories; ring: `r {{ a }}`):\n\
+         {:>24} {:>9} {:>12} {:>9} {:>16} {:>8}",
+        "document", "matches", "components", "largest", "selection (ms)", "agree"
+    );
+    let phones = Pattern::parse("person { phone }").unwrap();
+    // (label, document, query, compare with the per-person oracle)
+    let mut rows: Vec<(String, FuzzyTree, &Pattern, bool)> =
+        [(200, 300), (200, 400), (200, 800), (100, 800)]
+            .into_iter()
+            .map(|(people, updates)| {
+                let name = format!("{people} x {updates}");
+                let fuzzy = e13_directory(people, updates);
+                (name, fuzzy, &phones, (people, updates) == (200, 400))
+            })
+            .collect();
+    // One confidence event shared by every phone: a single component.
+    let mut retracted = e13_directory(100, 200);
+    let phone = phones.node_ids().nth(1).expect("phone is the second node");
+    Update::matching(phones.clone())
+        .delete_at(phone)
+        .with_confidence(0.7)
+        .build()
+        .unwrap()
+        .apply_to_fuzzy_with(&mut retracted, SimplifyPolicy::Inline)
+        .unwrap();
+    rows.push(("100 x 200 + retract all".into(), retracted, &phones, false));
+    let ring_query = Pattern::parse("r { a }").unwrap();
+    let ring = merged_answer_document(24, 24, 3, BENCH_SEED + 24);
+    rows.push(("ring, 24 events".into(), ring, &ring_query, false));
+    for (name, fuzzy, query, has_oracle) in &rows {
+        let result = fuzzy.query(query);
+        let mut selection = 0.0;
+        let selection_time = time_it(5, || {
+            selection = result.selection_probability(fuzzy.events());
+        });
+        let (components, largest) = e13_components(&result);
+        // The oracle is per person (each a small disjunction of its own):
+        // Shannon over the whole list would pay 2^events.
+        let agree = has_oracle.then(|| {
+            let reference = e13_per_person_reference(&result, query, fuzzy);
+            (selection - reference).abs() < 1e-9
+        });
+        assert_ne!(
+            agree,
+            Some(false),
+            "factored selection vs per-person oracle"
+        );
+        println!(
+            "{name:>24} {:>9} {components:>12} {largest:>9} {:>16.4} {:>8}",
+            result.len(),
+            ms(selection_time),
+            agree.map_or("-".into(), |a| a.to_string()),
+        );
+    }
     println!();
+}
+
+/// A people directory after `updates` extraction updates, simplified inline
+/// as the warehouse's default commit path does.
+fn e13_directory(people: usize, updates: usize) -> FuzzyTree {
+    let scenario = PeopleScenarioConfig {
+        people,
+        ..PeopleScenarioConfig::default()
+    };
+    let mut fuzzy = FuzzyTree::from_tree(people_directory(&scenario));
+    let mut rng = StdRng::seed_from_u64(BENCH_SEED + (1000 * people + updates) as u64);
+    for _ in 0..updates {
+        let (update, _) = extraction_update(&mut rng, &scenario);
+        update
+            .apply_to_fuzzy_with(&mut fuzzy, SimplifyPolicy::Inline)
+            .unwrap();
+    }
+    fuzzy
+}
+
+/// The connected components of "two match conditions mention a common
+/// event": how many, and the largest in conditions.
+fn e13_components(result: &FuzzyQueryResult) -> (usize, usize) {
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..result.len()).collect();
+    let mut first_user: HashMap<EventId, usize> = HashMap::new();
+    for (i, m) in result.matches.iter().enumerate() {
+        for literal in m.condition.literals() {
+            let j = *first_user.entry(literal.event).or_insert(i);
+            let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+            parent[a] = b;
+        }
+    }
+    let mut sizes: HashMap<usize, usize> = HashMap::new();
+    for i in 0..result.len() {
+        *sizes.entry(find(&mut parent, i)).or_default() += 1;
+    }
+    (sizes.len(), sizes.values().copied().max().unwrap_or(0))
+}
+
+/// `1 − Π_person (1 − P_person)`, each `P_person` by Shannon expansion over
+/// that one person's match conditions — sound because extraction updates
+/// target one person each, so no event is shared between persons.
+fn e13_per_person_reference(result: &FuzzyQueryResult, query: &Pattern, fuzzy: &FuzzyTree) -> f64 {
+    let mut by_person: BTreeMap<_, Vec<Condition>> = BTreeMap::new();
+    for m in &result.matches {
+        by_person
+            .entry(m.matching.image(query.root()))
+            .or_default()
+            .push(m.condition.clone());
+    }
+    let nobody: f64 = by_person
+        .values()
+        .map(|own| 1.0 - Formula::any_of_conditions(own).probability_shannon(fuzzy.events()))
+        .product();
+    1.0 - nobody
 }
 
 // ---------------------------------------------------------------------------

@@ -11,15 +11,24 @@
 //!
 //! When several matches yield unordered-isomorphic answers, the probability
 //! of that *answer* is the probability of the **disjunction** of their match
-//! conditions, computed exactly on a reduced ordered BDD (one weighted
-//! model-counting walk, linear in diagram size — see [`pxml_event::Bdd`]);
-//! this is what makes the commutation theorem of slide 13 hold:
-//! `query(worlds(F)) = worlds(query(F))`.
+//! conditions, computed exactly; this is what makes the commutation theorem
+//! of slide 13 hold: `query(worlds(F)) = worlds(query(F))`.
+//!
+//! The model's events are independent, so match conditions that share no
+//! event are independent as well — and the conditions of a broad query
+//! mostly are (one person's phones share that person's update events, two
+//! persons' phones share nothing). Both disjunctions this module evaluates,
+//! [`FuzzyQueryResult::selection_probability`] and each answer group of
+//! [`FuzzyQueryResult::merged_answers`], go through
+//! [`pxml_event::disjunction_probability`], which splits the conditions into
+//! event-independent components, takes a lone condition's literal product,
+//! builds a BDD only for a component of several conditions, and combines by
+//! `1 − Π(1 − pᵢ)`. Nothing is cached between calls or kept on the tree.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use pxml_event::{Bdd, BddRef, Condition, EventTable, Literal};
+use pxml_event::{disjunction_probability, Condition, EventTable, Literal};
 use pxml_query::{Matching, Pattern};
 use pxml_tree::{CanonicalForm, NodeId, Tree};
 
@@ -59,37 +68,27 @@ impl FuzzyQueryResult {
 
     /// Groups unordered-isomorphic answers and computes, for each group, the
     /// probability that *at least one* of its matches exists (the disjunction
-    /// of the match conditions, evaluated exactly).
+    /// of the group's match conditions, evaluated exactly by
+    /// [`disjunction_probability`]).
     ///
     /// Groups are indexed by a hash map keyed on the answers' canonical form
-    /// (O(matches) instead of the former O(matches²) linear scan), each
-    /// group's disjunction BDD is built incrementally as its matches stream
-    /// by (no condition is cloned), and the final probabilities share one
-    /// model-counting cache across groups.
+    /// and come back in first-match order, each with its first match's
+    /// answer tree; no condition is cloned.
     pub fn merged_answers(&self, events: &EventTable) -> Vec<(Tree, f64)> {
-        let mut bdd = Bdd::new();
-        let mut groups: Vec<(Tree, BddRef)> = Vec::new();
+        let mut groups: Vec<(Tree, Vec<&Condition>)> = Vec::new();
         let mut index: HashMap<CanonicalForm, usize> = HashMap::with_capacity(self.matches.len());
         for m in &self.matches {
-            let form = CanonicalForm::of_tree(&m.answer);
-            let node = bdd.condition(&m.condition);
-            match index.entry(form) {
-                Entry::Occupied(slot) => {
-                    let group = &mut groups[*slot.get()];
-                    group.1 = bdd.or(group.1, node);
-                }
+            match index.entry(CanonicalForm::of_tree(&m.answer)) {
+                Entry::Occupied(slot) => groups[*slot.get()].1.push(&m.condition),
                 Entry::Vacant(slot) => {
                     slot.insert(groups.len());
-                    groups.push((m.answer.clone(), node));
+                    groups.push((m.answer.clone(), vec![&m.condition]));
                 }
             }
         }
-        let nodes: Vec<BddRef> = groups.iter().map(|(_, node)| *node).collect();
-        let probabilities = bdd.probabilities(&nodes, events);
         groups
             .into_iter()
-            .zip(probabilities)
-            .map(|((tree, _), probability)| (tree, probability))
+            .map(|(tree, conditions)| (tree, disjunction_probability(conditions, events)))
             .collect()
     }
 
@@ -105,11 +104,11 @@ impl FuzzyQueryResult {
 
     /// The probability that the query matches at all (the document is
     /// *selected* by the query) — the disjunction of every match condition,
-    /// built incrementally on a BDD straight from the borrowed conditions.
+    /// evaluated exactly by [`disjunction_probability`] straight from the
+    /// borrowed conditions. When every match falls in one answer group this
+    /// is that group's [`merged_answers`](Self::merged_answers) probability.
     pub fn selection_probability(&self, events: &EventTable) -> f64 {
-        let mut bdd = Bdd::new();
-        let any = bdd.any_of(self.matches.iter().map(|m| &m.condition));
-        bdd.probability(any, events)
+        disjunction_probability(self.matches.iter().map(|m| &m.condition), events)
     }
 }
 

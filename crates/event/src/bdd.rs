@@ -20,12 +20,21 @@
 //!   scale past small event counts.
 //!
 //! The default variable order is the event-id order of the owning
-//! [`EventTable`]: conditions produced by the update pipeline mention events
-//! in creation order, which keeps related literals adjacent. Path-structure
-//! consumers ([`Bdd::disjoint_cover`]) are sensitive to the order — fewer
-//! paths mean smaller covers — so [`Bdd::with_order`] lets callers hoist
-//! chosen events to the top of the diagram (the simplifier puts
-//! uniform-sign "guard" events like deletion confidences first, which
+//! [`EventTable`]. Inside one update's condition that keeps related literals
+//! adjacent (the pipeline mentions events in creation order); across the
+//! match conditions of a *query* it does not — updates reach persons in
+//! arbitrary order, so different persons' events interleave in id order,
+//! which is the exponential order for a disjunction of independent
+//! conjunctions (pxbench's broad query: 42 mostly independent
+//! `person { phone }` matches are ≈ 4 180 nodes as one diagram). The query
+//! path therefore never builds that diagram: [`disjunction_probability`]
+//! splits a disjunction into its event-independent components first and only
+//! sends a component that really is one piece through [`Bdd::any_of`].
+//!
+//! Path-structure consumers ([`Bdd::disjoint_cover`]) are sensitive to the
+//! order — fewer paths mean smaller covers — so [`Bdd::with_order`] lets
+//! callers hoist chosen events to the top of the diagram (the simplifier
+//! puts uniform-sign "guard" events like deletion confidences first, which
 //! collapses deletion-ladder fragments to their minimal cover).
 //!
 //! A [`Bdd`] is an explicit manager: every node handle ([`BddRef`]) is only
@@ -426,17 +435,6 @@ impl Bdd {
         self.probability_cached(node, table, &mut cache)
     }
 
-    /// [`Bdd::probability`] over several roots sharing one per-node cache —
-    /// cheaper than independent calls when the functions share structure
-    /// (e.g. the per-answer disjunctions of one query result).
-    pub fn probabilities(&self, nodes: &[BddRef], table: &EventTable) -> Vec<f64> {
-        let mut cache: HashMap<BddRef, f64> = HashMap::new();
-        nodes
-            .iter()
-            .map(|&node| self.probability_cached(node, table, &mut cache))
-            .collect()
-    }
-
     fn probability_cached(
         &self,
         node: BddRef,
@@ -521,6 +519,85 @@ impl Bdd {
         path.pop();
         hi_ok
     }
+}
+
+/// Exact probability that **at least one** of `conditions` holds, under the
+/// independent event probabilities of `table` — `P(c₁ ∨ … ∨ cₙ)`, the number
+/// behind a query's selection probability and every merged answer.
+///
+/// Events are independent, so conditions that share no event are independent
+/// too: the conditions are partitioned into the connected components of the
+/// "mentions a common event" relation and the result is
+/// `1 − Π(1 − P(componentᵢ))`. A one-condition component is the product of
+/// its literals; only a larger one is built as a diagram ([`Bdd::any_of`] +
+/// [`Bdd::probability`], all components of a call in one manager, each
+/// diagram no larger than its component). A disjunction that is a single
+/// component is exactly the plain BDD path, bit for bit.
+///
+/// The empty disjunction is `0.0`; an always-true member makes it `1.0`;
+/// inconsistent members contribute nothing. The cost depends on the literals
+/// of `conditions` only, never on the size of `table`.
+///
+/// # Panics
+/// Panics if a condition mentions an event `table` does not contain (the
+/// same contract as [`EventTable::probability`]).
+pub fn disjunction_probability<'a>(
+    conditions: impl IntoIterator<Item = &'a Condition>,
+    table: &EventTable,
+) -> f64 {
+    let conditions: Vec<&Condition> = conditions
+        .into_iter()
+        .filter(|condition| condition.is_consistent())
+        .collect();
+    if conditions.iter().any(|condition| condition.is_empty()) {
+        return 1.0;
+    }
+    // Union-find over condition indices, driven by the (event, condition)
+    // pairs sorted by event. The smaller index always becomes the root, so a
+    // component is named by its first condition in input order.
+    fn find(parent: &mut [usize], mut i: usize) -> usize {
+        while parent[i] != i {
+            parent[i] = parent[parent[i]];
+            i = parent[i];
+        }
+        i
+    }
+    let mut parent: Vec<usize> = (0..conditions.len()).collect();
+    let mut uses: Vec<(EventId, usize)> = conditions
+        .iter()
+        .enumerate()
+        .flat_map(|(i, condition)| condition.literals().iter().map(move |lit| (lit.event, i)))
+        .collect();
+    uses.sort_unstable();
+    for pair in uses.windows(2) {
+        if pair[0].0 == pair[1].0 {
+            let a = find(&mut parent, pair[0].1);
+            let b = find(&mut parent, pair[1].1);
+            parent[a.max(b)] = a.min(b);
+        }
+    }
+    let mut members: Vec<(usize, usize)> = (0..conditions.len())
+        .map(|i| (find(&mut parent, i), i))
+        .collect();
+    members.sort_unstable();
+
+    let mut bdd: Option<Bdd> = None;
+    let mut probability = |component: &[(usize, usize)]| match component {
+        [(_, only)] => conditions[*only].probability(table),
+        _ => {
+            let bdd = bdd.get_or_insert_with(Bdd::new);
+            let root = bdd.any_of(component.iter().map(|&(_, i)| conditions[i]));
+            bdd.probability(root, table)
+        }
+    };
+    if members.last().is_some_and(|&(root, _)| root == 0) {
+        return probability(&members);
+    }
+    let none: f64 = members
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|component| 1.0 - probability(component))
+        .product();
+    1.0 - none
 }
 
 #[cfg(test)]
@@ -639,25 +716,6 @@ mod tests {
         assert!((bdd.probability(f, &t) - by_enumeration).abs() < 1e-12);
         let same = bdd.formula(&formula);
         assert_eq!(same, f);
-    }
-
-    #[test]
-    fn shared_cache_probabilities_match_independent_calls() {
-        let (t, w1, w2, w3) = table();
-        let mut bdd = Bdd::new();
-        let a = bdd.condition(&Condition::from_literals([
-            Literal::pos(w1),
-            Literal::pos(w2),
-        ]));
-        let b = bdd.condition(&Condition::from_literals([
-            Literal::pos(w2),
-            Literal::neg(w3),
-        ]));
-        let c = bdd.or(a, b);
-        let batch = bdd.probabilities(&[a, b, c], &t);
-        for (node, expected) in [a, b, c].into_iter().zip(&batch) {
-            assert!((bdd.probability(node, &t) - expected).abs() < 1e-15);
-        }
     }
 
     #[test]

@@ -25,7 +25,11 @@
 //!   engine behind exact probability: hash-consed nodes, memoized
 //!   and/or/not/restrict, probability by one weighted model-counting walk
 //!   (linear in BDD size instead of exponential in event count), and
-//!   disjoint conjunctive covers read off the path structure.
+//!   disjoint conjunctive covers read off the path structure;
+//! * [`disjunction_probability`] — the exact probability of a disjunction
+//!   of conditions, factored into its event-independent components before
+//!   any diagram is built: the kernel behind query selection and merged
+//!   answer probabilities.
 //!
 //! ```
 //! use pxml_event::{Condition, EventTable, Literal};
@@ -46,7 +50,7 @@ pub mod formula;
 pub mod table;
 pub mod valuation;
 
-pub use bdd::{Bdd, BddRef};
+pub use bdd::{disjunction_probability, Bdd, BddRef};
 pub use condition::{Condition, Literal};
 pub use error::EventError;
 pub use formula::Formula;

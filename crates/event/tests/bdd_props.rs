@@ -8,10 +8,15 @@
 //!
 //! must agree to within 1e-9; tautology/contradiction decisions must agree
 //! with enumeration as well, and the BDD's disjoint covers must carry
-//! exactly the function's probability mass.
+//! exactly the function's probability mass. The factoring kernel
+//! [`disjunction_probability`] is held to the same oracles, within 1e-12, on
+//! disjunctions constructed to split into event-independent blocks.
 
 use proptest::prelude::*;
-use pxml_event::{enumerate_valuations, Bdd, Condition, EventId, EventTable, Formula, Literal};
+use pxml_event::{
+    disjunction_probability, enumerate_valuations, Bdd, Condition, EventId, EventTable, Formula,
+    Literal,
+};
 
 const EVENTS: usize = 12;
 
@@ -140,6 +145,63 @@ proptest! {
             }
         }
     }
+
+    /// DNFs built to split: block `b` of `n` owns the events `≡ b (mod n)`,
+    /// so the blocks share no event while their events interleave in id
+    /// order — the order the whole-list diagram is built in — and the sort
+    /// keys shuffle the blocks' conditions into one another.
+    #[test]
+    fn factored_disjunction_agrees_with_every_oracle(
+        blocks in proptest::collection::vec(
+            proptest::collection::vec(
+                (
+                    proptest::collection::vec((0u8..EVENTS as u8, any::<bool>()), 1..5),
+                    any::<u16>(),
+                ),
+                1..6,
+            ),
+            1..7,
+        )
+    ) {
+        let (table, events) = table();
+        let mut keyed: Vec<(u16, Condition)> = Vec::new();
+        for (block, conditions) in blocks.iter().enumerate() {
+            let owned: Vec<EventId> = events
+                .iter()
+                .copied()
+                .skip(block)
+                .step_by(blocks.len())
+                .collect();
+            for (literals, key) in conditions {
+                let condition = Condition::from_literals(literals.iter().map(|&(index, sign)| {
+                    let event = owned[index as usize % owned.len()];
+                    if sign { Literal::pos(event) } else { Literal::neg(event) }
+                }));
+                keyed.push((*key, condition));
+            }
+        }
+        keyed.sort_by_key(|(key, _)| *key);
+        let conditions: Vec<Condition> = keyed.into_iter().map(|(_, c)| c).collect();
+
+        let factored = disjunction_probability(&conditions, &table);
+        let mut bdd = Bdd::new();
+        let whole = bdd.any_of(&conditions);
+        let by_bdd = bdd.probability(whole, &table);
+        let formula = Formula::any_of_conditions(&conditions);
+        let by_shannon = formula.probability_shannon(&table);
+        let by_valuations = by_enumeration(&formula, &table);
+        prop_assert!((0.0..=1.0).contains(&factored));
+        for (name, reference) in [
+            ("BDD", by_bdd),
+            ("Shannon", by_shannon),
+            ("enumeration", by_valuations),
+        ] {
+            prop_assert!(
+                (factored - reference).abs() < 1e-12,
+                "factored {factored} vs {name} {reference} on {conditions:?}"
+            );
+        }
+    }
 }
 
 /// Deterministic cross-check on conjunctive-condition disjunctions (the
@@ -167,4 +229,56 @@ fn any_of_conditions_matches_both_probability_paths() {
     assert!((by_bdd - formula.probability(&table)).abs() < 1e-12);
     assert!((by_bdd - formula.probability_shannon(&table)).abs() < 1e-12);
     assert!((by_bdd - by_enumeration(&formula, &table)).abs() < 1e-12);
+}
+
+/// The kernel's edge cases, beside the split property above.
+#[test]
+fn disjunction_probability_fixed_cases() {
+    let (table, events) = table();
+    let pos = |i: usize| Literal::pos(events[i]);
+    let neg = |i: usize| Literal::neg(events[i]);
+    let none: [Condition; 0] = [];
+    assert_eq!(disjunction_probability(&none, &table), 0.0);
+
+    let base = vec![
+        Condition::from_literals([pos(0), neg(5)]),
+        Condition::from_literals([pos(3)]),
+        Condition::from_literals([neg(0), pos(7), pos(9)]),
+    ];
+    let expected = disjunction_probability(&base, &table);
+    let oracle = Formula::any_of_conditions(&base).probability_shannon(&table);
+    assert!((expected - oracle).abs() < 1e-12);
+
+    // An always-true member decides the disjunction.
+    let mut with_always = base.clone();
+    with_always.insert(1, Condition::always());
+    assert_eq!(disjunction_probability(&with_always, &table), 1.0);
+
+    // An inconsistent member, and a duplicated one, change nothing — the
+    // inconsistent one must not even glue the components it mentions.
+    let mut with_inconsistent = base.clone();
+    with_inconsistent.push(Condition::from_literals([pos(3), neg(3), pos(5)]));
+    assert_eq!(
+        disjunction_probability(&with_inconsistent, &table),
+        expected
+    );
+    let mut with_duplicate = base.clone();
+    with_duplicate.push(base[1].clone());
+    assert!((disjunction_probability(&with_duplicate, &table) - expected).abs() < 1e-15);
+}
+
+/// E13's ring (match `m` uses events `m … m+2 mod n`) is one component: the
+/// kernel cannot split it and must return what the plain BDD path returns.
+#[test]
+fn single_component_ring_is_the_bdd_path() {
+    let (table, events) = table();
+    let ring: Vec<Condition> = (0..EVENTS)
+        .map(|m| Condition::from_literals((0..3).map(|k| Literal::pos(events[(m + k) % EVENTS]))))
+        .collect();
+    let mut bdd = Bdd::new();
+    let whole = bdd.any_of(&ring);
+    assert_eq!(
+        disjunction_probability(&ring, &table),
+        bdd.probability(whole, &table)
+    );
 }

@@ -10,6 +10,10 @@
 //! This is what makes a [`crate::Tree`] snapshot cheap: a commit that touches
 //! k nodes copies O(k) chunks, not the whole arena, and readers holding an
 //! older clone keep seeing their original chunks untouched.
+//!
+//! Only the first chunk is allocated lazily (it grows like any `Vec` up to
+//! [`ChunkedVec::CHUNK`] elements): a query builds one small tree per match,
+//! and a tree of three nodes should cost three slots, not a whole chunk.
 
 use std::fmt;
 use std::sync::Arc;
@@ -68,7 +72,17 @@ impl<T: Clone> ChunkedVec<T> {
     pub fn push(&mut self, value: T) {
         let offset = self.len % Self::CHUNK;
         if offset == 0 {
-            let mut chunk = Vec::with_capacity(Self::CHUNK);
+            // The first chunk grows on demand, later ones are allocated
+            // whole: most vectors ever built back a query answer of a few
+            // nodes (one tree per match), and a full chunk apiece would put
+            // one broad query's transient heap past malloc's trim threshold
+            // — every such request then faults in again the pages the
+            // previous one handed back, at a cost that differs run to run.
+            let mut chunk = if self.chunks.is_empty() {
+                Vec::new()
+            } else {
+                Vec::with_capacity(Self::CHUNK)
+            };
             chunk.push(value);
             self.chunks.push(Arc::new(chunk));
         } else {
@@ -152,6 +166,21 @@ mod tests {
         assert_eq!(v.get(200), None);
         let collected: Vec<usize> = v.iter().copied().collect();
         assert_eq!(collected, (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn only_the_first_chunk_grows_on_demand() {
+        let mut v = ChunkedVec::new();
+        for i in 0..3usize {
+            v.push(i);
+        }
+        // A three-node answer tree does not pay for 64 slots.
+        assert!(v.chunks[0].capacity() < ChunkedVec::<usize>::CHUNK / 4);
+        for i in 3..65usize {
+            v.push(i);
+        }
+        assert_eq!(v.chunks[0].len(), ChunkedVec::<usize>::CHUNK);
+        assert_eq!(v.chunks[1].capacity(), ChunkedVec::<usize>::CHUNK);
     }
 
     #[test]

@@ -626,8 +626,13 @@ impl Warehouse {
         let snapshot = self.snapshot(name)?;
         let result = snapshot.fuzzy().query(pattern);
         let events = snapshot.fuzzy().events();
-        let selection = result.selection_probability(events);
         let answers = result.merged_answers(events);
+        // One answer group holds every match, so its disjunction *is* the
+        // selection; only several groups need the all-matches disjunction.
+        let selection = match answers.as_slice() {
+            [(_, only)] => *only,
+            _ => result.selection_probability(events),
+        };
         self.stats.queries_evaluated.fetch_add(1, Ordering::Relaxed);
         Ok(MergedQuery {
             seq: snapshot.seq(),
