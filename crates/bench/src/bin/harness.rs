@@ -1,8 +1,8 @@
 //! The experiment harness: prints the paper-style result tables E1–E10 (the
 //! possible-worlds and fuzzy-tree experiments of Abiteboul & Senellart) and
-//! runs the engine experiments E11–E15, E17 and E18, four of which (E14, E15,
-//! E17, E18) end in the asserted gates CI runs. Each experiment is described
-//! at its section below.
+//! runs the engine experiments E11–E15, E17 and E18. E8 and four of the
+//! engine experiments (E14, E15, E17, E18) end in the asserted gates CI
+//! runs. Each experiment is described at its section below.
 //!
 //! The text tables on stdout are the harness's only output, and nothing
 //! diffs them: machine-readable numbers, the per-layer trace and the
@@ -40,7 +40,8 @@ use pxml_gen::storage::journal_batches;
 use pxml_query::{MatchStrategy, Pattern};
 use pxml_server::{Client, Server, ServerConfig};
 use pxml_store::{
-    CommitPolicy, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend, StorageBackend,
+    serialize_fuzzy_document, CommitPolicy, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend,
+    StorageBackend,
 };
 use pxml_tree::parse_data_tree;
 use pxml_warehouse::{CompactionPolicy, Session, SessionConfig, Warehouse};
@@ -464,7 +465,8 @@ fn e7_warehouse(quick: bool) {
 }
 
 // ---------------------------------------------------------------------------
-// E8 — simplification effectiveness.
+// E8 — simplification effectiveness. Gated: no row grows, the cleaning
+// history reaches its optimum, and update + simplify are deterministic.
 // ---------------------------------------------------------------------------
 
 fn e8_simplification(quick: bool) {
@@ -501,6 +503,7 @@ fn e8_simplification(quick: bool) {
             simplified.condition_literal_count(),
             ms(elapsed)
         );
+        e8_gate_no_growth(&format!("{updates} updates"), &fuzzy, &simplified);
     }
 
     // Growth history (the E5 document): independent chained deletions are
@@ -522,21 +525,54 @@ fn e8_simplification(quick: bool) {
         simplified.condition_literal_count(),
         simplify_report.passes
     );
+    e8_gate_no_growth("chained deletions", &grown, &simplified);
 
     // Data-cleaning history: multi-match retractions fragment the survivor
-    // conditions into pieces only the group re-cover can collapse.
+    // conditions into pieces only the group re-cover can collapse. Built
+    // twice: recovery replays update application and the simplifier, so
+    // both must give the same bytes for the same history every time.
     let (people, phones, cleaning_rounds) = if quick { (10, 3, 2) } else { (20, 3, 3) };
-    let mut cleaned = cleaning_history(people, phones, cleaning_rounds);
-    let before = (cleaned.node_count(), cleaned.condition_literal_count());
-    let simplify_report = Simplifier::new().run(&mut cleaned).unwrap();
+    let build = || {
+        let history = cleaning_history(people, phones, cleaning_rounds);
+        let mut cleaned = history.clone();
+        let report = Simplifier::new().run(&mut cleaned).unwrap();
+        (history, cleaned, report)
+    };
+    let (history, cleaned, simplify_report) = build();
+    let (history_again, cleaned_again, _) = build();
+    let bytes = |fuzzy: &FuzzyTree| serialize_fuzzy_document(fuzzy, false);
+    let deterministic =
+        bytes(&history) == bytes(&history_again) && bytes(&cleaned) == bytes(&cleaned_again);
     println!(
         "cleaning history ({people} people × {phones} phones, {cleaning_rounds} retraction rounds): \
-         {} nodes / {} literals  →  {} nodes / {} literals ({} merged)\n",
-        before.0,
-        before.1,
+         {} nodes / {} literals  →  {} nodes / {} literals ({} merged) deterministic: {deterministic}\n",
+        history.node_count(),
+        history.condition_literal_count(),
         cleaned.node_count(),
         cleaned.condition_literal_count(),
         simplify_report.merged_nodes
+    );
+    e8_gate_no_growth("cleaning history", &history, &cleaned);
+    // The gate: the re-cover's optimum on this history, two pieces an email.
+    let optimum = if quick { (151, 170) } else { (341, 500) };
+    assert!(
+        cleaned.node_count() <= optimum.0 && cleaned.condition_literal_count() <= optimum.1,
+        "E8: the cleaning history must simplify to at most {} nodes / {} literals",
+        optimum.0,
+        optimum.1
+    );
+    assert!(
+        deterministic,
+        "E8: the same cleaning history must serialise identically, before and after simplification"
+    );
+}
+
+/// E8's gate on every row: simplification never grows a document.
+fn e8_gate_no_growth(row: &str, before: &FuzzyTree, after: &FuzzyTree) {
+    assert!(
+        after.node_count() <= before.node_count()
+            && after.condition_literal_count() <= before.condition_literal_count(),
+        "E8 ({row}): simplification grew the document"
     );
 }
 

@@ -33,6 +33,12 @@
 //!   how fsyncgate-class bugs hide (the fsync failed, nobody noticed, the
 //!   commit was acknowledged anyway). Handle the error or mark the one
 //!   deliberate discard with the allow marker.
+//! - **`hash-order-in-apply`** — no `HashMap` / `HashSet` in non-test code
+//!   of `crates/core/src/update.rs` and `crates/core/src/simplify.rs`:
+//!   what those two files do to a document is replayed by recovery and must
+//!   be a function of the document. Hash iteration order reached a persisted
+//!   document from them twice, and both times a reader found it, not a
+//!   tool; an ordered map or a sorted `Vec` costs nothing there.
 //!
 //! A finding on a deliberate exception is suppressed with
 //! `// lint: allow(<rule>)` on the offending line or the line above.
@@ -119,6 +125,10 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
     let is_server_crate = rel_path.starts_with("crates/server/");
     let is_durability_crate =
         rel_path.starts_with("crates/store/") || rel_path.starts_with("crates/warehouse/");
+    let is_apply_path = matches!(
+        rel_path,
+        "crates/core/src/update.rs" | "crates/core/src/simplify.rs"
+    );
     let blanked = blank_noncode(source);
     let raw_lines: Vec<&str> = source.lines().collect();
     let code_lines: Vec<&str> = blanked.lines().collect();
@@ -262,6 +272,24 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
                               deliberate discard with `// lint: allow(io-result-drop)`"
                         .to_string(),
                 });
+            }
+        }
+
+        // --- hash-order-in-apply -----------------------------------------
+        if is_apply_path && non_test && !allowed("hash-order-in-apply") {
+            for word in ["HashMap", "HashSet"] {
+                if contains_ident_bounded(code, word) {
+                    findings.push(Finding {
+                        file: rel_path.to_string(),
+                        line,
+                        rule: "hash-order-in-apply",
+                        message: format!(
+                            "`{word}` on the update/simplify path — recovery replays it, \
+                             so its output must be a function of the document; use a \
+                             `BTreeMap`/`BTreeSet` or a sorted `Vec`"
+                        ),
+                    });
+                }
             }
         }
 
@@ -948,6 +976,28 @@ mod tests {
     fn io_result_drop_allow_marker_suppresses() {
         let source = "fn f(file: &File) {\n    // lint: allow(io-result-drop)\n    let _ = file.sync_all();\n    file.sync_all().ok(); // lint: allow(io-result-drop)\n}\n";
         assert!(lint_source("crates/store/src/fs.rs", source).is_empty());
+    }
+
+    #[test]
+    fn hash_collections_on_the_apply_path_are_flagged() {
+        let source = "use std::collections::HashMap;\nfn f() {\n    let seen: HashSet<u32> = HashSet::new();\n}\n";
+        for file in ["crates/core/src/update.rs", "crates/core/src/simplify.rs"] {
+            assert_eq!(
+                rules(&lint_source(file, source)),
+                vec!["hash-order-in-apply", "hash-order-in-apply"],
+                "{file}"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_collections_elsewhere_in_tests_or_ordered_are_fine() {
+        let hashed = "use std::collections::HashMap;\n";
+        assert!(lint_source("crates/core/src/fuzzy.rs", hashed).is_empty());
+        let in_tests = "#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
+        assert!(lint_source("crates/core/src/update.rs", in_tests).is_empty());
+        let ordered = "use std::collections::BTreeMap;\nfn f() {\n    // not a HashMap\n    let m: BTreeMap<u32, MyHashMapLike> = BTreeMap::new();\n}\n";
+        assert!(lint_source("crates/core/src/simplify.rs", ordered).is_empty());
     }
 
     #[test]

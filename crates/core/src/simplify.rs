@@ -3,26 +3,38 @@
 //! Updates — deletions in particular — make fuzzy trees grow: nodes get
 //! duplicated, conditions accumulate literals, events pile up in the table.
 //! The [`Simplifier`] shrinks a fuzzy tree **without changing its
-//! possible-worlds semantics**:
+//! possible-worlds semantics**. One round is two sweeps and a collection:
 //!
-//! 1. *prune impossible nodes* — nodes whose existence condition is
-//!    inconsistent exist in no world;
-//! 2. *strip implied literals* — a literal already guaranteed by an
-//!    ancestor's condition is redundant on a descendant;
-//! 3. *apply deterministic events* — events with probability exactly 0 or 1
-//!    are certain, so their literals can be resolved away;
-//! 4. *merge mergeable siblings* — two sibling subtrees that are identical
-//!    except that their root conditions differ in the sign of a single
-//!    literal are the two halves of a Shannon expansion and can be collapsed
-//!    back into one (the inverse of deletion-induced duplication);
-//! 5. *garbage-collect events* — events no longer mentioned anywhere are
-//!    dropped from the table.
+//! 1. *the condition walk*, top-down, carrying the conjunction of the
+//!    ancestors' conditions: a literal over an event of probability exactly
+//!    0 or 1 is resolved away; a node whose resolved condition is certainly
+//!    false, or contradicts the context, exists in no world and goes with
+//!    its subtree; a literal the context already guarantees is stripped;
+//! 2. *the sibling-group sweep*, bottom-up, the inverse of deletion-induced
+//!    duplication: same-body siblings whose conditions differ in the sign
+//!    of a single literal are the two halves of a Shannon expansion and
+//!    collapse into one, and what is left of a pairwise-disjoint group is
+//!    re-covered by fewer conjunctions when its union has a smaller cover;
+//! 3. *event collection*: events no condition mentions any more are dropped
+//!    from the table.
 //!
-//! Every pass preserves semantics; `EXPERIMENTS.md` (experiment E8) measures
-//! how much of the growth caused by update histories the simplifier wins
-//! back.
+//! The order is sufficient within a round. A pairwise merge leaves every
+//! surviving body under a condition one of its copies already had or a
+//! *weaker* one, so it cannot make a descendant newly impossible or one of
+//! its literals newly implied, and the sweep visits children before parents,
+//! so a merge that makes two parents' bodies equal is seen when the sweep
+//! reaches them. Only a re-cover can put a body under a term that is
+//! stronger, in some literal, than every condition it replaces; the next
+//! round exists for what that newly implies or contradicts below it, not for
+//! the common case — a clean document costs one round.
+//!
+//! Every step preserves semantics, and nothing that shows in the result's
+//! canonical form is decided by a node id or a child position: the paper's
+//! trees are unordered, and the output is a function of the document.
+//! Experiment E8 measures how much of the growth caused by update histories
+//! the simplifier wins back.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pxml_event::{Bdd, Condition, EventId, EventTable, Literal};
 use pxml_tree::NodeId;
@@ -97,11 +109,11 @@ impl SimplifyReport {
     }
 }
 
-/// Upper bound on fixpoint iterations (a safety net; 2–3 passes normally
-/// suffice).
+/// Upper bound on fixpoint iterations (a safety net; a clean document takes
+/// one, a re-cover that strengthens a literal one more).
 const MAX_PASSES: usize = 8;
 
-/// The simplification driver: runs every pass of the module docs to a
+/// The simplification driver: runs the rounds of the module docs to a
 /// fixpoint.
 #[derive(Debug, Clone, Default)]
 pub struct Simplifier;
@@ -112,19 +124,15 @@ impl Simplifier {
         Simplifier
     }
 
-    /// Runs simplification passes until nothing changes (or `MAX_PASSES` is
-    /// reached) and reports the cumulative effect.
+    /// Runs simplification rounds until one changes nothing (or `MAX_PASSES`
+    /// is reached) and reports the cumulative effect.
     pub fn run(&self, fuzzy: &mut FuzzyTree) -> Result<SimplifyReport, CoreError> {
         let mut total = SimplifyReport::default();
         for pass in 0..MAX_PASSES {
-            let report = SimplifyReport {
-                removed_impossible_nodes: prune_impossible_nodes(fuzzy)?,
-                resolved_deterministic_literals: resolve_deterministic_events(fuzzy)?,
-                stripped_literals: strip_implied_literals(fuzzy)?,
-                merged_nodes: merge_complementary_siblings(fuzzy)?,
-                removed_events: garbage_collect_events(fuzzy),
-                passes: 0,
-            };
+            let mut report = SimplifyReport::default();
+            condition_walk(fuzzy, &mut report)?;
+            report.merged_nodes = merge_sibling_groups(fuzzy)?;
+            report.removed_events = garbage_collect_events(fuzzy);
             let changed = !report.is_noop();
             total.absorb(&report);
             total.passes = pass + 1;
@@ -136,254 +144,157 @@ impl Simplifier {
     }
 }
 
-/// Removes every node whose existence condition is (syntactically)
-/// inconsistent; returns the number of nodes removed.
-///
-/// One top-down walk accumulating the ancestor context suffices: a node
-/// inconsistent with its context is doomed together with its whole subtree,
-/// so the walk marks the top-most doomed nodes and never descends into them.
-pub fn prune_impossible_nodes(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
-    let root = fuzzy.root();
-    let mut doomed: Vec<NodeId> = Vec::new();
-    let mut stack: Vec<(NodeId, Condition)> = vec![(root, Condition::always())];
-    while let Some((node, context)) = stack.pop() {
-        for &child in fuzzy.tree().children(node) {
-            let combined = context.and(&fuzzy.condition(child));
-            if combined.is_consistent() {
-                stack.push((child, combined));
-            } else {
-                doomed.push(child);
-            }
-        }
-    }
-    let mut removed = 0;
-    for node in doomed {
-        removed += fuzzy.tree().subtree_size(node);
-        fuzzy.remove_subtree(node)?;
-    }
-    Ok(removed)
-}
-
-/// Removes, from every node's condition, the literals already guaranteed by
-/// its ancestors; returns the number of literals removed.
-///
-/// One top-down walk carries the accumulated ancestor context, extending it
-/// by each node's (already reduced) own condition on the way down — the
-/// context is never re-conjoined from the root per node, which would make
-/// the pass O(depth) slower on deep documents.
-pub fn strip_implied_literals(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
-    let mut stripped = 0;
+/// Sweep 1 of a round: one top-down walk carrying the accumulated ancestor
+/// context, extended by each node's already reduced condition on the way
+/// down. Per child: resolve the literals over certain events, remove the
+/// child (and its subtree, never descended into) when a resolved literal is
+/// certainly false or what is left contradicts itself or the context, else
+/// strip the literals the context implies.
+fn condition_walk(fuzzy: &mut FuzzyTree, report: &mut SimplifyReport) -> Result<(), CoreError> {
+    // In event-id order, so a sorted lookup table as it comes.
+    let certain: Vec<(EventId, bool)> = fuzzy.events().deterministic_events();
     let mut stack: Vec<(NodeId, Condition)> = vec![(fuzzy.root(), Condition::always())];
     while let Some((node, context)) = stack.pop() {
         for child in fuzzy.tree().children(node).to_vec() {
             let own = fuzzy.condition(child);
-            let reduced = if own.is_empty() {
-                own
-            } else {
-                let reduced = own.without_implied_by(&context);
-                if reduced.len() < own.len() {
-                    stripped += own.len() - reduced.len();
-                    fuzzy.set_condition(child, reduced.clone())?;
+            let mut impossible = false;
+            let mut kept: Vec<Literal> = Vec::with_capacity(own.len());
+            for &literal in own.literals() {
+                if let Ok(at) = certain.binary_search_by_key(&literal.event, |&(event, _)| event) {
+                    report.resolved_deterministic_literals += 1;
+                    impossible |= literal.positive != certain[at].1;
+                } else if context.contains(literal) {
+                    report.stripped_literals += 1;
+                } else {
+                    impossible |= context.contains(literal.negated());
+                    kept.push(literal);
                 }
-                reduced
+            }
+            let changed = kept.len() < own.len();
+            let reduced = if changed {
+                Condition::from_literals(kept)
+            } else {
+                own
             };
+            if impossible || !reduced.is_consistent() {
+                report.removed_impossible_nodes += fuzzy.tree().subtree_size(child);
+                fuzzy.remove_subtree(child)?;
+                continue;
+            }
+            if changed {
+                fuzzy.set_condition(child, reduced.clone())?;
+            }
             if !fuzzy.tree().children(child).is_empty() {
                 stack.push((child, context.and(&reduced)));
             }
         }
     }
-    Ok(stripped)
-}
-
-/// Resolves literals over events whose probability is exactly 0 or 1:
-/// certainly-true literals are dropped, certainly-false literals make the
-/// node impossible (it is removed). Returns the number of literals resolved.
-pub fn resolve_deterministic_events(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
-    let deterministic: HashMap<EventId, bool> =
-        fuzzy.events().deterministic_events().into_iter().collect();
-    if deterministic.is_empty() {
-        return Ok(0);
-    }
-    let mut resolved = 0;
-    let mut doomed: Vec<NodeId> = Vec::new();
-    for node in fuzzy.tree().nodes() {
-        let condition = fuzzy.condition(node);
-        if condition.is_empty() {
-            continue;
-        }
-        let mut keep: Vec<Literal> = Vec::new();
-        let mut impossible = false;
-        for &literal in condition.literals() {
-            match deterministic.get(&literal.event) {
-                None => keep.push(literal),
-                Some(&value) => {
-                    resolved += 1;
-                    if literal.positive != value {
-                        impossible = true;
-                    }
-                }
-            }
-        }
-        if impossible {
-            doomed.push(node);
-        } else if keep.len() < condition.len() {
-            fuzzy.set_condition(node, Condition::from_literals(keep))?;
-        }
-    }
-    for node in doomed {
-        if fuzzy.tree().contains(node) && node != fuzzy.root() {
-            fuzzy.remove_subtree(node)?;
-        }
-    }
-    Ok(resolved)
+    Ok(())
 }
 
 /// Upper bound on the number of distinct events a same-body sibling group may
-/// mention for the exact re-cover (see [`merge_complementary_siblings`]) to
-/// run.
+/// mention for the exact re-cover (see the module docs) to run.
 ///
 /// The cover is read off a BDD's path structure, so the cost is bounded by
 /// diagram size and the number of emitted terms — not by `2^events` — and
-/// the bound is only a guard against pathological groups. It was 8 when the
-/// re-cover enumerated the `2^events` valuations directly; the BDD engine
-/// lifted it to 24 (experiment E13 measures re-covers at widths the old
-/// enumeration could not touch).
+/// the bound is only a guard against pathological groups (experiment E13
+/// measures re-covers up to it).
 pub const GROUP_RECOVER_MAX_EVENTS: usize = 24;
 
-/// Width up to which the greedy maximal-subcube cover (which enumerates all
-/// `2^events` valuations) is also computed and compared against the BDD path
-/// cover — the greedy cover can use fewer, larger cubes on small groups, and
-/// taking the better of the two guarantees the lifted re-cover never does
-/// worse than the old capped one.
-const GREEDY_RECOVER_MAX_EVENTS: usize = 8;
-
-/// Merges sibling subtrees with identical bodies whose root conditions are
-/// redundant, in two tiers. Returns the net number of nodes removed.
+/// Sweep 2 of a round: merges sibling subtrees with identical bodies whose
+/// root conditions are redundant. Returns the number of nodes removed.
 ///
-/// 1. *Pairwise Shannon merges*: two siblings whose conditions differ in the
-///    sign of exactly one literal (`X ∧ w` and `X ∧ ¬w`) collapse to `X` —
-///    the direct inverse of one deletion-duplication step.
+/// Parents are visited bottom-up (reversed preorder): a merge deep in the
+/// tree can make its ancestors' bodies equal, and this order resolves such
+/// cascades in a single sweep (and a merge only removes nodes the sweep has
+/// already left behind). Per parent, only the children that *can* merge — a
+/// non-empty condition, and a sibling with one and the same label — are
+/// keyed by body, once, and each same-body group goes through
+/// [`merge_group`].
+fn merge_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
+    let mut merged_nodes = 0;
+    let mut order = fuzzy.tree().nodes();
+    order.reverse();
+    for parent in order {
+        let mut candidates: Vec<NodeId> = fuzzy
+            .tree()
+            .children(parent)
+            .iter()
+            .copied()
+            .filter(|&child| !fuzzy.condition_literals(child).is_empty())
+            .collect();
+        if candidates.len() < 2 {
+            continue;
+        }
+        let tree = fuzzy.tree();
+        candidates.sort_by(|&a, &b| tree.label(a).cmp(tree.label(b)));
+        // (body, condition, node), ordered by the first two and never by the
+        // node id or the child position: the pairwise merge below is
+        // order-dependent, and two documents that differ only in which
+        // sibling sits in which slot must come out canonically equal.
+        let mut keyed: Vec<(String, Condition, NodeId)> = candidates
+            .chunk_by(|&a, &b| tree.label(a) == tree.label(b))
+            .filter(|same_label| same_label.len() > 1)
+            .flatten()
+            .map(|&child| (body_key(fuzzy, child), fuzzy.condition(child), child))
+            .collect();
+        keyed.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
+        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
+            if group.len() > 1 {
+                merged_nodes += merge_group(fuzzy, group)?;
+            }
+        }
+    }
+    Ok(merged_nodes)
+}
+
+/// Merges one group of same-body siblings, given in condition order, in two
+/// tiers. Returns the number of nodes removed.
+///
+/// 1. *Pairwise Shannon merges*, to a local fixpoint: two siblings whose
+///    conditions differ in the sign of exactly one literal (`X ∧ w` and
+///    `X ∧ ¬w`) collapse to `X` — the direct inverse of one
+///    deletion-duplication step.
 /// 2. *Group re-cover*: deletion chains fragment a node's survivor condition
 ///    into many pairwise-disjoint conjunctive pieces that are **not**
 ///    pairwise mergeable even when the union has a much smaller disjoint
 ///    cover (the shape every multi-match deletion produces, experiment E8).
-///    For a group of same-body siblings with pairwise-disjoint conditions
-///    over at most [`GROUP_RECOVER_MAX_EVENTS`] events, the union of the
-///    conditions is recomputed exactly over the event valuations and
-///    re-covered greedily by maximal subcubes; when that cover is strictly
-///    smaller, the group is rebuilt from it.
-pub fn merge_complementary_siblings(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
-    let mut merged_nodes = 0;
-    // Bottom-up (children before parents, i.e. reversed preorder): a merge
-    // deep in the tree can make its ancestors' bodies equal, and this order
-    // resolves such cascades in a single sweep instead of a global rescan
-    // per merge.
-    let mut order = fuzzy.tree().nodes();
-    order.reverse();
-    for parent in order {
-        if !fuzzy.tree().contains(parent) {
-            continue;
-        }
-        merged_nodes += merge_children_of(fuzzy, parent)?;
-    }
-    merged_nodes += recover_sibling_groups(fuzzy)?;
-    Ok(merged_nodes)
-}
-
-/// Pairwise Shannon merging restricted to the children of one parent, run to
-/// a local fixpoint.
+///    When what tier 1 left has one ([`disjoint_group_cover`]), the first
+///    siblings take its terms.
 ///
-/// Body keys are computed **once per call**, not once per fixpoint
-/// iteration: a merge removes one sibling and rewrites the kept sibling's
-/// own root condition, which its body key excludes, so the surviving keys
-/// stay valid for the whole local fixpoint — re-deriving them each round
-/// was the dominant cost of this pass (each key is an O(subtree) canonical
-/// form).
-fn merge_children_of(fuzzy: &mut FuzzyTree, parent: NodeId) -> Result<usize, CoreError> {
-    let mut merged_nodes = 0;
-    let children = fuzzy.tree().children(parent).to_vec();
-    if children.len() < 2 {
-        return Ok(merged_nodes);
-    }
-    let mut keyed: Vec<(String, NodeId)> = children
-        .iter()
-        .map(|&child| (body_key(fuzzy, child), child))
-        .collect();
-    keyed.sort();
-    loop {
-        if keyed.len() < 2 {
-            return Ok(merged_nodes);
-        }
-        let mut found = None;
-        'search: for i in 0..keyed.len() {
-            for j in (i + 1)..keyed.len() {
-                if keyed[i].0 != keyed[j].0 {
-                    break;
-                }
-                let a = keyed[i].1;
-                let b = keyed[j].1;
-                if let Some(merged) = complementary_merge(&fuzzy.condition(a), &fuzzy.condition(b))
-                {
-                    found = Some((j, a, b, merged));
-                    break 'search;
+/// The bodies are equal, so any sibling can stand for any other: a merge
+/// rewrites the conditions of the siblings that stay and removes the rest.
+fn merge_group(
+    fuzzy: &mut FuzzyTree,
+    group: &[(String, Condition, NodeId)],
+) -> Result<usize, CoreError> {
+    let mut conditions: Vec<Condition> = group.iter().map(|(_, c, _)| c.clone()).collect();
+    'fixpoint: loop {
+        for i in 0..conditions.len() {
+            for j in (i + 1)..conditions.len() {
+                if let Some(merged) = complementary_merge(&conditions[i], &conditions[j]) {
+                    conditions[i] = merged;
+                    conditions.remove(j);
+                    continue 'fixpoint;
                 }
             }
         }
-        let Some((drop_index, keep, drop, merged_condition)) = found else {
-            return Ok(merged_nodes);
-        };
-        merged_nodes += fuzzy.tree().subtree_size(drop);
-        fuzzy.remove_subtree(drop)?;
-        fuzzy.set_condition(keep, merged_condition)?;
-        keyed.remove(drop_index);
+        break;
     }
-}
-
-/// Tier-2 merging: re-covers qualifying same-body sibling groups (see
-/// [`merge_complementary_siblings`]). Returns the net number of nodes
-/// removed.
-fn recover_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
+    if conditions.len() > 1 {
+        if let Some(cover) = disjoint_group_cover(&conditions) {
+            conditions = cover;
+        }
+    }
     let mut merged_nodes = 0;
-    for parent in fuzzy.tree().nodes() {
-        if !fuzzy.tree().contains(parent) {
-            // Removed by an earlier group rebuild in this same pass.
-            continue;
-        }
-        let children = fuzzy.tree().children(parent);
-        if children.len() < 2 {
-            continue;
-        }
-        // Group by sorting, as `merge_children_of` does: hash-map iteration
-        // order would decide which group is rebuilt first — and so where its
-        // duplicates are grafted and which node ids they get — differently in
-        // every process. The sort is stable, so each group keeps document
-        // order and its first child stays the representative.
-        let mut keyed: Vec<(String, NodeId)> = children
-            .iter()
-            .map(|&child| (body_key(fuzzy, child), child))
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        for group in keyed.chunk_by(|a, b| a.0 == b.0) {
-            if group.len() < 2 {
-                continue;
-            }
-            let conditions: Vec<Condition> =
-                group.iter().map(|(_, n)| fuzzy.condition(*n)).collect();
-            let Some(cover) = disjoint_group_cover(&conditions) else {
-                continue;
-            };
-            // Rebuild the group from the smaller cover: keep one
-            // representative subtree, duplicate it once per extra term.
-            let representative = group[0].1;
-            let body_size = fuzzy.tree().subtree_size(representative);
-            for term in cover.iter().skip(1) {
-                fuzzy.duplicate_subtree(parent, representative, term.clone());
-            }
-            fuzzy.set_condition(representative, cover[0].clone())?;
-            for (_, node) in group.iter().skip(1) {
+    for (index, (_, old, node)) in group.iter().enumerate() {
+        match conditions.get(index) {
+            Some(new) if new == old => {}
+            Some(new) => fuzzy.set_condition(*node, new.clone())?,
+            None => {
+                merged_nodes += fuzzy.tree().subtree_size(*node);
                 fuzzy.remove_subtree(*node)?;
             }
-            merged_nodes += (group.len() - cover.len()) * body_size;
         }
     }
     Ok(merged_nodes)
@@ -395,17 +306,12 @@ fn recover_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
 /// does not qualify or cannot shrink.
 ///
 /// The cover is read off the path structure of the union's BDD
-/// ([`Bdd::disjoint_cover`]) — bounded by diagram size, not `2^events`. For
-/// groups up to [`GREEDY_RECOVER_MAX_EVENTS`] events the old greedy
-/// maximal-subcube cover is computed as well and the better of the two is
-/// returned (fewer terms, then fewer literals), so the lifted re-cover is
-/// never worse than the capped one it replaces.
+/// ([`Bdd::disjoint_cover`]) — bounded by diagram size, not `2^events`.
 fn disjoint_group_cover(conditions: &[Condition]) -> Option<Vec<Condition>> {
     let mut events: Vec<EventId> = conditions.iter().flat_map(|c| c.events()).collect();
     events.sort_unstable();
     events.dedup();
-    let width = events.len();
-    if width == 0 || width > GROUP_RECOVER_MAX_EVENTS {
+    if events.is_empty() || events.len() > GROUP_RECOVER_MAX_EVENTS {
         return None;
     }
     // Soundness requires the siblings to exist in disjoint world sets (else
@@ -422,23 +328,16 @@ fn disjoint_group_cover(conditions: &[Condition]) -> Option<Vec<Condition>> {
         }
     }
     // The path cover's size depends on the variable order; try the plain
-    // event-id order and the guard-first heuristic order, plus (on small
-    // widths) the old exhaustive greedy subcube cover, and keep the best.
-    let mut candidates: Vec<Vec<Condition>> = Vec::new();
-    for order in [Vec::new(), guard_first_order(conditions, &events)] {
-        let mut bdd = Bdd::with_order(order);
-        let union = bdd.any_of(conditions.iter());
-        if let Some(cover) = bdd.disjoint_cover(union, conditions.len() - 1) {
-            candidates.push(cover);
-        }
-    }
-    if width <= GREEDY_RECOVER_MAX_EVENTS {
-        if let Some(cover) = greedy_subcube_cover(conditions, &events) {
-            candidates.push(cover);
-        }
-    }
-    let cost = |cover: &[Condition]| (cover.len(), cover.iter().map(Condition::len).sum::<usize>());
-    candidates.into_iter().min_by_key(|cover| cost(cover))
+    // event-id order and the guard-first heuristic order, and keep the
+    // better (fewer terms, then fewer literals).
+    [Vec::new(), guard_first_order(conditions, &events)]
+        .into_iter()
+        .filter_map(|order| {
+            let mut bdd = Bdd::with_order(order);
+            let union = bdd.any_of(conditions.iter());
+            bdd.disjoint_cover(union, conditions.len() - 1)
+        })
+        .min_by_key(|cover| (cover.len(), cover.iter().map(Condition::len).sum::<usize>()))
 }
 
 /// A variable order that collapses deletion-shaped fragmentations: events
@@ -468,84 +367,6 @@ fn guard_first_order(conditions: &[Condition], events: &[EventId]) -> Vec<EventI
     // first within each class, event id as the final tie-break.
     keyed.sort_unstable_by_key(|&(mixed, count, event)| (mixed, usize::MAX - count, event));
     keyed.into_iter().map(|(_, _, event)| event).collect()
-}
-
-/// The pre-BDD re-cover: a greedy cover of the union by maximal subcubes,
-/// computed over the exact set of `2^events` valuations — exponential in the
-/// group width, which is why it only runs up to
-/// [`GREEDY_RECOVER_MAX_EVENTS`] events. Returns a cover with strictly fewer
-/// terms than `conditions`, or `None`.
-fn greedy_subcube_cover(conditions: &[Condition], events: &[EventId]) -> Option<Vec<Condition>> {
-    let width = events.len();
-    // The union of the conditions, as a set of valuations over `events`.
-    let space = 1usize << width;
-    let index_of = |event: EventId| events.iter().position(|&e| e == event).expect("own event");
-    let mut remaining = vec![false; space];
-    let mut left = 0usize;
-    for (valuation, slot) in remaining.iter_mut().enumerate() {
-        let satisfied = conditions.iter().any(|c| {
-            c.literals()
-                .iter()
-                .all(|lit| ((valuation >> index_of(lit.event)) & 1 == 1) == lit.positive)
-        });
-        if satisfied {
-            *slot = true;
-            left += 1;
-        }
-    }
-    // Greedy cover by maximal subcubes: a term is (care mask, values on the
-    // cared bits); its points are the valuations agreeing on the cared bits.
-    // Scanning care masks by increasing popcount finds a largest term first.
-    let mut care_masks: Vec<usize> = (0..space).collect();
-    care_masks.sort_by_key(|mask| mask.count_ones());
-    let mut terms: Vec<Condition> = Vec::new();
-    while left > 0 {
-        if terms.len() + 1 >= conditions.len() {
-            // No strict improvement possible any more.
-            return None;
-        }
-        let mut found = None;
-        'search: for &care in &care_masks {
-            let mut value = care;
-            // Enumerate the subsets of `care` as candidate fixed values.
-            loop {
-                let contained = remaining
-                    .iter()
-                    .enumerate()
-                    .all(|(v, &in_set)| in_set || (v & care) != value);
-                let nonempty = remaining
-                    .iter()
-                    .enumerate()
-                    .any(|(v, &in_set)| in_set && (v & care) == value);
-                if contained && nonempty {
-                    found = Some((care, value));
-                    break 'search;
-                }
-                if value == 0 {
-                    break;
-                }
-                value = (value - 1) & care;
-            }
-        }
-        let (care, value) = found.expect("remaining is non-empty, so a singleton term exists");
-        for (v, slot) in remaining.iter_mut().enumerate() {
-            if *slot && (v & care) == value {
-                *slot = false;
-                left -= 1;
-            }
-        }
-        terms.push(Condition::from_literals((0..width).filter_map(|bit| {
-            if (care >> bit) & 1 == 1 {
-                Some(Literal {
-                    event: events[bit],
-                    positive: (value >> bit) & 1 == 1,
-                })
-            } else {
-                None
-            }
-        })));
-    }
-    Some(terms)
 }
 
 /// The canonical form of a node ignoring its own root condition (label +
@@ -602,7 +423,7 @@ pub fn garbage_collect_events(fuzzy: &mut FuzzyTree) -> usize {
         return 0;
     }
     let mut new_table = EventTable::new();
-    let mut remap: HashMap<EventId, EventId> = HashMap::new();
+    let mut remap: BTreeMap<EventId, EventId> = BTreeMap::new();
     for &old in &mentioned {
         let name = fuzzy.events().name(old).to_string();
         let probability = fuzzy.events().probability(old);
@@ -861,12 +682,13 @@ mod tests {
         assert!(fuzzy.validate().is_ok());
     }
 
-    /// E8-shape regression for the BDD-lifted re-cover: on every group the
-    /// old capped greedy subcube cover could shrink, the lifted cover must
-    /// shrink at least as much (it takes the better of the two), and the
-    /// cover must carry exactly the union's probability mass.
+    /// E8-shape regression for the re-cover: one retraction over `phones`
+    /// uncertain phones fragments the email into `phones + 1` pieces, whose
+    /// union is "the email, and not (a phone and the confidence)" — two
+    /// disjoint terms, which the cover must find, carrying exactly the
+    /// union's probability mass.
     #[test]
-    fn lifted_cover_is_never_worse_than_the_capped_greedy_one() {
+    fn deletion_ladders_recover_to_the_two_term_optimum() {
         for phones in 1..=5 {
             let mut fuzzy = FuzzyTree::new("person");
             let root = fuzzy.root();
@@ -897,31 +719,19 @@ mod tests {
                 .into_iter()
                 .map(|n| fuzzy.condition(n))
                 .collect();
-            assert!(conditions.len() >= 2, "the deletion must fragment");
-            let mut events: Vec<EventId> = conditions.iter().flat_map(|c| c.events()).collect();
-            events.sort_unstable();
-            events.dedup();
-            let greedy = greedy_subcube_cover(&conditions, &events);
-            let lifted = disjoint_group_cover(&conditions);
-            if let Some(greedy) = greedy {
-                let lifted = lifted.expect("the greedy cover shrank, so the lifted one must");
-                assert!(
-                    lifted.len() <= greedy.len(),
-                    "lifted cover has {} terms, greedy {}",
-                    lifted.len(),
-                    greedy.len()
-                );
-            }
-            if let Some(lifted) = disjoint_group_cover(&conditions) {
-                // Exactness: disjoint terms sum to the union's probability.
-                let union: f64 =
-                    pxml_event::Formula::any_of(conditions.iter()).probability(fuzzy.events());
-                let mass: f64 = lifted
-                    .iter()
-                    .map(|term| term.probability(fuzzy.events()))
-                    .sum();
-                assert!((mass - union).abs() < 1e-9);
-            }
+            assert_eq!(conditions.len(), phones + 1, "the deletion must fragment");
+            // One phone leaves two pieces, already the optimum: no strictly
+            // smaller cover exists and the group stays as it is.
+            let cover = disjoint_group_cover(&conditions).unwrap_or(conditions.clone());
+            assert_eq!(cover.len(), 2, "{phones} phones: {cover:?}");
+            // Exactness: disjoint terms sum to the union's probability.
+            let union: f64 =
+                pxml_event::Formula::any_of(conditions.iter()).probability(fuzzy.events());
+            let mass: f64 = cover
+                .iter()
+                .map(|term| term.probability(fuzzy.events()))
+                .sum();
+            assert!((mass - union).abs() < 1e-9);
         }
     }
 

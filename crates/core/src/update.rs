@@ -19,7 +19,7 @@
 //!   stay conjunctive — the mechanism behind the conditional-replacement
 //!   example and behind the exponential growth the paper warns about.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use pxml_event::{Condition, EventId, Literal};
 use pxml_query::{Matching, PNodeId, Pattern};
@@ -273,8 +273,12 @@ impl UpdateTransaction {
 
         // Phase 2: deletions. Group the deletion conditions per target node,
         // then process targets deepest-first so that duplicating an ancestor
-        // copies already-processed descendants verbatim.
-        let mut deletions: HashMap<NodeId, Vec<Condition>> = HashMap::new();
+        // copies already-processed descendants verbatim. Same-depth targets
+        // keep first-match (document) order: the order decides where the
+        // copies land among their siblings, so it must not come from a
+        // hash map — the updated document is a function of its input.
+        let mut deletions: BTreeMap<NodeId, Vec<Condition>> = BTreeMap::new();
+        let mut targets: Vec<NodeId> = Vec::new();
         for (matching, condition) in &applied {
             for operation in &self.operations {
                 if let UpdateOperation::Delete { target } = operation {
@@ -283,11 +287,14 @@ impl UpdateTransaction {
                         // The document root is never deleted (mirrors τ).
                         continue;
                     }
-                    deletions.entry(node).or_default().push(condition.clone());
+                    let conditions = deletions.entry(node).or_default();
+                    if conditions.is_empty() {
+                        targets.push(node);
+                    }
+                    conditions.push(condition.clone());
                 }
             }
         }
-        let mut targets: Vec<NodeId> = deletions.keys().copied().collect();
         targets.sort_by_key(|&node| std::cmp::Reverse(fuzzy.tree().depth(node)));
         for target in targets {
             let mut conditions = deletions.remove(&target).expect("key collected above");

@@ -125,51 +125,101 @@ fn updates_compose_with_queries_through_the_facade() {
     assert!((priced - 0.75).abs() < 1e-12);
 }
 
-/// The simplifier's output must be a function of its input alone: recovery
-/// replays the journal through it, so a restart snapshot can only be
-/// byte-identical if the same sibling survives and the re-cover's duplicates
-/// are grafted in the same place every time. One person carries two
-/// uncertain phones and three uncertain contact items; retracting each item
-/// "when the person has a phone" fragments it into three same-body pieces
-/// (the E8 shape), which leaves the group re-cover three groups to rebuild
-/// under one parent — in hash-map order, before it grouped by sorting.
-#[test]
-fn simplifier_output_is_byte_identical_from_run_to_run() {
+/// An uncertain child of `parent` under one fresh event.
+fn uncertain_child(fuzzy: &mut FuzzyTree, parent: NodeId, label: &str, probability: f64) {
+    let event = fuzzy.fresh_event(probability).unwrap();
+    let node = fuzzy.add_element(parent, label);
+    fuzzy
+        .set_condition(node, Condition::from_literal(Literal::pos(event)))
+        .unwrap();
+}
+
+/// Retracts `person`'s `item` "when the person has a phone" (the E8 shape):
+/// one match per phone under a shared confidence event.
+fn retract(fuzzy: &mut FuzzyTree, item: &str) {
+    let pattern = Pattern::parse(&format!("person {{ phone, {item} }}")).unwrap();
+    let target = pattern.node_ids().nth(2).unwrap();
+    UpdateTransaction::new(pattern, 0.9)
+        .unwrap()
+        .with_delete(target)
+        .apply_to_fuzzy(fuzzy)
+        .unwrap();
+}
+
+/// One person with two uncertain phones and three uncertain contact items,
+/// each item retracted once: every item fragments into three same-body
+/// pieces, which leaves the simplifier three groups to re-cover under one
+/// parent.
+fn contact_items_history() -> FuzzyTree {
     let mut fuzzy = FuzzyTree::new("person");
     let root = fuzzy.root();
     for (index, label) in ["phone", "phone", "email", "fax", "pager"]
         .into_iter()
         .enumerate()
     {
-        let event = fuzzy
-            .add_event(format!("w{index}"), 0.5 + 0.05 * index as f64)
-            .unwrap();
-        let node = fuzzy.add_element(root, label);
-        fuzzy
-            .set_condition(node, Condition::from_literal(Literal::pos(event)))
-            .unwrap();
+        uncertain_child(&mut fuzzy, root, label, 0.5 + 0.05 * index as f64);
     }
     for item in ["email", "fax", "pager"] {
-        let pattern = Pattern::parse(&format!("person {{ phone, {item} }}")).unwrap();
-        let target = pattern.node_ids().nth(2).unwrap();
-        UpdateTransaction::new(pattern, 0.9)
-            .unwrap()
-            .with_delete(target)
-            .apply_to_fuzzy(&mut fuzzy)
-            .unwrap();
+        retract(&mut fuzzy, item);
         assert_eq!(fuzzy.tree().find_elements(item).len(), 3);
     }
+    fuzzy
+}
 
-    let simplified: Vec<String> = (0..16)
-        .map(|_| {
-            let mut copy = fuzzy.clone();
-            let report = Simplifier::new().run(&mut copy).unwrap();
-            assert_eq!(report.merged_nodes, 3, "each group re-covers 3 -> 2");
-            assert!(fuzzy.semantically_equivalent(&copy, 1e-9).unwrap());
-            serialize_fuzzy_document(&copy, false)
-        })
-        .collect();
-    for (run, document) in simplified.iter().enumerate() {
-        assert_eq!(document, &simplified[0], "run {run} diverged from run 0");
+/// E8's cleaning history: ten people with three uncertain phones and an
+/// uncertain email, the emails retracted twice — so the second retraction
+/// deletes, in one update, thirty same-depth targets that share parents.
+fn cleaning_history() -> FuzzyTree {
+    let mut fuzzy = FuzzyTree::new("directory");
+    for _ in 0..10 {
+        let person = fuzzy.add_element(fuzzy.root(), "person");
+        for label in ["phone", "phone", "phone", "email"] {
+            uncertain_child(&mut fuzzy, person, label, 0.7);
+        }
+    }
+    for _ in 0..2 {
+        retract(&mut fuzzy, "email");
+    }
+    fuzzy
+}
+
+/// Update application and the simplifier must each be a function of their
+/// input alone: recovery replays the journal through both, so a restart
+/// snapshot can only be byte-identical if the copies a deletion makes land
+/// in the same place, the same sibling survives a merge and the re-cover
+/// hands out its terms the same way every time. Each history is therefore
+/// built from scratch in every run, not cloned.
+#[test]
+fn simplifier_output_is_byte_identical_from_run_to_run() {
+    let histories: [(fn() -> FuzzyTree, usize); 2] =
+        [(contact_items_history, 3), (cleaning_history, 40)];
+    for (history, merged_nodes) in histories {
+        let runs: Vec<(String, String)> = (0..16)
+            .map(|_| {
+                let fuzzy = history();
+                let mut copy = fuzzy.clone();
+                let report = Simplifier::new().run(&mut copy).unwrap();
+                assert_eq!(report.merged_nodes, merged_nodes, "every group ends at 2");
+                // Where the worlds can be enumerated at all (the directory
+                // has 42 events).
+                if let Ok(equivalent) = fuzzy.semantically_equivalent(&copy, 1e-9) {
+                    assert!(equivalent);
+                }
+                (
+                    serialize_fuzzy_document(&fuzzy, false),
+                    serialize_fuzzy_document(&copy, false),
+                )
+            })
+            .collect();
+        for (run, (updated, simplified)) in runs.iter().enumerate() {
+            assert_eq!(
+                updated, &runs[0].0,
+                "run {run} diverged before simplification"
+            );
+            assert_eq!(
+                simplified, &runs[0].1,
+                "run {run} diverged after simplification"
+            );
+        }
     }
 }

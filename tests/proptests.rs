@@ -10,6 +10,7 @@
 use proptest::prelude::*;
 use pxml::prelude::*;
 use pxml::store::{parse_fuzzy_document, serialize_fuzzy_document};
+use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------------
 // Strategies.
@@ -71,19 +72,24 @@ fn build_children(tree: &mut Tree, node: NodeId, spec: &Spec, reversed: bool) {
 /// A small fuzzy tree: a spec-built tree plus random conditions over up to 4
 /// events.
 fn fuzzy_strategy() -> impl Strategy<Value = FuzzyTree> {
+    fuzzy_strategy_with(&[])
+}
+
+/// [`fuzzy_strategy`] with further events of the given probabilities mixed
+/// into the conditions (0.0 and 1.0 make certain events).
+fn fuzzy_strategy_with(extra: &'static [f64]) -> impl Strategy<Value = FuzzyTree> {
     (
         spec_strategy(),
-        proptest::collection::vec((0usize..4, 0u8..2, 1u32..100), 0..6),
+        proptest::collection::vec((0usize..4 + extra.len(), 0u8..2, 1u32..100), 0..6),
     )
-        .prop_map(|(spec, annotations)| {
+        .prop_map(move |(spec, annotations)| {
             let tree = build(&spec);
             let mut fuzzy = FuzzyTree::from_tree(tree);
             let events: Vec<EventId> = (0..4)
-                .map(|i| {
-                    fuzzy
-                        .add_event(format!("w{i}"), 0.2 + 0.15 * i as f64)
-                        .unwrap()
-                })
+                .map(|i| 0.2 + 0.15 * i as f64)
+                .chain(extra.iter().copied())
+                .enumerate()
+                .map(|(i, probability)| fuzzy.add_event(format!("w{i}"), probability).unwrap())
                 .collect();
             let nodes = fuzzy.tree().nodes();
             for (event_index, sign, node_choice) in annotations {
@@ -103,6 +109,61 @@ fn fuzzy_strategy() -> impl Strategy<Value = FuzzyTree> {
             }
             fuzzy
         })
+}
+
+/// [`fuzzy_strategy`] plus the shape deletions leave behind (experiment E8):
+/// a `person` under the root with a few uncertain phones and an uncertain
+/// email, the email retracted "when the person has a phone" up to twice —
+/// one match per phone under a shared confidence event, which fragments the
+/// email into same-body siblings the simplifier has to merge back.
+fn retracted_strategy() -> impl Strategy<Value = FuzzyTree> {
+    (fuzzy_strategy(), 1usize..4, 0usize..3).prop_map(|(mut fuzzy, phones, rounds)| {
+        let person = fuzzy.add_element(fuzzy.root(), "person");
+        for i in 0..=phones {
+            let event = fuzzy.fresh_event(0.5 + 0.1 * i as f64).unwrap();
+            let label = if i < phones { "phone" } else { "email" };
+            let node = fuzzy.add_element(person, label);
+            fuzzy
+                .set_condition(node, Condition::from_literal(Literal::pos(event)))
+                .unwrap();
+        }
+        for _ in 0..rounds {
+            let pattern = Pattern::parse("person { phone, email }").unwrap();
+            let email = pattern.node_ids().nth(2).unwrap();
+            UpdateTransaction::new(pattern, 0.9)
+                .unwrap()
+                .with_delete(email)
+                .apply_to_fuzzy(&mut fuzzy)
+                .unwrap();
+        }
+        fuzzy
+    })
+}
+
+/// The same fuzzy tree rebuilt with every node's children in a shuffled
+/// order: same event table, same conditions, fresh node ids.
+fn shuffled(fuzzy: &FuzzyTree, seed: u64) -> FuzzyTree {
+    let mut rng = TestRng::seed_from_u64(seed);
+    let mut copy = FuzzyTree::new(fuzzy.tree().label(fuzzy.root()).clone());
+    for (_, name, probability) in fuzzy.events().iter() {
+        copy.add_event(name, probability).unwrap();
+    }
+    let mut stack = vec![(fuzzy.root(), copy.root())];
+    while let Some((source, target)) = stack.pop() {
+        let mut children = fuzzy.tree().children(source).to_vec();
+        for i in (1..children.len()).rev() {
+            children.swap(i, rng.gen_range(0..=i));
+        }
+        for child in children {
+            let node = match fuzzy.tree().label(child) {
+                Label::Element(name) => copy.add_element(target, name.as_str()),
+                Label::Text(value) => copy.add_text(target, value.as_str()),
+            };
+            copy.set_condition(node, fuzzy.condition(child)).unwrap();
+            stack.push((child, node));
+        }
+    }
+    copy
 }
 
 // ---------------------------------------------------------------------------
@@ -209,13 +270,38 @@ proptest! {
     /// Simplification never changes the possible-worlds semantics and never
     /// grows the document.
     #[test]
-    fn simplification_is_semantics_preserving(fuzzy in fuzzy_strategy()) {
+    fn simplification_is_semantics_preserving(fuzzy in retracted_strategy()) {
         let mut simplified = fuzzy.clone();
         Simplifier::new().run(&mut simplified).unwrap();
         prop_assert!(fuzzy.semantically_equivalent(&simplified, 1e-9).unwrap());
         prop_assert!(simplified.node_count() <= fuzzy.node_count());
         prop_assert!(simplified.condition_literal_count() <= fuzzy.condition_literal_count());
         prop_assert!(simplified.validate().is_ok());
+        // Idempotence: the output is a fixpoint, and a clean document costs
+        // one round.
+        let again = Simplifier::new().run(&mut simplified).unwrap();
+        prop_assert!(again.is_noop() && again.passes == 1, "second run: {:?}", again);
+    }
+
+    /// The paper's trees are unordered: simplifying a document and
+    /// simplifying the same document with every node's children permuted
+    /// (and so with other node ids) give canonically equal results.
+    #[test]
+    fn simplification_ignores_child_order_and_node_ids(
+        mut original in retracted_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let mut permuted = shuffled(&original, seed);
+        prop_assert_eq!(
+            permuted.fuzzy_canonical_string(permuted.root()),
+            original.fuzzy_canonical_string(original.root())
+        );
+        Simplifier::new().run(&mut original).unwrap();
+        Simplifier::new().run(&mut permuted).unwrap();
+        prop_assert_eq!(
+            permuted.fuzzy_canonical_string(permuted.root()),
+            original.fuzzy_canonical_string(original.root())
+        );
     }
 
     /// Conjunction probability equals the product of literal probabilities,
@@ -253,5 +339,44 @@ proptest! {
         let encoded = encode_possible_worlds(&worlds).unwrap();
         let expanded = encoded.to_possible_worlds().unwrap();
         prop_assert!(expanded.equivalent(&worlds, 1e-9));
+    }
+}
+
+/// The condition walk agrees with the three passes it replaced. Each row is
+/// a seed of `fuzzy_strategy` with a certainly-true and a certainly-false
+/// event mixed in, and the node and literal counts that prune → resolve →
+/// strip left at commit 61c3fae, the last one to have them — generated
+/// there, before the rewrite. None of these documents has siblings to merge
+/// (asserted), so one changing round of [`Simplifier::run`] is one condition
+/// walk, and the second round only confirms the fixpoint.
+#[test]
+fn condition_walk_agrees_with_the_three_passes_it_replaced() {
+    // (seed, nodes, literals); between them the rows resolve literals, drop
+    // certainly-false subtrees (seed 58: 16 nodes → 3), prune against an
+    // ancestor (97) and strip implied literals (42, 44, 120).
+    const EXPECTED: [(u64, usize, usize); 12] = [
+        (6, 2, 0),
+        (17, 27, 2),
+        (18, 8, 1),
+        (42, 8, 1),
+        (43, 11, 0),
+        (44, 24, 2),
+        (48, 11, 1),
+        (49, 21, 2),
+        (58, 3, 0),
+        (86, 12, 2),
+        (97, 14, 2),
+        (120, 6, 1),
+    ];
+    let strategy = fuzzy_strategy_with(&[1.0, 0.0]);
+    for (seed, nodes, literals) in EXPECTED {
+        let mut fuzzy = strategy.generate(&mut TestRng::seed_from_u64(seed));
+        let report = Simplifier::new().run(&mut fuzzy).unwrap();
+        assert_eq!((report.merged_nodes, report.passes), (0, 2), "seed {seed}");
+        assert_eq!(
+            (fuzzy.node_count(), fuzzy.condition_literal_count()),
+            (nodes, literals),
+            "seed {seed}"
+        );
     }
 }
