@@ -37,7 +37,7 @@ use pxml_gen::concurrent::{
 };
 use pxml_gen::scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
 use pxml_gen::storage::journal_batches;
-use pxml_query::{MatchStrategy, Pattern};
+use pxml_query::Pattern;
 use pxml_server::{Client, Server, ServerConfig};
 use pxml_store::{
     serialize_fuzzy_document, CommitPolicy, FaultOp, FaultPlan, FsBackend, FsOptions, MemBackend,
@@ -577,25 +577,20 @@ fn e8_gate_no_growth(row: &str, before: &FuzzyTree, after: &FuzzyTree) {
 }
 
 // ---------------------------------------------------------------------------
-// E9 — query evaluation scaling and the matcher ablation. Both columns seed
-// the pattern root from one element scan; "naive" rescans every element for
-// each further pattern node, "indexed" (the column keeps its name; no index
-// is built) takes them from the parent's image.
+// E9 — query evaluation scaling: the one matcher, by document and pattern
+// size.
 // ---------------------------------------------------------------------------
 
 fn e9_query_scaling(quick: bool) {
-    header(
-        "E9",
-        "TPWJ evaluation scaling and matcher ablation (slide 19 perspective)",
-    );
+    header("E9", "TPWJ evaluation scaling (slide 19 perspective)");
     let sizes: &[usize] = if quick {
         &[100, 1000, 5000]
     } else {
         &[100, 1000, 10_000]
     };
     println!(
-        "{:>10} {:>14} {:>16} {:>16} {:>10}",
-        "elements", "pattern size", "naive (ms)", "indexed (ms)", "speedup"
+        "{:>10} {:>14} {:>16}",
+        "elements", "pattern size", "match (ms)"
     );
     for &size in sizes {
         let tree = document(size, BENCH_SEED + size as u64);
@@ -605,25 +600,14 @@ fn e9_query_scaling(quick: bool) {
             let queries: Vec<_> = (0..3)
                 .map(|i| query_for(&tree, pattern_nodes, BENCH_SEED + pattern_nodes as u64 + i))
                 .collect();
-            let naive = time_it(3, || {
+            let matching = time_it(3, || {
                 for query in &queries {
-                    let _ = query.find_matches_with(&tree, MatchStrategy::Naive);
+                    let _ = query.find_matches(&tree);
                 }
             });
-            let indexed = time_it(3, || {
-                for query in &queries {
-                    let _ = query.find_matches_with(&tree, MatchStrategy::Indexed);
-                }
-            });
-            let speedup = if indexed.as_nanos() > 0 {
-                naive.as_secs_f64() / indexed.as_secs_f64()
-            } else {
-                f64::INFINITY
-            };
             println!(
-                "{size:>10} {pattern_nodes:>14} {:>16.3} {:>16.3} {speedup:>10.1}",
-                ms(naive) / queries.len() as f64,
-                ms(indexed) / queries.len() as f64
+                "{size:>10} {pattern_nodes:>14} {:>16.3}",
+                ms(matching) / queries.len() as f64
             );
         }
     }

@@ -14,11 +14,12 @@
 //! locally on the affected nodes.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 
 use pxml_event::{
     enumerate_valuations_over, Condition, EventError, EventId, EventTable, Literal, Valuation,
 };
-use pxml_tree::{ChunkedVec, Label, NodeId, Tree};
+use pxml_tree::{subtree_canonical_string, ChunkedVec, Label, NodeId, Tree};
 
 use crate::error::CoreError;
 use crate::worlds::PossibleWorlds;
@@ -375,47 +376,19 @@ impl FuzzyTree {
 
     /// A canonical string for the fuzzy subtree rooted at `node`, taking both
     /// labels and conditions into account; isomorphic fuzzy subtrees (same
-    /// shape, same conditions) have the same canonical string.
+    /// shape, same conditions) have the same canonical string. It is
+    /// [`subtree_canonical_string`] with every node annotated by its own
+    /// condition over raw event ids (`e0 !e1`, `⊤` when it has none).
     pub fn fuzzy_canonical_string(&self, node: NodeId) -> String {
-        let mut out = String::new();
-        self.write_canonical(node, &mut out);
-        out
+        subtree_canonical_string(&self.tree, node, &mut |n, out| self.write_condition(n, out))
     }
 
-    fn write_canonical(&self, node: NodeId, out: &mut String) {
-        let label = self.tree.label(node);
-        match label {
-            Label::Element(name) => {
-                out.push('e');
-                out.push('|');
-                out.push_str(name);
-            }
-            Label::Text(value) => {
-                out.push('t');
-                out.push('|');
-                out.push_str(value);
-            }
-        }
-        out.push('[');
-        out.push_str(&self.condition(node).to_string());
-        out.push(']');
-        let children = self.tree.children(node);
-        if children.is_empty() {
-            return;
-        }
-        let mut forms: Vec<String> = children
-            .iter()
-            .map(|&child| self.fuzzy_canonical_string(child))
-            .collect();
-        forms.sort_unstable();
-        out.push('(');
-        for (i, form) in forms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(form);
-        }
-        out.push(')');
+    /// The canonical-form annotation of a node (see
+    /// [`FuzzyTree::fuzzy_canonical_string`]).
+    pub(crate) fn write_condition(&self, node: NodeId, out: &mut String) {
+        let always = Condition::always();
+        let condition = self.conditions.get(node).unwrap_or(&always);
+        write!(out, "{condition}").expect("writing to a String cannot fail");
     }
 
     /// Semantic equality of two fuzzy trees: their possible-worlds expansions

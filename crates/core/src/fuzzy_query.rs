@@ -25,12 +25,9 @@
 //! builds a BDD only for a component of several conditions, and combines by
 //! `1 − Π(1 − pᵢ)`. Nothing is cached between calls or kept on the tree.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-
 use pxml_event::{disjunction_probability, Condition, EventTable, Literal};
 use pxml_query::{Matching, Pattern};
-use pxml_tree::{CanonicalForm, NodeId, Tree};
+use pxml_tree::{isomorphism_classes, NodeId, Tree};
 
 use crate::fuzzy::FuzzyTree;
 use crate::worlds::PossibleWorlds;
@@ -71,24 +68,19 @@ impl FuzzyQueryResult {
     /// of the group's match conditions, evaluated exactly by
     /// [`disjunction_probability`]).
     ///
-    /// Groups are indexed by a hash map keyed on the answers' canonical form
-    /// and come back in first-match order, each with its first match's
-    /// answer tree; no condition is cloned.
+    /// Groups are the [`isomorphism_classes`] of the answers and come back in
+    /// first-match order, each with its first match's answer tree; no
+    /// condition is cloned.
     pub fn merged_answers(&self, events: &EventTable) -> Vec<(Tree, f64)> {
-        let mut groups: Vec<(Tree, Vec<&Condition>)> = Vec::new();
-        let mut index: HashMap<CanonicalForm, usize> = HashMap::with_capacity(self.matches.len());
-        for m in &self.matches {
-            match index.entry(CanonicalForm::of_tree(&m.answer)) {
-                Entry::Occupied(slot) => groups[*slot.get()].1.push(&m.condition),
-                Entry::Vacant(slot) => {
-                    slot.insert(groups.len());
-                    groups.push((m.answer.clone(), vec![&m.condition]));
-                }
-            }
-        }
-        groups
+        isomorphism_classes(self.matches.iter().map(|m| &m.answer))
             .into_iter()
-            .map(|(tree, conditions)| (tree, disjunction_probability(conditions, events)))
+            .map(|(_, members)| {
+                let conditions = members.iter().map(|&index| &self.matches[index].condition);
+                (
+                    self.matches[members[0]].answer.clone(),
+                    disjunction_probability(conditions, events),
+                )
+            })
             .collect()
     }
 

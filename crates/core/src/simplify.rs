@@ -28,16 +28,25 @@
 //! round exists for what that newly implies or contradicts below it, not for
 //! the common case — a clean document costs one round.
 //!
-//! Every step preserves semantics, and nothing that shows in the result's
-//! canonical form is decided by a node id or a child position: the paper's
-//! trees are unordered, and the output is a function of the document.
+//! Every step preserves semantics. For the sweep that rests on one test:
+//! two siblings are merged only when their *bodies* — label, and everything
+//! below with its conditions — are the same fuzzy subtree up to sibling
+//! order, so that either can stand for the other in every world. That test
+//! is string equality of [`pxml_tree::subtree_canonical_string`], the
+//! workspace's one canonical-form writer, called with each node's condition
+//! as its annotation and none at the subtree's own root (`body_key`); it
+//! escapes every structure character of its format in labels, so no element
+//! name or text value can make two different bodies compare equal. Nothing
+//! that shows in the result's canonical form is decided by a node id or a
+//! child position: the paper's trees are unordered, and the output is a
+//! function of the document.
 //! Experiment E8 measures how much of the growth caused by update histories
 //! the simplifier wins back.
 
 use std::collections::BTreeMap;
 
 use pxml_event::{Bdd, Condition, EventId, EventTable, Literal};
-use pxml_tree::NodeId;
+use pxml_tree::{subtree_canonical_string, NodeId};
 
 use crate::error::CoreError;
 use crate::fuzzy::FuzzyTree;
@@ -369,17 +378,15 @@ fn guard_first_order(conditions: &[Condition], events: &[EventId]) -> Vec<EventI
     keyed.into_iter().map(|(_, _, event)| event).collect()
 }
 
-/// The canonical form of a node ignoring its own root condition (label +
-/// children's full fuzzy canonical forms).
+/// The canonical form of a node ignoring its own root condition: the one
+/// canonical-form writer, annotating every node below `node` with its
+/// condition and `node` itself with nothing.
 fn body_key(fuzzy: &FuzzyTree, node: NodeId) -> String {
-    let mut child_forms: Vec<String> = fuzzy
-        .tree()
-        .children(node)
-        .iter()
-        .map(|&child| fuzzy.fuzzy_canonical_string(child))
-        .collect();
-    child_forms.sort();
-    format!("{:?}({})", fuzzy.tree().label(node), child_forms.join(","))
+    subtree_canonical_string(fuzzy.tree(), node, &mut |n, out| {
+        if n != node {
+            fuzzy.write_condition(n, out);
+        }
+    })
 }
 
 /// If `a` and `b` differ in the sign of exactly one literal (and are
@@ -613,6 +620,42 @@ mod tests {
         let report = Simplifier::new().run(&mut fuzzy).unwrap();
         assert_eq!(report.merged_nodes, 0);
         assert_eq!(fuzzy.tree().find_elements("a").len(), 2);
+    }
+
+    /// A text value that spells out, in the canonical form's own structure
+    /// characters, the tail of the body `b { "x" }, c { "y" }`: under a
+    /// writer that does not escape labels, `a { b { HOSTILE_TEXT } }` and
+    /// `a { b { "x" }, c { "y" } }` get the same string. (The first entry of
+    /// ROADMAP open item 3's fuzz corpus; `crates/server/tests/malformed.rs`
+    /// drives the same document over the wire.)
+    const HOSTILE_TEXT: &str = "x[⊤]),e|c[⊤](t|y";
+
+    #[test]
+    fn a_text_value_cannot_make_different_bodies_merge() {
+        let mut fuzzy = FuzzyTree::new("r");
+        let w = fuzzy.add_event("w0", 0.5).unwrap();
+        let root = fuzzy.root();
+        let honest =
+            fuzzy.add_conditional_element(root, "a", Condition::from_literal(Literal::pos(w)));
+        let b = fuzzy.add_element(honest, "b");
+        fuzzy.add_text(b, "x");
+        let c = fuzzy.add_element(honest, "c");
+        fuzzy.add_text(c, "y");
+        let hostile =
+            fuzzy.add_conditional_element(root, "a", Condition::from_literal(Literal::neg(w)));
+        let b = fuzzy.add_element(hostile, "b");
+        fuzzy.add_text(b, HOSTILE_TEXT);
+        let before = fuzzy.to_possible_worlds().unwrap();
+        let report = Simplifier::new().run(&mut fuzzy).unwrap();
+        let after = fuzzy.to_possible_worlds().unwrap();
+        assert!(
+            before.equivalent(&after, 1e-12),
+            "{} worlds → {}",
+            before.len(),
+            after.len()
+        );
+        assert!(report.is_noop(), "{report:?}");
+        assert_ne!(body_key(&fuzzy, honest), body_key(&fuzzy, hostile));
     }
 
     #[test]

@@ -15,10 +15,8 @@
 //! mass back to 1 for the situations where the paper's definition calls for a
 //! proper distribution.
 
-use std::collections::HashMap;
-
 use pxml_query::Pattern;
-use pxml_tree::{CanonicalForm, Tree};
+use pxml_tree::{isomorphism_classes, CanonicalForm, Tree};
 
 use crate::error::CoreError;
 use crate::update::UpdateTransaction;
@@ -108,26 +106,29 @@ impl PossibleWorlds {
         self.probability_that(|world| world.isomorphic(tree))
     }
 
+    /// The isomorphism classes of the worlds in canonical-form order — the
+    /// deterministic order of a normalised set — each with the position of
+    /// its first member and its summed mass.
+    fn classes(&self) -> Vec<(CanonicalForm, usize, f64)> {
+        let mut classes: Vec<(CanonicalForm, usize, f64)> =
+            isomorphism_classes(self.worlds.iter().map(|(tree, _)| tree))
+                .into_iter()
+                .map(|(form, members)| {
+                    let mass = members.iter().map(|&index| self.worlds[index].1).sum();
+                    (form, members[0], mass)
+                })
+                .collect();
+        classes.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        classes
+    }
+
     /// Normalisation: merges unordered-isomorphic worlds, summing their
     /// probabilities. The total mass is preserved.
     pub fn normalized(&self) -> PossibleWorlds {
-        let mut order: Vec<CanonicalForm> = Vec::new();
-        let mut merged: HashMap<String, (Tree, f64)> = HashMap::new();
-        for (tree, p) in &self.worlds {
-            let form = CanonicalForm::of_tree(tree);
-            let key = form.as_str().to_string();
-            if let Some(entry) = merged.get_mut(&key) {
-                entry.1 += p;
-            } else {
-                merged.insert(key, (tree.clone(), *p));
-                order.push(form);
-            }
-        }
-        // Deterministic order: sort by canonical form.
-        order.sort();
-        let worlds = order
+        let worlds = self
+            .classes()
             .into_iter()
-            .map(|form| merged.remove(form.as_str()).expect("inserted above"))
+            .map(|(_, first, mass)| (self.worlds[first].0.clone(), mass))
             .collect();
         PossibleWorlds { worlds }
     }
@@ -151,18 +152,11 @@ impl PossibleWorlds {
     /// Semantic equality: both sets, once normalised, contain the same trees
     /// with the same probabilities (up to `epsilon`).
     pub fn equivalent(&self, other: &PossibleWorlds, epsilon: f64) -> bool {
-        let a = self.normalized();
-        let b = other.normalized();
-        if a.len() != b.len() {
-            return false;
-        }
-        for (tree, p) in a.iter() {
-            let q = b.probability_of_tree(tree);
-            if (p - q).abs() > epsilon {
-                return false;
-            }
-        }
-        true
+        let (a, b) = (self.classes(), other.classes());
+        a.len() == b.len()
+            && a.iter()
+                .zip(&b)
+                .all(|(x, y)| x.0 == y.0 && (x.2 - y.2).abs() <= epsilon)
     }
 
     /// The query semantic foundation (slide 10): evaluate `query` in every

@@ -9,6 +9,9 @@ pub enum EventError {
     InvalidProbability(f64),
     /// An event with the same name already exists in the table.
     DuplicateEventName(String),
+    /// The name cannot be written into a condition string and read back as
+    /// the same event (see [`EventTable::add_event`](crate::EventTable::add_event)).
+    InvalidEventName(String),
     /// The named event does not exist in the table.
     UnknownEvent(String),
     /// The event id does not belong to the table.
@@ -28,6 +31,11 @@ impl fmt::Display for EventError {
             EventError::DuplicateEventName(name) => {
                 write!(f, "an event named `{name}` already exists")
             }
+            EventError::InvalidEventName(name) => write!(
+                f,
+                "invalid event name `{name}`: must be non-empty, free of whitespace and `,`, \
+                 not start with `!` or `¬`, and not be the word `not`"
+            ),
             EventError::UnknownEvent(name) => write!(f, "unknown event `{name}`"),
             EventError::UnknownEventId(id) => write!(f, "unknown event id {id}"),
             EventError::ParseError(msg) => write!(f, "condition parse error: {msg}"),
@@ -53,6 +61,9 @@ mod tests {
         assert!(EventError::DuplicateEventName("w".into())
             .to_string()
             .contains("`w`"));
+        assert!(EventError::InvalidEventName("a b".into())
+            .to_string()
+            .contains("`a b`"));
         assert!(EventError::UnknownEvent("x".into())
             .to_string()
             .contains("`x`"));

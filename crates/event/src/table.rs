@@ -48,12 +48,26 @@ impl EventTable {
     }
 
     /// Adds a named event with the given probability.
+    ///
+    /// A name must survive [`Condition::display`](crate::Condition::display)
+    /// → [`Condition::parse`](crate::Condition::parse), the `pxml:cond`
+    /// round trip every checkpoint takes: the empty name, a name containing
+    /// whitespace or `,` (the separators), one starting with `!` or `¬` (the
+    /// negation prefixes) and the word `not` are refused with
+    /// [`EventError::InvalidEventName`].
     pub fn add_event(
         &mut self,
         name: impl Into<String>,
         probability: f64,
     ) -> Result<EventId, EventError> {
         let name = name.into();
+        if name.is_empty()
+            || name == "not"
+            || name.starts_with(['!', '¬'])
+            || name.contains(|ch: char| ch.is_whitespace() || ch == ',')
+        {
+            return Err(EventError::InvalidEventName(name));
+        }
         if !(0.0..=1.0).contains(&probability) || probability.is_nan() {
             return Err(EventError::InvalidProbability(probability));
         }
@@ -217,6 +231,25 @@ mod tests {
             table.add_event("w", 0.6),
             Err(EventError::DuplicateEventName("w".into()))
         );
+    }
+
+    #[test]
+    fn rejects_names_that_cannot_round_trip_a_condition() {
+        let mut table = EventTable::new();
+        for name in [
+            "", "not", "a b", "a\tb", " a", "a\u{a0}b", "a,b", "!a", "¬a",
+        ] {
+            assert_eq!(
+                table.add_event(name, 0.5),
+                Err(EventError::InvalidEventName(name.into())),
+                "{name:?}"
+            );
+        }
+        assert!(table.is_empty());
+        // Near misses are ordinary names.
+        for name in ["nota", "Not", "a!", "a¬b", "no-t", "w0"] {
+            table.add_event(name, 0.5).unwrap();
+        }
     }
 
     #[test]

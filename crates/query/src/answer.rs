@@ -6,7 +6,7 @@
 //! nodes, which is where probabilistic evaluation reads node conditions.
 
 use pxml_tree::path::steiner_tree;
-use pxml_tree::{CanonicalForm, Tree};
+use pxml_tree::{isomorphism_classes, Tree};
 
 use crate::matcher::Matching;
 use crate::pattern::Pattern;
@@ -42,18 +42,9 @@ impl QueryAnswers {
     /// representative tree per group together with the indices of the matches
     /// producing it.
     pub fn distinct_answers(&self) -> Vec<(Tree, Vec<usize>)> {
-        let mut groups: Vec<(CanonicalForm, Tree, Vec<usize>)> = Vec::new();
-        for (index, answer) in self.matches.iter().enumerate() {
-            let form = CanonicalForm::of_tree(&answer.answer);
-            if let Some(group) = groups.iter_mut().find(|(existing, _, _)| *existing == form) {
-                group.2.push(index);
-            } else {
-                groups.push((form, answer.answer.clone(), vec![index]));
-            }
-        }
-        groups
+        isomorphism_classes(self.matches.iter().map(|m| &m.answer))
             .into_iter()
-            .map(|(_, tree, indices)| (tree, indices))
+            .map(|(_, members)| (self.matches[members[0]].answer.clone(), members))
             .collect()
     }
 }

@@ -30,9 +30,9 @@
 //!
 //! The module split mirrors the processing pipeline:
 //! [`pattern`] (the query data structure and builder), [`parser`] (the text
-//! syntax), [`matcher`] (naive and parent-narrowed evaluation, used as the
-//! baseline/optimised pair of experiment E9), and [`answer`] (minimal-subtree
-//! answer construction).
+//! syntax), [`matcher`] (evaluation: every pattern node's candidates come
+//! from its parent's image), and [`answer`] (minimal-subtree answer
+//! construction).
 
 pub mod answer;
 pub mod error;
@@ -42,5 +42,5 @@ pub mod pattern;
 
 pub use answer::{MatchAnswer, QueryAnswers};
 pub use error::QueryError;
-pub use matcher::{MatchStrategy, Matching};
+pub use matcher::Matching;
 pub use pattern::{Axis, JoinId, PNodeId, Pattern, PatternNode};

@@ -1,29 +1,14 @@
 //! Evaluation of TPWJ patterns: finding all matches (homomorphisms).
 //!
-//! Two interchangeable strategies are provided; they return exactly the same
-//! matches in the same order and form the baseline / optimised pair of
-//! experiment E9. Both seed the pattern root from the tree root (anchored
-//! patterns) or from every element in document order, and differ only in
-//! where the other pattern nodes' candidates come from:
-//!
-//! * [`MatchStrategy::Naive`] — scan *all* element nodes for every pattern
-//!   node and check the structural edge afterwards (the reference);
-//! * [`MatchStrategy::Indexed`] — take candidates directly from the image of
-//!   the parent pattern node (its children or descendants), which prunes the
-//!   search space early (no index is built; the name is E9's column).
+//! The pattern root is seeded from the tree root (anchored patterns) or from
+//! every element in document order; every other pattern node takes its
+//! candidates directly from the image of its parent pattern node (its
+//! children or its descendants), which satisfies the structural edge by
+//! construction. Matches come back in that (document) order.
 
 use pxml_tree::{NodeId, Tree};
 
 use crate::pattern::{Axis, PNodeId, Pattern};
-
-/// How the matcher generates candidate nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchStrategy {
-    /// Scan all nodes for every pattern node (baseline).
-    Naive,
-    /// Narrow each pattern node to the image of its parent (optimised).
-    Indexed,
-}
 
 /// A complete match: the image of every pattern node in the data tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -51,37 +36,17 @@ impl Matching {
     }
 }
 
-/// Finds every match of `pattern` in `tree` using the requested strategy.
-pub fn find_matches(pattern: &Pattern, tree: &Tree, strategy: MatchStrategy) -> Vec<Matching> {
-    // An anchored pattern under `Indexed` never reads the scan.
-    let all_elements: Vec<NodeId> = if strategy == MatchStrategy::Indexed && pattern.is_anchored() {
-        Vec::new()
-    } else {
-        tree.nodes()
-            .into_iter()
-            .filter(|&n| tree.is_element(n))
-            .collect()
-    };
-
+/// Finds every match of `pattern` in `tree`.
+pub fn find_matches(pattern: &Pattern, tree: &Tree) -> Vec<Matching> {
     let mut assignment: Vec<Option<NodeId>> = vec![None; pattern.len()];
     let mut results = Vec::new();
-    assign(
-        pattern,
-        tree,
-        strategy,
-        &all_elements,
-        0,
-        &mut assignment,
-        &mut results,
-    );
+    assign(pattern, tree, 0, &mut assignment, &mut results);
     results
 }
 
 fn assign(
     pattern: &Pattern,
     tree: &Tree,
-    strategy: MatchStrategy,
-    all_elements: &[NodeId],
     next: usize,
     assignment: &mut Vec<Option<NodeId>>,
     results: &mut Vec<Matching>,
@@ -98,13 +63,16 @@ fn assign(
     let pattern_node_id = crate::pattern::PNodeId(next as u32);
     let pattern_node = pattern.node(pattern_node_id);
 
-    let candidates: Vec<NodeId> = match (strategy, pattern_node.parent) {
-        (_, None) if pattern.is_anchored() => vec![tree.root()],
-        // An unanchored root, and every pattern node under `Naive`.
-        (MatchStrategy::Naive, _) | (_, None) => all_elements.to_vec(),
+    let candidates: Vec<NodeId> = match pattern_node.parent {
+        None if pattern.is_anchored() => vec![tree.root()],
+        None => tree
+            .nodes()
+            .into_iter()
+            .filter(|&n| tree.is_element(n))
+            .collect(),
         // Non-root: the parent pattern node has an image already (pattern
         // nodes are created parent-first, so its index is smaller).
-        (MatchStrategy::Indexed, Some((parent, axis))) => {
+        Some((parent, axis)) => {
             let parent_image = assignment[parent.index()].expect("parent assigned before child");
             match axis {
                 Axis::Child => tree.children(parent_image).to_vec(),
@@ -116,18 +84,6 @@ fn assign(
     for candidate in candidates {
         if !node_satisfies_tests(pattern, pattern_node_id, tree, candidate) {
             continue;
-        }
-        // Structural edge check (already guaranteed by construction for the
-        // indexed strategy, but cheap enough to keep uniform).
-        if let Some((parent, axis)) = pattern_node.parent {
-            let parent_image = assignment[parent.index()].expect("parent assigned before child");
-            let edge_ok = match axis {
-                Axis::Child => tree.parent(candidate) == Some(parent_image),
-                Axis::Descendant => tree.is_strict_ancestor(parent_image, candidate),
-            };
-            if !edge_ok {
-                continue;
-            }
         }
         // Join constraints against already-assigned members of the group.
         if let Some(join) = pattern_node.join {
@@ -152,15 +108,7 @@ fn assign(
             }
         }
         assignment[next] = Some(candidate);
-        assign(
-            pattern,
-            tree,
-            strategy,
-            all_elements,
-            next + 1,
-            assignment,
-            results,
-        );
+        assign(pattern, tree, next + 1, assignment, results);
         assignment[next] = None;
     }
 }
@@ -205,24 +153,11 @@ mod tests {
         .unwrap()
     }
 
-    fn both_strategies(pattern: &Pattern, tree: &Tree) -> (Vec<Matching>, Vec<Matching>) {
-        (
-            find_matches(pattern, tree, MatchStrategy::Naive),
-            find_matches(pattern, tree, MatchStrategy::Indexed),
-        )
-    }
-
-    fn as_sets(matches: &[Matching]) -> std::collections::BTreeSet<Vec<NodeId>> {
-        matches.iter().map(|m| m.images().to_vec()).collect()
-    }
-
     #[test]
     fn single_label_pattern_matches_every_occurrence() {
         let tree = sample_tree();
         let pattern = Pattern::element("B");
-        let (naive, indexed) = both_strategies(&pattern, &tree);
-        assert_eq!(naive.len(), 2);
-        assert_eq!(as_sets(&naive), as_sets(&indexed));
+        assert_eq!(pattern.find_matches(&tree).len(), 2);
     }
 
     #[test]
@@ -231,8 +166,7 @@ mod tests {
         let mut pattern = Pattern::element("A");
         pattern.add_child(pattern.root(), Axis::Child, Some("D"));
         // D is a grandchild of A, not a child.
-        assert!(find_matches(&pattern, &tree, MatchStrategy::Indexed).is_empty());
-        assert!(find_matches(&pattern, &tree, MatchStrategy::Naive).is_empty());
+        assert!(pattern.find_matches(&tree).is_empty());
     }
 
     #[test]
@@ -240,9 +174,7 @@ mod tests {
         let tree = sample_tree();
         let mut pattern = Pattern::element("A");
         pattern.add_child(pattern.root(), Axis::Descendant, Some("D"));
-        let (naive, indexed) = both_strategies(&pattern, &tree);
-        assert_eq!(naive.len(), 2);
-        assert_eq!(as_sets(&naive), as_sets(&indexed));
+        assert_eq!(pattern.find_matches(&tree).len(), 2);
     }
 
     #[test]
@@ -267,11 +199,9 @@ mod tests {
         let j = pattern.new_join("x");
         pattern.join(c, j);
         pattern.join(d, j);
-        let (naive, indexed) = both_strategies(&pattern, &tree);
-        assert_eq!(naive.len(), 1, "only D=v joins with C=v");
-        assert_eq!(as_sets(&naive), as_sets(&indexed));
-        let m = &indexed[0];
-        assert_eq!(tree.node_value(m.image(d)), Some("v"));
+        let matches = pattern.find_matches(&tree);
+        assert_eq!(matches.len(), 1, "only D=v joins with C=v");
+        assert_eq!(tree.node_value(matches[0].image(d)), Some("v"));
     }
 
     #[test]
@@ -319,7 +249,7 @@ mod tests {
     }
 
     #[test]
-    fn strategies_agree_on_a_complex_pattern() {
+    fn joined_siblings_must_carry_equal_values() {
         let tree = parse_data_tree(
             "<r><a><b>1</b><c>1</c></a><a><b>2</b><c>3</c></a><a><b>4</b><c>4</c><d/></a></r>",
         )
@@ -330,9 +260,12 @@ mod tests {
         let j = pattern.new_join("v");
         pattern.join(b, j);
         pattern.join(c, j);
-        let (naive, indexed) = both_strategies(&pattern, &tree);
-        assert_eq!(naive.len(), 2);
-        assert_eq!(as_sets(&naive), as_sets(&indexed));
+        let matches = pattern.find_matches(&tree);
+        let values: Vec<_> = matches
+            .iter()
+            .map(|m| tree.node_value(m.image(b)))
+            .collect();
+        assert_eq!(values, [Some("1"), Some("4")]);
     }
 
     #[test]

@@ -274,7 +274,6 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matcher::MatchStrategy;
     use pxml_tree::parse_data_tree;
 
     #[test]
@@ -332,7 +331,7 @@ mod tests {
         assert!(p.is_anchored());
         assert_eq!(p.len(), 4);
         let tree = parse_data_tree("<A><B>b</B><C>v</C><E><D>v</D></E></A>").unwrap();
-        assert_eq!(p.find_matches_with(&tree, MatchStrategy::Naive).len(), 1);
+        assert_eq!(p.find_matches(&tree).len(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use pxml_tree::Tree;
 
 use crate::answer::QueryAnswers;
 use crate::error::QueryError;
-use crate::matcher::{MatchStrategy, Matching};
+use crate::matcher::Matching;
 
 /// A handle to a node of a [`Pattern`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -240,16 +240,9 @@ impl Pattern {
         Ok(())
     }
 
-    /// Finds every match of this pattern in `tree` using the optimised
-    /// (parent-image narrowing) strategy.
+    /// Finds every match of this pattern in `tree`, in document order.
     pub fn find_matches(&self, tree: &Tree) -> Vec<Matching> {
-        crate::matcher::find_matches(self, tree, MatchStrategy::Indexed)
-    }
-
-    /// Finds every match using an explicitly chosen strategy (the naive
-    /// strategy is the baseline of experiment E9).
-    pub fn find_matches_with(&self, tree: &Tree, strategy: MatchStrategy) -> Vec<Matching> {
-        crate::matcher::find_matches(self, tree, strategy)
+        crate::matcher::find_matches(self, tree)
     }
 
     /// Evaluates the query: every match together with its minimal-subtree

@@ -1,6 +1,7 @@
 //! Malformed-frame battery: hostile or broken byte streams must get a
 //! typed error frame or a dropped connection — never a panic, and never a
-//! poisoned tenant warehouse.
+//! poisoned tenant warehouse — and hostile *content* in well-formed frames
+//! must be served as the distribution it denotes.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -8,8 +9,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use pxml_core::{FuzzyTree, SimplifyPolicy, UpdateTransaction};
+use pxml_query::Pattern;
 use pxml_server::frame::{read_response, tag, FrameError, DEFAULT_MAX_FRAME_BYTES};
 use pxml_server::{Client, Server, ServerConfig};
+use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -389,6 +393,70 @@ fn hostile_streams_do_not_poison_concurrent_tenants() {
     });
 
     assert_tenant_alive(&server);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A text value that spells out the tail of the canonical form of
+/// `b { "x" }, c { "y" }`: under a canonical-form writer that does not
+/// escape labels, `a { b { <this> } }` and `a { b { "x" }, c { "y" } }` key
+/// alike and the simplifier merges them. (First entry of ROADMAP open item
+/// 3's fuzz corpus.)
+const HOSTILE_VALUE: &str = "x[⊤]),e|c[⊤](t|y";
+
+/// The document holding [`HOSTILE_VALUE`].
+const HOSTILE_DOCUMENT: &str = "<r><a><b>x[⊤]),e|c[⊤](t|y</b></a></r>";
+
+/// Three well-formed requests — a create and two commits under the server's
+/// default inline simplification — leave the hostile `a` and an honest `a`
+/// as siblings under complementary conditions. The served document must
+/// denote what the same history denotes in process with the simplifier off:
+/// two worlds, not one certain tree.
+#[test]
+fn hostile_text_value_cannot_make_the_simplifier_merge_different_subtrees() {
+    let insert = {
+        let pattern = Pattern::parse("/r").unwrap();
+        let root = pattern.root();
+        UpdateTransaction::new(pattern, 0.5)
+            .unwrap()
+            .with_insert(root, parse_data_tree("<a><b>x</b><c>y</c></a>").unwrap())
+    };
+    let delete = {
+        let pattern = Pattern::parse(&format!(
+            "/r {{ a {{ c }}, a {{ b[=\"{HOSTILE_VALUE}\"] }} }}"
+        ))
+        .unwrap();
+        let second_a = pattern.node_ids().nth(3).unwrap();
+        UpdateTransaction::new(pattern, 1.0)
+            .unwrap()
+            .with_delete(second_a)
+    };
+
+    let mut expected = FuzzyTree::from_tree(parse_data_tree(HOSTILE_DOCUMENT).unwrap());
+    for update in [&insert, &delete] {
+        let stats = update
+            .apply_to_fuzzy_with(&mut expected, SimplifyPolicy::Never)
+            .unwrap();
+        assert_eq!(stats.applied_matches, 1);
+    }
+    let expected = expected.to_possible_worlds().unwrap();
+    assert_eq!(expected.len(), 2);
+
+    let dir = scratch("hostile-value");
+    let server = Server::start(ServerConfig::new(&dir)).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    client.open("doc", Some(HOSTILE_DOCUMENT)).unwrap();
+    client.commit("doc", &[insert]).unwrap();
+    client.commit("doc", &[delete]).unwrap();
+    let (_, served) = client.snapshot("doc").unwrap();
+    let served = served.to_possible_worlds().unwrap();
+    assert!(
+        served.equivalent(&expected, 1e-12),
+        "served {} worlds, the history denotes {}",
+        served.len(),
+        expected.len()
+    );
+
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -385,6 +385,36 @@ mod tests {
         ));
     }
 
+    /// An event name that cannot be written into `pxml:cond` and read back
+    /// as the same event is refused where it enters — `add_event` for a
+    /// document built in process, this parser for one read from disk or the
+    /// wire — so no accepted document serialises to a checkpoint that loads
+    /// as a different distribution (`not x` read as `¬x`) or not at all
+    /// (`a b` read as two unknown events).
+    #[test]
+    fn parse_rejects_event_names_that_cannot_round_trip() {
+        use pxml_event::EventError;
+        for name in ["", "not", "a b", "a,b", "!a", "¬a"] {
+            let text = format!(
+                r#"<pxml:document>
+                    <pxml:events><pxml:event name="{name}" probability="0.5"/></pxml:events>
+                    <pxml:content><a/></pxml:content>
+                </pxml:document>"#
+            );
+            assert!(
+                matches!(
+                    parse_fuzzy_document(&text),
+                    Err(StoreError::Event(EventError::InvalidEventName(refused))) if refused == name
+                ),
+                "{name:?}"
+            );
+            assert!(matches!(
+                FuzzyTree::new("a").add_event(name, 0.5),
+                Err(EventError::InvalidEventName(_))
+            ));
+        }
+    }
+
     #[test]
     fn parse_rejects_condition_on_root() {
         let text = r#"<pxml:document>

@@ -1,109 +1,109 @@
-//! Unordered tree isomorphism via canonical forms.
+//! Unordered tree isomorphism: the one canonical form and the one grouper.
 //!
-//! Because the paper's data trees are unordered, two trees are equal when one
-//! can be obtained from the other by permuting siblings. We decide this by
-//! computing a *canonical string* for every subtree: the canonical string of
-//! a node is its label followed by the **sorted** canonical strings of its
-//! children. Two subtrees are isomorphic iff their canonical strings are
-//! equal, and the canonical string also provides a stable hash and total
-//! order on trees (used to normalise possible-world sets deterministically).
+//! The paper's data trees are unordered, so two trees are equal when one can
+//! be obtained from the other by permuting siblings, and every set the paper
+//! defines — the answers of a query, the worlds of a fuzzy tree, the
+//! same-body siblings the simplifier may merge — is a set *up to
+//! isomorphism*. This module decides isomorphism for all of them, by
+//! comparing canonical strings, and is the only place that writes one
+//! ([`subtree_canonical_string`]) or groups trees by one
+//! ([`isomorphism_classes`]).
+//!
+//! **The format.** The canonical string of a node is
+//!
+//! ```text
+//! kind '|' label [ '[' annotation ']' ] [ '(' child ',' child … ')' ]
+//! ```
+//!
+//! * `kind` is `e` for an element and `t` for a text node;
+//! * `label` is the element name or text value with every structure
+//!   character — `(` `)` `,` `|` `[` `]` and the escape `\` itself —
+//!   preceded by `\`, so no label can pose as an annotation, a child list or
+//!   a sibling;
+//! * the annotation is whatever the caller's per-node hook wrote, between
+//!   brackets, and is absent (brackets included) where the hook wrote
+//!   nothing — the plain form of a data tree annotates nothing. The writer
+//!   does not escape it: an annotation must not contain `]`;
+//! * the children's canonical strings follow **sorted**, which is what makes
+//!   the string independent of sibling order.
+//!
+//! Labels and annotations are thereby read back unambiguously, so two
+//! (annotated) subtrees are isomorphic iff their canonical strings are
+//! equal. `pxml-core` is the only annotating caller: it writes a node's
+//! condition, so that fuzzy subtrees with different conditions differ
+//! (`FuzzyTree::fuzzy_canonical_string`, and the simplifier's same-body
+//! test, which leaves the subtree's own root unannotated).
+//!
+//! **The grouper** returns classes in order of their first member, never in
+//! hash or string order: answers are reported in document order of their
+//! first match, and nothing a caller prints may depend on a hasher's seed.
+//! Callers that want a total order (possible-world normalisation) sort the
+//! classes by [`CanonicalForm`] themselves.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+use std::collections::HashMap;
 
 use crate::label::Label;
 use crate::tree::{NodeId, Tree};
 
-/// The canonical form of a tree: a string that is identical for isomorphic
-/// trees and different for non-isomorphic ones, plus a precomputed hash.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct CanonicalForm {
-    repr: String,
-    hash: u64,
-}
+/// The canonical form of a whole tree, unannotated: equal for isomorphic
+/// trees, different for non-isomorphic ones, and totally ordered.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CanonicalForm(String);
 
 impl CanonicalForm {
     /// Computes the canonical form of a whole tree.
     pub fn of_tree(tree: &Tree) -> Self {
-        Self::of_subtree(tree, tree.root())
-    }
-
-    /// Computes the canonical form of the subtree rooted at `node`.
-    pub fn of_subtree(tree: &Tree, node: NodeId) -> Self {
-        let repr = subtree_canonical_string(tree, node);
-        let mut hasher = DefaultHasher::new();
-        repr.hash(&mut hasher);
-        CanonicalForm {
-            hash: hasher.finish(),
-            repr,
-        }
+        CanonicalForm(canonical_string(tree))
     }
 
     /// The canonical string itself.
     pub fn as_str(&self) -> &str {
-        &self.repr
-    }
-
-    /// A 64-bit hash of the canonical string.
-    pub fn hash_value(&self) -> u64 {
-        self.hash
+        &self.0
     }
 }
 
-impl Hash for CanonicalForm {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.hash.hash(state);
-    }
-}
-
-fn escape(label: &str, out: &mut String) {
-    // The canonical string uses '(', ')', ',' and '|' as structure characters;
-    // escape occurrences inside labels so distinct labels cannot collide.
+/// The canonical string of the subtree of `tree` rooted at `node` (format in
+/// the module docs). `annotate` is called once per node of the subtree with
+/// the output buffer; what it appends becomes that node's annotation.
+pub fn subtree_canonical_string(
+    tree: &Tree,
+    node: NodeId,
+    annotate: &mut impl FnMut(NodeId, &mut String),
+) -> String {
+    let (kind, label) = match tree.label(node) {
+        Label::Element(name) => ('e', name),
+        Label::Text(value) => ('t', value),
+    };
+    // Room for the kind, the separator and the annotation's opening bracket.
+    let mut out = String::with_capacity(label.len() + 3);
+    out.push(kind);
+    out.push('|');
     for ch in label.chars() {
-        if matches!(ch, '(' | ')' | ',' | '|' | '\\') {
+        if matches!(ch, '(' | ')' | ',' | '|' | '[' | ']' | '\\') {
             out.push('\\');
         }
         out.push(ch);
     }
-}
-
-fn label_prefix(label: &Label, out: &mut String) {
-    match label {
-        Label::Element(name) => {
-            out.push('e');
-            out.push('|');
-            escape(name, out);
-        }
-        Label::Text(value) => {
-            out.push('t');
-            out.push('|');
-            escape(value, out);
-        }
+    let unannotated = out.len();
+    out.push('[');
+    annotate(node, &mut out);
+    if out.len() == unannotated + 1 {
+        out.pop();
+    } else {
+        debug_assert!(
+            !out[unannotated + 1..].contains(']'),
+            "an annotation must not contain `]`"
+        );
+        out.push(']');
     }
-}
-
-/// The canonical string of the subtree of `tree` rooted at `node`.
-pub fn subtree_canonical_string(tree: &Tree, node: NodeId) -> String {
-    let mut out = String::new();
-    write_canonical(tree, node, &mut out);
-    out
-}
-
-/// The canonical string of the whole tree.
-pub fn canonical_string(tree: &Tree) -> String {
-    subtree_canonical_string(tree, tree.root())
-}
-
-fn write_canonical(tree: &Tree, node: NodeId, out: &mut String) {
-    label_prefix(tree.label(node), out);
-    let children = tree.children(node);
-    if children.is_empty() {
-        return;
-    }
-    let mut child_forms: Vec<String> = children
+    let mut child_forms: Vec<String> = tree
+        .children(node)
         .iter()
-        .map(|&child| subtree_canonical_string(tree, child))
+        .map(|&child| subtree_canonical_string(tree, child, annotate))
         .collect();
+    if child_forms.is_empty() {
+        return out;
+    }
     child_forms.sort_unstable();
     out.push('(');
     for (i, form) in child_forms.iter().enumerate() {
@@ -113,22 +113,38 @@ fn write_canonical(tree: &Tree, node: NodeId, out: &mut String) {
         out.push_str(form);
     }
     out.push(')');
+    out
+}
+
+/// The canonical string of the whole tree, unannotated.
+pub fn canonical_string(tree: &Tree) -> String {
+    subtree_canonical_string(tree, tree.root(), &mut |_, _| {})
 }
 
 /// Unordered isomorphism between two whole trees.
 pub fn isomorphic(a: &Tree, b: &Tree) -> bool {
-    if a.node_count() != b.node_count() {
-        return false;
-    }
-    canonical_string(a) == canonical_string(b)
+    a.node_count() == b.node_count() && canonical_string(a) == canonical_string(b)
 }
 
-/// Unordered isomorphism between two subtrees (possibly of different trees).
-pub fn subtrees_isomorphic(a: &Tree, a_node: NodeId, b: &Tree, b_node: NodeId) -> bool {
-    if a.subtree_size(a_node) != b.subtree_size(b_node) {
-        return false;
+/// The isomorphism classes of a sequence of trees: each class's canonical
+/// form and the positions of its members in the sequence, ascending; the
+/// classes come in order of their first member.
+pub fn isomorphism_classes<'a>(
+    trees: impl IntoIterator<Item = &'a Tree>,
+) -> Vec<(CanonicalForm, Vec<usize>)> {
+    let trees = trees.into_iter();
+    // Sized for all-distinct input: growing would re-hash whole strings.
+    let mut members_of: HashMap<CanonicalForm, Vec<usize>> =
+        HashMap::with_capacity(trees.size_hint().0);
+    for (position, tree) in trees.enumerate() {
+        members_of
+            .entry(CanonicalForm::of_tree(tree))
+            .or_default()
+            .push(position);
     }
-    subtree_canonical_string(a, a_node) == subtree_canonical_string(b, b_node)
+    let mut classes: Vec<(CanonicalForm, Vec<usize>)> = members_of.into_iter().collect();
+    classes.sort_unstable_by_key(|(_, members)| members[0]);
+    classes
 }
 
 #[cfg(test)]
@@ -220,8 +236,9 @@ mod tests {
         t.add_text(p2, "v");
         let p3 = t.add_element(l, "p");
         t.add_text(p3, "w");
-        assert!(subtrees_isomorphic(&t, p1, &t, p2));
-        assert!(!subtrees_isomorphic(&t, p1, &t, p3));
+        let plain = |node| subtree_canonical_string(&t, node, &mut |_, _| {});
+        assert_eq!(plain(p1), plain(p2));
+        assert_ne!(plain(p1), plain(p3));
     }
 
     #[test]
@@ -233,9 +250,40 @@ mod tests {
         let c2 = CanonicalForm::of_tree(&t2);
         let c3 = CanonicalForm::of_tree(&t3);
         assert_eq!(c1, c2);
-        assert_eq!(c1.hash_value(), c2.hash_value());
         assert_ne!(c1, c3);
-        assert!(c1.as_str() < c3.as_str());
+        assert!(c1 < c3 && c1.as_str() < c3.as_str());
+        let distinct: std::collections::HashSet<CanonicalForm> = [c1, c2, c3].into();
+        assert_eq!(distinct.len(), 2);
+    }
+
+    #[test]
+    fn annotations_sit_between_label_and_children_and_labels_cannot_fake_them() {
+        let mut t = Tree::new("r");
+        let a = t.add_element(t.root(), "a");
+        t.add_text(a, "x");
+        let annotated = subtree_canonical_string(&t, t.root(), &mut |node, out| {
+            if node == a {
+                out.push_str("w0");
+            }
+        });
+        assert_eq!(annotated, "e|r(e|a[w0](t|x))");
+        assert_eq!(canonical_string(&t), "e|r(e|a(t|x))");
+        // A label spelling out the annotated string is escaped, not believed.
+        let mut fake = Tree::new("r");
+        fake.add_element(fake.root(), "a[w0](t|x)");
+        assert_eq!(canonical_string(&fake), r"e|r(e|a\[w0\]\(t\|x\))");
+    }
+
+    #[test]
+    fn classes_come_in_first_occurrence_order_with_ascending_members() {
+        let ab = chain(&["a", "b"]);
+        let ac = chain(&["a", "c"]);
+        let z = chain(&["z"]);
+        let classes = isomorphism_classes([&z, &ac, &ab, &z, &ac, &z]);
+        let members: Vec<&[usize]> = classes.iter().map(|(_, m)| m.as_slice()).collect();
+        assert_eq!(members, [&[0, 3, 5][..], &[1, 4], &[2]]);
+        assert_eq!(classes[1].0, CanonicalForm::of_tree(&ac));
+        assert!(isomorphism_classes([]).is_empty());
     }
 
     #[test]

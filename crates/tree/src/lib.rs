@@ -48,7 +48,7 @@ pub mod xml;
 pub use chunk::ChunkedVec;
 pub use convert::{data_tree_to_xml, parse_data_tree, write_data_tree, xml_to_data_tree};
 pub use error::{TreeError, XmlError};
-pub use iso::{canonical_string, subtree_canonical_string, CanonicalForm};
+pub use iso::{canonical_string, isomorphism_classes, subtree_canonical_string, CanonicalForm};
 pub use label::Label;
 pub use tree::{NodeId, Tree, MAX_NESTING_DEPTH, MAX_TREE_DEPTH};
 pub use xml::{XmlDocument, XmlElement, XmlNode};

@@ -97,7 +97,7 @@ pub mod prelude {
     pub use pxml_event::{
         Bdd, BddRef, Condition, EventId, EventTable, Formula, Literal, Valuation,
     };
-    pub use pxml_query::{Axis, MatchStrategy, Pattern, QueryAnswers};
+    pub use pxml_query::{Axis, Pattern, QueryAnswers};
     pub use pxml_store::{CommitPolicy, FsBackend, FsOptions, MemBackend, StorageBackend};
     pub use pxml_tree::{parse_data_tree, write_data_tree, Label, NodeId, Tree};
     pub use pxml_warehouse::{

@@ -2,14 +2,20 @@
 //!
 //! Strategies generate small random documents, conditions and formulas, and
 //! the properties assert the algebraic facts the rest of the system relies
-//! on: unordered isomorphism is insensitive to sibling order, probabilities
-//! computed by Shannon expansion agree with exhaustive enumeration, both
-//! matcher strategies agree, XML and PrXML round-trips preserve semantics,
-//! and simplification never changes the possible-worlds semantics.
+//! on: unordered isomorphism is insensitive to sibling order and decided by
+//! canonical strings that no label can forge, the one grouper and
+//! possible-world equivalence agree with references written here without
+//! strings, probabilities computed by Shannon expansion agree with
+//! exhaustive enumeration, the matcher agrees with a brute force over all
+//! assignments, XML and PrXML round-trips preserve semantics, and
+//! simplification never changes the possible-worlds semantics.
 
 use proptest::prelude::*;
+use pxml::event::EventError;
 use pxml::prelude::*;
+use pxml::query::PNodeId;
 use pxml::store::{parse_fuzzy_document, serialize_fuzzy_document};
+use pxml::tree::{canonical_string, isomorphism_classes};
 use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------------
@@ -143,8 +149,17 @@ fn retracted_strategy() -> impl Strategy<Value = FuzzyTree> {
 /// The same fuzzy tree rebuilt with every node's children in a shuffled
 /// order: same event table, same conditions, fresh node ids.
 fn shuffled(fuzzy: &FuzzyTree, seed: u64) -> FuzzyTree {
+    rebuilt(fuzzy, seed, &|label| label.to_string())
+}
+
+/// [`shuffled`], with every label's string passed through `relabel`.
+fn rebuilt(fuzzy: &FuzzyTree, seed: u64, relabel: &dyn Fn(&str) -> String) -> FuzzyTree {
+    let relabelled = |label: &Label| match label {
+        Label::Element(name) => Label::Element(relabel(name)),
+        Label::Text(value) => Label::Text(relabel(value)),
+    };
     let mut rng = TestRng::seed_from_u64(seed);
-    let mut copy = FuzzyTree::new(fuzzy.tree().label(fuzzy.root()).clone());
+    let mut copy = FuzzyTree::new(relabelled(fuzzy.tree().label(fuzzy.root())));
     for (_, name, probability) in fuzzy.events().iter() {
         copy.add_event(name, probability).unwrap();
     }
@@ -155,15 +170,130 @@ fn shuffled(fuzzy: &FuzzyTree, seed: u64) -> FuzzyTree {
             children.swap(i, rng.gen_range(0..=i));
         }
         for child in children {
-            let node = match fuzzy.tree().label(child) {
-                Label::Element(name) => copy.add_element(target, name.as_str()),
-                Label::Text(value) => copy.add_text(target, value.as_str()),
+            let node = match relabelled(fuzzy.tree().label(child)) {
+                Label::Element(name) => copy.add_element(target, name),
+                Label::Text(value) => copy.add_text(target, value),
             };
             copy.set_condition(node, fuzzy.condition(child)).unwrap();
             stack.push((child, node));
         }
     }
     copy
+}
+
+/// What event names are drawn from: the condition syntax's separators,
+/// negation prefixes and keyword letters, XML's own specials, and a letter.
+const EVENT_NAME_ALPHABET: [char; 14] = [
+    ' ', '\t', ',', '!', '¬', 'n', 'o', 't', 'w', '"', '&', '<', '\'', '-',
+];
+
+/// The canonical form's own structure characters and the letters its kind
+/// prefixes and annotations are made of, plus two plain letters.
+const HOSTILE_ALPHABET: [char; 13] = [
+    '(', ')', '[', ']', ',', '|', '\\', '⊤', '!', 'e', 't', 'a', 'b',
+];
+
+/// A pool of ten short labels over [`HOSTILE_ALPHABET`]: [`hostile`] sends
+/// the generators' `l0`…`l5` to the first six and `v0`…`v3` to the rest.
+fn hostile_pool_strategy() -> impl Strategy<Value = Vec<String>> {
+    let label = proptest::collection::vec(0..HOSTILE_ALPHABET.len(), 1..4)
+        .prop_map(|indices| indices.into_iter().map(|i| HOSTILE_ALPHABET[i]).collect());
+    proptest::collection::vec(label, 10)
+}
+
+/// `fuzzy` (a [`fuzzy_strategy`] tree) with its labels replaced from `pool`.
+fn hostile(fuzzy: &FuzzyTree, pool: &[String]) -> FuzzyTree {
+    rebuilt(fuzzy, 0, &|label| {
+        let index: usize = label[1..].parse().unwrap();
+        pool[if label.starts_with('v') {
+            6 + index
+        } else {
+            index
+        }]
+        .clone()
+    })
+}
+
+/// The reference isomorphism of fuzzy subtrees: equal label and condition,
+/// and the children matched up one to one, recursively. No strings; the
+/// greedy pairing is exact because isomorphism is an equivalence.
+fn reference_isomorphic(a: &FuzzyTree, x: NodeId, b: &FuzzyTree, y: NodeId) -> bool {
+    if a.tree().label(x) != b.tree().label(y) || a.condition(x) != b.condition(y) {
+        return false;
+    }
+    let mut unmatched = b.tree().children(y).to_vec();
+    a.tree().children(x).len() == unmatched.len()
+        && a.tree().children(x).iter().all(|&child| {
+            unmatched
+                .iter()
+                .position(|&other| reference_isomorphic(a, child, b, other))
+                .map(|at| unmatched.swap_remove(at))
+                .is_some()
+        })
+}
+
+/// `PossibleWorlds::equivalent` as it was defined before the grouper: same
+/// number of normalised worlds, and every world of `a` has its mass in `b`,
+/// looked up by pairwise isomorphism.
+fn reference_equivalent(a: &PossibleWorlds, b: &PossibleWorlds, epsilon: f64) -> bool {
+    let (a, b) = (a.normalized(), b.normalized());
+    a.len() == b.len()
+        && a.iter()
+            .all(|(tree, p)| (p - b.probability_of_tree(tree)).abs() <= epsilon)
+}
+
+/// Every match of `pattern` in `tree` by brute force: all assignments of
+/// pattern nodes to element nodes, first pattern node most significant, each
+/// checked against the definition (slide 6). Shares no code with the matcher.
+fn brute_force_matches(pattern: &Pattern, tree: &Tree) -> Vec<Vec<NodeId>> {
+    let elements: Vec<NodeId> = tree
+        .nodes()
+        .into_iter()
+        .filter(|&n| tree.is_element(n))
+        .collect();
+    let ids: Vec<PNodeId> = pattern.node_ids().collect();
+    let is_match = |images: &[NodeId]| {
+        ids.iter().all(|&id| {
+            let (spec, image) = (pattern.node(id), images[id.index()]);
+            let edge = match spec.parent {
+                None => !pattern.is_anchored() || image == tree.root(),
+                Some((parent, Axis::Child)) => tree.parent(image) == Some(images[parent.index()]),
+                Some((parent, Axis::Descendant)) => {
+                    tree.ancestors(image).contains(&images[parent.index()])
+                }
+            };
+            let label = spec
+                .label
+                .as_deref()
+                .is_none_or(|name| tree.label(image).element_name() == Some(name));
+            let value = spec
+                .value
+                .as_deref()
+                .is_none_or(|value| tree.node_value(image) == Some(value));
+            let join = spec.join.is_none_or(|join| {
+                tree.node_value(image).is_some()
+                    && ids.iter().all(|&other| {
+                        pattern.node(other).join != Some(join)
+                            || tree.node_value(images[other.index()]) == tree.node_value(image)
+                    })
+            });
+            edge && label && value && join
+        })
+    };
+    let mut matches = Vec::new();
+    let mut odometer = vec![0usize; ids.len()];
+    while !elements.is_empty() {
+        let images: Vec<NodeId> = odometer.iter().map(|&i| elements[i]).collect();
+        if is_match(&images) {
+            matches.push(images);
+        }
+        let Some(digit) = odometer.iter().rposition(|&i| i + 1 < elements.len()) else {
+            break;
+        };
+        odometer[digit] += 1;
+        odometer[digit + 1..].fill(0);
+    }
+    matches
 }
 
 // ---------------------------------------------------------------------------
@@ -200,11 +330,11 @@ proptest! {
         prop_assert!(tree.check_data_model().is_ok());
     }
 
-    /// The naive and indexed matchers return exactly the same matches, in
-    /// the same (document) order — over every way a pattern root and a
-    /// pattern edge find their candidates.
+    /// The matcher returns exactly the matches of the definition, in document
+    /// order — over every way a pattern root and a pattern edge find their
+    /// candidates.
     #[test]
-    fn matcher_strategies_agree(spec in spec_strategy(), anchored in any::<bool>()) {
+    fn matcher_agrees_with_brute_force(spec in spec_strategy(), anchored in any::<bool>()) {
         let tree = build(&spec);
         for text in [
             "l1 { //l2 }",
@@ -216,20 +346,229 @@ proptest! {
         ] {
             let mut pattern = Pattern::parse(text).unwrap();
             pattern.set_anchored(anchored);
-            let images = |strategy| -> Vec<Vec<NodeId>> {
-                pattern
-                    .find_matches_with(&tree, strategy)
-                    .iter()
-                    .map(|m| m.images().to_vec())
-                    .collect()
-            };
+            let matched: Vec<Vec<NodeId>> = pattern
+                .find_matches(&tree)
+                .iter()
+                .map(|m| m.images().to_vec())
+                .collect();
             prop_assert!(
-                images(MatchStrategy::Naive) == images(MatchStrategy::Indexed),
-                "strategies disagree on `{}` (anchored = {})",
+                matched == brute_force_matches(&pattern, &tree),
+                "the matcher disagrees with the definition on `{}` (anchored = {})",
                 text,
                 anchored
             );
         }
+    }
+
+    /// Canonical-string equality is isomorphism, whatever the labels spell:
+    /// for plain trees and for fuzzy trees, against the reference above, on
+    /// a tree and its shuffle (equal), on a tree and itself with two pool
+    /// labels made one (a near miss, equal only where the tree does not tell
+    /// them apart) and on two unrelated trees.
+    #[test]
+    fn canonical_strings_decide_isomorphism_under_hostile_labels(
+        a in fuzzy_strategy(),
+        b in fuzzy_strategy(),
+        pool in hostile_pool_strategy(),
+        merge in (0usize..10, 0usize..10),
+        seed in any::<u64>(),
+    ) {
+        let mut merged_pool = pool.clone();
+        merged_pool[merge.0] = pool[merge.1].clone();
+        let x = hostile(&a, &pool);
+        for y in &[shuffled(&x, seed), hostile(&a, &merged_pool), hostile(&b, &pool)] {
+            prop_assert_eq!(
+                x.fuzzy_canonical_string(x.root()) == y.fuzzy_canonical_string(y.root()),
+                reference_isomorphic(&x, x.root(), y, y.root())
+            );
+            let (x, y) = (
+                FuzzyTree::from_tree(x.tree().clone()),
+                FuzzyTree::from_tree(y.tree().clone()),
+            );
+            let plainly_isomorphic = reference_isomorphic(&x, x.root(), &y, y.root());
+            prop_assert_eq!(
+                canonical_string(x.tree()) == canonical_string(y.tree()),
+                plainly_isomorphic
+            );
+            prop_assert_eq!(x.tree().isomorphic(y.tree()), plainly_isomorphic);
+        }
+    }
+
+    /// The forgery of `simplify.rs`'s regression test, over random hostile
+    /// labels: `a { b { p }, c { q } }` against `a { b { p‥q } }` where `‥`
+    /// spells what the writer puts between the two text values, without
+    /// conditions (the plain form) and with them (the fuzzy form). Random
+    /// labels alone almost never collide; a writer that escapes nothing
+    /// collides here whenever `b`'s form sorts before `c`'s.
+    #[test]
+    fn forged_bodies_never_collide(pool in hostile_pool_strategy()) {
+        let a = pool[0].as_str();
+        for (b, p, c, q) in [
+            (&pool[1], &pool[6], &pool[2], &pool[7]),
+            (&pool[2], &pool[7], &pool[1], &pool[6]),
+        ] {
+            let mut honest = Tree::new(a);
+            for (element, text) in [(b, p), (c, q)] {
+                let node = honest.add_element(honest.root(), element.as_str());
+                honest.add_text(node, text.as_str());
+            }
+            for forgery in [
+                format!("{p}),e|{c}(t|{q}"),
+                format!("{p}[⊤]),e|{c}[⊤](t|{q}"),
+            ] {
+                let mut forged = Tree::new(a);
+                let node = forged.add_element(forged.root(), b.as_str());
+                forged.add_text(node, forgery);
+                prop_assert_ne!(canonical_string(&honest), canonical_string(&forged));
+                let (x, y) = (FuzzyTree::from_tree(honest.clone()), FuzzyTree::from_tree(forged));
+                prop_assert_ne!(
+                    x.fuzzy_canonical_string(x.root()),
+                    y.fuzzy_canonical_string(y.root())
+                );
+            }
+        }
+    }
+
+    /// Two fuzzy trees that differ in one node's condition and nothing else
+    /// hold different multisets of (label, condition) pairs, so they are not
+    /// isomorphic and their canonical strings must differ.
+    #[test]
+    fn one_changed_condition_changes_the_canonical_string(
+        fuzzy in fuzzy_strategy(),
+        pool in hostile_pool_strategy(),
+        node_choice in any::<usize>(),
+        event_choice in 0usize..4,
+    ) {
+        let original = hostile(&fuzzy, &pool);
+        let nodes = original.tree().descendants(original.root());
+        if !nodes.is_empty() {
+            let node = nodes[node_choice % nodes.len()];
+            let event = original.events().ids().nth(event_choice).unwrap();
+            let flipped: Condition = if original.condition(node).mentions(event) {
+                original
+                    .condition_literals(node)
+                    .iter()
+                    .filter(|literal| literal.event != event)
+                    .copied()
+                    .collect()
+            } else {
+                original.condition(node).and_literal(Literal::pos(event))
+            };
+            let mut changed = original.clone();
+            changed.set_condition(node, flipped).unwrap();
+            prop_assert_ne!(
+                changed.fuzzy_canonical_string(changed.root()),
+                original.fuzzy_canonical_string(original.root())
+            );
+        }
+    }
+
+    /// The grouper's classes are the reference's, in first-occurrence order,
+    /// and `PossibleWorlds::equivalent` — two normalised lists compared by
+    /// form — agrees with its former pairwise definition: on a world set
+    /// against itself reordered, rebuilt child-reversed and with one world's
+    /// mass split in two (equivalent), against the same with one mass
+    /// changed, and against an unrelated set over the same trees.
+    #[test]
+    fn grouper_and_world_equivalence_agree_with_their_references(
+        specs in proptest::collection::vec(spec_strategy(), 1..4),
+        picks in proptest::collection::vec((0usize..8, 1u32..10), 1..8),
+        other_picks in proptest::collection::vec((0usize..8, 1u32..10), 1..8),
+    ) {
+        // Each spec twice: as built and child-reversed (isomorphic).
+        let pool: Vec<Tree> = specs
+            .iter()
+            .flat_map(|spec| [build(spec), build_reversed(spec)])
+            .collect();
+        let worlds_of = |picks: &[(usize, u32)]| -> Vec<(Tree, f64)> {
+            picks
+                .iter()
+                .map(|&(i, mass)| (pool[i % pool.len()].clone(), mass as f64 / 16.0))
+                .collect()
+        };
+
+        let trees: Vec<Tree> = worlds_of(&picks).into_iter().map(|(tree, _)| tree).collect();
+        let classes = isomorphism_classes(&trees);
+        let firsts: Vec<usize> = classes.iter().map(|(_, members)| members[0]).collect();
+        prop_assert!(firsts.windows(2).all(|pair| pair[0] < pair[1]), "{:?}", firsts);
+        let mut class_of = vec![usize::MAX; trees.len()];
+        for (class, (form, members)) in classes.iter().enumerate() {
+            prop_assert!(members.windows(2).all(|pair| pair[0] < pair[1]));
+            prop_assert_eq!(form.as_str(), canonical_string(&trees[members[0]]));
+            for &member in members {
+                prop_assert_eq!(std::mem::replace(&mut class_of[member], class), usize::MAX);
+            }
+        }
+        prop_assert!(!class_of.contains(&usize::MAX));
+        let plain: Vec<FuzzyTree> = trees.iter().cloned().map(FuzzyTree::from_tree).collect();
+        for (i, x) in plain.iter().enumerate() {
+            for (j, y) in plain.iter().enumerate() {
+                prop_assert_eq!(
+                    class_of[i] == class_of[j],
+                    reference_isomorphic(x, x.root(), y, y.root())
+                );
+            }
+        }
+
+        let a: PossibleWorlds = worlds_of(&picks).into_iter().collect();
+        let (first_pick, first_mass) = picks[0];
+        let mut same: Vec<(Tree, f64)> = worlds_of(&picks[1..]);
+        same.reverse();
+        same.push((pool[(first_pick % pool.len()) ^ 1].clone(), first_mass as f64 / 32.0));
+        same.insert(0, (pool[first_pick % pool.len()].clone(), first_mass as f64 / 32.0));
+        let mut off = same.clone();
+        off[0].1 += 0.5;
+        let candidates: [PossibleWorlds; 3] = [
+            same.into_iter().collect(),
+            off.into_iter().collect(),
+            worlds_of(&other_picks).into_iter().collect(),
+        ];
+        prop_assert!(a.equivalent(&candidates[0], 1e-12));
+        prop_assert!(!a.equivalent(&candidates[1], 1e-12));
+        for b in &candidates {
+            prop_assert_eq!(a.equivalent(b, 1e-12), reference_equivalent(&a, b, 1e-12));
+            prop_assert_eq!(b.equivalent(&a, 1e-12), reference_equivalent(b, &a, 1e-12));
+        }
+    }
+
+    /// An event name either is refused as one of the classes that cannot
+    /// round-trip a `pxml:cond` attribute, or survives serialisation: the
+    /// reparsed document denotes the same worlds.
+    #[test]
+    fn accepted_event_names_round_trip_through_prxml(
+        names in proptest::collection::vec(
+            proptest::collection::vec(0usize..EVENT_NAME_ALPHABET.len(), 0..4),
+            2..4,
+        ),
+    ) {
+        let mut fuzzy = FuzzyTree::new("r");
+        let mut literals = Vec::new();
+        for (i, indices) in names.iter().enumerate() {
+            let name: String = indices.iter().map(|&at| EVENT_NAME_ALPHABET[at]).collect();
+            let refused = name.is_empty()
+                || name == "not"
+                || name.starts_with(['!', '¬'])
+                || name.contains(|ch: char| ch.is_whitespace() || ch == ',');
+            match fuzzy.add_event(name.as_str(), 0.25 + 0.25 * i as f64) {
+                Ok(event) => {
+                    prop_assert!(!refused, "accepted {:?}", name);
+                    literals.push(Literal { event, positive: i % 2 == 0 });
+                }
+                Err(EventError::DuplicateEventName(_)) => prop_assert!(!refused),
+                Err(error) => {
+                    prop_assert!(refused, "refused {:?}", name);
+                    prop_assert_eq!(error, EventError::InvalidEventName(name));
+                }
+            }
+        }
+        for &literal in &literals {
+            let node = fuzzy.add_element(fuzzy.root(), "a");
+            fuzzy.set_condition(node, Condition::from_literal(literal)).unwrap();
+        }
+        let all = fuzzy.add_element(fuzzy.root(), "b");
+        fuzzy.set_condition(all, Condition::from_literals(literals)).unwrap();
+        let reparsed = parse_fuzzy_document(&serialize_fuzzy_document(&fuzzy, false)).unwrap();
+        prop_assert!(fuzzy.semantically_equivalent(&reparsed, 1e-12).unwrap());
     }
 
     /// The probability of a fuzzy tree's worlds always sums to 1, and every
