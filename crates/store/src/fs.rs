@@ -9,23 +9,42 @@
 //!   <name>.journal.<e>.<s>.seg    -- journal segment: epoch <e>, sequence <s>
 //! ```
 //!
-//! # Segment format
+//! # Who owns what
 //!
-//! A segment file is a sequence of **records**, one per committed batch:
+//! Three modules carry the journal, one concern each:
 //!
-//! ```text
-//! [payload_len: u32 LE][update_count: u32 LE][payload: UTF-8 <pxml:batch> XML]
-//! ```
+//! * [`crate::journal`] — the **record codec**: a segment file is a sequence
+//!   of length-prefixed `<pxml:batch>` records, and that module alone knows
+//!   their bytes (framing, the walk over a segment's whole records, what
+//!   counts as torn);
+//! * `segment.rs` — the **per-document segment state**: file naming, the
+//!   journal cursor behind each document's write mutex, the one-time load
+//!   that rebuilds it from disk (dropping stale-epoch segments, truncating a
+//!   torn tail), writing one record with the roll rule, and undoing records
+//!   no fsync covered;
+//! * this module — the **backend**: options, the open-time sweep,
+//!   checkpoints, the fsync round, the two append arms and the
+//!   [`StorageBackend`] implementation.
+//!
+//! A batch is encoded **once**, by the committing thread, in
+//! [`FsBackend::append_batch_enqueue`]; everything below that entry point —
+//! the group-commit window, the leader's flush, the segment write — handles
+//! the encoded record and its update count, never the batch.
+//!
+//! # Appends
 //!
 //! An append ([`FsBackend::append_batch_enqueue`]; [`FsBackend::append_batch`]
 //! is that call plus the wait on its ticket) adds one record to the
 //! highest-sequence segment of the current epoch (rolling to a new sequence
 //! number once the active segment exceeds the roll threshold) and fsyncs it,
 //! alone or inside a group-commit window — commit cost is **O(batch)**,
-//! independent of how many batches the journal already holds.
-//! The `update_count` header field lets the store rebuild its per-document
-//! journal meters (batches, updates, bytes) by walking headers only, so
-//! [`FsBackend::journal_length`] is O(1) after the one-time scan.
+//! independent of how many batches the journal already holds. The two arms
+//! stay two on purpose: the synchronous one holds the document's meta lock
+//! across its own fsync (a failed round rolls back exactly its record; were
+//! the lock dropped, the rollback would truncate a same-document
+//! neighbour's), the grouped one writes under each document's lock in turn
+//! and shares one round, with the committer's one-window-at-a-time rule
+//! standing in for the lock.
 //!
 //! # Crash recovery
 //!
@@ -54,7 +73,7 @@
 //! # Concurrency
 //!
 //! Every operation on a document takes a **per-document** mutex (shared by
-//! all clones of the backend) that also guards the document's journal meters,
+//! all clones of the backend) that also guards the document's journal cursor,
 //! so same-document operations serialize while unrelated documents proceed in
 //! parallel — there is no store-wide lock held across I/O. Checkpoint reads
 //! are rename-safe: a concurrent compaction swaps the file atomically, so a
@@ -74,16 +93,12 @@ use pxml_core::{FuzzyTree, UpdateTransaction};
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
 use crate::fault::{FaultKind, FaultOp, FaultPlan};
-use crate::format::{extract_epoch, parse_fuzzy_document, serialize_fuzzy_document_with_epoch};
-use crate::group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter, PendingAppend};
-use crate::journal::{parse_batch, serialize_batch};
-
-/// Bytes of each record header: `payload_len: u32 LE` + `update_count: u32 LE`.
-const RECORD_HEADER_BYTES: u64 = 8;
-
-/// Bytes an injected [`FaultKind::TornWrite`] shears off the record it tore:
-/// enough to leave the payload shorter than its header promises.
-const TEAR_BYTES: u64 = 3;
+use crate::format::{parse_fuzzy_document, serialize_fuzzy_document_with_epoch};
+use crate::group::{
+    CommitPolicy, CommitSlot, CommitTicket, DurabilityStats, GroupCommitter, PendingAppend,
+};
+use crate::journal::{encode_record, parse_batch, EncodedRecord, SoundRecords, TEAR_BYTES};
+use crate::segment::{parse_segment_name, Cursor, Segments};
 
 /// Default segment roll threshold: once the active segment grows past this
 /// many bytes, the next append starts a new segment file. Bounding the
@@ -91,70 +106,6 @@ const TEAR_BYTES: u64 = 3;
 /// fsync cost grows with file size) and the torn-tail scan — both part of
 /// the flat-commit-cost claim E12 measures.
 pub const DEFAULT_SEGMENT_ROLL_BYTES: u64 = 512 * 1024;
-
-/// Per-document journal meters and append cursor, rebuilt once per process by
-/// scanning record headers and kept incrementally current afterwards. The
-/// mutex around it doubles as the document's write lock.
-#[derive(Debug, Default)]
-struct DocMeta {
-    /// Whether the on-disk state has been scanned into the fields below.
-    loaded: bool,
-    /// The journal epoch of the document's checkpoint.
-    epoch: u64,
-    /// Sequence number of the active (highest) segment; `None` while the
-    /// journal is empty.
-    active_seq: Option<u64>,
-    /// Bytes already in the active segment (the roll trigger).
-    active_len: u64,
-    /// Committed batches awaiting a checkpoint.
-    batches: usize,
-    /// Journaled updates awaiting a checkpoint.
-    updates: usize,
-    /// Total record bytes across the journal's segments.
-    bytes: u64,
-}
-
-impl DocMeta {
-    fn reset_journal(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.active_seq = None;
-        self.active_len = 0;
-        self.batches = 0;
-        self.updates = 0;
-        self.bytes = 0;
-    }
-
-    /// The cursor/meter state a failed fsync must roll back to.
-    fn snapshot(&self) -> MetaSnapshot {
-        MetaSnapshot {
-            active_seq: self.active_seq,
-            active_len: self.active_len,
-            batches: self.batches,
-            updates: self.updates,
-            bytes: self.bytes,
-        }
-    }
-
-    fn restore(&mut self, saved: &MetaSnapshot) {
-        self.active_seq = saved.active_seq;
-        self.active_len = saved.active_len;
-        self.batches = saved.batches;
-        self.updates = saved.updates;
-        self.bytes = saved.bytes;
-    }
-}
-
-/// A copy of [`DocMeta`]'s journal cursor and meters, taken before records
-/// are written so a failed fsync round can roll the document back to its
-/// last durable state (see [`FsBackend::rollback_unsynced`]).
-#[derive(Debug, Clone, Copy)]
-struct MetaSnapshot {
-    active_seq: Option<u64>,
-    active_len: u64,
-    batches: usize,
-    updates: usize,
-    bytes: u64,
-}
 
 /// Construction options for [`FsBackend`] ([`FsBackend::with_options`]).
 #[derive(Debug, Clone)]
@@ -175,7 +126,7 @@ pub struct FsOptions {
     /// policy: when `true`, a solo window leader waits out the fill window
     /// (`window_max_wait`) even with no sign of concurrent committers,
     /// instead of taking the idle fast-path that fsyncs a lone append
-    /// immediately (see [`GroupCommitter`]'s module docs). `false` (the
+    /// immediately (see the [`crate::group`] module docs). `false` (the
     /// default) is what production sessions want.
     pub group_fill_idle_windows: bool,
     /// The fault plan the backend consults at its append entry point and
@@ -197,17 +148,15 @@ impl Default for FsOptions {
     }
 }
 
-/// The (possibly simulated) flush device shared by all clones of one
-/// backend: fsync rounds serialize on the gate for `latency` each when the
-/// model is enabled.
+/// The (possibly simulated) flush device: fsync rounds serialize on the gate
+/// for `latency` each when the model is enabled.
 #[derive(Debug)]
 struct Device {
     latency: Duration,
     gate: Mutex<()>,
 }
 
-/// The lock-free durability counters behind [`FsBackend::durability_stats`],
-/// shared by all clones.
+/// The lock-free durability counters behind [`FsBackend::durability_stats`].
 #[derive(Debug, Default)]
 struct SyncCounters {
     fsyncs: AtomicUsize,
@@ -215,57 +164,31 @@ struct SyncCounters {
     grouped_windows: AtomicUsize,
 }
 
-/// The file-system storage backend (see the module docs for the on-disk
-/// format and crash-recovery rules).
-///
-/// Cloning is cheap and clones share the per-document mutexes, so a backend
-/// handed to several threads keeps same-document operations serialized.
-#[derive(Debug, Clone)]
-pub struct FsBackend {
-    root: PathBuf,
-    roll_bytes: u64,
-    /// One meta + write mutex per document name, shared across clones; never
-    /// held for two documents at once. A name's entry deliberately survives
-    /// document removal (see [`FsBackend::remove_document`]).
-    metas: Arc<Mutex<HashMap<String, Arc<Mutex<DocMeta>>>>>,
+/// Everything a backend's clones, tickets and barriers share.
+#[derive(Debug)]
+struct Shared {
+    segments: Segments,
     /// The group committer under [`CommitPolicy::Grouped`]; `None` makes
-    /// the append entry point write and fsync in place.
-    group: Option<Arc<GroupCommitter>>,
-    device: Arc<Device>,
-    counters: Arc<SyncCounters>,
+    /// the append entry point write and fsync in place. The committer holds
+    /// no reference back to this state — a flush borrows the backend at wait
+    /// time — so there is no cycle.
+    group: Option<GroupCommitter>,
+    device: Device,
+    counters: SyncCounters,
     /// The fault plan of [`FsOptions::fault`], consulted at the append entry
     /// point and by the fsync funnel; `None` in production.
     fault: Option<Arc<FaultPlan>>,
 }
 
-/// One just-written journal record: the still-open (not yet fsync'd)
-/// segment file, its sequence number, and whether this record created the
-/// file — a directory mutation the covering fsync round must flush too.
-struct AppendedRecord {
-    file: fs::File,
-    seq: u64,
-    fresh: bool,
-}
-
-/// The parsed form of a segment file name `<name>.journal.<epoch>.<seq>.seg`.
-struct SegmentName {
-    document: String,
-    epoch: u64,
-    seq: u64,
-}
-
-/// Parses a segment file name from the right, so document names containing
-/// dots stay unambiguous.
-fn parse_segment_name(file_name: &str) -> Option<SegmentName> {
-    let rest = file_name.strip_suffix(".seg")?;
-    let (rest, seq) = rest.rsplit_once('.')?;
-    let (rest, epoch) = rest.rsplit_once('.')?;
-    let document = rest.strip_suffix(".journal")?;
-    Some(SegmentName {
-        document: document.to_string(),
-        epoch: epoch.parse().ok()?,
-        seq: seq.parse().ok()?,
-    })
+/// The file-system storage backend (see the module docs for the on-disk
+/// format and crash-recovery rules).
+///
+/// Cloning is one reference-count bump and clones share everything — the
+/// per-document mutexes in particular, so a backend handed to several
+/// threads keeps same-document operations serialized.
+#[derive(Debug, Clone)]
+pub struct FsBackend {
+    shared: Arc<Shared>,
 }
 
 impl FsBackend {
@@ -287,48 +210,38 @@ impl FsBackend {
             CommitPolicy::Grouped {
                 window_max_batches,
                 window_max_wait,
-            } => Some(Arc::new(GroupCommitter::new(
+            } => Some(GroupCommitter::new(
                 window_max_batches,
                 window_max_wait,
                 options.group_fill_idle_windows,
-            ))),
+            )),
         };
         let backend = FsBackend {
-            root,
-            roll_bytes: options.segment_roll_bytes.max(1),
-            metas: Arc::new(Mutex::with_class(
-                LockClass::JournalRegistry,
-                HashMap::new(),
-            )),
-            group,
-            device: Arc::new(Device {
-                latency: options.simulated_sync_latency,
-                gate: Mutex::with_class(LockClass::Device, ()),
+            shared: Arc::new(Shared {
+                segments: Segments::new(root, options.segment_roll_bytes),
+                group,
+                device: Device {
+                    latency: options.simulated_sync_latency,
+                    gate: Mutex::with_class(LockClass::Device, ()),
+                },
+                counters: SyncCounters::default(),
+                fault: options.fault,
             }),
-            counters: Arc::new(SyncCounters::default()),
-            fault: options.fault,
         };
         backend.sweep()?;
         Ok(backend)
     }
 
-    /// A clone with the group committer detached: it shares every meter,
-    /// counter and the device gate, but its appends write in place. Window
-    /// flushes and ticket waits run through such a handle so they can never
-    /// re-enter the committer they serve.
-    fn degrouped(&self) -> FsBackend {
-        FsBackend {
-            group: None,
-            ..self.clone()
-        }
+    fn segments(&self) -> &Segments {
+        &self.shared.segments
     }
 
     /// The open-time sweep: discard commit debris that never reached a
     /// rename commit point and drop segments orphaned by a half-done removal.
     fn sweep(&self) -> Result<(), StoreError> {
         let mut checkpoints: Vec<String> = Vec::new();
-        let mut segments: Vec<(PathBuf, SegmentName)> = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
+        let mut segments: Vec<(PathBuf, String)> = Vec::new();
+        for entry in fs::read_dir(self.root())? {
             let path = entry?.path();
             let (Some(file_name), Some(ext)) = (
                 path.file_name().and_then(|n| n.to_str()).map(String::from),
@@ -344,7 +257,7 @@ impl FsBackend {
                 "tmp" => fs::remove_file(&path)?,
                 "seg" => {
                     if let Some(parsed) = parse_segment_name(&file_name) {
-                        segments.push((path, parsed));
+                        segments.push((path, parsed.document));
                     }
                 }
                 // A pre-segment monolithic journal of a live document: this
@@ -368,126 +281,17 @@ impl FsBackend {
         // Orphaned segments: a document removal deletes the checkpoint first,
         // so segments without a checkpoint belong to a removal that died
         // before finishing.
-        for (path, parsed) in &segments {
-            if !checkpoints.iter().any(|c| c == &parsed.document) {
+        for (path, document) in &segments {
+            if !checkpoints.contains(document) {
                 fs::remove_file(path)?;
             }
         }
         Ok(())
     }
 
-    /// Flushes the store directory itself: file creations, renames and
-    /// unlinks live in the directory entry, and `fsync` of the file alone
-    /// does not make them power-loss durable. Called whenever an operation's
-    /// durability or ordering depends on a directory mutation having reached
-    /// disk.
-    fn sync_dir(&self) -> Result<(), StoreError> {
-        fs::File::open(&self.root)?.sync_all()?;
-        Ok(())
-    }
-
-    /// The meta/write mutex of one document (created on first use). The
-    /// registry lock is held only long enough to clone the per-document
-    /// `Arc`.
-    fn meta(&self, name: &str) -> Arc<Mutex<DocMeta>> {
-        self.metas
-            .lock()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::with_class(LockClass::Journal, DocMeta::default())))
-            .clone()
-    }
-
     /// The directory backing this store.
     pub fn root(&self) -> &Path {
-        &self.root
-    }
-
-    fn document_path(&self, name: &str) -> PathBuf {
-        self.root.join(format!("{name}.pxml"))
-    }
-
-    fn segment_path(&self, name: &str, epoch: u64, seq: u64) -> PathBuf {
-        self.root.join(format!("{name}.journal.{epoch}.{seq}.seg"))
-    }
-
-    /// The document's current-epoch segment files, derived from the loaded
-    /// journal meters — sequences run contiguously from 0 to the active one,
-    /// so no directory scan is needed on the hot paths (reads, compaction).
-    fn current_segment_paths(&self, name: &str, meta: &DocMeta) -> Vec<PathBuf> {
-        match meta.active_seq {
-            None => Vec::new(),
-            Some(active) => (0..=active)
-                .map(|seq| self.segment_path(name, meta.epoch, seq))
-                .collect(),
-        }
-    }
-
-    /// All segment files of one document (any epoch), found by scanning the
-    /// store directory — O(total store entries), so reserved for the paths
-    /// that genuinely need to see stale or orphaned files (the first load of
-    /// a document and its removal).
-    fn segments_of(&self, name: &str) -> Result<Vec<(PathBuf, SegmentName)>, StoreError> {
-        let mut segments = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
-            let path = entry?.path();
-            let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if let Some(parsed) = parse_segment_name(file_name) {
-                if parsed.document == name {
-                    segments.push((path, parsed));
-                }
-            }
-        }
-        segments.sort_by_key(|(_, parsed)| (parsed.epoch, parsed.seq));
-        Ok(segments)
-    }
-
-    /// Rebuilds a document's journal meters from disk if this is the first
-    /// touch: reads the checkpoint's epoch, drops segments of older epochs
-    /// (the debris of a compaction killed between its rename commit point and
-    /// the segment deletion — their batches are already folded into the
-    /// checkpoint), truncates a torn tail record, and sums the headers.
-    fn ensure_loaded(&self, name: &str, meta: &mut DocMeta) -> Result<(), StoreError> {
-        if meta.loaded {
-            return Ok(());
-        }
-        let checkpoint = self.document_path(name);
-        let epoch = if checkpoint.exists() {
-            extract_epoch(&fs::read_to_string(&checkpoint)?)
-        } else {
-            0
-        };
-        meta.reset_journal(epoch);
-        let segments = self.segments_of(name)?;
-        let last_current = segments
-            .iter()
-            .rev()
-            .find(|(_, parsed)| parsed.epoch == epoch)
-            .map(|(path, _)| path.clone());
-        for (path, parsed) in segments {
-            if parsed.epoch != epoch {
-                fs::remove_file(&path)?;
-                continue;
-            }
-            let is_tail = Some(&path) == last_current.as_ref();
-            let scan = scan_segment(&path, is_tail)?;
-            if scan.torn_at.is_some() {
-                // The tail record never reached its commit point (the append
-                // died mid-write): truncate it away so the next append starts
-                // on a record boundary.
-                let file = fs::OpenOptions::new().write(true).open(&path)?;
-                file.set_len(scan.sound_bytes)?;
-                file.sync_all()?;
-            }
-            meta.batches += scan.batches;
-            meta.updates += scan.updates;
-            meta.bytes += scan.sound_bytes;
-            meta.active_seq = Some(parsed.seq);
-            meta.active_len = scan.sound_bytes;
-        }
-        meta.loaded = true;
-        Ok(())
+        self.segments().root()
     }
 
     /// The atomic checkpoint write itself, assuming the caller holds the
@@ -498,8 +302,8 @@ impl FsBackend {
         fuzzy: &FuzzyTree,
         epoch: u64,
     ) -> Result<(), StoreError> {
-        let target = self.document_path(name);
-        let temporary = self.root.join(format!(".{name}.pxml.tmp"));
+        let target = self.segments().document_path(name);
+        let temporary = self.root().join(format!(".{name}.pxml.tmp"));
         let mut file = fs::File::create(&temporary)?;
         file.write_all(serialize_fuzzy_document_with_epoch(fuzzy, true, epoch).as_bytes())?;
         file.sync_all()?;
@@ -509,128 +313,49 @@ impl FsBackend {
         // also an ordering barrier: the folded segments are deleted only
         // after this, so the deletions can never reach disk ahead of the new
         // checkpoint.
-        self.sync_dir()?;
-        Ok(())
+        self.segments().sync_dir()
     }
 
     /// The committer-less arm of [`FsBackend::append_batch_enqueue`]: one
-    /// length-prefixed record written to the active segment and covered by
-    /// its own fsync round — **O(batch)**, never a rewrite of earlier
-    /// records. The write lands in a new segment file when the active one
-    /// has grown past the roll threshold. `torn` carries the error of an
-    /// injected [`FaultKind::TornWrite`]: the record lands, its tail is
-    /// sheared off through the segment handle still held, and the error is
-    /// returned with the meters left stale — a reopen rescans them.
+    /// record written to the active segment and covered by its own fsync
+    /// round — **O(batch)**, never a rewrite of earlier records — with the
+    /// document's meta lock held from the write to the end of the round.
+    /// `torn` carries the error of an injected [`FaultKind::TornWrite`]: the
+    /// record lands, its tail is sheared off through the segment handle
+    /// still held, and the error is returned with the cursor left stale — a
+    /// reopen rescans it.
     fn append_now(
         &self,
         name: &str,
-        batch: &[UpdateTransaction],
+        record: &EncodedRecord,
         torn: Option<StoreError>,
     ) -> Result<(), StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        if !self.contains(name) {
-            return Err(StoreError::MissingDocument(name.to_string()));
-        }
-        let saved = meta.snapshot();
-        let appended = self.write_record(name, &mut meta, batch)?;
-        if let Err(error) = self.fsync_round(std::slice::from_ref(&appended.file), appended.fresh) {
-            // The record is in the page cache but never reached the device:
-            // roll it back so replay surfaces exactly the acknowledged
-            // batches and nothing more.
-            self.rollback_unsynced(name, &mut meta, &saved);
-            return Err(error);
-        }
-        match torn {
-            None => Ok(()),
-            Some(error) => {
-                let sheared = meta.active_len.saturating_sub(TEAR_BYTES);
-                appended.file.set_len(sheared)?;
-                appended.file.sync_all()?;
-                Err(error)
+        let segments = self.segments();
+        segments.with_loaded(name, |meta| {
+            if !self.contains(name) {
+                return Err(StoreError::MissingDocument(name.to_string()));
             }
-        }
-    }
-
-    /// Best-effort undo of the records written for `name` since `saved` but
-    /// never covered by a successful fsync round: segments created after the
-    /// snapshot are removed, the previously active segment is truncated back
-    /// to its durable length, and the meters are restored. If the disk
-    /// refuses even the rollback, the cached meters are invalidated so the
-    /// next touch rescans the on-disk truth instead of trusting stale state.
-    ///
-    /// Callers must hold the document's meta lock *and* guarantee no new
-    /// window can flush concurrently (the committer is poisoned first on the
-    /// grouped path; the sync path holds the meta lock throughout).
-    fn rollback_unsynced(&self, name: &str, meta: &mut DocMeta, saved: &MetaSnapshot) {
-        let epoch = meta.epoch;
-        let rolled: std::io::Result<()> = (|| {
-            if let Some(active) = meta.active_seq {
-                let first_new = saved.active_seq.map_or(0, |seq| seq + 1);
-                for seq in first_new..=active {
-                    let path = self.segment_path(name, epoch, seq);
-                    if path.exists() {
-                        fs::remove_file(&path)?;
-                    }
+            let saved = meta.cursor;
+            let appended = segments.write_record(name, meta, record)?;
+            if let Err(error) =
+                self.fsync_round(std::slice::from_ref(&appended.file), appended.fresh)
+            {
+                // The record is in the page cache but never reached the
+                // device: roll it back so replay surfaces exactly the
+                // acknowledged batches and nothing more.
+                segments.rollback_unsynced(name, meta, saved);
+                return Err(error);
+            }
+            match torn {
+                None => Ok(()),
+                Some(error) => {
+                    let sheared = meta.cursor.active_len.saturating_sub(TEAR_BYTES);
+                    appended.file.set_len(sheared)?;
+                    appended.file.sync_all()?;
+                    Err(error)
                 }
             }
-            if let Some(seq) = saved.active_seq {
-                let file = fs::OpenOptions::new()
-                    .write(true)
-                    .open(self.segment_path(name, epoch, seq))?;
-                file.set_len(saved.active_len)?;
-            }
-            Ok(())
-        })();
-        meta.restore(saved);
-        if rolled.is_err() {
-            meta.loaded = false;
-        }
-    }
-
-    /// Writes one record into the document's active segment (rolling past
-    /// the threshold) and updates the journal meters, but does **not**
-    /// fsync: the caller completes durability through
-    /// [`FsBackend::fsync_round`], either alone (the synchronous append) or
-    /// shared with other documents (a group-commit window). Both paths
-    /// therefore roll — and flush fresh directory entries — by the exact
-    /// same rules. The caller holds the document's meta lock with the meta
-    /// loaded.
-    ///
-    /// The meters advance before the fsync: the bytes are in the file once
-    /// `write_all` returns, so the meters stay consistent with what
-    /// [`FsBackend::read_batches`] sees even if the later fsync fails (at
-    /// reopen they are rebuilt from disk either way).
-    fn write_record(
-        &self,
-        name: &str,
-        meta: &mut DocMeta,
-        batch: &[UpdateTransaction],
-    ) -> Result<AppendedRecord, StoreError> {
-        let record = encode_record(batch);
-        let seq = match meta.active_seq {
-            Some(seq) if meta.active_len < self.roll_bytes => seq,
-            Some(seq) => seq + 1,
-            None => 0,
-        };
-        let fresh = meta.active_seq != Some(seq);
-        let path = self.segment_path(name, meta.epoch, seq);
-        let mut file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        file.write_all(&record)?;
-        if fresh {
-            meta.active_seq = Some(seq);
-            meta.active_len = record.len() as u64;
-        } else {
-            meta.active_len += record.len() as u64;
-        }
-        meta.batches += 1;
-        meta.updates += batch.len();
-        meta.bytes += record.len() as u64;
-        Ok(AppendedRecord { file, seq, fresh })
+        })
     }
 
     /// One fsync round — the durability point of every record written since
@@ -645,7 +370,8 @@ impl FsBackend {
     /// the round is the unit the device serializes on, and the quantity
     /// group commit divides.
     fn fsync_round(&self, files: &[fs::File], fresh_segment: bool) -> Result<(), StoreError> {
-        if let Some((_, error)) = self
+        let shared = &*self.shared;
+        if let Some((_, error)) = shared
             .fault
             .as_ref()
             .and_then(|plan| plan.decide(FaultOp::Fsync))
@@ -656,17 +382,17 @@ impl FsBackend {
             // failure leaves (callers roll the records back).
             return Err(error);
         }
-        if self.device.latency > Duration::ZERO {
-            let _gate = self.device.gate.lock();
-            std::thread::sleep(self.device.latency);
+        if shared.device.latency > Duration::ZERO {
+            let _gate = shared.device.gate.lock();
+            std::thread::sleep(shared.device.latency);
         }
         for file in files {
             file.sync_data()?;
         }
         if fresh_segment {
-            self.sync_dir()?;
+            shared.segments.sync_dir()?;
         }
-        self.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
+        shared.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -675,83 +401,78 @@ impl FsBackend {
     /// first-appearance order, so same-document records land in enqueue —
     /// i.e. commit — order and the one-lock-at-a-time rule holds), then
     /// issues a **single** shared fsync round and completes every slot.
-    /// A per-member failure is carried on that member's slot and, for
-    /// same-document successors (whose bytes would land after the torn
-    /// record), on theirs too.
+    /// The members arrive encoded, so the flush only writes. A per-member
+    /// failure is carried on that member's slot and, for same-document
+    /// successors (whose bytes would land after the torn record), on theirs
+    /// too.
     ///
     /// A failed **window fsync** errors every written slot, rolls every
-    /// touched document back to its pre-window state
-    /// ([`FsBackend::rollback_unsynced`]), and returns the failure message
-    /// so the committer poisons itself — no slot is ever acknowledged past
-    /// a failed round, and the fsync is never retried (see the
+    /// touched document back to its pre-window cursor
+    /// (`Segments::rollback_unsynced`), and returns the failure message so
+    /// the committer poisons itself — no slot is ever acknowledged past a
+    /// failed round, and the fsync is never retried (see the
     /// [`crate::group`] module docs).
     pub(crate) fn flush_window(&self, window: Vec<PendingAppend>) -> Result<(), String> {
-        if window.is_empty() {
-            return Ok(());
-        }
-        let mut order: Vec<String> = Vec::new();
-        let mut by_doc: HashMap<String, Vec<PendingAppend>> = HashMap::new();
+        let segments = self.segments();
+        // Members grouped by document, documents in first-appearance order.
+        let mut docs: Vec<(String, Vec<PendingAppend>)> = Vec::new();
+        let mut position: HashMap<String, usize> = HashMap::new();
         for member in window {
-            if !by_doc.contains_key(&member.name) {
-                order.push(member.name.clone());
+            match position.get(&member.name) {
+                Some(&at) => docs[at].1.push(member),
+                None => {
+                    position.insert(member.name.clone(), docs.len());
+                    docs.push((member.name.clone(), vec![member]));
+                }
             }
-            by_doc.entry(member.name.clone()).or_default().push(member);
         }
         // The written-but-not-yet-durable slots, plus one open handle per
         // touched segment file (same-document members usually share one).
         let mut written = Vec::new();
         let mut files: Vec<fs::File> = Vec::new();
-        let mut open_segments: HashMap<(String, u64), ()> = HashMap::new();
         let mut fresh_segment = false;
-        // Per-document pre-window snapshots, so a failed window fsync can
-        // roll every touched journal back to its last durable state.
-        let mut doc_snapshots: Vec<(String, MetaSnapshot)> = Vec::new();
-        for name in order {
-            // `order` holds each name once and `by_doc` was keyed from the
-            // same members, so a miss can only mean the grouping above went
-            // wrong — skip the name rather than panic with slots unresolved
-            // (their tickets would surface the stall as a hang otherwise).
-            let Some(members) = by_doc.remove(&name) else {
-                continue;
-            };
-            let meta = self.meta(&name);
-            let mut meta = meta.lock();
-            let precheck = self.ensure_loaded(&name, &mut meta).and_then(|()| {
-                if self.contains(&name) {
-                    Ok(())
-                } else {
-                    Err(StoreError::MissingDocument(name.clone()))
+        // Per-document pre-window cursors, so a failed window fsync can roll
+        // every touched journal back to its last durable state.
+        let mut saved_cursors: Vec<(&str, Cursor)> = Vec::new();
+        for (name, members) in &docs {
+            let staged = segments.with_loaded(name, |meta| {
+                if !self.contains(name) {
+                    return Err(StoreError::MissingDocument(name.clone()));
                 }
-            });
-            if let Err(error) = precheck {
-                let message = error.to_string();
-                for member in &members {
-                    member.slot.complete_err(message.clone());
-                }
-                continue;
-            }
-            doc_snapshots.push((name.clone(), meta.snapshot()));
-            let mut doc_failed: Option<String> = None;
-            for member in members {
-                if let Some(message) = &doc_failed {
-                    member.slot.complete_err(message.clone());
-                    continue;
-                }
-                match self.write_record(&name, &mut meta, &member.batch) {
-                    Ok(appended) => {
-                        fresh_segment |= appended.fresh;
-                        if open_segments
-                            .insert((name.clone(), appended.seq), ())
-                            .is_none()
-                        {
-                            files.push(appended.file);
-                        }
-                        written.push(member.slot);
-                    }
-                    Err(error) => {
-                        let message = error.to_string();
+                let saved = meta.cursor;
+                let mut last_seq = None;
+                let mut doc_failed: Option<String> = None;
+                for member in members {
+                    if let Some(message) = &doc_failed {
                         member.slot.complete_err(message.clone());
-                        doc_failed = Some(message);
+                        continue;
+                    }
+                    match segments.write_record(name, meta, &member.record) {
+                        Ok(appended) => {
+                            fresh_segment |= appended.fresh;
+                            if last_seq != Some(appended.seq) {
+                                last_seq = Some(appended.seq);
+                                files.push(appended.file);
+                            }
+                            written.push(&member.slot);
+                        }
+                        Err(error) => {
+                            let message = error.to_string();
+                            member.slot.complete_err(message.clone());
+                            doc_failed = Some(message);
+                        }
+                    }
+                }
+                Ok(saved)
+            });
+            match staged {
+                Ok(saved) => saved_cursors.push((name.as_str(), saved)),
+                // The document could not be loaded or is gone: nothing of it
+                // was written, and none of its members can land.
+                Err(error) => {
+                    let message = error.to_string();
+                    for member in members {
+                        member.slot.complete_err(message.clone());
                     }
                 }
             }
@@ -764,12 +485,11 @@ impl FsBackend {
                 for slot in &written {
                     slot.complete_ok();
                 }
-                self.counters
+                let counters = &self.shared.counters;
+                counters
                     .grouped_commits
                     .fetch_add(written.len(), Ordering::Relaxed);
-                self.counters
-                    .grouped_windows
-                    .fetch_add(1, Ordering::Relaxed);
+                counters.grouped_windows.fetch_add(1, Ordering::Relaxed);
                 Ok(())
             }
             Err(error) => {
@@ -778,10 +498,9 @@ impl FsBackend {
                 // a ticket resolves Err, the journal already holds exactly
                 // the acknowledged prefix again. The caller poisons the
                 // committer, so no new window can race these truncations.
-                for (name, saved) in &doc_snapshots {
-                    let meta = self.meta(name);
-                    let mut meta = meta.lock();
-                    self.rollback_unsynced(name, &mut meta, saved);
+                for (name, saved) in saved_cursors {
+                    let meta = segments.meta(name);
+                    segments.rollback_unsynced(name, &mut meta.lock(), saved);
                 }
                 for slot in &written {
                     slot.complete_err(message.clone());
@@ -791,27 +510,36 @@ impl FsBackend {
         }
     }
 
+    /// Drives the window protocol until `slot` resolves — what waiting on
+    /// (or dropping) a window [`CommitTicket`] runs.
+    pub(crate) fn wait_for_slot(&self, slot: &CommitSlot) -> Result<(), StoreError> {
+        match &self.shared.group {
+            Some(group) => group.wait(slot, self),
+            // Window tickets are minted only below, by a backend that has a
+            // committer; never acknowledge one that somehow lost it.
+            None => Err(StoreError::Io(std::io::Error::other(
+                "commit ticket of a backend without a group committer",
+            ))),
+        }
+    }
+
     /// Number of journaled batches awaiting a checkpoint (O(1)).
     pub fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        Ok(meta.batches)
+        self.segments()
+            .with_loaded(name, |meta| Ok(meta.cursor.batches))
     }
 
     /// Total record bytes in the journal's segments (O(1)).
     pub fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        Ok(meta.bytes)
+        self.segments()
+            .with_loaded(name, |meta| Ok(meta.cursor.bytes))
     }
 }
 
 impl StorageBackend for FsBackend {
     fn list_documents(&self) -> Result<Vec<String>, StoreError> {
         let mut names = Vec::new();
-        for entry in fs::read_dir(&self.root)? {
+        for entry in fs::read_dir(self.root())? {
             let path = entry?.path();
             if path.extension().and_then(|ext| ext.to_str()) == Some("pxml") {
                 if let Some(stem) = path.file_stem().and_then(|stem| stem.to_str()) {
@@ -824,18 +552,16 @@ impl StorageBackend for FsBackend {
     }
 
     fn contains(&self, name: &str) -> bool {
-        self.document_path(name).exists()
+        self.segments().document_path(name).exists()
     }
 
     fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        self.write_checkpoint(name, fuzzy, meta.epoch)
+        self.segments()
+            .with_loaded(name, |meta| self.write_checkpoint(name, fuzzy, meta.epoch))
     }
 
     fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        let path = self.document_path(name);
+        let path = self.segments().document_path(name);
         if !path.exists() {
             return Err(StoreError::MissingDocument(name.to_string()));
         }
@@ -853,9 +579,10 @@ impl StorageBackend for FsBackend {
         // lock — the flush needs it): a window flushing after the removal
         // would resurrect segment files for the deleted document.
         self.group_barrier();
-        let meta = self.meta(name);
+        let segments = self.segments();
+        let meta = segments.meta(name);
         let mut meta = meta.lock();
-        let path = self.document_path(name);
+        let path = segments.document_path(name);
         if !path.exists() {
             return Err(StoreError::MissingDocument(name.to_string()));
         }
@@ -864,29 +591,25 @@ impl StorageBackend for FsBackend {
         // next open. The directory flush pins that ordering against power
         // loss too.
         fs::remove_file(path)?;
-        self.sync_dir()?;
-        for (segment, _) in self.segments_of(name)? {
+        segments.sync_dir()?;
+        for (segment, _) in segments.segments_of(name)? {
             fs::remove_file(segment)?;
         }
-        meta.reset_journal(0);
-        meta.loaded = false;
+        meta.forget();
         Ok(())
     }
 
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        let mut batches = Vec::with_capacity(meta.batches);
-        for path in self.current_segment_paths(name, &meta) {
-            let bytes = fs::read(&path)?;
-            let mut offset = 0usize;
-            while let Some(record) = sound_record(&bytes, offset) {
-                batches.push(parse_batch(record.payload)?);
-                offset = record.next;
+        let segments = self.segments();
+        segments.with_loaded(name, |meta| {
+            let mut batches = Vec::with_capacity(meta.cursor.batches);
+            for path in segments.current_segment_paths(name, meta) {
+                for record in SoundRecords::new(&fs::read(&path)?) {
+                    batches.push(parse_batch(record.payload)?);
+                }
             }
-        }
-        Ok(batches)
+            Ok(batches)
+        })
     }
 
     fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
@@ -894,12 +617,15 @@ impl StorageBackend for FsBackend {
     }
 
     /// The append entry point — every journal write starts here. Consults
-    /// the fault plan once, then hands the batch to the group-commit window
-    /// and returns a [`CommitTicket`] that resolves at the window's fsync;
-    /// without a committer ([`CommitPolicy::Sync`]) the append runs to
-    /// completion here and the ticket comes back already resolved.
+    /// the fault plan once, encodes the batch (here, on the committing
+    /// thread — nothing below this call sees the batch again), then hands
+    /// the record to the group-commit window and returns a [`CommitTicket`]
+    /// that resolves at the window's fsync; without a committer
+    /// ([`CommitPolicy::Sync`]) the append runs to completion here and the
+    /// ticket comes back already resolved.
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
         let torn = match self
+            .shared
             .fault
             .as_ref()
             .and_then(|plan| plan.decide(FaultOp::Append))
@@ -908,7 +634,8 @@ impl StorageBackend for FsBackend {
             Some((_, error)) => return CommitTicket::resolved(Err(error)),
             None => None,
         };
-        let group = match &self.group {
+        let record = encode_record(batch);
+        let group = match &self.shared.group {
             Some(group) if torn.is_none() => group,
             _ => {
                 // No committer — or a torn write, which cannot resolve
@@ -916,7 +643,7 @@ impl StorageBackend for FsBackend {
                 // the caller sees the ticket): settle any open window first
                 // so enqueue order holds, then write in place.
                 self.group_barrier();
-                return CommitTicket::resolved(self.append_now(name, batch, torn));
+                return CommitTicket::resolved(self.append_now(name, &record, torn));
             }
         };
         // Fail a missing document eagerly, before it can poison a window.
@@ -924,8 +651,7 @@ impl StorageBackend for FsBackend {
         if !self.contains(name) {
             return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
         }
-        let slot = group.enqueue(name, batch);
-        CommitTicket::window(slot, group.clone(), self.degrouped())
+        CommitTicket::window(group.enqueue(name, record), self.clone())
     }
 
     /// Waits out any in-flight group-commit window and flushes everything
@@ -933,43 +659,38 @@ impl StorageBackend for FsBackend {
     /// the flush itself takes those locks, so a barrier under one would
     /// self-deadlock.
     fn group_barrier(&self) {
-        if let Some(group) = &self.group {
-            group.barrier(&self.degrouped());
+        if let Some(group) = &self.shared.group {
+            group.barrier(self);
         }
     }
 
     /// Fsync/window counters since this backend (or the clone family it
     /// belongs to) was opened. Lock-free snapshot.
     fn durability_stats(&self) -> DurabilityStats {
+        let counters = &self.shared.counters;
         DurabilityStats {
-            fsyncs: self.counters.fsyncs.load(Ordering::Relaxed),
-            grouped_commits: self.counters.grouped_commits.load(Ordering::Relaxed),
-            grouped_windows: self.counters.grouped_windows.load(Ordering::Relaxed),
+            fsyncs: counters.fsyncs.load(Ordering::Relaxed),
+            grouped_commits: counters.grouped_commits.load(Ordering::Relaxed),
+            grouped_windows: counters.grouped_windows.load(Ordering::Relaxed),
         }
     }
 
     fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        Ok(meta.updates)
+        self.segments()
+            .with_loaded(name, |meta| Ok(meta.cursor.updates))
     }
 
     /// In-place recovery after a failed commit: clears a poisoned group
     /// committer (safe — the failing flush already rolled its unsynced
-    /// records back), drops the document's cached journal meters so the next
+    /// records back), drops the document's cached journal cursor so the next
     /// touch rescans the on-disk truth (truncating any torn tail), and
     /// returns the recovered tree. `Warehouse::reopen_document` routes
     /// through this to lift a document out of quarantine.
     fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        if let Some(group) = &self.group {
+        if let Some(group) = &self.shared.group {
             group.clear_poison();
         }
-        {
-            let meta = self.meta(name);
-            let mut meta = meta.lock();
-            meta.loaded = false;
-        }
+        self.segments().meta(name).lock().forget();
         self.recover_document(name)
     }
 
@@ -983,22 +704,23 @@ impl StorageBackend for FsBackend {
         // lock — the flush needs it): a pre-fold batch flushing *after* the
         // fold would land in the new epoch and be double-applied by replay.
         self.group_barrier();
-        let meta = self.meta(name);
-        let mut meta = meta.lock();
-        self.ensure_loaded(name, &mut meta)?;
-        let next_epoch = meta.epoch + 1;
-        // The folded segments, derived from the meters *before* the fold —
-        // no directory scan on this per-compaction path (`ensure_loaded`
-        // already swept any stale-epoch stragglers at first touch).
-        let folded = self.current_segment_paths(name, &meta);
-        self.write_checkpoint(name, fuzzy, next_epoch)?;
-        // From here on the checkpoint owns the journal's content; the old
-        // segments are garbage whether or not these deletions complete.
-        meta.reset_journal(next_epoch);
-        for segment in folded {
-            fs::remove_file(segment)?;
-        }
-        Ok(())
+        let segments = self.segments();
+        segments.with_loaded(name, |meta| {
+            let next_epoch = meta.epoch + 1;
+            // The folded segments, derived from the cursor *before* the fold
+            // — no directory scan on this per-compaction path (the load
+            // already swept any stale-epoch stragglers at first touch).
+            let folded = segments.current_segment_paths(name, meta);
+            self.write_checkpoint(name, fuzzy, next_epoch)?;
+            // From here on the checkpoint owns the journal's content; the old
+            // segments are garbage whether or not these deletions complete.
+            meta.epoch = next_epoch;
+            meta.cursor = Cursor::default();
+            for segment in folded {
+                fs::remove_file(segment)?;
+            }
+            Ok(())
+        })
     }
 
     // Inherent too: pxbench calls it on a concrete `FsBackend` without the
@@ -1017,100 +739,10 @@ impl StorageBackend for FsBackend {
     }
 }
 
-/// Encodes one batch as a segment record (header + `<pxml:batch>` payload).
-fn encode_record(batch: &[UpdateTransaction]) -> Vec<u8> {
-    let payload = serialize_batch(batch);
-    let mut record = Vec::with_capacity(RECORD_HEADER_BYTES as usize + payload.len());
-    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    record.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-    record.extend_from_slice(payload.as_bytes());
-    record
-}
-
-/// One whole record decoded from a segment.
-struct SoundRecord<'a> {
-    payload: &'a str,
-    /// The header's update count — how many journaled updates the batch
-    /// carries.
-    updates: u32,
-    /// Offset just past the record, where the next one starts.
-    next: usize,
-}
-
-/// The sound record starting at `offset`, or `None` when the remaining bytes
-/// are empty or torn (short header / short payload).
-fn sound_record(bytes: &[u8], offset: usize) -> Option<SoundRecord<'_>> {
-    let header_end = offset.checked_add(RECORD_HEADER_BYTES as usize)?;
-    if header_end > bytes.len() {
-        return None;
-    }
-    let payload_len = u32::from_le_bytes(bytes.get(offset..offset + 4)?.try_into().ok()?) as usize;
-    let updates = u32::from_le_bytes(bytes.get(offset + 4..offset + 8)?.try_into().ok()?);
-    let payload_end = header_end.checked_add(payload_len)?;
-    if payload_end > bytes.len() {
-        return None;
-    }
-    let payload = std::str::from_utf8(&bytes[header_end..payload_end]).ok()?;
-    Some(SoundRecord {
-        payload,
-        updates,
-        next: payload_end,
-    })
-}
-
-/// One segment's header walk: record/update counts and the byte length of
-/// the sound prefix.
-struct SegmentScan {
-    batches: usize,
-    updates: usize,
-    /// Bytes of whole records; anything beyond is a torn tail.
-    sound_bytes: u64,
-    /// Offset of a torn tail record, when one exists.
-    torn_at: Option<u64>,
-}
-
-/// Walks a segment's record headers. A torn record is tolerated (reported
-/// via `torn_at`) only when `tail` — in any other segment it means real
-/// corruption, because appends only ever touch the journal's last segment.
-fn scan_segment(path: &Path, tail: bool) -> Result<SegmentScan, StoreError> {
-    let bytes = fs::read(path)?;
-    let mut scan = SegmentScan {
-        batches: 0,
-        updates: 0,
-        sound_bytes: 0,
-        torn_at: None,
-    };
-    let mut offset = 0usize;
-    while offset < bytes.len() {
-        match sound_record(&bytes, offset) {
-            // The record decodes its own update count, so the header is
-            // never re-sliced here (the old re-slice panicked on a torn
-            // header instead of reporting corruption through `StoreError`).
-            Some(record) => {
-                scan.batches += 1;
-                scan.updates += record.updates as usize;
-                offset = record.next;
-                scan.sound_bytes = offset as u64;
-            }
-            None if tail => {
-                scan.torn_at = Some(offset as u64);
-                break;
-            }
-            None => {
-                return Err(StoreError::Format(format!(
-                    "segment {} holds a torn record at offset {offset} but is not the \
-                     journal tail — the journal is corrupt",
-                    path.display()
-                )));
-            }
-        }
-    }
-    Ok(scan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::extract_epoch;
     use pxml_core::UpdateOperation;
     use pxml_query::Pattern;
     use pxml_tree::parse_data_tree;
@@ -1725,7 +1357,7 @@ mod tests {
             assert!(is_injected(&error), "unexpected error: {error}");
             first.wait().unwrap();
             let segment = dir.join("people.journal.0.0.seg");
-            let whole = 2 * encode_record(&[sample_update()]).len() as u64;
+            let whole = 2 * encode_record(&[sample_update()]).bytes.len() as u64;
             assert_eq!(fs::metadata(&segment).unwrap().len(), whole - TEAR_BYTES);
             assert_eq!(store.journal_batches("people").unwrap(), 2, "stale meters");
             let recovered = store.reopen_document("people").unwrap();
@@ -1734,16 +1366,5 @@ mod tests {
             assert_eq!(fs::metadata(&segment).unwrap().len(), whole / 2);
             fs::remove_dir_all(dir).unwrap();
         }
-    }
-
-    #[test]
-    fn segment_names_parse_from_the_right() {
-        let parsed = parse_segment_name("people.journal.3.12.seg").unwrap();
-        assert_eq!(parsed.document, "people");
-        assert_eq!((parsed.epoch, parsed.seq), (3, 12));
-        let dotted = parse_segment_name("people.v2.journal.0.1.seg").unwrap();
-        assert_eq!(dotted.document, "people.v2");
-        assert!(parse_segment_name("people.journal.x.1.seg").is_none());
-        assert!(parse_segment_name("people.pxml").is_none());
     }
 }

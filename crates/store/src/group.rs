@@ -4,11 +4,12 @@
 //! per document. Under many concurrent writers those fsyncs —
 //! not the CPU work — cap commit throughput: eight writers on eight documents
 //! issue eight device flushes where one would durably cover them all. The
-//! [`GroupCommitter`] closes that gap with the leader/follower protocol real
+//! `GroupCommitter` closes that gap with the leader/follower protocol real
 //! databases use:
 //!
-//! 1. a committer **enqueues** its batch into the shared window and receives
-//!    a [`CommitTicket`];
+//! 1. a committer **enqueues** its batch — already encoded, by the committing
+//!    thread, into the record its segment will hold — into the shared window
+//!    and receives a [`CommitTicket`];
 //! 2. the first committer to wait on an open window becomes the **leader**:
 //!    it keeps the window open briefly (until `window_max_batches` batches
 //!    have gathered or `window_max_wait` has elapsed), drains every enqueued
@@ -16,6 +17,13 @@
 //!    **single fsync round** for the whole window;
 //! 3. every other member is a **follower**: it blocks until the leader
 //!    completes its slot and wakes it.
+//!
+//! This module owns the window protocol and nothing else: it never looks
+//! inside a record (that is [`crate::journal`]) and never touches a file —
+//! the leader hands the drained window to its backend's flush
+//! ([`crate::fs`]), which writes and fsyncs. The committer is a field of the
+//! backend's shared state; a [`CommitTicket`] holds that shared state (one
+//! `Arc`) and reaches the committer through it.
 //!
 //! # Durability contract
 //!
@@ -63,10 +71,9 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, LockClass, Mutex, MutexGuard};
 
-use pxml_core::UpdateTransaction;
-
 use crate::error::StoreError;
 use crate::fs::FsBackend;
+use crate::journal::EncodedRecord;
 
 /// How a backend turns an acknowledged append into a durable one.
 ///
@@ -183,11 +190,11 @@ impl CommitSlot {
     }
 }
 
-/// One window member: a batch bound for `name`'s journal, plus the slot its
-/// outcome lands on.
+/// One window member: an encoded record bound for `name`'s journal, plus the
+/// slot its outcome lands on.
 pub(crate) struct PendingAppend {
     pub(crate) name: String,
-    pub(crate) batch: Vec<UpdateTransaction>,
+    pub(crate) record: EncodedRecord,
     pub(crate) slot: Arc<CommitSlot>,
 }
 
@@ -223,10 +230,10 @@ fn poisoned_message(cause: &str) -> String {
 /// The leader/follower group committer of one [`FsBackend`] (see the module
 /// docs for the protocol and durability contract).
 ///
-/// The committer holds no reference to its backend — flushes borrow the
-/// backend at wait time — so backend clones and the committer can share
-/// `Arc`s freely without a cycle.
-pub struct GroupCommitter {
+/// The committer lives inside its backend's shared state and holds no
+/// reference back — flushes borrow the backend at wait time — so there is no
+/// cycle, and nothing a flush calls can re-enter the committer.
+pub(crate) struct GroupCommitter {
     window_max_batches: usize,
     window_max_wait: Duration,
     /// Deliberate-window mode: solo leaders fill-wait too, instead of taking
@@ -273,11 +280,11 @@ impl GroupCommitter {
         self.window.lock()
     }
 
-    /// Enqueues a batch into the open window and returns its slot. The
-    /// append is not durable (and must not be acknowledged) until the slot
-    /// completes — [`GroupCommitter::wait`] does both. On a poisoned
+    /// Enqueues an encoded record into the open window and returns its slot.
+    /// The append is not durable (and must not be acknowledged) until the
+    /// slot completes — [`GroupCommitter::wait`] does both. On a poisoned
     /// committer the slot comes back already failed and nothing is enqueued.
-    pub(crate) fn enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> Arc<CommitSlot> {
+    pub(crate) fn enqueue(&self, name: &str, record: EncodedRecord) -> Arc<CommitSlot> {
         let slot = CommitSlot::new();
         let mut window = self.lock();
         if let Some(cause) = &window.poisoned {
@@ -296,7 +303,7 @@ impl GroupCommitter {
         }
         window.pending.push(PendingAppend {
             name: name.to_string(),
-            batch: batch.to_vec(),
+            record,
             slot: slot.clone(),
         });
         drop(window);
@@ -429,11 +436,10 @@ impl GroupCommitter {
 enum TicketInner {
     /// The append already completed synchronously with this outcome.
     Resolved(Result<(), StoreError>),
-    /// The append sits in a group-commit window; resolving means driving
-    /// [`GroupCommitter::wait`] through the detached backend handle.
+    /// The append sits in a group-commit window of `backend`; resolving
+    /// means driving the window protocol until `slot` completes.
     Window {
         slot: Arc<CommitSlot>,
-        committer: Arc<GroupCommitter>,
         backend: FsBackend,
     },
 }
@@ -473,17 +479,9 @@ impl CommitTicket {
         }
     }
 
-    pub(crate) fn window(
-        slot: Arc<CommitSlot>,
-        committer: Arc<GroupCommitter>,
-        backend: FsBackend,
-    ) -> Self {
+    pub(crate) fn window(slot: Arc<CommitSlot>, backend: FsBackend) -> Self {
         CommitTicket {
-            inner: Some(TicketInner::Window {
-                slot,
-                committer,
-                backend,
-            }),
+            inner: Some(TicketInner::Window { slot, backend }),
         }
     }
 
@@ -499,33 +497,24 @@ impl CommitTicket {
 
     /// Blocks until the append is durable and returns its outcome. A waiter
     /// that finds no window leader becomes the leader itself and flushes
-    /// the window (see [`GroupCommitter`]).
+    /// the window (see the [module docs](self)).
     pub fn wait(mut self) -> Result<(), StoreError> {
         match self.inner.take() {
             None => Ok(()),
             Some(TicketInner::Resolved(outcome)) => outcome,
-            Some(TicketInner::Window {
-                slot,
-                committer,
-                backend,
-            }) => committer.wait(&slot, &backend),
+            Some(TicketInner::Window { slot, backend }) => backend.wait_for_slot(&slot),
         }
     }
 }
 
 impl Drop for CommitTicket {
     fn drop(&mut self) {
-        if let Some(TicketInner::Window {
-            slot,
-            committer,
-            backend,
-        }) = self.inner.take()
-        {
+        if let Some(TicketInner::Window { slot, backend }) = self.inner.take() {
             // A dropped ticket deliberately discards the outcome: the batch
             // still flushes, and the durability error (if any) resurfaces at
             // recovery time — see the type docs.
             // lint: allow(io-result-drop)
-            let _ = committer.wait(&slot, &backend);
+            let _ = backend.wait_for_slot(&slot);
         }
     }
 }

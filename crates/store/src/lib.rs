@@ -14,15 +14,22 @@
 //!   ordinary XML document whose uncertain nodes carry a `pxml:cond`
 //!   attribute, whose event table is stored in a `pxml:events` header, and
 //!   whose root carries the journal epoch its checkpoint folded;
-//! * [`journal`] — the textual form of probabilistic update transactions
-//!   and of the `<pxml:batch>` payload of a journal record;
+//! * [`journal`] — the textual form of probabilistic update transactions,
+//!   and the **record codec** of the segment journal: the only module that
+//!   knows a journal record's bytes (header + `<pxml:batch>` payload, the
+//!   walk over a segment's whole records, what counts as a torn tail);
 //! * [`fs`] — [`FsBackend`]: the durable file-system backend with an
 //!   **append-only segment journal** (O(batch) commits, torn-tail crash
-//!   recovery; length-prefixed batch records are the one journal layout);
+//!   recovery). It encodes a batch once, at its append entry point, and owns
+//!   options, the open-time sweep, checkpoints, the fsync round and the two
+//!   append arms; the per-document segment state under it (file naming, the
+//!   journal cursor behind each document's write mutex, load + torn-tail
+//!   truncation, the record write and its rollback) is the private
+//!   `segment` module;
 //! * [`group`] — the cross-document **group-commit** layer: [`CommitPolicy`],
-//!   the leader/follower [`GroupCommitter`] coalescing many documents'
-//!   appends into one fsync window, and the [`CommitTicket`] handle of an
-//!   enqueued append;
+//!   the leader/follower window protocol coalescing many documents'
+//!   (already encoded) appends into one fsync round, and the
+//!   [`CommitTicket`] handle of an enqueued append;
 //! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benchmarks;
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   installed through [`FsOptions::fault`] and consulted by [`FsBackend`]
@@ -47,12 +54,13 @@ pub mod fs;
 pub mod group;
 pub mod journal;
 pub mod mem;
+mod segment;
 
 pub use backend::StorageBackend;
 pub use error::StoreError;
 pub use fault::{is_injected, FaultKind, FaultOp, FaultPlan};
 pub use format::{parse_fuzzy_document, serialize_fuzzy_document};
 pub use fs::{FsBackend, FsOptions, DEFAULT_SEGMENT_ROLL_BYTES};
-pub use group::{CommitPolicy, CommitTicket, DurabilityStats, GroupCommitter};
+pub use group::{CommitPolicy, CommitTicket, DurabilityStats};
 pub use journal::{parse_batch, parse_update, serialize_batch, serialize_update};
 pub use mem::MemBackend;
