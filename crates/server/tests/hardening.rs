@@ -14,6 +14,7 @@ use pxml_query::Pattern;
 use pxml_server::{Client, ClientError, RetryPolicy, Server, ServerConfig, MAX_PENDING_ASYNC};
 use pxml_store::{CommitPolicy, FaultOp, FaultPlan};
 use pxml_tree::parse_data_tree;
+use pxml_warehouse::CompactionPolicy;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -113,6 +114,55 @@ fn injected_fsync_failure_quarantines_heals_and_retries_over_the_wire() {
         (answers.selection - 0.92).abs() < 1e-9,
         "restart lost or invented a commit: {answers:?}"
     );
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A commit whose post-commit fold fails is still a commit. The staging path
+/// of the tenant's checkpoint is made un-creatable, so the compaction due
+/// after the second commit cannot be written — but that batch is journaled
+/// and published by then, and answering it with a retryable error makes
+/// `RetryPolicy::run` send it again: the insert would be applied twice.
+#[test]
+fn a_failed_post_commit_fold_is_not_a_failed_commit_over_the_wire() {
+    let dir = scratch("fold-fails");
+    let mut config = ServerConfig::new(&dir);
+    config.session.compaction = CompactionPolicy::EveryNBatches(2);
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    client.open("doc", Some(PEOPLE_XML)).unwrap();
+    // Only once the tenant is open: the open-time sweep removes `.tmp` files
+    // and would refuse a directory.
+    std::fs::create_dir(dir.join("acme").join(".doc.pxml.tmp")).unwrap();
+    client.commit("doc", &phone_batch(0.8)).unwrap();
+
+    let policy = RetryPolicy {
+        max_retries: 3,
+        base: Duration::from_millis(5),
+        cap: Duration::from_millis(20),
+        seed: 42,
+    };
+    let mut attempts = 0;
+    let receipt = policy
+        .run(|| {
+            attempts += 1;
+            client.commit("doc", &phone_batch(0.7))
+        })
+        .expect("a durable, published commit must be acknowledged");
+    assert!(receipt.contains("applied=1"), "got: {receipt}");
+    assert_eq!(attempts, 1, "an acknowledged commit is never re-sent");
+
+    // The snapshot holds each insert once: 1-(1-0.8)(1-0.7) = 0.94 (with the
+    // 0.7 batch applied twice it would be 0.982).
+    let (_, fuzzy) = client.snapshot("doc").unwrap();
+    assert_eq!(fuzzy.tree().find_elements("phone").len(), 2);
+    let answers = client.query("doc", "person { phone }").unwrap();
+    assert!(
+        (answers.selection - 0.94).abs() < 1e-9,
+        "answers: {answers:?}"
+    );
+    assert_eq!(client.stats().unwrap().quarantined_docs, 0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

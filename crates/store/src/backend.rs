@@ -79,8 +79,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// `CompactionPolicy::EveryNBatches`).
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError>;
 
-    /// Total serialized size of the journal in bytes (O(1); drives
-    /// `CompactionPolicy::SizeThreshold`).
+    /// Total serialized size of the journal in bytes (O(1)).
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError>;
 
     /// Checkpoints a document: writes `fuzzy` as the new checkpoint and

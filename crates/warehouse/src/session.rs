@@ -67,7 +67,9 @@ use crate::warehouse::{AsyncCommit, DocSnapshot, Warehouse, WarehouseError, Ware
 /// Compaction trades a periodic O(document) checkpoint write for bounded
 /// journal replay at recovery; between compactions every commit stays
 /// O(batch) in the segment journal. The policy is evaluated *after* the
-/// batch is durable, so a compaction failure never loses the commit.
+/// batch is durable and published, so a compaction failure neither loses the
+/// commit nor fails it: the journal stays as it was, the next commit tries
+/// the fold again, and [`Document::checkpoint`] reports why it fails.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactionPolicy {
     /// Never compact; the journal grows until an explicit
@@ -75,17 +77,14 @@ pub enum CompactionPolicy {
     Never,
     /// Compact once the journal holds this many committed batches.
     EveryNBatches(usize),
-    /// Compact once the journal's serialized size reaches this many bytes.
-    SizeThreshold(u64),
 }
 
 impl CompactionPolicy {
-    /// Whether a journal with these meters is due for compaction.
-    pub fn is_due(&self, batches: usize, bytes: u64) -> bool {
+    /// Whether a journal holding this many batches is due for compaction.
+    pub fn is_due(&self, batches: usize) -> bool {
         match self {
             CompactionPolicy::Never => false,
             CompactionPolicy::EveryNBatches(n) => *n > 0 && batches >= *n,
-            CompactionPolicy::SizeThreshold(limit) => bytes >= *limit,
         }
     }
 }
@@ -231,7 +230,6 @@ impl Document {
         Txn {
             document: self,
             staged: Vec::new(),
-            policy: None,
             error: None,
         }
     }
@@ -278,8 +276,7 @@ impl Document {
         self.engine.journal_length(&self.name)
     }
 
-    /// Serialized size of the journal in bytes, the
-    /// [`CompactionPolicy::SizeThreshold`] meter — O(1) from the backend's
+    /// Serialized size of the journal in bytes — O(1) from the backend's
     /// journal meters, like [`Document::journal_length`].
     pub fn journal_size_bytes(&self) -> Result<u64, WarehouseError> {
         self.engine.journal_size_bytes(&self.name)
@@ -294,14 +291,14 @@ impl Document {
 /// policy-aware pipeline to a working copy, journaled as one durable entry
 /// (the backend's durable journal append is the commit point), and swapped
 /// in. An error before
-/// the commit point — including a staging error — changes nothing at all;
-/// see [`Warehouse::commit_batch`](crate::Warehouse::commit_batch) for the
-/// post-commit maintenance caveat.
+/// the commit point — including a staging error — changes nothing at all,
+/// and nothing after it (see
+/// [`Warehouse::commit_batch`](crate::Warehouse::commit_batch) on
+/// post-commit maintenance) can turn a committed batch into an error.
 #[must_use = "a Txn does nothing until commit() is called"]
 pub struct Txn<'a> {
     document: &'a Document,
     staged: Vec<UpdateTransaction>,
-    policy: Option<SimplifyPolicy>,
     error: Option<WarehouseError>,
 }
 
@@ -316,12 +313,6 @@ impl Txn<'_> {
                 self.error.get_or_insert(WarehouseError::Core(err));
             }
         }
-        self
-    }
-
-    /// Overrides the session's [`SimplifyPolicy`] for this transaction only.
-    pub fn with_policy(mut self, policy: SimplifyPolicy) -> Self {
-        self.policy = Some(policy);
         self
     }
 
@@ -344,7 +335,7 @@ impl Txn<'_> {
         }
         self.document
             .engine
-            .commit_batch(&self.document.name, &self.staged, self.policy)
+            .commit_batch(&self.document.name, &self.staged, None)
     }
 
     /// Commits the staged batch through the asynchronous write pipeline:
@@ -362,7 +353,7 @@ impl Txn<'_> {
         }
         self.document
             .engine
-            .commit_batch_async(&self.document.name, &self.staged, self.policy)
+            .commit_batch_async(&self.document.name, &self.staged, None)
     }
 }
 
@@ -571,34 +562,6 @@ mod tests {
     }
 
     #[test]
-    fn txn_policy_override_beats_the_session_policy() {
-        let dir = scratch("policy-override");
-        let session = Session::open(
-            &dir,
-            SessionConfig {
-                simplify: SimplifyPolicy::Never,
-                ..SessionConfig::default()
-            },
-        )
-        .unwrap();
-        let people = session.create("people", directory()).unwrap();
-        let receipt = people
-            .begin()
-            .stage(add_fact("alice", "phone", "+33-1", 0.8))
-            .with_policy(SimplifyPolicy::Inline)
-            .commit()
-            .unwrap();
-        assert_eq!(receipt.simplify_runs(), 1);
-        let receipt = people
-            .begin()
-            .stage(add_fact("bob", "phone", "+33-2", 0.8))
-            .commit()
-            .unwrap();
-        assert_eq!(receipt.simplify_runs(), 0);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
     fn document_handles_are_shareable_across_threads() {
         let dir = scratch("threads");
         let session = Session::open(&dir, SessionConfig::default()).unwrap();
@@ -656,33 +619,6 @@ mod tests {
                 .len(),
             1
         );
-    }
-
-    /// The size-threshold compaction policy folds the journal once its
-    /// serialized size crosses the limit, on any backend.
-    #[test]
-    fn size_threshold_compaction_folds_the_journal() {
-        let backend: Arc<dyn pxml_store::StorageBackend> = Arc::new(pxml_store::MemBackend::new());
-        let session = Session::open_with_backend(
-            backend,
-            SessionConfig {
-                simplify: SimplifyPolicy::Never,
-                compaction: CompactionPolicy::SizeThreshold(1),
-                ..SessionConfig::default()
-            },
-        )
-        .unwrap();
-        let people = session.create("people", directory()).unwrap();
-        people
-            .begin()
-            .stage(add_fact("alice", "phone", "+33-1", 0.8))
-            .commit()
-            .unwrap();
-        // Any non-empty journal crosses a 1-byte threshold: compacted.
-        assert_eq!(people.journal_length().unwrap(), 0);
-        assert_eq!(session.stats().checkpoints, 1);
-        let phones = Pattern::parse("person { phone }").unwrap();
-        assert_eq!(people.query(&phones).unwrap().len(), 1);
     }
 
     #[test]

@@ -649,8 +649,10 @@ impl Warehouse {
     /// as the document's new snapshot by an O(1) pointer swap — an error
     /// *before* the commit point leaves the published snapshot and the
     /// journal exactly as they were. Configured maintenance (checkpoint
-    /// folding) runs after the commit; a maintenance error is reported, but
-    /// the commit itself is already durable and recoverable at that point.
+    /// folding) runs after the commit point and can no longer fail the call:
+    /// a fold that cannot be written leaves the old checkpoint and the full
+    /// journal, the next blocking commit tries again, and the failure itself
+    /// is what an explicit [`Warehouse::checkpoint`] returns.
     ///
     /// Locking: the document's commit mutex is held start to finish, so
     /// writers to the same document serialize (no lost updates); the state
@@ -739,18 +741,18 @@ impl Warehouse {
             .simplifications
             .fetch_add(stats.simplify_runs(), Ordering::Relaxed);
         // Compaction rides the blocking pipeline (the async path skips it,
-        // see `commit_batch_async`): the journal meters are O(1) backend
-        // metadata, so an undue policy costs two counter reads. The commit
-        // mutex is still held, so the save + truncate cannot interleave with
-        // another commit's journal append.
-        if wait_durable
-            && self.config.compaction.is_due(
-                self.store.journal_batches(name)?,
-                self.store.journal_size_bytes(name)?,
-            )
-        {
-            self.store.checkpoint(name, published.fuzzy())?;
-            self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        // see `commit_batch_async`). The commit mutex is still held, so the
+        // save + truncate cannot interleave with another commit's journal
+        // append.
+        if wait_durable {
+            // The batch is journaled and published, so nothing from here on
+            // may fail the call: told `Err`, a client retries and the batch
+            // is applied twice. A fold that fails leaves "old checkpoint +
+            // full journal", which the backend contract keeps consistent,
+            // and the meter stays due, so the next blocking commit retries
+            // it; `Warehouse::checkpoint` is where the failure is reported.
+            // lint: allow(io-result-drop)
+            let _ = self.fold_if_due(name, &published);
         }
         drop(commit);
         Ok(AsyncCommit {
@@ -758,6 +760,22 @@ impl Warehouse {
             ticket,
             guard: Some(slot),
         })
+    }
+
+    /// Folds the journal into a checkpoint of `snapshot` when the session's
+    /// [`CompactionPolicy`](crate::session::CompactionPolicy) says it is due
+    /// — one O(1) meter read otherwise. Caller must hold the slot's commit
+    /// mutex.
+    fn fold_if_due(&self, name: &str, snapshot: &DocSnapshot) -> Result<(), StoreError> {
+        if self
+            .config
+            .compaction
+            .is_due(self.store.journal_batches(name)?)
+        {
+            self.store.checkpoint(name, snapshot.fuzzy())?;
+            self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Publishes `working` as the document's next snapshot (reclaiming dead
@@ -811,8 +829,7 @@ impl Warehouse {
     }
 
     /// Serialized size of a document's journal in bytes — O(1) from the
-    /// backend's journal meters, the `CompactionPolicy::SizeThreshold`
-    /// meter.
+    /// backend's journal meters.
     pub fn journal_size_bytes(&self, name: &str) -> Result<u64, WarehouseError> {
         let slot = self.slot(name)?;
         Self::pin(&slot, name)?;
@@ -1229,6 +1246,48 @@ mod tests {
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
         let phones = Pattern::parse("person { phone }").unwrap();
         assert_eq!(reopened.query("people", &phones).unwrap().len(), 2);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A commit that is journaled and published is `Ok` whatever happens to
+    /// the fold that follows it: told `Err`, a retrying client would apply
+    /// the batch twice. The failed fold leaves the journal whole, the
+    /// explicit verb says why it fails, and the next commit folds once the
+    /// obstruction is gone.
+    #[test]
+    fn a_failed_post_commit_fold_does_not_fail_the_commit() {
+        let dir = scratch("fold-fails");
+        let config = SessionConfig {
+            simplify: SimplifyPolicy::Never,
+            compaction: CompactionPolicy::EveryNBatches(2),
+            ..SessionConfig::default()
+        };
+        let warehouse = Warehouse::with_config(&dir, config).unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        // The checkpoint's staging path, made un-creatable.
+        let obstruction = dir.join(".people.pxml.tmp");
+        std::fs::create_dir(&obstruction).unwrap();
+
+        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+        let stats = commit_one(&warehouse, "people", &add_phone("bob", 0.9))
+            .expect("the batch is durable and published: a failed fold is not its failure");
+        assert_eq!(stats.len(), 1);
+        assert!(!warehouse.is_quarantined("people"));
+        assert_eq!(warehouse.stats().checkpoints, 0);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+        assert!(matches!(
+            warehouse.checkpoint("people"),
+            Err(WarehouseError::Store(_))
+        ));
+
+        std::fs::remove_dir(&obstruction).unwrap();
+        commit_one(&warehouse, "people", &add_phone("alice", 0.5)).unwrap();
+        assert_eq!(warehouse.stats().checkpoints, 1);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+        drop(warehouse);
+        let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
+        let phones = Pattern::parse("person { phone }").unwrap();
+        assert_eq!(reopened.query("people", &phones).unwrap().len(), 3);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
