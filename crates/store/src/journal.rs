@@ -24,7 +24,11 @@
 //! [payload_len: u32 LE][update_count: u32 LE][payload: UTF-8 <pxml:batch> XML]
 //! ```
 //!
-//! — and this module is the only one that knows those bytes. It owns both
+//! — where the payload is the bare `<pxml:batch>` element holding the
+//! batch's updates in application order (no XML prolog: a record is not a
+//! file; records written with one still decode).
+//!
+//! This module is the only one that knows those bytes, and it owns both
 //! directions: `encode_record` frames a batch (header + payload) into an
 //! `EncodedRecord`, which is all the layers below the append entry point
 //! ever handle; `SoundRecords` is the one borrowing walk over a segment's
@@ -132,8 +136,11 @@ pub fn parse_update(input: &str) -> Result<UpdateTransaction, StoreError> {
     update_from_element(&document.root)
 }
 
-/// Serializes one committed batch as a standalone `<pxml:batch>` document —
-/// the payload of a single segment-journal record (see the module docs).
+/// Serializes one committed batch as its `<pxml:batch>` element — the
+/// payload of a single segment-journal record (see the module docs) and of a
+/// commit frame on the wire. A record is not a file, so it carries no XML
+/// prolog; [`parse_batch`] takes the prolog as optional, so records written
+/// with one still replay.
 pub fn serialize_batch(batch: &[UpdateTransaction]) -> String {
     let mut element = XmlElement::new("pxml:batch");
     for update in batch {
@@ -141,10 +148,13 @@ pub fn serialize_batch(batch: &[UpdateTransaction]) -> String {
             .children
             .push(XmlNode::Element(update_to_element(update)));
     }
-    XmlDocument::new(element).to_xml_string(false)
+    let mut text = String::new();
+    element.write_xml(&mut text, false, 0);
+    text
 }
 
-/// Parses one standalone `<pxml:batch>` document (a segment-record payload).
+/// Parses one `<pxml:batch>` document (a segment-record payload), with or
+/// without an XML prolog in front of it.
 pub fn parse_batch(input: &str) -> Result<Vec<UpdateTransaction>, StoreError> {
     let document = XmlDocument::parse(input)?;
     if document.root.name != "pxml:batch" {
@@ -349,6 +359,20 @@ mod tests {
         assert_eq!(reparsed[0].pattern().to_string(), "/A { B, C }");
         assert_eq!(reparsed[1].pattern().to_string(), "person { name }");
         assert!(parse_batch(&serialize_batch(&[])).unwrap().is_empty());
+    }
+
+    /// Records carry no XML prolog; the ones written before it was dropped
+    /// do, and both decode to the same batch.
+    #[test]
+    fn a_record_with_the_prolog_decodes_like_one_without() {
+        let batch = vec![sample_update(), sample_update()];
+        let bare = serialize_batch(&batch);
+        assert!(bare.starts_with("<pxml:batch>"), "{bare}");
+        let with_prolog = format!("<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n{bare}");
+        let decoded = parse_batch(&with_prolog).unwrap();
+        assert_eq!(decoded.len(), batch.len());
+        assert_eq!(serialize_batch(&decoded), bare);
+        assert_eq!(serialize_batch(&parse_batch(&bare).unwrap()), bare);
     }
 
     #[test]
