@@ -31,10 +31,12 @@
 //! and then runs entirely lock-free against immutable data. A commit takes
 //! the commit mutex (serializing only against other writers of the *same*
 //! document), clones the pinned snapshot's fuzzy tree — a copy-on-write
-//! clone that shares every arena chunk with the snapshot — applies the
-//! batch (path-copying only the chunks it touches), journals it (the
-//! durable commit point), and publishes the result by swapping the `Arc`
-//! under a briefly-held state write lock. The state lock is therefore only
+//! clone that shares every arena chunk with the snapshot; the event table
+//! is the one part copied in full, O(events) reference-count bumps and a
+//! rebuilt name index — applies the batch (path-copying only the chunks it
+//! touches), journals it (the durable commit point), and publishes the
+//! result by swapping the `Arc` under a briefly-held state write lock. The
+//! state lock is therefore only
 //! ever held for pointer reads and swaps; a slow query can no longer stall
 //! a commit, and a streaming writer cannot stall readers (experiment E15
 //! measures exactly this).
@@ -589,10 +591,12 @@ impl Warehouse {
     }
 
     /// A copy of a document's current fuzzy tree. This pins the current
-    /// snapshot and clones it *outside* any lock — the clone is
-    /// copy-on-write (shared arena chunks), so the cost is O(chunks)
-    /// pointer bumps, not a deep copy. Prefer [`Warehouse::snapshot`] when
-    /// read-only access is enough.
+    /// snapshot and clones it *outside* any lock. The tree and its
+    /// conditions clone copy-on-write (shared arena chunks: O(chunks)
+    /// pointer bumps), but the event table is copied — O(events), a
+    /// reference-count bump per name plus a rebuilt name index — so on a
+    /// document with a long update history that is what the call costs.
+    /// Prefer [`Warehouse::snapshot`] when read-only access is enough.
     pub fn document(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
         let snapshot = self.snapshot(name)?;
         Ok(snapshot.fuzzy().clone())
@@ -662,8 +666,9 @@ impl Warehouse {
     /// snapshot until the swap publishes the new one.
     ///
     /// The apply path-copies only the arena chunks the batch touches
-    /// (structural sharing with the base snapshot), so the copy work is
-    /// O(changed path), not O(document). When deletions have left the arena
+    /// (structural sharing with the base snapshot), so the tree's copy work
+    /// is O(changed path), not O(document); the working copy's event table
+    /// is copied whole, O(events). When deletions have left the arena
     /// with more than `2 × live + SLOT_SLACK` slots, a compaction is folded
     /// in before the swap, reclaiming the dead slots.
     ///
