@@ -6,7 +6,8 @@
 //! - [`lint`] — a lexical invariant linter (`cargo run -p pxml-check --bin
 //!   lint`) that fails the build when code bypasses the instrumented lock
 //!   shim, unwraps under a lock guard, constructs a lock without a witness
-//!   class, or reads a protocol atomic with relaxed ordering.
+//!   class, reads a protocol atomic with relaxed ordering, or codes a journal
+//!   record's bytes outside the store's `journal.rs`.
 //! - [`model`] + [`loom`] — a hand-rolled stateless model checker ("mini
 //!   loom") that exhaustively explores every bounded interleaving of a
 //!   faithful [`model`] of the store's group committer and asserts the

@@ -39,6 +39,10 @@
 //!   be a function of the document. Hash iteration order reached a persisted
 //!   document from them twice, and both times a reader found it, not a
 //!   tool; an ordered map or a sorted `Vec` costs nothing there.
+//! - **`record-framing-home`** — no `_le_bytes(` in non-test code of
+//!   `crates/store/src/` outside `journal.rs`: that module is the only one
+//!   that knows a journal record's bytes, so the next format change (a
+//!   version byte, a CRC) cannot grow a second home unnoticed.
 //!
 //! A finding on a deliberate exception is suppressed with
 //! `// lint: allow(<rule>)` on the offending line or the line above.
@@ -129,6 +133,8 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
         rel_path,
         "crates/core/src/update.rs" | "crates/core/src/simplify.rs"
     );
+    let is_store_outside_codec =
+        rel_path.starts_with("crates/store/src/") && rel_path != "crates/store/src/journal.rs";
     let blanked = blank_noncode(source);
     let raw_lines: Vec<&str> = source.lines().collect();
     let code_lines: Vec<&str> = blanked.lines().collect();
@@ -291,6 +297,23 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
                     });
                 }
             }
+        }
+
+        // --- record-framing-home -----------------------------------------
+        if is_store_outside_codec
+            && non_test
+            && code.contains("_le_bytes(")
+            && !allowed("record-framing-home")
+        {
+            findings.push(Finding {
+                file: rel_path.to_string(),
+                line,
+                rule: "record-framing-home",
+                message: "byte-level integer coding in the store outside `journal.rs` — \
+                          that module is the only home of a journal record's bytes; \
+                          frame and decode there"
+                    .to_string(),
+            });
         }
 
         // --- guard-unwrap ------------------------------------------------
@@ -998,6 +1021,41 @@ mod tests {
         assert!(lint_source("crates/core/src/update.rs", in_tests).is_empty());
         let ordered = "use std::collections::BTreeMap;\nfn f() {\n    // not a HashMap\n    let m: BTreeMap<u32, MyHashMapLike> = BTreeMap::new();\n}\n";
         assert!(lint_source("crates/core/src/simplify.rs", ordered).is_empty());
+    }
+
+    #[test]
+    fn record_framing_outside_the_codec_is_flagged() {
+        let source = "fn f(len: u32, b: [u8; 4]) {\n    let h = len.to_le_bytes();\n    let n = u32::from_le_bytes(b);\n}\n";
+        for file in ["crates/store/src/fs.rs", "crates/store/src/segment.rs"] {
+            let findings = lint_source(file, source);
+            assert_eq!(
+                rules(&findings),
+                vec!["record-framing-home", "record-framing-home"],
+                "{file}"
+            );
+            assert_eq!(findings[0].line, 2);
+        }
+    }
+
+    #[test]
+    fn record_framing_in_the_codec_elsewhere_in_tests_or_allowed_is_fine() {
+        let source = "fn f(len: u32) {\n    let h = len.to_le_bytes();\n}\n";
+        // The codec's home, other crates (the wire protocol frames its own
+        // bytes), and the store's integration tests, which forge records.
+        for file in [
+            "crates/store/src/journal.rs",
+            "crates/server/src/frame.rs",
+            "crates/store/tests/segment_crash.rs",
+        ] {
+            assert!(lint_source(file, source).is_empty(), "{file}");
+        }
+        let in_tests = format!("#[cfg(test)]\nmod tests {{\n{source}}}\n");
+        assert!(lint_source("crates/store/src/fs.rs", &in_tests).is_empty());
+        let allowed = "fn f(len: u32) {\n    // lint: allow(record-framing-home)\n    let h = len.to_le_bytes();\n}\n";
+        assert!(lint_source("crates/store/src/fs.rs", allowed).is_empty());
+        // Prose and strings never match.
+        let prose = "fn f() {\n    // to_le_bytes( lives in journal.rs\n    let s = \"from_le_bytes(\";\n}\n";
+        assert!(lint_source("crates/store/src/fs.rs", prose).is_empty());
     }
 
     #[test]
