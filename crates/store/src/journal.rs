@@ -470,7 +470,10 @@ mod tests {
         let sound = (1, good.len());
         // A `payload_len` that overruns the buffer, by one byte and by far.
         assert_eq!(walk_of(&[header(6, 1), b"short".to_vec()].concat()), sound);
-        assert_eq!(walk_of(&[header(1 << 20, 1), b"x".to_vec()].concat()), sound);
+        assert_eq!(
+            walk_of(&[header(1 << 20, 1), b"x".to_vec()].concat()),
+            sound
+        );
         // The largest length a header can claim. The walk slices what is
         // left rather than adding `offset + len`, so on a 32-bit target —
         // where that sum would overflow `usize` — it still just ends.
