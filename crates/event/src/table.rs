@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::error::EventError;
 
@@ -25,15 +24,11 @@ impl fmt::Display for EventId {
 
 /// The set of probabilistic events of a fuzzy tree, each with an independent
 /// probability of being true (the table on the right of slide 12).
-///
-/// A table is cloned with every snapshot that is copied (each commit's
-/// working copy), so a name is one shared allocation: the clone bumps a
-/// reference count per event instead of copying two strings.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EventTable {
-    names: Vec<Arc<str>>,
+    names: Vec<String>,
     probabilities: Vec<f64>,
-    by_name: HashMap<Arc<str>, EventId>,
+    by_name: HashMap<String, EventId>,
 }
 
 impl EventTable {
@@ -76,11 +71,10 @@ impl EventTable {
         if !(0.0..=1.0).contains(&probability) || probability.is_nan() {
             return Err(EventError::InvalidProbability(probability));
         }
-        if self.by_name.contains_key(name.as_str()) {
+        if self.by_name.contains_key(&name) {
             return Err(EventError::DuplicateEventName(name));
         }
         let id = EventId(self.names.len() as u32);
-        let name: Arc<str> = name.into();
         self.by_name.insert(name.clone(), id);
         self.names.push(name);
         self.probabilities.push(probability);
@@ -94,7 +88,7 @@ impl EventTable {
         let mut counter = self.names.len();
         loop {
             let candidate = format!("w{counter}");
-            if !self.by_name.contains_key(candidate.as_str()) {
+            if !self.by_name.contains_key(&candidate) {
                 return self.add_event(candidate, probability);
             }
             counter += 1;

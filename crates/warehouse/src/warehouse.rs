@@ -32,11 +32,11 @@
 //! the commit mutex (serializing only against other writers of the *same*
 //! document), clones the pinned snapshot's fuzzy tree — a copy-on-write
 //! clone that shares every arena chunk with the snapshot; the event table
-//! is the one part copied in full, O(events) reference-count bumps and a
-//! rebuilt name index — applies the batch (path-copying only the chunks it
-//! touches), journals it (the durable commit point), and publishes the
-//! result by swapping the `Arc` under a briefly-held state write lock. The
-//! state lock is therefore only
+//! is the one part copied in full, O(events): every name twice, once per
+//! container — applies the batch (path-copying only the chunks it touches),
+//! journals it (the durable commit point), and publishes the result by
+//! swapping the `Arc` under a briefly-held state write lock. The state lock
+//! is therefore only
 //! ever held for pointer reads and swaps; a slow query can no longer stall
 //! a commit, and a streaming writer cannot stall readers (experiment E15
 //! measures exactly this).
@@ -593,10 +593,11 @@ impl Warehouse {
     /// A copy of a document's current fuzzy tree. This pins the current
     /// snapshot and clones it *outside* any lock. The tree and its
     /// conditions clone copy-on-write (shared arena chunks: O(chunks)
-    /// pointer bumps), but the event table is copied — O(events), a
-    /// reference-count bump per name plus a rebuilt name index — so on a
-    /// document with a long update history that is what the call costs.
-    /// Prefer [`Warehouse::snapshot`] when read-only access is enough.
+    /// pointer bumps), but the event table is deep-copied — O(events), two
+    /// strings per event — so on a document with a long update history that
+    /// is what the call costs (tens of µs at several hundred events, against
+    /// well under 1 µs for the tree). Prefer [`Warehouse::snapshot`] when
+    /// read-only access is enough.
     pub fn document(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
         let snapshot = self.snapshot(name)?;
         Ok(snapshot.fuzzy().clone())
