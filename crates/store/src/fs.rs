@@ -415,14 +415,14 @@ impl FsBackend {
     pub(crate) fn flush_window(&self, window: Vec<PendingAppend>) -> Result<(), String> {
         let segments = self.segments();
         // Members grouped by document, documents in first-appearance order.
-        let mut docs: Vec<(String, Vec<PendingAppend>)> = Vec::new();
+        let mut docs: Vec<Vec<PendingAppend>> = Vec::new();
         let mut position: HashMap<String, usize> = HashMap::new();
         for member in window {
             match position.get(&member.name) {
-                Some(&at) => docs[at].1.push(member),
+                Some(&at) => docs[at].push(member),
                 None => {
                     position.insert(member.name.clone(), docs.len());
-                    docs.push((member.name.clone(), vec![member]));
+                    docs.push(vec![member]);
                 }
             }
         }
@@ -434,10 +434,11 @@ impl FsBackend {
         // Per-document pre-window cursors, so a failed window fsync can roll
         // every touched journal back to its last durable state.
         let mut saved_cursors: Vec<(&str, Cursor)> = Vec::new();
-        for (name, members) in &docs {
+        for members in &docs {
+            let name = members[0].name.as_str();
             let staged = segments.with_loaded(name, |meta| {
                 if !self.contains(name) {
-                    return Err(StoreError::MissingDocument(name.clone()));
+                    return Err(StoreError::MissingDocument(name.to_string()));
                 }
                 let saved = meta.cursor;
                 let mut last_seq = None;
@@ -466,7 +467,7 @@ impl FsBackend {
                 Ok(saved)
             });
             match staged {
-                Ok(saved) => saved_cursors.push((name.as_str(), saved)),
+                Ok(saved) => saved_cursors.push((name, saved)),
                 // The document could not be loaded or is gone: nothing of it
                 // was written, and none of its members can land.
                 Err(error) => {

@@ -180,7 +180,6 @@ pub(crate) const TEAR_BYTES: u64 = 3;
 
 /// One committed batch framed as a segment record — what everything below
 /// the append entry point carries instead of the batch itself.
-#[derive(Debug)]
 pub(crate) struct EncodedRecord {
     /// Header + payload, exactly as they land in the segment file.
     pub(crate) bytes: Vec<u8>,
@@ -240,10 +239,10 @@ impl<'a> Iterator for SoundRecords<'a> {
         // Slicing the remainder, never adding to an offset: a hostile
         // `payload_len` can overrun the buffer but not overflow anything.
         let rest = self.bytes.get(self.sound_len..)?;
-        let (header, body) = rest.split_first_chunk::<RECORD_HEADER_BYTES>()?;
-        let (payload_len, updates) = header.split_at(4);
-        let payload_len = u32::from_le_bytes(payload_len.try_into().ok()?) as usize;
-        let updates = u32::from_le_bytes(updates.try_into().ok()?);
+        let (&[l0, l1, l2, l3, u0, u1, u2, u3], body) =
+            rest.split_first_chunk::<RECORD_HEADER_BYTES>()?;
+        let payload_len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+        let updates = u32::from_le_bytes([u0, u1, u2, u3]);
         let payload = std::str::from_utf8(body.get(..payload_len)?).ok()?;
         self.sound_len += RECORD_HEADER_BYTES + payload_len;
         Some(SoundRecord { payload, updates })

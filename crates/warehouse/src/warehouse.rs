@@ -654,7 +654,7 @@ impl Warehouse {
     /// as the document's new snapshot by an O(1) pointer swap — an error
     /// *before* the commit point leaves the published snapshot and the
     /// journal exactly as they were. Configured maintenance (checkpoint
-    /// folding) runs after the commit point and can no longer fail the call:
+    /// folding) runs after the commit point and cannot fail the call:
     /// a fold that cannot be written leaves the old checkpoint and the full
     /// journal, the next blocking commit tries again, and the failure itself
     /// is what an explicit [`Warehouse::checkpoint`] returns.
