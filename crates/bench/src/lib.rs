@@ -1,8 +1,22 @@
-//! Shared workload builders for the experiment harness.
+//! What the experiment harness's families share, stated once.
 //!
-//! Every experiment that needs a generated input (E2–E10 and E13, described
-//! in the doc comments of `src/bin/harness.rs`) gets it from here, seeded
-//! with [`BENCH_SEED`] so a table is reproducible run to run.
+//! * **Workload builders.** Every experiment that needs a generated input
+//!   (E2–E8, E10 and E13, described in the modules of `src/bin/harness/`)
+//!   gets it from here, seeded with [`BENCH_SEED`] so a table is
+//!   reproducible run to run.
+//! * **Measuring and printing.** [`time_it`], [`ms`], [`micros`],
+//!   [`percentile`], [`header`].
+//! * **Scratch stores.** [`Scratch`] is the only place the harness names
+//!   the system temp dir; it empties the directory when made and removes it
+//!   when dropped, a failed gate's unwind included. [`warehouse_over`] opens
+//!   the warehouse the engine and chaos gates run against.
+//! * **Counter deltas.** [`stats_delta`] turns two [`WarehouseStats`]
+//!   snapshots into what moved between them, so a phase's window occupancy
+//!   is the delta's own `mean_window_occupancy`.
+
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pxml_core::{FuzzyTree, Update, UpdateTransaction};
 use pxml_event::{Condition, EventId, Literal};
@@ -11,12 +25,100 @@ use pxml_gen::{
     TreeGenConfig, UpdateGenConfig,
 };
 use pxml_query::{PNodeId, Pattern};
+use pxml_store::{FsBackend, FsOptions};
 use pxml_tree::Tree;
+use pxml_warehouse::{CompactionPolicy, SessionConfig, Warehouse, WarehouseStats};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// The fixed seed used by every benchmark workload (reproducibility).
 pub const BENCH_SEED: u64 = 0x5eed_cafe;
+
+/// Runs `body` a few times and reports the median wall-clock time.
+pub fn time_it(repetitions: usize, mut body: impl FnMut()) -> Duration {
+    let mut samples = Vec::with_capacity(repetitions);
+    for _ in 0..repetitions {
+        let start = Instant::now();
+        body();
+        samples.push(start.elapsed());
+    }
+    samples.sort();
+    samples[samples.len() / 2]
+}
+
+pub fn ms(duration: Duration) -> f64 {
+    duration.as_secs_f64() * 1e3
+}
+
+pub fn micros(duration: Duration) -> f64 {
+    duration.as_secs_f64() * 1e6
+}
+
+/// Nearest-rank percentile over an already-sorted latency sample.
+pub fn percentile(sorted: &[Duration], q: f64) -> Duration {
+    if sorted.is_empty() {
+        return Duration::ZERO;
+    }
+    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
+    sorted[rank]
+}
+
+/// Prints an experiment's banner.
+pub fn header(id: &str, title: &str) {
+    println!("----------------------------------------------------------------");
+    println!("{id}: {title}");
+    println!("----------------------------------------------------------------");
+}
+
+/// A scratch directory under the system temp dir, named after `label` and
+/// this process: absent when the guard is made (a crashed run's leftovers
+/// are removed), removed again when the guard drops. Declare it before the
+/// warehouse or server it backs, so it is dropped after them.
+#[derive(Debug)]
+pub struct Scratch(PathBuf);
+
+impl Scratch {
+    pub fn new(label: &str) -> Self {
+        let path =
+            std::env::temp_dir().join(format!("pxml-harness-{label}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        Scratch(path)
+    }
+
+    pub fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// A warehouse over a fresh [`FsBackend`] at `dir`, compaction off: the
+/// journal of an experiment's document holds every commit made to it.
+pub fn warehouse_over(dir: &Path, options: FsOptions) -> Warehouse {
+    let backend = FsBackend::with_options(dir, options).expect("scratch store opens");
+    let config = SessionConfig {
+        compaction: CompactionPolicy::Never,
+        ..SessionConfig::default()
+    };
+    Warehouse::with_backend(Arc::new(backend), config).expect("empty store recovers")
+}
+
+/// What every counter moved by between two snapshots of one warehouse.
+pub fn stats_delta(before: &WarehouseStats, after: &WarehouseStats) -> WarehouseStats {
+    WarehouseStats {
+        updates_applied: after.updates_applied - before.updates_applied,
+        queries_evaluated: after.queries_evaluated - before.queries_evaluated,
+        simplifications: after.simplifications - before.simplifications,
+        checkpoints: after.checkpoints - before.checkpoints,
+        fsyncs: after.fsyncs - before.fsyncs,
+        grouped_commits: after.grouped_commits - before.grouped_commits,
+        grouped_windows: after.grouped_windows - before.grouped_windows,
+    }
+}
 
 /// A random plain document with roughly `elements` element nodes.
 pub fn document(elements: usize, seed: u64) -> Tree {
@@ -165,14 +267,12 @@ pub fn cleaning_history(people: usize, phones: usize, rounds: usize) -> FuzzyTre
     fuzzy
 }
 
-/// The E13 merged-answer workload: a root with `matches` same-body uncertain
-/// `a` children whose conditions together span `events` distinct events
-/// (each condition conjoins `literals_per_match` distinct literals, signs
-/// mixed). The query `r { a }` then yields `matches` matches that all merge
-/// into **one** answer group, so the group's probability is the exact
-/// disjunction of all the conditions — the computation whose cost separates
-/// the BDD engine (linear in diagram size) from Shannon expansion
-/// (exponential in `events`).
+/// E13's ring: a root with `matches` same-body uncertain `a` children whose
+/// conditions together span `events` distinct events (each condition
+/// conjoins `literals_per_match` distinct literals, signs mixed). The query
+/// `r { a }` then yields `matches` matches that all merge into **one**
+/// answer group whose conditions chain into a single event-sharing
+/// component — the disjunction factoring cannot split.
 pub fn merged_answer_document(
     matches: usize,
     events: usize,
@@ -255,6 +355,18 @@ mod tests {
             .collect();
         assert_eq!(mentioned.len(), 12, "the group must span every event");
         assert!(merged[0].1 > 0.0 && merged[0].1 <= 1.0);
+    }
+
+    #[test]
+    fn scratch_is_absent_when_made_and_removed_when_dropped() {
+        let path = Scratch::new("lib-test").path().to_path_buf();
+        std::fs::create_dir_all(path.join("left-by-a-crashed-run")).unwrap();
+        let scratch = Scratch::new("lib-test");
+        assert_eq!(scratch.path(), path);
+        assert!(!path.exists());
+        std::fs::create_dir_all(path.join("used")).unwrap();
+        drop(scratch);
+        assert!(!path.exists());
     }
 
     #[test]

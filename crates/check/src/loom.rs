@@ -131,7 +131,7 @@ impl Explorer<'_> {
 
 /// The scenario battery the explorer suite and the `explore` binary run:
 /// every bounded 2-thread schedule of the committer (same doc, distinct
-/// docs, window of 1, deliberate-window mode) plus 3-thread sweeps.
+/// docs, window of 1) plus 3-thread sweeps.
 pub fn scenarios() -> Vec<Scenario> {
     vec![
         Scenario {
@@ -139,7 +139,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0, 0], vec![0, 0]],
             docs: 1,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,
@@ -149,7 +148,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0, 1], vec![1, 0]],
             docs: 2,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,
@@ -159,17 +157,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0, 0], vec![0, 0]],
             docs: 1,
             window_max: 1,
-            fill_idle: false,
-            bug_ack_before_fsync: false,
-            fsync_fails_at: None,
-            bug_ack_after_failed_fsync: false,
-        },
-        Scenario {
-            name: "2t-2docs-fill-idle",
-            threads: vec![vec![0], vec![1]],
-            docs: 2,
-            window_max: 2,
-            fill_idle: true,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,
@@ -179,7 +166,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0], vec![1], vec![0]],
             docs: 2,
             window_max: 3,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,
@@ -189,7 +175,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0, 0], vec![0], vec![0]],
             docs: 1,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,
@@ -204,7 +189,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0, 0], vec![0, 0]],
             docs: 1,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: Some(1),
             bug_ack_after_failed_fsync: false,
@@ -214,7 +198,6 @@ pub fn scenarios() -> Vec<Scenario> {
             threads: vec![vec![0, 1], vec![1, 0]],
             docs: 2,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: Some(2),
             bug_ack_after_failed_fsync: false,
@@ -230,7 +213,6 @@ pub fn seeded_bug_scenario() -> Scenario {
         threads: vec![vec![0], vec![0]],
         docs: 1,
         window_max: 2,
-        fill_idle: false,
         bug_ack_before_fsync: true,
         fsync_fails_at: None,
         bug_ack_after_failed_fsync: false,
@@ -246,7 +228,6 @@ pub fn seeded_fsyncgate_scenario() -> Scenario {
         threads: vec![vec![0], vec![0]],
         docs: 1,
         window_max: 2,
-        fill_idle: false,
         bug_ack_before_fsync: false,
         fsync_fails_at: Some(1),
         bug_ack_after_failed_fsync: true,
@@ -275,7 +256,6 @@ mod tests {
             threads: vec![vec![0]],
             docs: 1,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,

@@ -56,9 +56,6 @@ pub struct Scenario {
     pub docs: usize,
     /// The committer's `window_max_batches`.
     pub window_max: usize,
-    /// Mirrors `FsOptions::group_fill_idle_windows`: solo leaders fill-wait
-    /// too instead of taking the idle fast-path.
-    pub fill_idle: bool,
     /// Seeded bug: the leader acknowledges its window without an fsync
     /// round, breaking "ack ⇒ durable". For explorer self-tests only.
     pub bug_ack_before_fsync: bool,
@@ -239,8 +236,8 @@ impl State {
 
     /// Drains the pending queue into the leader's window, maintaining the
     /// concurrency hint exactly like `GroupCommitter::wait` does.
-    fn drain(&mut self, scenario: &Scenario, after_fill: bool) {
-        if after_fill && self.pending.len() == 1 && !scenario.fill_idle {
+    fn drain(&mut self, after_fill: bool) {
+        if after_fill && self.pending.len() == 1 {
             self.hint = false;
         }
         self.window = std::mem::take(&mut self.pending);
@@ -283,13 +280,13 @@ impl State {
                     return next;
                 }
                 next.leader = Some(t);
-                let fill = scenario.fill_idle || next.hint || next.pending.len() > 1;
+                let fill = next.hint || next.pending.len() > 1;
                 if fill {
                     next.pc[t] = Pc::Filling { commit };
                 } else {
                     // Idle fast-path: leadership take and drain are one
                     // critical section, like the real committer.
-                    next.drain(scenario, false);
+                    next.drain(false);
                     next.pc[t] = Pc::Writing {
                         commit,
                         write_idx: 0,
@@ -297,7 +294,7 @@ impl State {
                 }
             }
             (Step::FillTimeout, Pc::Filling { commit }) => {
-                next.drain(scenario, true);
+                next.drain(true);
                 next.pc[t] = Pc::Writing {
                     commit,
                     write_idx: 0,
@@ -494,7 +491,6 @@ mod tests {
             threads: vec![vec![0], vec![0]],
             docs: 1,
             window_max: 2,
-            fill_idle: false,
             bug_ack_before_fsync: false,
             fsync_fails_at: None,
             bug_ack_after_failed_fsync: false,

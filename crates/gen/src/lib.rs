@@ -19,16 +19,12 @@
 //!   examples: documents that look like the output of an information
 //!   extraction pipeline, and streams of extraction-style updates with
 //!   confidences;
-//! * [`concurrent`] — seeded concurrent mixed workloads (experiment E11):
-//!   per-document streams of interleaved queries and committed update
-//!   batches for multi-threaded warehouse drivers;
-//! * [`storage`] — deterministic committed-batch streams for journal seeding
-//!   (experiment E12 and the storage-backend tests).
+//! * [`storage`] — deterministic committed-batch streams: the commits the
+//!   writers of harness experiments E14 and E15 make.
 //!
 //! Every generator takes an explicit [`rand::Rng`] (or derives one from a
 //! seed), so workloads are reproducible.
 
-pub mod concurrent;
 pub mod fuzzy;
 pub mod queries;
 pub mod scenarios;
@@ -36,9 +32,6 @@ pub mod storage;
 pub mod trees;
 pub mod updates;
 
-pub use concurrent::{
-    concurrent_workload, initial_document, ConcurrentWorkloadConfig, DocumentWorkload, WorkloadOp,
-};
 pub use fuzzy::{random_fuzzy_tree, FuzzyGenConfig};
 pub use queries::{derived_query, random_query, QueryGenConfig};
 pub use scenarios::{extraction_update, people_directory, PeopleScenarioConfig};

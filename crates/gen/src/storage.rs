@@ -1,10 +1,9 @@
-//! Seeded storage workloads: deterministic streams of committed batches for
-//! journal seeding (experiment E12 and the storage-backend tests).
+//! Seeded storage workloads: deterministic streams of committed batches.
 //!
 //! A store's commit cost is a property of its *journal shape* — how many
-//! batches it has accumulated — not of the batches' content, so E12 seeds
-//! journals of controlled lengths from this stream and then measures the
-//! latency of one more append at each length.
+//! batches it has accumulated — not of the batches' content, so a writer
+//! that has `count` commits to make (harness experiments E14 and E15) takes
+//! them from this stream.
 
 use pxml_core::UpdateTransaction;
 use rand::rngs::StdRng;

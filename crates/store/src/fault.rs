@@ -1,10 +1,11 @@
 //! Deterministic fault injection for the storage layer.
 //!
 //! A [`FaultPlan`] installed through [`FsOptions::fault`](crate::FsOptions)
-//! is consulted by [`FsBackend`](crate::FsBackend) at its two durability
-//! steps — the journal-append entry point and the fsync funnel every append
-//! path ends in. That is the only door faults enter by: there is no wrapper
-//! backend, so one plan on one backend covers the whole stack above it.
+//! is consulted by [`FsBackend`](crate::FsBackend) at its three durability
+//! steps — the journal-append entry point, the fsync funnel every append
+//! path ends in, and the checkpoint write every save and fold ends in. That
+//! is the only door faults enter by: there is no wrapper backend, so one plan
+//! on one backend covers the whole stack above it.
 //!
 //! Everything is deterministic: "fail the Nth append" faults are exact
 //! per-operation counters, and rate-based faults draw from a seeded
@@ -13,12 +14,14 @@
 //! # Fault semantics
 //!
 //! * [`FaultKind::Error`] fires **before** the operation runs: nothing is
-//!   written (an append) or flushed (an fsync round — the backend rolls the
+//!   written (an append, a checkpoint — the old checkpoint and the whole
+//!   journal stay) or flushed (an fsync round — the backend rolls the
 //!   unsynced records back), and the caller gets a typed [`StoreError::Io`]
 //!   whose message carries the [`INJECTED_FAULT`] marker.
-//! * [`FaultKind::TornWrite`] (appends only) lets the record land and then
-//!   shears trailing bytes off its segment file — the on-disk shape of a
-//!   crash mid-record. The error is reported to the caller and the document
+//! * [`FaultKind::TornWrite`] (appends only; at the other two doors it is
+//!   an [`FaultKind::Error`]) lets the record land and then shears trailing
+//!   bytes off its segment file — the on-disk shape of a crash mid-record.
+//!   The error is reported to the caller and the document
 //!   **must be reopened** before further appends: the in-memory meters are
 //!   deliberately left stale, exactly like a real torn write, and only a
 //!   rescan (`reopen_document`) truncates the torn tail away.
@@ -50,15 +53,19 @@ pub enum FaultOp {
     Append,
     /// A device fsync round, consulted by the backend's fsync funnel.
     Fsync,
+    /// A checkpoint write, consulted once where every save, fold and
+    /// `simplify` stages its new checkpoint.
+    Checkpoint,
 }
 
 impl FaultOp {
-    const ALL: usize = 2;
+    const ALL: usize = 3;
 
     fn index(self) -> usize {
         match self {
             FaultOp::Append => 0,
             FaultOp::Fsync => 1,
+            FaultOp::Checkpoint => 2,
         }
     }
 
@@ -66,6 +73,7 @@ impl FaultOp {
         match self {
             FaultOp::Append => "append",
             FaultOp::Fsync => "fsync",
+            FaultOp::Checkpoint => "checkpoint",
         }
     }
 }
@@ -78,7 +86,7 @@ pub enum FaultKind {
     Error,
     /// Let an append land, then shear bytes off its segment file — the
     /// on-disk shape of a crash mid-record. Appends only: on an fsync round
-    /// it degrades to [`FaultKind::Error`].
+    /// or a checkpoint it degrades to [`FaultKind::Error`].
     TornWrite,
     /// Sleep this long, then let the operation through.
     Latency(Duration),

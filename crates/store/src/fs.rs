@@ -104,7 +104,9 @@ use crate::segment::{parse_segment_name, Cursor, Segments};
 /// many bytes, the next append starts a new segment file. Bounding the
 /// active segment bounds the per-append fsync work (on file systems where
 /// fsync cost grows with file size) and the torn-tail scan — both part of
-/// the flat-commit-cost claim E12 measures.
+/// the flat-commit-cost claim pxbench's `store.append_us` /
+/// `store.append_mem_us` track (the journal-length sweep is ROADMAP item
+/// 6's E20).
 pub const DEFAULT_SEGMENT_ROLL_BYTES: u64 = 512 * 1024;
 
 /// Construction options for [`FsBackend`] ([`FsBackend::with_options`]).
@@ -122,17 +124,10 @@ pub struct FsOptions {
     /// the protocol rather than the page cache of the build machine.
     /// `Duration::ZERO` (the default) disables the model entirely.
     pub simulated_sync_latency: Duration,
-    /// Deliberate-window mode for tests and benchmarks of the grouped
-    /// policy: when `true`, a solo window leader waits out the fill window
-    /// (`window_max_wait`) even with no sign of concurrent committers,
-    /// instead of taking the idle fast-path that fsyncs a lone append
-    /// immediately (see the [`crate::group`] module docs). `false` (the
-    /// default) is what production sessions want.
-    pub group_fill_idle_windows: bool,
-    /// The fault plan the backend consults at its append entry point and
-    /// in its fsync funnel (see [`crate::fault`]) — the single door faults
-    /// enter the storage stack by. `None` (the default) disables injection
-    /// entirely.
+    /// The fault plan the backend consults at its append entry point, in its
+    /// fsync funnel and at its checkpoint write (see [`crate::fault`]) — the
+    /// single door faults enter the storage stack by. `None` (the default)
+    /// disables injection entirely.
     pub fault: Option<Arc<FaultPlan>>,
 }
 
@@ -142,7 +137,6 @@ impl Default for FsOptions {
             segment_roll_bytes: DEFAULT_SEGMENT_ROLL_BYTES,
             commit: CommitPolicy::default(),
             simulated_sync_latency: Duration::ZERO,
-            group_fill_idle_windows: false,
             fault: None,
         }
     }
@@ -176,7 +170,8 @@ struct Shared {
     device: Device,
     counters: SyncCounters,
     /// The fault plan of [`FsOptions::fault`], consulted at the append entry
-    /// point and by the fsync funnel; `None` in production.
+    /// point, by the fsync funnel and at the checkpoint write; `None` in
+    /// production.
     fault: Option<Arc<FaultPlan>>,
 }
 
@@ -210,11 +205,7 @@ impl FsBackend {
             CommitPolicy::Grouped {
                 window_max_batches,
                 window_max_wait,
-            } => Some(GroupCommitter::new(
-                window_max_batches,
-                window_max_wait,
-                options.group_fill_idle_windows,
-            )),
+            } => Some(GroupCommitter::new(window_max_batches, window_max_wait)),
         };
         let backend = FsBackend {
             shared: Arc::new(Shared {
@@ -294,14 +285,28 @@ impl FsBackend {
         self.segments().root()
     }
 
+    /// Counts one `op` against the fault plan, if one is installed, and
+    /// returns the fault it injects — each of the three doors calls this
+    /// exactly once per operation.
+    fn injected(&self, op: FaultOp) -> Option<(FaultKind, StoreError)> {
+        self.shared.fault.as_ref()?.decide(op)
+    }
+
     /// The atomic checkpoint write itself, assuming the caller holds the
-    /// document's mutex.
+    /// document's mutex. Every checkpoint — a save, a fold, `simplify`'s —
+    /// is staged here, so this is where the fault plan's checkpoint door is:
+    /// an injected fault (a torn write degrades to a plain error) fires
+    /// before anything is staged, leaving the old checkpoint and the whole
+    /// journal.
     fn write_checkpoint(
         &self,
         name: &str,
         fuzzy: &FuzzyTree,
         epoch: u64,
     ) -> Result<(), StoreError> {
+        if let Some((_, error)) = self.injected(FaultOp::Checkpoint) {
+            return Err(error);
+        }
         let target = self.segments().document_path(name);
         let temporary = self.root().join(format!(".{name}.pxml.tmp"));
         let mut file = fs::File::create(&temporary)?;
@@ -371,11 +376,7 @@ impl FsBackend {
     /// group commit divides.
     fn fsync_round(&self, files: &[fs::File], fresh_segment: bool) -> Result<(), StoreError> {
         let shared = &*self.shared;
-        if let Some((_, error)) = shared
-            .fault
-            .as_ref()
-            .and_then(|plan| plan.decide(FaultOp::Fsync))
-        {
+        if let Some((_, error)) = self.injected(FaultOp::Fsync) {
             // An injected fsync fault (a torn write degrades to a plain
             // error here) preempts the round entirely: the data was written
             // but never reached the device — exactly the state a real fsync
@@ -625,12 +626,7 @@ impl StorageBackend for FsBackend {
     /// ([`CommitPolicy::Sync`]) the append runs to completion here and the
     /// ticket comes back already resolved.
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        let torn = match self
-            .shared
-            .fault
-            .as_ref()
-            .and_then(|plan| plan.decide(FaultOp::Append))
-        {
+        let torn = match self.injected(FaultOp::Append) {
             Some((FaultKind::TornWrite, error)) => Some(error),
             Some((_, error)) => return CommitTicket::resolved(Err(error)),
             None => None,
@@ -1269,6 +1265,57 @@ mod tests {
         // The sync path carries no poison: the next append just works.
         store.append_batch("people", &[sample_update()]).unwrap();
         assert_eq!(store.journal_batches("people").unwrap(), 2);
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// An injected checkpoint fault is a typed error that stages nothing —
+    /// the old checkpoint and the whole journal stay, on this handle and on
+    /// a fresh one — and the next un-faulted checkpoint folds. A torn write
+    /// at this door is a plain error.
+    #[test]
+    fn checkpoint_fault_leaves_old_checkpoint_and_full_journal() {
+        use crate::fault::{FaultKind, FaultOp, FaultPlan, INJECTED_FAULT};
+        let dir = scratch("checkpoint-fault");
+        // Checkpoint #1 is the save; #2 and #3 are the faulted folds.
+        let plan = Arc::new(
+            FaultPlan::new()
+                .fail_nth(FaultOp::Checkpoint, 2)
+                .fail_nth_with(FaultOp::Checkpoint, 3, FaultKind::TornWrite),
+        );
+        let store = FsBackend::with_options(
+            &dir,
+            FsOptions {
+                fault: Some(plan.clone()),
+                ..FsOptions::default()
+            },
+        )
+        .unwrap();
+        store.save_document("people", &sample_fuzzy()).unwrap();
+        store.append_batch("people", &[sample_update()]).unwrap();
+        let recovered = store.recover_document("people").unwrap();
+        for faults in 1..=2 {
+            let error = store.checkpoint("people", &recovered).unwrap_err();
+            assert!(
+                matches!(&error, StoreError::Io(io) if io.to_string().contains(INJECTED_FAULT)),
+                "unexpected error: {error}"
+            );
+            assert_eq!(plan.injected_faults(), faults);
+            for handle in [store.clone(), FsBackend::open(&dir).unwrap()] {
+                assert_eq!(handle.journal_batches("people").unwrap(), 1);
+                let checkpointed = handle.load_document("people").unwrap();
+                assert!(checkpointed.tree().find_elements("email").is_empty());
+            }
+            let text = fs::read_to_string(dir.join("people.pxml")).unwrap();
+            assert_eq!(extract_epoch(&text), 0);
+            assert!(!dir.join(".people.pxml.tmp").exists(), "nothing was staged");
+        }
+        store.checkpoint("people", &recovered).unwrap();
+        assert_eq!(plan.ops(FaultOp::Checkpoint), 4);
+        assert_eq!(store.journal_batches("people").unwrap(), 0);
+        assert!(segment_files(&dir).is_empty(), "folded segments deleted");
+        let reopened = FsBackend::open(&dir).unwrap();
+        let folded = reopened.recover_document("people").unwrap();
+        assert_eq!(folded.tree().find_elements("email").len(), 1);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -61,8 +61,7 @@
 //! fill timeout per commit. The first sign of concurrency (an enqueue that
 //! finds the window occupied or a leader mid-flush) re-arms the fill-wait so
 //! racing committers coalesce again; a fill-wait that still drains solo
-//! disarms it. Tests that need a deliberately held-open window opt out via
-//! [`FsOptions::group_fill_idle_windows`](crate::FsOptions).
+//! disarms it.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -236,9 +235,6 @@ fn poisoned_message(cause: &str) -> String {
 pub(crate) struct GroupCommitter {
     window_max_batches: usize,
     window_max_wait: Duration,
-    /// Deliberate-window mode: solo leaders fill-wait too, instead of taking
-    /// the idle fast-path (see [`crate::FsOptions::group_fill_idle_windows`]).
-    fill_idle_windows: bool,
     window: Mutex<Window>,
     wakeup: Condvar,
 }
@@ -253,15 +249,10 @@ impl fmt::Debug for GroupCommitter {
 }
 
 impl GroupCommitter {
-    pub(crate) fn new(
-        window_max_batches: usize,
-        window_max_wait: Duration,
-        fill_idle_windows: bool,
-    ) -> Self {
+    pub(crate) fn new(window_max_batches: usize, window_max_wait: Duration) -> Self {
         GroupCommitter {
             window_max_batches: window_max_batches.max(1),
             window_max_wait,
-            fill_idle_windows,
             window: Mutex::with_class(
                 LockClass::GroupCommitter,
                 Window {
@@ -386,8 +377,7 @@ impl GroupCommitter {
         // lone append with no evidence of concurrency skips the fill-wait
         // entirely (see the module docs).
         window.leader_active = true;
-        let fill = fill_wait
-            && (self.fill_idle_windows || window.concurrency_hint || window.pending.len() > 1);
+        let fill = fill_wait && (window.concurrency_hint || window.pending.len() > 1);
         if fill {
             let opened = window.opened_at.unwrap_or_else(Instant::now);
             while window.pending.len() < self.window_max_batches {
@@ -398,7 +388,7 @@ impl GroupCommitter {
                 self.wakeup
                     .wait_for(&mut window, self.window_max_wait - elapsed);
             }
-            if window.pending.len() == 1 && !self.fill_idle_windows {
+            if window.pending.len() == 1 {
                 // A full fill-wait still drained solo: the concurrency is
                 // over, let the next lone committer fast-path again.
                 window.concurrency_hint = false;

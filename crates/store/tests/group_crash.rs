@@ -16,7 +16,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 use std::time::Duration;
 
 use pxml_core::{FuzzyTree, UpdateTransaction};
@@ -75,35 +75,37 @@ fn encode_record(batch: &[UpdateTransaction]) -> Vec<u8> {
     record
 }
 
-/// A grouped backend with a window of `window_max_batches` and a wait long
-/// enough that barrier-started committers always share a window. Sequential
-/// lone appends still return immediately thanks to the committer's idle
-/// fast-path.
+/// A grouped backend with a window of `window_max_batches` and a fill wait
+/// no test waits out: sequential lone appends return immediately through
+/// the committer's idle fast-path, and a window made by [`commit_together`]
+/// is already full when its leader arrives.
 fn grouped(dir: &Path, window_max_batches: usize) -> FsBackend {
-    grouped_with(dir, window_max_batches, false)
+    FsBackend::with_options(dir, grouped_options(window_max_batches)).unwrap()
 }
 
-/// Like [`grouped`], but in deliberate-window mode
-/// (`group_fill_idle_windows`): every leader waits out the fill window, so
-/// barrier-started committers share one fsync round *deterministically* —
-/// for tests that assert on the exact round count.
-fn grouped_deliberate(dir: &Path, window_max_batches: usize) -> FsBackend {
-    grouped_with(dir, window_max_batches, true)
-}
-
-fn grouped_with(dir: &Path, window_max_batches: usize, fill_idle: bool) -> FsBackend {
-    FsBackend::with_options(
-        dir,
-        FsOptions {
-            commit: CommitPolicy::Grouped {
-                window_max_batches,
-                window_max_wait: Duration::from_secs(5),
-            },
-            group_fill_idle_windows: fill_idle,
-            ..FsOptions::default()
+fn grouped_options(window_max_batches: usize) -> FsOptions {
+    FsOptions {
+        commit: CommitPolicy::Grouped {
+            window_max_batches,
+            window_max_wait: Duration::from_secs(5),
         },
-    )
-    .unwrap()
+        ..FsOptions::default()
+    }
+}
+
+/// Commits one `tag`ged batch to each of `docs` through **one shared
+/// window**, deterministically and on one thread: enqueueing does not block,
+/// so every ticket is in the window before the first wait elects its leader,
+/// and a window holding more than one pending append arms the fill-wait by
+/// itself — the leader drains them all behind one fsync round.
+fn commit_together(store: &FsBackend, docs: &[&str], tag: &str) {
+    let tickets: Vec<_> = docs
+        .iter()
+        .map(|doc| store.append_batch_enqueue(doc, &[tagged_update(tag)]))
+        .collect();
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
 }
 
 /// Appends `bytes` of a torn record to a document's epoch-0 segment 0,
@@ -156,33 +158,18 @@ fn kill_before_window_fsync_discards_all_members() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// Kill after the window's fsync round: two barrier-started committers to
-/// two documents share one window (one fsync round for both), the process
-/// dies right after both acknowledgements — both batches must replay.
+/// Kill after the window's fsync round: two commits to two documents share
+/// one window (one fsync round for both), the process dies right after both
+/// acknowledgements — both batches must replay.
 #[test]
 fn kill_after_window_fsync_replays_all_members() {
     let dir = scratch("after-fsync");
     {
-        // Deliberate windows: the test asserts exactly one shared round, so
-        // the leader must not fast-path ahead of the second committer.
-        let store = Arc::new(grouped_deliberate(&dir, 2));
+        let store = grouped(&dir, 2);
         store.save_document("doc-a", &sample_fuzzy()).unwrap();
         store.save_document("doc-b", &sample_fuzzy()).unwrap();
         let before = store.durability_stats();
-        let barrier = Barrier::new(2);
-        std::thread::scope(|scope| {
-            for doc in ["doc-a", "doc-b"] {
-                let store = store.clone();
-                let barrier = &barrier;
-                scope.spawn(move || {
-                    barrier.wait();
-                    store
-                        .append_batch_enqueue(doc, &[tagged_update("shared")])
-                        .wait()
-                        .unwrap();
-                });
-            }
-        });
+        commit_together(&store, &["doc-a", "doc-b"], "shared");
         let stats = store.durability_stats();
         assert_eq!(stats.grouped_commits - before.grouped_commits, 2);
         assert_eq!(
@@ -256,35 +243,25 @@ fn window_with_segment_roll_survives_crash_after_fsync() {
             &dir,
             FsOptions {
                 segment_roll_bytes: 1, // every record rolls a new segment
-                commit: CommitPolicy::Grouped {
-                    window_max_batches: 2,
-                    window_max_wait: Duration::from_secs(5),
-                },
-                // Both documents must land in one *shared* window per round
-                // (the scenario under test), so disable the idle fast-path.
-                group_fill_idle_windows: true,
-                ..FsOptions::default()
+                ..grouped_options(2)
             },
         )
         .unwrap();
         store.save_document("doc-a", &sample_fuzzy()).unwrap();
         store.save_document("doc-b", &sample_fuzzy()).unwrap();
+        let before = store.durability_stats();
+        // Both documents land in one *shared* window per round — the
+        // scenario under test.
         for tag in ["r0", "r1"] {
-            let barrier = Barrier::new(2);
-            std::thread::scope(|scope| {
-                for doc in ["doc-a", "doc-b"] {
-                    let store = &store;
-                    let barrier = &barrier;
-                    scope.spawn(move || {
-                        barrier.wait();
-                        store
-                            .append_batch_enqueue(doc, &[tagged_update(tag)])
-                            .wait()
-                            .unwrap();
-                    });
-                }
-            });
+            commit_together(&store, &["doc-a", "doc-b"], tag);
         }
+        let stats = store.durability_stats();
+        assert_eq!(stats.grouped_commits - before.grouped_commits, 4);
+        assert_eq!(
+            stats.fsyncs - before.fsyncs,
+            2,
+            "each round's two members must share one fsync round"
+        );
         // Dropped without checkpoint: the crash.
     }
     let reopened = FsBackend::with_options(

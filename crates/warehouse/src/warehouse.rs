@@ -1259,42 +1259,62 @@ mod tests {
     /// the fold that follows it: told `Err`, a retrying client would apply
     /// the batch twice. The failed fold leaves the journal whole, the
     /// explicit verb says why it fails, and the next commit folds once the
-    /// obstruction is gone.
+    /// cause is gone. Two causes: the checkpoint's staging path made
+    /// un-creatable, and a fault plan failing checkpoints #2 (the due fold)
+    /// and #3 (the explicit verb) — #1 is the document's creation.
     #[test]
     fn a_failed_post_commit_fold_does_not_fail_the_commit() {
-        let dir = scratch("fold-fails");
-        let config = SessionConfig {
-            simplify: SimplifyPolicy::Never,
-            compaction: CompactionPolicy::EveryNBatches(2),
-            ..SessionConfig::default()
-        };
-        let warehouse = Warehouse::with_config(&dir, config).unwrap();
-        warehouse.create_document("people", directory()).unwrap();
-        // The checkpoint's staging path, made un-creatable.
-        let obstruction = dir.join(".people.pxml.tmp");
-        std::fs::create_dir(&obstruction).unwrap();
+        use pxml_store::{FaultOp, FaultPlan, FsBackend, FsOptions};
+        for plan in [
+            None,
+            Some(
+                FaultPlan::new()
+                    .fail_nth(FaultOp::Checkpoint, 2)
+                    .fail_nth(FaultOp::Checkpoint, 3),
+            ),
+        ] {
+            let dir = scratch("fold-fails");
+            let config = SessionConfig {
+                simplify: SimplifyPolicy::Never,
+                compaction: CompactionPolicy::EveryNBatches(2),
+                ..SessionConfig::default()
+            };
+            let obstruction = plan.is_none().then(|| dir.join(".people.pxml.tmp"));
+            let options = FsOptions {
+                fault: plan.map(Arc::new),
+                ..FsOptions::default()
+            };
+            let backend = FsBackend::with_options(&dir, options).unwrap();
+            let warehouse = Warehouse::with_backend(Arc::new(backend), config).unwrap();
+            warehouse.create_document("people", directory()).unwrap();
+            if let Some(obstruction) = &obstruction {
+                std::fs::create_dir(obstruction).unwrap();
+            }
 
-        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
-        let stats = commit_one(&warehouse, "people", &add_phone("bob", 0.9))
-            .expect("the batch is durable and published: a failed fold is not its failure");
-        assert_eq!(stats.len(), 1);
-        assert!(!warehouse.is_quarantined("people"));
-        assert_eq!(warehouse.stats().checkpoints, 0);
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
-        assert!(matches!(
-            warehouse.checkpoint("people"),
-            Err(WarehouseError::Store(_))
-        ));
+            commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+            let stats = commit_one(&warehouse, "people", &add_phone("bob", 0.9))
+                .expect("the batch is durable and published: a failed fold is not its failure");
+            assert_eq!(stats.len(), 1);
+            assert!(!warehouse.is_quarantined("people"));
+            assert_eq!(warehouse.stats().checkpoints, 0);
+            assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+            assert!(matches!(
+                warehouse.checkpoint("people"),
+                Err(WarehouseError::Store(_))
+            ));
 
-        std::fs::remove_dir(&obstruction).unwrap();
-        commit_one(&warehouse, "people", &add_phone("alice", 0.5)).unwrap();
-        assert_eq!(warehouse.stats().checkpoints, 1);
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
-        drop(warehouse);
-        let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
-        let phones = Pattern::parse("person { phone }").unwrap();
-        assert_eq!(reopened.query("people", &phones).unwrap().len(), 3);
-        std::fs::remove_dir_all(dir).unwrap();
+            if let Some(obstruction) = &obstruction {
+                std::fs::remove_dir(obstruction).unwrap();
+            }
+            commit_one(&warehouse, "people", &add_phone("alice", 0.5)).unwrap();
+            assert_eq!(warehouse.stats().checkpoints, 1);
+            assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+            drop(warehouse);
+            let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
+            let phones = Pattern::parse("person { phone }").unwrap();
+            assert_eq!(reopened.query("people", &phones).unwrap().len(), 3);
+            std::fs::remove_dir_all(dir).unwrap();
+        }
     }
 
     #[test]
