@@ -12,7 +12,7 @@ use pxml_bench::{
     header, merged_answer_document, micros, ms, percentile, stats_delta, time_it, warehouse_over,
     Scratch, BENCH_SEED,
 };
-use pxml_core::{FuzzyQueryResult, FuzzyTree, SimplifyPolicy, Update, UpdateTransaction};
+use pxml_core::{FuzzyQueryResult, FuzzyTree, SimplifyPolicy, UpdateTransaction};
 use pxml_event::{Condition, EventId, Formula};
 use pxml_gen::scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
 use pxml_gen::storage::journal_batches;
@@ -58,11 +58,9 @@ pub fn e13_disjunction_structure(_quick: bool) {
     // One confidence event shared by every phone: a single component.
     let mut retracted = e13_directory(100, 200);
     let phone = phones.node_ids().nth(1).expect("phone is the second node");
-    Update::matching(phones.clone())
-        .delete_at(phone)
-        .with_confidence(0.7)
-        .build()
+    UpdateTransaction::new(phones.clone(), 0.7)
         .unwrap()
+        .with_delete(phone)
         .apply_to_fuzzy_with(&mut retracted, SimplifyPolicy::Inline)
         .unwrap();
     rows.push(("100 x 200 + retract all".into(), retracted, &phones, false));

@@ -17,7 +17,7 @@ use pxml_gen::scenarios::{extraction_update, people_directory, PeopleScenarioCon
 use pxml_query::Pattern;
 use pxml_store::serialize_fuzzy_document;
 use pxml_tree::parse_data_tree;
-use pxml_warehouse::{CompactionPolicy, Session, SessionConfig};
+use pxml_warehouse::{CompactionPolicy, SessionConfig, Warehouse};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -291,7 +291,7 @@ pub fn e7_warehouse(quick: bool) {
     );
     for &people in sizes {
         let scratch = Scratch::new(&format!("e7-{people}"));
-        let session = Session::open(
+        let warehouse = Warehouse::with_config(
             scratch.path(),
             SessionConfig {
                 simplify: SimplifyPolicy::Threshold(4096),
@@ -304,15 +304,15 @@ pub fn e7_warehouse(quick: bool) {
             people,
             ..PeopleScenarioConfig::default()
         };
-        let doc = session
-            .create("people", people_directory(&scenario))
+        warehouse
+            .create_document("people", people_directory(&scenario))
             .unwrap();
 
         let mut rng = StdRng::seed_from_u64(BENCH_SEED + people as u64);
         let start = Instant::now();
         for _ in 0..updates {
             let (update, _) = extraction_update(&mut rng, &scenario);
-            doc.begin().stage(update).commit().unwrap();
+            warehouse.commit_batch("people", &[update], None).unwrap();
         }
         let update_rate = updates as f64 / start.elapsed().as_secs_f64();
 
@@ -323,16 +323,17 @@ pub fn e7_warehouse(quick: bool) {
         ];
         let start = Instant::now();
         for i in 0..queries {
-            let _ = doc.query(&patterns[i % patterns.len()]).unwrap();
+            let _ = warehouse
+                .query("people", &patterns[i % patterns.len()])
+                .unwrap();
         }
         let query_rate = queries as f64 / start.elapsed().as_secs_f64();
 
-        drop(doc);
-        drop(session);
+        drop(warehouse);
         let start = Instant::now();
-        let reopened = Session::open(scratch.path(), SessionConfig::default()).unwrap();
+        let reopened = Warehouse::with_config(scratch.path(), SessionConfig::default()).unwrap();
         let recovery = start.elapsed();
-        let _ = reopened.document("people").unwrap();
+        assert!(reopened.contains("people"));
 
         println!(
             "{people:>10} {updates:>12} {update_rate:>14.1} {query_rate:>14.1} {:>14.2}",

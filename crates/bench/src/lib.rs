@@ -18,7 +18,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pxml_core::{FuzzyTree, Update, UpdateTransaction};
+use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_event::{Condition, EventId, Literal};
 use pxml_gen::{
     derived_query, random_fuzzy_tree, random_tree, random_update, FuzzyGenConfig, QueryGenConfig,
@@ -256,11 +256,9 @@ pub fn cleaning_history(people: usize, phones: usize, rounds: usize) -> FuzzyTre
     for _ in 0..rounds {
         let pattern = Pattern::parse("person { phone, email }").expect("static query");
         let email_node = pattern.node_ids().nth(2).expect("email is the third node");
-        Update::matching(pattern)
-            .delete_at(email_node)
-            .with_confidence(0.9)
-            .build()
+        UpdateTransaction::new(pattern, 0.9)
             .expect("valid confidence")
+            .with_delete(email_node)
             .apply_to_fuzzy(&mut fuzzy)
             .expect("update applies");
     }

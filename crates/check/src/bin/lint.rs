@@ -1,15 +1,17 @@
 //! Repo invariant linter entry point.
 //!
 //! ```text
-//! cargo run -p pxml-check --bin lint [-- --root <workspace-root>]
+//! cargo run -p pxml-check --bin lint [-- [--ledger] [--root <workspace-root>]]
 //! ```
 //!
 //! Prints one `path:line: [rule] message` per finding and exits non-zero if
-//! there are any, so CI can gate on it. Without `--root` the workspace root
+//! there are any, so CI can gate on it. With `--ledger` it prints the size
+//! ledger instead — non-test code lines and public items per workspace crate
+//! — and lints nothing. Without `--root` the workspace root
 //! is the current directory if it holds a `Cargo.toml`, else the root this
 //! binary was compiled in.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 fn workspace_root() -> PathBuf {
@@ -32,8 +34,29 @@ fn workspace_root() -> PathBuf {
         .unwrap_or(cwd)
 }
 
+fn print_ledger(root: &Path) -> std::io::Result<()> {
+    let rows = pxml_check::lint::ledger(root)?;
+    println!("{:<18} {:>10} {:>10}", "crate", "code lines", "pub items");
+    for (krate, lines, items) in &rows {
+        println!("{krate:<18} {lines:>10} {items:>10}");
+    }
+    let lines: usize = rows.iter().map(|row| row.1).sum();
+    let items: usize = rows.iter().map(|row| row.2).sum();
+    println!("{:<18} {lines:>10} {items:>10}", "total");
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let root = workspace_root();
+    if std::env::args().any(|arg| arg == "--ledger") {
+        return match print_ledger(&root) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(error) => {
+                eprintln!("lint: failed to scan {}: {error}", root.display());
+                ExitCode::from(2)
+            }
+        };
+    }
     let findings = match pxml_check::lint::lint_root(&root) {
         Ok(findings) => findings,
         Err(error) => {

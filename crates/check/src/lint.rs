@@ -47,6 +47,11 @@
 //! A finding on a deliberate exception is suppressed with
 //! `// lint: allow(<rule>)` on the offending line or the line above.
 //!
+//! The same scanner backs [`ledger`], the size report simplicity PRs quote:
+//! per workspace crate, the non-test code lines and the `pub fn` /
+//! `pub struct` / `pub enum` / `pub trait` items of its `src/` tree
+//! (`lint -- --ledger`), so a PR's ledger is a diff of two CI logs.
+//!
 //! The scanner blanks comments and string/char literals (preserving line
 //! structure), tracks brace depth to skip `#[cfg(test)]` / `#[test]`
 //! regions where a rule is test-exempt, and otherwise works line by line —
@@ -391,6 +396,55 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
         });
     }
     findings
+}
+
+/// The size ledger: one `(crate directory, non-test code lines, public
+/// items)` row per workspace crate with a `src/` tree under `root` — `src`
+/// itself is the root package — in sorted order. A code line is a line that
+/// is not blank once comments are blanked and lies outside every
+/// `#[cfg(test)]` / `#[test]` region; a public item is a `pub fn`,
+/// `pub struct`, `pub enum` or `pub trait` on such a line. `tests/`,
+/// `examples/` and `shims/` are not counted.
+pub fn ledger(root: &Path) -> std::io::Result<Vec<(String, usize, usize)>> {
+    let mut files = Vec::new();
+    collect_rust_files(root, root, &mut files)?;
+    let mut rows: std::collections::BTreeMap<String, (usize, usize)> = Default::default();
+    for file in files {
+        let rel = file.to_string_lossy().replace('\\', "/");
+        let krate = match rel.split('/').collect::<Vec<_>>()[..] {
+            ["src", ..] => "src".to_string(),
+            ["crates", name, "src", ..] => format!("crates/{name}"),
+            _ => continue,
+        };
+        let (lines, items) = ledger_source(&std::fs::read_to_string(root.join(&file))?);
+        let row = rows.entry(krate).or_default();
+        row.0 += lines;
+        row.1 += items;
+    }
+    Ok(rows
+        .into_iter()
+        .map(|(krate, (lines, items))| (krate, lines, items))
+        .collect())
+}
+
+/// One file's `(non-test code lines, public items)` for [`ledger`].
+fn ledger_source(source: &str) -> (usize, usize) {
+    let blanked = blank_noncode(source);
+    let code_lines: Vec<&str> = blanked.lines().collect();
+    let in_test = test_regions(&code_lines);
+    let mut counts = (0, 0);
+    for (code, _) in code_lines.iter().zip(in_test).filter(|(_, test)| !test) {
+        let code = code.trim();
+        if code.is_empty() {
+            continue;
+        }
+        counts.0 += 1;
+        let item = ["pub fn ", "pub struct ", "pub enum ", "pub trait "];
+        if item.iter().any(|keyword| code.starts_with(keyword)) {
+            counts.1 += 1;
+        }
+    }
+    counts
 }
 
 /// The banned `std::sync` word a line (or accumulated use statement)
@@ -1063,5 +1117,17 @@ mod tests {
         // `StdMutex::new(` must not match the `Mutex::new(` pattern.
         let source = "fn f() {\n    let m = StdMutex::new(0);\n}\n";
         assert!(lint_source("crates/x/src/lib.rs", source).is_empty());
+    }
+
+    #[test]
+    fn ledger_counts_non_test_code_lines_and_public_items() {
+        // Three code lines, one of them a public item; comments, blank
+        // lines, `pub(crate)` and everything under `#[cfg(test)]` count for
+        // nothing.
+        let source =
+            "/// `pub fn in_prose()` is prose.\npub fn counted() -> u32 {\n\n    1 // one\n}\n\
+                      #[cfg(test)]\nmod tests {\n    pub fn hidden() {}\n}\n";
+        assert_eq!(ledger_source(source), (3, 1));
+        assert_eq!(ledger_source("pub(crate) fn internal() {}\n"), (1, 0));
     }
 }

@@ -53,6 +53,6 @@ pub use error::CoreError;
 pub use fuzzy::FuzzyTree;
 pub use fuzzy_query::{FuzzyQueryResult, ProbabilisticMatch};
 pub use simplify::{Simplifier, SimplifyPolicy, SimplifyReport};
-pub use txn::{apply_batch, BatchStats, Update};
+pub use txn::{apply_batch, BatchStats};
 pub use update::{UpdateOperation, UpdateStats, UpdateTransaction};
 pub use worlds::PossibleWorlds;

@@ -1,123 +1,45 @@
-//! Staged update batches: the fluent [`Update`] builder and the atomic
-//! [`apply_batch`] pipeline behind the warehouse's `Document::begin()` /
-//! `Txn::commit()` API.
+//! Update batches: the atomic [`apply_batch`] pipeline the warehouse commits
+//! through, and the [`BatchStats`] it reports.
 //!
 //! The paper's update interface (slide 3) hands the warehouse *(update
-//! transaction, confidence)* pairs. Building such a pair out of the bare
-//! [`UpdateOperation`] enum is noisy and error-prone (target bookkeeping,
-//! eager confidence validation in the middle of expression chains), so the
-//! engine-facing construction path is a deferred-validation builder:
+//! transaction, confidence)* pairs; a commit is a sequence of them applied to
+//! one document. [`apply_batch`] applies such a sequence through the
+//! policy-aware pipeline to a copy-on-write clone of the base document, with
+//! all-or-nothing semantics: when any transaction fails, the error comes back
+//! and the base is exactly as it was.
 //!
 //! ```
-//! use pxml_core::Update;
+//! use pxml_core::{apply_batch, FuzzyTree, SimplifyPolicy, UpdateTransaction};
 //! use pxml_query::Pattern;
 //! use pxml_tree::parse_data_tree;
 //!
+//! let base = FuzzyTree::from_tree(parse_data_tree("<person><name>alice</name></person>").unwrap());
 //! let pattern = Pattern::parse("person { name }").unwrap();
 //! let person = pattern.root();
-//! let update = Update::matching(pattern)
-//!     .insert_at(person, parse_data_tree("<phone>+33-1</phone>").unwrap())
-//!     .with_confidence(0.8)
-//!     .build()
-//!     .unwrap();
-//! assert!((update.confidence() - 0.8).abs() < 1e-12);
-//! ```
+//! let phone = UpdateTransaction::new(pattern, 0.8)
+//!     .unwrap()
+//!     .with_insert(person, parse_data_tree("<phone>+33-1</phone>").unwrap());
 //!
-//! [`apply_batch`] applies a sequence of transactions through the policy-aware
-//! pipeline with all-or-nothing semantics on the in-memory document: when any
-//! transaction fails, the document is left exactly as it was.
-
-use pxml_query::{PNodeId, Pattern};
-use pxml_tree::Tree;
+//! let (updated, stats) = apply_batch(&base, &[phone], SimplifyPolicy::Inline).unwrap();
+//! assert_eq!(stats.applied_matches(), 1);
+//! assert_eq!(updated.tree().find_elements("phone").len(), 1);
+//! assert!(base.tree().find_elements("phone").is_empty());
+//! ```
 
 use crate::error::CoreError;
 use crate::fuzzy::FuzzyTree;
 use crate::simplify::SimplifyPolicy;
-use crate::update::{UpdateOperation, UpdateStats, UpdateTransaction};
-
-/// A fluent, deferred-validation builder for probabilistic update
-/// transactions.
-///
-/// Unlike [`UpdateTransaction::new`], nothing is validated while the chain is
-/// being built; [`Update::build`] (or the `TryFrom` conversion) performs the
-/// confidence check once at the end.
-#[derive(Debug, Clone)]
-pub struct Update {
-    pattern: Pattern,
-    operations: Vec<UpdateOperation>,
-    confidence: f64,
-}
-
-impl Update {
-    /// Starts an update anchored at the matches of `pattern`, with
-    /// confidence 1 until [`Update::with_confidence`] says otherwise.
-    pub fn matching(pattern: Pattern) -> Self {
-        Update {
-            pattern,
-            operations: Vec::new(),
-            confidence: 1.0,
-        }
-    }
-
-    /// Inserts a copy of `subtree` as a new child of the node `target` is
-    /// mapped to, at every match.
-    pub fn insert_at(mut self, target: PNodeId, subtree: Tree) -> Self {
-        self.operations
-            .push(UpdateOperation::Insert { target, subtree });
-        self
-    }
-
-    /// Deletes the subtree rooted at the node `target` is mapped to, at every
-    /// match.
-    pub fn delete_at(mut self, target: PNodeId) -> Self {
-        self.operations.push(UpdateOperation::Delete { target });
-        self
-    }
-
-    /// Sets the confidence of the whole transaction. Validated when the
-    /// update is built, not here, so chains stay fluent.
-    pub fn with_confidence(mut self, confidence: f64) -> Self {
-        self.confidence = confidence;
-        self
-    }
-
-    /// Finishes the builder, validating the confidence.
-    pub fn build(self) -> Result<UpdateTransaction, CoreError> {
-        let mut transaction = UpdateTransaction::new(self.pattern, self.confidence)?;
-        for operation in self.operations {
-            transaction.push_operation(operation);
-        }
-        Ok(transaction)
-    }
-}
-
-impl TryFrom<Update> for UpdateTransaction {
-    type Error = CoreError;
-
-    fn try_from(update: Update) -> Result<Self, Self::Error> {
-        update.build()
-    }
-}
-
-impl From<UpdateTransaction> for Update {
-    fn from(transaction: UpdateTransaction) -> Self {
-        Update {
-            pattern: transaction.pattern().clone(),
-            operations: transaction.operations().to_vec(),
-            confidence: transaction.confidence(),
-        }
-    }
-}
+use crate::update::{UpdateStats, UpdateTransaction};
 
 /// The per-update statistics of one [`apply_batch`] run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchStats {
-    /// One entry per staged transaction, in application order.
+    /// One entry per transaction of the batch, in application order.
     pub updates: Vec<UpdateStats>,
 }
 
 impl BatchStats {
-    /// Number of staged transactions applied.
+    /// Number of transactions applied.
     pub fn len(&self) -> usize {
         self.updates.len()
     }
@@ -153,75 +75,52 @@ impl BatchStats {
     }
 }
 
-/// Applies a batch of update transactions to a fuzzy tree through the
-/// policy-aware pipeline, atomically with respect to the in-memory document:
-/// either every transaction applies (in order) or, on the first error, the
-/// document is left untouched.
+/// Applies a batch of update transactions to a copy-on-write clone of `base`
+/// through the policy-aware pipeline and returns the resulting document with
+/// the per-update statistics. Atomic with respect to `base`, which is only
+/// read: either every transaction applies (in order) to the clone, or the
+/// first error is returned and the clone is dropped.
 pub fn apply_batch(
-    fuzzy: &mut FuzzyTree,
-    updates: &[UpdateTransaction],
+    base: &FuzzyTree,
+    batch: &[UpdateTransaction],
     policy: SimplifyPolicy,
-) -> Result<BatchStats, CoreError> {
-    let mut working = fuzzy.clone();
+) -> Result<(FuzzyTree, BatchStats), CoreError> {
+    let mut working = base.clone();
     let mut stats = BatchStats::default();
-    for update in updates {
+    for update in batch {
         stats
             .updates
             .push(update.apply_to_fuzzy_with(&mut working, policy)?);
     }
-    *fuzzy = working;
-    Ok(stats)
+    Ok((working, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fuzzy::slide12_example;
+    use pxml_query::Pattern;
     use pxml_tree::parse_data_tree;
 
-    fn insert_e() -> Update {
+    fn insert_e() -> UpdateTransaction {
         let pattern = Pattern::parse("A { D }").unwrap();
         let target = pattern.root();
-        Update::matching(pattern)
-            .insert_at(target, parse_data_tree("<E/>").unwrap())
-            .with_confidence(0.6)
+        UpdateTransaction::new(pattern, 0.6)
+            .unwrap()
+            .with_insert(target, parse_data_tree("<E/>").unwrap())
     }
 
-    fn delete_b() -> Update {
+    fn delete_b() -> UpdateTransaction {
         let pattern = Pattern::parse("A { B }").unwrap();
         let b = pattern.node_ids().nth(1).unwrap();
-        Update::matching(pattern).delete_at(b).with_confidence(0.5)
-    }
-
-    #[test]
-    fn builder_is_fluent_and_validates_lazily() {
-        let update = insert_e().build().unwrap();
-        assert_eq!(update.operations().len(), 1);
-        assert!((update.confidence() - 0.6).abs() < 1e-12);
-        // An invalid confidence only surfaces at build time.
-        let bad = insert_e().with_confidence(1.5);
-        assert!(matches!(bad.build(), Err(CoreError::InvalidConfidence(_))));
-        let via_try: Result<UpdateTransaction, _> = insert_e().try_into();
-        assert!(via_try.is_ok());
-    }
-
-    #[test]
-    fn builder_round_trips_through_transaction() {
-        let transaction = insert_e().build().unwrap();
-        let rebuilt = Update::from(transaction.clone()).build().unwrap();
-        assert_eq!(
-            rebuilt.pattern().to_string(),
-            transaction.pattern().to_string()
-        );
-        assert_eq!(rebuilt.operations(), transaction.operations());
-        assert!((rebuilt.confidence() - transaction.confidence()).abs() < 1e-15);
+        UpdateTransaction::new(pattern, 0.5).unwrap().with_delete(b)
     }
 
     #[test]
     fn batch_equals_sequential_application() {
-        let updates = vec![insert_e().build().unwrap(), delete_b().build().unwrap()];
-        let mut batched = slide12_example();
-        let stats = apply_batch(&mut batched, &updates, SimplifyPolicy::Never).unwrap();
+        let updates = vec![insert_e(), delete_b()];
+        let (batched, stats) =
+            apply_batch(&slide12_example(), &updates, SimplifyPolicy::Never).unwrap();
         assert_eq!(stats.len(), 2);
 
         let mut sequential = slide12_example();
@@ -233,18 +132,17 @@ mod tests {
 
     #[test]
     fn empty_batch_is_a_noop() {
-        let mut fuzzy = slide12_example();
-        let before = fuzzy.clone();
-        let stats = apply_batch(&mut fuzzy, &[], SimplifyPolicy::Inline).unwrap();
+        let base = slide12_example();
+        let (fuzzy, stats) = apply_batch(&base, &[], SimplifyPolicy::Inline).unwrap();
         assert!(stats.is_empty());
-        assert!(fuzzy.semantically_equivalent(&before, 1e-9).unwrap());
+        assert!(fuzzy.semantically_equivalent(&base, 1e-9).unwrap());
     }
 
     #[test]
     fn inline_policy_simplifies_every_update() {
-        let updates = vec![delete_b().build().unwrap()];
-        let mut fuzzy = slide12_example();
-        let stats = apply_batch(&mut fuzzy, &updates, SimplifyPolicy::Inline).unwrap();
+        let updates = vec![delete_b()];
+        let (fuzzy, stats) =
+            apply_batch(&slide12_example(), &updates, SimplifyPolicy::Inline).unwrap();
         assert_eq!(stats.simplify_runs(), 1);
         assert!(stats.updates[0].simplify.is_some());
         assert!(fuzzy.validate().is_ok());
@@ -252,12 +150,11 @@ mod tests {
 
     #[test]
     fn threshold_policy_only_fires_above_the_limit() {
-        let updates = vec![delete_b().build().unwrap()];
-        let mut fuzzy = slide12_example();
-        let stats = apply_batch(&mut fuzzy, &updates, SimplifyPolicy::Threshold(10_000)).unwrap();
+        let updates = vec![delete_b()];
+        let base = slide12_example();
+        let (_, stats) = apply_batch(&base, &updates, SimplifyPolicy::Threshold(10_000)).unwrap();
         assert_eq!(stats.simplify_runs(), 0);
-        let mut fuzzy = slide12_example();
-        let stats = apply_batch(&mut fuzzy, &updates, SimplifyPolicy::Threshold(0)).unwrap();
+        let (_, stats) = apply_batch(&base, &updates, SimplifyPolicy::Threshold(0)).unwrap();
         assert_eq!(stats.simplify_runs(), 1);
     }
 }

@@ -1,14 +1,14 @@
-//! Property-based checks of the staged-batch semantics: committing a batch
+//! Property-based checks of the batch semantics: committing a batch
 //! of two probabilistic updates is equivalent to applying them sequentially,
 //! on the fuzzy tree and on the possible-worlds model (the commutation
 //! diagram of slide 14, lifted to batches), and the inline simplification
 //! policy never changes the semantics of a commit.
 
 use proptest::prelude::*;
-use pxml_core::{apply_batch, FuzzyTree, SimplifyPolicy, Update, UpdateTransaction};
+use pxml_core::{apply_batch, FuzzyTree, SimplifyPolicy, UpdateTransaction};
 use pxml_event::{EventId, Literal};
 use pxml_query::Pattern;
-use pxml_tree::parse_data_tree;
+use pxml_tree::{parse_data_tree, write_data_tree, Tree, MAX_TREE_DEPTH};
 
 /// Blueprint of a small random fuzzy tree (same shape as
 /// `worlds_props::fuzzy_strategy`): nodes pick their parent among the nodes
@@ -60,15 +60,45 @@ fn update_strategy() -> impl Strategy<Value = UpdateTransaction> {
     (0u8..4, 0u8..3, 50u32..=100).prop_map(|(label, kind, confidence)| {
         let pattern = Pattern::parse(&format!("root {{ l{label} }}")).unwrap();
         let ids: Vec<_> = pattern.node_ids().collect();
-        let mut update = Update::matching(pattern).with_confidence(confidence as f64 / 100.0);
+        let mut update = UpdateTransaction::new(pattern, confidence as f64 / 100.0).unwrap();
         if kind != 1 {
-            update = update.insert_at(ids[0], parse_data_tree("<fresh/>").unwrap());
+            update = update.with_insert(ids[0], parse_data_tree("<fresh/>").unwrap());
         }
         if kind != 0 {
-            update = update.delete_at(ids[1]);
+            update = update.with_delete(ids[1]);
         }
-        update.build().unwrap()
+        update
     })
+}
+
+/// An update no document accepts: it matches every `root` and inserts a
+/// chain one level taller than the depth bound leaves room for.
+fn too_deep_insert() -> UpdateTransaction {
+    let mut chain = Tree::new("n");
+    let mut node = chain.root();
+    for _ in 0..MAX_TREE_DEPTH {
+        node = chain.add_element(node, "n");
+    }
+    let pattern = Pattern::parse("root").unwrap();
+    let target = pattern.root();
+    UpdateTransaction::certain(pattern).with_insert(target, chain)
+}
+
+/// Everything core can observe of a fuzzy tree, as text: the data tree in
+/// document order, every node's condition, and the event table.
+fn observed(fuzzy: &FuzzyTree) -> String {
+    let events: Vec<String> = fuzzy
+        .events()
+        .iter()
+        .map(|(id, name, p)| format!("{}:{name}={p}", id.index()))
+        .collect();
+    format!(
+        "{}\n{}\n{}\nslots={}",
+        write_data_tree(fuzzy.tree(), false),
+        fuzzy.fuzzy_canonical_string(fuzzy.root()),
+        events.join(","),
+        fuzzy.tree().slot_count(),
+    )
 }
 
 proptest! {
@@ -82,8 +112,8 @@ proptest! {
         u1 in update_strategy(),
         u2 in update_strategy(),
     ) {
-        let mut batched = fuzzy.clone();
-        apply_batch(&mut batched, &[u1.clone(), u2.clone()], SimplifyPolicy::Never).unwrap();
+        let (batched, _) =
+            apply_batch(&fuzzy, &[u1.clone(), u2.clone()], SimplifyPolicy::Never).unwrap();
 
         let mut sequential = fuzzy;
         u1.apply_to_fuzzy(&mut sequential).unwrap();
@@ -103,8 +133,7 @@ proptest! {
     ) {
         let via_worlds = fuzzy.to_possible_worlds().unwrap().update(&u1).update(&u2);
 
-        let mut committed = fuzzy;
-        apply_batch(&mut committed, &[u1, u2], SimplifyPolicy::Never).unwrap();
+        let (committed, _) = apply_batch(&fuzzy, &[u1, u2], SimplifyPolicy::Never).unwrap();
         let via_batch = committed.to_possible_worlds().unwrap();
 
         prop_assert!(via_batch.equivalent(&via_worlds, 1e-9));
@@ -118,15 +147,27 @@ proptest! {
         u1 in update_strategy(),
         u2 in update_strategy(),
     ) {
-        let mut plain = fuzzy.clone();
-        apply_batch(&mut plain, &[u1.clone(), u2.clone()], SimplifyPolicy::Never).unwrap();
-
-        let mut inlined = fuzzy;
-        let stats = apply_batch(&mut inlined, &[u1, u2], SimplifyPolicy::Inline).unwrap();
+        let (plain, _) =
+            apply_batch(&fuzzy, &[u1.clone(), u2.clone()], SimplifyPolicy::Never).unwrap();
+        let (inlined, stats) = apply_batch(&fuzzy, &[u1, u2], SimplifyPolicy::Inline).unwrap();
 
         prop_assert_eq!(stats.simplify_runs(), 2);
         prop_assert!(inlined.node_count() <= plain.node_count());
         prop_assert!(inlined.validate().is_ok());
         prop_assert!(inlined.semantically_equivalent(&plain, 1e-9).unwrap());
+    }
+
+    /// A batch that fails part-way — its first update has already rewritten
+    /// the working copy, which shares every arena chunk with the base — is
+    /// an `Err`, and the base reads exactly as it did before the call.
+    #[test]
+    fn failed_batch_leaves_the_base_untouched(
+        fuzzy in fuzzy_strategy(),
+        u1 in update_strategy(),
+    ) {
+        let before = observed(&fuzzy);
+        let outcome = apply_batch(&fuzzy, &[u1, too_deep_insert()], SimplifyPolicy::Inline);
+        prop_assert!(outcome.is_err());
+        prop_assert_eq!(observed(&fuzzy), before);
     }
 }

@@ -9,7 +9,7 @@
 //! between them.
 
 use proptest::prelude::*;
-use pxml_core::{apply_batch, FuzzyTree, SimplifyPolicy, Update, UpdateTransaction};
+use pxml_core::{apply_batch, FuzzyTree, SimplifyPolicy, UpdateTransaction};
 use pxml_event::{EventId, Literal};
 use pxml_query::Pattern;
 use pxml_tree::parse_data_tree;
@@ -64,14 +64,14 @@ fn update_strategy() -> impl Strategy<Value = UpdateTransaction> {
     (0u8..4, 0u8..3, 50u32..=100).prop_map(|(label, kind, confidence)| {
         let pattern = Pattern::parse(&format!("root {{ l{label} }}")).unwrap();
         let ids: Vec<_> = pattern.node_ids().collect();
-        let mut update = Update::matching(pattern).with_confidence(confidence as f64 / 100.0);
+        let mut update = UpdateTransaction::new(pattern, confidence as f64 / 100.0).unwrap();
         if kind != 1 {
-            update = update.insert_at(ids[0], parse_data_tree("<fresh/>").unwrap());
+            update = update.with_insert(ids[0], parse_data_tree("<fresh/>").unwrap());
         }
         if kind != 0 {
-            update = update.delete_at(ids[1]);
+            update = update.with_delete(ids[1]);
         }
-        update.build().unwrap()
+        update
     })
 }
 
@@ -94,11 +94,15 @@ fn apply_interleaved(
 ) {
     let (mut next_a, mut next_b) = (0, 0);
     let commit_a = |next_a: &mut usize, doc_a: &mut FuzzyTree| {
-        apply_batch(doc_a, &queue_a[*next_a], SimplifyPolicy::Never).unwrap();
+        *doc_a = apply_batch(doc_a, &queue_a[*next_a], SimplifyPolicy::Never)
+            .unwrap()
+            .0;
         *next_a += 1;
     };
     let commit_b = |next_b: &mut usize, doc_b: &mut FuzzyTree| {
-        apply_batch(doc_b, &queue_b[*next_b], SimplifyPolicy::Never).unwrap();
+        *doc_b = apply_batch(doc_b, &queue_b[*next_b], SimplifyPolicy::Never)
+            .unwrap()
+            .0;
         *next_b += 1;
     };
     for &pick_a in schedule {

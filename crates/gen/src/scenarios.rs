@@ -11,7 +11,7 @@
 //! these synthetic updates exercise exactly the same code paths as real
 //! extraction output would.
 
-use pxml_core::{Update, UpdateTransaction};
+use pxml_core::UpdateTransaction;
 use pxml_query::Pattern;
 use pxml_tree::Tree;
 use rand::Rng;
@@ -95,6 +95,9 @@ pub fn extraction_update(
         _ => ExtractionKind::RetractPhones,
     };
 
+    let transaction = |pattern: Pattern| {
+        UpdateTransaction::new(pattern, confidence).expect("confidence in range")
+    };
     let update = match kind {
         ExtractionKind::Phone => {
             let pattern =
@@ -107,7 +110,7 @@ pub fn extraction_update(
                 rng.gen_range(0..10_000)
             );
             subtree.add_text(subtree.root(), number);
-            Update::matching(pattern).insert_at(target, subtree)
+            transaction(pattern).with_insert(target, subtree)
         }
         ExtractionKind::Email => {
             let pattern =
@@ -116,7 +119,7 @@ pub fn extraction_update(
             let mut subtree = Tree::new("email");
             let domain = DOMAINS[rng.gen_range(0..DOMAINS.len())];
             subtree.add_text(subtree.root(), format!("{name}@{domain}"));
-            Update::matching(pattern).insert_at(target, subtree)
+            transaction(pattern).with_insert(target, subtree)
         }
         ExtractionKind::City => {
             let pattern =
@@ -124,20 +127,16 @@ pub fn extraction_update(
             let target = pattern.root();
             let mut subtree = Tree::new("city");
             subtree.add_text(subtree.root(), CITIES[rng.gen_range(0..CITIES.len())]);
-            Update::matching(pattern).insert_at(target, subtree)
+            transaction(pattern).with_insert(target, subtree)
         }
         ExtractionKind::RetractPhones => {
             let pattern = Pattern::parse(&format!("person {{ name[=\"{name}\"], phone }}"))
                 .expect("static query");
             let phone_node = pattern.node_ids().nth(2).expect("phone is the third node");
-            Update::matching(pattern).delete_at(phone_node)
+            transaction(pattern).with_delete(phone_node)
         }
     };
-    let transaction = update
-        .with_confidence(confidence)
-        .build()
-        .expect("confidence in range");
-    (transaction, kind)
+    (update, kind)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Random probabilistic update transactions.
 
-use pxml_core::{Update, UpdateTransaction};
+use pxml_core::UpdateTransaction;
 use pxml_query::Pattern;
 use pxml_tree::Tree;
 use rand::Rng;
@@ -61,12 +61,13 @@ pub fn random_update(
         config.max_confidence
     };
     let targets: Vec<_> = pattern.node_ids().collect();
-    let mut update = Update::matching(pattern).with_confidence(confidence);
+    let mut update =
+        UpdateTransaction::new(pattern, confidence).expect("confidence is within [0, 1]");
     let mut has_operation = false;
     if rng.gen_bool(config.insert_probability) {
         let target = targets[rng.gen_range(0..targets.len())];
         let subtree = random_tree(rng, &config.insert_subtree);
-        update = update.insert_at(target, subtree);
+        update = update.with_insert(target, subtree);
         has_operation = true;
     }
     if rng.gen_bool(config.delete_probability) || !has_operation {
@@ -76,9 +77,9 @@ pub fn random_update(
         } else {
             targets[0]
         };
-        update = update.delete_at(target);
+        update = update.with_delete(target);
     }
-    update.build().expect("confidence is within [0, 1]")
+    update
 }
 
 #[cfg(test)]

@@ -26,7 +26,8 @@
 //!   deliberately left stale, exactly like a real torn write, and only a
 //!   rescan (`reopen_document`) truncates the torn tail away.
 //! * [`FaultKind::Latency`] sleeps, then lets the operation through — the
-//!   slow-disk half of the chaos battery.
+//!   slow-disk half of the chaos battery, whose random plans schedule a few
+//!   such spikes on fsync rounds and checkpoint writes beside their errors.
 //!
 //! `reopen_document` consults no plan: a quarantined document can always be
 //! reopened, even under an aggressive schedule.
@@ -103,17 +104,15 @@ struct Scheduled {
 
 /// A seeded, shareable fault schedule (see the module docs).
 ///
-/// Built with the `fail_nth` / `fail_rate` / `latency` builders *before*
-/// wrapping in an `Arc`; afterwards the plan is immutable apart from its
-/// lock-free counters and RNG stream, so it can be consulted from any
-/// thread without ordering constraints.
+/// Built with the `fail_nth` / `fail_rate` builders *before* wrapping in an
+/// `Arc`; afterwards the plan is immutable apart from its lock-free counters
+/// and RNG stream, so it can be consulted from any thread without ordering
+/// constraints.
 pub struct FaultPlan {
     seed: u64,
     scheduled: Vec<Scheduled>,
     /// Probability that each operation of this kind fails ([`FaultKind::Error`]).
     rates: [f64; FaultOp::ALL],
-    /// Unconditional injected latency per operation kind.
-    latency: [Duration; FaultOp::ALL],
     /// Operations observed, per kind.
     counters: [AtomicUsize; FaultOp::ALL],
     /// Faults actually injected (errors and torn writes; latency excluded).
@@ -152,7 +151,6 @@ impl FaultPlan {
             seed,
             scheduled: Vec::new(),
             rates: [0.0; FaultOp::ALL],
-            latency: [Duration::ZERO; FaultOp::ALL],
             counters: Default::default(),
             injected: AtomicUsize::new(0),
             rng: AtomicU64::new(seed),
@@ -176,12 +174,6 @@ impl FaultPlan {
     pub fn fail_rate(mut self, op: FaultOp, rate: f64) -> Self {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
         self.rates[op.index()] = rate;
-        self
-    }
-
-    /// Every `op` sleeps `latency` before running.
-    pub fn latency(mut self, op: FaultOp, latency: Duration) -> Self {
-        self.latency[op.index()] = latency;
         self
     }
 
@@ -214,15 +206,11 @@ impl FaultPlan {
         (z >> 11) as f64 * (1.0 / ((1u64 << 53) as f64))
     }
 
-    /// Counts one `op`, applies any injected latency, and returns the fault
-    /// to inject, if any. The crate's injection points call this exactly
-    /// once per operation.
+    /// Counts one `op`, sleeps out a scheduled latency spike, and returns
+    /// the fault to inject, if any. The crate's injection points call this
+    /// exactly once per operation.
     pub(crate) fn decide(&self, op: FaultOp) -> Option<(FaultKind, StoreError)> {
         let count = self.counters[op.index()].fetch_add(1, Ordering::Relaxed) + 1;
-        let latency = self.latency[op.index()];
-        if latency > Duration::ZERO {
-            std::thread::sleep(latency);
-        }
         let kind = self
             .scheduled
             .iter()

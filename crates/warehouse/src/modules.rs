@@ -14,8 +14,7 @@ use pxml_gen::scenarios::{extraction_update, ExtractionKind, PeopleScenarioConfi
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::session::Document;
-use crate::warehouse::WarehouseError;
+use crate::warehouse::{Warehouse, WarehouseError};
 
 /// A source of probabilistic updates feeding the warehouse.
 pub trait SourceModule {
@@ -122,27 +121,28 @@ impl SourceModule for DataCleaningModule {
 }
 
 /// Drains a set of modules round-robin into a warehouse document: each round
-/// stages one update per module into a single transaction and commits it
-/// atomically. Returns the number of updates pushed per module (by module
-/// name, in the given order).
+/// takes one update per module and commits them atomically as one batch.
+/// Returns the number of updates pushed per module (by module name, in the
+/// given order).
 pub fn run_modules(
-    document: &Document,
+    warehouse: &Warehouse,
+    document: &str,
     modules: &mut [Box<dyn SourceModule>],
 ) -> Result<Vec<(String, usize)>, WarehouseError> {
     let mut pushed = vec![0usize; modules.len()];
     loop {
-        let mut txn = document.begin();
+        let mut batch: Vec<UpdateTransaction> = Vec::new();
         let mut staged_by: Vec<usize> = Vec::new();
         for (index, module) in modules.iter_mut().enumerate() {
             if let Some(update) = module.next_update() {
-                txn = txn.stage(update);
+                batch.push(update);
                 staged_by.push(index);
             }
         }
-        if staged_by.is_empty() {
+        if batch.is_empty() {
             break;
         }
-        txn.commit()?;
+        warehouse.commit_batch(document, &batch, None)?;
         for index in staged_by {
             pushed[index] += 1;
         }
@@ -155,15 +155,16 @@ pub fn run_modules(
 }
 
 /// Runs each module on its own thread, feeding its own warehouse document:
-/// module `i` drains into `documents[i % documents.len()]`, one committed
-/// transaction per update. Because the engine locks per document, modules
+/// module `i` drains into `documents[i % documents.len()]`, one commit per
+/// update. Because the engine locks per document, modules
 /// writing to distinct documents genuinely run in parallel — no module ever
 /// waits behind another module's commit (the paper's multi-module warehouse,
 /// slide 3). Returns the number of updates pushed per module, in the given
 /// module order; handing it modules without any documents to drain into is
 /// an [`WarehouseError::EmptyDocumentSet`] error, never a silent no-op.
 pub fn run_modules_parallel(
-    documents: &[Document],
+    warehouse: &Warehouse,
+    documents: &[&str],
     mut modules: Vec<Box<dyn SourceModule + Send>>,
 ) -> Result<Vec<(String, usize)>, WarehouseError> {
     if modules.is_empty() {
@@ -177,11 +178,11 @@ pub fn run_modules_parallel(
             .drain(..)
             .enumerate()
             .map(|(index, mut module)| {
-                let document = documents[index % documents.len()].clone();
+                let document = documents[index % documents.len()];
                 scope.spawn(move || -> Result<(String, usize), WarehouseError> {
                     let mut pushed = 0usize;
                     while let Some(update) = module.next_update() {
-                        document.begin().stage(update).commit()?;
+                        warehouse.commit_batch(document, &[update], None)?;
                         pushed += 1;
                     }
                     Ok((module.name().to_string(), pushed))
@@ -198,7 +199,7 @@ pub fn run_modules_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::{Session, SessionConfig};
+    use crate::session::SessionConfig;
     use pxml_gen::scenarios::people_directory;
     use pxml_query::Pattern;
     use std::path::PathBuf;
@@ -243,10 +244,10 @@ mod tests {
     #[test]
     fn modules_feed_the_warehouse_end_to_end() {
         let dir = scratch("end-to-end");
-        let session = Session::open(&dir, SessionConfig::default()).unwrap();
+        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
         let people = 8;
-        let document = session
-            .create(
+        warehouse
+            .create_document(
                 "people",
                 people_directory(&PeopleScenarioConfig {
                     people,
@@ -259,18 +260,18 @@ mod tests {
             Box::new(ExtractionModule::new("nlp", 11, people, 15, 0.6)),
             Box::new(DataCleaningModule::new("cleaner", 12, people, 10)),
         ];
-        let pushed = run_modules(&document, &mut modules).unwrap();
+        let pushed = run_modules(&warehouse, "people", &mut modules).unwrap();
         assert_eq!(pushed.len(), 3);
         let total: usize = pushed.iter().map(|(_, count)| count).sum();
         assert!(total > 0);
-        assert_eq!(session.stats().updates_applied, total);
+        assert_eq!(warehouse.stats().updates_applied, total);
 
         // The document is still a valid fuzzy tree and queries answer with
         // probabilities strictly between 0 and 1 for extracted facts.
-        let snapshot = document.snapshot().unwrap();
-        assert!(snapshot.validate().is_ok());
+        let snapshot = warehouse.snapshot("people").unwrap();
+        assert!(snapshot.fuzzy().validate().is_ok());
         let phones = Pattern::parse("person { phone }").unwrap();
-        let result = document.query(&phones).unwrap();
+        let result = warehouse.query("people", &phones).unwrap();
         for m in &result.matches {
             assert!(m.probability > 0.0 && m.probability <= 1.0);
         }
@@ -313,11 +314,9 @@ mod tests {
             let mut phone = pxml_tree::Tree::new("phone");
             phone.add_text(phone.root(), format!("+33-{}", self.round));
             Some(
-                pxml_core::Update::matching(pattern)
-                    .insert_at(target, phone)
-                    .with_confidence(0.8)
-                    .build()
-                    .unwrap(),
+                UpdateTransaction::new(pattern, 0.8)
+                    .unwrap()
+                    .with_insert(target, phone),
             )
         }
     }
@@ -328,13 +327,17 @@ mod tests {
     #[test]
     fn parallel_modules_run_concurrently_on_distinct_documents() {
         let dir = scratch("parallel-modules");
-        let session = Session::open(&dir, SessionConfig::default()).unwrap();
+        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
         let config = PeopleScenarioConfig {
             people: 1,
             ..PeopleScenarioConfig::default()
         };
-        let doc_a = session.create("a", people_directory(&config)).unwrap();
-        let doc_b = session.create("b", people_directory(&config)).unwrap();
+        warehouse
+            .create_document("a", people_directory(&config))
+            .unwrap();
+        warehouse
+            .create_document("b", people_directory(&config))
+            .unwrap();
 
         let (a_to_b, b_from_a) = std::sync::mpsc::channel();
         let (b_to_a, a_from_b) = std::sync::mpsc::channel();
@@ -355,15 +358,15 @@ mod tests {
                 rounds,
             }),
         ];
-        let pushed = run_modules_parallel(&[doc_a.clone(), doc_b.clone()], modules).unwrap();
+        let pushed = run_modules_parallel(&warehouse, &["a", "b"], modules).unwrap();
         assert_eq!(
             pushed,
             vec![("left".to_string(), rounds), ("right".to_string(), rounds)]
         );
         let phones = Pattern::parse("person { phone }").unwrap();
-        assert_eq!(doc_a.query(&phones).unwrap().len(), rounds);
-        assert_eq!(doc_b.query(&phones).unwrap().len(), rounds);
-        assert_eq!(session.stats().updates_applied, 2 * rounds);
+        assert_eq!(warehouse.query("a", &phones).unwrap().len(), rounds);
+        assert_eq!(warehouse.query("b", &phones).unwrap().len(), rounds);
+        assert_eq!(warehouse.stats().updates_applied, 2 * rounds);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -372,15 +375,18 @@ mod tests {
     #[test]
     fn parallel_runner_rejects_an_empty_document_set() {
         let dir = scratch("empty-documents");
-        let session = Session::open(&dir, SessionConfig::default()).unwrap();
+        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
         let modules: Vec<Box<dyn SourceModule + Send>> =
             vec![Box::new(ExtractionModule::new("ie", 1, 4, 5, 0.9))];
         assert!(matches!(
-            run_modules_parallel(&[], modules),
+            run_modules_parallel(&warehouse, &[], modules),
             Err(WarehouseError::EmptyDocumentSet)
         ));
-        assert_eq!(run_modules_parallel(&[], Vec::new()).unwrap(), Vec::new());
-        assert_eq!(session.stats().updates_applied, 0);
+        assert_eq!(
+            run_modules_parallel(&warehouse, &[], Vec::new()).unwrap(),
+            Vec::new()
+        );
+        assert_eq!(warehouse.stats().updates_applied, 0);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -390,32 +396,30 @@ mod tests {
     #[test]
     fn parallel_modules_share_documents_round_robin() {
         let dir = scratch("parallel-round-robin");
-        let session = Session::open(&dir, SessionConfig::default()).unwrap();
+        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
         let people = 6;
         let config = PeopleScenarioConfig {
             people,
             ..PeopleScenarioConfig::default()
         };
-        let doc_a = session.create("a", people_directory(&config)).unwrap();
-        let doc_b = session.create("b", people_directory(&config)).unwrap();
+        warehouse
+            .create_document("a", people_directory(&config))
+            .unwrap();
+        warehouse
+            .create_document("b", people_directory(&config))
+            .unwrap();
         let modules: Vec<Box<dyn SourceModule + Send>> = vec![
             Box::new(ExtractionModule::new("ie-1", 20, people, 8, 0.9)),
             Box::new(ExtractionModule::new("ie-2", 21, people, 8, 0.7)),
             Box::new(DataCleaningModule::new("clean", 22, people, 6)),
         ];
-        let pushed = run_modules_parallel(&[doc_a, doc_b], modules).unwrap();
+        let pushed = run_modules_parallel(&warehouse, &["a", "b"], modules).unwrap();
         assert_eq!(pushed.len(), 3);
         let total: usize = pushed.iter().map(|(_, count)| count).sum();
         assert!(total > 0);
-        assert_eq!(session.stats().updates_applied, total);
+        assert_eq!(warehouse.stats().updates_applied, total);
         for name in ["a", "b"] {
-            assert!(session
-                .document(name)
-                .unwrap()
-                .snapshot()
-                .unwrap()
-                .validate()
-                .is_ok());
+            assert!(warehouse.snapshot(name).unwrap().fuzzy().validate().is_ok());
         }
         std::fs::remove_dir_all(dir).unwrap();
     }

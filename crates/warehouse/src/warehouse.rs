@@ -1,10 +1,11 @@
 //! The probabilistic XML warehouse engine.
 //!
-//! [`Warehouse`] is the sharded, per-document-locked engine behind the
-//! session API ([`crate::session::Session`] / [`crate::session::Document`] /
-//! [`crate::session::Txn`]): named fuzzy-tree documents, a query interface,
-//! an atomic batch-commit pipeline and durable storage. User code should
-//! reach it through a [`crate::session::Session`].
+//! [`Warehouse`] is the one engine API — what the server, the benchmark,
+//! the module runners and embedding code all open: named fuzzy-tree
+//! documents behind the paper's two doors (slide 3), *(update transaction,
+//! confidence)* in through [`Warehouse::commit_batch`] and *query → answers +
+//! confidence* out through [`Warehouse::query`], over durable storage. It is
+//! sharded and per-document-locked.
 //!
 //! # Concurrency model: MVCC snapshots
 //!
@@ -97,8 +98,8 @@ use std::sync::Arc;
 
 use parking_lot::{LockClass, Mutex, RwLock};
 use pxml_core::{
-    BatchStats, CoreError, FuzzyQueryResult, FuzzyTree, Simplifier, SimplifyPolicy, SimplifyReport,
-    UpdateTransaction,
+    apply_batch, BatchStats, CoreError, FuzzyQueryResult, FuzzyTree, Simplifier, SimplifyPolicy,
+    SimplifyReport, UpdateTransaction,
 };
 use pxml_query::Pattern;
 use pxml_store::{CommitTicket, FsBackend, FsOptions, StorageBackend, StoreError};
@@ -377,8 +378,8 @@ const SHARD_COUNT: usize = 16;
 /// All methods take `&self`; the warehouse is internally synchronised with a
 /// sharded registry of per-document locks (see the module docs for the lock
 /// ordering rules) so it can be shared behind an `Arc` by many module
-/// threads — the session API does exactly that. A `&self` method touching
-/// one document synchronises only with other users of *that* document, never
+/// threads, or borrowed by scoped ones. A `&self` method touching one
+/// document synchronises only with other users of *that* document, never
 /// with traffic on the rest of the warehouse.
 pub struct Warehouse {
     store: Arc<dyn StorageBackend>,
@@ -390,9 +391,10 @@ pub struct Warehouse {
 impl Warehouse {
     /// Opens the engine backed by the given directory through the default
     /// [`FsBackend`], recovering every stored document (checkpoint + journal
-    /// replay). The backend inherits the session's
-    /// [`CommitPolicy`](pxml_store::CommitPolicy) (`config.commit`), so
-    /// `Grouped` sessions get cross-document fsync coalescing out of the box.
+    /// replay). The backend inherits the configuration's
+    /// [`CommitPolicy`](pxml_store::CommitPolicy) (`config.commit`), so a
+    /// `Grouped` warehouse gets cross-document fsync coalescing out of the
+    /// box.
     pub fn with_config(
         path: impl AsRef<Path>,
         config: SessionConfig,
@@ -408,11 +410,8 @@ impl Warehouse {
     }
 
     /// Opens the engine over an explicit storage backend, recovering every
-    /// stored document (checkpoint + journal replay). Recovery honours the
-    /// session's [`SimplifyPolicy`]: replay alone would resurrect the
-    /// deletion-induced fragmentation that inline simplification removed
-    /// before the crash, so a policy that would have simplified gets one
-    /// pass over each replayed document.
+    /// stored document (checkpoint + journal replay, then the post-replay
+    /// step every recovery shares).
     pub fn with_backend(
         store: Arc<dyn StorageBackend>,
         config: SessionConfig,
@@ -425,10 +424,8 @@ impl Warehouse {
             stats: StatsCounters::default(),
         };
         for name in warehouse.store.list_documents()? {
-            let mut fuzzy = warehouse.store.recover_document(&name)?;
-            if warehouse.store.journal_batches(&name)? > 0 && config.simplify.should_run(&fuzzy) {
-                Simplifier::new().run(&mut fuzzy)?;
-            }
+            let replayed = warehouse.store.recover_document(&name)?;
+            let fuzzy = warehouse.recovered(&name, replayed)?;
             warehouse
                 .shard(&name)
                 .slots
@@ -436,6 +433,19 @@ impl Warehouse {
                 .insert(name, DocSlot::live(fuzzy));
         }
         Ok(warehouse)
+    }
+
+    /// The step between a backend's replay and publishing its result, shared
+    /// by the cold open and [`Warehouse::reopen_document`]: recovery honours
+    /// the configured [`SimplifyPolicy`]. Replay alone would resurrect the
+    /// deletion-induced fragmentation that inline simplification removed
+    /// before the crash, so a policy that would have simplified gets one
+    /// pass over a document whose journal replayed anything.
+    fn recovered(&self, name: &str, mut replayed: FuzzyTree) -> Result<FuzzyTree, WarehouseError> {
+        if self.store.journal_batches(name)? > 0 && self.config.simplify.should_run(&replayed) {
+            Simplifier::new().run(&mut replayed)?;
+        }
+        Ok(replayed)
     }
 
     /// The shard a document name maps to.
@@ -457,20 +467,10 @@ impl Warehouse {
             .ok_or_else(|| WarehouseError::UnknownDocument(name.to_string()))
     }
 
-    /// The session configuration the engine runs under.
-    pub fn config(&self) -> &SessionConfig {
-        &self.config
-    }
-
     /// The directory backing the warehouse, when its storage backend has one
     /// (`None` for in-memory backends).
     pub fn storage_root(&self) -> Option<&Path> {
         self.store.root_dir()
-    }
-
-    /// The storage backend behind the engine.
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
-        &self.store
     }
 
     /// The names of the loaded documents (sorted). Shard locks are taken one
@@ -646,11 +646,12 @@ impl Warehouse {
         })
     }
 
-    /// Commits a staged transaction batch to a document atomically: the
+    /// Commits a batch of update transactions to a document atomically: the
     /// batch is applied to a copy-on-write clone of the current snapshot
-    /// through the policy-aware pipeline (`policy` overrides the session
-    /// policy when given), journaled as one durable entry (the fsync'd
-    /// journal-record append is the commit point), and only then published
+    /// through the policy-aware pipeline ([`pxml_core::apply_batch`];
+    /// `policy` overrides the configured policy when given), journaled as
+    /// one durable entry (the fsync'd journal-record append is the commit
+    /// point), and only then published
     /// as the document's new snapshot by an O(1) pointer swap — an error
     /// *before* the commit point leaves the published snapshot and the
     /// journal exactly as they were. Configured maintenance (checkpoint
@@ -672,8 +673,6 @@ impl Warehouse {
     /// is copied whole, O(events). When deletions have left the arena
     /// with more than `2 × live + SLOT_SLACK` slots, a compaction is folded
     /// in before the swap, reclaiming the dead slots.
-    ///
-    /// This is the engine path behind [`crate::session::Txn::commit`].
     pub fn commit_batch(
         &self,
         name: &str,
@@ -709,13 +708,7 @@ impl Warehouse {
                 guard: None,
             });
         }
-        let mut working = base.fuzzy().clone();
-        let mut stats = BatchStats::default();
-        for update in batch {
-            stats
-                .updates
-                .push(update.apply_to_fuzzy_with(&mut working, policy)?);
-        }
+        let (working, stats) = apply_batch(base.fuzzy(), batch, policy)?;
         // The ticketed append lets the backend share this batch's fsync with
         // concurrent commits to other documents. The blocking path waits it
         // out before publishing; the async path settles only a ticket that
@@ -768,7 +761,7 @@ impl Warehouse {
         })
     }
 
-    /// Folds the journal into a checkpoint of `snapshot` when the session's
+    /// Folds the journal into a checkpoint of `snapshot` when the configured
     /// [`CompactionPolicy`](crate::session::CompactionPolicy) says it is due
     /// — one O(1) meter read otherwise. Caller must hold the slot's commit
     /// mutex.
@@ -796,7 +789,7 @@ impl Warehouse {
         next
     }
 
-    /// Commits a staged batch through the **asynchronous write pipeline**:
+    /// Commits a batch through the **asynchronous write pipeline**:
     /// identical to [`Warehouse::commit_batch`] up to the journal hand-off,
     /// but instead of blocking for the durability fsync it *enqueues* the
     /// batch into the backend's commit window and returns an [`AsyncCommit`]
@@ -884,10 +877,11 @@ impl Warehouse {
     /// [`reopen_document`](StorageBackend::reopen_document) — which truncates
     /// any unsynced or torn journal tail and clears a poisoned commit
     /// pipeline — and publishes the recovered tree (checkpoint + surviving
-    /// journal replayed) as the document's next snapshot with the quarantine
-    /// cleared. No acknowledged commit is lost: everything the journal holds
-    /// is replayed, and the failing append was rolled back before it ever
-    /// resolved.
+    /// journal replayed, then the same post-replay step as a cold open, so
+    /// the two publish the same tree) as the document's next snapshot with
+    /// the quarantine cleared. No acknowledged commit is lost: everything
+    /// the journal holds is replayed, and the failing append was rolled back
+    /// before it ever resolved.
     ///
     /// Readers that pinned a pre-reopen snapshot keep it unchanged; the
     /// published sequence number still advances, so pins stay ordered. Safe
@@ -897,7 +891,8 @@ impl Warehouse {
         let slot = self.slot(name)?;
         let _commit = slot.commit.lock();
         Self::pin(&slot, name)?;
-        let recovered = self.store.reopen_document(name)?;
+        let replayed = self.store.reopen_document(name)?;
+        let recovered = self.recovered(name, replayed)?;
         let mut state = slot.state.write();
         if state.dropped {
             return Err(WarehouseError::UnknownDocument(name.to_string()));
@@ -991,9 +986,9 @@ pub struct MergedQuery {
 }
 
 /// The in-flight handle of an asynchronous commit
-/// ([`Warehouse::commit_batch_async`] / [`crate::Txn::commit_async`]): the
-/// batch is applied in memory and enqueued in the backend's commit window;
-/// durability arrives at the window's fsync.
+/// ([`Warehouse::commit_batch_async`]): the batch is applied in memory and
+/// enqueued in the backend's commit window; durability arrives at the
+/// window's fsync.
 ///
 /// Dropping the handle without waiting still flushes the batch (the
 /// underlying ticket blocks for its window on drop), but discards the
@@ -1059,7 +1054,6 @@ impl AsyncCommit {
 mod tests {
     use super::*;
     use crate::session::CompactionPolicy;
-    use pxml_core::Update;
     use pxml_query::PNodeId;
     use pxml_tree::parse_data_tree;
     use std::path::PathBuf;
@@ -1108,11 +1102,9 @@ mod tests {
     fn add_phone(name: &str, confidence: f64) -> UpdateTransaction {
         let pattern = Pattern::parse(&format!("person {{ name[=\"{name}\"] }}")).unwrap();
         let target = pattern.root();
-        Update::matching(pattern)
-            .insert_at(target, parse_data_tree("<phone>+33-1</phone>").unwrap())
-            .with_confidence(confidence)
-            .build()
+        UpdateTransaction::new(pattern, confidence)
             .unwrap()
+            .with_insert(target, parse_data_tree("<phone>+33-1</phone>").unwrap())
     }
 
     fn commit_one(
@@ -1851,7 +1843,7 @@ mod tests {
         let delete_phone = {
             let pattern = Pattern::parse("person { name[=\"alice\"], phone }").unwrap();
             let phone = pattern.node_ids().nth(2).unwrap();
-            Update::matching(pattern).delete_at(phone).build().unwrap()
+            UpdateTransaction::certain(pattern).with_delete(phone)
         };
         for _ in 0..200 {
             commit_one(&warehouse, "people", &add_phone("alice", 1.0)).unwrap();
@@ -1999,6 +1991,117 @@ mod tests {
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
         assert_eq!(reopened.query("people", &phones).unwrap().len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A healed quarantine publishes what a cold open of the same files
+    /// publishes. Replay runs under `SimplifyPolicy::Never`, so the raw
+    /// replay of a history with conditional retractions carries the
+    /// duplication the live path simplified away after every update; both
+    /// recoveries owe it the same post-replay pass.
+    #[test]
+    fn reopen_publishes_the_same_tree_as_a_cold_open() {
+        let dir = scratch("reopen-vs-cold");
+        // Each retraction matches once per phone under one shared confidence
+        // event, so it fragments the email's condition into disjoint copies.
+        let retract_email_given_a_phone = |confidence: f64| {
+            let pattern = Pattern::parse("person { name[=\"alice\"], phone, email }").unwrap();
+            let email = pattern.node_ids().nth(3).unwrap();
+            UpdateTransaction::new(pattern, confidence)
+                .unwrap()
+                .with_delete(email)
+        };
+        let add_email = {
+            let pattern = Pattern::parse("person { name[=\"alice\"] }").unwrap();
+            let person = pattern.root();
+            UpdateTransaction::new(pattern, 0.7).unwrap().with_insert(
+                person,
+                parse_data_tree("<email>a@example.org</email>").unwrap(),
+            )
+        };
+        let history = [
+            add_phone("alice", 0.8),
+            add_phone("alice", 0.6),
+            add_email,
+            retract_email_given_a_phone(0.9),
+            add_phone("bob", 0.5),
+            retract_email_given_a_phone(0.4),
+        ];
+        // The initial save syncs outside the counted rounds: round #n is the
+        // n-th commit's, and the one after the history fails.
+        let plan =
+            pxml_store::FaultPlan::new().fail_nth(pxml_store::FaultOp::Fsync, history.len() + 1);
+        let options = FsOptions {
+            fault: Some(Arc::new(plan)),
+            ..FsOptions::default()
+        };
+        let backend = FsBackend::with_options(&dir, options).unwrap();
+        let warehouse =
+            Warehouse::with_backend(Arc::new(backend), SessionConfig::default()).unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        for update in &history {
+            commit_one(&warehouse, "people", update).unwrap();
+        }
+        commit_one(&warehouse, "people", &add_phone("bob", 0.3)).unwrap_err();
+        assert!(warehouse.is_quarantined("people"));
+        warehouse.reopen_document("people").unwrap();
+        let healed = warehouse.snapshot("people").unwrap();
+
+        let cold = Warehouse::with_backend(
+            Arc::new(FsBackend::open(&dir).unwrap()),
+            SessionConfig::default(),
+        )
+        .unwrap();
+        let cold = cold.snapshot("people").unwrap();
+        assert_eq!(healed.fuzzy().node_count(), cold.fuzzy().node_count());
+        assert_eq!(
+            healed.fuzzy().condition_literal_count(),
+            cold.fuzzy().condition_literal_count()
+        );
+        assert_eq!(
+            pxml_store::serialize_fuzzy_document(healed.fuzzy(), false),
+            pxml_store::serialize_fuzzy_document(cold.fuzzy(), false)
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A batch whose second update cannot apply is an `Err` carrying the
+    /// model error, and nothing of it exists anywhere: the published
+    /// snapshot is the same object serialising to the same bytes, the
+    /// journal is empty, no update is counted.
+    #[test]
+    fn a_batch_that_fails_to_apply_changes_nothing() {
+        let warehouse =
+            Warehouse::with_backend(Arc::new(pxml_store::MemBackend::new()), plain_config())
+                .unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        let before = warehouse.snapshot("people").unwrap();
+        let bytes = pxml_store::serialize_fuzzy_document(before.fuzzy(), false);
+
+        let mut chain = Tree::new("n");
+        let mut node = chain.root();
+        for _ in 0..pxml_tree::MAX_TREE_DEPTH {
+            node = chain.add_element(node, "n");
+        }
+        let pattern = Pattern::parse("person").unwrap();
+        let person = pattern.root();
+        let too_deep = UpdateTransaction::certain(pattern).with_insert(person, chain);
+        let err = warehouse
+            .commit_batch("people", &[add_phone("alice", 0.8), too_deep], None)
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            WarehouseError::Core(CoreError::InsertionTooDeep(_))
+        ));
+
+        let after = warehouse.snapshot("people").unwrap();
+        assert_eq!(after.seq(), before.seq());
+        assert_eq!(
+            pxml_store::serialize_fuzzy_document(after.fuzzy(), false),
+            bytes
+        );
+        assert_eq!(warehouse.journal_length("people").unwrap(), 0);
+        assert_eq!(warehouse.stats().updates_applied, 0);
+        assert!(!warehouse.is_quarantined("people"));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The chaos battery: random fault plans (scheduled and rate-based fsync
-//! failures, append failures, torn writes, checkpoint failures) against a
+//! failures, append failures, torn writes, checkpoint failures, and a few
+//! slow fsync rounds and checkpoint writes) against a
 //! live warehouse under a mixed query/commit load that folds its journal
 //! every third batch, with a writer that heals quarantine through
 //! `reopen_document` and retries. The property is the repo's durability
@@ -10,6 +11,7 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use pxml_core::UpdateTransaction;
@@ -62,7 +64,9 @@ fn recovered_tags(backend: &dyn StorageBackend, doc: &str) -> Vec<u64> {
 /// Blueprint of a random fault plan: a seeded rate for fsync, append and
 /// checkpoint failures plus up to four scheduled faults (fsync error,
 /// append error, torn write or checkpoint error) at small 1-based indices,
-/// so most runs hit at least one.
+/// so most runs hit at least one, and up to three 1–3 ms latency spikes on
+/// an fsync round or a checkpoint write (where a spike and an error share an
+/// index, the one scheduled first wins).
 fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
     (
         any::<u64>(),
@@ -70,22 +74,34 @@ fn plan_strategy() -> impl Strategy<Value = FaultPlan> {
         0u32..15,
         0u32..40,
         proptest::collection::vec((0u8..4, 1usize..12), 0..4),
+        proptest::collection::vec((any::<bool>(), 1usize..12, 1u64..=3), 0..4),
     )
-        .prop_map(|(seed, fsync_pct, append_pct, checkpoint_pct, scheduled)| {
-            let mut plan = FaultPlan::seeded(seed)
-                .fail_rate(FaultOp::Fsync, fsync_pct as f64 / 100.0)
-                .fail_rate(FaultOp::Append, append_pct as f64 / 100.0)
-                .fail_rate(FaultOp::Checkpoint, checkpoint_pct as f64 / 100.0);
-            for (kind, nth) in scheduled {
-                plan = match kind {
-                    0 => plan.fail_nth(FaultOp::Fsync, nth),
-                    1 => plan.fail_nth(FaultOp::Append, nth),
-                    2 => plan.fail_nth_with(FaultOp::Append, nth, FaultKind::TornWrite),
-                    _ => plan.fail_nth(FaultOp::Checkpoint, nth),
-                };
-            }
-            plan
-        })
+        .prop_map(
+            |(seed, fsync_pct, append_pct, checkpoint_pct, scheduled, slow)| {
+                let mut plan = FaultPlan::seeded(seed)
+                    .fail_rate(FaultOp::Fsync, fsync_pct as f64 / 100.0)
+                    .fail_rate(FaultOp::Append, append_pct as f64 / 100.0)
+                    .fail_rate(FaultOp::Checkpoint, checkpoint_pct as f64 / 100.0);
+                for (kind, nth) in scheduled {
+                    plan = match kind {
+                        0 => plan.fail_nth(FaultOp::Fsync, nth),
+                        1 => plan.fail_nth(FaultOp::Append, nth),
+                        2 => plan.fail_nth_with(FaultOp::Append, nth, FaultKind::TornWrite),
+                        _ => plan.fail_nth(FaultOp::Checkpoint, nth),
+                    };
+                }
+                for (on_fsync, nth, millis) in slow {
+                    let op = if on_fsync {
+                        FaultOp::Fsync
+                    } else {
+                        FaultOp::Checkpoint
+                    };
+                    let spike = FaultKind::Latency(Duration::from_millis(millis));
+                    plan = plan.fail_nth_with(op, nth, spike);
+                }
+                plan
+            },
+        )
 }
 
 proptest! {

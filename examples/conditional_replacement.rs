@@ -39,13 +39,13 @@ fn slide15_document() -> FuzzyTree {
 
 /// The probabilistic replacement: where A has children B and C, delete C and
 /// insert D, with the given confidence.
-fn replacement(confidence: f64) -> Update {
+fn replacement(confidence: f64) -> UpdateTransaction {
     let pattern = Pattern::parse("/A { B, C }").expect("valid query");
     let ids: Vec<_> = pattern.node_ids().collect();
-    Update::matching(pattern)
-        .insert_at(ids[0], parse_data_tree("<D/>").expect("valid XML"))
-        .delete_at(ids[2])
-        .with_confidence(confidence)
+    UpdateTransaction::new(pattern, confidence)
+        .expect("valid confidence")
+        .with_insert(ids[0], parse_data_tree("<D/>").expect("valid XML"))
+        .with_delete(ids[2])
 }
 
 fn main() {
@@ -54,8 +54,7 @@ fn main() {
 
     // The slide-15 replacement, applied through the raw pipeline so the
     // duplication it creates stays visible.
-    let transaction = replacement(0.9).build().expect("valid confidence");
-    let stats = transaction
+    let stats = replacement(0.9)
         .apply_to_fuzzy(&mut doc)
         .expect("update applies");
     println!(
@@ -75,11 +74,9 @@ fn main() {
         let delete_c = {
             let pattern = Pattern::parse("/A { B, C }").expect("valid query");
             let ids: Vec<_> = pattern.node_ids().collect();
-            Update::matching(pattern)
-                .delete_at(ids[2])
-                .with_confidence(0.5)
-                .build()
+            UpdateTransaction::new(pattern, 0.5)
                 .expect("valid confidence")
+                .with_delete(ids[2])
         };
         delete_c
             .apply_to_fuzzy_with(&mut raw, SimplifyPolicy::Never)

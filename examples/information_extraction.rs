@@ -1,10 +1,10 @@
 //! Managing imprecise information-extraction output — the motivating use
-//! case of the paper's introduction — on the session API.
+//! case of the paper's introduction — in a warehouse.
 //!
 //! Several extraction modules report facts about people with confidence
-//! values; each module's facts are staged into one atomically committed
-//! transaction. Queries return answers with probabilities, and contradictory
-//! evidence (a data-cleaning pass) is handled by probabilistic deletion.
+//! values; each module's facts are committed as one atomic batch. Queries
+//! return answers with probabilities, and contradictory evidence (a
+//! data-cleaning pass) is handled by probabilistic deletion.
 //!
 //! Run with `cargo run --example information_extraction`.
 
@@ -18,26 +18,27 @@ struct ExtractedFact {
     confidence: f64,
 }
 
-fn insert_fact(fact: &ExtractedFact) -> Update {
+fn insert_fact(fact: &ExtractedFact) -> UpdateTransaction {
     let pattern =
         Pattern::parse(&format!("person {{ name[=\"{}\"] }}", fact.person)).expect("valid query");
     let person = pattern.root();
     let mut subtree = Tree::new(fact.field);
     subtree.add_text(subtree.root(), fact.value);
-    Update::matching(pattern)
-        .insert_at(person, subtree)
-        .with_confidence(fact.confidence)
+    UpdateTransaction::new(pattern, fact.confidence)
+        .expect("valid confidence")
+        .with_insert(person, subtree)
 }
 
 fn main() {
     let storage =
         std::env::temp_dir().join(format!("pxml-extraction-example-{}", std::process::id()));
-    let session = Session::open(&storage, SessionConfig::default()).expect("session opens");
+    let warehouse =
+        Warehouse::with_config(&storage, SessionConfig::default()).expect("warehouse opens");
 
     // The initial directory holds two people whose names are certain
     // (human-curated seed data).
-    let directory = session
-        .create(
+    warehouse
+        .create_document(
             "directory",
             parse_data_tree(
                 "<directory>\
@@ -51,7 +52,7 @@ fn main() {
 
     // Streams of extracted facts with heterogeneous confidences: a precise
     // web extractor, a noisier NLP pipeline, and an OCR pass. Each module's
-    // output is one staged transaction.
+    // output is one batch.
     let modules: &[(&str, &[ExtractedFact])] = &[
         (
             "web-extractor",
@@ -98,17 +99,19 @@ fn main() {
         ),
     ];
 
-    println!("== Ingesting extracted facts (one txn per module) ==");
+    println!("== Ingesting extracted facts (one batch per module) ==");
     for (module, facts) in modules {
-        let mut txn = directory.begin();
+        let mut batch = Vec::new();
         for fact in *facts {
-            txn = txn.stage(insert_fact(fact));
+            batch.push(insert_fact(fact));
             println!(
                 "  [{module:<13}] {}/{} = {:<28} confidence {:.2}",
                 fact.person, fact.field, fact.value, fact.confidence
             );
         }
-        let receipt = txn.commit().expect("commit succeeds");
+        let receipt = warehouse
+            .commit_batch("directory", &batch, None)
+            .expect("commit succeeds");
         println!(
             "  [{module:<13}] committed {} update(s) atomically\n",
             receipt.len()
@@ -122,11 +125,15 @@ fn main() {
         .node_ids()
         .nth(2)
         .expect("birth-year is the third node");
-    let snapshot = directory.snapshot().expect("document exists");
-    let result = directory.query(&query).expect("query runs");
+    let snapshot = warehouse.snapshot("directory").expect("document exists");
+    let result = snapshot.fuzzy().query(&query);
     for answer in &result.matches {
         let original = answer.matching.image(birth_year_node);
-        let year = snapshot.tree().node_value(original).unwrap_or_default();
+        let year = snapshot
+            .fuzzy()
+            .tree()
+            .node_value(original)
+            .unwrap_or_default();
         println!(
             "  birth-year answer (value {year:?}) holds with probability {:.3}",
             answer.probability
@@ -142,18 +149,17 @@ fn main() {
         .node_ids()
         .nth(2)
         .expect("email is the third node");
-    directory
-        .begin()
-        .stage(
-            Update::matching(retract_pattern)
-                .delete_at(email_node)
-                .with_confidence(0.8),
-        )
-        .commit()
+    let retract = UpdateTransaction::new(retract_pattern, 0.8)
+        .expect("valid confidence")
+        .with_delete(email_node);
+    warehouse
+        .commit_batch("directory", &[retract], None)
         .expect("commit succeeds");
 
     let email_query = Pattern::parse("person { email }").expect("valid query");
-    let email_result = directory.query(&email_query).expect("query runs");
+    let email_result = warehouse
+        .query("directory", &email_query)
+        .expect("query runs");
     let still_there: f64 = email_result
         .matches
         .iter()
@@ -163,7 +169,9 @@ fn main() {
 
     // Housekeeping already happened inline (the default SimplifyPolicy), so
     // an explicit pass has little left to do.
-    let report = directory.simplify().expect("simplification succeeds");
+    let report = warehouse
+        .simplify("directory")
+        .expect("simplification succeeds");
     println!(
         "\nexplicit simplification after inline maintenance: {} node(s) merged, {} event(s) dropped",
         report.merged_nodes, report.removed_events
@@ -173,12 +181,14 @@ fn main() {
     println!(
         "{}",
         pxml::store::serialize_fuzzy_document(
-            &directory.snapshot().expect("document exists"),
+            warehouse
+                .snapshot("directory")
+                .expect("document exists")
+                .fuzzy(),
             true
         )
     );
 
-    drop(directory);
-    drop(session);
+    drop(warehouse);
     let _ = std::fs::remove_dir_all(&storage);
 }

@@ -1,5 +1,5 @@
-//! Quickstart: build the paper's running example, query it, then work with it
-//! through the transactional session API.
+//! Quickstart: build the paper's running example, query it, then store it in
+//! a warehouse and commit an update to it.
 //!
 //! Run with `cargo run --example quickstart`.
 
@@ -50,29 +50,27 @@ fn main() {
     }
 
     // -----------------------------------------------------------------------
-    // 4. The session API: persist the document, then stage and commit a
-    //    probabilistic update — insert E below A when D is present, with
-    //    confidence 0.9.
+    // 4. The warehouse: persist the document, then commit a probabilistic
+    //    update — insert E below A when D is present, with confidence 0.9.
     // -----------------------------------------------------------------------
     let storage =
         std::env::temp_dir().join(format!("pxml-quickstart-example-{}", std::process::id()));
-    let session = Session::open(&storage, SessionConfig::default()).expect("session opens");
-    let handle = session
-        .create_fuzzy("slide12", doc.clone())
+    let warehouse =
+        Warehouse::with_config(&storage, SessionConfig::default()).expect("warehouse opens");
+    warehouse
+        .create_fuzzy_document("slide12", doc.clone())
         .expect("document created");
 
     let pattern = Pattern::parse("A { D }").expect("valid query syntax");
     let target = pattern.root();
-    let update = Update::matching(pattern)
-        .insert_at(
+    let update = UpdateTransaction::new(pattern, 0.9)
+        .expect("valid confidence")
+        .with_insert(
             target,
             parse_data_tree("<E>found-it</E>").expect("valid XML"),
-        )
-        .with_confidence(0.9);
-    let receipt = handle
-        .begin()
-        .stage(update.clone())
-        .commit()
+        );
+    let receipt = warehouse
+        .commit_batch("slide12", std::slice::from_ref(&update), None)
         .expect("commit succeeds");
 
     println!("\n== After inserting E (confidence 0.9, when D present) ==");
@@ -81,7 +79,7 @@ fn main() {
         "  matches: {}, inserted nodes: {}",
         stats.match_count, stats.inserted_nodes
     );
-    let updated = handle.snapshot().expect("document exists");
+    let updated = warehouse.document("slide12").expect("document exists");
     println!("  {}", updated.tree());
     let e_query = Pattern::parse("A { E }").expect("valid query syntax");
     println!(
@@ -91,20 +89,15 @@ fn main() {
 
     // -----------------------------------------------------------------------
     // 5. The two semantics agree (the commutation theorems): committing the
-    //    staged update equals updating every possible world.
+    //    update equals updating every possible world.
     // -----------------------------------------------------------------------
-    let transaction = update.build().expect("valid confidence");
-    let via_worlds = doc
-        .to_possible_worlds()
-        .expect("expansion")
-        .update(&transaction);
+    let via_worlds = doc.to_possible_worlds().expect("expansion").update(&update);
     let via_fuzzy = updated.to_possible_worlds().expect("expansion");
     println!(
         "\nupdate/semantics diagram commutes: {}",
         via_worlds.equivalent(&via_fuzzy, 1e-9)
     );
 
-    drop(handle);
-    drop(session);
+    drop(warehouse);
     let _ = std::fs::remove_dir_all(&storage);
 }

@@ -1,8 +1,7 @@
-//! The full warehouse architecture of slide 3 on the session API: simulated
-//! imprecise modules stage probabilistic updates into atomically committed
-//! transactions, a user runs tree-pattern queries through a document handle,
-//! the session simplifies inline and checkpoints itself, and the state
-//! survives a restart.
+//! The full warehouse architecture of slide 3: simulated imprecise modules
+//! push probabilistic updates in atomically committed batches, a user runs
+//! tree-pattern queries, the warehouse simplifies inline and checkpoints
+//! itself, and the state survives a restart.
 //!
 //! Run with `cargo run --example warehouse_pipeline`.
 
@@ -16,9 +15,9 @@ fn main() {
     let people = 12;
 
     // -----------------------------------------------------------------------
-    // 1. Open the session and load the seed directory.
+    // 1. Open the warehouse and load the seed directory.
     // -----------------------------------------------------------------------
-    let session = Session::open(
+    let warehouse = Warehouse::with_config(
         &storage,
         SessionConfig {
             simplify: SimplifyPolicy::Inline,
@@ -26,17 +25,17 @@ fn main() {
             ..SessionConfig::default()
         },
     )
-    .expect("session opens");
+    .expect("warehouse opens");
     let scenario = PeopleScenarioConfig {
         people,
         ..PeopleScenarioConfig::default()
     };
-    let document = session
-        .create("people", people_directory(&scenario))
+    warehouse
+        .create_document("people", people_directory(&scenario))
         .expect("document created");
     println!(
         "warehouse storage: {}",
-        session
+        warehouse
             .storage_root()
             .expect("the default backend is file-backed")
             .display()
@@ -44,14 +43,14 @@ fn main() {
 
     // -----------------------------------------------------------------------
     // 2. Three imprecise modules feed the document (slide 3's Module 1..3);
-    //    each round-robin round commits one staged transaction.
+    //    each round-robin round commits one batch.
     // -----------------------------------------------------------------------
     let mut modules: Vec<Box<dyn SourceModule>> = vec![
         Box::new(ExtractionModule::new("web-extractor", 1, people, 40, 0.9)),
         Box::new(ExtractionModule::new("nlp-pipeline", 2, people, 40, 0.6)),
         Box::new(DataCleaningModule::new("data-cleaning", 3, people, 20)),
     ];
-    let pushed = run_modules(&document, &mut modules).expect("modules run");
+    let pushed = run_modules(&warehouse, "people", &mut modules).expect("modules run");
     println!("\n== Updates pushed by the modules ==");
     for (module, count) in &pushed {
         println!("  {module:<15} {count} update transaction(s)");
@@ -67,7 +66,7 @@ fn main() {
         "person { name, city }",
     ] {
         let query = Pattern::parse(text).expect("valid query");
-        let result = document.query(&query).expect("query runs");
+        let result = warehouse.query("people", &query).expect("query runs");
         let best = result
             .matches
             .iter()
@@ -84,7 +83,7 @@ fn main() {
     // 4. Maintenance and persistence. Inline simplification already ran at
     //    every commit; an explicit pass checkpoints on top.
     // -----------------------------------------------------------------------
-    let snapshot = document.snapshot().expect("document exists");
+    let snapshot = warehouse.document("people").expect("document exists");
     println!("\n== Document health ==");
     println!("  nodes: {}", snapshot.node_count());
     println!("  events: {}", snapshot.event_count());
@@ -92,8 +91,10 @@ fn main() {
         "  condition literals: {}",
         snapshot.condition_literal_count()
     );
-    let report = document.simplify().expect("simplification succeeds");
-    let after = document.snapshot().expect("document exists");
+    let report = warehouse
+        .simplify("people")
+        .expect("simplification succeeds");
+    let after = warehouse.document("people").expect("document exists");
     println!(
         "  after explicit simplification: {} nodes, {} events, {} literals ({} passes)",
         after.node_count(),
@@ -101,23 +102,23 @@ fn main() {
         after.condition_literal_count(),
         report.passes
     );
-    println!("  session stats: {:?}", session.stats());
+    println!("  warehouse stats: {:?}", warehouse.stats());
 
     // -----------------------------------------------------------------------
     // 5. Restart: recover from the checkpoint + journal.
     // -----------------------------------------------------------------------
-    drop(document);
-    drop(session);
-    let reopened = Session::open(&storage, SessionConfig::default()).expect("reopens");
-    let people_again = reopened.document("people").expect("document recovered");
+    drop(warehouse);
+    let reopened = Warehouse::with_config(&storage, SessionConfig::default()).expect("reopens");
     let phones = Pattern::parse("person { phone }").expect("valid query");
     println!(
         "\nafter restart, {} phone answer(s) are still there",
-        people_again.query(&phones).expect("query runs").len()
+        reopened
+            .query("people", &phones)
+            .expect("document recovered")
+            .len()
     );
 
     // Clean up the scratch directory so repeated runs start fresh.
-    drop(people_again);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&storage);
 }

@@ -16,65 +16,62 @@
 //! | [`query`] | `pxml-query` | TPWJ queries: syntax, matcher, answers |
 //! | [`core`] | `pxml-core` | possible worlds, fuzzy trees, updates, batches, simplification |
 //! | [`store`] | `pxml-store` | `StorageBackend` trait, PrXML format, segment-journal `FsBackend`, `MemBackend` |
-//! | [`warehouse`] | `pxml-warehouse` | sessions, document handles, staged transactions, source modules |
+//! | [`warehouse`] | `pxml-warehouse` | the `Warehouse` engine, its configuration, source modules |
 //! | [`gen`] | `pxml-gen` | seeded workload generators |
 //!
-//! ## Quickstart: the session API
+//! ## Quickstart: the warehouse
 //!
-//! The documented default path is the transactional document-session API:
-//! open a [`Session`](prelude::Session), get a [`Document`](prelude::Document)
-//! handle, stage fluently built probabilistic updates into a
-//! [`Txn`](prelude::Txn), and commit — the batch applies through the
-//! policy-aware pipeline (inline simplification by default), lands in the
-//! journal as one atomic entry, and is replayed by crash recovery.
+//! The paper's architecture (slide 3) gives the warehouse two doors, and
+//! [`Warehouse`](prelude::Warehouse) is both: *(update transaction,
+//! confidence)* in through
+//! [`commit_batch`](prelude::Warehouse::commit_batch) — the batch applies
+//! through the policy-aware pipeline (inline simplification by default),
+//! lands in the journal as one atomic entry, and is replayed by crash
+//! recovery — and *query → answers + confidence* out through
+//! [`query`](prelude::Warehouse::query).
 //!
 //! ```
 //! use pxml::prelude::*;
 //!
 //! let dir = std::env::temp_dir().join(format!("pxml-doc-quickstart-{}", std::process::id()));
-//! let session = Session::open(&dir, SessionConfig::default()).unwrap();
-//! let people = session
-//!     .create(
+//! let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
+//! warehouse
+//!     .create_document(
 //!         "people",
 //!         parse_data_tree("<directory><person><name>alice</name></person></directory>").unwrap(),
 //!     )
 //!     .unwrap();
 //!
 //! // An extraction module reports a phone number (confidence 0.8) and an
-//! // e-mail address (confidence 0.6); both land in one atomic transaction.
+//! // e-mail address (confidence 0.6); both land in one atomic batch.
 //! let alice = Pattern::parse("person { name[=\"alice\"] }").unwrap();
 //! let person = alice.root();
-//! let receipt = people
-//!     .begin()
-//!     .stage(
-//!         Update::matching(alice.clone())
-//!             .insert_at(person, parse_data_tree("<phone>+33-1</phone>").unwrap())
-//!             .with_confidence(0.8),
-//!     )
-//!     .stage(
-//!         Update::matching(alice)
-//!             .insert_at(person, parse_data_tree("<email>a@example.org</email>").unwrap())
-//!             .with_confidence(0.6),
-//!     )
-//!     .commit()
-//!     .unwrap();
+//! let phone = UpdateTransaction::new(alice.clone(), 0.8)
+//!     .unwrap()
+//!     .with_insert(person, parse_data_tree("<phone>+33-1</phone>").unwrap());
+//! let email = UpdateTransaction::new(alice, 0.6)
+//!     .unwrap()
+//!     .with_insert(person, parse_data_tree("<email>a@example.org</email>").unwrap());
+//! let receipt = warehouse.commit_batch("people", &[phone, email], None).unwrap();
 //! assert_eq!(receipt.len(), 2);
 //!
 //! // Query: answers carry probabilities.
-//! let result = people.query(&Pattern::parse("person { phone }").unwrap()).unwrap();
+//! let result = warehouse
+//!     .query("people", &Pattern::parse("person { phone }").unwrap())
+//!     .unwrap();
 //! assert!((result.matches[0].probability - 0.8).abs() < 1e-12);
-//! # drop(people); drop(session); let _ = std::fs::remove_dir_all(&dir);
+//! # drop(warehouse); let _ = std::fs::remove_dir_all(&dir);
 //! ```
 //!
 //! The model layer stays available for in-memory work — build a
 //! [`FuzzyTree`](prelude::FuzzyTree), query it, expand it to possible worlds
 //! — exactly as in the paper's examples (see `examples/quickstart.rs`).
 //!
-//! Storage is pluggable since 0.4: [`Session::open`](prelude::Session::open)
-//! keeps its one-line file-backed default
-//! ([`FsBackend`](prelude::FsBackend), an append-only segment journal with
-//! O(batch) commits), while
-//! `Session::open_with_backend` accepts any
+//! Storage is pluggable:
+//! [`Warehouse::with_config`](prelude::Warehouse::with_config) keeps the
+//! one-line file-backed default ([`FsBackend`](prelude::FsBackend), an
+//! append-only segment journal with O(batch) commits), while
+//! [`Warehouse::with_backend`](prelude::Warehouse::with_backend) accepts any
 //! [`StorageBackend`](prelude::StorageBackend) — e.g. the in-memory
 //! [`MemBackend`](prelude::MemBackend). See the README's "Storage
 //! architecture" section for the on-disk format.
@@ -91,7 +88,7 @@ pub use pxml_warehouse as warehouse;
 pub mod prelude {
     pub use pxml_core::{
         apply_batch, encode_possible_worlds, BatchStats, CoreError, FuzzyQueryResult, FuzzyTree,
-        PossibleWorlds, ProbabilisticMatch, Simplifier, SimplifyPolicy, SimplifyReport, Update,
+        PossibleWorlds, ProbabilisticMatch, Simplifier, SimplifyPolicy, SimplifyReport,
         UpdateOperation, UpdateStats, UpdateTransaction,
     };
     pub use pxml_event::{
@@ -101,8 +98,7 @@ pub mod prelude {
     pub use pxml_store::{CommitPolicy, FsBackend, FsOptions, MemBackend, StorageBackend};
     pub use pxml_tree::{parse_data_tree, write_data_tree, Label, NodeId, Tree};
     pub use pxml_warehouse::{
-        AsyncCommit, CompactionPolicy, DocSnapshot, Document, Session, SessionConfig, Txn,
-        Warehouse,
+        AsyncCommit, CompactionPolicy, DocSnapshot, SessionConfig, Warehouse,
     };
 }
 
@@ -122,29 +118,20 @@ mod tests {
     fn session_types_are_in_the_prelude() {
         let dir = std::env::temp_dir().join(format!("pxml-facade-session-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let session = Session::open(&dir, SessionConfig::default()).unwrap();
-        let doc = session
-            .create("doc", parse_data_tree("<r><a/></r>").unwrap())
+        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
+        warehouse
+            .create_document("doc", parse_data_tree("<r><a/></r>").unwrap())
             .unwrap();
         let pattern = Pattern::parse("r { a }").unwrap();
-        let receipt = doc
-            .begin()
-            .stage(
-                Update::matching(pattern.clone())
-                    .insert_at(pattern.root(), parse_data_tree("<b/>").unwrap())
-                    .with_confidence(0.5),
-            )
-            .commit()
-            .unwrap();
+        let target = pattern.root();
+        let insert = UpdateTransaction::new(pattern, 0.5)
+            .unwrap()
+            .with_insert(target, parse_data_tree("<b/>").unwrap());
+        let receipt = warehouse.commit_batch("doc", &[insert], None).unwrap();
         assert_eq!(receipt.len(), 1);
-        assert_eq!(
-            doc.query(&Pattern::parse("r { b }").unwrap())
-                .unwrap()
-                .len(),
-            1
-        );
-        drop(doc);
-        drop(session);
+        let inserted = Pattern::parse("r { b }").unwrap();
+        assert_eq!(warehouse.query("doc", &inserted).unwrap().len(), 1);
+        drop(warehouse);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -5,7 +5,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::Barrier;
 
 use pxml::gen::scenarios::{people_directory, PeopleScenarioConfig};
 use pxml::prelude::*;
@@ -33,7 +33,7 @@ fn directory() -> pxml::tree::Tree {
 }
 
 /// An insertion of a phone with a traceable value under a known person.
-fn tagged_phone(person: usize, tag: &str, confidence: f64) -> Update {
+fn tagged_phone(person: usize, tag: &str, confidence: f64) -> UpdateTransaction {
     let pattern = Pattern::parse(&format!(
         "person {{ name[=\"{}\"] }}",
         PEOPLE[person % PEOPLE.len()]
@@ -42,12 +42,12 @@ fn tagged_phone(person: usize, tag: &str, confidence: f64) -> Update {
     let target = pattern.root();
     let mut phone = pxml::tree::Tree::new("phone");
     phone.add_text(phone.root(), tag);
-    Update::matching(pattern)
-        .insert_at(target, phone)
-        .with_confidence(confidence)
+    UpdateTransaction::new(pattern, confidence)
+        .unwrap()
+        .with_insert(target, phone)
 }
 
-/// The replay-free session configuration used throughout: what the threads
+/// The replay-free configuration used throughout: what the threads
 /// committed is exactly what the journals hold and what recovery rebuilds.
 fn plain_config() -> SessionConfig {
     SessionConfig {
@@ -79,28 +79,27 @@ fn journal_phone_tags(batches: &[Vec<UpdateTransaction>]) -> Vec<String> {
 #[test]
 fn concurrent_writers_equal_sequential_replay_per_document() {
     let dir = scratch("writers-vs-replay");
-    let session = Session::open(&dir, plain_config()).unwrap();
+    let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
     let docs = 3;
     let threads = 6;
     let commits_per_thread = 4;
-    let documents: Vec<Document> = (0..docs)
-        .map(|i| session.create(&format!("doc-{i}"), directory()).unwrap())
-        .collect();
+    let names: Vec<String> = (0..docs).map(|i| format!("doc-{i}")).collect();
+    for name in &names {
+        warehouse.create_document(name, directory()).unwrap();
+    }
 
-    let barrier = Arc::new(Barrier::new(threads));
+    let barrier = Barrier::new(threads);
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let documents = documents.clone();
-            let barrier = barrier.clone();
+            let (warehouse, names, barrier) = (&warehouse, &names, &barrier);
             scope.spawn(move || {
                 barrier.wait();
                 for k in 0..commits_per_thread {
                     // Each thread walks the documents starting at its own
                     // offset, so every document sees interleaved writers.
-                    let doc = &documents[(t + k) % docs];
-                    doc.begin()
-                        .stage(tagged_phone(t, &format!("t{t}-k{k}"), 0.7))
-                        .commit()
+                    let update = tagged_phone(t, &format!("t{t}-k{k}"), 0.7);
+                    warehouse
+                        .commit_batch(&names[(t + k) % docs], &[update], None)
                         .unwrap();
                 }
             });
@@ -108,7 +107,7 @@ fn concurrent_writers_equal_sequential_replay_per_document() {
     });
 
     assert_eq!(
-        session.stats().updates_applied,
+        warehouse.stats().updates_applied,
         threads * commits_per_thread
     );
     // A second store handle over the same directory sees the journals the
@@ -116,15 +115,16 @@ fn concurrent_writers_equal_sequential_replay_per_document() {
     // the sequential-replay reference.
     let store = FsBackend::open(&dir).unwrap();
     let mut journaled_total = 0;
-    for (i, doc) in documents.iter().enumerate() {
-        let name = format!("doc-{i}");
-        let replayed = store.recover_document(&name).unwrap();
-        let live = doc.snapshot().unwrap();
+    for name in &names {
+        let replayed = store.recover_document(name).unwrap();
+        let live = warehouse.snapshot(name).unwrap();
         assert!(
-            live.semantically_equivalent(&replayed, 1e-9).unwrap(),
+            live.fuzzy()
+                .semantically_equivalent(&replayed, 1e-9)
+                .unwrap(),
             "document {name} diverged from its journal replay"
         );
-        journaled_total += store.read_batches(&name).unwrap().len();
+        journaled_total += store.read_batches(name).unwrap().len();
     }
     assert_eq!(journaled_total, threads * commits_per_thread);
     std::fs::remove_dir_all(dir).unwrap();
@@ -139,39 +139,36 @@ fn concurrent_writers_equal_sequential_replay_per_document() {
 fn crash_with_two_in_flight_documents_recovers_independently() {
     let dir = scratch("two-doc-kill-point");
     {
-        let session = Session::open(&dir, plain_config()).unwrap();
-        let committed = session.create("committed", directory()).unwrap();
-        session.create("staged", directory()).unwrap();
-        committed
-            .begin()
-            .stage(tagged_phone(0, "doc-committed-0", 0.8))
-            .stage(tagged_phone(1, "doc-committed-1", 0.6))
-            .commit()
-            .unwrap();
+        let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
+        warehouse.create_document("committed", directory()).unwrap();
+        warehouse.create_document("staged", directory()).unwrap();
+        let batch = [
+            tagged_phone(0, "doc-committed-0", 0.8),
+            tagged_phone(1, "doc-committed-1", 0.6),
+        ];
+        warehouse.commit_batch("committed", &batch, None).unwrap();
         // `staged`'s append died mid-record: fabricate the torn tail the way
         // the segment journal would have left it (full header, then only
         // half of the payload the length prefix promises).
-        let orphan = tagged_phone(2, "doc-staged-0", 0.9).build().unwrap();
+        let orphan = tagged_phone(2, "doc-staged-0", 0.9);
         let payload = serialize_batch(std::slice::from_ref(&orphan));
         let mut torn = Vec::new();
         torn.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         torn.extend_from_slice(&1u32.to_le_bytes());
         torn.extend_from_slice(&payload.as_bytes()[..payload.len() / 2]);
         std::fs::write(dir.join("staged.journal.0.0.seg"), torn).unwrap();
-        // The session drops here: the crash.
+        // The warehouse drops here: the crash.
     }
 
-    let session = Session::open(&dir, plain_config()).unwrap();
+    let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
     let phones = Pattern::parse("person { phone }").unwrap();
-    let committed = session.document("committed").unwrap();
     assert_eq!(
-        committed.query(&phones).unwrap().len(),
+        warehouse.query("committed", &phones).unwrap().len(),
         2,
         "the committed batch must replay in full"
     );
-    let staged = session.document("staged").unwrap();
     assert!(
-        staged.query(&phones).unwrap().is_empty(),
+        warehouse.query("staged", &phones).unwrap().is_empty(),
         "the torn-tail batch must be discarded"
     );
 
@@ -204,20 +201,22 @@ fn concurrent_commits_keep_journals_separate_across_a_crash() {
     let dir = scratch("journal-isolation");
     let commits = 3;
     {
-        let session = Session::open(&dir, plain_config()).unwrap();
-        let documents: Vec<Document> = (0..2)
-            .map(|i| session.create(&format!("doc-{i}"), directory()).unwrap())
-            .collect();
-        let barrier = Arc::new(Barrier::new(2));
+        let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
+        for i in 0..2 {
+            warehouse
+                .create_document(&format!("doc-{i}"), directory())
+                .unwrap();
+        }
+        let barrier = Barrier::new(2);
         std::thread::scope(|scope| {
-            for (i, doc) in documents.iter().enumerate() {
-                let barrier = barrier.clone();
+            for i in 0..2 {
+                let (warehouse, barrier) = (&warehouse, &barrier);
                 scope.spawn(move || {
                     barrier.wait();
                     for k in 0..commits {
-                        doc.begin()
-                            .stage(tagged_phone(k, &format!("doc-{i}-k{k}"), 0.7))
-                            .commit()
+                        let update = tagged_phone(k, &format!("doc-{i}-k{k}"), 0.7);
+                        warehouse
+                            .commit_batch(&format!("doc-{i}"), &[update], None)
                             .unwrap();
                     }
                 });
@@ -226,13 +225,12 @@ fn concurrent_commits_keep_journals_separate_across_a_crash() {
         // Crash: drop without checkpointing.
     }
 
-    let session = Session::open(&dir, plain_config()).unwrap();
+    let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
     let store = FsBackend::open(&dir).unwrap();
     let phones = Pattern::parse("person { phone }").unwrap();
     for i in 0..2 {
         let name = format!("doc-{i}");
-        let doc = session.document(&name).unwrap();
-        assert_eq!(doc.query(&phones).unwrap().len(), commits);
+        assert_eq!(warehouse.query(&name, &phones).unwrap().len(), commits);
 
         let batches = store.read_batches(&name).unwrap();
         assert_eq!(batches.len(), commits, "one journal batch per commit");
@@ -254,36 +252,33 @@ fn concurrent_commits_keep_journals_separate_across_a_crash() {
 #[test]
 fn readers_pin_snapshots_while_writer_streams_commits() {
     let dir = scratch("reader-pins-snapshot");
-    let session = Session::open(&dir, plain_config()).unwrap();
-    let doc = session.create("people", directory()).unwrap();
-    doc.begin()
-        .stage(tagged_phone(0, "pre-stream", 0.9))
-        .commit()
+    let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
+    warehouse.create_document("people", directory()).unwrap();
+    warehouse
+        .commit_batch("people", &[tagged_phone(0, "pre-stream", 0.9)], None)
         .unwrap();
-    let pinned = doc.pin().unwrap();
+    let pinned = warehouse.snapshot("people").unwrap();
     let pinned_phones = pinned.fuzzy().tree().find_elements("phone").len();
 
     let commits = 24;
     let readers = 3;
     let phones = Pattern::parse("person { phone }").unwrap();
-    let barrier = Arc::new(Barrier::new(readers + 1));
+    let barrier = Barrier::new(readers + 1);
     std::thread::scope(|scope| {
         for _ in 0..readers {
-            let doc = doc.clone();
-            let barrier = barrier.clone();
-            let phones = phones.clone();
+            let (warehouse, barrier, phones) = (&warehouse, &barrier, &phones);
             scope.spawn(move || {
                 barrier.wait();
                 let mut last_seen = 0;
                 let mut last_seq = 0;
                 loop {
-                    let snapshot = doc.pin().unwrap();
+                    let snapshot = warehouse.snapshot("people").unwrap();
                     assert!(
                         snapshot.seq() >= last_seq,
                         "snapshots must be published in order"
                     );
                     last_seq = snapshot.seq();
-                    let seen = doc.query(&phones).unwrap().len();
+                    let seen = warehouse.query("people", phones).unwrap().len();
                     assert!(
                         seen >= last_seen,
                         "a reader observed a rollback: {seen} after {last_seen}"
@@ -296,16 +291,12 @@ fn readers_pin_snapshots_while_writer_streams_commits() {
                 }
             });
         }
-        let writer_doc = doc.clone();
-        let writer_barrier = barrier.clone();
+        let (warehouse, barrier) = (&warehouse, &barrier);
         scope.spawn(move || {
-            writer_barrier.wait();
+            barrier.wait();
             for k in 0..commits {
-                writer_doc
-                    .begin()
-                    .stage(tagged_phone(k, &format!("stream-{k}"), 0.8))
-                    .commit()
-                    .unwrap();
+                let update = tagged_phone(k, &format!("stream-{k}"), 0.8);
+                warehouse.commit_batch("people", &[update], None).unwrap();
             }
         });
     });
@@ -315,73 +306,66 @@ fn readers_pin_snapshots_while_writer_streams_commits() {
         pinned.fuzzy().tree().find_elements("phone").len(),
         pinned_phones
     );
-    assert!(doc.pin().unwrap().seq() > pinned.seq());
-    assert_eq!(doc.query(&phones).unwrap().len(), commits + 1);
+    assert!(warehouse.snapshot("people").unwrap().seq() > pinned.seq());
+    assert_eq!(
+        warehouse.query("people", &phones).unwrap().len(),
+        commits + 1
+    );
     std::fs::remove_dir_all(dir).unwrap();
 }
 
 /// Mixed traffic from many threads — queries, commits and stats polling over
 /// disjoint and shared documents — finishes with a consistent ledger: every
 /// thread's commits are counted, every document validates, and a reopened
-/// session agrees with the live one.
+/// warehouse agrees with the live one.
 #[test]
 fn mixed_traffic_stress_stays_consistent() {
     let dir = scratch("mixed-stress");
-    let session = Session::open(&dir, plain_config()).unwrap();
+    let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
     let docs = 4;
     let threads = 8;
     let rounds = 6;
-    let documents: Vec<Document> = (0..docs)
-        .map(|i| session.create(&format!("doc-{i}"), directory()).unwrap())
-        .collect();
-    let barrier = Arc::new(Barrier::new(threads));
+    let names: Vec<String> = (0..docs).map(|i| format!("doc-{i}")).collect();
+    for name in &names {
+        warehouse.create_document(name, directory()).unwrap();
+    }
+    let barrier = Barrier::new(threads);
     let phones = Pattern::parse("person { phone }").unwrap();
     std::thread::scope(|scope| {
         for t in 0..threads {
-            let documents = documents.clone();
-            let session = session.clone();
-            let barrier = barrier.clone();
-            let phones = phones.clone();
+            let (warehouse, names, barrier, phones) = (&warehouse, &names, &barrier, &phones);
             scope.spawn(move || {
                 barrier.wait();
                 for k in 0..rounds {
-                    let doc = &documents[(t + k) % docs];
+                    let name = &names[(t + k) % docs];
                     if t % 2 == 0 {
-                        doc.begin()
-                            .stage(tagged_phone(t + k, &format!("t{t}-k{k}"), 0.6))
-                            .commit()
-                            .unwrap();
+                        let update = tagged_phone(t + k, &format!("t{t}-k{k}"), 0.6);
+                        warehouse.commit_batch(name, &[update], None).unwrap();
                     } else {
-                        let _ = doc.query(&phones).unwrap();
-                        let _ = session.stats();
+                        let _ = warehouse.query(name, phones).unwrap();
+                        let _ = warehouse.stats();
                     }
                 }
             });
         }
     });
     let committed = (threads / 2) * rounds;
-    let stats = session.stats();
+    let stats = warehouse.stats();
     assert_eq!(stats.updates_applied, committed);
     assert_eq!(stats.queries_evaluated, (threads / 2) * rounds);
     let mut total_phones = 0;
-    for doc in &documents {
-        let snapshot = doc.snapshot().unwrap();
-        assert!(snapshot.validate().is_ok());
-        total_phones += doc.query(&phones).unwrap().len();
+    for name in &names {
+        let snapshot = warehouse.snapshot(name).unwrap();
+        assert!(snapshot.fuzzy().validate().is_ok());
+        total_phones += warehouse.query(name, &phones).unwrap().len();
     }
     assert_eq!(total_phones, committed);
 
-    drop(documents);
-    drop(session);
-    let reopened = Session::open(&dir, plain_config()).unwrap();
+    drop(warehouse);
+    let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
     let mut recovered_phones = 0;
-    for i in 0..docs {
-        recovered_phones += reopened
-            .document(&format!("doc-{i}"))
-            .unwrap()
-            .query(&phones)
-            .unwrap()
-            .len();
+    for name in &names {
+        recovered_phones += reopened.query(name, &phones).unwrap().len();
     }
     assert_eq!(recovered_phones, committed);
     std::fs::remove_dir_all(dir).unwrap();

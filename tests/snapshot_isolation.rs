@@ -57,19 +57,15 @@ fn build_update(op: &Op) -> UpdateTransaction {
     if op.delete {
         let pattern = Pattern::parse(&format!("person {{ name[=\"{name}\"], phone }}")).unwrap();
         let phone = pattern.node_ids().nth(2).unwrap();
-        Update::matching(pattern)
-            .delete_at(phone)
-            .with_confidence(confidence)
-            .build()
+        UpdateTransaction::new(pattern, confidence)
             .unwrap()
+            .with_delete(phone)
     } else {
         let pattern = Pattern::parse(&format!("person {{ name[=\"{name}\"] }}")).unwrap();
         let target = pattern.root();
-        Update::matching(pattern)
-            .insert_at(target, parse_data_tree("<phone>+33-1</phone>").unwrap())
-            .with_confidence(confidence)
-            .build()
+        UpdateTransaction::new(pattern, confidence)
             .unwrap()
+            .with_insert(target, parse_data_tree("<phone>+33-1</phone>").unwrap())
     }
 }
 
@@ -85,9 +81,9 @@ proptest! {
         )
     ) {
         let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-        let session = Session::open_with_backend(backend, plain_config()).unwrap();
-        let doc = session.create("people", directory()).unwrap();
-        let initial = doc.pin().unwrap();
+        let warehouse = Warehouse::with_backend(backend, plain_config()).unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        let initial = warehouse.snapshot("people").unwrap();
 
         let batches: Vec<Vec<UpdateTransaction>> = batches
             .iter()
@@ -101,7 +97,7 @@ proptest! {
         let mut legal = HashSet::new();
         legal.insert(state.fuzzy_canonical_string(state.root()));
         for batch in &batches {
-            apply_batch(&mut state, batch, SimplifyPolicy::Never).unwrap();
+            state = apply_batch(&state, batch, SimplifyPolicy::Never).unwrap().0;
             legal.insert(state.fuzzy_canonical_string(state.root()));
         }
 
@@ -109,14 +105,14 @@ proptest! {
         let observed = std::thread::scope(|scope| {
             let readers: Vec<_> = (0..2)
                 .map(|_| {
-                    let doc = doc.clone();
+                    let warehouse = &warehouse;
                     let done = done.clone();
                     scope.spawn(move || {
                         let mut seen = Vec::new();
                         let mut last_seq = 0;
                         loop {
                             let stop = done.load(Ordering::Acquire);
-                            let snapshot = doc.pin().unwrap();
+                            let snapshot = warehouse.snapshot("people").unwrap();
                             assert!(
                                 snapshot.seq() >= last_seq,
                                 "snapshot sequence went backwards"
@@ -134,7 +130,7 @@ proptest! {
                 })
                 .collect();
             for batch in &batches {
-                session.engine().commit_batch("people", batch, None).unwrap();
+                warehouse.commit_batch("people", batch, None).unwrap();
             }
             done.store(true, Ordering::Release);
             readers
@@ -150,7 +146,7 @@ proptest! {
             );
         }
         // The final published snapshot is the full replay.
-        let last = doc.pin().unwrap();
+        let last = warehouse.snapshot("people").unwrap();
         prop_assert_eq!(
             last.fuzzy().fuzzy_canonical_string(last.fuzzy().root()),
             state.fuzzy_canonical_string(state.root())
