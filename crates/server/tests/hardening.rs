@@ -16,6 +16,8 @@ use pxml_store::{CommitPolicy, FaultOp, FaultPlan};
 use pxml_tree::parse_data_tree;
 use pxml_warehouse::CompactionPolicy;
 
+mod common;
+
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn scratch(label: &str) -> PathBuf {
@@ -38,23 +40,43 @@ fn phone_batch(confidence: f64) -> Vec<UpdateTransaction> {
         .with_insert(person, parse_data_tree("<phone>+33-1</phone>").unwrap())]
 }
 
-/// The whole taxonomy in one scenario. The fault plan fails the second
-/// fsync the tenant backend issues: under the default sync commit policy
-/// `create_document` does not enter the fsync-round path, so commit #1
-/// succeeds and commit #2 is the one that dies.
+/// The whole taxonomy in one scenario, after a cleaning history (so that a
+/// replay has something to simplify) and one acked commit. Under the default
+/// sync commit policy `create_document` does not enter the fsync-round
+/// path, so every commit is one fsync; the fault plan fails the two that
+/// follow the acked one.
 #[test]
 fn injected_fsync_failure_quarantines_heals_and_retries_over_the_wire() {
     let dir = scratch("quarantine");
+    let cleaning = common::extract_then_clean(6);
+    let acked = cleaning.len() + 1;
     let mut config = ServerConfig::new(&dir);
-    config.fs.fault = Some(Arc::new(FaultPlan::new().fail_nth(FaultOp::Fsync, 2)));
+    config.fs.fault = Some(Arc::new(
+        FaultPlan::new()
+            .fail_nth(FaultOp::Fsync, acked + 1)
+            .fail_nth(FaultOp::Fsync, acked + 2),
+    ));
     let server = Server::start(config).unwrap();
     let mut client = Client::connect(server.local_addr(), "acme").unwrap();
 
     client.open("doc", Some(PEOPLE_XML)).unwrap();
+    for batch in &cleaning {
+        client.commit("doc", batch).unwrap();
+    }
     client.commit("doc", &phone_batch(0.8)).unwrap();
 
-    // Commit #2 hits the injected fsync failure: a typed, retryable
-    // storage error — and the document is now quarantined.
+    // The first failure is healed by a read: the `SNAPSHOT` request runs
+    // the auto-reopen and is served the replayed document — to the byte the
+    // one the live tenant served before the fault.
+    let before = common::snapshot_payload(server.local_addr(), "acme", "doc");
+    client.commit("doc", &phone_batch(0.5)).unwrap_err();
+    assert_eq!(client.stats().unwrap().quarantined_docs, 1);
+    let after = common::snapshot_payload(server.local_addr(), "acme", "doc");
+    assert_eq!(after, before);
+    assert_eq!(client.stats().unwrap().quarantined_docs, 0);
+
+    // The next commit hits the second injected fsync failure: a typed,
+    // retryable storage error — and the document is quarantined again.
     let error = client.commit("doc", &phone_batch(0.7)).unwrap_err();
     match &error {
         ClientError::Server {
@@ -76,7 +98,7 @@ fn injected_fsync_failure_quarantines_heals_and_retries_over_the_wire() {
 
     // One retry-wrapped call heals everything: the attempt hits the
     // backoff-gated auto-reopen (which replays the journal and lifts the
-    // quarantine) and the commit then lands. The fault was one-shot, so
+    // quarantine) and the commit then lands. The faults were one-shot, so
     // storage is healthy again.
     let policy = RetryPolicy {
         max_retries: 5,
@@ -93,7 +115,7 @@ fn injected_fsync_failure_quarantines_heals_and_retries_over_the_wire() {
     assert_eq!(stats.quarantined_docs, 0);
     assert!(stats.quarantined.is_empty());
 
-    // The rolled-back commit #2 must not have left a phantom. The two
+    // The rolled-back commits must not have left a phantom. The two
     // surviving inserts (0.8 and 0.6) merge into one phone node with
     // probability 1-(1-0.8)(1-0.6) = 0.92; had the failed 0.7 commit
     // leaked, the probability would be 0.976.

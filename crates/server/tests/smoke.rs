@@ -12,6 +12,8 @@ use pxml_server::{Client, ClientError, Server, ServerConfig};
 use pxml_store::CommitPolicy;
 use pxml_tree::parse_data_tree;
 
+mod common;
+
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn scratch(label: &str) -> PathBuf {
@@ -243,7 +245,11 @@ fn lru_evicts_idle_tenants_and_reopens_them() {
 
     let mut t1 = Client::connect(server.local_addr(), "t1").unwrap();
     t1.open("doc", Some(PEOPLE_XML)).unwrap();
+    for batch in common::extract_then_clean(6) {
+        t1.commit("doc", &batch).unwrap();
+    }
     t1.commit("doc", &phone_batch(0.5)).unwrap();
+    let before = common::snapshot_payload(server.local_addr(), "t1", "doc");
     let mut t2 = Client::connect(server.local_addr(), "t2").unwrap();
     t2.open("doc", Some(PEOPLE_XML)).unwrap();
     let mut t3 = Client::connect(server.local_addr(), "t3").unwrap();
@@ -261,6 +267,10 @@ fn lru_evicts_idle_tenants_and_reopens_them() {
     let answers = t1.query("doc", "person { phone }").unwrap();
     assert_eq!(answers.answers.len(), 1);
     assert!((answers.answers[0].probability - 0.5).abs() < 1e-9);
+    // Not merely equivalent: the re-opened tenant serves the document it
+    // served before the eviction, byte for byte.
+    let after = common::snapshot_payload(server.local_addr(), "t1", "doc");
+    assert_eq!(after, before);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -141,8 +141,17 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         Ok(self.read_batches(name)?.into_iter().flatten().collect())
     }
 
-    /// Recovery: the last checkpoint with the journal replayed on top. This
-    /// is what the warehouse loads at start-up after a crash.
+    /// The **raw replay**: the last checkpoint with every journaled update
+    /// applied on top and no simplification anywhere. It is the reference
+    /// for "what the journal holds" — the crash suites read their ledgers
+    /// from it, the benchmark times it, and the warehouse's tests compare
+    /// against it on small documents — and **never what a warehouse
+    /// publishes**: on a history whose live run simplified after every
+    /// update, its size is unbounded (every conditional deletion multiplies
+    /// what the ones before it left behind). The published tree is
+    /// `Warehouse`'s replay of [`load_document`](StorageBackend::load_document)
+    /// plus [`read_batches`](StorageBackend::read_batches) through the same
+    /// per-update step its commits run.
     fn recover_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
         let mut fuzzy = self.load_document(name)?;
         for update in self.read_journal(name)? {
@@ -151,17 +160,17 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         Ok(fuzzy)
     }
 
-    /// In-place recovery after a failed commit: drop any cached state for
-    /// `name`, re-establish the on-disk truth (truncating a torn or
-    /// unsynced journal tail), clear a poisoned commit pipeline, and return
-    /// the recovered tree — the checkpoint with the surviving journal
-    /// replayed on top. `Warehouse::reopen_document` routes through this to
-    /// lift a document out of quarantine.
+    /// Resets the backend's state for `name` after a failed commit: clears a
+    /// poisoned commit pipeline and drops anything cached about the
+    /// document's journal, so the next touch re-establishes the on-disk
+    /// truth (truncating a torn or unsynced tail). It replays nothing and
+    /// returns no tree — `Warehouse::reopen_document` calls it and then
+    /// replays the checkpoint and the surviving journal itself, the way a
+    /// cold open does.
     ///
-    /// The default implementation forwards to
-    /// [`recover_document`](StorageBackend::recover_document): backends
-    /// without caches or a commit pipeline have nothing else to reset.
-    fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        self.recover_document(name)
+    /// The default implementation does nothing: backends without caches or a
+    /// commit pipeline have nothing to reset.
+    fn reopen_document(&self, _name: &str) -> Result<(), StoreError> {
+        Ok(())
     }
 }

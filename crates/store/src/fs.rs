@@ -677,18 +677,16 @@ impl StorageBackend for FsBackend {
             .with_loaded(name, |meta| Ok(meta.cursor.updates))
     }
 
-    /// In-place recovery after a failed commit: clears a poisoned group
-    /// committer (safe — the failing flush already rolled its unsynced
-    /// records back), drops the document's cached journal cursor so the next
-    /// touch rescans the on-disk truth (truncating any torn tail), and
-    /// returns the recovered tree. `Warehouse::reopen_document` routes
-    /// through this to lift a document out of quarantine.
-    fn reopen_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
+    /// The reset after a failed commit: clears a poisoned group committer
+    /// (safe — the failing flush already rolled its unsynced records back)
+    /// and drops the document's cached journal cursor, so the next touch
+    /// rescans the on-disk truth (truncating any torn tail).
+    fn reopen_document(&self, name: &str) -> Result<(), StoreError> {
         if let Some(group) = &self.shared.group {
             group.clear_poison();
         }
         self.segments().meta(name).lock().forget();
-        self.recover_document(name)
+        Ok(())
     }
 
     /// Checkpoints a document: writes `fuzzy` as the new checkpoint (stamped
@@ -1358,8 +1356,9 @@ mod tests {
             .unwrap_err();
         assert!(poisoned.to_string().contains("poisoned"));
         assert_eq!(store.durability_stats().fsyncs, fsyncs_before);
-        // Reopen lifts the poison and recovers the durable state.
-        let recovered = store.reopen_document("people").unwrap();
+        // Reopen lifts the poison; the journal holds the durable state.
+        store.reopen_document("people").unwrap();
+        let recovered = store.recover_document("people").unwrap();
         assert!(recovered.tree().find_elements("email").is_empty());
         store
             .append_batch_enqueue("people", &[sample_update()])
@@ -1408,7 +1407,8 @@ mod tests {
             let whole = 2 * encode_record(&[sample_update()]).bytes.len() as u64;
             assert_eq!(fs::metadata(&segment).unwrap().len(), whole - TEAR_BYTES);
             assert_eq!(store.journal_batches("people").unwrap(), 2, "stale meters");
-            let recovered = store.reopen_document("people").unwrap();
+            store.reopen_document("people").unwrap();
+            let recovered = store.recover_document("people").unwrap();
             assert_eq!(recovered.tree().find_elements("email").len(), 1);
             assert_eq!(store.journal_batches("people").unwrap(), 1);
             assert_eq!(fs::metadata(&segment).unwrap().len(), whole / 2);

@@ -43,14 +43,14 @@
 //! A failed window fsync errors **every** ticket in that window — none is
 //! acknowledged — and **poisons** the committer: every later enqueue fails
 //! immediately until the document is re-opened
-//! (`StorageBackend::reopen_document`), which re-establishes the on-disk
-//! truth and clears the poison. The committer never retries the fsync and
-//! then acks: after a failed fsync the kernel may have *dropped* the dirty
-//! pages while clearing the error flag, so a retry that returns success
-//! proves nothing about the lost writes — the PostgreSQL "fsyncgate" bug
-//! class. The unsynced records themselves are rolled back (truncated away)
-//! by the failing flush, so recovery replays exactly the acknowledged
-//! prefix.
+//! (`StorageBackend::reopen_document`), which clears the poison and has the
+//! next touch re-establish the on-disk truth. The committer never retries
+//! the fsync and then acks: after a failed fsync the kernel may have
+//! *dropped* the dirty pages while clearing the error flag, so a retry that
+//! returns success proves nothing about the lost writes — the PostgreSQL
+//! "fsyncgate" bug class. The unsynced records themselves are rolled back
+//! (truncated away) by the failing flush, so recovery replays exactly the
+//! acknowledged prefix.
 //!
 //! # Idle fast-path
 //!

@@ -78,6 +78,17 @@
 //! committer) and republishes the checkpoint + journal replay. See README
 //! § "Failure model & recovery".
 //!
+//! A document is a function of its journal: what a checkpoint plus a
+//! journal denotes has one definition, every journaled update in order
+//! through the per-update step the commit itself ran (apply, then the
+//! configured [`SimplifyPolicy`]), and one private replay turns files into
+//! a published tree for the cold open and for `reopen_document` alike. So
+//! the live tree, the cold-open tree and the reopened tree are the same
+//! bytes, and recovery costs what the history cost live — never the raw,
+//! unsimplified replay, whose size doubles with every round of conditional
+//! deletions (the storage trait keeps that one as the reference tests
+//! compare against).
+//!
 //! These rules are not just prose: every lock here carries a
 //! `parking_lot::LockClass` (`Shard`, `DocEntry`, …) and the whole test
 //! battery can run under a lockdep-style order witness with
@@ -410,8 +421,7 @@ impl Warehouse {
     }
 
     /// Opens the engine over an explicit storage backend, recovering every
-    /// stored document (checkpoint + journal replay, then the post-replay
-    /// step every recovery shares).
+    /// stored document by replaying its journal over its checkpoint.
     pub fn with_backend(
         store: Arc<dyn StorageBackend>,
         config: SessionConfig,
@@ -424,8 +434,7 @@ impl Warehouse {
             stats: StatsCounters::default(),
         };
         for name in warehouse.store.list_documents()? {
-            let replayed = warehouse.store.recover_document(&name)?;
-            let fuzzy = warehouse.recovered(&name, replayed)?;
+            let fuzzy = warehouse.replay(&name)?;
             warehouse
                 .shard(&name)
                 .slots
@@ -435,17 +444,20 @@ impl Warehouse {
         Ok(warehouse)
     }
 
-    /// The step between a backend's replay and publishing its result, shared
-    /// by the cold open and [`Warehouse::reopen_document`]: recovery honours
-    /// the configured [`SimplifyPolicy`]. Replay alone would resurrect the
-    /// deletion-induced fragmentation that inline simplification removed
-    /// before the crash, so a policy that would have simplified gets one
-    /// pass over a document whose journal replayed anything.
-    fn recovered(&self, name: &str, mut replayed: FuzzyTree) -> Result<FuzzyTree, WarehouseError> {
-        if self.store.journal_batches(name)? > 0 && self.config.simplify.should_run(&replayed) {
-            Simplifier::new().run(&mut replayed)?;
+    /// The document a checkpoint plus a journal denotes: every journaled
+    /// update, in order, through the step the commit that journaled it ran
+    /// ([`pxml_core::apply_batch`]'s loop body under the configured policy),
+    /// in place on the loaded checkpoint. The cold open and
+    /// [`Warehouse::reopen_document`] publish only what this returns, so
+    /// both hold the tree the live warehouse held — the same bytes — and
+    /// recovery costs what the history cost live. (A commit that overrode
+    /// the policy is the one exception: the override is not journaled.)
+    fn replay(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
+        let mut fuzzy = self.store.load_document(name)?;
+        for update in self.store.read_journal(name)? {
+            update.apply_to_fuzzy_with(&mut fuzzy, self.config.simplify)?;
         }
-        Ok(replayed)
+        Ok(fuzzy)
     }
 
     /// The shard a document name maps to.
@@ -872,16 +884,16 @@ impl Warehouse {
     }
 
     /// Lifts a document out of quarantine: takes the commit mutex (waiting
-    /// out any in-flight writer), drops the in-memory state, re-establishes
-    /// the on-disk truth through the backend's
-    /// [`reopen_document`](StorageBackend::reopen_document) — which truncates
-    /// any unsynced or torn journal tail and clears a poisoned commit
-    /// pipeline — and publishes the recovered tree (checkpoint + surviving
-    /// journal replayed, then the same post-replay step as a cold open, so
-    /// the two publish the same tree) as the document's next snapshot with
-    /// the quarantine cleared. No acknowledged commit is lost: everything
-    /// the journal holds is replayed, and the failing append was rolled back
-    /// before it ever resolved.
+    /// out any in-flight writer), has the backend reset what it holds about
+    /// the document ([`StorageBackend::reopen_document`]: a poisoned commit
+    /// pipeline cleared, the journal rescanned and any unsynced or torn tail
+    /// truncated at the next read), and publishes the replay of the
+    /// checkpoint and the surviving journal — the one a cold open of the
+    /// same files runs, so the two publish the same tree — as the document's
+    /// next snapshot with the quarantine cleared. No acknowledged commit is
+    /// lost: everything the journal holds is replayed, and the failing
+    /// append was rolled back before it ever resolved. The work is that of
+    /// the journaled commits themselves, so at most a fold interval's worth.
     ///
     /// Readers that pinned a pre-reopen snapshot keep it unchanged; the
     /// published sequence number still advances, so pins stay ordered. Safe
@@ -891,8 +903,8 @@ impl Warehouse {
         let slot = self.slot(name)?;
         let _commit = slot.commit.lock();
         Self::pin(&slot, name)?;
-        let replayed = self.store.reopen_document(name)?;
-        let recovered = self.recovered(name, replayed)?;
+        self.store.reopen_document(name)?;
+        let recovered = self.replay(name)?;
         let mut state = slot.state.write();
         if state.dropped {
             return Err(WarehouseError::UnknownDocument(name.to_string()));
@@ -1105,6 +1117,22 @@ mod tests {
         UpdateTransaction::new(pattern, confidence)
             .unwrap()
             .with_insert(target, parse_data_tree("<phone>+33-1</phone>").unwrap())
+    }
+
+    fn add_email(name: &str, confidence: f64) -> UpdateTransaction {
+        let pattern = Pattern::parse(&format!("person {{ name[=\"{name}\"] }}")).unwrap();
+        let target = pattern.root();
+        UpdateTransaction::new(pattern, confidence)
+            .unwrap()
+            .with_insert(
+                target,
+                parse_data_tree("<email>a@example.org</email>").unwrap(),
+            )
+    }
+
+    /// The snapshot's document as the store would write it.
+    fn serialized(snapshot: &DocSnapshot) -> String {
+        pxml_store::serialize_fuzzy_document(snapshot.fuzzy(), false)
     }
 
     fn commit_one(
@@ -1994,10 +2022,10 @@ mod tests {
     }
 
     /// A healed quarantine publishes what a cold open of the same files
-    /// publishes. Replay runs under `SimplifyPolicy::Never`, so the raw
-    /// replay of a history with conditional retractions carries the
-    /// duplication the live path simplified away after every update; both
-    /// recoveries owe it the same post-replay pass.
+    /// publishes, and both publish the tree the live warehouse held when the
+    /// fault hit: every acked commit, nothing of the failed one. The history
+    /// has conditional retractions, whose duplication the live path
+    /// simplified away after every update — as the replay does.
     #[test]
     fn reopen_publishes_the_same_tree_as_a_cold_open() {
         let dir = scratch("reopen-vs-cold");
@@ -2010,18 +2038,10 @@ mod tests {
                 .unwrap()
                 .with_delete(email)
         };
-        let add_email = {
-            let pattern = Pattern::parse("person { name[=\"alice\"] }").unwrap();
-            let person = pattern.root();
-            UpdateTransaction::new(pattern, 0.7).unwrap().with_insert(
-                person,
-                parse_data_tree("<email>a@example.org</email>").unwrap(),
-            )
-        };
         let history = [
             add_phone("alice", 0.8),
             add_phone("alice", 0.6),
-            add_email,
+            add_email("alice", 0.7),
             retract_email_given_a_phone(0.9),
             add_phone("bob", 0.5),
             retract_email_given_a_phone(0.4),
@@ -2041,10 +2061,12 @@ mod tests {
         for update in &history {
             commit_one(&warehouse, "people", update).unwrap();
         }
+        let live = warehouse.snapshot("people").unwrap();
         commit_one(&warehouse, "people", &add_phone("bob", 0.3)).unwrap_err();
         assert!(warehouse.is_quarantined("people"));
         warehouse.reopen_document("people").unwrap();
         let healed = warehouse.snapshot("people").unwrap();
+        assert_eq!(serialized(&healed), serialized(&live));
 
         let cold = Warehouse::with_backend(
             Arc::new(FsBackend::open(&dir).unwrap()),
@@ -2057,9 +2079,78 @@ mod tests {
             healed.fuzzy().condition_literal_count(),
             cold.fuzzy().condition_literal_count()
         );
-        assert_eq!(
-            pxml_store::serialize_fuzzy_document(healed.fuzzy(), false),
-            pxml_store::serialize_fuzzy_document(cold.fuzzy(), false)
+        assert_eq!(serialized(&healed), serialized(&cold));
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The paper's extraction-then-cleaning loop: three uncertain phones and
+    /// an uncertain e-mail, then eleven rounds of "insert a phone" and
+    /// "`person { phone, email }`, delete the e-mail". Every retraction
+    /// multiplies the e-mail copies the ones before it left, so the raw
+    /// replay of this journal (c) is hundreds of times the live tree, which
+    /// simplified after every update. A recovery that published the raw
+    /// replay, or simplified it once at the end, would cost `2^rounds` of
+    /// what the history cost live and publish another tree; a cold open (a)
+    /// and a healed quarantine (b) publish the live one, byte for byte.
+    #[test]
+    fn a_cleaning_history_reopens_to_the_live_tree_not_the_raw_replay() {
+        let dir = scratch("one-history-one-tree");
+        let retract_email = {
+            let pattern = Pattern::parse("person { phone, email }").unwrap();
+            let email = pattern.node_ids().nth(2).unwrap();
+            UpdateTransaction::new(pattern, 0.9)
+                .unwrap()
+                .with_delete(email)
+        };
+        let mut history = vec![
+            add_phone("alice", 0.8),
+            add_phone("alice", 0.7),
+            add_phone("alice", 0.5),
+            add_email("alice", 0.7),
+        ];
+        for _ in 0..11 {
+            history.push(add_phone("alice", 0.6));
+            history.push(retract_email.clone());
+        }
+        // The initial save syncs outside the counted rounds: round #n is the
+        // n-th commit's, and the one after the history fails.
+        let plan =
+            pxml_store::FaultPlan::new().fail_nth(pxml_store::FaultOp::Fsync, history.len() + 1);
+        let options = FsOptions {
+            fault: Some(Arc::new(plan)),
+            ..FsOptions::default()
+        };
+        let backend = FsBackend::with_options(&dir, options).unwrap();
+        let warehouse =
+            Warehouse::with_backend(Arc::new(backend), SessionConfig::default()).unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        for update in &history {
+            commit_one(&warehouse, "people", update).unwrap();
+        }
+        let live = warehouse.snapshot("people").unwrap();
+        let live_bytes = serialized(&live);
+
+        // (a) A cold open of the same root.
+        let store = Arc::new(FsBackend::open(&dir).unwrap());
+        let cold = Warehouse::with_backend(store.clone(), SessionConfig::default()).unwrap();
+        let cold = cold.snapshot("people").unwrap();
+        assert_eq!(serialized(&cold), live_bytes);
+
+        // (b) A failed commit, the quarantine, the reopen: everything acked,
+        // nothing else.
+        commit_one(&warehouse, "people", &add_phone("bob", 0.3)).unwrap_err();
+        assert!(warehouse.is_quarantined("people"));
+        warehouse.reopen_document("people").unwrap();
+        let healed = warehouse.snapshot("people").unwrap();
+        assert_eq!(serialized(&healed), live_bytes);
+
+        // (c) The raw reference replay of the same journal.
+        let raw = store.recover_document("people").unwrap();
+        assert!(
+            raw.node_count() > 100 * live.fuzzy().node_count(),
+            "raw replay: {} nodes, live: {}",
+            raw.node_count(),
+            live.fuzzy().node_count()
         );
         std::fs::remove_dir_all(dir).unwrap();
     }
