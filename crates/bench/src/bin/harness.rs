@@ -10,8 +10,9 @@
 //!   CI runs: E8 (simplification never grows a document, reaches the
 //!   re-cover optimum, and is deterministic) in [`paper`]; E13 (factored
 //!   selection equals the per-person oracle), E14 (grouped windows issue
-//!   fewer fsync rounds than commits) and E15 (readers never inherit a
-//!   writer's flush stall) in [`engine`]; E17 (wire scaling, query tail,
+//!   fewer fsync rounds than commits), E15 (readers never inherit a
+//!   writer's flush stall) and E22 (a commit's simplification work does not
+//!   grow with the document) in [`engine`]; E17 (wire scaling, query tail,
 //!   `Busy` shedding) and E18 (exact acked-prefix replay and bounded retries
 //!   under injected faults) in [`wire`].
 //!
@@ -43,7 +44,7 @@ mod wire;
 
 type Experiment = fn(bool);
 
-const EXPERIMENTS: [(&str, Experiment); 14] = [
+const EXPERIMENTS: [(&str, Experiment); 15] = [
     ("e1", paper::e1_possible_worlds_example),
     ("e2", paper::e2_expressiveness),
     ("e3", paper::e3_query_models),
@@ -58,6 +59,7 @@ const EXPERIMENTS: [(&str, Experiment); 14] = [
     ("e15", engine::e15_snapshot_reads),
     ("e17", wire::e17_request_rate),
     ("e18", wire::e18_chaos_sweep),
+    ("e22", engine::e22_commit_vs_size),
 ];
 
 /// Parses the command line into `(quick, experiments to run)`. Naming no
@@ -122,7 +124,7 @@ mod tests {
             let error = parse(&["e1", typo]).unwrap_err();
             assert!(error.contains(&format!("`{typo}`")), "{error}");
             assert!(error.contains("--quick e1 e2 "), "{error}");
-            assert!(error.ends_with(" e17 e18"), "{error}");
+            assert!(error.ends_with(" e17 e18 e22"), "{error}");
         }
     }
 

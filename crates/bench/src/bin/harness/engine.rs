@@ -1,24 +1,28 @@
 //! Engine gates: E13 (disjunction probability by independence structure),
-//! E14 (group commit) and E15 (snapshot reads). Each ends in an `assert!` on
-//! something pxbench's wire-level numbers cannot show.
+//! E14 (group commit), E15 (snapshot reads) and E22 (commit work against
+//! document size). Each ends in an `assert!` on something pxbench's
+//! wire-level numbers cannot show.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use pxml_bench::{
-    header, merged_answer_document, micros, ms, percentile, stats_delta, time_it, warehouse_over,
-    Scratch, BENCH_SEED,
+    email_retraction, header, merged_answer_document, micros, ms, percentile, stats_delta, time_it,
+    warehouse_over, Scratch, BENCH_SEED,
 };
-use pxml_core::{FuzzyQueryResult, FuzzyTree, SimplifyPolicy, UpdateTransaction};
+use pxml_core::{FuzzyQueryResult, FuzzyTree, Simplifier, SimplifyPolicy, UpdateTransaction};
 use pxml_event::{Condition, EventId, Formula};
-use pxml_gen::scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
+use pxml_gen::scenarios::{
+    extraction_update, people_directory, uncertain_directory, PeopleScenarioConfig,
+};
 use pxml_gen::storage::journal_batches;
 use pxml_query::Pattern;
-use pxml_store::{CommitPolicy, FsOptions};
-use pxml_warehouse::Warehouse;
+use pxml_store::{CommitPolicy, FsOptions, MemBackend};
+use pxml_tree::parse_data_tree;
+use pxml_warehouse::{CompactionPolicy, SessionConfig, Warehouse};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -567,4 +571,109 @@ pub fn e15_snapshot_reads(quick: bool) {
         micros(contended_p99)
     );
     println!();
+}
+
+// ---------------------------------------------------------------------------
+// E22 — commit latency against document size. Gated: a commit's
+// simplification work does not grow with the document.
+// ---------------------------------------------------------------------------
+
+/// ROADMAP item 5's yardstick: the same stream of single-update commits —
+/// a phone extracted, then the person's email retracted, round-robin over
+/// the first 20 persons — against directories of 200 to 6 400 elements
+/// (five per person: the person, a name, two uncertain phones, an uncertain
+/// email), on `MemBackend` and on a synced `FsBackend`. Beside the median
+/// commits it prints the whole-document simplification each commit paid
+/// before the inline pass was scoped to the update's footprint, and its
+/// counts. The commit still grows with the document through the matcher's
+/// element scan (ROADMAP item 4), so the gate is not a timing: the nodes the
+/// stream's simplifications walked and keyed must be the same at every size
+/// and on both backends.
+pub fn e22_commit_vs_size(quick: bool) {
+    header(
+        "E22",
+        "commit latency vs document size: single-update batches, scoped simplification",
+    );
+    let commits = if quick { 40 } else { 200 };
+    println!(
+        "{commits} commits per size (phone, then email retraction, over 20 persons)\n\
+         {:>9} {:>14} {:>14} {:>13} {:>12} {:>14} {:>14}",
+        "elements",
+        "walked/commit",
+        "keyed/commit",
+        "mem p50 (us)",
+        "fs p50 (us)",
+        "whole walked",
+        "whole run (us)"
+    );
+    let mut scoped_work = Vec::new();
+    for people in [40, 160, 640, 1280] {
+        let mut directory = uncertain_directory(people, 2);
+        let whole = Simplifier::new().run(&mut directory).unwrap();
+        let whole_run = time_it(3, || {
+            Simplifier::new().run(&mut directory.clone()).unwrap();
+        });
+        let scratch = Scratch::new(&format!("e22-{people}"));
+        let memory = Warehouse::with_backend(
+            Arc::new(MemBackend::new()),
+            SessionConfig {
+                compaction: CompactionPolicy::Never,
+                ..SessionConfig::default()
+            },
+        )
+        .unwrap();
+        let file = warehouse_over(scratch.path(), FsOptions::default());
+        let mut p50 = Vec::new();
+        for warehouse in [&memory, &file] {
+            warehouse
+                .create_fuzzy_document("people", directory.clone())
+                .unwrap();
+            let mut latencies = Vec::with_capacity(commits);
+            let mut work = (0, 0);
+            for i in 0..commits {
+                let update = e22_update(i);
+                let start = Instant::now();
+                let stats = warehouse.commit_batch("people", &[update], None).unwrap();
+                latencies.push(start.elapsed());
+                let report = stats.updates[0].simplify.as_ref().expect("inline policy");
+                work.0 += report.nodes_walked;
+                work.1 += report.nodes_keyed;
+            }
+            latencies.sort_unstable();
+            p50.push(percentile(&latencies, 0.50));
+            scoped_work.push(work);
+        }
+        let (walked, keyed) = scoped_work[scoped_work.len() - 1];
+        println!(
+            "{:>9} {:>14.1} {:>14.1} {:>13.1} {:>12.1} {:>14} {:>14.1}",
+            5 * people,
+            walked as f64 / commits as f64,
+            keyed as f64 / commits as f64,
+            micros(p50[0]),
+            micros(p50[1]),
+            whole.nodes_walked,
+            micros(whole_run)
+        );
+    }
+    // The gate: one count for every size and both backends.
+    assert!(
+        scoped_work.windows(2).all(|pair| pair[0] == pair[1]),
+        "E22: the stream's simplification work grew with the document: {scoped_work:?}"
+    );
+    println!();
+}
+
+/// The `i`-th commit of E22's stream: even commits extract a phone for
+/// person `i / 2 % 20`, odd ones retract that person's email.
+fn e22_update(i: usize) -> UpdateTransaction {
+    let person = i / 2 % 20;
+    if i % 2 == 1 {
+        return email_retraction(Some(person));
+    }
+    let pattern = Pattern::parse(&format!("person {{ name[=\"person-{person}\"] }}")).unwrap();
+    let target = pattern.root();
+    let phone = parse_data_tree(&format!("<phone>+33-{person}-x{i}</phone>")).unwrap();
+    UpdateTransaction::new(pattern, 0.8)
+        .unwrap()
+        .with_insert(target, phone)
 }

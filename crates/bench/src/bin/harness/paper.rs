@@ -294,7 +294,7 @@ pub fn e7_warehouse(quick: bool) {
         let warehouse = Warehouse::with_config(
             scratch.path(),
             SessionConfig {
-                simplify: SimplifyPolicy::Threshold(4096),
+                simplify: SimplifyPolicy::Inline,
                 compaction: CompactionPolicy::EveryNBatches(64),
                 ..SessionConfig::default()
             },

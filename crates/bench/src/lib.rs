@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_event::{Condition, EventId, Literal};
 use pxml_gen::{
-    derived_query, random_fuzzy_tree, random_tree, random_update, FuzzyGenConfig, QueryGenConfig,
-    TreeGenConfig, UpdateGenConfig,
+    derived_query, random_fuzzy_tree, random_tree, random_update, uncertain_directory,
+    FuzzyGenConfig, QueryGenConfig, TreeGenConfig, UpdateGenConfig,
 };
 use pxml_query::{PNodeId, Pattern};
 use pxml_store::{FsBackend, FsOptions};
@@ -219,50 +219,36 @@ pub fn deletion_growth_step(k: usize) -> UpdateTransaction {
         .with_delete(ids[2])
 }
 
-/// The E8 data-cleaning workload: every person carries `phones` uncertain
-/// phones and one uncertain email, then `rounds` cleaning transactions
-/// retract the email of every person who has *a* phone (confidence 0.9).
+/// The E8 data-cleaning workload: an [`uncertain_directory`] whose every
+/// person carries `phones` uncertain phones and one uncertain email, then
+/// `rounds` cleaning transactions retract the email of every person who has
+/// *a* phone (confidence 0.9).
 ///
 /// Each retraction matches once per phone with a shared confidence event, so
 /// the deletion fragments every email's survivor condition into
 /// pairwise-disjoint pieces that are not pairwise mergeable — the realistic
 /// shape the simplifier's group re-cover wins back (experiment E8).
 pub fn cleaning_history(people: usize, phones: usize, rounds: usize) -> FuzzyTree {
-    let mut fuzzy = FuzzyTree::new("directory");
-    let root = fuzzy.root();
-    for p in 0..people {
-        let person = fuzzy.add_element(root, "person");
-        let name = fuzzy.add_element(person, "name");
-        fuzzy.add_text(name, format!("person-{p}"));
-        for i in 0..phones {
-            let w = fuzzy
-                .add_event(format!("w{p}_{i}"), 0.7)
-                .expect("fresh event names");
-            let phone = fuzzy.add_element(person, "phone");
-            fuzzy.add_text(phone, format!("+33-{p}-{i}"));
-            fuzzy
-                .set_condition(phone, Condition::from_literal(Literal::pos(w)))
-                .expect("not the root");
-        }
-        let v = fuzzy
-            .add_event(format!("v{p}"), 0.8)
-            .expect("fresh event names");
-        let email = fuzzy.add_element(person, "email");
-        fuzzy.add_text(email, format!("p{p}@example.org"));
-        fuzzy
-            .set_condition(email, Condition::from_literal(Literal::pos(v)))
-            .expect("not the root");
-    }
+    let mut fuzzy = uncertain_directory(people, phones);
     for _ in 0..rounds {
-        let pattern = Pattern::parse("person { phone, email }").expect("static query");
-        let email_node = pattern.node_ids().nth(2).expect("email is the third node");
-        UpdateTransaction::new(pattern, 0.9)
-            .expect("valid confidence")
-            .with_delete(email_node)
+        email_retraction(None)
             .apply_to_fuzzy(&mut fuzzy)
             .expect("update applies");
     }
     fuzzy
+}
+
+/// The cleaning module's transaction: delete the email of every person who
+/// has a phone — of `person-<p>` alone when `person` is `Some(p)` — with
+/// confidence 0.9.
+pub fn email_retraction(person: Option<usize>) -> UpdateTransaction {
+    let name = person.map_or(String::new(), |p| format!(", name[=\"person-{p}\"]"));
+    let pattern =
+        Pattern::parse(&format!("person {{ phone, email{name} }}")).expect("static query");
+    let email = pattern.node_ids().nth(2).expect("email is the third node");
+    UpdateTransaction::new(pattern, 0.9)
+        .expect("valid confidence")
+        .with_delete(email)
 }
 
 /// E13's ring: a root with `matches` same-body uncertain `a` children whose

@@ -77,16 +77,18 @@ pub struct FuzzyTree {
     pub(crate) tree: Tree,
     pub(crate) conditions: ConditionMap,
     pub(crate) events: EventTable,
+    /// Set by a [`Simplifier`](crate::Simplifier) run whose last round
+    /// changed nothing, cleared by every public mutator: `true` promises
+    /// that a whole-document run would change nothing, which is what lets
+    /// the apply pipeline simplify only what an update touched. Never
+    /// serialized: a loaded document starts unmarked.
+    pub(crate) fixpoint: bool,
 }
 
 impl FuzzyTree {
     /// Creates a fuzzy tree with a single (certain) root node.
     pub fn new(root_label: impl Into<Label>) -> Self {
-        FuzzyTree {
-            tree: Tree::new(root_label),
-            conditions: ConditionMap::new(),
-            events: EventTable::new(),
-        }
+        FuzzyTree::from_tree(Tree::new(root_label))
     }
 
     /// Wraps an ordinary data tree: every node is certain.
@@ -95,6 +97,7 @@ impl FuzzyTree {
             tree,
             conditions: ConditionMap::new(),
             events: EventTable::new(),
+            fixpoint: false,
         }
     }
 
@@ -140,22 +143,26 @@ impl FuzzyTree {
         name: impl Into<String>,
         probability: f64,
     ) -> Result<EventId, EventError> {
+        self.fixpoint = false;
         self.events.add_event(name, probability)
     }
 
     /// Adds a fresh, automatically named event (used by updates to record the
     /// transaction confidence).
     pub fn fresh_event(&mut self, probability: f64) -> Result<EventId, EventError> {
+        self.fixpoint = false;
         self.events.fresh_event(probability)
     }
 
     /// Adds a certain child element.
     pub fn add_element(&mut self, parent: NodeId, name: impl Into<String>) -> NodeId {
+        self.fixpoint = false;
         self.tree.add_element(parent, name)
     }
 
     /// Adds a certain child text node.
     pub fn add_text(&mut self, parent: NodeId, value: impl Into<String>) -> NodeId {
+        self.fixpoint = false;
         self.tree.add_text(parent, value)
     }
 
@@ -166,7 +173,7 @@ impl FuzzyTree {
         name: impl Into<String>,
         condition: Condition,
     ) -> NodeId {
-        let node = self.tree.add_element(parent, name);
+        let node = self.add_element(parent, name);
         if !condition.is_empty() {
             self.conditions.insert(node, condition);
         }
@@ -182,6 +189,7 @@ impl FuzzyTree {
         source_root: NodeId,
         condition: Condition,
     ) -> NodeId {
+        self.fixpoint = false;
         let new_root = self.tree.copy_subtree_from(parent, source, source_root);
         if !condition.is_empty() {
             self.conditions.insert(new_root, condition);
@@ -203,6 +211,7 @@ impl FuzzyTree {
         source: NodeId,
         root_condition: Condition,
     ) -> NodeId {
+        self.fixpoint = false;
         let order = self.tree.descendants_or_self(source);
         let mut mapping: HashMap<NodeId, NodeId> = HashMap::with_capacity(order.len());
         for node in order {
@@ -230,6 +239,7 @@ impl FuzzyTree {
     pub fn remove_subtree(&mut self, node: NodeId) -> Result<(), CoreError> {
         let removed: Vec<NodeId> = self.tree.descendants_or_self(node);
         self.tree.remove_subtree(node)?;
+        self.fixpoint = false;
         for n in removed {
             self.conditions.remove(n);
         }
@@ -243,7 +253,9 @@ impl FuzzyTree {
     /// Node ids from before the compaction are invalidated. The warehouse
     /// folds this into the commit pipeline (each commit publishes a fresh
     /// snapshot anyway), so churn-heavy documents stay within a constant
-    /// factor of their live size.
+    /// factor of their live size. The one mutator that keeps the simplifier's
+    /// fixpoint mark: the same nodes under the same conditions in the same
+    /// child order are still a fixpoint, whatever their ids.
     pub fn compact_slots(&mut self) -> usize {
         let reclaimed = self.tree.slot_count() - self.tree.node_count();
         if reclaimed == 0 {
@@ -274,6 +286,7 @@ impl FuzzyTree {
         if node == self.tree.root() && !condition.is_empty() {
             return Err(CoreError::RootConditionNotAllowed);
         }
+        self.fixpoint = false;
         if condition.is_empty() {
             self.conditions.remove(node);
         } else {

@@ -28,6 +28,42 @@
 //! round exists for what that newly implies or contradicts below it, not for
 //! the common case — a clean document costs one round.
 //!
+//! **Where a round starts.** Every round takes a *footprint*: the roots of
+//! the subtrees that are new or whose root's condition changed, the nodes
+//! that lost a child, and the events that may be mentioned by no condition
+//! any more (minted, or a literal of theirs left the tree). The walk
+//! descends only the touched subtrees, each from its parent's existence
+//! condition. The sweep visits the nodes inside them, then the nodes that
+//! lost a child and the ancestors of both, deepest first; an ancestor whose
+//! child on the way down carries no condition is skipped, because a certain
+//! child belongs to no group. The collection looks only at the footprint's
+//! events. Every round after the first starts from what the previous round's
+//! sweep re-conditioned or removed: the walk is idempotent, and a sweep
+//! leaves every group it did not change as it found it. [`Simplifier::run`]
+//! is this code with the document root as the one touched node — the whole
+//! document, swept in reversed preorder — and is the `SIMPLIFY` verb and the
+//! oracle the scoped runs are tested against. The apply pipeline
+//! ([`UpdateTransaction::apply_to_fuzzy_with`](crate::UpdateTransaction::apply_to_fuzzy_with))
+//! passes the update's footprint, so a commit costs what its update touched
+//! plus the depth of the tree, not the document — Delcher et al.'s stance
+//! (PAPERS.md): after a local change, revisit the path to the root.
+//!
+//! **The precondition.** A scoped run gives the whole-document run's bytes
+//! only on a document that was a fixpoint before the update, where nothing
+//! outside the footprint can change. A run whose last round changed nothing
+//! marks its [`FuzzyTree`] as a fixpoint; every public mutator but
+//! [`FuzzyTree::compact_slots`] clears the mark, which is never serialized;
+//! and the pipeline takes the whole-document run on an unmarked document (a
+//! loaded checkpoint's first replayed update, a document built by hand).
+//!
+//! **What stays global**, and only when it has work to do: a candidate event
+//! that nothing in the touched subtrees mentions any more may still be
+//! mentioned anywhere, so one pass over every condition decides it; and
+//! dropping an event rebuilds the table and renumbers the events after it,
+//! rewriting the conditions that mention them. An insertion takes neither
+//! path unless none of its matches was consistent, and then drops only the
+//! event it minted, the table's last, which renumbers nothing.
+//!
 //! Every step preserves semantics. For the sweep that rests on one test:
 //! two siblings are merged only when their *bodies* — label, and everything
 //! below with its conditions — are the same fuzzy subtree up to sibling
@@ -41,9 +77,11 @@
 //! child position: the paper's trees are unordered, and the output is a
 //! function of the document.
 //! Experiment E8 measures how much of the growth caused by update histories
-//! the simplifier wins back.
+//! the simplifier wins back; E22 gates that a commit's simplification work
+//! does not grow with the document.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BTreeSet;
 
 use pxml_event::{Bdd, Condition, EventId, EventTable, Literal};
 use pxml_tree::{subtree_canonical_string, NodeId};
@@ -57,8 +95,8 @@ use crate::fuzzy::FuzzyTree;
 ///
 /// Deletion-induced duplication is created *inside* update application, so a
 /// simplification pass bolted on after the fact repeatedly pays for growth
-/// that an inline pass would have stopped at the source; the policy makes the
-/// trade-off explicit and pluggable.
+/// that an inline pass would have stopped at the source, and an inline pass
+/// costs only what the update touched (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SimplifyPolicy {
     /// Never simplify; callers run the [`Simplifier`] themselves.
@@ -66,23 +104,10 @@ pub enum SimplifyPolicy {
     /// Simplify after every update application.
     #[default]
     Inline,
-    /// Simplify after an update application only when the document carries
-    /// more than this many condition literals.
-    Threshold(usize),
 }
 
-impl SimplifyPolicy {
-    /// Whether the pipeline should run a simplification pass on `fuzzy` now.
-    pub fn should_run(&self, fuzzy: &FuzzyTree) -> bool {
-        match self {
-            SimplifyPolicy::Never => false,
-            SimplifyPolicy::Inline => true,
-            SimplifyPolicy::Threshold(limit) => fuzzy.condition_literal_count() > *limit,
-        }
-    }
-}
-
-/// What a simplification run changed.
+/// What a simplification run changed, and how much of the document it
+/// looked at.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SimplifyReport {
     /// Nodes removed because they exist in no world.
@@ -97,6 +122,10 @@ pub struct SimplifyReport {
     pub removed_events: usize,
     /// Number of passes until fixpoint.
     pub passes: usize,
+    /// Nodes whose condition the condition walk examined.
+    pub nodes_walked: usize,
+    /// Sibling subtrees the sweep keyed by body.
+    pub nodes_keyed: usize,
 }
 
 impl SimplifyReport {
@@ -115,6 +144,8 @@ impl SimplifyReport {
         self.resolved_deterministic_literals += other.resolved_deterministic_literals;
         self.merged_nodes += other.merged_nodes;
         self.removed_events += other.removed_events;
+        self.nodes_walked += other.nodes_walked;
+        self.nodes_keyed += other.nodes_keyed;
     }
 }
 
@@ -133,72 +164,186 @@ impl Simplifier {
         Simplifier
     }
 
-    /// Runs simplification rounds until one changes nothing (or `MAX_PASSES`
-    /// is reached) and reports the cumulative effect.
+    /// Runs simplification rounds over the whole document until one changes
+    /// nothing (or `MAX_PASSES` is reached) and reports the cumulative
+    /// effect: the rounds of the module docs, the first one from the
+    /// document root.
     pub fn run(&self, fuzzy: &mut FuzzyTree) -> Result<SimplifyReport, CoreError> {
-        let mut total = SimplifyReport::default();
-        for pass in 0..MAX_PASSES {
-            let mut report = SimplifyReport::default();
-            condition_walk(fuzzy, &mut report)?;
-            report.merged_nodes = merge_sibling_groups(fuzzy)?;
-            report.removed_events = garbage_collect_events(fuzzy);
-            let changed = !report.is_noop();
-            total.absorb(&report);
-            total.passes = pass + 1;
-            if !changed {
-                break;
-            }
-        }
-        Ok(total)
+        run_from(fuzzy, Footprint::whole(fuzzy))
     }
 }
 
-/// Sweep 1 of a round: one top-down walk carrying the accumulated ancestor
-/// context, extended by each node's already reduced condition on the way
-/// down. Per child: resolve the literals over certain events, remove the
-/// child (and its subtree, never descended into) when a resolved literal is
-/// certainly false or what is left contradicts itself or the context, else
-/// strip the literals the context implies.
-fn condition_walk(fuzzy: &mut FuzzyTree, report: &mut SimplifyReport) -> Result<(), CoreError> {
-    // In event-id order, so a sorted lookup table as it comes.
-    let certain: Vec<(EventId, bool)> = fuzzy.events().deterministic_events();
-    let mut stack: Vec<(NodeId, Condition)> = vec![(fuzzy.root(), Condition::always())];
-    while let Some((node, context)) = stack.pop() {
-        for child in fuzzy.tree().children(node).to_vec() {
-            let own = fuzzy.condition(child);
-            let mut impossible = false;
-            let mut kept: Vec<Literal> = Vec::with_capacity(own.len());
-            for &literal in own.literals() {
-                if let Ok(at) = certain.binary_search_by_key(&literal.event, |&(event, _)| event) {
-                    report.resolved_deterministic_literals += 1;
-                    impossible |= literal.positive != certain[at].1;
-                } else if context.contains(literal) {
-                    report.stripped_literals += 1;
-                } else {
-                    impossible |= context.contains(literal.negated());
-                    kept.push(literal);
+/// Where a simplification round starts: what changed since the document was
+/// last a fixpoint (see the module docs).
+#[derive(Debug, Default)]
+pub(crate) struct Footprint {
+    /// Nodes that are new or whose own condition changed: their subtrees are
+    /// walked and swept whole.
+    pub(crate) roots: Vec<NodeId>,
+    /// Nodes that lost a child: their child groups are swept.
+    pub(crate) parents: Vec<NodeId>,
+    /// Events that may be mentioned by no condition any more: minted, or a
+    /// literal of theirs left the tree.
+    pub(crate) events: Vec<EventId>,
+}
+
+impl Footprint {
+    /// The whole document: its root is the one touched node, and every event
+    /// is a candidate for collection.
+    pub(crate) fn whole(fuzzy: &FuzzyTree) -> Self {
+        Footprint {
+            roots: vec![fuzzy.root()],
+            parents: Vec::new(),
+            events: fuzzy.events().ids().collect(),
+        }
+    }
+
+    /// Records that `node`'s subtree is about to be removed: its parent loses
+    /// a child, and the events of its conditions may leave the tree.
+    pub(crate) fn removing(&mut self, fuzzy: &FuzzyTree, node: NodeId) {
+        self.parents.extend(fuzzy.tree().parent(node));
+        for n in fuzzy.tree().descendants_or_self(node) {
+            self.left(fuzzy.condition_literals(n));
+        }
+    }
+
+    /// Records that these literals left a node's condition.
+    fn left(&mut self, literals: &[Literal]) {
+        self.events
+            .extend(literals.iter().map(|literal| literal.event));
+    }
+}
+
+/// The rounds of the module docs: the first from `footprint`, every later one
+/// from what its predecessor's sweep changed. Marks `fuzzy` a fixpoint when
+/// the last round changed nothing.
+pub(crate) fn run_from(
+    fuzzy: &mut FuzzyTree,
+    mut footprint: Footprint,
+) -> Result<SimplifyReport, CoreError> {
+    let mut total = SimplifyReport::default();
+    let mut converged = false;
+    for pass in 0..MAX_PASSES {
+        let mut report = SimplifyReport::default();
+        let roots = outermost(fuzzy, &footprint.roots);
+        condition_walk(fuzzy, &roots, &mut footprint, &mut report)?;
+        let mut next = Footprint::default();
+        let order = sweep_order(fuzzy, &roots, &footprint.parents);
+        merge_sibling_groups(fuzzy, order, &mut footprint, &mut next, &mut report)?;
+        report.removed_events = collect_events(fuzzy, &roots, &next.roots, &footprint);
+        footprint = next;
+        total.absorb(&report);
+        total.passes = pass + 1;
+        if report.is_noop() {
+            converged = true;
+            break;
+        }
+    }
+    fuzzy.fixpoint = converged;
+    Ok(total)
+}
+
+/// The live nodes of `nodes` with no strict ancestor among them, sorted.
+fn outermost(fuzzy: &FuzzyTree, nodes: &[NodeId]) -> Vec<NodeId> {
+    let tree = fuzzy.tree();
+    let mut live: Vec<NodeId> = nodes
+        .iter()
+        .copied()
+        .filter(|&node| tree.contains(node))
+        .collect();
+    live.sort_unstable();
+    live.dedup();
+    live.iter()
+        .copied()
+        .filter(|&node| {
+            !tree
+                .ancestors(node)
+                .into_iter()
+                .any(|ancestor| live.binary_search(&ancestor).is_ok())
+        })
+        .collect()
+}
+
+/// Sweep 1 of a round: a top-down walk of the touched subtrees carrying the
+/// accumulated ancestor context — each subtree's starts as its parent's
+/// existence condition — extended by each node's already reduced condition
+/// on the way down (see [`reduce`]).
+fn condition_walk(
+    fuzzy: &mut FuzzyTree,
+    roots: &[NodeId],
+    footprint: &mut Footprint,
+    report: &mut SimplifyReport,
+) -> Result<(), CoreError> {
+    let mut stack: Vec<(NodeId, Condition)> = Vec::new();
+    for &root in roots {
+        match fuzzy.tree().parent(root) {
+            // The document root is certain: only what is below it is walked.
+            None => stack.push((root, Condition::always())),
+            Some(parent) => {
+                let context = fuzzy.existence_condition(parent);
+                if let Some(reduced) = reduce(fuzzy, root, &context, footprint, report)? {
+                    stack.push((root, context.and(&reduced)));
                 }
             }
-            let changed = kept.len() < own.len();
-            let reduced = if changed {
-                Condition::from_literals(kept)
-            } else {
-                own
-            };
-            if impossible || !reduced.is_consistent() {
-                report.removed_impossible_nodes += fuzzy.tree().subtree_size(child);
-                fuzzy.remove_subtree(child)?;
-                continue;
-            }
-            if changed {
-                fuzzy.set_condition(child, reduced.clone())?;
-            }
-            if !fuzzy.tree().children(child).is_empty() {
-                stack.push((child, context.and(&reduced)));
+        }
+        while let Some((node, context)) = stack.pop() {
+            for child in fuzzy.tree().children(node).to_vec() {
+                if let Some(reduced) = reduce(fuzzy, child, &context, footprint, report)? {
+                    if !fuzzy.tree().children(child).is_empty() {
+                        stack.push((child, context.and(&reduced)));
+                    }
+                }
             }
         }
     }
     Ok(())
+}
+
+/// One node of the condition walk: resolves the literals over certain
+/// events, removes the node (and its subtree, never descended into) when a
+/// resolved literal is certainly false or what is left contradicts itself or
+/// the context, else strips the literals the context implies. Returns the
+/// reduced condition, or `None` for a removed node.
+fn reduce(
+    fuzzy: &mut FuzzyTree,
+    node: NodeId,
+    context: &Condition,
+    footprint: &mut Footprint,
+    report: &mut SimplifyReport,
+) -> Result<Option<Condition>, CoreError> {
+    report.nodes_walked += 1;
+    let own = fuzzy.condition(node);
+    let mut impossible = false;
+    let mut kept: Vec<Literal> = Vec::with_capacity(own.len());
+    for &literal in own.literals() {
+        let probability = fuzzy.events().probability(literal.event);
+        if probability == 0.0 || probability == 1.0 {
+            report.resolved_deterministic_literals += 1;
+            impossible |= literal.positive != (probability == 1.0);
+        } else if context.contains(literal) {
+            report.stripped_literals += 1;
+        } else {
+            impossible |= context.contains(literal.negated());
+            kept.push(literal);
+        }
+    }
+    let changed = kept.len() < own.len();
+    let reduced = if changed {
+        Condition::from_literals(kept)
+    } else {
+        own
+    };
+    if impossible || !reduced.is_consistent() {
+        report.removed_impossible_nodes += fuzzy.tree().subtree_size(node);
+        footprint.removing(fuzzy, node);
+        fuzzy.remove_subtree(node)?;
+        return Ok(None);
+    }
+    if changed {
+        footprint.left(fuzzy.condition_literals(node));
+        fuzzy.set_condition(node, reduced.clone())?;
+    }
+    Ok(Some(reduced))
 }
 
 /// Upper bound on the number of distinct events a same-body sibling group may
@@ -210,20 +355,66 @@ fn condition_walk(fuzzy: &mut FuzzyTree, report: &mut SimplifyReport) -> Result<
 /// measures re-covers up to it).
 pub const GROUP_RECOVER_MAX_EVENTS: usize = 24;
 
+/// The parents sweep 2 visits, children before parents: every node of the
+/// live `roots`' subtrees (`roots` sorted, none inside another), each subtree
+/// in reversed preorder, then, deepest first, the live `parents` outside
+/// them and the ancestors whose child on the way down is a root or carries a
+/// condition — below a certain child, which belongs to no group, nothing can
+/// change a group of its parent. With the document root as the one root this
+/// is the whole document in reversed preorder, and any order that visits
+/// children before their parents gives the same result: a merge reads only
+/// below the parent it runs at, and changes only that parent's children.
+fn sweep_order(fuzzy: &FuzzyTree, roots: &[NodeId], parents: &[NodeId]) -> Vec<NodeId> {
+    let tree = fuzzy.tree();
+    let roots: Vec<NodeId> = roots
+        .iter()
+        .copied()
+        .filter(|&root| tree.contains(root))
+        .collect();
+    let is_root = |node: &NodeId| roots.binary_search(node).is_ok();
+    let mut above: BTreeSet<(Reverse<usize>, NodeId)> = BTreeSet::new();
+    let mut anchors = roots.clone();
+    for &parent in parents {
+        if tree.contains(parent) && !tree.ancestors_or_self(parent).iter().any(is_root) {
+            above.insert((Reverse(tree.depth(parent)), parent));
+            anchors.push(parent);
+        }
+    }
+    for anchor in anchors {
+        // From the anchor up to the document root, each step (child, parent).
+        let path = tree.ancestors_or_self(anchor);
+        for (depth, step) in (0..path.len() - 1).rev().zip(path.windows(2)) {
+            if is_root(&step[0]) || !fuzzy.condition_literals(step[0]).is_empty() {
+                above.insert((Reverse(depth), step[1]));
+            }
+        }
+    }
+    let subtrees = roots
+        .iter()
+        .flat_map(|&root| tree.descendants_or_self(root).into_iter().rev());
+    subtrees
+        .chain(above.into_iter().map(|(_, node)| node))
+        .collect()
+}
+
 /// Sweep 2 of a round: merges sibling subtrees with identical bodies whose
-/// root conditions are redundant. Returns the number of nodes removed.
+/// root conditions are redundant, visiting the parents of [`sweep_order`].
 ///
-/// Parents are visited bottom-up (reversed preorder): a merge deep in the
+/// Parents are visited bottom-up (children first): a merge deep in the
 /// tree can make its ancestors' bodies equal, and this order resolves such
 /// cascades in a single sweep (and a merge only removes nodes the sweep has
 /// already left behind). Per parent, only the children that *can* merge — a
 /// non-empty condition, and a sibling with one and the same label — are
 /// keyed by body, once, and each same-body group goes through
-/// [`merge_group`].
-fn merge_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
-    let mut merged_nodes = 0;
-    let mut order = fuzzy.tree().nodes();
-    order.reverse();
+/// [`merge_group`], which records what it changes in `footprint` (the events
+/// that may leave) and `next` (where the next round starts).
+fn merge_sibling_groups(
+    fuzzy: &mut FuzzyTree,
+    order: Vec<NodeId>,
+    footprint: &mut Footprint,
+    next: &mut Footprint,
+    report: &mut SimplifyReport,
+) -> Result<(), CoreError> {
     for parent in order {
         let mut candidates: Vec<NodeId> = fuzzy
             .tree()
@@ -247,18 +438,19 @@ fn merge_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
             .flatten()
             .map(|&child| (body_key(fuzzy, child), fuzzy.condition(child), child))
             .collect();
+        report.nodes_keyed += keyed.len();
         keyed.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
         for group in keyed.chunk_by(|a, b| a.0 == b.0) {
             if group.len() > 1 {
-                merged_nodes += merge_group(fuzzy, group)?;
+                report.merged_nodes += merge_group(fuzzy, parent, group, footprint, next)?;
             }
         }
     }
-    Ok(merged_nodes)
+    Ok(())
 }
 
-/// Merges one group of same-body siblings, given in condition order, in two
-/// tiers. Returns the number of nodes removed.
+/// Merges one group of same-body children of `parent`, given in condition
+/// order, in two tiers. Returns the number of nodes removed.
 ///
 /// 1. *Pairwise Shannon merges*, to a local fixpoint: two siblings whose
 ///    conditions differ in the sign of exactly one literal (`X ∧ w` and
@@ -273,9 +465,15 @@ fn merge_sibling_groups(fuzzy: &mut FuzzyTree) -> Result<usize, CoreError> {
 ///
 /// The bodies are equal, so any sibling can stand for any other: a merge
 /// rewrites the conditions of the siblings that stay and removes the rest.
+/// A re-conditioned sibling is where the next round starts, and a removed
+/// one takes only its own condition's literals out of the tree — its body
+/// lives on in the siblings that stay.
 fn merge_group(
     fuzzy: &mut FuzzyTree,
+    parent: NodeId,
     group: &[(String, Condition, NodeId)],
+    footprint: &mut Footprint,
+    next: &mut Footprint,
 ) -> Result<usize, CoreError> {
     let mut conditions: Vec<Condition> = group.iter().map(|(_, c, _)| c.clone()).collect();
     'fixpoint: loop {
@@ -299,8 +497,14 @@ fn merge_group(
     for (index, (_, old, node)) in group.iter().enumerate() {
         match conditions.get(index) {
             Some(new) if new == old => {}
-            Some(new) => fuzzy.set_condition(*node, new.clone())?,
+            Some(new) => {
+                footprint.left(old.literals());
+                next.roots.push(*node);
+                fuzzy.set_condition(*node, new.clone())?;
+            }
             None => {
+                footprint.left(old.literals());
+                next.parents.push(parent);
                 merged_nodes += fuzzy.tree().subtree_size(*node);
                 fuzzy.remove_subtree(*node)?;
             }
@@ -420,36 +624,93 @@ fn complementary_merge(a: &Condition, b: &Condition) -> Option<Condition> {
     }
 }
 
-/// Rebuilds the event table keeping only the events mentioned by at least one
-/// condition, remapping conditions accordingly; returns the number of events
+/// Sweep 3 of a round, event collection over the round's footprint: an
+/// event of `footprint.events` is dropped when no condition mentions it.
+/// The touched subtrees and the re-conditioned nodes are looked at first,
+/// and every condition only when a candidate is left unmentioned by a
+/// footprint that is not the whole document. Returns the number of events
 /// dropped.
-pub fn garbage_collect_events(fuzzy: &mut FuzzyTree) -> usize {
-    let mentioned = fuzzy.mentioned_events();
-    let dropped = fuzzy.events().len() - mentioned.len();
-    if dropped == 0 {
-        return 0;
+fn collect_events(
+    fuzzy: &mut FuzzyTree,
+    roots: &[NodeId],
+    reconditioned: &[NodeId],
+    footprint: &Footprint,
+) -> usize {
+    let mut candidates: Vec<EventId> = footprint.events.clone();
+    candidates.sort_unstable();
+    candidates.dedup();
+    let mut unmentioned = vec![true; candidates.len()];
+    let tree = fuzzy.tree();
+    let touched = roots
+        .iter()
+        .filter(|&&root| tree.contains(root))
+        .flat_map(|&root| tree.descendants_or_self(root));
+    let reconditioned = reconditioned.iter().copied().filter(|&n| tree.contains(n));
+    for node in touched.chain(reconditioned) {
+        let literals = fuzzy.condition_literals(node);
+        mention(&candidates, &mut unmentioned, literals);
     }
-    let mut new_table = EventTable::new();
-    let mut remap: BTreeMap<EventId, EventId> = BTreeMap::new();
-    for &old in &mentioned {
-        let name = fuzzy.events().name(old).to_string();
-        let probability = fuzzy.events().probability(old);
-        let new = new_table
-            .add_event(name, probability)
-            .expect("names and probabilities come from a valid table");
-        remap.insert(old, new);
+    if unmentioned.contains(&true) && !roots.contains(&tree.root()) {
+        for condition in fuzzy.conditions.values() {
+            mention(&candidates, &mut unmentioned, condition.literals());
+        }
     }
-    let mut remapped = crate::fuzzy::ConditionMap::new();
-    for (node, condition) in fuzzy.conditions.iter() {
-        let literals = condition.literals().iter().map(|lit| Literal {
-            event: remap[&lit.event],
-            positive: lit.positive,
-        });
-        remapped.insert(node, Condition::from_literals(literals));
+    let dropped: Vec<EventId> = candidates
+        .into_iter()
+        .zip(unmentioned)
+        .filter_map(|(event, unmentioned)| unmentioned.then_some(event))
+        .collect();
+    drop_events(fuzzy, &dropped);
+    dropped.len()
+}
+
+/// Marks the `candidates` (sorted) that `literals` mention.
+fn mention(candidates: &[EventId], unmentioned: &mut [bool], literals: &[Literal]) {
+    for literal in literals {
+        if let Ok(at) = candidates.binary_search(&literal.event) {
+            unmentioned[at] = false;
+        }
     }
-    fuzzy.conditions = remapped;
-    fuzzy.events = new_table;
-    dropped
+}
+
+/// Removes the `dropped` events (sorted, mentioned by no condition) from the
+/// table. The events after the first of them move down, so the conditions
+/// that mention one are rewritten; when the dropped events are the table's
+/// tail nothing moves.
+fn drop_events(fuzzy: &mut FuzzyTree, dropped: &[EventId]) {
+    let Some(&first) = dropped.first() else {
+        return;
+    };
+    let mut table = EventTable::new();
+    let renamed: Vec<Option<EventId>> = fuzzy
+        .events()
+        .iter()
+        .map(|(event, name, probability)| {
+            dropped.binary_search(&event).is_err().then(|| {
+                table
+                    .add_event(name, probability)
+                    .expect("names and probabilities come from a valid table")
+            })
+        })
+        .collect();
+    if first.index() + dropped.len() < renamed.len() {
+        let rewritten: Vec<(NodeId, Condition)> = fuzzy
+            .conditions
+            .iter()
+            .filter(|(_, condition)| condition.literals().iter().any(|lit| lit.event > first))
+            .map(|(node, condition)| {
+                let literals = condition.literals().iter().map(|lit| Literal {
+                    event: renamed[lit.event.index()].expect("a mentioned event is kept"),
+                    positive: lit.positive,
+                });
+                (node, Condition::from_literals(literals))
+            })
+            .collect();
+        for (node, condition) in rewritten {
+            fuzzy.conditions.insert(node, condition);
+        }
+    }
+    fuzzy.events = table;
 }
 
 #[cfg(test)]
@@ -475,6 +736,37 @@ mod tests {
         assert!(report.is_noop());
         assert_eq!(report.passes, 1);
         assert_semantics_preserved(&before, &fuzzy);
+    }
+
+    #[test]
+    fn only_a_marked_fixpoint_is_simplified_from_the_footprint() {
+        let insert_e = || {
+            let pattern = Pattern::parse("A { D }").unwrap();
+            let target = pattern.root();
+            UpdateTransaction::new(pattern, 0.6)
+                .unwrap()
+                .with_insert(target, parse_data_tree("<E/>").unwrap())
+        };
+        let mut fuzzy = slide12_example();
+        assert!(!fuzzy.fixpoint, "a document built by hand is unmarked");
+        let whole = insert_e()
+            .apply_to_fuzzy_with(&mut fuzzy, SimplifyPolicy::Inline)
+            .unwrap()
+            .simplify
+            .unwrap();
+        assert_eq!(whole.nodes_walked, fuzzy.node_count() - 1);
+        assert!(fuzzy.fixpoint && fuzzy.clone().fixpoint);
+        fuzzy.compact_slots();
+        assert!(fuzzy.fixpoint, "renumbering keeps the mark");
+        let scoped = insert_e()
+            .apply_to_fuzzy_with(&mut fuzzy, SimplifyPolicy::Inline)
+            .unwrap()
+            .simplify
+            .unwrap();
+        assert_eq!(scoped.nodes_walked, 1, "only the new E");
+        let d = fuzzy.tree().find_elements("D")[0];
+        fuzzy.add_element(d, "F");
+        assert!(!fuzzy.fixpoint, "a mutator clears the mark");
     }
 
     #[test]
@@ -841,7 +1133,8 @@ mod tests {
         let mut fuzzy = slide12_example();
         fuzzy.add_event("orphan1", 0.4).unwrap();
         fuzzy.add_event("orphan2", 0.9).unwrap();
-        let removed = garbage_collect_events(&mut fuzzy);
+        let whole = Footprint::whole(&fuzzy);
+        let removed = collect_events(&mut fuzzy, &whole.roots, &[], &whole);
         assert_eq!(removed, 2);
         assert_eq!(fuzzy.event_count(), 2);
         assert!(fuzzy.validate().is_ok());

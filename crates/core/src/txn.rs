@@ -147,14 +147,4 @@ mod tests {
         assert!(stats.updates[0].simplify.is_some());
         assert!(fuzzy.validate().is_ok());
     }
-
-    #[test]
-    fn threshold_policy_only_fires_above_the_limit() {
-        let updates = vec![delete_b()];
-        let base = slide12_example();
-        let (_, stats) = apply_batch(&base, &updates, SimplifyPolicy::Threshold(10_000)).unwrap();
-        assert_eq!(stats.simplify_runs(), 0);
-        let (_, stats) = apply_batch(&base, &updates, SimplifyPolicy::Threshold(0)).unwrap();
-        assert_eq!(stats.simplify_runs(), 1);
-    }
 }

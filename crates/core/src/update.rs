@@ -28,7 +28,7 @@ use pxml_tree::{NodeId, Tree, MAX_TREE_DEPTH};
 use crate::error::CoreError;
 use crate::fuzzy::FuzzyTree;
 use crate::fuzzy_query::match_condition;
-use crate::simplify::{Simplifier, SimplifyPolicy, SimplifyReport};
+use crate::simplify::{run_from, Footprint, SimplifyPolicy, SimplifyReport};
 
 /// An elementary operation of an update transaction, anchored at a pattern
 /// node of the transaction's query.
@@ -193,31 +193,55 @@ impl UpdateTransaction {
     ///
     /// The fuzzy tree is modified in place; the returned [`UpdateStats`]
     /// describe the effect. When the query has no match on the underlying
-    /// tree the document is unchanged and no event is created.
+    /// tree the document is unchanged and no event is created. When it has
+    /// matches but none of their conditions is consistent, nothing is
+    /// inserted or deleted, yet the confidence event is minted all the same
+    /// and stays in the table, mentioned by no condition, until a
+    /// simplification collects it.
     pub fn apply_to_fuzzy(&self, fuzzy: &mut FuzzyTree) -> Result<UpdateStats, CoreError> {
         self.apply_to_fuzzy_with(fuzzy, SimplifyPolicy::Never)
     }
 
     /// Probabilistic application to a fuzzy tree through the policy-aware
     /// apply pipeline: the update is applied as in
-    /// [`UpdateTransaction::apply_to_fuzzy`], then the [`SimplifyPolicy`]
-    /// decides whether a simplification pass runs *inside* the pipeline —
-    /// right where deletion-induced duplication is created — before the
-    /// caller ever sees the document.
+    /// [`UpdateTransaction::apply_to_fuzzy`], then under
+    /// [`SimplifyPolicy::Inline`] a simplification runs *inside* the
+    /// pipeline — right where deletion-induced duplication is created —
+    /// before the caller ever sees the document.
+    ///
+    /// The simplification starts from the update's footprint: the inserted
+    /// subtrees, the deletion copies, the parents of removed nodes and the
+    /// events that left with them or were minted (see
+    /// [`crate::simplify`]). On a document a simplification left at its
+    /// fixpoint that gives exactly what
+    /// [`Simplifier::run`](crate::Simplifier::run) gives on the same updated
+    /// document, at the cost of what the update touched plus the depth of
+    /// the tree; on any other document the pipeline starts from the
+    /// document root, which is that whole-document run.
     pub fn apply_to_fuzzy_with(
         &self,
         fuzzy: &mut FuzzyTree,
         policy: SimplifyPolicy,
     ) -> Result<UpdateStats, CoreError> {
-        let mut stats = self.apply_operations(fuzzy)?;
-        if policy.should_run(fuzzy) {
-            stats.simplify = Some(Simplifier::new().run(fuzzy)?);
+        let at_fixpoint = fuzzy.fixpoint;
+        let mut footprint = Footprint::default();
+        let mut stats = self.apply_operations(fuzzy, &mut footprint)?;
+        if policy == SimplifyPolicy::Inline {
+            if !at_fixpoint {
+                footprint = Footprint::whole(fuzzy);
+            }
+            stats.simplify = Some(run_from(fuzzy, footprint)?);
         }
         Ok(stats)
     }
 
-    /// The raw operation pipeline: match, insert, delete.
-    fn apply_operations(&self, fuzzy: &mut FuzzyTree) -> Result<UpdateStats, CoreError> {
+    /// The raw operation pipeline: match, insert, delete. Every node it adds
+    /// or takes away is recorded in `footprint`.
+    fn apply_operations(
+        &self,
+        fuzzy: &mut FuzzyTree,
+        footprint: &mut Footprint,
+    ) -> Result<UpdateStats, CoreError> {
         let mut stats = UpdateStats::default();
         let matches = self.pattern.find_matches(fuzzy.tree());
         stats.match_count = matches.len();
@@ -230,6 +254,7 @@ impl UpdateTransaction {
         let confidence_literal = if self.confidence < 1.0 {
             let event = fuzzy.fresh_event(self.confidence)?;
             stats.confidence_event = Some(event);
+            footprint.events.push(event);
             Some(Literal::pos(event))
         } else {
             None
@@ -265,7 +290,8 @@ impl UpdateTransaction {
                     }
                     let context = fuzzy.existence_condition(parent);
                     let root_condition = condition.without_implied_by(&context);
-                    fuzzy.graft_subtree(parent, subtree, subtree.root(), root_condition);
+                    let root = fuzzy.graft_subtree(parent, subtree, subtree.root(), root_condition);
+                    footprint.roots.push(root);
                     stats.inserted_nodes += subtree.node_count();
                 }
             }
@@ -316,7 +342,7 @@ impl UpdateTransaction {
                 let mut next: Vec<NodeId> = Vec::new();
                 for node in current {
                     next.extend(apply_deletion(
-                        fuzzy, node, &condition, &context, &mut stats,
+                        fuzzy, node, &condition, &context, &mut stats, footprint,
                     )?);
                 }
                 current = next;
@@ -346,12 +372,15 @@ impl UpdateTransaction {
 /// * copies whose condition contradicts the context exist in no world — they
 ///   are never materialised (the bare chain would keep duplicating them in
 ///   later rounds).
+///
+/// The copies and the removal are recorded in `footprint`.
 fn apply_deletion(
     fuzzy: &mut FuzzyTree,
     node: NodeId,
     deletion: &Condition,
     context: &Condition,
     stats: &mut UpdateStats,
+    footprint: &mut Footprint,
 ) -> Result<Vec<NodeId>, CoreError> {
     let parent = fuzzy
         .tree()
@@ -375,6 +404,7 @@ fn apply_deletion(
     if effective.is_empty() {
         // The deletion holds whenever the node exists: plain removal.
         stats.removed_nodes += fuzzy.tree().subtree_size(node);
+        footprint.removing(fuzzy, node);
         fuzzy.remove_subtree(node)?;
         return Ok(Vec::new());
     }
@@ -400,6 +430,8 @@ fn apply_deletion(
         }
     }
     stats.removed_nodes += fuzzy.tree().subtree_size(node);
+    footprint.roots.extend_from_slice(&copies);
+    footprint.removing(fuzzy, node);
     fuzzy.remove_subtree(node)?;
     Ok(copies)
 }

@@ -34,7 +34,9 @@ pub mod updates;
 
 pub use fuzzy::{random_fuzzy_tree, FuzzyGenConfig};
 pub use queries::{derived_query, random_query, QueryGenConfig};
-pub use scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
+pub use scenarios::{
+    extraction_update, people_directory, uncertain_directory, PeopleScenarioConfig,
+};
 pub use storage::journal_batches;
 pub use trees::{random_tree, TreeGenConfig};
 pub use updates::{random_update, UpdateGenConfig};

@@ -11,7 +11,8 @@
 //! these synthetic updates exercise exactly the same code paths as real
 //! extraction output would.
 
-use pxml_core::UpdateTransaction;
+use pxml_core::{FuzzyTree, UpdateTransaction};
+use pxml_event::{Condition, Literal};
 use pxml_query::Pattern;
 use pxml_tree::Tree;
 use rand::Rng;
@@ -62,6 +63,41 @@ pub fn people_directory(config: &PeopleScenarioConfig) -> Tree {
         tree.add_text(name, person_name(index));
     }
     tree
+}
+
+/// The directory a data-cleaning module works on: `directory / person*`,
+/// every person with a certain `name` (`person-<p>`), `phones` uncertain
+/// phones and one uncertain email, each extracted fact under its own event
+/// (`w<p>_<i>` at 0.7 for phones, `v<p>` at 0.8 for emails).
+pub fn uncertain_directory(people: usize, phones: usize) -> FuzzyTree {
+    let mut fuzzy = FuzzyTree::new("directory");
+    let root = fuzzy.root();
+    for p in 0..people {
+        let person = fuzzy.add_element(root, "person");
+        let name = fuzzy.add_element(person, "name");
+        fuzzy.add_text(name, format!("person-{p}"));
+        for i in 0..phones {
+            let w = fuzzy
+                .add_event(format!("w{p}_{i}"), 0.7)
+                .expect("fresh event names");
+            let phone = fuzzy.add_conditional_element(
+                person,
+                "phone",
+                Condition::from_literal(Literal::pos(w)),
+            );
+            fuzzy.add_text(phone, format!("+33-{p}-{i}"));
+        }
+        let v = fuzzy
+            .add_event(format!("v{p}"), 0.8)
+            .expect("fresh event names");
+        let email = fuzzy.add_conditional_element(
+            person,
+            "email",
+            Condition::from_literal(Literal::pos(v)),
+        );
+        fuzzy.add_text(email, format!("p{p}@example.org"));
+    }
+    fuzzy
 }
 
 /// The kinds of imprecise facts the synthetic extractors produce.

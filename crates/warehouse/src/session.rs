@@ -11,10 +11,10 @@
 //! use pxml_core::SimplifyPolicy;
 //! use pxml_warehouse::{CommitPolicy, CompactionPolicy, SessionConfig, Warehouse};
 //!
-//! // Simplify only past 4096 literals, fold the journal every 16 batches,
-//! // and share fsyncs between documents.
+//! // Leave simplification to explicit `simplify` calls, fold the journal
+//! // every 16 batches, and share fsyncs between documents.
 //! let config = SessionConfig {
-//!     simplify: SimplifyPolicy::Threshold(4096),
+//!     simplify: SimplifyPolicy::Never,
 //!     compaction: CompactionPolicy::EveryNBatches(16),
 //!     commit: CommitPolicy::Grouped {
 //!         window_max_batches: 8,

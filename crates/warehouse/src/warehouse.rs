@@ -450,8 +450,12 @@ impl Warehouse {
     /// in place on the loaded checkpoint. The cold open and
     /// [`Warehouse::reopen_document`] publish only what this returns, so
     /// both hold the tree the live warehouse held — the same bytes — and
-    /// recovery costs what the history cost live. (A commit that overrode
-    /// the policy is the one exception: the override is not journaled.)
+    /// recovery costs what the history cost live: a loaded checkpoint is
+    /// not marked as a simplification fixpoint, so under
+    /// [`SimplifyPolicy::Inline`] the first replayed update runs the
+    /// whole-document simplifier and every later one simplifies only what it
+    /// touched, as its live commit did. (A commit that overrode the policy
+    /// is the one exception: the override is not journaled.)
     fn replay(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
         let mut fuzzy = self.store.load_document(name)?;
         for update in self.store.read_journal(name)? {
@@ -682,9 +686,14 @@ impl Warehouse {
     /// The apply path-copies only the arena chunks the batch touches
     /// (structural sharing with the base snapshot), so the tree's copy work
     /// is O(changed path), not O(document); the working copy's event table
-    /// is copied whole, O(events). When deletions have left the arena
-    /// with more than `2 × live + SLOT_SLACK` slots, a compaction is folded
-    /// in before the swap, reclaiming the dead slots.
+    /// is copied whole, O(events). Inline simplification starts from each
+    /// update's footprint — what it inserted, copied and removed — so on a
+    /// snapshot an earlier commit left simplified it costs what the update
+    /// touched plus the depth of the tree, and gives the bytes a
+    /// whole-document [`Simplifier::run`] would. When deletions have left
+    /// the arena with more than `2 × live + SLOT_SLACK` slots, a compaction
+    /// is folded in before the swap, reclaiming the dead slots (the
+    /// snapshot stays a simplification fixpoint).
     pub fn commit_batch(
         &self,
         name: &str,

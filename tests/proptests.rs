@@ -681,6 +681,168 @@ proptest! {
     }
 }
 
+/// A document for [`scoped_simplification_equals_the_whole_document_run`]:
+/// a [`fuzzy_strategy_with`] tree whose conditions may mention a certain
+/// event (so it need not be a fixpoint), and below its root
+///
+/// * a `person` with an uncertain phone and an uncertain email;
+/// * a `gadget { a[k], b[¬k] }`: every match of `gadget { a, b }` is
+///   inconsistent;
+/// * a `twin { t[k], u[¬k] }`: a certain insertion of `t` where `twin { u }`
+///   matches is the other half of the `t` already there, a merge at the
+///   parent of what the update inserted;
+/// * a `pair { box[k] { t }, box[¬k] { u } }`: certainly replacing `u` by `t`
+///   where `box { u }` matches makes the two boxes' bodies equal, a merge at
+///   the grandparent of what the update inserted.
+///
+/// Half of the documents are simplified first, so a history's first commit
+/// is scoped.
+fn history_start_strategy() -> impl Strategy<Value = FuzzyTree> {
+    (fuzzy_strategy_with(&[1.0, 0.0]), any::<bool>()).prop_map(|(mut fuzzy, simplified)| {
+        let root = fuzzy.root();
+        let person = fuzzy.add_element(root, "person");
+        for label in ["phone", "email"] {
+            let event = fuzzy.fresh_event(0.7).unwrap();
+            let node = fuzzy.add_conditional_element(
+                person,
+                label,
+                Condition::from_literal(Literal::pos(event)),
+            );
+            fuzzy.add_text(node, label);
+        }
+        for (parent, [a, b]) in [("gadget", ["a", "b"]), ("twin", ["t", "u"])] {
+            let parent = fuzzy.add_element(root, parent);
+            let k = fuzzy.fresh_event(0.5).unwrap();
+            for (label, literal) in [(a, Literal::pos(k)), (b, Literal::neg(k))] {
+                fuzzy.add_conditional_element(parent, label, Condition::from_literal(literal));
+            }
+        }
+        let pair = fuzzy.add_element(root, "pair");
+        let k = fuzzy.fresh_event(0.5).unwrap();
+        for (child, literal) in [("t", Literal::pos(k)), ("u", Literal::neg(k))] {
+            let node = fuzzy.add_conditional_element(pair, "box", Condition::from_literal(literal));
+            fuzzy.add_element(node, child);
+        }
+        if simplified {
+            Simplifier::new().run(&mut fuzzy).unwrap();
+        }
+        fuzzy
+    })
+}
+
+/// The commits one step of a random history makes, drawn by `choice` over
+/// the current `tree` (see [`history_start_strategy`]): a phone extracted
+/// (confidence 0.6, 1, 0 or 0.9), the email retracted where the person has
+/// a phone, the phones retracted, an update that matches nothing, one whose
+/// every match is inconsistent (it mints an event no condition mentions),
+/// one round of the extract-then-clean loop (two commits), the certain
+/// `twin` insertion or `pair` replacement, or an update derived from the
+/// document.
+fn history_step(choice: u8, seed: u64, tree: &Tree) -> Vec<UpdateTransaction> {
+    let confidence = [0.6, 1.0, 0.0, 0.9][(seed % 4) as usize];
+    let transaction = |text: &str, confidence: f64| {
+        UpdateTransaction::new(Pattern::parse(text).unwrap(), confidence).unwrap()
+    };
+    let extract = |confidence: f64| {
+        let update = transaction("person", confidence);
+        let person = update.pattern().root();
+        let phone = parse_data_tree(&format!("<phone>p{}</phone>", seed % 3)).unwrap();
+        update.with_insert(person, phone)
+    };
+    let clean = |confidence: f64| {
+        let update = transaction("person { phone, email }", confidence);
+        let email = update.pattern().node_ids().nth(2).unwrap();
+        update.with_delete(email)
+    };
+    match choice {
+        0 => vec![extract(confidence)],
+        1 => vec![clean(confidence)],
+        2 => {
+            let update = transaction("person { phone }", confidence);
+            let phone = update.pattern().node_ids().nth(1).unwrap();
+            vec![update.with_delete(phone)]
+        }
+        3 => {
+            let update = transaction("nosuch", confidence);
+            let root = update.pattern().root();
+            vec![update.with_insert(root, parse_data_tree("<x/>").unwrap())]
+        }
+        4 => {
+            let update = transaction("gadget { a, b }", confidence);
+            let gadget = update.pattern().root();
+            vec![update.with_insert(gadget, parse_data_tree("<c/>").unwrap())]
+        }
+        5 => vec![extract(0.6), clean(0.9)],
+        6 => {
+            let update = transaction("twin { u }", 1.0);
+            let twin = update.pattern().root();
+            vec![update.with_insert(twin, parse_data_tree("<t/>").unwrap())]
+        }
+        7 => {
+            let update = transaction("box { u }", 1.0);
+            let ids: Vec<PNodeId> = update.pattern().node_ids().collect();
+            let replacement = update.with_insert(ids[0], parse_data_tree("<t/>").unwrap());
+            vec![replacement.with_delete(ids[1])]
+        }
+        _ => {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let update = pxml::gen::random_update(&mut rng, tree, &Default::default());
+            vec![update.with_confidence(confidence).unwrap()]
+        }
+    }
+}
+
+proptest! {
+    // The stress job's release run draws four times the debug run's cases.
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 24 } else { 96 }
+    ))]
+
+    /// A commit simplifies only what its update touched, and that is exact:
+    /// after every commit of a random history, the document the warehouse
+    /// publishes serialises — tree and event table — to the bytes of the
+    /// whole-document [`Simplifier::run`] over the document before the
+    /// commit with the update applied. The documents start as fixpoints or
+    /// not (through `create_fuzzy_document`), and the histories draw
+    /// confidence-1 and confidence-0 updates, updates that match nothing or
+    /// only inconsistently, and the extract-then-clean loop.
+    #[test]
+    fn scoped_simplification_equals_the_whole_document_run(
+        start in history_start_strategy(),
+        steps in proptest::collection::vec((0u8..10, any::<u64>()), 1..12),
+    ) {
+        let warehouse = Warehouse::with_backend(
+            std::sync::Arc::new(MemBackend::new()),
+            SessionConfig::default(),
+        )
+        .unwrap();
+        warehouse.create_fuzzy_document("doc", start).unwrap();
+        let bytes = |fuzzy: &FuzzyTree| serialize_fuzzy_document(fuzzy, false);
+        for (step, &(choice, seed)) in steps.iter().enumerate() {
+            let tree = warehouse.document("doc").unwrap().tree().clone();
+            for update in history_step(choice, seed, &tree) {
+                let mut oracle = warehouse.document("doc").unwrap();
+                let applied = update.apply_to_fuzzy(&mut oracle);
+                let committed = warehouse.commit_batch("doc", std::slice::from_ref(&update), None);
+                prop_assert!(applied.is_ok() == committed.is_ok(), "step {}", step);
+                if applied.is_err() {
+                    continue;
+                }
+                Simplifier::new().run(&mut oracle).unwrap();
+                let published = warehouse.document("doc").unwrap();
+                prop_assert!(
+                    bytes(&published) == bytes(&oracle),
+                    "step {} (choice {}): scoped\n{}\nwhole document\n{}",
+                    step,
+                    choice,
+                    bytes(&published),
+                    bytes(&oracle)
+                );
+            }
+        }
+    }
+}
+
 /// The condition walk agrees with the three passes it replaced. Each row is
 /// a seed of `fuzzy_strategy` with a certainly-true and a certainly-false
 /// event mixed in, and the node and literal counts that prune → resolve →
