@@ -156,7 +156,7 @@ fn e13_per_person_reference(result: &FuzzyQueryResult, query: &Pattern, fuzzy: &
     }
     let nobody: f64 = by_person
         .values()
-        .map(|own| 1.0 - Formula::any_of_conditions(own).probability_shannon(fuzzy.events()))
+        .map(|own| 1.0 - Formula::any_of(own).probability_shannon(fuzzy.events()))
         .product();
     1.0 - nobody
 }

@@ -1060,8 +1060,7 @@ mod tests {
             let cover = disjoint_group_cover(&conditions).unwrap_or(conditions.clone());
             assert_eq!(cover.len(), 2, "{phones} phones: {cover:?}");
             // Exactness: disjoint terms sum to the union's probability.
-            let union: f64 =
-                pxml_event::Formula::any_of(conditions.iter()).probability(fuzzy.events());
+            let union = pxml_event::disjunction_probability(&conditions, fuzzy.events());
             let mass: f64 = cover
                 .iter()
                 .map(|term| term.probability(fuzzy.events()))

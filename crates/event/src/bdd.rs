@@ -1,16 +1,18 @@
 //! Reduced ordered binary decision diagrams (ROBDDs) over probabilistic
-//! events — the exact-probability engine behind [`Formula`].
+//! events — the exact kernel for `P(c₁ ∨ … ∨ cₙ)`, the one probability
+//! question the model asks of a set of conjunctive conditions (a query's
+//! matches, the simplifier's re-covered sibling group).
 //!
-//! Shannon expansion (the original [`Formula::probability_shannon`] path) is
-//! exponential in the number of *distinct events* a formula mentions; a
-//! hash-consed decision diagram makes the practical cases fast without
-//! giving up exactness:
+//! Shannon expansion ([`Formula::probability_shannon`](crate::Formula::probability_shannon),
+//! the test oracle) is exponential in the number of *distinct events* a
+//! disjunction mentions; a hash-consed decision diagram makes the practical
+//! cases fast without giving up exactness:
 //!
 //! * nodes live in an arena and are **hash-consed** through a unique table,
-//!   so structurally equal functions share one node — canonicity makes
-//!   equivalence checking a pointer comparison;
-//! * [`Bdd::and`] / [`Bdd::or`] / [`Bdd::not`] are the classic memoized
-//!   `apply` recursions, polynomial in the sizes of their operands;
+//!   so structurally equal functions share one node;
+//! * [`Bdd::any_of`] builds a DNF one condition at a time — a condition is
+//!   one bottom-up chain of nodes, folded into the accumulated disjunction by
+//!   the classic memoized `apply` recursion for `∨`;
 //! * [`Bdd::probability`] is **one weighted model-counting walk** over the
 //!   DAG with a per-node cache — linear in BDD size, where Shannon expansion
 //!   pays `2^events`;
@@ -40,8 +42,7 @@
 //! A [`Bdd`] is an explicit manager: every node handle ([`BddRef`]) is only
 //! meaningful relative to the manager that created it. Managers are cheap to
 //! create (two terminal nodes), so per-computation managers are the normal
-//! usage pattern; long-lived managers amortize the unique table and apply
-//! caches across computations over the same events.
+//! usage pattern.
 //!
 //! ```
 //! use pxml_event::{Bdd, Condition, EventTable, Literal};
@@ -51,9 +52,10 @@
 //! let w2 = events.add_event("w2", 0.7).unwrap();
 //!
 //! let mut bdd = Bdd::new();
-//! let a = bdd.condition(&Condition::from_literal(Literal::pos(w1)));
-//! let b = bdd.condition(&Condition::from_literal(Literal::pos(w2)));
-//! let either = bdd.or(a, b);
+//! let either = bdd.any_of(&[
+//!     Condition::from_literal(Literal::pos(w1)),
+//!     Condition::from_literal(Literal::pos(w2)),
+//! ]);
 //! // P(w1 ∨ w2) = 0.8 + 0.7 − 0.56.
 //! assert!((bdd.probability(either, &events) - 0.94).abs() < 1e-12);
 //! ```
@@ -62,15 +64,13 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::condition::{Condition, Literal};
-use crate::formula::Formula;
 use crate::table::{EventId, EventTable};
 
 /// A handle to a node of a [`Bdd`] manager.
 ///
 /// Handles are only meaningful relative to the manager that produced them.
 /// Because the manager hash-conses, two handles from the same manager denote
-/// the same boolean function **iff they are equal** — this is what makes
-/// equivalence, tautology and contradiction checks O(1) after construction.
+/// the same boolean function **iff they are equal**.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BddRef(u32);
 
@@ -89,11 +89,6 @@ impl BddRef {
     pub fn is_true(self) -> bool {
         self == BddRef::TRUE
     }
-
-    /// `true` for either terminal.
-    pub fn is_constant(self) -> bool {
-        self.0 <= 1
-    }
 }
 
 /// Variable index reserved for the two terminal nodes; ordered after every
@@ -110,19 +105,24 @@ struct Node {
     hi: BddRef,
 }
 
-/// A reduced ordered BDD manager: arena, unique table and apply caches.
-#[derive(Debug, Default)]
+/// A reduced ordered BDD manager: arena, unique table and `∨` cache.
+#[derive(Debug)]
 pub struct Bdd {
     nodes: Vec<Node>,
     /// Hash-consing table: `(var, lo, hi) → node`.
     unique: HashMap<(u32, BddRef, BddRef), BddRef>,
-    and_cache: HashMap<(BddRef, BddRef), BddRef>,
     or_cache: HashMap<(BddRef, BddRef), BddRef>,
-    not_cache: HashMap<BddRef, BddRef>,
     /// Custom variable order: events listed in [`Bdd::with_order`] get the
     /// topmost levels in listing order; unlisted events follow in id order.
     /// Empty = plain event-id order.
     levels: HashMap<u32, u64>,
+}
+
+impl Default for Bdd {
+    /// [`Bdd::new`]: a manager always starts with its two terminals.
+    fn default() -> Self {
+        Bdd::new()
+    }
 }
 
 impl Bdd {
@@ -143,9 +143,7 @@ impl Bdd {
                 },
             ],
             unique: HashMap::new(),
-            and_cache: HashMap::new(),
             or_cache: HashMap::new(),
-            not_cache: HashMap::new(),
             levels: HashMap::new(),
         }
     }
@@ -181,26 +179,6 @@ impl Bdd {
         self.nodes.len()
     }
 
-    /// The number of nodes reachable from `node` (terminals included) — the
-    /// "BDD size" that probability computation is linear in.
-    pub fn reachable_count(&self, node: BddRef) -> usize {
-        let mut seen: Vec<bool> = vec![false; self.nodes.len()];
-        let mut stack = vec![node];
-        let mut count = 0;
-        while let Some(n) = stack.pop() {
-            if std::mem::replace(&mut seen[n.0 as usize], true) {
-                continue;
-            }
-            count += 1;
-            if !n.is_constant() {
-                let node = self.nodes[n.0 as usize];
-                stack.push(node.lo);
-                stack.push(node.hi);
-            }
-        }
-        count
-    }
-
     /// The hash-consing constructor: reduced (no redundant tests) and unique
     /// (structurally equal functions share one node).
     fn mk(&mut self, var: u32, lo: BddRef, hi: BddRef) -> BddRef {
@@ -217,28 +195,9 @@ impl Bdd {
         }
     }
 
-    /// The constant function.
-    pub fn constant(&self, value: bool) -> BddRef {
-        if value {
-            BddRef::TRUE
-        } else {
-            BddRef::FALSE
-        }
-    }
-
-    /// The function of a single literal.
-    pub fn literal(&mut self, literal: Literal) -> BddRef {
-        let var = literal.event.index() as u32;
-        if literal.positive {
-            self.mk(var, BddRef::FALSE, BddRef::TRUE)
-        } else {
-            self.mk(var, BddRef::TRUE, BddRef::FALSE)
-        }
-    }
-
     /// The function of a conjunctive [`Condition`] — built bottom-up in one
     /// pass, no `apply` needed.
-    pub fn condition(&mut self, condition: &Condition) -> BddRef {
+    fn condition(&mut self, condition: &Condition) -> BddRef {
         if !condition.is_consistent() {
             return BddRef::FALSE;
         }
@@ -267,41 +226,6 @@ impl Bdd {
         acc
     }
 
-    /// The function of an arbitrary [`Formula`].
-    pub fn formula(&mut self, formula: &Formula) -> BddRef {
-        match formula {
-            Formula::True => BddRef::TRUE,
-            Formula::False => BddRef::FALSE,
-            Formula::Lit(literal) => self.literal(*literal),
-            Formula::And(parts) => {
-                let mut acc = BddRef::TRUE;
-                for part in parts {
-                    if acc.is_false() {
-                        break;
-                    }
-                    let node = self.formula(part);
-                    acc = self.and(acc, node);
-                }
-                acc
-            }
-            Formula::Or(parts) => {
-                let mut acc = BddRef::FALSE;
-                for part in parts {
-                    if acc.is_true() {
-                        break;
-                    }
-                    let node = self.formula(part);
-                    acc = self.or(acc, node);
-                }
-                acc
-            }
-            Formula::Not(inner) => {
-                let node = self.formula(inner);
-                self.not(node)
-            }
-        }
-    }
-
     /// Splits `a` and `b` on their topmost variable: returns the variable and
     /// both pairs of cofactors (an operand not testing that variable is its
     /// own cofactor on both branches).
@@ -323,31 +247,8 @@ impl Bdd {
         (var, split(node_a, a), split(node_b, b))
     }
 
-    /// Memoized conjunction.
-    pub fn and(&mut self, a: BddRef, b: BddRef) -> BddRef {
-        if a == b || b.is_true() {
-            return a;
-        }
-        if a.is_true() {
-            return b;
-        }
-        if a.is_false() || b.is_false() {
-            return BddRef::FALSE;
-        }
-        let key = (a.min(b), a.max(b));
-        if let Some(&hit) = self.and_cache.get(&key) {
-            return hit;
-        }
-        let (var, (a_lo, a_hi), (b_lo, b_hi)) = self.cofactors(a, b);
-        let lo = self.and(a_lo, b_lo);
-        let hi = self.and(a_hi, b_hi);
-        let result = self.mk(var, lo, hi);
-        self.and_cache.insert(key, result);
-        result
-    }
-
     /// Memoized disjunction.
-    pub fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
+    fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
         if a == b || b.is_false() {
             return a;
         }
@@ -366,60 +267,6 @@ impl Bdd {
         let hi = self.or(a_hi, b_hi);
         let result = self.mk(var, lo, hi);
         self.or_cache.insert(key, result);
-        result
-    }
-
-    /// Memoized negation.
-    pub fn not(&mut self, a: BddRef) -> BddRef {
-        if a.is_false() {
-            return BddRef::TRUE;
-        }
-        if a.is_true() {
-            return BddRef::FALSE;
-        }
-        if let Some(&hit) = self.not_cache.get(&a) {
-            return hit;
-        }
-        let node = self.nodes[a.0 as usize];
-        let lo = self.not(node.lo);
-        let hi = self.not(node.hi);
-        let result = self.mk(node.var, lo, hi);
-        self.not_cache.insert(a, result);
-        self.not_cache.insert(result, a);
-        result
-    }
-
-    /// The cofactor of `node` with `event` fixed to `value` (memoized per
-    /// call — restriction results are not shared across calls because the
-    /// fixed event differs).
-    pub fn restrict(&mut self, node: BddRef, event: EventId, value: bool) -> BddRef {
-        let var = event.index() as u32;
-        let mut memo: HashMap<BddRef, BddRef> = HashMap::new();
-        self.restrict_rec(node, var, value, &mut memo)
-    }
-
-    fn restrict_rec(
-        &mut self,
-        node: BddRef,
-        var: u32,
-        value: bool,
-        memo: &mut HashMap<BddRef, BddRef>,
-    ) -> BddRef {
-        let data = self.nodes[node.0 as usize];
-        if self.level(data.var) > self.level(var) {
-            // Terminals and nodes entirely below `var` never test it.
-            return node;
-        }
-        if data.var == var {
-            return if value { data.hi } else { data.lo };
-        }
-        if let Some(&hit) = memo.get(&node) {
-            return hit;
-        }
-        let lo = self.restrict_rec(data.lo, var, value, memo);
-        let hi = self.restrict_rec(data.hi, var, value, memo);
-        let result = self.mk(data.var, lo, hi);
-        memo.insert(node, result);
         result
     }
 
@@ -603,7 +450,9 @@ pub fn disjunction_probability<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::Formula;
     use crate::valuation::enumerate_valuations;
+    use std::collections::HashSet;
 
     fn table() -> (EventTable, EventId, EventId, EventId) {
         let mut t = EventTable::new();
@@ -620,17 +469,28 @@ mod tests {
         assert!(BddRef::TRUE.is_true() && BddRef::FALSE.is_false());
         assert_eq!(bdd.probability(BddRef::TRUE, &t), 1.0);
         assert_eq!(bdd.probability(BddRef::FALSE, &t), 0.0);
-        let pos = bdd.literal(Literal::pos(w1));
-        let neg = bdd.literal(Literal::neg(w1));
+        let pos = bdd.condition(&Condition::from_literal(Literal::pos(w1)));
+        let neg = bdd.condition(&Condition::from_literal(Literal::neg(w1)));
         assert!((bdd.probability(pos, &t) - 0.8).abs() < 1e-12);
         assert!((bdd.probability(neg, &t) - 0.2).abs() < 1e-12);
-        assert_eq!(bdd.not(pos), neg);
-        assert_eq!(bdd.not(neg), pos);
+        // w1 ∨ ¬w1 ≡ ⊤ — canonicity gives the terminal directly.
+        assert_eq!(bdd.or(pos, neg), BddRef::TRUE);
+    }
+
+    /// A default manager is a new one: without its two terminals the first
+    /// node built would take id 0, the handle of ⊥.
+    #[test]
+    fn default_manager_starts_with_both_terminals() {
+        let (t, w1, _, _) = table();
+        let mut bdd = Bdd::default();
+        assert_eq!(bdd.node_count(), Bdd::new().node_count());
+        let root = bdd.any_of([&Condition::from_literal(Literal::pos(w1))]);
+        assert!((bdd.probability(root, &t) - 0.8).abs() < 1e-12);
     }
 
     #[test]
     fn hash_consing_shares_nodes() {
-        let (_, w1, w2, _) = table();
+        let (_, w1, w2, w3) = table();
         let mut bdd = Bdd::new();
         let a = bdd.condition(&Condition::from_literals([
             Literal::pos(w1),
@@ -641,9 +501,10 @@ mod tests {
             Literal::pos(w1),
         ]));
         assert_eq!(a, b);
-        // ¬¬f is f, by the not-cache symmetry and canonicity.
-        let n = bdd.not(a);
-        assert_eq!(bdd.not(n), a);
+        // A disjunction is one node whichever order its members arrive in.
+        let x = Condition::from_literals([Literal::pos(w1), Literal::neg(w2)]);
+        let y = Condition::from_literal(Literal::pos(w3));
+        assert_eq!(bdd.any_of([&x, &y]), bdd.any_of([&y, &x]));
     }
 
     #[test]
@@ -659,28 +520,15 @@ mod tests {
     fn and_or_match_probability_laws() {
         let (t, w1, w2, _) = table();
         let mut bdd = Bdd::new();
-        let a = bdd.literal(Literal::pos(w1));
-        let b = bdd.literal(Literal::pos(w2));
-        let both = bdd.and(a, b);
-        let either = bdd.or(a, b);
+        let a = Condition::from_literal(Literal::pos(w1));
+        let b = Condition::from_literal(Literal::pos(w2));
+        let both = bdd.condition(&a.and(&b));
+        let either = bdd.any_of([&a, &b]);
         assert!((bdd.probability(both, &t) - 0.56).abs() < 1e-12);
         assert!((bdd.probability(either, &t) - 0.94).abs() < 1e-12);
-        // a ∨ ¬a ≡ ⊤, a ∧ ¬a ≡ ⊥ — canonicity gives the terminals directly.
-        let na = bdd.not(a);
-        assert_eq!(bdd.or(a, na), BddRef::TRUE);
-        assert_eq!(bdd.and(a, na), BddRef::FALSE);
-    }
-
-    #[test]
-    fn restriction_is_the_cofactor() {
-        let (_, w1, w2, _) = table();
-        let mut bdd = Bdd::new();
-        let a = bdd.literal(Literal::pos(w1));
-        let b = bdd.literal(Literal::pos(w2));
-        let either = bdd.or(a, b);
-        assert_eq!(bdd.restrict(either, w1, true), BddRef::TRUE);
-        assert_eq!(bdd.restrict(either, w1, false), b);
-        assert_eq!(bdd.restrict(b, w1, false), b);
+        // Absorption, (w1 ∧ w2) ∨ w1 ≡ w1: canonicity gives w1's node back.
+        let only_a = bdd.condition(&a);
+        assert_eq!(bdd.or(both, only_a), only_a);
     }
 
     #[test]
@@ -688,34 +536,20 @@ mod tests {
         let (t, w1, w2, w3) = table();
         let mut bdd = Bdd::new();
         // (w1 ∧ ¬w2) ∨ (w2 ∧ w3), the formula.rs cross-check example.
-        let left = bdd.condition(&Condition::from_literals([
-            Literal::pos(w1),
-            Literal::neg(w2),
-        ]));
-        let right = bdd.condition(&Condition::from_literals([
-            Literal::pos(w2),
-            Literal::pos(w3),
-        ]));
-        let f = bdd.or(left, right);
-        let formula = Formula::or(vec![
-            Formula::and(vec![
-                Formula::Lit(Literal::pos(w1)),
-                Formula::Lit(Literal::neg(w2)),
-            ]),
-            Formula::and(vec![
-                Formula::Lit(Literal::pos(w2)),
-                Formula::Lit(Literal::pos(w3)),
-            ]),
-        ]);
+        let conditions = [
+            Condition::from_literals([Literal::pos(w1), Literal::neg(w2)]),
+            Condition::from_literals([Literal::pos(w2), Literal::pos(w3)]),
+        ];
+        let f = bdd.any_of(&conditions);
         let by_enumeration: f64 = enumerate_valuations(&t)
             .unwrap()
             .into_iter()
-            .filter(|v| formula.eval(v))
+            .filter(|v| conditions.iter().any(|c| c.satisfied_by(v)))
             .map(|v| v.probability(&t))
             .sum();
+        let by_shannon = Formula::any_of(&conditions).probability_shannon(&t);
         assert!((bdd.probability(f, &t) - by_enumeration).abs() < 1e-12);
-        let same = bdd.formula(&formula);
-        assert_eq!(same, f);
+        assert!((bdd.probability(f, &t) - by_shannon).abs() < 1e-12);
     }
 
     #[test]
@@ -811,6 +645,20 @@ mod tests {
         assert!((mass - ordered.probability(ordered_union, &t)).abs() < 1e-12);
     }
 
+    /// The nodes reachable from `root`, terminals included — the diagram
+    /// size probability is linear in.
+    fn reachable(bdd: &Bdd, root: BddRef) -> usize {
+        let mut seen = HashSet::new();
+        let mut stack = vec![root];
+        while let Some(node) = stack.pop() {
+            if seen.insert(node) && !node.is_false() && !node.is_true() {
+                let data = bdd.nodes[node.0 as usize];
+                stack.extend([data.lo, data.hi]);
+            }
+        }
+        seen.len()
+    }
+
     #[test]
     fn wide_disjunction_stays_small_and_fast() {
         // 32 distinct events: Shannon expansion would pay 2^32; the BDD of a
@@ -825,7 +673,7 @@ mod tests {
             .collect();
         let mut bdd = Bdd::new();
         let union = bdd.any_of(conditions.iter());
-        assert_eq!(bdd.reachable_count(union), 34);
+        assert_eq!(reachable(&bdd, union), 34);
         let p = bdd.probability(union, &t);
         assert!((p - (1.0 - 0.5f64.powi(32))).abs() < 1e-12);
     }

@@ -117,11 +117,6 @@ impl Condition {
         self.literals.is_empty()
     }
 
-    /// Alias of [`Condition::is_empty`] matching the paper's terminology.
-    pub fn is_always_true(&self) -> bool {
-        self.is_empty()
-    }
-
     /// `true` when no event appears both positively and negatively.
     pub fn is_consistent(&self) -> bool {
         self.literals
@@ -308,7 +303,6 @@ mod tests {
         let (t, _, _, _) = table();
         let c = Condition::always();
         assert!(c.is_empty());
-        assert!(c.is_always_true());
         assert!(c.is_consistent());
         assert_eq!(c.probability(&t), 1.0);
         assert_eq!(c.display(&t), "");

@@ -1,26 +1,18 @@
-//! Boolean formulas over probabilistic events and exact probability
-//! computation.
+//! Boolean formulas over probabilistic events and the Shannon-expansion
+//! oracle.
 //!
-//! Per-node conditions in the fuzzy-tree model are plain conjunctions, but
-//! several computations need richer formulas:
-//!
-//! * merging the answers of several query matches that yield the same result
-//!   tree requires the probability of a **disjunction** of match conditions;
-//! * deletion semantics reasons about the **negation** of a deletion
-//!   condition;
-//! * the simplifier decides logical equivalence of node conditions in
-//!   context.
-//!
-//! [`Formula`] covers and/or/not over event literals, with exact probability
-//! computed by compiling the formula into a reduced ordered [`Bdd`] and
-//! running one weighted model-counting walk over the diagram — linear in BDD
-//! size where the original Shannon expansion paid `2^events`. The Shannon
-//! path survives as [`Formula::probability_shannon`], the independent test
-//! oracle the BDD engine is validated against (see `tests/bdd_props.rs`).
+//! The engine asks one probability question — `P(c₁ ∨ … ∨ cₙ)` over
+//! conjunctive conditions — and answers it with
+//! [`disjunction_probability`](crate::disjunction_probability) over a
+//! [`Bdd`](crate::Bdd). [`Formula`] is the independent check on that
+//! answer: and/or/not over event literals, evaluated under a valuation
+//! ([`Formula::eval`]) or expanded on one event at a time
+//! ([`Formula::probability_shannon`], exponential in the number of distinct
+//! events). The property tests (`tests/bdd_props.rs`), experiment E13 and the
+//! broad-query regression test hold the kernel to it.
 
 use std::collections::BTreeSet;
 
-use crate::bdd::Bdd;
 use crate::condition::{Condition, Literal};
 use crate::table::{EventId, EventTable};
 use crate::valuation::Valuation;
@@ -63,12 +55,6 @@ impl Formula {
 
     /// The disjunction of a set of conjunctive conditions (a DNF), e.g. the
     /// existence condition of "at least one of these matches".
-    pub fn any_of_conditions(conditions: &[Condition]) -> Formula {
-        Formula::any_of(conditions)
-    }
-
-    /// Iterator-based variant of [`Formula::any_of_conditions`]: borrows the
-    /// conditions instead of requiring them collected into a slice.
     pub fn any_of<'a>(conditions: impl IntoIterator<Item = &'a Condition>) -> Formula {
         Formula::or(
             conditions
@@ -114,7 +100,7 @@ impl Formula {
         }
     }
 
-    /// Smart negation constructor (also available as the `!` operator).
+    /// Smart negation constructor.
     pub fn negate(part: Formula) -> Formula {
         match part {
             Formula::True => Formula::False,
@@ -192,28 +178,10 @@ impl Formula {
     }
 
     /// Exact probability of the formula being true (events are mutually
-    /// independent): the formula is compiled into a reduced ordered BDD and
-    /// the probability is one weighted model-counting walk over the diagram —
-    /// linear in BDD size instead of exponential in the number of distinct
-    /// events. For richer workflows (incremental disjunctions, shared
-    /// probability caches, disjoint covers) use [`Bdd`] directly.
-    pub fn probability(&self, table: &EventTable) -> f64 {
-        match self {
-            Formula::True => return 1.0,
-            Formula::False => return 0.0,
-            Formula::Lit(lit) => return lit.probability(table),
-            _ => {}
-        }
-        let mut bdd = Bdd::new();
-        let node = bdd.formula(self);
-        bdd.probability(node, table)
-    }
-
-    /// The original Shannon-expansion probability computation — exponential
-    /// in the number of distinct events the formula mentions. Kept as the
-    /// independent test oracle for the BDD engine (and as the baseline the
-    /// harness experiment E13 measures against); production callers should
-    /// use [`Formula::probability`].
+    /// independent) by Shannon expansion — exponential in the number of
+    /// distinct events the formula mentions. It is the test oracle for the
+    /// BDD kernel; production callers use
+    /// [`disjunction_probability`](crate::disjunction_probability).
     pub fn probability_shannon(&self, table: &EventTable) -> f64 {
         match self {
             Formula::True => return 1.0,
@@ -236,46 +204,6 @@ impl Formula {
         let if_false = self.restrict(event, false).probability_shannon(table);
         p * if_true + (1.0 - p) * if_false
     }
-
-    /// `true` when the formula is a tautology. Decided on the BDD: by
-    /// canonicity a formula is valid iff its diagram is the ⊤ terminal.
-    pub fn is_tautology(&self) -> bool {
-        match self {
-            Formula::True => true,
-            Formula::False | Formula::Lit(_) => false,
-            _ => {
-                let mut bdd = Bdd::new();
-                bdd.formula(self).is_true()
-            }
-        }
-    }
-
-    /// `true` when the formula is unsatisfiable (its diagram is ⊥).
-    pub fn is_contradiction(&self) -> bool {
-        match self {
-            Formula::False => true,
-            Formula::True | Formula::Lit(_) => false,
-            _ => {
-                let mut bdd = Bdd::new();
-                bdd.formula(self).is_false()
-            }
-        }
-    }
-
-    /// `true` when the two formulas are logically equivalent: compiled in one
-    /// shared manager, equivalent functions hash-cons to the same node.
-    pub fn equivalent(&self, other: &Formula) -> bool {
-        let mut bdd = Bdd::new();
-        bdd.formula(self) == bdd.formula(other)
-    }
-}
-
-impl std::ops::Not for Formula {
-    type Output = Formula;
-
-    fn not(self) -> Formula {
-        Formula::negate(self)
-    }
 }
 
 #[cfg(test)]
@@ -293,10 +221,12 @@ mod tests {
     #[test]
     fn constants_and_literals() {
         let (t, w1, _, _) = table();
-        assert_eq!(Formula::True.probability(&t), 1.0);
-        assert_eq!(Formula::False.probability(&t), 0.0);
-        assert!((Formula::Lit(Literal::pos(w1)).probability(&t) - 0.8).abs() < 1e-12);
-        assert!((Formula::Lit(Literal::neg(w1)).probability(&t) - 0.2).abs() < 1e-12);
+        assert_eq!(Formula::True.probability_shannon(&t), 1.0);
+        assert_eq!(Formula::False.probability_shannon(&t), 0.0);
+        let pos = Formula::Lit(Literal::pos(w1));
+        let neg = Formula::Lit(Literal::neg(w1));
+        assert!((pos.probability_shannon(&t) - 0.8).abs() < 1e-12);
+        assert!((neg.probability_shannon(&t) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -325,7 +255,7 @@ mod tests {
         let (t, w1, w2, _) = table();
         let cond = Condition::from_literals(vec![Literal::pos(w1), Literal::neg(w2)]);
         let formula = Formula::from_condition(&cond);
-        assert!((formula.probability(&t) - 0.24).abs() < 1e-12);
+        assert!((formula.probability_shannon(&t) - 0.24).abs() < 1e-12);
         assert_eq!(Formula::from_condition(&Condition::always()), Formula::True);
         let inconsistent = Condition::from_literals(vec![Literal::pos(w1), Literal::neg(w1)]);
         assert_eq!(Formula::from_condition(&inconsistent), Formula::False);
@@ -338,9 +268,9 @@ mod tests {
         let b = Formula::Lit(Literal::pos(w2));
         let both = Formula::and(vec![a.clone(), b.clone()]);
         let either = Formula::or(vec![a, b]);
-        assert!((both.probability(&t) - 0.56).abs() < 1e-12);
+        assert!((both.probability_shannon(&t) - 0.56).abs() < 1e-12);
         // P(w1 ∨ w2) = 0.8 + 0.7 − 0.56
-        assert!((either.probability(&t) - 0.94).abs() < 1e-12);
+        assert!((either.probability_shannon(&t) - 0.94).abs() < 1e-12);
     }
 
     #[test]
@@ -352,9 +282,9 @@ mod tests {
         // which happens to equal 0.8 here, so also test an overlapping pair.
         let c1 = Condition::from_literals(vec![Literal::pos(w1), Literal::pos(w2)]);
         let c2 = Condition::from_literals(vec![Literal::pos(w1)]);
-        let f = Formula::any_of_conditions(&[c1, c2]);
+        let f = Formula::any_of(&[c1, c2]);
         // (w1∧w2) ∨ w1 ≡ w1.
-        assert!((f.probability(&t) - 0.8).abs() < 1e-12);
+        assert!((f.probability_shannon(&t) - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -375,17 +305,12 @@ mod tests {
     #[test]
     fn probability_matches_enumeration() {
         let (t, w1, w2, w3) = table();
-        let f = Formula::or(vec![
-            Formula::and(vec![
-                Formula::Lit(Literal::pos(w1)),
-                Formula::Lit(Literal::neg(w2)),
-            ]),
-            Formula::and(vec![
-                Formula::Lit(Literal::pos(w2)),
-                Formula::Lit(Literal::pos(w3)),
-            ]),
-        ]);
-        let by_bdd = f.probability(&t);
+        let conditions = [
+            Condition::from_literals([Literal::pos(w1), Literal::neg(w2)]),
+            Condition::from_literals([Literal::pos(w2), Literal::pos(w3)]),
+        ];
+        let f = Formula::any_of(&conditions);
+        let by_bdd = crate::disjunction_probability(&conditions, &t);
         let by_shannon = f.probability_shannon(&t);
         let by_enumeration: f64 = crate::valuation::enumerate_valuations(&t)
             .unwrap()
@@ -395,28 +320,6 @@ mod tests {
             .sum();
         assert!((by_bdd - by_enumeration).abs() < 1e-12);
         assert!((by_shannon - by_enumeration).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tautology_contradiction_equivalence() {
-        let (_, w1, w2, _) = table();
-        let a = Formula::Lit(Literal::pos(w1));
-        let not_a = Formula::Lit(Literal::neg(w1));
-        assert!(Formula::or(vec![a.clone(), not_a.clone()]).is_tautology());
-        assert!(Formula::and(vec![a.clone(), not_a.clone()]).is_contradiction());
-        assert!(!a.is_tautology());
-        assert!(!a.is_contradiction());
-        // De Morgan: ¬(w1 ∧ w2) ≡ ¬w1 ∨ ¬w2.
-        let lhs = Formula::negate(Formula::and(vec![
-            Formula::Lit(Literal::pos(w1)),
-            Formula::Lit(Literal::pos(w2)),
-        ]));
-        let rhs = Formula::or(vec![
-            Formula::Lit(Literal::neg(w1)),
-            Formula::Lit(Literal::neg(w2)),
-        ]);
-        assert!(lhs.equivalent(&rhs));
-        assert!(!lhs.equivalent(&a));
     }
 
     #[test]

@@ -17,19 +17,19 @@
 //!   probability under independence;
 //! * [`Valuation`] and exhaustive valuation enumeration — used to expand a
 //!   fuzzy tree into its possible worlds;
-//! * [`Formula`] — arbitrary and/or/not combinations of events with exact
-//!   probability computation, used when several query matches must be
-//!   combined (probability of a *disjunction* of match conditions) and by
-//!   the simplifier;
+//! * [`disjunction_probability`] — the exact probability that at least one
+//!   of a set of conditions holds, `P(c₁ ∨ … ∨ cₙ)`: the one probability
+//!   question the engine asks (query selection, merged answers). It factors
+//!   the disjunction into its event-independent components before any
+//!   diagram is built;
 //! * [`Bdd`], [`BddRef`] — the reduced ordered binary decision diagram
-//!   engine behind exact probability: hash-consed nodes, memoized
-//!   and/or/not/restrict, probability by one weighted model-counting walk
+//!   kernel behind it: a DNF built condition by condition
+//!   ([`Bdd::any_of`]), probability by one weighted model-counting walk
 //!   (linear in BDD size instead of exponential in event count), and
-//!   disjoint conjunctive covers read off the path structure;
-//! * [`disjunction_probability`] — the exact probability of a disjunction
-//!   of conditions, factored into its event-independent components before
-//!   any diagram is built: the kernel behind query selection and merged
-//!   answer probabilities.
+//!   disjoint conjunctive covers read off the path structure (the
+//!   simplifier's group re-cover);
+//! * [`Formula`] — and/or/not over events with Shannon-expansion
+//!   probability, the independent oracle the kernel is tested against.
 //!
 //! ```
 //! use pxml_event::{Condition, EventTable, Literal};

@@ -108,14 +108,6 @@ impl EventTable {
         self.probabilities[id.index()]
     }
 
-    /// Fallible variant of [`EventTable::probability`].
-    pub fn try_probability(&self, id: EventId) -> Result<f64, EventError> {
-        self.probabilities
-            .get(id.index())
-            .copied()
-            .ok_or(EventError::UnknownEventId(id.0))
-    }
-
     /// Changes the probability of an existing event.
     pub fn set_probability(&mut self, id: EventId, probability: f64) -> Result<(), EventError> {
         if !(0.0..=1.0).contains(&probability) || probability.is_nan() {
@@ -153,22 +145,6 @@ impl EventTable {
     pub fn iter(&self) -> impl Iterator<Item = (EventId, &str, f64)> + '_ {
         self.ids()
             .map(move |id| (id, self.name(id), self.probability(id)))
-    }
-
-    /// Events that are certain (probability exactly 0 or 1); the simplifier
-    /// removes these from conditions.
-    pub fn deterministic_events(&self) -> Vec<(EventId, bool)> {
-        self.iter()
-            .filter_map(|(id, _, p)| {
-                if p == 0.0 {
-                    Some((id, false))
-                } else if p == 1.0 {
-                    Some((id, true))
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 }
 
@@ -265,13 +241,13 @@ mod tests {
 
     #[test]
     fn require_and_try_probability_report_errors() {
-        let table = EventTable::new();
+        let mut table = EventTable::new();
         assert!(matches!(
             table.require("x"),
             Err(EventError::UnknownEvent(_))
         ));
         assert!(matches!(
-            table.try_probability(EventId(0)),
+            table.set_probability(EventId(0), 0.5),
             Err(EventError::UnknownEventId(0))
         ));
     }
@@ -287,15 +263,5 @@ mod tests {
         assert!(display.contains("w1"));
         assert!(display.contains("0.7"));
         assert_eq!(table.ids().count(), 2);
-    }
-
-    #[test]
-    fn deterministic_events_are_detected() {
-        let mut table = EventTable::new();
-        let a = table.add_event("always", 1.0).unwrap();
-        let n = table.add_event("never", 0.0).unwrap();
-        table.add_event("maybe", 0.5).unwrap();
-        let det = table.deterministic_events();
-        assert_eq!(det, vec![(a, true), (n, false)]);
     }
 }

@@ -1,21 +1,24 @@
-//! Property-based validation of the BDD probability engine against two
-//! independent oracles: for any random formula over at most 12 events,
+//! Property-based validation of the disjunction-probability kernel against
+//! two independent oracles: for any random DNF — a disjunction of
+//! conjunctive conditions, the one shape the engine asks the probability of
+//! — over at most 12 events,
 //!
-//! * `Formula::probability` (BDD model counting),
+//! * [`disjunction_probability`] (the factored kernel queries run),
+//! * [`Bdd::any_of`] + [`Bdd::probability`] (one diagram over the whole list),
 //! * `Formula::probability_shannon` (the original Shannon expansion), and
 //! * brute-force valuation enumeration (sum the probabilities of the
 //!   satisfying valuations)
 //!
-//! must agree to within 1e-9; tautology/contradiction decisions must agree
-//! with enumeration as well, and the BDD's disjoint covers must carry
-//! exactly the function's probability mass. The factoring kernel
-//! [`disjunction_probability`] is held to the same oracles, within 1e-12, on
-//! disjunctions constructed to split into event-independent blocks.
+//! must agree to within 1e-9, and the disjoint cover the simplifier reads off
+//! a diagram built under any variable order ([`Bdd::with_order`]) must be
+//! pairwise disjoint and partition exactly the valuations the DNF accepts.
+//! The kernel is held to the same oracles, within 1e-12, on disjunctions
+//! constructed to split into event-independent blocks.
 
 use proptest::prelude::*;
 use pxml_event::{
     disjunction_probability, enumerate_valuations, Bdd, Condition, EventId, EventTable, Formula,
-    Literal,
+    Literal, Valuation,
 };
 
 const EVENTS: usize = 12;
@@ -34,106 +37,94 @@ fn table() -> (EventTable, Vec<EventId>) {
     (table, events)
 }
 
-/// Blueprint of a random formula, independent of any event table: leaves
-/// name events by index, inner nodes are NOT (first child) / AND / OR.
-#[derive(Clone, Debug)]
-enum Shape {
-    Lit(u8, bool),
-    Not(Box<Shape>),
-    And(Vec<Shape>),
-    Or(Vec<Shape>),
+/// Blueprint of a random DNF, independent of any event table: up to eight
+/// conditions of one to four `(event index, sign)` literals. Literals may
+/// repeat an event with both signs, so inconsistent members occur too.
+fn dnf_strategy() -> impl Strategy<Value = Vec<Vec<(u8, bool)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((0u8..EVENTS as u8, any::<bool>()), 1..5),
+        0..9,
+    )
 }
 
-impl Shape {
-    fn to_formula(&self, events: &[EventId]) -> Formula {
-        match self {
-            Shape::Lit(index, positive) => {
-                let event = events[*index as usize % events.len()];
-                Formula::Lit(if *positive {
+fn to_conditions(dnf: &[Vec<(u8, bool)>], events: &[EventId]) -> Vec<Condition> {
+    dnf.iter()
+        .map(|literals| {
+            Condition::from_literals(literals.iter().map(|&(index, sign)| {
+                let event = events[index as usize];
+                if sign {
                     Literal::pos(event)
                 } else {
                     Literal::neg(event)
-                })
-            }
-            Shape::Not(inner) => Formula::negate(inner.to_formula(events)),
-            Shape::And(parts) => Formula::and(parts.iter().map(|p| p.to_formula(events)).collect()),
-            Shape::Or(parts) => Formula::or(parts.iter().map(|p| p.to_formula(events)).collect()),
-        }
-    }
-}
-
-fn shape_strategy() -> BoxedStrategy<Shape> {
-    let leaf = (0u8..EVENTS as u8, any::<bool>()).prop_map(|(event, sign)| Shape::Lit(event, sign));
-    leaf.boxed().prop_recursive(4, 48, 4, |inner| {
-        (0u8..3, proptest::collection::vec(inner, 1..5)).prop_map(|(op, mut children)| match op {
-            0 => Shape::Not(Box::new(children.pop().expect("at least one child"))),
-            1 => Shape::And(children),
-            _ => Shape::Or(children),
+                }
+            }))
         })
-    })
+        .collect()
 }
 
-fn by_enumeration(formula: &Formula, table: &EventTable) -> f64 {
+fn holds(conditions: &[Condition], valuation: &Valuation) -> bool {
+    conditions.iter().any(|c| c.satisfied_by(valuation))
+}
+
+fn by_enumeration(conditions: &[Condition], table: &EventTable) -> f64 {
     enumerate_valuations(table)
         .unwrap()
         .into_iter()
-        .filter(|v| formula.eval(v))
+        .filter(|v| holds(conditions, v))
         .map(|v| v.probability(table))
         .sum()
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    // The stress job's release run draws four times the debug run's cases.
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 96 } else { 384 }
+    ))]
 
     #[test]
-    fn bdd_shannon_and_enumeration_agree(shape in shape_strategy()) {
+    fn bdd_shannon_and_enumeration_agree(dnf in dnf_strategy()) {
         let (table, events) = table();
-        let formula = shape.to_formula(&events);
-        let by_bdd = formula.probability(&table);
-        let by_shannon = formula.probability_shannon(&table);
-        let by_valuations = by_enumeration(&formula, &table);
-        prop_assert!(
-            (by_bdd - by_valuations).abs() < 1e-9,
-            "BDD {by_bdd} vs enumeration {by_valuations} on {formula:?}"
-        );
-        prop_assert!(
-            (by_shannon - by_valuations).abs() < 1e-9,
-            "Shannon {by_shannon} vs enumeration {by_valuations} on {formula:?}"
-        );
-    }
-
-    #[test]
-    fn tautology_and_contradiction_agree_with_enumeration(shape in shape_strategy()) {
-        let (table, events) = table();
-        let formula = shape.to_formula(&events);
-        let satisfying = enumerate_valuations(&table)
-            .unwrap()
-            .iter()
-            .filter(|v| formula.eval(v))
-            .count();
-        let total = 1usize << EVENTS;
-        prop_assert_eq!(formula.is_tautology(), satisfying == total);
-        prop_assert_eq!(formula.is_contradiction(), satisfying == 0);
-        // A formula is always equivalent to itself and to its double
-        // negation, and canonical equality survives a round trip.
-        let doubled = Formula::negate(Formula::negate(formula.clone()));
-        prop_assert!(formula.equivalent(&doubled));
-    }
-
-    #[test]
-    fn disjoint_cover_carries_the_exact_mass(shape in shape_strategy()) {
-        let (table, events) = table();
-        let formula = shape.to_formula(&events);
+        let conditions = to_conditions(&dnf, &events);
+        let factored = disjunction_probability(&conditions, &table);
         let mut bdd = Bdd::new();
-        let node = bdd.formula(&formula);
+        let whole = bdd.any_of(&conditions);
+        let by_bdd = bdd.probability(whole, &table);
+        let by_shannon = Formula::any_of(&conditions).probability_shannon(&table);
+        let by_valuations = by_enumeration(&conditions, &table);
+        for (name, value) in [
+            ("factored", factored),
+            ("BDD", by_bdd),
+            ("Shannon", by_shannon),
+        ] {
+            prop_assert!(
+                (value - by_valuations).abs() < 1e-9,
+                "{name} {value} vs enumeration {by_valuations} on {conditions:?}"
+            );
+        }
+    }
+
+    /// Under a random variable order (listed events first, in listing order;
+    /// a repeated event keeps its first level), the path cover is consistent,
+    /// pairwise disjoint, carries the disjunction's exact mass, and every
+    /// valuation satisfies exactly one term if the DNF holds and none if not.
+    #[test]
+    fn disjoint_cover_carries_the_exact_mass(
+        dnf in dnf_strategy(),
+        order in proptest::collection::vec(0u8..EVENTS as u8, 0..EVENTS + 1),
+    ) {
+        let (table, events) = table();
+        let conditions = to_conditions(&dnf, &events);
+        let mut bdd = Bdd::with_order(order.iter().map(|&index| events[index as usize]));
+        let node = bdd.any_of(&conditions);
         // Generous cap: 2^12 terms always suffice for 12 events.
         let Some(cover) = bdd.disjoint_cover(node, 1 << EVENTS) else {
             return Ok(());
         };
         let mass: f64 = cover.iter().map(|term| term.probability(&table)).sum();
+        let expected = disjunction_probability(&conditions, &table);
         prop_assert!(
-            (mass - formula.probability(&table)).abs() < 1e-9,
-            "cover mass {mass} vs probability on {formula:?}"
+            (mass - expected).abs() < 1e-9,
+            "cover mass {mass} vs probability {expected} on {conditions:?} under {order:?}"
         );
         for (i, a) in cover.iter().enumerate() {
             prop_assert!(a.is_consistent());
@@ -143,6 +134,10 @@ proptest! {
                     "terms {a} and {b} are not disjoint"
                 );
             }
+        }
+        for valuation in enumerate_valuations(&table).unwrap() {
+            let terms = cover.iter().filter(|term| term.satisfied_by(&valuation)).count();
+            prop_assert_eq!(terms, usize::from(holds(&conditions, &valuation)));
         }
     }
 
@@ -187,9 +182,8 @@ proptest! {
         let mut bdd = Bdd::new();
         let whole = bdd.any_of(&conditions);
         let by_bdd = bdd.probability(whole, &table);
-        let formula = Formula::any_of_conditions(&conditions);
-        let by_shannon = formula.probability_shannon(&table);
-        let by_valuations = by_enumeration(&formula, &table);
+        let by_shannon = Formula::any_of(&conditions).probability_shannon(&table);
+        let by_valuations = by_enumeration(&conditions, &table);
         prop_assert!((0.0..=1.0).contains(&factored));
         for (name, reference) in [
             ("BDD", by_bdd),
@@ -205,8 +199,8 @@ proptest! {
 }
 
 /// Deterministic cross-check on conjunctive-condition disjunctions (the
-/// exact shape the query path builds): incremental [`Bdd::any_of`] equals
-/// the formula route and the Shannon oracle.
+/// exact shape the query path builds): one [`Bdd::any_of`] diagram equals the
+/// factored kernel, the Shannon oracle and enumeration.
 #[test]
 fn any_of_conditions_matches_both_probability_paths() {
     let (table, events) = table();
@@ -225,10 +219,9 @@ fn any_of_conditions_matches_both_probability_paths() {
     let mut bdd = Bdd::new();
     let union = bdd.any_of(conditions.iter());
     let by_bdd = bdd.probability(union, &table);
-    let formula = Formula::any_of_conditions(&conditions);
-    assert!((by_bdd - formula.probability(&table)).abs() < 1e-12);
-    assert!((by_bdd - formula.probability_shannon(&table)).abs() < 1e-12);
-    assert!((by_bdd - by_enumeration(&formula, &table)).abs() < 1e-12);
+    assert!((by_bdd - disjunction_probability(&conditions, &table)).abs() < 1e-12);
+    assert!((by_bdd - Formula::any_of(&conditions).probability_shannon(&table)).abs() < 1e-12);
+    assert!((by_bdd - by_enumeration(&conditions, &table)).abs() < 1e-12);
 }
 
 /// The kernel's edge cases, beside the split property above.
@@ -246,7 +239,7 @@ fn disjunction_probability_fixed_cases() {
         Condition::from_literals([neg(0), pos(7), pos(9)]),
     ];
     let expected = disjunction_probability(&base, &table);
-    let oracle = Formula::any_of_conditions(&base).probability_shannon(&table);
+    let oracle = Formula::any_of(&base).probability_shannon(&table);
     assert!((expected - oracle).abs() < 1e-12);
 
     // An always-true member decides the disjunction.

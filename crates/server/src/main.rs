@@ -46,10 +46,7 @@ fn main() -> ExitCode {
                     .map_err(|_| format!("bad --admission-timeout-ms value `{v}`"))
             }),
             "--grouped" => {
-                config.session.commit = CommitPolicy::Grouped {
-                    window_max_batches: 8,
-                    window_max_wait: Duration::from_millis(2),
-                };
+                config.session.commit = CommitPolicy::grouped();
                 Ok(())
             }
             "--help" | "-h" => {

@@ -23,7 +23,7 @@ use crate::group::{CommitTicket, DurabilityStats};
 /// Every implementation must guarantee, per document:
 ///
 /// * **Mutations serialize per document.** Two concurrent calls to
-///   [`append_batch`](StorageBackend::append_batch),
+///   [`append_batch_enqueue`](StorageBackend::append_batch_enqueue),
 ///   [`save_document`](StorageBackend::save_document),
 ///   [`checkpoint`](StorageBackend::checkpoint) or
 ///   [`remove_document`](StorageBackend::remove_document) for the *same*
@@ -32,11 +32,12 @@ use crate::group::{CommitTicket, DurabilityStats};
 ///   warehouse engine relies on this for multi-document throughput).
 ///   Backends are handed out as `Arc<dyn StorageBackend>` shared across
 ///   threads, so this serialization must be internal.
-/// * **`append_batch` is atomic and ordered.** After it returns, recovery
-///   sees the batch exactly once, after every previously appended batch; if
-///   the process dies mid-call, recovery sees either the whole batch or none
-///   of it — never a partial or reordered batch. Durable backends must have
-///   flushed the batch to stable storage before returning.
+/// * **An append is atomic and ordered.** Once its ticket resolves `Ok`,
+///   recovery sees the batch exactly once, after every previously appended
+///   batch; if the process dies before that, recovery sees either the whole
+///   batch or none of it — never a partial or reordered batch. Durable
+///   backends must have flushed the batch to stable storage before the
+///   ticket resolves.
 /// * **`checkpoint` folds atomically.** The new checkpoint replaces the old
 ///   one and empties the journal as one logical step: a crash at any point
 ///   leaves recovery with either (old checkpoint + full journal) or (new
@@ -63,10 +64,18 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Loads the last checkpoint of a document (ignoring any journal).
     fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError>;
 
-    /// Durably appends one committed transaction batch to a document's
-    /// journal. Cost must not grow with the journal's accumulated length —
-    /// O(batch), the property experiment E12 measures.
-    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError>;
+    /// Appends one committed transaction batch to a document's journal: hands
+    /// the batch to the backend's commit pipeline and returns a
+    /// [`CommitTicket`] that resolves once the batch is durable — under
+    /// group commit, at the fsync its window shares with concurrently
+    /// committed batches of *other* documents. The batch must not be
+    /// acknowledged to clients until the ticket resolves `Ok`; on a crash
+    /// before that, recovery never surfaces it. A backend without a commit
+    /// pipeline runs the append to completion inside this call and returns
+    /// [`CommitTicket::resolved`] with its outcome, so polling or waiting on
+    /// the ticket never blocks. Cost must not grow with the journal's
+    /// accumulated length — O(batch).
+    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket;
 
     /// The committed batches of a document's journal, in commit order.
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError>;
@@ -95,22 +104,12 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         None
     }
 
-    /// The ticketed form of [`append_batch`](StorageBackend::append_batch):
-    /// hands the batch to the backend's commit pipeline and returns a
-    /// [`CommitTicket`] that resolves once the batch is durable — under
-    /// group commit, at the fsync its window shares with concurrently
-    /// committed batches of *other* documents. The batch must not be
-    /// acknowledged to clients until the ticket resolves `Ok`; on a crash
-    /// before that, recovery never surfaces it. `append_batch` must behave
-    /// as `append_batch_enqueue(..).wait()`: same journal order, same
+    /// Durably appends one committed transaction batch and returns once it
+    /// is durable: [`append_batch_enqueue`](StorageBackend::append_batch_enqueue)
+    /// followed by [`CommitTicket::wait`] — same journal order, same
     /// durability point.
-    ///
-    /// The default implementation serves backends **without a commit
-    /// pipeline**: the append runs to completion inside this call and the
-    /// returned ticket is already resolved with its outcome, so polling or
-    /// waiting on it never blocks.
-    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
-        CommitTicket::resolved(self.append_batch(name, batch))
+    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
+        self.append_batch_enqueue(name, batch).wait()
     }
 
     /// Fsync/window observability counters of the backend's durability

@@ -614,10 +614,6 @@ impl StorageBackend for FsBackend {
         })
     }
 
-    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        self.append_batch_enqueue(name, batch).wait()
-    }
-
     /// The append entry point — every journal write starts here. Consults
     /// the fault plan once, encodes the batch (here, on the committing
     /// thread — nothing below this call sees the batch again), then hands

@@ -3,8 +3,7 @@
 //! Holds checkpoints and journals in a shared map — nothing touches the file
 //! system, so tests and benches can exercise the full warehouse pipeline
 //! (including the compaction policy, which reads the journal meters) without
-//! scratch directories, and E12 can separate the storage cost of a commit
-//! from the engine cost.
+//! scratch directories.
 //!
 //! The batch payloads are round-tripped through the same `<pxml:batch>`
 //! serialization as [`FsBackend`](crate::FsBackend), so the journal meters
@@ -19,6 +18,7 @@ use pxml_core::{FuzzyTree, UpdateTransaction};
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
+use crate::group::CommitTicket;
 use crate::journal::serialize_batch;
 
 /// One document's in-memory state.
@@ -105,12 +105,12 @@ impl StorageBackend for MemBackend {
         self.with_doc(name, |doc| doc.checkpoint.clone())
     }
 
-    fn append_batch(&self, name: &str, batch: &[UpdateTransaction]) -> Result<(), StoreError> {
-        self.with_doc(name, |doc| {
+    fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
+        CommitTicket::resolved(self.with_doc(name, |doc| {
             doc.bytes += serialize_batch(batch).len() as u64;
             doc.updates += batch.len();
             doc.batches.push(batch.to_vec());
-        })
+        }))
     }
 
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {

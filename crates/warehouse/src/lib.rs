@@ -63,9 +63,7 @@ pub mod modules;
 pub mod session;
 pub mod warehouse;
 
-pub use modules::{
-    run_modules, run_modules_parallel, DataCleaningModule, ExtractionModule, SourceModule,
-};
+pub use modules::{run_modules, DataCleaningModule, ExtractionModule, SourceModule};
 pub use pxml_store::CommitPolicy;
 pub use session::{CompactionPolicy, SessionConfig};
 pub use warehouse::{

@@ -129,8 +129,6 @@ pub enum WarehouseError {
     UnknownDocument(String),
     /// A document with this name already exists.
     DuplicateDocument(String),
-    /// A module runner was handed modules but no documents to drain into.
-    EmptyDocumentSet,
     /// The document is quarantined after a failed commit: writes are refused
     /// until [`Warehouse::reopen_document`] re-establishes the on-disk truth.
     /// Readers are unaffected — they keep serving the last durable snapshot.
@@ -153,12 +151,6 @@ impl fmt::Display for WarehouseError {
             }
             WarehouseError::DuplicateDocument(name) => {
                 write!(f, "document `{name}` already exists in the warehouse")
-            }
-            WarehouseError::EmptyDocumentSet => {
-                write!(
-                    f,
-                    "no warehouse documents were provided to drain the modules into"
-                )
             }
             WarehouseError::Quarantined { document, reason } => {
                 write!(

@@ -74,7 +74,7 @@ fn broad_queries_past_the_cliff_return_the_exact_probability() {
             let events: BTreeSet<EventId> = conditions.iter().flat_map(|c| c.events()).collect();
             assert!(seen.is_disjoint(&events), "{text}: persons share an event");
             seen.extend(events);
-            let formula = Formula::any_of_conditions(conditions);
+            let formula = Formula::any_of(conditions);
             nobody *= 1.0 - formula.probability_shannon(fuzzy.events());
         }
         assert!(by_person.len() > 40, "{text}: a broad result");
