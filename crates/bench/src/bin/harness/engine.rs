@@ -391,7 +391,7 @@ pub fn e14_group_commit(quick: bool) {
             handle.wait().unwrap();
         }
         let wall = start.elapsed();
-        let fsyncs = warehouse.stats().fsyncs - before.fsyncs;
+        let fsyncs = stats_delta(&before, &warehouse.stats()).fsyncs;
         let secs = wall.as_secs_f64();
         let speedup = *depth1_secs.get_or_insert(secs) / secs;
         println!(

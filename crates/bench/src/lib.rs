@@ -11,8 +11,8 @@
 //!   when dropped, a failed gate's unwind included. [`warehouse_over`] opens
 //!   the warehouse the engine and chaos gates run against.
 //! * **Counter deltas.** [`stats_delta`] turns two [`WarehouseStats`]
-//!   snapshots into what moved between them, so a phase's window occupancy
-//!   is the delta's own `mean_window_occupancy`.
+//!   snapshots into what their durability counters moved by, so a phase's
+//!   window occupancy is the delta's own `mean_window_occupancy`.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -25,7 +25,7 @@ use pxml_gen::{
     FuzzyGenConfig, QueryGenConfig, TreeGenConfig, UpdateGenConfig,
 };
 use pxml_query::{PNodeId, Pattern};
-use pxml_store::{FsBackend, FsOptions};
+use pxml_store::{DurabilityStats, FsBackend, FsOptions};
 use pxml_tree::Tree;
 use pxml_warehouse::{CompactionPolicy, SessionConfig, Warehouse, WarehouseStats};
 use rand::rngs::StdRng;
@@ -107,13 +107,11 @@ pub fn warehouse_over(dir: &Path, options: FsOptions) -> Warehouse {
     Warehouse::with_backend(Arc::new(backend), config).expect("empty store recovers")
 }
 
-/// What every counter moved by between two snapshots of one warehouse.
-pub fn stats_delta(before: &WarehouseStats, after: &WarehouseStats) -> WarehouseStats {
-    WarehouseStats {
-        updates_applied: after.updates_applied - before.updates_applied,
-        queries_evaluated: after.queries_evaluated - before.queries_evaluated,
-        simplifications: after.simplifications - before.simplifications,
-        checkpoints: after.checkpoints - before.checkpoints,
+/// What the durability counters moved by between two snapshots of one
+/// warehouse.
+pub fn stats_delta(before: &WarehouseStats, after: &WarehouseStats) -> DurabilityStats {
+    let (before, after) = (before.durability, after.durability);
+    DurabilityStats {
         fsyncs: after.fsyncs - before.fsyncs,
         grouped_commits: after.grouped_commits - before.grouped_commits,
         grouped_windows: after.grouped_windows - before.grouped_windows,

@@ -43,6 +43,13 @@
 //!   `crates/store/src/` outside `journal.rs`: that module is the only one
 //!   that knows a journal record's bytes, so the next format change (a
 //!   version byte, a CRC) cannot grow a second home unnoticed.
+//! - **`unreferenced-pub`** — a `pub fn` in non-test code under an engine
+//!   crate's `src/` (every `crates/*` but the `check` and `bench` tooling)
+//!   whose name appears in the code (comments and strings blanked) of no
+//!   other `.rs` file of the workspace: public API nothing calls is surface
+//!   to keep, document and ledger for no one. Tests, examples and
+//!   `benchmarks/pxbench` count as references. This is the one
+//!   workspace-wide rule: it runs over all files at once in [`lint_root`].
 //!
 //! A finding on a deliberate exception is suppressed with
 //! `// lint: allow(<rule>)` on the offending line or the line above.
@@ -96,12 +103,80 @@ pub fn lint_root(root: &Path) -> std::io::Result<Vec<Finding>> {
     collect_rust_files(root, root, &mut files)?;
     files.sort();
     let mut findings = Vec::new();
+    let mut sources = Vec::new();
     for file in files {
         let source = std::fs::read_to_string(root.join(&file))?;
         let rel = file.to_string_lossy().replace('\\', "/");
         findings.extend(lint_source(&rel, &source));
+        sources.push((rel, source));
     }
+    // The benchmark is linted by no rule, but what it calls is referenced.
+    let pxbench = root.join("benchmarks/pxbench");
+    if pxbench.is_dir() {
+        let mut bench_files = Vec::new();
+        collect_rust_files(root, &pxbench, &mut bench_files)?;
+        for file in bench_files {
+            let source = std::fs::read_to_string(root.join(&file))?;
+            sources.push((file.to_string_lossy().replace('\\', "/"), source));
+        }
+    }
+    findings.extend(unreferenced_pub(&sources));
     Ok(findings)
+}
+
+/// The workspace pass: every non-test `pub fn` under an engine crate's
+/// `src/` whose name is an identifier in the code of no other file in
+/// `sources` (`(relative path, source)` pairs).
+fn unreferenced_pub(sources: &[(String, String)]) -> Vec<Finding> {
+    let blanked: Vec<String> = sources.iter().map(|(_, s)| blank_noncode(s)).collect();
+    let identifiers: Vec<std::collections::HashSet<&str>> = blanked
+        .iter()
+        .map(|code| {
+            code.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .filter(|word| !word.is_empty())
+                .collect()
+        })
+        .collect();
+    let mut findings = Vec::new();
+    for (index, (rel_path, source)) in sources.iter().enumerate() {
+        let is_engine_src = match rel_path.split('/').collect::<Vec<_>>()[..] {
+            ["crates", krate, "src", ..] => !matches!(krate, "check" | "bench"),
+            _ => false,
+        };
+        if !is_engine_src {
+            continue;
+        }
+        let code_lines: Vec<&str> = blanked[index].lines().collect();
+        let in_test = test_regions(&code_lines);
+        let allows = allow_markers(&source.lines().collect::<Vec<_>>());
+        for (line, code) in code_lines.iter().enumerate() {
+            let Some(rest) = code.trim_start().strip_prefix("pub fn ") else {
+                continue;
+            };
+            let name: String = rest
+                .chars()
+                .take_while(|&c| c.is_alphanumeric() || c == '_')
+                .collect();
+            let referenced = identifiers
+                .iter()
+                .enumerate()
+                .any(|(other, words)| other != index && words.contains(name.as_str()));
+            if in_test[line] || referenced || allows[line].iter().any(|a| a == "unreferenced-pub") {
+                continue;
+            }
+            findings.push(Finding {
+                file: rel_path.clone(),
+                line: line + 1,
+                rule: "unreferenced-pub",
+                message: format!(
+                    "`pub fn {name}` is named in no other file of the workspace — make it \
+                     private, delete it, or mark a deliberate keep with \
+                     `// lint: allow(unreferenced-pub)`"
+                ),
+            });
+        }
+    }
+    findings
 }
 
 fn collect_rust_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
@@ -1117,6 +1192,27 @@ mod tests {
         // `StdMutex::new(` must not match the `Mutex::new(` pattern.
         let source = "fn f() {\n    let m = StdMutex::new(0);\n}\n";
         assert!(lint_source("crates/x/src/lib.rs", source).is_empty());
+    }
+
+    #[test]
+    fn unreferenced_pub_fn_is_flagged_and_referenced_one_is_not() {
+        let file = |path: &str, source: &str| (path.to_string(), source.to_string());
+        let engine = "pub fn lonely() {}\npub fn called() {}\n\
+                      // lint: allow(unreferenced-pub)\npub fn kept() {}\n\
+                      #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        let sources = [
+            file("crates/x/src/lib.rs", engine),
+            file("tests/it.rs", "fn t() { x::called(); }\n"),
+            // Tooling crates are out of scope; prose is no reference.
+            file("crates/check/src/lib.rs", "pub fn tool() {}\n// lonely\n"),
+        ];
+        let findings = unreferenced_pub(&sources);
+        assert_eq!(rules(&findings), vec!["unreferenced-pub"]);
+        assert_eq!(
+            (findings[0].file.as_str(), findings[0].line),
+            ("crates/x/src/lib.rs", 1)
+        );
+        assert!(findings[0].message.contains("`pub fn lonely`"));
     }
 
     #[test]

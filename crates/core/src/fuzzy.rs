@@ -330,7 +330,7 @@ impl FuzzyTree {
     }
 
     /// The events actually mentioned by at least one node condition.
-    pub fn mentioned_events(&self) -> Vec<EventId> {
+    fn mentioned_events(&self) -> Vec<EventId> {
         let mut mentioned: Vec<EventId> =
             self.conditions.values().flat_map(|c| c.events()).collect();
         mentioned.sort_unstable();
@@ -341,6 +341,7 @@ impl FuzzyTree {
     /// The world (plain data tree) obtained under a given valuation of the
     /// events: nodes whose condition fails are removed together with their
     /// subtrees.
+    // lint: allow(unreferenced-pub) — the building block of per-world queries.
     pub fn world_under(&self, valuation: &Valuation) -> Tree {
         let mut world = Tree::new(self.tree.label(self.tree.root()).clone());
         let mut stack: Vec<(NodeId, NodeId)> = vec![(self.tree.root(), world.root())];

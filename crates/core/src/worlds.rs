@@ -79,19 +79,6 @@ impl PossibleWorlds {
         self.worlds.iter().map(|(_, p)| p).sum()
     }
 
-    /// The expected number of nodes of a random world.
-    pub fn expected_node_count(&self) -> f64 {
-        let total = self.total_probability();
-        if total == 0.0 {
-            return 0.0;
-        }
-        self.worlds
-            .iter()
-            .map(|(tree, p)| tree.node_count() as f64 * p)
-            .sum::<f64>()
-            / total
-    }
-
     /// The probability mass of the worlds satisfying `predicate`.
     pub fn probability_that(&self, mut predicate: impl FnMut(&Tree) -> bool) -> f64 {
         self.worlds
@@ -314,15 +301,6 @@ mod tests {
         let mut c = PossibleWorlds::new();
         c.push(parse_data_tree("<A/>").unwrap(), 1.0);
         assert!(!a.equivalent(&c, 1e-9));
-    }
-
-    #[test]
-    fn expected_node_count() {
-        let worlds = slide9();
-        // Node counts: 2, 3, 3, 4 with probabilities 0.06, 0.14, 0.24, 0.56.
-        let expected = 2.0 * 0.06 + 3.0 * 0.14 + 3.0 * 0.24 + 4.0 * 0.56;
-        assert!((worlds.expected_node_count() - expected).abs() < 1e-12);
-        assert_eq!(PossibleWorlds::new().expected_node_count(), 0.0);
     }
 
     #[test]

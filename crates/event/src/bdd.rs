@@ -81,12 +81,12 @@ impl BddRef {
     pub const TRUE: BddRef = BddRef(1);
 
     /// `true` when this is the constant-false function.
-    pub fn is_false(self) -> bool {
+    fn is_false(self) -> bool {
         self == BddRef::FALSE
     }
 
     /// `true` when this is the constant-true function.
-    pub fn is_true(self) -> bool {
+    fn is_true(self) -> bool {
         self == BddRef::TRUE
     }
 }

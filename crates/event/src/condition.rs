@@ -154,15 +154,6 @@ impl Condition {
         )
     }
 
-    /// Syntactic implication between conjunctions: `self ⇒ other` holds when
-    /// every literal of `other` appears in `self` (or `self` is inconsistent).
-    pub fn implies(&self, other: &Condition) -> bool {
-        if !self.is_consistent() {
-            return true;
-        }
-        other.literals.iter().all(|lit| self.contains(*lit))
-    }
-
     /// Removes the literals already guaranteed by `context` (used to strip
     /// conditions implied by ancestors). Returns the reduced condition.
     pub fn without_implied_by(&self, context: &Condition) -> Condition {
@@ -348,13 +339,6 @@ mod tests {
         let strong =
             Condition::from_literals(vec![Literal::pos(w1), Literal::neg(w2), Literal::pos(w3)]);
         let weak = Condition::from_literals(vec![Literal::pos(w1), Literal::pos(w3)]);
-        assert!(strong.implies(&weak));
-        assert!(!weak.implies(&strong));
-        assert!(strong.implies(&Condition::always()));
-        // Inconsistent conditions imply everything.
-        let bad = Condition::from_literals(vec![Literal::pos(w1), Literal::neg(w1)]);
-        assert!(bad.implies(&strong));
-
         let reduced = strong.without_implied_by(&weak);
         assert_eq!(reduced, Condition::from_literal(Literal::neg(w2)));
     }

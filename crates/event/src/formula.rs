@@ -5,8 +5,7 @@
 //! conjunctive conditions — and answers it with
 //! [`disjunction_probability`](crate::disjunction_probability) over a
 //! [`Bdd`](crate::Bdd). [`Formula`] is the independent check on that
-//! answer: and/or/not over event literals, evaluated under a valuation
-//! ([`Formula::eval`]) or expanded on one event at a time
+//! answer: and/or/not over event literals, expanded on one event at a time
 //! ([`Formula::probability_shannon`], exponential in the number of distinct
 //! events). The property tests (`tests/bdd_props.rs`), experiment E13 and the
 //! broad-query regression test hold the kernel to it.
@@ -36,7 +35,7 @@ pub enum Formula {
 
 impl Formula {
     /// The formula of a conjunctive condition.
-    pub fn from_condition(condition: &Condition) -> Formula {
+    fn from_condition(condition: &Condition) -> Formula {
         if condition.is_empty() {
             return Formula::True;
         }
@@ -101,7 +100,7 @@ impl Formula {
     }
 
     /// Smart negation constructor.
-    pub fn negate(part: Formula) -> Formula {
+    fn negate(part: Formula) -> Formula {
         match part {
             Formula::True => Formula::False,
             Formula::False => Formula::True,
@@ -134,7 +133,7 @@ impl Formula {
     }
 
     /// Evaluates the formula under a complete valuation.
-    pub fn eval(&self, valuation: &Valuation) -> bool {
+    fn eval(&self, valuation: &Valuation) -> bool {
         match self {
             Formula::True => true,
             Formula::False => false,
@@ -146,7 +145,7 @@ impl Formula {
     }
 
     /// Substitutes a truth value for an event and simplifies.
-    pub fn restrict(&self, event: EventId, value: bool) -> Formula {
+    fn restrict(&self, event: EventId, value: bool) -> Formula {
         match self {
             Formula::True => Formula::True,
             Formula::False => Formula::False,

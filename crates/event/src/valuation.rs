@@ -26,17 +26,10 @@ impl Valuation {
         }
     }
 
-    /// The valuation assigning `true` to every event of `table`.
-    pub fn all_true(table: &EventTable) -> Self {
-        Valuation {
-            values: vec![true; table.len()],
-        }
-    }
-
     /// Builds a valuation from the bits of `mask` over the listed events,
     /// starting from all-false: bit `i` of `mask` gives the value of
     /// `events[i]`.
-    pub fn from_mask(table: &EventTable, events: &[EventId], mask: u64) -> Self {
+    pub(crate) fn from_mask(table: &EventTable, events: &[EventId], mask: u64) -> Self {
         let mut v = Valuation::all_false(table);
         for (i, &event) in events.iter().enumerate() {
             v.set(event, mask & (1 << i) != 0);
@@ -82,16 +75,6 @@ impl Valuation {
                 }
             })
             .product()
-    }
-
-    /// The events assigned `true`.
-    pub fn true_events(&self) -> Vec<EventId> {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, &value)| value)
-            .map(|(index, _)| EventId(index as u32))
-            .collect()
     }
 }
 
@@ -142,7 +125,7 @@ mod tests {
     fn all_false_and_all_true() {
         let (t, w1, w2) = table();
         let f = Valuation::all_false(&t);
-        let tr = Valuation::all_true(&t);
+        let tr = Valuation::from_mask(&t, &[w1, w2], 0b11);
         assert!(!f.get(w1) && !f.get(w2));
         assert!(tr.get(w1) && tr.get(w2));
         assert_eq!(f.len(), 2);
@@ -157,7 +140,6 @@ mod tests {
         v.set(w1, true);
         assert!(v.get(w1));
         assert!(!v.get(w2));
-        assert_eq!(v.true_events(), vec![w1]);
         // Getting an out-of-range event defaults to false; setting grows.
         let far = EventId(10);
         assert!(!v.get(far));

@@ -33,7 +33,7 @@ pub mod trees;
 pub mod updates;
 
 pub use fuzzy::{random_fuzzy_tree, FuzzyGenConfig};
-pub use queries::{derived_query, random_query, QueryGenConfig};
+pub use queries::{derived_query, QueryGenConfig};
 pub use scenarios::{
     extraction_update, people_directory, uncertain_directory, PeopleScenarioConfig,
 };

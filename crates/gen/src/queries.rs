@@ -124,30 +124,6 @@ pub fn derived_query(rng: &mut impl Rng, tree: &Tree, config: &QueryGenConfig) -
     pattern
 }
 
-/// Generates a fully random query over the given label alphabet (it may very
-/// well have no match on any particular document).
-pub fn random_query(rng: &mut impl Rng, labels: &[String], config: &QueryGenConfig) -> Pattern {
-    let label = &labels[rng.gen_range(0..labels.len())];
-    let mut pattern = Pattern::element(label);
-    let mut nodes = vec![pattern.root()];
-    while pattern.len() < config.pattern_nodes {
-        let parent = nodes[rng.gen_range(0..nodes.len())];
-        let axis = if rng.gen_bool(config.descendant_probability) {
-            Axis::Descendant
-        } else {
-            Axis::Child
-        };
-        let label = if rng.gen_bool(config.wildcard_probability) {
-            None
-        } else {
-            Some(labels[rng.gen_range(0..labels.len())].as_str())
-        };
-        let node = pattern.add_child(parent, axis, label);
-        nodes.push(node);
-    }
-    pattern
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,24 +180,6 @@ mod tests {
             // matching.
             assert!(query.validate().is_ok());
             assert!(!query.find_matches(&tree).is_empty());
-        }
-    }
-
-    #[test]
-    fn random_queries_are_well_formed() {
-        let labels: Vec<String> = ["a", "b", "c"].iter().map(|s| s.to_string()).collect();
-        let config = QueryGenConfig {
-            pattern_nodes: 4,
-            ..QueryGenConfig::default()
-        };
-        for seed in 0..5 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let query = random_query(&mut rng, &labels, &config);
-            assert_eq!(query.len(), 4);
-            assert!(query.validate().is_ok());
-            // Round-trips through the textual syntax.
-            let reparsed = Pattern::parse(&query.to_string()).unwrap();
-            assert_eq!(reparsed.to_string(), query.to_string());
         }
     }
 }

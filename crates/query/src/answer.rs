@@ -61,7 +61,7 @@ pub fn evaluate(pattern: &Pattern, tree: &Tree) -> QueryAnswers {
 }
 
 /// Builds the minimal-subtree answer for one match.
-pub fn answer_for(tree: &Tree, matching: Matching) -> MatchAnswer {
+fn answer_for(tree: &Tree, matching: Matching) -> MatchAnswer {
     let mapped = matching.mapped_nodes();
     let answer = steiner_tree(tree, &mapped).expect("a match maps at least one node");
     MatchAnswer { matching, answer }

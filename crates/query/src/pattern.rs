@@ -185,7 +185,7 @@ impl Pattern {
     }
 
     /// The display name of a join variable.
-    pub fn join_name(&self, join: JoinId) -> &str {
+    fn join_name(&self, join: JoinId) -> &str {
         self.join_names
             .get(&join.0)
             .map(|s| s.as_str())

@@ -131,7 +131,8 @@ pub struct RemoteAnswers {
 }
 
 /// The decoded payload of a `stats` frame — a wire-side mirror of
-/// [`pxml_warehouse::WarehouseStats`] plus the derived occupancy.
+/// [`pxml_warehouse::WarehouseStats`] with its durability counters
+/// flattened, plus the derived occupancy.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RemoteStats {
     pub updates_applied: usize,
@@ -365,14 +366,11 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// The pre-sleep backoff durations this policy would use, in order —
-    /// jittered, deterministic for a given seed. Exposed for tests and for
-    /// callers that schedule their own sleeps.
-    pub fn backoffs(&self) -> Vec<Duration> {
+    /// The pre-sleep backoff durations this policy uses, in order —
+    /// jittered, deterministic for a given seed.
+    fn backoffs(&self) -> impl Iterator<Item = Duration> + '_ {
         let mut rng = StdRng::seed_from_u64(self.seed);
-        (0..self.max_retries)
-            .map(|attempt| self.backoff(attempt, &mut rng))
-            .collect()
+        (0..self.max_retries).map(move |attempt| self.backoff(attempt, &mut rng))
     }
 
     fn backoff(&self, attempt: usize, rng: &mut StdRng) -> Duration {
@@ -392,16 +390,15 @@ impl RetryPolicy {
         &self,
         mut operation: impl FnMut() -> Result<T, ClientError>,
     ) -> Result<T, ClientError> {
-        let mut rng = StdRng::seed_from_u64(self.seed);
-        let mut attempt = 0;
+        let mut backoffs = self.backoffs();
         loop {
-            match operation() {
+            let error = match operation() {
                 Ok(value) => return Ok(value),
-                Err(error) if error.is_transient() && attempt < self.max_retries => {
-                    std::thread::sleep(self.backoff(attempt, &mut rng));
-                    attempt += 1;
-                }
-                Err(error) => return Err(error),
+                Err(error) => error,
+            };
+            match backoffs.next() {
+                Some(pause) if error.is_transient() => std::thread::sleep(pause),
+                _ => return Err(error),
             }
         }
     }
@@ -497,8 +494,12 @@ mod tests {
             cap: Duration::from_millis(400),
             seed: 7,
         };
-        let first = policy.backoffs();
-        assert_eq!(first, policy.backoffs(), "same seed, same sleeps");
+        let first: Vec<Duration> = policy.backoffs().collect();
+        assert_eq!(
+            first,
+            policy.backoffs().collect::<Vec<_>>(),
+            "same seed, same sleeps"
+        );
         assert_eq!(first.len(), 6);
         for (attempt, backoff) in first.iter().enumerate() {
             let exp = Duration::from_millis(100)
@@ -509,7 +510,9 @@ mod tests {
         }
         assert_ne!(
             first,
-            RetryPolicy { seed: 8, ..policy }.backoffs(),
+            RetryPolicy { seed: 8, ..policy }
+                .backoffs()
+                .collect::<Vec<_>>(),
             "different seeds must not sleep in lockstep"
         );
     }

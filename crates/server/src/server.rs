@@ -824,11 +824,12 @@ impl ServerInner {
 }
 
 /// The `stats` frame payload: one `<pxml:stats …/>` element. The occupancy
-/// attribute comes from [`pxml_warehouse::WarehouseStats::mean_window_occupancy`],
+/// attribute comes from [`pxml_store::DurabilityStats::mean_window_occupancy`],
 /// which reports `0.0` (not NaN) for tenants that never flushed a grouped
 /// window — fresh sync-policy tenants included.
 fn stats_response(warehouse: &Warehouse) -> RawResponse {
     let stats = warehouse.stats();
+    let durability = stats.durability;
     let quarantined = warehouse.quarantined_documents();
     let quarantined_names = quarantined
         .iter()
@@ -842,12 +843,12 @@ fn stats_response(warehouse: &Warehouse) -> RawResponse {
         .with_attribute("queries_evaluated", stats.queries_evaluated.to_string())
         .with_attribute("simplifications", stats.simplifications.to_string())
         .with_attribute("checkpoints", stats.checkpoints.to_string())
-        .with_attribute("fsyncs", stats.fsyncs.to_string())
-        .with_attribute("grouped_commits", stats.grouped_commits.to_string())
-        .with_attribute("grouped_windows", stats.grouped_windows.to_string())
+        .with_attribute("fsyncs", durability.fsyncs.to_string())
+        .with_attribute("grouped_commits", durability.grouped_commits.to_string())
+        .with_attribute("grouped_windows", durability.grouped_windows.to_string())
         .with_attribute(
             "mean_window_occupancy",
-            format!("{:.4}", stats.mean_window_occupancy()),
+            format!("{:.4}", durability.mean_window_occupancy()),
         );
     let mut xml = String::new();
     element.write_xml(&mut xml, false, 0);

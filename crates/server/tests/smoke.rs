@@ -8,7 +8,10 @@ use std::time::{Duration, Instant};
 
 use pxml_core::UpdateTransaction;
 use pxml_query::Pattern;
-use pxml_server::{Client, ClientError, Server, ServerConfig};
+use pxml_server::frame::{read_response, tag, write_request};
+use pxml_server::{
+    Client, ClientError, RemoteStats, Server, ServerConfig, DEFAULT_MAX_FRAME_BYTES,
+};
 use pxml_store::CommitPolicy;
 use pxml_tree::parse_data_tree;
 
@@ -326,6 +329,57 @@ fn eviction_skips_tenants_held_by_in_flight_requests() {
     let answers = held.query("doc", "person { phone }").unwrap();
     assert_eq!(answers.answers.len(), 1);
     assert!((answers.answers[0].probability - 0.6).abs() < 1e-9);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `STATS` frame is wire format: for a `Grouped` tenant after two
+/// creates and three sync commits, every `pxml:stats` attribute is pinned
+/// by name and value, in order — engine counters, the backend's durability
+/// counters, the `0.0000`-formatted occupancy and the quarantine fields —
+/// and the client decodes exactly those values.
+#[test]
+fn stats_frame_is_pinned_for_a_grouped_tenant() {
+    let dir = scratch("stats-frame");
+    let mut config = ServerConfig::new(&dir);
+    config.session.commit = CommitPolicy::Grouped {
+        window_max_batches: 4,
+        window_max_wait: Duration::from_millis(5),
+    };
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    client.open("people", Some(PEOPLE_XML)).unwrap();
+    client.open("other", Some(PEOPLE_XML)).unwrap();
+    for confidence in [0.5, 0.6, 0.7] {
+        client.commit("people", &phone_batch(confidence)).unwrap();
+    }
+
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    write_request(&mut stream, tag::STATS, "acme", b"").unwrap();
+    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(response.tag, tag::STATS_DATA);
+    assert_eq!(
+        response.text(),
+        "<pxml:stats quarantined_docs=\"0\" quarantined=\"\" updates_applied=\"3\" \
+         queries_evaluated=\"0\" simplifications=\"3\" checkpoints=\"0\" fsyncs=\"3\" \
+         grouped_commits=\"3\" grouped_windows=\"3\" mean_window_occupancy=\"1.0000\"/>"
+    );
+    assert_eq!(
+        client.stats().unwrap(),
+        RemoteStats {
+            updates_applied: 3,
+            queries_evaluated: 0,
+            simplifications: 3,
+            checkpoints: 0,
+            fsyncs: 3,
+            grouped_commits: 3,
+            grouped_windows: 3,
+            mean_window_occupancy: 1.0,
+            quarantined_docs: 0,
+            quarantined: Vec::new(),
+        }
+    );
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -44,8 +44,10 @@ use crate::group::{CommitTicket, DurabilityStats};
 ///   checkpoint + empty journal) — journal batches are never replayed on top
 ///   of a checkpoint that already contains them, and never lost.
 /// * **Reads are torn-free.** [`load_document`](StorageBackend::load_document),
-///   [`read_batches`](StorageBackend::read_batches) and the journal meters
-///   observe some committed state, never a half-written one.
+///   [`read_batches`](StorageBackend::read_batches) and the two journal
+///   meters — [`journal_batches`](StorageBackend::journal_batches) (for
+///   compaction) and [`journal_size_bytes`](StorageBackend::journal_size_bytes)
+///   — observe some committed state, never a half-written one.
 ///
 /// The contract deliberately does **not** require cross-document atomicity or
 /// a global snapshot: the engine's per-document locks provide all ordering
@@ -80,10 +82,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// The committed batches of a document's journal, in commit order.
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError>;
 
-    /// Number of journaled updates awaiting a checkpoint. Backends keep this
-    /// O(1) from journal metadata — it is polled on every commit.
-    fn journal_length(&self, name: &str) -> Result<usize, StoreError>;
-
     /// Number of journaled batches awaiting a checkpoint (O(1); drives
     /// `CompactionPolicy::EveryNBatches`).
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError>;
@@ -97,12 +95,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 
     /// Deletes a document, its checkpoint and its journal.
     fn remove_document(&self, name: &str) -> Result<(), StoreError>;
-
-    /// The directory backing the store, when it has one (`None` for purely
-    /// in-memory backends).
-    fn root_dir(&self) -> Option<&std::path::Path> {
-        None
-    }
 
     /// Durably appends one committed transaction batch and returns once it
     /// is durable: [`append_batch_enqueue`](StorageBackend::append_batch_enqueue)

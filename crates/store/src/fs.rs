@@ -97,7 +97,7 @@ use crate::format::{parse_fuzzy_document, serialize_fuzzy_document_with_epoch};
 use crate::group::{
     CommitPolicy, CommitSlot, CommitTicket, DurabilityStats, GroupCommitter, PendingAppend,
 };
-use crate::journal::{encode_record, parse_batch, EncodedRecord, SoundRecords, TEAR_BYTES};
+use crate::journal::{encode_record, EncodedRecord, SoundRecords, TEAR_BYTES};
 use crate::segment::{parse_segment_name, Cursor, Segments};
 
 /// Default segment roll threshold: once the active segment grows past this
@@ -607,7 +607,7 @@ impl StorageBackend for FsBackend {
             let mut batches = Vec::with_capacity(meta.cursor.batches);
             for path in segments.current_segment_paths(name, meta) {
                 for record in SoundRecords::new(&fs::read(&path)?) {
-                    batches.push(parse_batch(record.payload)?);
+                    batches.push(record.decode()?);
                 }
             }
             Ok(batches)
@@ -668,11 +668,6 @@ impl StorageBackend for FsBackend {
         }
     }
 
-    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        self.segments()
-            .with_loaded(name, |meta| Ok(meta.cursor.updates))
-    }
-
     /// The reset after a failed commit: clears a poisoned group committer
     /// (safe — the failing flush already rolled its unsynced records back)
     /// and drops the document's cached journal cursor, so the next touch
@@ -723,10 +718,6 @@ impl StorageBackend for FsBackend {
     // Inherent too, for the same reason.
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
         FsBackend::journal_size_bytes(self, name)
-    }
-
-    fn root_dir(&self) -> Option<&Path> {
-        Some(self.root())
     }
 }
 
@@ -845,14 +836,13 @@ mod tests {
         let store = FsBackend::open(&dir).unwrap();
         let fuzzy = sample_fuzzy();
         store.save_document("people", &fuzzy).unwrap();
-        assert_eq!(store.journal_length("people").unwrap(), 0);
+        assert_eq!(store.journal_batches("people").unwrap(), 0);
 
         let update = sample_update();
         store
             .append_batch("people", std::slice::from_ref(&update))
             .unwrap();
         store.append_batch("people", &[update]).unwrap();
-        assert_eq!(store.journal_length("people").unwrap(), 2);
         assert_eq!(store.journal_batches("people").unwrap(), 2);
         assert_eq!(store.read_batches("people").unwrap().len(), 2);
         assert!(store.journal_size_bytes("people").unwrap() > 0);
@@ -890,7 +880,7 @@ mod tests {
         store.append_batch("people", &[sample_update()]).unwrap();
         let recovered = store.recover_document("people").unwrap();
         store.checkpoint("people", &recovered).unwrap();
-        assert_eq!(store.journal_length("people").unwrap(), 0);
+        assert_eq!(store.journal_batches("people").unwrap(), 0);
         assert!(segment_files(&dir).is_empty(), "folded segments deleted");
         let text = fs::read_to_string(dir.join("people.pxml")).unwrap();
         assert_eq!(extract_epoch(&text), 1, "checkpoint carries the new epoch");
@@ -931,7 +921,7 @@ mod tests {
         assert!(!store.contains("doc"));
         assert!(store.list_documents().unwrap().is_empty());
         assert!(segment_files(&dir).is_empty());
-        assert_eq!(store.journal_length("doc").unwrap(), 0);
+        assert_eq!(store.journal_batches("doc").unwrap(), 0);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -944,7 +934,7 @@ mod tests {
             .append_batch("people", &[sample_update(), sample_update()])
             .unwrap();
         assert_eq!(store.read_batches("people").unwrap().len(), 1);
-        assert_eq!(store.journal_length("people").unwrap(), 2);
+        assert_eq!(store.read_journal("people").unwrap().len(), 2);
         let recovered = store.recover_document("people").unwrap();
         assert_eq!(recovered.tree().find_elements("email").len(), 2);
         fs::remove_dir_all(dir).unwrap();

@@ -32,9 +32,10 @@
 //! directions: `encode_record` frames a batch (header + payload) into an
 //! `EncodedRecord`, which is all the layers below the append entry point
 //! ever handle; `SoundRecords` is the one borrowing walk over a segment's
-//! whole records, used by replay (payloads) and by `scan_segment` (headers
-//! only — the `update_count` field lets a fresh process rebuild the journal
-//! meters without parsing a payload). A record whose header or payload is
+//! whole records, used by replay (`SoundRecord::decode`, which checks the
+//! payload against the header's `update_count`) and by `scan_segment`
+//! (headers only — a fresh process rebuilds the journal meters without
+//! parsing a payload). A record whose header or payload is
 //! shorter than the header promises is **torn**: the walk ends in front of
 //! it. Which file a record goes to is `segment.rs`'s business, and when it
 //! is fsynced [`crate::fs`]'s.
@@ -183,8 +184,6 @@ pub(crate) const TEAR_BYTES: u64 = 3;
 pub(crate) struct EncodedRecord {
     /// Header + payload, exactly as they land in the segment file.
     pub(crate) bytes: Vec<u8>,
-    /// How many updates the batch holds (the header's `update_count`).
-    pub(crate) updates: usize,
 }
 
 /// Frames one batch as a segment record (header + `<pxml:batch>` payload).
@@ -194,10 +193,7 @@ pub(crate) fn encode_record(batch: &[UpdateTransaction]) -> EncodedRecord {
     bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     bytes.extend_from_slice(&(batch.len() as u32).to_le_bytes());
     bytes.extend_from_slice(payload.as_bytes());
-    EncodedRecord {
-        bytes,
-        updates: batch.len(),
-    }
+    EncodedRecord { bytes }
 }
 
 /// One whole record borrowed from a segment's bytes.
@@ -206,6 +202,22 @@ pub(crate) struct SoundRecord<'a> {
     pub(crate) payload: &'a str,
     /// The header's update count.
     pub(crate) updates: u32,
+}
+
+impl SoundRecord<'_> {
+    /// The record's batch: its payload decoded, refused as corrupt when it
+    /// does not hold as many updates as the header says.
+    pub(crate) fn decode(&self) -> Result<Vec<UpdateTransaction>, StoreError> {
+        let batch = parse_batch(self.payload)?;
+        if batch.len() != self.updates as usize {
+            return Err(StoreError::Format(format!(
+                "journal record holds {} updates but its header says {}",
+                batch.len(),
+                self.updates
+            )));
+        }
+        Ok(batch)
+    }
 }
 
 /// The walk over a segment's sound records, in file order. It ends at the
@@ -249,12 +261,11 @@ impl<'a> Iterator for SoundRecords<'a> {
     }
 }
 
-/// One segment's header walk: record/update counts and the byte length of
-/// the sound prefix.
-#[derive(Debug, Default)]
+/// One segment's header walk: the record count and the byte length of the
+/// sound prefix.
+#[derive(Debug)]
 pub(crate) struct SegmentScan {
     pub(crate) batches: usize,
-    pub(crate) updates: usize,
     /// Bytes of whole records; anything beyond is a torn tail.
     pub(crate) sound_bytes: u64,
     /// Whether bytes follow the sound prefix (a torn tail record).
@@ -271,13 +282,12 @@ pub(crate) fn scan_segment(
     origin: &dyn std::fmt::Display,
 ) -> Result<SegmentScan, StoreError> {
     let mut records = SoundRecords::new(bytes);
-    let mut scan = SegmentScan::default();
-    for record in records.by_ref() {
-        scan.batches += 1;
-        scan.updates += record.updates as usize;
-    }
-    scan.sound_bytes = records.sound_len() as u64;
-    scan.torn = records.sound_len() < bytes.len();
+    let batches = records.by_ref().count();
+    let scan = SegmentScan {
+        batches,
+        sound_bytes: records.sound_len() as u64,
+        torn: records.sound_len() < bytes.len(),
+    };
     if scan.torn && !tail {
         return Err(StoreError::Format(format!(
             "segment {origin} holds a torn record at offset {} but is not the \
@@ -437,7 +447,7 @@ mod tests {
                 for (record, batch) in walk.by_ref().zip(&batches) {
                     assert_eq!(record.payload, serialize_batch(batch));
                     assert_eq!(record.updates as usize, batch.len());
-                    assert_eq!(parse_batch(record.payload).unwrap().len(), batch.len());
+                    assert_eq!(record.decode().unwrap().len(), batch.len());
                     yielded += 1;
                 }
                 assert_eq!(yielded, whole, "{count} records cut at {cut}");
@@ -446,10 +456,6 @@ mod tests {
 
                 let scan = scan_segment(&bytes[..cut], true, &"tail").unwrap();
                 assert_eq!(scan.batches, whole);
-                assert_eq!(
-                    scan.updates,
-                    batches[..whole].iter().map(Vec::len).sum::<usize>()
-                );
                 assert_eq!(scan.sound_bytes, sound as u64);
                 assert_eq!(scan.torn, sound < cut);
             }
@@ -487,6 +493,25 @@ mod tests {
         // No bytes, or fewer than a header.
         assert_eq!(SoundRecords::new(&[]).count(), 0);
         assert_eq!(SoundRecords::new(&good[..7]).count(), 0);
+    }
+
+    /// The header's `update_count` is checked on replay: a whole record
+    /// whose header miscounts its updates walks, but refuses to decode.
+    #[test]
+    fn a_record_whose_header_miscounts_its_updates_refuses_to_decode() {
+        let payload = serialize_batch(&[sample_update()]);
+        for claimed in [0, 2] {
+            let bytes = [
+                header(payload.len() as u32, claimed),
+                payload.clone().into_bytes(),
+            ]
+            .concat();
+            let record = SoundRecords::new(&bytes).next().unwrap();
+            assert!(matches!(record.decode(), Err(StoreError::Format(_))));
+        }
+        let bytes = [header(payload.len() as u32, 1), payload.into_bytes()].concat();
+        let record = SoundRecords::new(&bytes).next().unwrap();
+        assert_eq!(record.decode().unwrap().len(), 1);
     }
 
     /// Appends only ever touch the journal's last segment, so a short record

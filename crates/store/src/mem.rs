@@ -26,7 +26,6 @@ use crate::journal::serialize_batch;
 struct MemDoc {
     checkpoint: FuzzyTree,
     batches: Vec<Vec<UpdateTransaction>>,
-    updates: usize,
     bytes: u64,
 }
 
@@ -92,7 +91,6 @@ impl StorageBackend for MemBackend {
                     MemDoc {
                         checkpoint: fuzzy.clone(),
                         batches: Vec::new(),
-                        updates: 0,
                         bytes: 0,
                     },
                 );
@@ -108,7 +106,6 @@ impl StorageBackend for MemBackend {
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
         CommitTicket::resolved(self.with_doc(name, |doc| {
             doc.bytes += serialize_batch(batch).len() as u64;
-            doc.updates += batch.len();
             doc.batches.push(batch.to_vec());
         }))
     }
@@ -120,10 +117,6 @@ impl StorageBackend for MemBackend {
             // an empty journal.
             None => Ok(Vec::new()),
         }
-    }
-
-    fn journal_length(&self, name: &str) -> Result<usize, StoreError> {
-        Ok(self.docs.lock().get(name).map_or(0, |doc| doc.updates))
     }
 
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
@@ -142,7 +135,6 @@ impl StorageBackend for MemBackend {
         self.with_doc(name, |doc| {
             doc.checkpoint = fuzzy.clone();
             doc.batches.clear();
-            doc.updates = 0;
             doc.bytes = 0;
         })
     }

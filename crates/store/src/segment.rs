@@ -41,8 +41,6 @@ pub(crate) struct Cursor {
     pub(crate) active_len: u64,
     /// Committed batches awaiting a checkpoint.
     pub(crate) batches: usize,
-    /// Journaled updates awaiting a checkpoint.
-    pub(crate) updates: usize,
     /// Total record bytes across the journal's segments.
     pub(crate) bytes: u64,
 }
@@ -241,7 +239,6 @@ impl Segments {
                 file.sync_all()?;
             }
             meta.cursor.batches += scan.batches;
-            meta.cursor.updates += scan.updates;
             meta.cursor.bytes += scan.sound_bytes;
             meta.cursor.active_seq = Some(parsed.seq);
             meta.cursor.active_len = scan.sound_bytes;
@@ -288,7 +285,6 @@ impl Segments {
             cursor.active_len += len;
         }
         cursor.batches += 1;
-        cursor.updates += record.updates;
         cursor.bytes += len;
         Ok(AppendedRecord { file, seq, fresh })
     }

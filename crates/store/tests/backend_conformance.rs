@@ -85,7 +85,6 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     ));
     // An unknown document has an empty journal rather than an error: the
     // engine polls the meters without first checking existence.
-    assert_eq!(backend.journal_length("people").unwrap(), 0);
     assert_eq!(backend.journal_batches("people").unwrap(), 0);
     assert_eq!(backend.journal_size_bytes("people").unwrap(), 0);
     assert!(backend.read_batches("people").unwrap().is_empty());
@@ -106,7 +105,6 @@ fn conformance_suite(backend: &dyn StorageBackend) {
         .append_batch("people", &[tagged_update("b2u1")])
         .unwrap();
     assert_eq!(backend.journal_batches("people").unwrap(), 2);
-    assert_eq!(backend.journal_length("people").unwrap(), 3);
     assert!(backend.journal_size_bytes("people").unwrap() > 0);
     let batches = backend.read_batches("people").unwrap();
     assert_eq!(batches.len(), 2);
@@ -141,7 +139,6 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     // --- checkpoint folds the journal atomically --------------------------
     let folded = backend.recover_document("people").unwrap();
     backend.checkpoint("people", &folded).unwrap();
-    assert_eq!(backend.journal_length("people").unwrap(), 0);
     assert_eq!(backend.journal_batches("people").unwrap(), 0);
     assert_eq!(backend.journal_size_bytes("people").unwrap(), 0);
     assert!(backend.read_batches("people").unwrap().is_empty());
@@ -184,7 +181,7 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     backend.remove_document("people").unwrap();
     assert!(!backend.contains("people"));
     assert_eq!(backend.list_documents().unwrap(), vec!["other"]);
-    assert_eq!(backend.journal_length("people").unwrap(), 0);
+    assert_eq!(backend.journal_batches("people").unwrap(), 0);
     // A same-named re-created document starts clean.
     backend.save_document("people", &sample_fuzzy()).unwrap();
     assert!(backend.read_batches("people").unwrap().is_empty());

@@ -52,7 +52,7 @@ pub struct CanonicalForm(String);
 
 impl CanonicalForm {
     /// Computes the canonical form of a whole tree.
-    pub fn of_tree(tree: &Tree) -> Self {
+    fn of_tree(tree: &Tree) -> Self {
         CanonicalForm(canonical_string(tree))
     }
 

@@ -1,6 +1,6 @@
 //! Minimal connecting subtrees.
 //!
-//! [`steiner_nodes`] / [`steiner_tree`] compute the *minimal subtree* of a
+//! [`steiner_tree`] computes the *minimal subtree* of a
 //! data tree containing a given set of nodes, which is exactly how the paper
 //! defines the answer to a tree-pattern query (slide 6).
 
@@ -13,7 +13,7 @@ use crate::tree::{NodeId, Tree};
 /// common ancestor of the whole set down to that node.
 ///
 /// Returns an empty vector when `nodes` is empty.
-pub fn steiner_nodes(tree: &Tree, nodes: &[NodeId]) -> Vec<NodeId> {
+fn steiner_nodes(tree: &Tree, nodes: &[NodeId]) -> Vec<NodeId> {
     let Some(lca) = tree.lca_of(nodes) else {
         return Vec::new();
     };

@@ -158,6 +158,7 @@ impl Tree {
     }
 
     /// Replaces the label of a node.
+    // lint: allow(unreferenced-pub) — the one single-node mutation.
     pub fn set_label(&mut self, id: NodeId, label: impl Into<Label>) {
         self.slot_mut(id).label = label.into();
     }
@@ -207,7 +208,7 @@ impl Tree {
     }
 
     /// Fallible variant of [`Tree::add_child`].
-    pub fn try_add_child(
+    fn try_add_child(
         &mut self,
         parent: NodeId,
         label: impl Into<Label>,
@@ -282,19 +283,6 @@ impl Tree {
         new_root
     }
 
-    /// Extracts the subtree rooted at `id` as a new, independent tree.
-    pub fn subtree_to_tree(&self, id: NodeId) -> Tree {
-        let mut out = Tree::new(self.label(id).clone());
-        let mut stack: Vec<(NodeId, NodeId)> = vec![(id, out.root())];
-        while let Some((src, dst)) = stack.pop() {
-            for &child in self.children(src) {
-                let copy = out.add_child(dst, self.label(child).clone());
-                stack.push((child, copy));
-            }
-        }
-        out
-    }
-
     /// Iterates over the node ids of the subtree rooted at `id`, in preorder.
     pub fn descendants_or_self(&self, id: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
@@ -358,16 +346,6 @@ impl Tree {
         self.descendants_or_self(id).len()
     }
 
-    /// Returns `true` if `ancestor` is a proper ancestor of `node`.
-    pub fn is_strict_ancestor(&self, ancestor: NodeId, node: NodeId) -> bool {
-        self.ancestors(node).contains(&ancestor)
-    }
-
-    /// Returns `true` if `ancestor` is `node` or one of its proper ancestors.
-    pub fn is_ancestor_or_self(&self, ancestor: NodeId, node: NodeId) -> bool {
-        ancestor == node || self.is_strict_ancestor(ancestor, node)
-    }
-
     /// The lowest common ancestor of two nodes.
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
         let path_a = self.ancestors_or_self(a);
@@ -404,19 +382,6 @@ impl Tree {
                 }
             }
         }
-    }
-
-    /// The concatenation of all text values in the subtree of `id`, sorted
-    /// lexicographically so that the result is deterministic even though the
-    /// tree is unordered.
-    pub fn text_content(&self, id: NodeId) -> String {
-        let mut texts: Vec<&str> = self
-            .descendants_or_self(id)
-            .into_iter()
-            .filter_map(|n| self.label(n).text_value())
-            .collect();
-        texts.sort_unstable();
-        texts.concat()
     }
 
     /// All element nodes whose tag equals `name`.
@@ -719,9 +684,6 @@ mod tests {
         let e = t.find_elements("E")[0];
         let c = t.find_elements("C")[0];
         let d = t.find_elements("D")[0];
-        assert!(t.is_strict_ancestor(e, c));
-        assert!(!t.is_strict_ancestor(c, e));
-        assert!(t.is_ancestor_or_self(c, c));
         assert_eq!(t.lca(c, d), t.root());
         assert_eq!(t.lca(c, e), e);
         assert_eq!(t.lca_of(&[c, d, e]), Some(t.root()));
@@ -735,8 +697,6 @@ mod tests {
         assert_eq!(t.node_value(b), Some("foo"));
         let e = t.find_elements("E")[0];
         assert_eq!(t.node_value(e), None); // its only child is an element
-        let root_value: String = t.text_content(t.root());
-        assert_eq!(root_value, "barfoofoonee"); // sorted text values concatenated
         let txt = t.children(b)[0];
         assert_eq!(t.node_value(txt), Some("foo"));
     }
@@ -753,16 +713,6 @@ mod tests {
         // The copy is deep: mutating the destination does not affect the source.
         dst.remove_subtree(copied).unwrap();
         assert_eq!(src.find_elements("E").len(), 1);
-    }
-
-    #[test]
-    fn subtree_to_tree_extracts_deep_copy() {
-        let t = sample();
-        let d = t.find_elements("D")[0];
-        let sub = t.subtree_to_tree(d);
-        assert_eq!(sub.node_count(), 3);
-        assert_eq!(sub.label(sub.root()).element_name(), Some("D"));
-        assert!(sub.validate().is_ok());
     }
 
     #[test]

@@ -156,24 +156,6 @@ pub enum XmlNode {
     Comment(String),
 }
 
-impl XmlNode {
-    /// Returns the element if this node is one.
-    pub fn as_element(&self) -> Option<&XmlElement> {
-        match self {
-            XmlNode::Element(el) => Some(el),
-            _ => None,
-        }
-    }
-
-    /// Returns the text if this node is character data.
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            XmlNode::Text(text) => Some(text),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -198,18 +180,6 @@ mod tests {
         el.set_attribute("other", "3");
         assert_eq!(el.attribute("k"), Some("2"));
         assert_eq!(el.attributes.len(), 2);
-    }
-
-    #[test]
-    fn node_accessors() {
-        let el = XmlNode::Element(XmlElement::new("x"));
-        let text = XmlNode::Text("hello".into());
-        let comment = XmlNode::Comment("c".into());
-        assert!(el.as_element().is_some());
-        assert!(el.as_text().is_none());
-        assert_eq!(text.as_text(), Some("hello"));
-        assert!(comment.as_element().is_none());
-        assert!(comment.as_text().is_none());
     }
 
     #[test]

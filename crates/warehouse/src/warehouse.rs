@@ -61,8 +61,8 @@
 //! slot count outgrows the live count (see [`Warehouse::commit_batch`]).
 //!
 //! Removal is tombstone-based: [`Warehouse::drop_document`] waits out
-//! in-flight work on the document (its commit mutex), marks the entry
-//! dropped under the state lock and deletes the files, and only then
+//! in-flight work on the document (its commit mutex), deletes the files,
+//! marks the entry dropped under an O(1) state write lock, and only then
 //! unlinks the name from its shard. Every path re-checks the tombstone when
 //! pinning a snapshot, so a caller that resolved the slot before the drop —
 //! or that races a same-name re-create — reports `UnknownDocument` instead
@@ -89,6 +89,13 @@
 //! deletions (the storage trait keeps that one as the reference tests
 //! compare against).
 //!
+//! Every counter has one home. [`Warehouse::stats`] reads the engine's own
+//! atomics (updates, queries, simplifications, checkpoints) and carries the
+//! storage backend's [`DurabilityStats`] (fsync rounds, grouped commits and
+//! windows, and the one window-occupancy rule) as its `durability` field,
+//! unchanged; the journal's meters (batches, for compaction, and bytes)
+//! stay with the backend.
+//!
 //! These rules are not just prose: every lock here carries a
 //! `parking_lot::LockClass` (`Shard`, `DocEntry`, …) and the whole test
 //! battery can run under a lockdep-style order witness with
@@ -113,7 +120,7 @@ use pxml_core::{
     SimplifyReport, UpdateTransaction,
 };
 use pxml_query::Pattern;
-use pxml_store::{CommitTicket, FsBackend, FsOptions, StorageBackend, StoreError};
+use pxml_store::{CommitTicket, DurabilityStats, FsBackend, FsOptions, StorageBackend, StoreError};
 use pxml_tree::Tree;
 
 use crate::session::SessionConfig;
@@ -188,10 +195,9 @@ impl From<CoreError> for WarehouseError {
 /// Running counters exposed by [`Warehouse::stats`].
 ///
 /// The engine counters (updates, queries, simplifications, checkpoints) are
-/// lock-free atomics; the durability counters (fsyncs, grouped commits and
-/// windows) come from the storage backend's equally lock-free
-/// [`durability_stats`](pxml_store::StorageBackend::durability_stats)
-/// snapshot, and stay zero on backends without instrumentation (e.g.
+/// lock-free atomics; `durability` is the storage backend's equally
+/// lock-free [`durability_stats`](pxml_store::StorageBackend::durability_stats)
+/// snapshot, all zero on backends without instrumentation (e.g.
 /// `MemBackend`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarehouseStats {
@@ -203,27 +209,8 @@ pub struct WarehouseStats {
     pub simplifications: usize,
     /// Checkpoints written.
     pub checkpoints: usize,
-    /// Fsync barrier rounds the storage backend issued to its device. A
-    /// grouped window covering many documents counts **one** round — this is
-    /// the quantity group commit divides (E14 asserts it drops below the
-    /// commit count).
-    pub fsyncs: usize,
-    /// Commits acknowledged through a group-commit window.
-    pub grouped_commits: usize,
-    /// Group-commit windows flushed.
-    pub grouped_windows: usize,
-}
-
-impl WarehouseStats {
-    /// Mean commits per flushed group-commit window — the coalescing factor
-    /// achieved (0.0 before any window has flushed).
-    pub fn mean_window_occupancy(&self) -> f64 {
-        if self.grouped_windows == 0 {
-            0.0
-        } else {
-            self.grouped_commits as f64 / self.grouped_windows as f64
-        }
-    }
+    /// Fsync rounds and group-commit windows of the storage backend.
+    pub durability: DurabilityStats,
 }
 
 /// The engine-internal counters behind [`WarehouseStats`]: plain atomics, so
@@ -238,13 +225,13 @@ struct StatsCounters {
 }
 
 impl StatsCounters {
-    fn snapshot(&self) -> WarehouseStats {
+    fn snapshot(&self, durability: DurabilityStats) -> WarehouseStats {
         WarehouseStats {
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             queries_evaluated: self.queries_evaluated.load(Ordering::Relaxed),
             simplifications: self.simplifications.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            ..WarehouseStats::default()
+            durability,
         }
     }
 }
@@ -475,12 +462,6 @@ impl Warehouse {
             .ok_or_else(|| WarehouseError::UnknownDocument(name.to_string()))
     }
 
-    /// The directory backing the warehouse, when its storage backend has one
-    /// (`None` for in-memory backends).
-    pub fn storage_root(&self) -> Option<&Path> {
-        self.store.root_dir()
-    }
-
     /// The names of the loaded documents (sorted). Shard locks are taken one
     /// at a time, so the listing is a point-in-time view per shard, not a
     /// global snapshot.
@@ -527,9 +508,13 @@ impl Warehouse {
     /// Removes a document from the warehouse and from storage.
     ///
     /// Ordering matters: the document's commit mutex is taken *first*
-    /// (waiting out any in-flight commit pipeline), the entry is tombstoned
-    /// under the state lock and its files deleted, and only then — after the
-    /// locks are released — is the name unlinked from its shard. Until the
+    /// (waiting out any in-flight commit pipeline, and excluding writers
+    /// until the drop is done), the files are deleted, the entry is
+    /// tombstoned under an O(1) state write lock, and only then — after the
+    /// locks are released — is the name unlinked from its shard. The state
+    /// lock is never held across the removal's storage I/O (which may flush
+    /// another document's group-commit window), so readers of this document
+    /// and the quarantine listing never wait on it. Until the
     /// unlink, a concurrent `create` of the same name reports
     /// `DuplicateDocument`, so no new document can interleave with the
     /// deletion; afterwards, any caller still holding the old slot sees the
@@ -541,13 +526,11 @@ impl Warehouse {
         let slot = self.slot(name)?;
         {
             let _commit = slot.commit.lock();
-            let mut state = slot.state.write();
-            if state.dropped {
-                // A concurrent drop won the race for the same slot.
-                return Err(WarehouseError::UnknownDocument(name.to_string()));
-            }
+            // A concurrent drop that won the race for the same slot left its
+            // tombstone; the commit mutex keeps it from changing under us.
+            Self::pin(&slot, name)?;
             self.store.remove_document(name)?;
-            state.dropped = true;
+            slot.state.write().dropped = true;
         }
         // The tombstone guarantees this mapping still points at `slot`: a
         // same-name create cannot have replaced it while the name was mapped.
@@ -749,9 +732,10 @@ impl Warehouse {
         self.stats
             .updates_applied
             .fetch_add(batch.len(), Ordering::Relaxed);
+        let simplified = stats.updates.iter().filter(|u| u.simplify.is_some());
         self.stats
             .simplifications
-            .fetch_add(stats.simplify_runs(), Ordering::Relaxed);
+            .fetch_add(simplified.count(), Ordering::Relaxed);
         // Compaction rides the blocking pipeline (the async path skips it,
         // see `commit_batch_async`). The commit mutex is still held, so the
         // save + truncate cannot interleave with another commit's journal
@@ -830,14 +814,6 @@ impl Warehouse {
         policy: Option<SimplifyPolicy>,
     ) -> Result<AsyncCommit, WarehouseError> {
         self.commit(name, batch, policy, false)
-    }
-
-    /// Number of journaled updates a document has accumulated since its last
-    /// compaction — O(1) from the backend's journal meters.
-    pub fn journal_length(&self, name: &str) -> Result<usize, WarehouseError> {
-        let slot = self.slot(name)?;
-        Self::pin(&slot, name)?;
-        Ok(self.store.journal_length(name)?)
     }
 
     /// Serialized size of a document's journal in bytes — O(1) from the
@@ -948,15 +924,9 @@ impl Warehouse {
     }
 
     /// Running counters since the warehouse was opened. Reads atomics only —
-    /// never blocks, and never delays a commit. The durability counters are
-    /// folded in from the storage backend's lock-free snapshot.
+    /// never blocks, and never delays a commit.
     pub fn stats(&self) -> WarehouseStats {
-        let mut stats = self.stats.snapshot();
-        let durability = self.store.durability_stats();
-        stats.fsyncs = durability.fsyncs;
-        stats.grouped_commits = durability.grouped_commits;
-        stats.grouped_windows = durability.grouped_windows;
-        stats
+        self.stats.snapshot(self.store.durability_stats())
     }
 
     /// Drains the storage backend's group-commit pipeline (see
@@ -1077,22 +1047,6 @@ mod tests {
 
     static COUNTER: AtomicU64 = AtomicU64::new(0);
 
-    /// A fresh sync-policy warehouse has flushed no grouped window; the
-    /// stats fold-in must surface `0.0` occupancy (not `0/0 = NaN`) so the
-    /// server's `stats` frame is well-formed on brand-new tenants.
-    #[test]
-    fn fresh_stats_occupancy_is_zero_not_nan() {
-        let stats = WarehouseStats::default();
-        assert_eq!(stats.mean_window_occupancy(), 0.0);
-        let sync_only = WarehouseStats {
-            updates_applied: 5,
-            fsyncs: 5,
-            ..WarehouseStats::default()
-        };
-        assert!(sync_only.mean_window_occupancy().is_finite());
-        assert_eq!(sync_only.mean_window_occupancy(), 0.0);
-    }
-
     fn scratch(label: &str) -> PathBuf {
         std::env::temp_dir().join(format!(
             "pxml-warehouse-test-{}-{}-{}",
@@ -1197,7 +1151,7 @@ mod tests {
         // An extraction module reports a phone number for alice with
         // confidence 0.8.
         let stats = commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
-        assert_eq!(stats.applied_matches(), 1);
+        assert_eq!(stats.updates[0].applied_matches, 1);
 
         let result = warehouse.query("people", &phones).unwrap();
         assert_eq!(result.len(), 1);
@@ -1265,11 +1219,11 @@ mod tests {
         .unwrap();
         warehouse.create_document("people", directory()).unwrap();
         commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
-        assert_eq!(warehouse.journal_length("people").unwrap(), 1);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 1);
         commit_one(&warehouse, "people", &add_phone("bob", 0.9)).unwrap();
         // After the second batch the journal is folded into the checkpoint.
         assert_eq!(warehouse.stats().checkpoints, 1);
-        assert_eq!(warehouse.journal_length("people").unwrap(), 0);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
         let phones = Pattern::parse("person { phone }").unwrap();
         assert_eq!(reopened.query("people", &phones).unwrap().len(), 2);
@@ -1631,6 +1585,59 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// Dropping a document never holds its state lock across storage I/O.
+    /// The removal runs the group-commit barrier, which here flushes another
+    /// document's pending window behind a 300 ms simulated fsync; readers of
+    /// the dropped document keep pinning in O(1) all the while, until the
+    /// tombstone turns their pins into `UnknownDocument`.
+    #[test]
+    fn drop_document_never_stalls_readers_behind_storage_io() {
+        let dir = scratch("drop-no-stall");
+        let backend = FsBackend::with_options(
+            &dir,
+            FsOptions {
+                commit: pxml_store::CommitPolicy::Grouped {
+                    window_max_batches: 64,
+                    window_max_wait: Duration::from_millis(50),
+                },
+                simulated_sync_latency: Duration::from_millis(300),
+                ..FsOptions::default()
+            },
+        )
+        .unwrap();
+        let warehouse = Warehouse::with_backend(Arc::new(backend), plain_config()).unwrap();
+        warehouse.create_document("a", directory()).unwrap();
+        warehouse.create_document("b", directory()).unwrap();
+        // Left pending: the drop's barrier is what flushes this window.
+        let pending = warehouse
+            .commit_batch_async("b", &[add_phone("alice", 0.8)], None)
+            .unwrap();
+        let started = Barrier::new(2);
+        let longest_pin = std::thread::scope(|scope| {
+            let reader = scope.spawn(|| {
+                started.wait();
+                let mut longest = Duration::ZERO;
+                loop {
+                    let pinned_at = std::time::Instant::now();
+                    let pinned = warehouse.snapshot("a");
+                    longest = longest.max(pinned_at.elapsed());
+                    if pinned.is_err() {
+                        return longest;
+                    }
+                }
+            });
+            started.wait();
+            warehouse.drop_document("a").unwrap();
+            reader.join().unwrap()
+        });
+        pending.wait().unwrap();
+        assert!(
+            longest_pin < Duration::from_millis(100),
+            "a reader of the dropped document waited {longest_pin:?} to pin"
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     /// A `Grouped` session config reaches the backend: commits land, the
     /// durability counters flow back through `stats()`, and grouped mode
     /// issues fewer fsync rounds than there were commits once several
@@ -1670,14 +1677,15 @@ mod tests {
         let stats = warehouse.stats();
         let commits = docs * per_doc;
         assert_eq!(stats.updates_applied, commits);
-        assert_eq!(stats.grouped_commits, commits);
-        assert!(stats.grouped_windows >= 1);
+        let durability = stats.durability;
+        assert_eq!(durability.grouped_commits, commits);
+        assert!(durability.grouped_windows >= 1);
         assert!(
-            stats.fsyncs < commits + docs, // + docs: one round per initial save
+            durability.fsyncs < commits + docs, // + docs: one round per initial save
             "grouped windows must coalesce fsyncs: {} rounds for {commits} commits",
-            stats.fsyncs
+            durability.fsyncs
         );
-        assert!(stats.mean_window_occupancy() >= 1.0);
+        assert!(durability.mean_window_occupancy() >= 1.0);
         // Everything recovers: the journals hold exactly the commits.
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
         let phones = Pattern::parse("person { phone }").unwrap();
@@ -1687,6 +1695,28 @@ mod tests {
                 per_doc
             );
         }
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// The durability counters have one home, the backend: `stats()` hands
+    /// its snapshot through whole, and a backend without instrumentation
+    /// reports zeros while the engine's own counters still move.
+    #[test]
+    fn stats_carry_the_backends_durability_snapshot_unchanged() {
+        let dir = scratch("durability-home");
+        let on_disk = Warehouse::with_config(&dir, plain_config()).unwrap();
+        let in_memory =
+            Warehouse::with_backend(Arc::new(pxml_store::MemBackend::new()), plain_config())
+                .unwrap();
+        for warehouse in [&on_disk, &in_memory] {
+            warehouse.create_document("people", directory()).unwrap();
+            commit_one(warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+            let stats = warehouse.stats();
+            assert_eq!(stats.updates_applied, 1);
+            assert_eq!(stats.durability, warehouse.store.durability_stats());
+        }
+        assert!(on_disk.stats().durability.fsyncs >= 1, "the commit's round");
+        assert_eq!(in_memory.stats().durability, DurabilityStats::default());
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1712,7 +1742,7 @@ mod tests {
         // The enqueue is the logical commit point: reads see the batch now.
         assert_eq!(warehouse.query("people", &phones).unwrap().len(), 1);
         let stats = handle.wait().unwrap();
-        assert_eq!(stats.applied_matches(), 1);
+        assert_eq!(stats.updates[0].applied_matches, 1);
         assert_eq!(warehouse.stats().updates_applied, 1);
         // Durable: a reopen replays it.
         drop(warehouse);
@@ -1733,7 +1763,7 @@ mod tests {
             .unwrap();
         assert!(handle.is_durable());
         handle.wait().unwrap();
-        assert_eq!(warehouse.journal_length("people").unwrap(), 1);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 1);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -2191,7 +2221,7 @@ mod tests {
             pxml_store::serialize_fuzzy_document(after.fuzzy(), false),
             bytes
         );
-        assert_eq!(warehouse.journal_length("people").unwrap(), 0);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
         assert_eq!(warehouse.stats().updates_applied, 0);
         assert!(!warehouse.is_quarantined("people"));
     }

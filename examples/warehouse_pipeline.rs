@@ -33,13 +33,7 @@ fn main() {
     warehouse
         .create_document("people", people_directory(&scenario))
         .expect("document created");
-    println!(
-        "warehouse storage: {}",
-        warehouse
-            .storage_root()
-            .expect("the default backend is file-backed")
-            .display()
-    );
+    println!("warehouse storage: {}", storage.display());
 
     // -----------------------------------------------------------------------
     // 2. Three imprecise modules feed the document (slide 3's Module 1..3);

@@ -224,8 +224,12 @@ fn staged_batches_commit_atomically_and_recover() {
             .unwrap();
         let receipt = warehouse.commit_batch("people", &facts, None).unwrap();
         assert_eq!(receipt.len(), 3);
-        assert_eq!(warehouse.journal_length("people").unwrap(), 3);
     }
+    // The batch is one journal record holding all three updates.
+    let journal = FsBackend::open(&dir_batched).unwrap();
+    let batches = journal.read_batches("people").unwrap();
+    assert_eq!(batches.iter().map(Vec::len).collect::<Vec<_>>(), [3]);
+    drop(journal);
     {
         let warehouse = Warehouse::with_config(&dir_single, plain_config()).unwrap();
         warehouse
