@@ -486,6 +486,19 @@ mod tests {
     }
 
     #[test]
+    fn compact_slots_starts_the_rebuilt_document_without_a_label_index() {
+        let mut fuzzy = FuzzyTree::from_tree(parse_data_tree("<r><a><b/></a><a/></r>").unwrap());
+        let first_a = fuzzy.tree().find_elements("a")[0];
+        fuzzy.remove_subtree(first_a).unwrap();
+        fuzzy.tree().label_index();
+        let pinned = fuzzy.clone();
+        assert_eq!(fuzzy.compact_slots(), 2);
+        assert!(fuzzy.tree().built_label_index().is_none());
+        assert!(pinned.tree().built_label_index().is_some());
+        assert_eq!(fuzzy.tree().find_elements("a").len(), 1);
+    }
+
+    #[test]
     fn certain_tree_has_one_world() {
         let tree = parse_data_tree("<a><b>x</b><c/></a>").unwrap();
         let fuzzy = FuzzyTree::from_tree(tree.clone());

@@ -50,8 +50,11 @@ impl QueryAnswers {
 }
 
 /// Evaluates a pattern over a tree: all matches plus their minimal-subtree
-/// answers.
+/// answers. The first query of a snapshot builds the tree's label index,
+/// which every later query of that snapshot (and of its clones, until they
+/// mutate) reuses.
 pub fn evaluate(pattern: &Pattern, tree: &Tree) -> QueryAnswers {
+    tree.label_index();
     let matches = pattern
         .find_matches(tree)
         .into_iter()

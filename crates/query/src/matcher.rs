@@ -1,10 +1,21 @@
 //! Evaluation of TPWJ patterns: finding all matches (homomorphisms).
 //!
-//! The pattern root is seeded from the tree root (anchored patterns) or from
-//! every element in document order; every other pattern node takes its
-//! candidates directly from the image of its parent pattern node (its
-//! children or its descendants), which satisfies the structural edge by
-//! construction. Matches come back in that (document) order.
+//! Pattern nodes are assigned in index order (parents before children) by a
+//! backtracking search, and no candidate list is ever collected:
+//!
+//! - an anchored root has one candidate, the tree root;
+//! - an unanchored root named `X` reads the elements named `X` from the
+//!   tree's [`LabelIndex`](pxml_tree::LabelIndex) when the tree already has
+//!   one, and otherwise — like a wildcard root, always — walks the whole
+//!   tree in preorder on an explicit stack, testing each node as it goes;
+//! - a child edge iterates the borrowed child list of its parent's image,
+//!   and a descendant edge walks the subtree below that image in preorder,
+//!   so the structural edge holds by construction.
+//!
+//! The matcher never builds the index: the query evaluator
+//! ([`crate::answer::evaluate`]) does, once per snapshot, while update
+//! matching only uses an index its snapshot already had. Matches come back
+//! in document order either way.
 
 use pxml_tree::{NodeId, Tree};
 
@@ -36,80 +47,114 @@ impl Matching {
     }
 }
 
-/// Finds every match of `pattern` in `tree`.
+/// Finds every match of `pattern` in `tree`, in document order.
 pub fn find_matches(pattern: &Pattern, tree: &Tree) -> Vec<Matching> {
-    let mut assignment: Vec<Option<NodeId>> = vec![None; pattern.len()];
-    let mut results = Vec::new();
-    assign(pattern, tree, 0, &mut assignment, &mut results);
-    results
+    let mut search = Search {
+        pattern,
+        tree,
+        assignment: vec![None; pattern.len()],
+        stacks: vec![Vec::new(); pattern.len()],
+        results: Vec::new(),
+    };
+    search.assign(0);
+    search.results
 }
 
-fn assign(
-    pattern: &Pattern,
-    tree: &Tree,
-    next: usize,
-    assignment: &mut Vec<Option<NodeId>>,
-    results: &mut Vec<Matching>,
-) {
-    if next == pattern.len() {
-        results.push(Matching {
-            assignments: assignment
-                .iter()
-                .map(|slot| slot.expect("complete assignment"))
-                .collect(),
-        });
-        return;
-    }
-    let pattern_node_id = crate::pattern::PNodeId(next as u32);
-    let pattern_node = pattern.node(pattern_node_id);
+struct Search<'a> {
+    pattern: &'a Pattern,
+    tree: &'a Tree,
+    assignment: Vec<Option<NodeId>>,
+    /// One preorder-walk stack per pattern node, reused across candidates.
+    stacks: Vec<Vec<NodeId>>,
+    results: Vec<Matching>,
+}
 
-    let candidates: Vec<NodeId> = match pattern_node.parent {
-        None if pattern.is_anchored() => vec![tree.root()],
-        None => tree
-            .nodes()
-            .into_iter()
-            .filter(|&n| tree.is_element(n))
-            .collect(),
-        // Non-root: the parent pattern node has an image already (pattern
-        // nodes are created parent-first, so its index is smaller).
-        Some((parent, axis)) => {
-            let parent_image = assignment[parent.index()].expect("parent assigned before child");
-            match axis {
-                Axis::Child => tree.children(parent_image).to_vec(),
-                Axis::Descendant => tree.descendants(parent_image),
+impl<'a> Search<'a> {
+    fn assign(&mut self, next: usize) {
+        if next == self.pattern.len() {
+            self.results.push(Matching {
+                assignments: self
+                    .assignment
+                    .iter()
+                    .map(|slot| slot.expect("complete assignment"))
+                    .collect(),
+            });
+            return;
+        }
+        let tree = self.tree;
+        let spec = self.pattern.node(PNodeId(next as u32));
+        match spec.parent {
+            None if self.pattern.is_anchored() => self.try_candidate(next, tree.root()),
+            None => {
+                let indexed = spec
+                    .label
+                    .as_deref()
+                    .zip(tree.built_label_index())
+                    .map(|(name, index)| index.elements(name));
+                match indexed {
+                    Some(elements) => {
+                        for &candidate in elements {
+                            self.try_candidate(next, candidate);
+                        }
+                    }
+                    None => self.walk(next, &[tree.root()]),
+                }
+            }
+            // Non-root: the parent pattern node has an image already (pattern
+            // nodes are created parent-first, so its index is smaller).
+            Some((parent, axis)) => {
+                let parent_image =
+                    self.assignment[parent.index()].expect("parent assigned before child");
+                let children = tree.children(parent_image);
+                match axis {
+                    Axis::Child => {
+                        for &candidate in children {
+                            self.try_candidate(next, candidate);
+                        }
+                    }
+                    Axis::Descendant => self.walk(next, children),
+                }
             }
         }
-    };
+    }
 
-    for candidate in candidates {
+    /// Tries every node of the subtrees rooted at `roots`, in preorder.
+    fn walk(&mut self, next: usize, roots: &[NodeId]) {
+        let mut stack = std::mem::take(&mut self.stacks[next]);
+        stack.extend(roots.iter().rev());
+        while let Some(node) = stack.pop() {
+            self.try_candidate(next, node);
+            // Reversed, so that preorder follows insertion order.
+            stack.extend(self.tree.children(node).iter().rev());
+        }
+        self.stacks[next] = stack;
+    }
+
+    fn try_candidate(&mut self, next: usize, candidate: NodeId) {
+        let pattern = self.pattern;
+        let tree = self.tree;
+        let pattern_node_id = PNodeId(next as u32);
         if !node_satisfies_tests(pattern, pattern_node_id, tree, candidate) {
-            continue;
+            return;
         }
         // Join constraints against already-assigned members of the group.
-        if let Some(join) = pattern_node.join {
-            let candidate_value = tree.node_value(candidate);
-            if candidate_value.is_none() {
-                continue;
-            }
-            let mut consistent = true;
-            for other in pattern.node_ids() {
-                if other == pattern_node_id || pattern.node(other).join != Some(join) {
-                    continue;
-                }
-                if let Some(other_image) = assignment[other.index()] {
-                    if tree.node_value(other_image) != candidate_value {
-                        consistent = false;
-                        break;
-                    }
-                }
-            }
+        if let Some(join) = pattern.node(pattern_node_id).join {
+            let Some(candidate_value) = tree.node_value(candidate) else {
+                return;
+            };
+            let consistent = pattern.node_ids().all(|other| {
+                other == pattern_node_id
+                    || pattern.node(other).join != Some(join)
+                    || self.assignment[other.index()]
+                        .is_none_or(|image| tree.node_value(image) == Some(candidate_value))
+            });
             if !consistent {
-                continue;
+                return;
             }
         }
-        assignment[next] = Some(candidate);
-        assign(pattern, tree, next + 1, assignment, results);
-        assignment[next] = None;
+        self.assignment[next] = Some(candidate);
+        self.assign(next + 1);
+        self.assignment[next] = None;
     }
 }
 

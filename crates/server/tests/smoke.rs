@@ -279,6 +279,95 @@ fn lru_evicts_idle_tenants_and_reopens_them() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The payload of an `ANSWERS` response, byte for byte.
+fn answers_payload(addr: std::net::SocketAddr, tenant: &str, doc: &str, pattern: &str) -> String {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let payload = format!("{doc}\n{pattern}");
+    write_request(&mut stream, tag::QUERY, tenant, payload.as_bytes()).unwrap();
+    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(response.tag, tag::ANSWERS, "{}", response.text());
+    response.text()
+}
+
+/// A query builds its snapshot's label index; nothing a client can read
+/// depends on it. `warm` gets every query, `cold` the same commits and no
+/// query before its bytes are read, so `cold` serves from snapshots that
+/// never had an index. Their `SNAPSHOT` and `ANSWERS` bytes agree after a
+/// warming query, after a commit (whose clone inherits the index until it
+/// mutates), after an LRU eviction and after a server restart.
+#[test]
+fn warming_the_label_index_changes_no_served_byte() {
+    let dir = scratch("label-index");
+    let mut config = ServerConfig::new(&dir);
+    config.max_tenants = 2;
+    let patterns = [
+        "person { phone }",
+        "//phone",
+        "contact { phone, email }",
+        "*",
+    ];
+    let cold_answers = |server: &Server| -> Vec<String> {
+        // Read the snapshot first, so the bytes come from an unqueried one.
+        let snapshot = common::snapshot_payload(server.local_addr(), "cold", "doc");
+        let mut bytes = vec![snapshot];
+        for pattern in patterns {
+            bytes.push(answers_payload(server.local_addr(), "cold", "doc", pattern));
+        }
+        bytes
+    };
+    let warm_answers = |server: &Server| -> Vec<String> {
+        let mut bytes = Vec::new();
+        for _ in 0..2 {
+            for pattern in patterns {
+                answers_payload(server.local_addr(), "warm", "doc", pattern);
+            }
+        }
+        bytes.push(common::snapshot_payload(server.local_addr(), "warm", "doc"));
+        for pattern in patterns {
+            bytes.push(answers_payload(server.local_addr(), "warm", "doc", pattern));
+        }
+        bytes
+    };
+    let commit_both = |server: &Server, batch: &[UpdateTransaction]| {
+        for tenant in ["warm", "cold"] {
+            let mut client = Client::connect(server.local_addr(), tenant).unwrap();
+            client.commit("doc", batch).unwrap();
+        }
+    };
+
+    let server = Server::start(config.clone()).unwrap();
+    for tenant in ["warm", "cold"] {
+        let mut client = Client::connect(server.local_addr(), tenant).unwrap();
+        client.open("doc", Some(PEOPLE_XML)).unwrap();
+    }
+    for batch in common::extract_then_clean(3) {
+        // The warm tenant's commits clone an indexed snapshot.
+        warm_answers(&server);
+        commit_both(&server, &batch);
+    }
+    commit_both(&server, &phone_batch(0.5));
+    let before = warm_answers(&server);
+    assert_eq!(before, cold_answers(&server), "after commits");
+
+    // A third tenant evicts the least recently used one, `warm`; warm's
+    // reopen then evicts `cold`, whose reopen evicts `other`. A reopen
+    // restarts the commit sequence, so both are compared reopened.
+    let mut other = Client::connect(server.local_addr(), "other").unwrap();
+    other.open("doc", Some(PEOPLE_XML)).unwrap();
+    assert!(!server.resident_tenants().contains(&"warm".to_string()));
+    let evicted = warm_answers(&server);
+    assert!(!server.resident_tenants().contains(&"cold".to_string()));
+    assert_eq!(evicted, cold_answers(&server), "after LRU evictions");
+    assert_eq!(evicted[0], before[0], "the snapshot survives eviction");
+    server.shutdown();
+
+    let server = Server::start(config).unwrap();
+    assert_eq!(warm_answers(&server), evicted, "after a restart");
+    assert_eq!(cold_answers(&server), evicted, "after a restart");
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A tenant with a request in flight is never an eviction victim, even
 /// when it is the LRU-oldest: busyness is judged by `Arc` holders of the
 /// tenant entry (which a request takes before it even enters the tenant's

@@ -50,5 +50,5 @@ pub use convert::{data_tree_to_xml, parse_data_tree, write_data_tree, xml_to_dat
 pub use error::{TreeError, XmlError};
 pub use iso::{canonical_string, isomorphism_classes, subtree_canonical_string, CanonicalForm};
 pub use label::Label;
-pub use tree::{NodeId, Tree, MAX_NESTING_DEPTH, MAX_TREE_DEPTH};
+pub use tree::{LabelIndex, NodeId, Tree, MAX_NESTING_DEPTH, MAX_TREE_DEPTH};
 pub use xml::{XmlDocument, XmlElement, XmlNode};

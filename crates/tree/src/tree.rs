@@ -5,9 +5,17 @@
 //! deterministic traversal, but the *semantics* of the data model is
 //! unordered: equality between trees and subtrees is unordered isomorphism
 //! (see [`crate::iso`]).
+//!
+//! A tree may carry a [`LabelIndex`] — its element nodes grouped by name,
+//! in document order. The index is built lazily by the first caller of
+//! [`Tree::label_index`] (the query evaluator), shared by every clone, and
+//! dropped by the first mutation, so it always describes exactly the nodes
+//! of the tree that holds it. It is never serialized and takes no part in
+//! equality.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::chunk::ChunkedVec;
 use crate::error::TreeError;
@@ -74,11 +82,100 @@ struct Slot {
 /// chunk with the original. Mutations copy only the chunks they touch
 /// (copy-on-write); [`Tree::chunk_copies`] exposes how many chunk copies a
 /// sequence of mutations actually paid for.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Tree {
     nodes: ChunkedVec<Slot>,
     root: NodeId,
     alive: usize,
+    /// Built by [`Tree::label_index`], shared by clones, dropped by
+    /// [`Tree::slot_mut`].
+    index: OnceLock<Arc<LabelIndex>>,
+}
+
+impl fmt::Debug for Tree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Tree")
+            .field("nodes", &self.nodes)
+            .field("root", &self.root)
+            .field("alive", &self.alive)
+            .finish()
+    }
+}
+
+/// The element nodes of one tree grouped by name, each group in document
+/// (pre)order: what "the elements named X" means, computed by one walk.
+///
+/// Every group sits back to back in one id vector; a table sorted by name
+/// maps a name to its group's range.
+#[derive(Debug)]
+pub struct LabelIndex {
+    /// The distinct element names, concatenated in sorted order.
+    names: String,
+    /// `(start of the name in names, start of its group in nodes)`, one
+    /// entry per name plus a closing `(names.len(), nodes.len())`, so entry
+    /// `i` spans `starts[i]..starts[i + 1]`.
+    starts: Vec<(u32, u32)>,
+    nodes: Vec<NodeId>,
+}
+
+impl LabelIndex {
+    fn build(tree: &Tree) -> LabelIndex {
+        let mut named: Vec<(&str, NodeId)> = Vec::new();
+        let mut stack = vec![tree.root];
+        while let Some(node) = stack.pop() {
+            let slot = tree.slot(node);
+            if let Some(name) = slot.label.element_name() {
+                named.push((name, node));
+            }
+            stack.extend(slot.children.iter().rev());
+        }
+        // Stable: each group keeps document order.
+        named.sort_by(|a, b| a.0.cmp(b.0));
+        let mut index = LabelIndex {
+            names: String::new(),
+            starts: Vec::new(),
+            nodes: Vec::with_capacity(named.len()),
+        };
+        for group in named.chunk_by(|a, b| a.0 == b.0) {
+            index.push_start();
+            index.names.push_str(group[0].0);
+            index.nodes.extend(group.iter().map(|&(_, node)| node));
+        }
+        index.push_start();
+        index
+    }
+
+    fn push_start(&mut self) {
+        // Node ids are u32, and names are bounded by the nodes carrying them.
+        self.starts
+            .push((self.names.len() as u32, self.nodes.len() as u32));
+    }
+
+    fn name(&self, i: usize) -> &str {
+        &self.names[self.starts[i].0 as usize..self.starts[i + 1].0 as usize]
+    }
+
+    /// The element nodes named `name`, in document order.
+    pub fn elements(&self, name: &str) -> &[NodeId] {
+        let (mut low, mut high) = (0, self.starts.len() - 1);
+        while low < high {
+            let mid = (low + high) / 2;
+            match self.name(mid).cmp(name) {
+                std::cmp::Ordering::Less => low = mid + 1,
+                std::cmp::Ordering::Greater => high = mid,
+                std::cmp::Ordering::Equal => {
+                    return &self.nodes
+                        [self.starts[mid].1 as usize..self.starts[mid + 1].1 as usize]
+                }
+            }
+        }
+        &[]
+    }
+
+    /// The distinct element names, sorted.
+    pub fn names(&self) -> impl Iterator<Item = &str> {
+        (0..self.starts.len() - 1).map(|i| self.name(i))
+    }
 }
 
 impl Tree {
@@ -97,6 +194,7 @@ impl Tree {
             nodes,
             root: NodeId(0),
             alive: 1,
+            index: OnceLock::new(),
         }
     }
 
@@ -140,7 +238,10 @@ impl Tree {
         slot
     }
 
+    /// The one door to a mutable slot, so it drops the label index: every
+    /// mutation passes here before it changes a node.
     fn slot_mut(&mut self, id: NodeId) -> &mut Slot {
+        self.index.take();
         let slot = self
             .nodes
             .get_mut(id.index())
@@ -297,13 +398,6 @@ impl Tree {
         out
     }
 
-    /// Iterates over the proper descendants of `id`, in preorder.
-    pub fn descendants(&self, id: NodeId) -> Vec<NodeId> {
-        let mut all = self.descendants_or_self(id);
-        all.remove(0);
-        all
-    }
-
     /// All live nodes of the tree, in preorder from the root.
     pub fn nodes(&self) -> Vec<NodeId> {
         self.descendants_or_self(self.root)
@@ -384,24 +478,33 @@ impl Tree {
         }
     }
 
-    /// All element nodes whose tag equals `name`.
+    /// All element nodes whose tag equals `name`, in document order (from
+    /// the label index, built now if the tree has none).
     pub fn find_elements(&self, name: &str) -> Vec<NodeId> {
-        self.nodes()
-            .into_iter()
-            .filter(|&n| self.label(n).element_name() == Some(name))
-            .collect()
+        self.label_index().elements(name).to_vec()
     }
 
-    /// All element tag names occurring in the tree, deduplicated and sorted.
+    /// All element tag names occurring in the tree, deduplicated and sorted
+    /// (from the label index, built now if the tree has none).
     pub fn element_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .nodes()
-            .into_iter()
-            .filter_map(|n| self.label(n).element_name().map(|s| s.to_string()))
-            .collect();
-        names.sort();
-        names.dedup();
-        names
+        self.label_index().names().map(str::to_string).collect()
+    }
+
+    /// The label index of this tree, built by one preorder walk if neither
+    /// this tree nor the tree it was cloned from has one since its last
+    /// mutation. Concurrent first callers get the same index.
+    pub fn label_index(&self) -> &LabelIndex {
+        self.index.get_or_init(|| Arc::new(LabelIndex::build(self)))
+    }
+
+    /// The label index if one is already built; never builds it.
+    pub fn built_label_index(&self) -> Option<&LabelIndex> {
+        self.index.get().map(|index| &**index)
+    }
+
+    #[cfg(test)]
+    fn shared_label_index(&self) -> Option<&Arc<LabelIndex>> {
+        self.index.get()
     }
 
     /// Produces a compacted copy of this tree containing only live nodes,
@@ -660,7 +763,7 @@ mod tests {
         assert_eq!(all[0], t.root());
         let e = t.find_elements("E")[0];
         assert_eq!(t.descendants_or_self(e).len(), 3);
-        assert_eq!(t.descendants(e).len(), 2);
+        assert_eq!(t.descendants_or_self(e)[0], e);
     }
 
     #[test]
@@ -816,6 +919,77 @@ mod tests {
         t.add_text(t.root(), "v");
         t.add_text(t.root(), "w");
         assert!(t.check_data_model().is_err());
+    }
+
+    #[test]
+    fn racing_first_queries_share_one_index() {
+        let t = sample();
+        let barrier = std::sync::Barrier::new(2);
+        let [a, b] = std::thread::scope(|scope| {
+            let race = || {
+                scope.spawn(|| {
+                    barrier.wait();
+                    t.label_index();
+                    Arc::clone(t.shared_label_index().unwrap())
+                })
+            };
+            [race(), race()].map(|handle| handle.join().unwrap())
+        });
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, t.shared_label_index().unwrap()));
+    }
+
+    #[test]
+    fn a_clone_shares_the_index_and_its_first_mutation_drops_it() {
+        let t = sample();
+        assert!(t.built_label_index().is_none(), "built lazily");
+        assert_eq!(t.find_elements("B").len(), 2);
+        let shared = Arc::clone(t.shared_label_index().unwrap());
+        let e = t.find_elements("E")[0];
+        type Mutator = (&'static str, fn(&mut Tree, NodeId));
+        let mutators: [Mutator; 4] = [
+            ("add_child", |c, e| {
+                c.add_child(e, "B");
+            }),
+            ("remove_subtree", |c, e| c.remove_subtree(e).unwrap()),
+            ("set_label", |c, e| c.set_label(e, "B")),
+            ("copy_subtree_from", |c, e| {
+                let source = sample();
+                c.copy_subtree_from(e, &source, source.root());
+            }),
+        ];
+        for (name, mutate) in mutators {
+            let mut clone = t.clone();
+            assert!(Arc::ptr_eq(clone.shared_label_index().unwrap(), &shared));
+            mutate(&mut clone, e);
+            assert!(clone.built_label_index().is_none(), "{name} kept the index");
+            // Rebuilt on demand, from the mutated nodes.
+            for label in ["A", "B", "C", "E"] {
+                let scanned: Vec<NodeId> = clone
+                    .nodes()
+                    .into_iter()
+                    .filter(|&n| clone.label(n).element_name() == Some(label))
+                    .collect();
+                assert_eq!(clone.find_elements(label), scanned, "{name}: {label}");
+            }
+            assert!(Arc::ptr_eq(t.shared_label_index().unwrap(), &shared));
+        }
+        assert_eq!(t.find_elements("B").len(), 2);
+    }
+
+    #[test]
+    fn the_index_lists_elements_by_name_in_document_order() {
+        let mut t = Tree::new("r");
+        let late = t.add_element(t.root(), "x");
+        let early = t.add_element(t.root(), "y");
+        let nested = t.add_element(early, "x");
+        t.add_text(nested, "v");
+        // Ids grow with insertion; the index follows the tree instead.
+        let moved = t.add_element(late, "x");
+        assert_eq!(t.find_elements("x"), [late, moved, nested]);
+        assert!(t.find_elements("v").is_empty(), "text is not an element");
+        assert!(t.find_elements("z").is_empty());
+        assert_eq!(t.element_names(), ["r", "x", "y"]);
     }
 
     #[test]

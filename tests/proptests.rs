@@ -440,7 +440,7 @@ proptest! {
         event_choice in 0usize..4,
     ) {
         let original = hostile(&fuzzy, &pool);
-        let nodes = original.tree().descendants(original.root());
+        let nodes = &original.tree().descendants_or_self(original.root())[1..];
         if !nodes.is_empty() {
             let node = nodes[node_choice % nodes.len()];
             let event = original.events().ids().nth(event_choice).unwrap();
