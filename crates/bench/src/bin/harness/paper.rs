@@ -6,8 +6,9 @@ use std::time::Instant;
 
 use pxml_bench::{
     cleaning_history, deletion_growth_document, deletion_growth_step, document, fuzzy_document,
-    header, insert_update_for, ms, query_for, slide12, time_it, update_for, Scratch, BENCH_SEED,
+    header, insert_update_for, ms, query_for, time_it, update_for, Scratch, BENCH_SEED,
 };
+use pxml_core::fuzzy::slide12_example;
 use pxml_core::{
     encode_possible_worlds, FuzzyTree, PossibleWorlds, Simplifier, SimplifyPolicy,
     UpdateTransaction,
@@ -54,7 +55,7 @@ pub fn e1_possible_worlds_example(_quick: bool) {
 
 pub fn e2_expressiveness(quick: bool) {
     header("E2", "fuzzy-tree semantics and expressiveness (slide 12)");
-    let fuzzy = slide12();
+    let fuzzy = slide12_example();
     let worlds = fuzzy.to_possible_worlds().unwrap();
     println!("{:<22} {:>12} {:>12}", "world", "paper P", "measured P");
     for (xml, expected) in [

@@ -395,7 +395,6 @@ pub fn e18_chaos_sweep(quick: bool) {
             },
             simulated_sync_latency: E18_FSYNC_LATENCY,
             fault: Some(plan.clone()),
-            ..FsOptions::default()
         };
         let warehouse = warehouse_over(scratch.path(), options);
         for t in 0..threads {

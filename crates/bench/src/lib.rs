@@ -169,27 +169,6 @@ pub fn insert_update_for(tree: &Tree, seed: u64) -> UpdateTransaction {
     )
 }
 
-/// The slide-12 example document.
-pub fn slide12() -> FuzzyTree {
-    let mut fuzzy = FuzzyTree::new("A");
-    let w1 = fuzzy.add_event("w1", 0.8).expect("fresh table");
-    let w2 = fuzzy.add_event("w2", 0.7).expect("fresh table");
-    let root = fuzzy.root();
-    let b = fuzzy.add_element(root, "B");
-    fuzzy
-        .set_condition(
-            b,
-            Condition::from_literals([Literal::pos(w1), Literal::neg(w2)]),
-        )
-        .expect("not the root");
-    fuzzy.add_element(root, "C");
-    let d = fuzzy.add_element(root, "D");
-    fuzzy
-        .set_condition(d, Condition::from_literal(Literal::pos(w2)))
-        .expect("not the root");
-    fuzzy
-}
-
 /// The document used by the deletion-growth experiment (E5): a root with
 /// `rounds` independent uncertain `B_k` children and a single `C` child.
 pub fn deletion_growth_document(rounds: usize) -> FuzzyTree {

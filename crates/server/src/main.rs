@@ -4,14 +4,17 @@
 //! the runbook.
 
 use std::io::BufRead;
+use std::num::{NonZeroU32, NonZeroU64};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 use pxml_server::{Server, ServerConfig};
 use pxml_store::CommitPolicy;
 
 const USAGE: &str = "usage: pxml-server --root <dir> [--addr <host:port>] [--max-tenants <n>]\n\
-    [--tenant-inflight <n>] [--global-inflight <n>] [--admission-timeout-ms <ms>] [--grouped]\n\
+    [--tenant-inflight <n>] [--global-inflight <n>] [--admission-timeout-ms <ms>]\n\
+    [--idle-timeout-ms <ms>] [--max-frame-bytes <n>] [--grouped]\n\
 \n\
 Serves the probabilistic XML warehouse over the length-prefixed wire\n\
 protocol (README \"Serving\"). Runs until stdin reaches EOF or reads a\n\
@@ -33,18 +36,19 @@ fn main() -> ExitCode {
                 root_set = true;
             }),
             "--addr" => value("--addr").map(|v| config.addr = v),
-            "--max-tenants" => parse_usize(&mut value, "--max-tenants", &mut config.max_tenants),
-            "--tenant-inflight" => {
-                parse_usize(&mut value, "--tenant-inflight", &mut config.tenant_inflight)
+            "--max-tenants" => parse(&mut value, &arg).map(|n| config.max_tenants = n),
+            "--tenant-inflight" => parse(&mut value, &arg).map(|n| config.tenant_inflight = n),
+            "--global-inflight" => parse(&mut value, &arg).map(|n| config.global_inflight = n),
+            "--admission-timeout-ms" => parse(&mut value, &arg)
+                .map(|ms| config.admission_timeout = Duration::from_millis(ms)),
+            // Zero is refused for these two: a zero socket timeout is not
+            // accepted by the OS (the deadline would silently be off), and a
+            // zero frame cap refuses every request.
+            "--idle-timeout-ms" => parse(&mut value, &arg)
+                .map(|ms: NonZeroU64| config.idle_timeout = Duration::from_millis(ms.get())),
+            "--max-frame-bytes" => {
+                parse(&mut value, &arg).map(|n: NonZeroU32| config.max_frame_bytes = n.get())
             }
-            "--global-inflight" => {
-                parse_usize(&mut value, "--global-inflight", &mut config.global_inflight)
-            }
-            "--admission-timeout-ms" => value("--admission-timeout-ms").and_then(|v| {
-                v.parse::<u64>()
-                    .map(|ms| config.admission_timeout = Duration::from_millis(ms))
-                    .map_err(|_| format!("bad --admission-timeout-ms value `{v}`"))
-            }),
             "--grouped" => {
                 config.session.commit = CommitPolicy::grouped();
                 Ok(())
@@ -88,13 +92,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn parse_usize(
+/// The value after `flag`, parsed.
+fn parse<T: FromStr>(
     value: &mut impl FnMut(&str) -> Result<String, String>,
     flag: &str,
-    slot: &mut usize,
-) -> Result<(), String> {
+) -> Result<T, String> {
     let v = value(flag)?;
-    v.parse::<usize>()
-        .map(|parsed| *slot = parsed)
-        .map_err(|_| format!("bad {flag} value `{v}`"))
+    v.parse().map_err(|_| format!("bad {flag} value `{v}`"))
 }

@@ -238,31 +238,12 @@ fn populate(fuzzy: &mut FuzzyTree, node: NodeId, element: &XmlElement) -> Result
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pxml_core::fuzzy::slide12_example;
     use pxml_event::Literal;
-
-    fn slide12() -> FuzzyTree {
-        let mut fuzzy = FuzzyTree::new("A");
-        let w1 = fuzzy.add_event("w1", 0.8).unwrap();
-        let w2 = fuzzy.add_event("w2", 0.7).unwrap();
-        let root = fuzzy.root();
-        let b = fuzzy.add_element(root, "B");
-        fuzzy
-            .set_condition(
-                b,
-                Condition::from_literals([Literal::pos(w1), Literal::neg(w2)]),
-            )
-            .unwrap();
-        fuzzy.add_element(root, "C");
-        let d = fuzzy.add_element(root, "D");
-        fuzzy
-            .set_condition(d, Condition::from_literal(Literal::pos(w2)))
-            .unwrap();
-        fuzzy
-    }
 
     #[test]
     fn serialization_contains_expected_markup() {
-        let text = serialize_fuzzy_document(&slide12(), true);
+        let text = serialize_fuzzy_document(&slide12_example(), true);
         assert!(text.contains("<pxml:document"));
         assert!(text.contains("<pxml:event name=\"w1\" probability=\"0.8\"/>"));
         assert!(text.contains("pxml:cond=\"w1 !w2\""));
@@ -271,7 +252,7 @@ mod tests {
 
     #[test]
     fn round_trip_preserves_semantics() {
-        let original = slide12();
+        let original = slide12_example();
         let text = serialize_fuzzy_document(&original, true);
         let reparsed = parse_fuzzy_document(&text).unwrap();
         assert_eq!(reparsed.event_count(), 2);

@@ -6,8 +6,12 @@
 //! ```text
 //! dir/
 //!   <name>.pxml                   -- last checkpoint (PrXML; carries pxml:epoch)
-//!   <name>.journal.<e>.<s>.seg    -- journal segment: epoch <e>, sequence <s>
+//!   <name>.journal.<e>.0.seg      -- the journal of checkpoint epoch <e>
 //! ```
+//!
+//! A document keeps exactly one journal file per checkpoint epoch; a fold
+//! starts the next epoch's file. The `.0` in the name is a sequence number
+//! that is always zero (see `segment.rs`).
 //!
 //! # Who owns what
 //!
@@ -20,8 +24,7 @@
 //! * `segment.rs` — the **per-document segment state**: file naming, the
 //!   journal cursor behind each document's write mutex, the one-time load
 //!   that rebuilds it from disk (dropping stale-epoch segments, truncating a
-//!   torn tail), writing one record with the roll rule, and undoing records
-//!   no fsync covered;
+//!   torn tail), writing one record, and undoing records no fsync covered;
 //! * this module — the **backend**: options, the open-time sweep,
 //!   checkpoints, the fsync round, the two append arms and the
 //!   [`StorageBackend`] implementation.
@@ -34,10 +37,9 @@
 //! # Appends
 //!
 //! An append ([`FsBackend::append_batch_enqueue`]; [`FsBackend::append_batch`]
-//! is that call plus the wait on its ticket) adds one record to the
-//! highest-sequence segment of the current epoch (rolling to a new sequence
-//! number once the active segment exceeds the roll threshold) and fsyncs it,
-//! alone or inside a group-commit window — commit cost is **O(batch)**,
+//! is that call plus the wait on its ticket) adds one record to the end of
+//! the current epoch's journal file and fsyncs it, alone or inside a
+//! group-commit window — commit cost is **O(batch)**,
 //! independent of how many batches the journal already holds. The two arms
 //! stay two on purpose: the synchronous one holds the document's meta lock
 //! across its own fsync (a failed round rolls back exactly its record; were
@@ -48,14 +50,12 @@
 //!
 //! # Crash recovery
 //!
-//! Recovery replays the checkpoint plus the records of every segment of the
-//! checkpoint's **epoch**, in (sequence, offset) order:
+//! Recovery replays the checkpoint plus the records of the journal file of
+//! the checkpoint's **epoch**, in file order:
 //!
 //! * a **torn tail record** (the process died mid-append: a short header or
-//!   fewer payload bytes than the length prefix promises) is detected in the
-//!   highest-sequence segment, discarded and truncated away — the batch never
-//!   reached its commit point. A short record *before* the tail is real
-//!   corruption and reported as an error;
+//!   fewer payload bytes than the length prefix promises) is discarded and
+//!   truncated away — the batch never reached its commit point;
 //! * a **compaction** ([`FsBackend::checkpoint`]) writes the new checkpoint
 //!   (tmp + rename, stamped with `epoch + 1`) and only then deletes the
 //!   folded segments. The rename is the single commit point: a crash in
@@ -65,10 +65,13 @@
 //! [`FsBackend::open`] also sweeps stale debris: `.tmp` staging files of
 //! checkpoints/compactions that never reached their rename, and orphaned
 //! segment files whose checkpoint is gone (the remains of a document removal
-//! killed halfway). Segment records are the **only** journal layout it reads:
-//! a root holding a pre-segment monolithic `<name>.journal` beside a live
-//! `<name>.pxml` is refused with a typed [`StoreError::Format`] rather than
-//! opened with that journal silently ignored.
+//! killed halfway). One segment file per epoch is the **only** journal layout
+//! it reads: a root holding a pre-segment monolithic `<name>.journal` beside
+//! a live `<name>.pxml` is refused at open, and a current-epoch segment with
+//! a nonzero sequence (a journal an earlier build rolled into several files)
+//! at the document's first touch — each with a typed [`StoreError::Format`]
+//! naming the file, which stays in place, rather than opened with that
+//! journal silently ignored.
 //!
 //! # Concurrency
 //!
@@ -100,20 +103,11 @@ use crate::group::{
 use crate::journal::{encode_record, EncodedRecord, SoundRecords, TEAR_BYTES};
 use crate::segment::{parse_segment_name, Cursor, Segments};
 
-/// Default segment roll threshold: once the active segment grows past this
-/// many bytes, the next append starts a new segment file. Bounding the
-/// active segment bounds the per-append fsync work (on file systems where
-/// fsync cost grows with file size) and the torn-tail scan — both part of
-/// the flat-commit-cost claim pxbench's `store.append_us` /
-/// `store.append_mem_us` track (the journal-length sweep is ROADMAP item
-/// 6's E20).
-pub const DEFAULT_SEGMENT_ROLL_BYTES: u64 = 512 * 1024;
-
 /// Construction options for [`FsBackend`] ([`FsBackend::with_options`]).
-#[derive(Debug, Clone)]
+/// The default is a synchronous backend with no simulated latency and no
+/// fault plan.
+#[derive(Debug, Clone, Default)]
 pub struct FsOptions {
-    /// Segment roll threshold in bytes; see [`DEFAULT_SEGMENT_ROLL_BYTES`].
-    pub segment_roll_bytes: u64,
     /// How acknowledged appends become durable: per-append fsync rounds
     /// ([`CommitPolicy::Sync`], the default) or cross-document group commit
     /// ([`CommitPolicy::Grouped`]).
@@ -129,17 +123,6 @@ pub struct FsOptions {
     /// single door faults enter the storage stack by. `None` (the default)
     /// disables injection entirely.
     pub fault: Option<Arc<FaultPlan>>,
-}
-
-impl Default for FsOptions {
-    fn default() -> Self {
-        FsOptions {
-            segment_roll_bytes: DEFAULT_SEGMENT_ROLL_BYTES,
-            commit: CommitPolicy::default(),
-            simulated_sync_latency: Duration::ZERO,
-            fault: None,
-        }
-    }
 }
 
 /// The (possibly simulated) flush device: fsync rounds serialize on the gate
@@ -209,7 +192,7 @@ impl FsBackend {
         };
         let backend = FsBackend {
             shared: Arc::new(Shared {
-                segments: Segments::new(root, options.segment_roll_bytes),
+                segments: Segments::new(root),
                 group,
                 device: Device {
                     latency: options.simulated_sync_latency,
@@ -322,7 +305,7 @@ impl FsBackend {
     }
 
     /// The committer-less arm of [`FsBackend::append_batch_enqueue`]: one
-    /// record written to the active segment and covered by its own fsync
+    /// record written to the journal file and covered by its own fsync
     /// round — **O(batch)**, never a rewrite of earlier records — with the
     /// document's meta lock held from the write to the end of the round.
     /// `torn` carries the error of an injected [`FaultKind::TornWrite`]: the
@@ -354,7 +337,7 @@ impl FsBackend {
             match torn {
                 None => Ok(()),
                 Some(error) => {
-                    let sheared = meta.cursor.active_len.saturating_sub(TEAR_BYTES);
+                    let sheared = meta.cursor.bytes.saturating_sub(TEAR_BYTES);
                     appended.file.set_len(sheared)?;
                     appended.file.sync_all()?;
                     Err(error)
@@ -365,16 +348,16 @@ impl FsBackend {
 
     /// One fsync round — the durability point of every record written since
     /// the previous round. Data files are flushed first, then (when any
-    /// record started a fresh segment) the directory entry: a segment file's
-    /// existence is a directory mutation, and power loss right after a roll
-    /// must not unlink a segment whose batches were already acknowledged.
-    /// Every append path funnels through here, so no roll site can skip the
-    /// directory flush.
+    /// record was its epoch's first) the directory entry: a journal file's
+    /// existence is a directory mutation, and power loss right after an
+    /// epoch's first append must not unlink a file whose batch was already
+    /// acknowledged. Every append path funnels through here, so no append
+    /// that creates a file can skip the directory flush.
     ///
     /// Counts **one** `fsyncs` round however many files the round covers —
     /// the round is the unit the device serializes on, and the quantity
     /// group commit divides.
-    fn fsync_round(&self, files: &[fs::File], fresh_segment: bool) -> Result<(), StoreError> {
+    fn fsync_round(&self, files: &[fs::File], fresh: bool) -> Result<(), StoreError> {
         let shared = &*self.shared;
         if let Some((_, error)) = self.injected(FaultOp::Fsync) {
             // An injected fsync fault (a torn write degrades to a plain
@@ -390,7 +373,7 @@ impl FsBackend {
         for file in files {
             file.sync_data()?;
         }
-        if fresh_segment {
+        if fresh {
             shared.segments.sync_dir()?;
         }
         shared.counters.fsyncs.fetch_add(1, Ordering::Relaxed);
@@ -428,10 +411,10 @@ impl FsBackend {
             }
         }
         // The written-but-not-yet-durable slots, plus one open handle per
-        // touched segment file (same-document members usually share one).
+        // touched document's journal file.
         let mut written = Vec::new();
         let mut files: Vec<fs::File> = Vec::new();
-        let mut fresh_segment = false;
+        let mut fresh = false;
         // Per-document pre-window cursors, so a failed window fsync can roll
         // every touched journal back to its last durable state.
         let mut saved_cursors: Vec<(&str, Cursor)> = Vec::new();
@@ -442,7 +425,7 @@ impl FsBackend {
                     return Err(StoreError::MissingDocument(name.to_string()));
                 }
                 let saved = meta.cursor;
-                let mut last_seq = None;
+                let mut file = None;
                 let mut doc_failed: Option<String> = None;
                 for member in members {
                     if let Some(message) = &doc_failed {
@@ -451,11 +434,8 @@ impl FsBackend {
                     }
                     match segments.write_record(name, meta, &member.record) {
                         Ok(appended) => {
-                            fresh_segment |= appended.fresh;
-                            if last_seq != Some(appended.seq) {
-                                last_seq = Some(appended.seq);
-                                files.push(appended.file);
-                            }
+                            fresh |= appended.fresh;
+                            file.get_or_insert(appended.file);
                             written.push(&member.slot);
                         }
                         Err(error) => {
@@ -465,6 +445,7 @@ impl FsBackend {
                         }
                     }
                 }
+                files.extend(file);
                 Ok(saved)
             });
             match staged {
@@ -482,7 +463,7 @@ impl FsBackend {
         if written.is_empty() {
             return Ok(());
         }
-        match self.fsync_round(&files, fresh_segment) {
+        match self.fsync_round(&files, fresh) {
             Ok(()) => {
                 for slot in &written {
                     slot.complete_ok();
@@ -531,7 +512,7 @@ impl FsBackend {
             .with_loaded(name, |meta| Ok(meta.cursor.batches))
     }
 
-    /// Total record bytes in the journal's segments (O(1)).
+    /// Total record bytes in the journal file (O(1)).
     pub fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
         self.segments()
             .with_loaded(name, |meta| Ok(meta.cursor.bytes))
@@ -604,13 +585,13 @@ impl StorageBackend for FsBackend {
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
         let segments = self.segments();
         segments.with_loaded(name, |meta| {
-            let mut batches = Vec::with_capacity(meta.cursor.batches);
-            for path in segments.current_segment_paths(name, meta) {
-                for record in SoundRecords::new(&fs::read(&path)?) {
-                    batches.push(record.decode()?);
-                }
+            if meta.cursor.bytes == 0 {
+                return Ok(Vec::new());
             }
-            Ok(batches)
+            let bytes = fs::read(segments.journal_path(name, meta.epoch))?;
+            SoundRecords::new(&bytes)
+                .map(|record| record.decode())
+                .collect()
         })
     }
 
@@ -681,10 +662,10 @@ impl StorageBackend for FsBackend {
     }
 
     /// Checkpoints a document: writes `fuzzy` as the new checkpoint (stamped
-    /// with the next journal epoch) and deletes the folded segments. The
+    /// with the next journal epoch) and deletes the folded journal file. The
     /// checkpoint rename is the single commit point — a crash before it keeps
-    /// the old checkpoint + journal, a crash after it leaves stale-epoch
-    /// segments that recovery ignores and the next open/scan sweeps.
+    /// the old checkpoint + journal, a crash after it leaves a stale-epoch
+    /// segment that recovery ignores and the next open/scan sweeps.
     fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
         // Settle any in-flight group-commit window first (before the meta
         // lock — the flush needs it): a pre-fold batch flushing *after* the
@@ -692,18 +673,18 @@ impl StorageBackend for FsBackend {
         self.group_barrier();
         let segments = self.segments();
         segments.with_loaded(name, |meta| {
-            let next_epoch = meta.epoch + 1;
-            // The folded segments, derived from the cursor *before* the fold
-            // — no directory scan on this per-compaction path (the load
+            // The folded file, named from the epoch and cursor *before* the
+            // fold — no directory scan on this per-compaction path (the load
             // already swept any stale-epoch stragglers at first touch).
-            let folded = segments.current_segment_paths(name, meta);
+            let folded = (meta.cursor.bytes > 0).then(|| segments.journal_path(name, meta.epoch));
+            let next_epoch = meta.epoch + 1;
             self.write_checkpoint(name, fuzzy, next_epoch)?;
             // From here on the checkpoint owns the journal's content; the old
-            // segments are garbage whether or not these deletions complete.
+            // file is garbage whether or not this deletion completes.
             meta.epoch = next_epoch;
             meta.cursor = Cursor::default();
-            for segment in folded {
-                fs::remove_file(segment)?;
+            if let Some(folded) = folded {
+                fs::remove_file(folded)?;
             }
             Ok(())
         })
@@ -937,46 +918,6 @@ mod tests {
         assert_eq!(store.read_journal("people").unwrap().len(), 2);
         let recovered = store.recover_document("people").unwrap();
         assert_eq!(recovered.tree().find_elements("email").len(), 2);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn appends_roll_into_new_segments_past_the_threshold() {
-        let dir = scratch("roll");
-        // A 1-byte threshold rolls after every record.
-        let rolling = || FsOptions {
-            segment_roll_bytes: 1,
-            ..FsOptions::default()
-        };
-        let store = FsBackend::with_options(&dir, rolling()).unwrap();
-        store.save_document("people", &sample_fuzzy()).unwrap();
-        for _ in 0..3 {
-            store.append_batch("people", &[sample_update()]).unwrap();
-        }
-        assert_eq!(
-            segment_files(&dir),
-            vec![
-                "people.journal.0.0.seg".to_string(),
-                "people.journal.0.1.seg".to_string(),
-                "people.journal.0.2.seg".to_string(),
-            ]
-        );
-        assert_eq!(store.journal_batches("people").unwrap(), 3);
-        // A fresh handle rebuilds the same meters from the headers and
-        // continues the sequence instead of overwriting.
-        let reopened = FsBackend::with_options(&dir, rolling()).unwrap();
-        assert_eq!(reopened.journal_batches("people").unwrap(), 3);
-        reopened.append_batch("people", &[sample_update()]).unwrap();
-        assert_eq!(segment_files(&dir).len(), 4);
-        assert_eq!(
-            reopened
-                .recover_document("people")
-                .unwrap()
-                .tree()
-                .find_elements("email")
-                .len(),
-            4
-        );
         fs::remove_dir_all(dir).unwrap();
     }
 

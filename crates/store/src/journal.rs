@@ -17,8 +17,9 @@
 //!
 //! # Record framing
 //!
-//! The journal has exactly one layout: segment files holding a sequence of
-//! **records**, one per committed batch —
+//! The journal has exactly one layout: one segment file per document and
+//! checkpoint epoch, holding a sequence of **records**, one per committed
+//! batch —
 //!
 //! ```text
 //! [payload_len: u32 LE][update_count: u32 LE][payload: UTF-8 <pxml:batch> XML]
@@ -37,8 +38,9 @@
 //! (headers only — a fresh process rebuilds the journal meters without
 //! parsing a payload). A record whose header or payload is
 //! shorter than the header promises is **torn**: the walk ends in front of
-//! it. Which file a record goes to is `segment.rs`'s business, and when it
-//! is fsynced [`crate::fs`]'s.
+//! it, and since appends only ever extend a file's end, such a record is
+//! always the file's torn tail. Which file a record goes to is
+//! `segment.rs`'s business, and when it is fsynced [`crate::fs`]'s.
 
 use pxml_core::{UpdateOperation, UpdateTransaction};
 use pxml_query::{PNodeId, Pattern};
@@ -272,30 +274,17 @@ pub(crate) struct SegmentScan {
     pub(crate) torn: bool,
 }
 
-/// Walks a segment's record headers. A torn record is tolerated (reported
-/// via `torn`) only when `tail` — in any other segment it means real
-/// corruption, because appends only ever touch the journal's last segment.
-/// `origin` names the segment in that error.
-pub(crate) fn scan_segment(
-    bytes: &[u8],
-    tail: bool,
-    origin: &dyn std::fmt::Display,
-) -> Result<SegmentScan, StoreError> {
+/// Walks a segment's record headers. Appends only ever touch the end of a
+/// document's one journal file, so a record that is not wholly there is
+/// always the torn tail.
+pub(crate) fn scan_segment(bytes: &[u8]) -> SegmentScan {
     let mut records = SoundRecords::new(bytes);
     let batches = records.by_ref().count();
-    let scan = SegmentScan {
+    SegmentScan {
         batches,
         sound_bytes: records.sound_len() as u64,
         torn: records.sound_len() < bytes.len(),
-    };
-    if scan.torn && !tail {
-        return Err(StoreError::Format(format!(
-            "segment {origin} holds a torn record at offset {} but is not the \
-             journal tail — the journal is corrupt",
-            scan.sound_bytes
-        )));
     }
-    Ok(scan)
 }
 
 #[cfg(test)]
@@ -454,7 +443,7 @@ mod tests {
                 assert_eq!(walk.sound_len(), sound, "{count} records cut at {cut}");
                 assert!(walk.next().is_none(), "an ended walk stays ended");
 
-                let scan = scan_segment(&bytes[..cut], true, &"tail").unwrap();
+                let scan = scan_segment(&bytes[..cut]);
                 assert_eq!(scan.batches, whole);
                 assert_eq!(scan.sound_bytes, sound as u64);
                 assert_eq!(scan.torn, sound < cut);
@@ -512,30 +501,6 @@ mod tests {
         let bytes = [header(payload.len() as u32, 1), payload.into_bytes()].concat();
         let record = SoundRecords::new(&bytes).next().unwrap();
         assert_eq!(record.decode().unwrap().len(), 1);
-    }
-
-    /// Appends only ever touch the journal's last segment, so a short record
-    /// anywhere else is corruption: a typed error naming the segment, where
-    /// the same bytes at the tail are a torn write to truncate.
-    #[test]
-    fn a_short_record_before_the_tail_is_corruption_not_a_torn_write() {
-        let (_, records) = framed_batches();
-        let mut bytes = records[0].bytes.clone();
-        bytes.extend_from_slice(&records[2].bytes[..records[2].bytes.len() - 1]);
-        let at_tail = scan_segment(&bytes, true, &"people.journal.0.1.seg").unwrap();
-        assert!(at_tail.torn);
-        assert_eq!(at_tail.batches, 1);
-        assert_eq!(at_tail.sound_bytes, records[0].bytes.len() as u64);
-        match scan_segment(&bytes, false, &"people.journal.0.0.seg") {
-            Err(StoreError::Format(message)) => {
-                assert!(message.contains("people.journal.0.0.seg"), "{message}");
-                let offset = format!("offset {}", records[0].bytes.len());
-                assert!(message.contains(&offset), "{message}");
-            }
-            other => panic!("expected a format error, got {other:?}"),
-        }
-        // A whole segment is fine in either position.
-        assert!(!scan_segment(&records[0].bytes, false, &"seg").unwrap().torn);
     }
 
     #[test]

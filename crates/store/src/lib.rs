@@ -19,13 +19,13 @@
 //!   knows a journal record's bytes (header + `<pxml:batch>` payload, the
 //!   walk over a segment's whole records, what counts as a torn tail);
 //! * [`fs`] — [`FsBackend`]: the durable file-system backend with an
-//!   **append-only segment journal** (O(batch) commits, torn-tail crash
-//!   recovery). It encodes a batch once, at its append entry point, and owns
-//!   options, the open-time sweep, checkpoints, the fsync round and the two
-//!   append arms; the per-document segment state under it (file naming, the
-//!   journal cursor behind each document's write mutex, load + torn-tail
-//!   truncation, the record write and its rollback) is the private
-//!   `segment` module;
+//!   **append-only segment journal**, one file per document and checkpoint
+//!   epoch (O(batch) commits, torn-tail crash recovery). It encodes a batch
+//!   once, at its append entry point, and owns options, the open-time sweep,
+//!   checkpoints, the fsync round and the two append arms; the per-document
+//!   segment state under it (file naming, the journal cursor behind each
+//!   document's write mutex, load + torn-tail truncation, the record write
+//!   and its rollback) is the private `segment` module;
 //! * [`group`] — the cross-document **group-commit** layer: [`CommitPolicy`],
 //!   the leader/follower window protocol coalescing many documents'
 //!   (already encoded) appends into one fsync round, and the
@@ -60,7 +60,7 @@ pub use backend::StorageBackend;
 pub use error::StoreError;
 pub use fault::{is_injected, FaultKind, FaultOp, FaultPlan};
 pub use format::{parse_fuzzy_document, serialize_fuzzy_document};
-pub use fs::{FsBackend, FsOptions, DEFAULT_SEGMENT_ROLL_BYTES};
+pub use fs::{FsBackend, FsOptions};
 pub use group::{CommitPolicy, CommitTicket, DurabilityStats};
 pub use journal::{parse_batch, parse_update, serialize_batch, serialize_update};
 pub use mem::MemBackend;

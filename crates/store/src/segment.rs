@@ -1,4 +1,4 @@
-//! Per-document segment state of [`FsBackend`](crate::FsBackend): where a
+//! Per-document journal state of [`FsBackend`](crate::FsBackend): where a
 //! document's files live, what its journal looks like right now, and the
 //! only two mutations of a journal's tail — writing one record and undoing
 //! the records no fsync covered.
@@ -6,8 +6,14 @@
 //! ```text
 //! dir/
 //!   <name>.pxml                   -- last checkpoint (PrXML; carries pxml:epoch)
-//!   <name>.journal.<e>.<s>.seg    -- journal segment: epoch <e>, sequence <s>
+//!   <name>.journal.<e>.0.seg      -- the journal of checkpoint epoch <e>
 //! ```
+//!
+//! A document has exactly one journal file per checkpoint epoch. The `.0`
+//! is a sequence number that is always zero: earlier builds rolled a long
+//! journal into `.1`, `.2`, … files, and keeping the name keeps every store
+//! they wrote without rolling readable as is. A current-epoch file with any
+//! other sequence is refused at first touch (see [`Segments::with_loaded`]).
 //!
 //! [`Segments`] owns the naming, the registry of per-document [`DocMeta`]s
 //! (the journal [`Cursor`] behind the document's write mutex), the one-time
@@ -34,14 +40,10 @@ use crate::journal::{scan_segment, EncodedRecord};
 /// zeroing it at a fold are assignments.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cursor {
-    /// Sequence number of the active (highest) segment; `None` while the
-    /// journal is empty.
-    pub(crate) active_seq: Option<u64>,
-    /// Bytes already in the active segment (the roll trigger).
-    pub(crate) active_len: u64,
     /// Committed batches awaiting a checkpoint.
     pub(crate) batches: usize,
-    /// Total record bytes across the journal's segments.
+    /// Record bytes in the epoch's journal file: the offset the next record
+    /// lands at.
     pub(crate) bytes: u64,
 }
 
@@ -66,11 +68,11 @@ impl DocMeta {
 }
 
 /// One just-written journal record: the still-open (not yet fsync'd)
-/// segment file, its sequence number, and whether this record created the
-/// file — a directory mutation the covering fsync round must flush too.
+/// journal file, and whether the record is the epoch's first — its write
+/// may have created the file, a directory mutation the covering fsync round
+/// must flush too.
 pub(crate) struct AppendedRecord {
     pub(crate) file: fs::File,
-    pub(crate) seq: u64,
     pub(crate) fresh: bool,
 }
 
@@ -100,7 +102,6 @@ pub(crate) fn parse_segment_name(file_name: &str) -> Option<SegmentName> {
 #[derive(Debug)]
 pub(crate) struct Segments {
     root: PathBuf,
-    roll_bytes: u64,
     /// One meta + write mutex per document name; never held for two
     /// documents at once. A name's entry deliberately survives document
     /// removal (see `FsBackend::remove_document`).
@@ -108,10 +109,9 @@ pub(crate) struct Segments {
 }
 
 impl Segments {
-    pub(crate) fn new(root: PathBuf, roll_bytes: u64) -> Self {
+    pub(crate) fn new(root: PathBuf) -> Self {
         Segments {
             root,
-            roll_bytes: roll_bytes.max(1),
             metas: Mutex::with_class(LockClass::JournalRegistry, HashMap::new()),
         }
     }
@@ -144,7 +144,10 @@ impl Segments {
 
     /// Runs `body` on the document's journal state with its write lock held
     /// and the state loaded from disk — the prelude of every operation that
-    /// reads or moves a cursor.
+    /// reads or moves a cursor. The first touch of a document whose current
+    /// epoch holds a rolled journal (a segment with a nonzero sequence)
+    /// fails with [`StoreError::Format`] naming the file, and keeps failing
+    /// until an operator deals with it.
     pub(crate) fn with_loaded<R>(
         &self,
         name: &str,
@@ -160,20 +163,9 @@ impl Segments {
         self.root.join(format!("{name}.pxml"))
     }
 
-    fn segment_path(&self, name: &str, epoch: u64, seq: u64) -> PathBuf {
-        self.root.join(format!("{name}.journal.{epoch}.{seq}.seg"))
-    }
-
-    /// The document's current-epoch segment files, derived from the loaded
-    /// cursor — sequences run contiguously from 0 to the active one, so no
-    /// directory scan is needed on the hot paths (reads, compaction).
-    pub(crate) fn current_segment_paths(&self, name: &str, meta: &DocMeta) -> Vec<PathBuf> {
-        match meta.cursor.active_seq {
-            None => Vec::new(),
-            Some(active) => (0..=active)
-                .map(|seq| self.segment_path(name, meta.epoch, seq))
-                .collect(),
-        }
+    /// The journal file of one checkpoint epoch.
+    pub(crate) fn journal_path(&self, name: &str, epoch: u64) -> PathBuf {
+        self.root.join(format!("{name}.journal.{epoch}.0.seg"))
     }
 
     /// All segment files of one document (any epoch), found by scanning the
@@ -196,12 +188,12 @@ impl Segments {
                 }
             }
         }
-        segments.sort_by_key(|(_, parsed)| (parsed.epoch, parsed.seq));
         Ok(segments)
     }
 
     /// Rebuilds a document's cursor from disk if this is the first touch:
-    /// reads the checkpoint's epoch, drops segments of older epochs (the
+    /// reads the checkpoint's epoch, refuses a rolled current-epoch journal
+    /// (before touching any file), drops segments of older epochs (the
     /// debris of a compaction killed between its rename commit point and the
     /// segment deletion — their batches are already folded into the
     /// checkpoint), truncates a torn tail record, and sums the headers.
@@ -218,18 +210,25 @@ impl Segments {
         meta.epoch = epoch;
         meta.cursor = Cursor::default();
         let segments = self.segments_of(name)?;
-        let last_current = segments
+        // Replaying only the first file of a rolled journal would silently
+        // serve a different distribution.
+        if let Some((path, _)) = segments
             .iter()
-            .rev()
-            .find(|(_, parsed)| parsed.epoch == epoch)
-            .map(|(path, _)| path.clone());
+            .find(|(_, parsed)| parsed.epoch == epoch && parsed.seq != 0)
+        {
+            return Err(StoreError::Format(format!(
+                "{} belongs to a journal rolled into several files, a layout this \
+                 version no longer reads — refusing to open its document without it \
+                 (checkpoint the document with the build that wrote it)",
+                path.display()
+            )));
+        }
         for (path, parsed) in segments {
             if parsed.epoch != epoch {
                 fs::remove_file(&path)?;
                 continue;
             }
-            let is_tail = Some(&path) == last_current.as_ref();
-            let scan = scan_segment(&fs::read(&path)?, is_tail, &path.display())?;
+            let scan = scan_segment(&fs::read(&path)?);
             if scan.torn {
                 // The tail record never reached its commit point (the append
                 // died mid-write): truncate it away so the next append starts
@@ -238,22 +237,22 @@ impl Segments {
                 file.set_len(scan.sound_bytes)?;
                 file.sync_all()?;
             }
-            meta.cursor.batches += scan.batches;
-            meta.cursor.bytes += scan.sound_bytes;
-            meta.cursor.active_seq = Some(parsed.seq);
-            meta.cursor.active_len = scan.sound_bytes;
+            meta.cursor = Cursor {
+                batches: scan.batches,
+                bytes: scan.sound_bytes,
+            };
         }
         meta.loaded = true;
         Ok(())
     }
 
-    /// Writes one record into the document's active segment (rolling past
-    /// the threshold) and advances the cursor, but does **not** fsync: the
-    /// caller completes durability through the backend's fsync round, either
-    /// alone (the synchronous append) or shared with other documents (a
-    /// group-commit window). Both paths therefore roll — and flush fresh
-    /// directory entries — by the exact same rules. The caller holds the
-    /// document's meta lock with the meta loaded.
+    /// Appends one record to the document's journal file and advances the
+    /// cursor, but does **not** fsync: the caller completes durability
+    /// through the backend's fsync round, either alone (the synchronous
+    /// append) or shared with other documents (a group-commit window). Both
+    /// paths therefore flush the epoch's fresh directory entry by the exact
+    /// same rule. The caller holds the document's meta lock with the meta
+    /// loaded.
     ///
     /// The cursor advances before the fsync: the bytes are in the file once
     /// `write_all` returns, so it stays consistent with what a replay reads
@@ -265,62 +264,42 @@ impl Segments {
         meta: &mut DocMeta,
         record: &EncodedRecord,
     ) -> Result<AppendedRecord, StoreError> {
-        let cursor = &mut meta.cursor;
-        let seq = match cursor.active_seq {
-            Some(seq) if cursor.active_len < self.roll_bytes => seq,
-            Some(seq) => seq + 1,
-            None => 0,
-        };
-        let fresh = cursor.active_seq != Some(seq);
+        let fresh = meta.cursor.bytes == 0;
         let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(self.segment_path(name, meta.epoch, seq))?;
+            .open(self.journal_path(name, meta.epoch))?;
         file.write_all(&record.bytes)?;
-        let len = record.bytes.len() as u64;
-        if fresh {
-            cursor.active_seq = Some(seq);
-            cursor.active_len = len;
-        } else {
-            cursor.active_len += len;
-        }
-        cursor.batches += 1;
-        cursor.bytes += len;
-        Ok(AppendedRecord { file, seq, fresh })
+        meta.cursor.batches += 1;
+        meta.cursor.bytes += record.bytes.len() as u64;
+        Ok(AppendedRecord { file, fresh })
     }
 
     /// Best-effort undo of the records written for `name` since the cursor
-    /// stood at `saved` but never covered by a successful fsync round:
-    /// segments created since are removed, the previously active segment is
-    /// truncated back to its durable length, and the cursor is put back. If
-    /// the disk refuses even the rollback, the cached state is dropped so the
-    /// next touch rescans the on-disk truth instead of trusting stale state.
+    /// stood at `saved` but never covered by a successful fsync round: the
+    /// journal file is truncated back to `saved.bytes` (removed when that is
+    /// zero — the records undone were the epoch's first), and the cursor is
+    /// put back. If the disk refuses even the rollback, the cached state is
+    /// dropped so the next touch rescans the on-disk truth instead of
+    /// trusting stale state.
     ///
     /// Callers must hold the document's meta lock *and* guarantee no new
     /// window can flush concurrently (the committer is poisoned first on the
     /// grouped path; the sync path holds the meta lock throughout).
     pub(crate) fn rollback_unsynced(&self, name: &str, meta: &mut DocMeta, saved: Cursor) {
-        let epoch = meta.epoch;
-        let rolled: std::io::Result<()> = (|| {
-            if let Some(active) = meta.cursor.active_seq {
-                let first_new = saved.active_seq.map_or(0, |seq| seq + 1);
-                for seq in first_new..=active {
-                    let path = self.segment_path(name, epoch, seq);
-                    if path.exists() {
-                        fs::remove_file(&path)?;
-                    }
-                }
-            }
-            if let Some(seq) = saved.active_seq {
-                let file = fs::OpenOptions::new()
-                    .write(true)
-                    .open(self.segment_path(name, epoch, seq))?;
-                file.set_len(saved.active_len)?;
-            }
+        let path = self.journal_path(name, meta.epoch);
+        let undone = if saved.bytes > 0 {
+            fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .and_then(|file| file.set_len(saved.bytes))
+        } else if path.exists() {
+            fs::remove_file(&path)
+        } else {
             Ok(())
-        })();
+        };
         meta.cursor = saved;
-        if rolled.is_err() {
+        if undone.is_err() {
             meta.loaded = false;
         }
     }

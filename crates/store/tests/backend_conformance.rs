@@ -256,19 +256,6 @@ fn mem_backend_conforms_concurrently() {
     concurrent_conformance(Arc::new(MemBackend::new()));
 }
 
-/// The multi-segment configuration must pass the same suite: rolling the
-/// active segment is invisible at the trait level.
-#[test]
-fn fs_backend_conforms_with_tiny_segments() {
-    let dir = scratch("fs-tiny-segments");
-    let options = FsOptions {
-        segment_roll_bytes: 64,
-        ..FsOptions::default()
-    };
-    conformance_suite(&FsBackend::with_options(&dir, options).unwrap());
-    std::fs::remove_dir_all(dir).unwrap();
-}
-
 /// A group-commit `FsBackend` with a short fill wait: lone committers lead
 /// their own windows, so the whole backend is invisible at the trait level.
 fn grouped_backend(dir: &std::path::Path) -> FsBackend {

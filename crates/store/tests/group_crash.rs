@@ -231,50 +231,44 @@ fn mixed_window_replays_sound_member_and_discards_torn_member() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// A window whose member triggers a segment roll, killed right after the
-/// round: the fresh segment (and its directory entry — the round syncs the
-/// directory when a segment is born) must survive the reopen with every
-/// window member.
+/// A window carrying each of two documents' first record of a new epoch —
+/// the appends that create their journal files — killed right after the
+/// round: the round syncs the directory when a journal file is born, so both
+/// files and both members must survive the reopen.
 #[test]
-fn window_with_segment_roll_survives_crash_after_fsync() {
-    let dir = scratch("window-roll");
+fn window_of_an_epochs_first_appends_survives_crash_after_fsync() {
+    let dir = scratch("window-first-appends");
     {
-        let store = FsBackend::with_options(
-            &dir,
-            FsOptions {
-                segment_roll_bytes: 1, // every record rolls a new segment
-                ..grouped_options(2)
-            },
-        )
-        .unwrap();
-        store.save_document("doc-a", &sample_fuzzy()).unwrap();
-        store.save_document("doc-b", &sample_fuzzy()).unwrap();
-        let before = store.durability_stats();
-        // Both documents land in one *shared* window per round — the
-        // scenario under test.
-        for tag in ["r0", "r1"] {
-            commit_together(&store, &["doc-a", "doc-b"], tag);
+        // Sequential seeding rides the idle fast-path — see
+        // `kill_before_window_fsync_discards_all_members`.
+        let store = grouped(&dir, 2);
+        for doc in ["doc-a", "doc-b"] {
+            store.save_document(doc, &sample_fuzzy()).unwrap();
+            store
+                .append_batch_enqueue(doc, &[tagged_update("folded")])
+                .wait()
+                .unwrap();
+            let folded = store.recover_document(doc).unwrap();
+            store.checkpoint(doc, &folded).unwrap();
         }
+        let before = store.durability_stats();
+        // Both documents' first appends of epoch 1 land in one *shared*
+        // window — the scenario under test.
+        commit_together(&store, &["doc-a", "doc-b"], "fresh");
         let stats = store.durability_stats();
-        assert_eq!(stats.grouped_commits - before.grouped_commits, 4);
+        assert_eq!(stats.grouped_commits - before.grouped_commits, 2);
         assert_eq!(
             stats.fsyncs - before.fsyncs,
-            2,
-            "each round's two members must share one fsync round"
+            1,
+            "both first appends must share one fsync round"
         );
         // Dropped without checkpoint: the crash.
     }
-    let reopened = FsBackend::with_options(
-        &dir,
-        FsOptions {
-            segment_roll_bytes: 1,
-            ..FsOptions::default()
-        },
-    )
-    .unwrap();
+    let reopened = FsBackend::open(&dir).unwrap();
     for doc in ["doc-a", "doc-b"] {
-        assert_eq!(recovered_tags(&reopened, doc), vec!["r0", "r1"]);
-        assert_eq!(reopened.journal_batches(doc).unwrap(), 2);
+        assert!(dir.join(format!("{doc}.journal.1.0.seg")).exists());
+        assert_eq!(recovered_tags(&reopened, doc), vec!["folded", "fresh"]);
+        assert_eq!(reopened.journal_batches(doc).unwrap(), 1);
     }
     fs::remove_dir_all(dir).unwrap();
 }

@@ -2,15 +2,16 @@
 //! journal and its compaction protocol, simulated by leaving the exact disk
 //! state the killed process would have left, then recovering through a fresh
 //! [`FsBackend`]. Also covers the open-time debris sweep and the refusal of
-//! the pre-segment monolithic journal layout.
+//! the two journal layouts this build no longer reads: the pre-segment
+//! monolithic journal and a journal rolled into several segment files.
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pxml_core::{FuzzyTree, UpdateTransaction};
 use pxml_query::Pattern;
-use pxml_store::{serialize_batch, FsBackend, FsOptions, StorageBackend, StoreError};
+use pxml_store::{serialize_batch, FsBackend, StorageBackend, StoreError};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -22,18 +23,6 @@ fn scratch(label: &str) -> PathBuf {
         label,
         COUNTER.fetch_add(1, Ordering::SeqCst)
     ))
-}
-
-/// A store with a 1-byte roll threshold: every record gets its own segment.
-fn open_rolling_every_record(dir: &Path) -> FsBackend {
-    FsBackend::with_options(
-        dir,
-        FsOptions {
-            segment_roll_bytes: 1,
-            ..FsOptions::default()
-        },
-    )
-    .unwrap()
 }
 
 fn sample_fuzzy() -> FuzzyTree {
@@ -128,38 +117,6 @@ fn torn_tail_header_is_discarded() {
     let reopened = FsBackend::open(&dir).unwrap();
     assert_eq!(recovered_tags(&reopened, "doc"), vec!["whole"]);
     assert_eq!(reopened.journal_batches("doc").unwrap(), 1);
-    fs::remove_dir_all(dir).unwrap();
-}
-
-/// Kill between segments: the journal had rolled into several segment files
-/// and the crash hit while the *newest* segment's record was in flight. The
-/// whole multi-segment prefix replays; only the torn record in the newest
-/// segment is discarded.
-#[test]
-fn kill_between_segments_replays_the_prefix() {
-    let dir = scratch("between-segments");
-    {
-        // 1-byte roll threshold: every record gets its own segment.
-        let store = open_rolling_every_record(&dir);
-        store.save_document("doc", &sample_fuzzy()).unwrap();
-        for tag in ["s0", "s1", "s2"] {
-            store.append_batch("doc", &[tagged_update(tag)]).unwrap();
-        }
-        // The crash: segment 3 only received half a record.
-        let torn = encode_record(&[tagged_update("s3")]);
-        fs::write(dir.join("doc.journal.0.3.seg"), &torn[..torn.len() / 2]).unwrap();
-    }
-    let reopened = open_rolling_every_record(&dir);
-    assert_eq!(recovered_tags(&reopened, "doc"), vec!["s0", "s1", "s2"]);
-    assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
-    // The journal keeps rolling from where the sound prefix ended.
-    reopened
-        .append_batch("doc", &[tagged_update("s4")])
-        .unwrap();
-    assert_eq!(
-        recovered_tags(&reopened, "doc"),
-        vec!["s0", "s1", "s2", "s4"]
-    );
     fs::remove_dir_all(dir).unwrap();
 }
 
@@ -268,33 +225,106 @@ fn legacy_monolithic_journal_is_refused_at_open() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// The roll kill-point: the process died immediately after an append whose
-/// record opened a *fresh* segment file. The append's fsync round syncs the
-/// store directory whenever the record rolled into a new segment, so the
-/// acknowledged batch cannot be lost to an unflushed directory entry — the
-/// new segment and every earlier one must be found and replayed at reopen.
+/// A journal an earlier build rolled into several files: replaying only its
+/// first file would serve the document without the later batches, so the
+/// document's first touch is refused with a typed format error naming the
+/// rolled file (`tests/concurrency.rs` checks the same through a warehouse's
+/// cold open), and both files stay byte for byte. Folded by the build that wrote them,
+/// the same files are stale-epoch debris, swept like any other.
 #[test]
-fn crash_right_after_a_roll_keeps_the_new_segment() {
-    let dir = scratch("after-roll");
-    {
-        // 1-byte roll threshold: every append ends with a just-rolled
-        // segment, the worst case for directory durability.
-        let store = open_rolling_every_record(&dir);
-        store.save_document("doc", &sample_fuzzy()).unwrap();
-        for tag in ["r0", "r1", "r2"] {
-            store.append_batch("doc", &[tagged_update(tag)]).unwrap();
+fn a_rolled_journal_is_refused_not_skipped() {
+    let dir = scratch("rolled-refused");
+    FsBackend::open(&dir)
+        .unwrap()
+        .save_document("doc", &sample_fuzzy())
+        .unwrap();
+    let files = [
+        (
+            dir.join("doc.journal.0.0.seg"),
+            encode_record(&[tagged_update("s0")]),
+        ),
+        (
+            dir.join("doc.journal.0.1.seg"),
+            encode_record(&[tagged_update("s1")]),
+        ),
+    ];
+    for (path, bytes) in &files {
+        fs::write(path, bytes).unwrap();
+    }
+
+    let store = FsBackend::open(&dir).unwrap();
+    for _ in 0..2 {
+        match store.journal_batches("doc") {
+            Err(StoreError::Format(message)) => {
+                assert!(message.contains("doc.journal.0.1.seg"), "got: {message}")
+            }
+            other => panic!("expected a format error, got {other:?}"),
         }
-        // Dropped without checkpoint: the crash right after the last ack.
     }
-    for seq in 0..3 {
-        assert!(
-            dir.join(format!("doc.journal.0.{seq}.seg")).exists(),
-            "segment {seq} must still have its directory entry"
-        );
+    assert!(matches!(
+        store.recover_document("doc"),
+        Err(StoreError::Format(_))
+    ));
+    for (path, bytes) in &files {
+        assert_eq!(&fs::read(path).unwrap(), bytes, "{}", path.display());
     }
-    let reopened = open_rolling_every_record(&dir);
-    assert_eq!(recovered_tags(&reopened, "doc"), vec!["r0", "r1", "r2"]);
-    assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
+
+    // What the upgrade note asks for: the build that wrote the files folds
+    // them into an epoch-1 checkpoint — the crash before its deletions is
+    // staged here by putting both files back.
+    for (path, _) in &files {
+        fs::remove_file(path).unwrap();
+    }
+    let mut folded = sample_fuzzy();
+    for tag in ["s0", "s1"] {
+        tagged_update(tag).apply_to_fuzzy(&mut folded).unwrap();
+    }
+    FsBackend::open(&dir)
+        .unwrap()
+        .checkpoint("doc", &folded)
+        .unwrap();
+    for (path, bytes) in &files {
+        fs::write(path, bytes).unwrap();
+    }
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert_eq!(recovered_tags(&reopened, "doc"), vec!["s0", "s1"]);
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 0);
+    for (path, _) in &files {
+        assert!(!path.exists(), "stale {} swept", path.display());
+    }
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// The kill-point of an epoch's first append — the only append that creates
+/// a journal file: the process died immediately after it was acknowledged.
+/// The append's fsync round syncs the store directory whenever the record is
+/// its epoch's first, so the acknowledged batch cannot be lost to an
+/// unflushed directory entry — the new epoch's file must be found and
+/// replayed at reopen.
+#[test]
+fn crash_right_after_an_epochs_first_append_keeps_its_file() {
+    let dir = scratch("after-first-append");
+    {
+        let store = FsBackend::open(&dir).unwrap();
+        store.save_document("doc", &sample_fuzzy()).unwrap();
+        store
+            .append_batch("doc", &[tagged_update("folded")])
+            .unwrap();
+        let folded = store.recover_document("doc").unwrap();
+        store.checkpoint("doc", &folded).unwrap();
+        assert!(!dir.join("doc.journal.1.0.seg").exists());
+        store
+            .append_batch("doc", &[tagged_update("fresh")])
+            .unwrap();
+        // Dropped without checkpoint: the crash right after the ack.
+    }
+    assert!(
+        dir.join("doc.journal.1.0.seg").exists(),
+        "the epoch's file must still have its directory entry"
+    );
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert_eq!(recovered_tags(&reopened, "doc"), vec!["folded", "fresh"]);
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 1);
     fs::remove_dir_all(dir).unwrap();
 }
 

@@ -9,7 +9,8 @@ use std::sync::Barrier;
 
 use pxml::gen::scenarios::{people_directory, PeopleScenarioConfig};
 use pxml::prelude::*;
-use pxml::store::{serialize_batch, StorageBackend};
+use pxml::store::{serialize_batch, StorageBackend, StoreError};
+use pxml::warehouse::WarehouseError;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -190,6 +191,37 @@ fn crash_with_two_in_flight_documents_recovers_independently() {
         0,
         "the torn tail must be truncated away"
     );
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// A journal an earlier build rolled into a second segment file refuses the
+/// warehouse's cold open with the store's typed format error naming that
+/// file — never a warehouse that serves the document without the batches
+/// the second file holds.
+#[test]
+fn a_rolled_journal_refuses_the_cold_open() {
+    let dir = scratch("rolled-journal");
+    {
+        let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
+        warehouse.create_document("doc", directory()).unwrap();
+        warehouse
+            .commit_batch("doc", &[tagged_phone(0, "s0", 0.8)], None)
+            .unwrap();
+    }
+    // The rolled journal's second file: whole records, as the first.
+    std::fs::copy(
+        dir.join("doc.journal.0.0.seg"),
+        dir.join("doc.journal.0.1.seg"),
+    )
+    .unwrap();
+    let store = std::sync::Arc::new(FsBackend::open(&dir).unwrap());
+    match Warehouse::with_backend(store, plain_config()) {
+        Err(WarehouseError::Store(StoreError::Format(message))) => {
+            assert!(message.contains("doc.journal.0.1.seg"), "got: {message}")
+        }
+        Err(other) => panic!("expected a format error, got {other}"),
+        Ok(_) => panic!("a rolled journal must refuse the cold open"),
+    }
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -1,6 +1,7 @@
 //! Exact reproductions of the worked examples of the paper (experiments E1,
 //! E2 and E6 of DESIGN.md).
 
+use pxml::core::fuzzy::slide12_example;
 use pxml::prelude::*;
 
 /// The slide-9 possible-worlds example: four worlds over `A` with children
@@ -13,28 +14,6 @@ fn slide9_worlds() -> PossibleWorlds {
         (parse_data_tree("<A><B/><C/><D/></A>").unwrap(), 0.56),
     ])
     .unwrap()
-}
-
-/// The slide-12 fuzzy tree: `A(B[w1 ∧ ¬w2], C, D[w2])`, `P(w1)=0.8`,
-/// `P(w2)=0.7`.
-fn slide12_fuzzy() -> FuzzyTree {
-    let mut fuzzy = FuzzyTree::new("A");
-    let w1 = fuzzy.add_event("w1", 0.8).unwrap();
-    let w2 = fuzzy.add_event("w2", 0.7).unwrap();
-    let root = fuzzy.root();
-    let b = fuzzy.add_element(root, "B");
-    fuzzy
-        .set_condition(
-            b,
-            Condition::from_literals([Literal::pos(w1), Literal::neg(w2)]),
-        )
-        .unwrap();
-    fuzzy.add_element(root, "C");
-    let d = fuzzy.add_element(root, "D");
-    fuzzy
-        .set_condition(d, Condition::from_literal(Literal::pos(w2)))
-        .unwrap();
-    fuzzy
 }
 
 // ---------------------------------------------------------------------------
@@ -79,7 +58,7 @@ fn e1_normalization_merges_isomorphic_worlds_and_preserves_mass() {
 
 #[test]
 fn e2_slide12_expansion_produces_exactly_the_three_worlds() {
-    let fuzzy = slide12_fuzzy();
+    let fuzzy = slide12_example();
     let worlds = fuzzy.to_possible_worlds().unwrap();
     assert_eq!(worlds.len(), 3);
     let expected = [
@@ -108,7 +87,7 @@ fn e2_expressiveness_round_trip_from_possible_worlds() {
 
 #[test]
 fn e2_queries_on_slide12_have_the_expected_probabilities() {
-    let fuzzy = slide12_fuzzy();
+    let fuzzy = slide12_example();
     let cases = [
         ("A { B }", 0.24),
         ("A { D }", 0.70),
