@@ -1,25 +1,34 @@
 //! Evaluation of TPWJ patterns: finding all matches (homomorphisms).
 //!
 //! Pattern nodes are assigned in index order (parents before children) by a
-//! backtracking search, and no candidate list is ever collected:
+//! backtracking search, and no candidate list of the tree's size is ever
+//! collected:
 //!
 //! - an anchored root has one candidate, the tree root;
-//! - an unanchored root named `X` reads the elements named `X` from the
-//!   tree's [`LabelIndex`](pxml_tree::LabelIndex) when the tree already has
-//!   one, and otherwise — like a wildcard root, always — walks the whole
-//!   tree in preorder on an explicit stack, testing each node as it goes;
+//! - an unanchored root named `X` on a tree that already has a
+//!   [`LabelIndex`] starts from its most selective node: with a value test
+//!   of its own, its candidates are its value postings; otherwise, if a
+//!   child-axis child of it is named and has a value test, they are the
+//!   parents of that child's postings (of the child with the fewest, when
+//!   several qualify), deduplicated and put in document order; otherwise
+//!   they are the elements named `X`;
+//! - an unanchored root on a tree without an index, like a wildcard root
+//!   always, walks the whole tree in preorder on an explicit stack, testing
+//!   each node as it goes;
 //! - a child edge iterates the borrowed child list of its parent's image,
 //!   and a descendant edge walks the subtree below that image in preorder,
 //!   so the structural edge holds by construction.
 //!
-//! The matcher never builds the index: the query evaluator
-//! ([`crate::answer::evaluate`]) does, once per snapshot, while update
-//! matching only uses an index its snapshot already had. Matches come back
-//! in document order either way.
+//! Every candidate still goes through every test, so a posting that only
+//! shares its value's hash, or a parent of a hit that is not named `X`,
+//! costs one test and never a wrong match. The matcher never builds the
+//! index: the query evaluator ([`crate::answer::evaluate`]) does, once per
+//! snapshot, while update matching only uses an index its snapshot already
+//! had. Matches come back in document order either way.
 
-use pxml_tree::{NodeId, Tree};
+use pxml_tree::{LabelIndex, NodeId, Tree};
 
-use crate::pattern::{Axis, PNodeId, Pattern};
+use crate::pattern::{Axis, PNodeId, Pattern, PatternNode};
 
 /// A complete match: the image of every pattern node in the data tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,15 +58,21 @@ impl Matching {
 
 /// Finds every match of `pattern` in `tree`, in document order.
 pub fn find_matches(pattern: &Pattern, tree: &Tree) -> Vec<Matching> {
+    search(pattern, tree).results
+}
+
+/// Runs the whole search, and returns it with its results and counters.
+fn search<'a>(pattern: &'a Pattern, tree: &'a Tree) -> Search<'a> {
     let mut search = Search {
         pattern,
         tree,
         assignment: vec![None; pattern.len()],
         stacks: vec![Vec::new(); pattern.len()],
         results: Vec::new(),
+        root_candidates: 0,
     };
     search.assign(0);
-    search.results
+    search
 }
 
 struct Search<'a> {
@@ -67,6 +82,9 @@ struct Search<'a> {
     /// One preorder-walk stack per pattern node, reused across candidates.
     stacks: Vec<Vec<NodeId>>,
     results: Vec<Matching>,
+    /// Every node offered as the root's image, counted before any test: a
+    /// count of the search's work that no timing noise can move.
+    root_candidates: usize,
 }
 
 impl<'a> Search<'a> {
@@ -85,21 +103,10 @@ impl<'a> Search<'a> {
         let spec = self.pattern.node(PNodeId(next as u32));
         match spec.parent {
             None if self.pattern.is_anchored() => self.try_candidate(next, tree.root()),
-            None => {
-                let indexed = spec
-                    .label
-                    .as_deref()
-                    .zip(tree.built_label_index())
-                    .map(|(name, index)| index.elements(name));
-                match indexed {
-                    Some(elements) => {
-                        for &candidate in elements {
-                            self.try_candidate(next, candidate);
-                        }
-                    }
-                    None => self.walk(next, &[tree.root()]),
-                }
-            }
+            None => match spec.label.as_deref().zip(tree.built_label_index()) {
+                Some((name, index)) => self.indexed_root(next, name, index),
+                None => self.walk(next, &[tree.root()]),
+            },
             // Non-root: the parent pattern node has an image already (pattern
             // nodes are created parent-first, so its index is smaller).
             Some((parent, axis)) => {
@@ -118,6 +125,53 @@ impl<'a> Search<'a> {
         }
     }
 
+    /// Tries the candidates of an unanchored root named `name` from the
+    /// label index, starting from the most selective node (module docs).
+    fn indexed_root(&mut self, next: usize, name: &str, index: &'a LabelIndex) {
+        let (pattern, tree) = (self.pattern, self.tree);
+        let spec = pattern.node(PNodeId(next as u32));
+        if let Some(value) = &spec.value {
+            for candidate in index.postings(name, value) {
+                self.try_candidate(next, candidate);
+            }
+            return;
+        }
+        let selective = spec
+            .children
+            .iter()
+            .filter_map(|&child| match pattern.node(child) {
+                PatternNode {
+                    parent: Some((_, Axis::Child)),
+                    label: Some(label),
+                    value: Some(value),
+                    ..
+                } => Some(index.postings(label, value)),
+                _ => None,
+            })
+            .min_by_key(|hits| hits.clone().count());
+        let Some(hits) = selective else {
+            for &candidate in index.elements(name) {
+                self.try_candidate(next, candidate);
+            }
+            return;
+        };
+        let mut parents = hits.filter_map(|hit| tree.parent(hit));
+        match (parents.next(), parents.next()) {
+            (None, _) => {}
+            (Some(parent), None) => self.try_candidate(next, parent),
+            (Some(first), Some(second)) => {
+                let mut parents: Vec<NodeId> = [first, second].into_iter().chain(parents).collect();
+                // The hits are in document order, but their parents are not
+                // when elements named `name` nest, and siblings share one.
+                parents.sort_unstable_by_key(|&parent| index.position(parent));
+                parents.dedup();
+                for parent in parents {
+                    self.try_candidate(next, parent);
+                }
+            }
+        }
+    }
+
     /// Tries every node of the subtrees rooted at `roots`, in preorder.
     fn walk(&mut self, next: usize, roots: &[NodeId]) {
         let mut stack = std::mem::take(&mut self.stacks[next]);
@@ -131,6 +185,9 @@ impl<'a> Search<'a> {
     }
 
     fn try_candidate(&mut self, next: usize, candidate: NodeId) {
+        if next == 0 {
+            self.root_candidates += 1;
+        }
         let pattern = self.pattern;
         let tree = self.tree;
         let pattern_node_id = PNodeId(next as u32);
@@ -311,6 +368,65 @@ mod tests {
             .map(|m| tree.node_value(m.image(b)))
             .collect();
         assert_eq!(values, [Some("1"), Some("4")]);
+    }
+
+    /// `pxml_gen::scenarios::people_directory` (a dependency this crate does
+    /// not have): `directory / person* / name`, the n-th name
+    /// `<first name>-<n / 16>`.
+    fn people_directory(people: usize) -> Tree {
+        const FIRST_NAMES: [&str; 16] = [
+            "alice", "bob", "carol", "dan", "erin", "frank", "grace", "heidi", "ivan", "judy",
+            "mallory", "oscar", "peggy", "trent", "victor", "wendy",
+        ];
+        let mut tree = Tree::new("directory");
+        for index in 0..people {
+            let person = tree.add_element(tree.root(), "person");
+            let name = tree.add_element(person, "name");
+            tree.add_text(name, format!("{}-{}", FIRST_NAMES[index % 16], index / 16));
+        }
+        tree
+    }
+
+    /// The count gate of the selective start: pxbench's point query and an
+    /// extraction update's pattern consider one root candidate, the parent
+    /// of the one `name` posting, at any directory size. Scanning the
+    /// `person` group instead considers every person (200 and 3 200).
+    #[test]
+    fn a_point_pattern_considers_the_same_root_candidates_at_any_directory_size() {
+        for text in [
+            "person { name[=\"bob-3\"], phone }",
+            "person { name[=\"bob-3\"] }",
+            "name[=\"bob-3\"]",
+        ] {
+            let pattern = Pattern::parse(text).unwrap();
+            let costs = [200, 3200].map(|people| {
+                let tree = people_directory(people);
+                let unindexed = find_matches(&pattern, &tree);
+                tree.label_index();
+                let search = search(&pattern, &tree);
+                assert_eq!(search.results, unindexed, "{text} at {people}");
+                (search.results.len(), search.root_candidates)
+            });
+            let matches = usize::from(!text.contains("phone"));
+            assert_eq!(costs, [(matches, 1); 2], "{text}");
+        }
+    }
+
+    #[test]
+    fn parents_of_postings_are_deduplicated_and_put_in_document_order() {
+        // The inner `a`'s hit comes first in document order, but the outer
+        // `a` holds two hits and comes first itself.
+        let tree =
+            parse_data_tree("<r><a><a><b>v</b></a><b>v</b><b>v</b><b>w</b></a></r>").unwrap();
+        let pattern = Pattern::parse("a { b[=\"v\"] }").unwrap();
+        let unindexed = find_matches(&pattern, &tree);
+        tree.label_index();
+        let search = search(&pattern, &tree);
+        assert_eq!(search.results, unindexed);
+        let outer = tree.children(tree.root())[0];
+        let roots: Vec<NodeId> = unindexed.iter().map(|m| m.image(PNodeId(0))).collect();
+        assert_eq!(roots, [outer, outer, tree.children(outer)[0]]);
+        assert_eq!(search.root_candidates, 2);
     }
 
     #[test]

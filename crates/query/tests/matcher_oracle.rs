@@ -3,10 +3,18 @@
 //! The oracle below collects every candidate list before it tests a node:
 //! all elements of the tree for an unanchored root, a copied child list or
 //! a collected descendant list for an edge. The matcher under test streams
-//! the same candidates, reading an unanchored root's from the tree's label
-//! index when the tree has one. Both must return the same matches in the
-//! same (document) order on a fresh tree, an indexed tree, a clone that
-//! shares the index, and that clone after each mutator.
+//! the same candidates, and on a tree with a label index it starts an
+//! unanchored root from the index: from the root's value postings when the
+//! root has a value test, from the parents of a valued child's postings
+//! when one has, from the root's label group otherwise. Both must return the
+//! same matches in the same (document) order on a fresh tree, an indexed
+//! tree, a clone that shares the index, and that clone after each mutator.
+//!
+//! Half the trees are built to spring the two traps of starting from a
+//! child's postings: nested elements of one name, each with valued children
+//! (the hits are in document order, their parents are not), and siblings
+//! with equal values (two hits, one parent). Every tree is also queried
+//! with the pattern that walks into both, `l0 { l1[="v…"] }`.
 
 use proptest::prelude::*;
 use pxml_query::{Axis, Pattern};
@@ -53,11 +61,46 @@ fn build(spec: &Spec) -> Tree {
     tree
 }
 
+/// A chain of one to three nested `l0` elements. Each holds up to three
+/// `l1` leaves drawn from two values or none, with the next `l0` at a random
+/// place among them.
+fn trap_strategy() -> impl Strategy<Value = Spec> {
+    let level = (
+        proptest::collection::vec(proptest::option::of(0u8..2), 0..4),
+        0usize..4,
+    );
+    proptest::collection::vec(level, 1..4).prop_map(|levels| {
+        let mut nested: Option<Spec> = None;
+        for (leaves, at) in levels {
+            let mut children: Vec<Spec> = leaves
+                .into_iter()
+                .map(|value| Spec {
+                    label: 1,
+                    value,
+                    children: Vec::new(),
+                })
+                .collect();
+            if let Some(inner) = nested {
+                children.insert(at.min(children.len()), inner);
+            }
+            nested = Some(Spec {
+                label: 0,
+                value: None,
+                children,
+            });
+        }
+        nested.expect("at least one level")
+    })
+}
+
 /// One non-root pattern node: a parent pick, `//` or not, an optional label
 /// (`l4` occurs in no tree), an optional value test, an optional join group.
 type PatternNodeSpec = (usize, bool, Option<u8>, Option<u8>, Option<u8>);
 
-fn pattern_strategy() -> impl Strategy<Value = (Option<u8>, bool, Vec<PatternNodeSpec>)> {
+/// The root's label and value test, `/` or not, and the other nodes.
+type PatternSpec = (Option<u8>, Option<u8>, bool, Vec<PatternNodeSpec>);
+
+fn pattern_strategy() -> impl Strategy<Value = PatternSpec> {
     let node = (
         0usize..64,
         any::<bool>(),
@@ -67,14 +110,18 @@ fn pattern_strategy() -> impl Strategy<Value = (Option<u8>, bool, Vec<PatternNod
     );
     (
         proptest::option::of(0u8..5),
+        proptest::option::of(0u8..3),
         any::<bool>(),
         proptest::collection::vec(node, 0..4),
     )
 }
 
-fn build_pattern(root: Option<u8>, anchored: bool, nodes: &[PatternNodeSpec]) -> Pattern {
+fn build_pattern((root, value, anchored, nodes): &PatternSpec) -> Pattern {
     let mut pattern = Pattern::new(root.map(|label| format!("l{label}")).as_deref());
-    pattern.set_anchored(anchored);
+    pattern.set_anchored(*anchored);
+    if let Some(value) = value {
+        pattern.set_value(pattern.root(), format!("v{value}"));
+    }
     let mut ids = vec![pattern.root()];
     let mut joins = Vec::new();
     for (i, &(parent, descendant, label, value, join)) in nodes.iter().enumerate() {
@@ -196,55 +243,59 @@ proptest! {
 
     /// Same matches, same order, in every state a tree's label index can be
     /// in: none, built, inherited by a clone, dropped by a mutation (and
-    /// rebuilt from the mutated tree).
+    /// rebuilt from the mutated tree), for the random pattern and for the
+    /// probe `l0 { l1[="v…"] }`.
     #[test]
     fn streaming_matcher_agrees_with_the_materialising_oracle(
-        spec in spec_strategy(),
-        (root, anchored, nodes) in pattern_strategy(),
-        (pick, other, label) in (0usize..1000, 0usize..1000, 0u8..5),
+        (trap, random, trapped) in (any::<bool>(), spec_strategy(), trap_strategy()),
+        pattern in pattern_strategy(),
+        (pick, other, label, probe) in (0usize..1000, 0usize..1000, 0u8..5, 0u8..2),
     ) {
-        let pattern = build_pattern(root, anchored, &nodes);
-        let tree = build(&spec);
-        let expected = oracle(&pattern, &tree);
+        let spec = if trap { trapped } else { random };
+        let probe = build_pattern(&(Some(0), None, false, vec![(0, false, Some(1), Some(probe), None)]));
+        for pattern in [build_pattern(&pattern), probe] {
+            let tree = build(&spec);
+            let expected = oracle(&pattern, &tree);
 
-        prop_assert!(tree.built_label_index().is_none());
-        prop_assert!(streamed(&pattern, &tree) == expected, "fresh tree, {}", pattern);
-        prop_assert!(tree.built_label_index().is_none(), "the matcher built an index");
-        tree.label_index();
-        prop_assert!(streamed(&pattern, &tree) == expected, "indexed tree, {}", pattern);
-        let clone = tree.clone();
-        prop_assert!(clone.built_label_index().is_some());
-        prop_assert!(streamed(&pattern, &clone) == expected, "indexed clone, {}", pattern);
+            prop_assert!(tree.built_label_index().is_none());
+            prop_assert!(streamed(&pattern, &tree) == expected, "fresh tree, {}", pattern);
+            prop_assert!(tree.built_label_index().is_none(), "the matcher built an index");
+            tree.label_index();
+            prop_assert!(streamed(&pattern, &tree) == expected, "indexed tree, {}", pattern);
+            let clone = tree.clone();
+            prop_assert!(clone.built_label_index().is_some());
+            prop_assert!(streamed(&pattern, &clone) == expected, "indexed clone, {}", pattern);
 
-        let targets = elements(&tree);
-        let target = targets[pick % targets.len()];
-        let all = tree.nodes();
-        let source = all[other % all.len()];
-        let mutators: [Mutator; 4] = [
-            ("add_child", Box::new(|t: &mut Tree| {
-                t.add_element(target, format!("l{label}"));
-            })),
-            ("remove_subtree", Box::new(|t: &mut Tree| {
-                if source != t.root() {
-                    t.remove_subtree(source).unwrap();
-                } else {
-                    t.set_label(target, "l0");
-                }
-            })),
-            ("set_label", Box::new(|t: &mut Tree| t.set_label(target, format!("l{label}")))),
-            ("copy_subtree_from", Box::new(|t: &mut Tree| {
-                t.copy_subtree_from(target, &tree, source);
-            })),
-        ];
-        for (name, mutate) in &mutators {
-            let mut mutated = clone.clone();
-            mutate(&mut mutated);
-            prop_assert!(mutated.built_label_index().is_none(), "{} kept the index", name);
-            let expected = oracle(&pattern, &mutated);
-            prop_assert!(streamed(&pattern, &mutated) == expected, "after {}, {}", name, pattern);
-            mutated.label_index();
-            prop_assert!(streamed(&pattern, &mutated) == expected, "after {} + index, {}", name, pattern);
+            let targets = elements(&tree);
+            let target = targets[pick % targets.len()];
+            let all = tree.nodes();
+            let source = all[other % all.len()];
+            let mutators: [Mutator; 4] = [
+                ("add_child", Box::new(|t: &mut Tree| {
+                    t.add_element(target, format!("l{label}"));
+                })),
+                ("remove_subtree", Box::new(|t: &mut Tree| {
+                    if source != t.root() {
+                        t.remove_subtree(source).unwrap();
+                    } else {
+                        t.set_label(target, "l0");
+                    }
+                })),
+                ("set_label", Box::new(|t: &mut Tree| t.set_label(target, format!("l{label}")))),
+                ("copy_subtree_from", Box::new(|t: &mut Tree| {
+                    t.copy_subtree_from(target, &tree, source);
+                })),
+            ];
+            for (name, mutate) in &mutators {
+                let mut mutated = clone.clone();
+                mutate(&mut mutated);
+                prop_assert!(mutated.built_label_index().is_none(), "{} kept the index", name);
+                let expected = oracle(&pattern, &mutated);
+                prop_assert!(streamed(&pattern, &mutated) == expected, "after {}, {}", name, pattern);
+                mutated.label_index();
+                prop_assert!(streamed(&pattern, &mutated) == expected, "after {} + index, {}", name, pattern);
+            }
+            prop_assert_eq!(&streamed(&pattern, &clone), &streamed(&pattern, &tree));
         }
-        prop_assert_eq!(&streamed(&pattern, &clone), &streamed(&pattern, &tree));
     }
 }

@@ -133,13 +133,15 @@ impl Segments {
 
     /// The meta/write mutex of one document (created on first use). The
     /// registry lock is held only long enough to clone the per-document
-    /// `Arc`.
+    /// `Arc`. Only the first use of a name allocates its key.
     pub(crate) fn meta(&self, name: &str) -> Arc<Mutex<DocMeta>> {
-        self.metas
-            .lock()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::with_class(LockClass::Journal, DocMeta::default())))
-            .clone()
+        let mut metas = self.metas.lock();
+        if let Some(meta) = metas.get(name) {
+            return Arc::clone(meta);
+        }
+        let meta = Arc::new(Mutex::with_class(LockClass::Journal, DocMeta::default()));
+        metas.insert(name.to_string(), Arc::clone(&meta));
+        meta
     }
 
     /// Runs `body` on the document's journal state with its write lock held

@@ -7,11 +7,13 @@
 //! (see [`crate::iso`]).
 //!
 //! A tree may carry a [`LabelIndex`] — its element nodes grouped by name,
-//! in document order. The index is built lazily by the first caller of
-//! [`Tree::label_index`] (the query evaluator), shared by every clone, and
-//! dropped by the first mutation, so it always describes exactly the nodes
-//! of the tree that holds it. It is never serialized and takes no part in
-//! equality.
+//! in document order, each group with its value postings (its elements
+//! that carry a given value), and every node's position in document order.
+//! One preorder walk builds all of it. The index is built lazily by the
+//! first caller of [`Tree::label_index`] (the query evaluator), shared by
+//! every clone, and dropped by the first mutation, so it always describes
+//! exactly the nodes of the tree that holds it. It is never serialized and
+//! takes no part in equality.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -106,7 +108,12 @@ impl fmt::Debug for Tree {
 /// (pre)order: what "the elements named X" means, computed by one walk.
 ///
 /// Every group sits back to back in one id vector; a table sorted by name
-/// maps a name to its group's range.
+/// maps a name to its group's range. Beside the groups sit the **value
+/// postings**: every element that has a [`node_value`](Tree::node_value),
+/// under a 64-bit key of its name and value, in a hash table laid out flat
+/// by a counting sort (so filing them sorts nothing). The same walk records
+/// every node's position in document order, so that a caller can put any
+/// set of the tree's nodes in that order.
 #[derive(Debug)]
 pub struct LabelIndex {
     /// The distinct element names, concatenated in sorted order.
@@ -116,25 +123,80 @@ pub struct LabelIndex {
     /// `i` spans `starts[i]..starts[i + 1]`.
     starts: Vec<(u32, u32)>,
     nodes: Vec<NodeId>,
+    /// A power of two of buckets, picked by a key's low bits, plus one:
+    /// bucket `b` spans `postings[buckets[b]..buckets[b + 1]]`.
+    buckets: Vec<u32>,
+    /// `(high half of the posting_key, element)` for every valued element,
+    /// by bucket, and within a bucket in document order. The bucket is
+    /// picked by the key's low bits, so two keys share a lookup only if
+    /// they agree on both.
+    postings: Vec<(u32, NodeId)>,
+    /// Each live node's position in preorder, by [`NodeId::index`].
+    positions: Vec<u32>,
+}
+
+/// The 64-bit key of the postings of `(name, value)`: FxHash's word step
+/// over both strings and their lengths, then SplitMix64's finaliser so that
+/// its low bits can pick a bucket. Keys can collide, and values come from
+/// documents, so a lookup may return an element with another name or value
+/// (at worst, every element that has a value); every caller re-tests both.
+fn posting_key(name: &str, value: &str) -> u64 {
+    fn step(hash: u64, word: u64) -> u64 {
+        (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
+    }
+    fn words(mut hash: u64, text: &str) -> u64 {
+        let mut words = text.as_bytes().chunks_exact(8);
+        for word in &mut words {
+            hash = step(
+                hash,
+                u64::from_le_bytes(word.try_into().expect("eight bytes")),
+            );
+        }
+        let tail = words.remainder().iter().rev();
+        step(
+            hash,
+            tail.fold(0, |word, &byte| word << 8 | u64::from(byte)),
+        )
+    }
+    let lengths = (name.len() as u64) << 32 | value.len() as u64;
+    let mut hash = words(words(lengths, name), value);
+    hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    hash ^ (hash >> 31)
 }
 
 impl LabelIndex {
     fn build(tree: &Tree) -> LabelIndex {
         let mut named: Vec<(&str, NodeId)> = Vec::new();
+        let mut valued: Vec<(u64, NodeId)> = Vec::new();
+        let mut positions = vec![u32::MAX; tree.slot_count()];
+        let mut position = 0;
         let mut stack = vec![tree.root];
         while let Some(node) = stack.pop() {
             let slot = tree.slot(node);
+            positions[node.index()] = position;
+            position += 1;
             if let Some(name) = slot.label.element_name() {
                 named.push((name, node));
+                // `Tree::node_value` of an element, from the slot in hand.
+                if let [only] = slot.children[..] {
+                    if let Some(value) = tree.slot(only).label.text_value() {
+                        valued.push((posting_key(name, value), node));
+                    }
+                }
             }
             stack.extend(slot.children.iter().rev());
         }
         // Stable: each group keeps document order.
         named.sort_by(|a, b| a.0.cmp(b.0));
+        let (buckets, postings) = file_postings(&valued);
         let mut index = LabelIndex {
             names: String::new(),
             starts: Vec::new(),
             nodes: Vec::with_capacity(named.len()),
+            buckets,
+            postings,
+            positions,
         };
         for group in named.chunk_by(|a, b| a.0 == b.0) {
             index.push_start();
@@ -172,10 +234,53 @@ impl LabelIndex {
         &[]
     }
 
+    /// The postings of `(name, value)`, in document order: every element
+    /// named `name` whose [`node_value`](Tree::node_value) is `value`, and
+    /// rarely (a key collision) one whose name or value is another.
+    /// Callers re-test what they take from here.
+    pub fn postings(&self, name: &str, value: &str) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        let key = posting_key(name, value);
+        let bucket = key as usize & (self.buckets.len() - 2);
+        self.postings[self.buckets[bucket] as usize..self.buckets[bucket + 1] as usize]
+            .iter()
+            .filter(move |&&(high, _)| high == (key >> 32) as u32)
+            .map(|&(_, node)| node)
+    }
+
+    /// The position of a live node of the tree in document (pre)order, the
+    /// root's being 0: sorting nodes by it puts them in document order.
+    pub fn position(&self, node: NodeId) -> u32 {
+        self.positions[node.index()]
+    }
+
     /// The distinct element names, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
         (0..self.starts.len() - 1).map(|i| self.name(i))
     }
+}
+
+/// Files `valued` (in document order) into `LabelIndex::postings`' flat
+/// hash table: a counting sort by bucket, which keeps document order within
+/// each bucket. Returns the bucket starts and the filed postings.
+fn file_postings(valued: &[(u64, NodeId)]) -> (Vec<u32>, Vec<(u32, NodeId)>) {
+    let mask = valued.len().next_power_of_two() - 1;
+    let mut buckets = vec![0u32; mask + 2];
+    for &(key, _) in valued {
+        buckets[(key as usize & mask) + 1] += 1;
+    }
+    for b in 1..buckets.len() {
+        buckets[b] += buckets[b - 1];
+    }
+    let mut postings = vec![(0, NodeId(0)); valued.len()];
+    for &(key, node) in valued {
+        let next = &mut buckets[key as usize & mask];
+        postings[*next as usize] = ((key >> 32) as u32, node);
+        *next += 1;
+    }
+    // Each bucket's start has moved to the next bucket's: shift them back.
+    buckets.rotate_right(1);
+    buckets[0] = 0;
+    (buckets, postings)
 }
 
 impl Tree {
@@ -990,6 +1095,53 @@ mod tests {
         assert!(t.find_elements("v").is_empty(), "text is not an element");
         assert!(t.find_elements("z").is_empty());
         assert_eq!(t.element_names(), ["r", "x", "y"]);
+    }
+
+    #[test]
+    fn postings_list_valued_elements_by_name_and_value_in_document_order() {
+        let mut t = Tree::new("r");
+        let outer = t.add_element(t.root(), "p");
+        let inner = t.add_element(outer, "p");
+        let deep = t.add_element(inner, "n");
+        t.add_text(deep, "v");
+        let other = t.add_element(outer, "n");
+        t.add_text(other, "w");
+        let late = t.add_element(outer, "n");
+        t.add_text(late, "v");
+        let empty = t.add_element(outer, "n");
+        // A valued `n` added last, but second in document order.
+        let moved = t.add_element(inner, "n");
+        t.add_text(moved, "v");
+        let index = t.label_index();
+        let postings = |name, value| index.postings(name, value).collect::<Vec<_>>();
+        assert_eq!(postings("n", "v"), [deep, moved, late]);
+        assert_eq!(postings("n", "w"), [other]);
+        assert!(postings("n", "").is_empty());
+        assert!(postings("p", "v").is_empty(), "p has element children");
+        assert!(postings("m", "v").is_empty());
+        assert_eq!(index.elements("n"), [deep, moved, other, late, empty]);
+        let positions: Vec<u32> = t.nodes().iter().map(|&n| index.position(n)).collect();
+        assert_eq!(positions, (0..t.node_count() as u32).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn posting_keys_separate_names_lengths_and_tails() {
+        let values = [
+            "",
+            "a",
+            "a\0",
+            "person-17",
+            "person-171",
+            "12345678",
+            "123456789",
+        ];
+        let names = ["n", "name", "name\0", "namename"];
+        let keys: std::collections::HashSet<u64> = names
+            .iter()
+            .flat_map(|name| values.map(|value| posting_key(name, value)))
+            .collect();
+        assert_eq!(keys.len(), names.len() * values.len());
+        assert_ne!(posting_key("ab", "c"), posting_key("a", "bc"));
     }
 
     #[test]

@@ -17,6 +17,14 @@
 //! same number of allocations on a 40-person and on a 1 320-person
 //! directory (the two sizes leave the arena's last chunk equally full, so
 //! both path copies copy the same slots).
+//!
+//! Queries are pinned on the indexed 200-person directory, in pxbench's
+//! three shapes: a point query ([`POINT_QUERY`]), a scan ([`SCAN_QUERY`])
+//! and a broad query ([`BROAD_QUERY`]). A point query allocates for its
+//! matches and answers only, so it costs the same on a 1 320-person
+//! directory. None of the query counts depends on how many candidates the
+//! matcher tests (it allocates nothing per candidate); the matcher's own
+//! unit tests count those.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -182,4 +190,49 @@ fn one_update_costs_the_same_at_both_table_sizes() {
             (3960, INSERT, COLLECTED_INSERT)
         ]
     );
+}
+
+/// Allocations of one query as the server's `QUERY` evaluates it: the
+/// matches with their conditions and probabilities, then the answers merged
+/// into distinct trees with their probabilities.
+fn query(fuzzy: &FuzzyTree, pattern: &str) -> u64 {
+    let pattern = Pattern::parse(pattern).unwrap();
+    allocations(|| fuzzy.query(&pattern).merged_answers(fuzzy.events())).1
+}
+
+/// pxbench's point query shape: one person by name, with its phones.
+const POINT: &str = "person { name[=\"person-17\"], phone }";
+/// pxbench's scan shape: every person's name and email.
+const SCAN: &str = "person { name, email }";
+/// pxbench's broad shape: every person with each of its phones.
+const BROAD: &str = "person { phone }";
+
+/// A point query: two matches (one per phone of `person-17`).
+const POINT_QUERY: u64 = 114;
+/// A scan: 200 matches.
+const SCAN_QUERY: u64 = 10_038;
+/// A broad query: 400 matches.
+const BROAD_QUERY: u64 = 14_442;
+
+/// [`directory`] with its label index built, as a snapshot's is after its
+/// first query.
+fn indexed_directory(people: usize) -> FuzzyTree {
+    let fuzzy = directory(people);
+    fuzzy.tree().label_index();
+    fuzzy
+}
+
+#[test]
+fn queries_on_an_indexed_directory_cost_pinned_counts() {
+    let base = indexed_directory(200);
+    assert_eq!(
+        [query(&base, POINT), query(&base, SCAN), query(&base, BROAD)],
+        [POINT_QUERY, SCAN_QUERY, BROAD_QUERY]
+    );
+}
+
+#[test]
+fn a_point_query_costs_the_same_at_both_directory_sizes() {
+    let costs = [200, 1320].map(|people| query(&indexed_directory(people), POINT));
+    assert_eq!(costs, [POINT_QUERY; 2]);
 }
