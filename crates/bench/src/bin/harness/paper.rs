@@ -295,7 +295,6 @@ pub fn e7_warehouse(quick: bool) {
         let warehouse = Warehouse::with_config(
             scratch.path(),
             SessionConfig {
-                simplify: SimplifyPolicy::Inline,
                 compaction: CompactionPolicy::EveryNBatches(64),
                 ..SessionConfig::default()
             },

@@ -41,8 +41,8 @@
 //! sweep re-conditioned or removed: the walk is idempotent, and a sweep
 //! leaves every group it did not change as it found it. [`Simplifier::run`]
 //! is this code with the document root as the one touched node — the whole
-//! document, swept in reversed preorder — and is the `SIMPLIFY` verb and the
-//! oracle the scoped runs are tested against. The apply pipeline
+//! document, swept in reversed preorder — and is the oracle the scoped runs
+//! are tested against. The apply pipeline
 //! ([`UpdateTransaction::apply_to_fuzzy_with`](crate::UpdateTransaction::apply_to_fuzzy_with))
 //! passes the update's footprint, so a commit costs what its update touched
 //! plus the depth of the tree, not the document — Delcher et al.'s stance

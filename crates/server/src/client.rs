@@ -137,7 +137,6 @@ pub struct RemoteAnswers {
 pub struct RemoteStats {
     pub updates_applied: usize,
     pub queries_evaluated: usize,
-    pub simplifications: usize,
     pub checkpoints: usize,
     pub fsyncs: usize,
     pub grouped_commits: usize,
@@ -311,11 +310,6 @@ impl Client {
         Ok((seq, fuzzy))
     }
 
-    /// Runs the simplification pass over a document.
-    pub fn simplify(&mut self, doc: &str) -> Result<String, ClientError> {
-        Ok(self.expect(tag::SIMPLIFY, doc.as_bytes(), tag::OK)?.text())
-    }
-
     /// Tenant-level warehouse counters. Never shed by admission control,
     /// but answers only for tenants already resident server-side — a
     /// never-touched (or evicted) tenant gets a typed `not-resident`
@@ -470,7 +464,6 @@ fn parse_stats(text: &str) -> Result<RemoteStats, ClientError> {
     Ok(RemoteStats {
         updates_applied: attr_usize("updates_applied")?,
         queries_evaluated: attr_usize("queries_evaluated")?,
-        simplifications: attr_usize("simplifications")?,
         checkpoints: attr_usize("checkpoints")?,
         fsyncs: attr_usize("fsyncs")?,
         grouped_commits: attr_usize("grouped_commits")?,

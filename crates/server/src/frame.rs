@@ -45,8 +45,7 @@ pub mod tag {
     /// Pin and serialize the document's current snapshot — never blocks on
     /// (or is blocked by) writers.
     pub const SNAPSHOT: u8 = 0x05;
-    /// Run the paper's simplification pass over a document.
-    pub const SIMPLIFY: u8 = 0x06;
+    // 0x06 is retired (the former `SIMPLIFY` verb) and must not be reused.
     /// Tenant-level warehouse counters.
     pub const STATS: u8 = 0x07;
     /// Drain this connection's pending async commits and say goodbye.

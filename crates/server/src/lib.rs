@@ -11,8 +11,7 @@
 //! - **Framing** ([`frame`]): `[len u32][tag u8][tlen u8][tenant][payload]`
 //!   request frames, `[len u32][tag u8][payload]` responses; verbs `open`,
 //!   `query`, `commit` (sync + async over the group-commit pipeline),
-//!   `snapshot` (MVCC pin — reads never block writers), `simplify`,
-//!   `stats`, `close`.
+//!   `snapshot` (MVCC pin — reads never block writers), `stats`, `close`.
 //! - **Server** ([`server`]): thread-per-connection over `std::net`,
 //!   per-tenant [`pxml_warehouse::Warehouse`] isolation with lazy open and
 //!   LRU eviction, admission control with typed `Busy` shedding, and

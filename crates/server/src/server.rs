@@ -518,12 +518,9 @@ impl ServerInner {
                     ),
                 ),
             },
-            tag::OPEN
-            | tag::QUERY
-            | tag::COMMIT
-            | tag::COMMIT_ASYNC
-            | tag::SNAPSHOT
-            | tag::SIMPLIFY => self.admitted(request, backlog),
+            tag::OPEN | tag::QUERY | tag::COMMIT | tag::COMMIT_ASYNC | tag::SNAPSHOT => {
+                self.admitted(request, backlog)
+            }
             other => error_response(
                 "unknown-tag",
                 false,
@@ -787,11 +784,8 @@ impl ServerInner {
                         backlog.pending.push_back(commit);
                         RawResponse {
                             tag: tag::ACCEPTED,
-                            payload: format!(
-                                "applied={applied} pending={}",
-                                backlog.pending.len()
-                            )
-                            .into_bytes(),
+                            payload: format!("applied={applied} pending={}", backlog.pending.len())
+                                .into_bytes(),
                         }
                     }
                     Err(err) => engine_error(err),
@@ -807,18 +801,11 @@ impl ServerInner {
                 }
                 Err(err) => engine_error(err),
             },
-            tag::SIMPLIFY => match warehouse.simplify(&doc) {
-                Ok(report) => ok_response(format!(
-                    "removed_impossible={} stripped_literals={} merged={} removed_events={} passes={}",
-                    report.removed_impossible_nodes,
-                    report.stripped_literals,
-                    report.merged_nodes,
-                    report.removed_events,
-                    report.passes
-                )),
-                Err(err) => engine_error(err),
-            },
-            other => error_response("unknown-tag", false, &format!("unknown request tag 0x{other:02x}")),
+            other => error_response(
+                "unknown-tag",
+                false,
+                &format!("unknown request tag 0x{other:02x}"),
+            ),
         }
     }
 }
@@ -841,7 +828,6 @@ fn stats_response(warehouse: &Warehouse) -> RawResponse {
         .with_attribute("quarantined", quarantined_names)
         .with_attribute("updates_applied", stats.updates_applied.to_string())
         .with_attribute("queries_evaluated", stats.queries_evaluated.to_string())
-        .with_attribute("simplifications", stats.simplifications.to_string())
         .with_attribute("checkpoints", stats.checkpoints.to_string())
         .with_attribute("fsyncs", durability.fsyncs.to_string())
         .with_attribute("grouped_commits", durability.grouped_commits.to_string())

@@ -125,23 +125,36 @@ fn unknown_tag_gets_typed_error_and_connection_survives() {
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
 
     let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .write_all(&raw_request(0x7F, b"acme", b"whatever"))
-        .unwrap();
-    expect_error_code(&mut stream, "unknown-tag");
-    // Framing was intact, so the connection stays usable: a valid open
-    // (which makes the tenant resident) and then a stats request on the
-    // same stream must both answer.
-    stream
-        .write_all(&raw_request(tag::OPEN, b"acme", b"doc\n<doc/>"))
-        .unwrap();
-    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
-    assert_eq!(response.tag, tag::OK);
-    stream
-        .write_all(&raw_request(tag::STATS, b"acme", b""))
-        .unwrap();
-    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
-    assert_eq!(response.tag, tag::STATS_DATA);
+    // A tag never assigned, then the retired `SIMPLIFY` tag, sent once the
+    // document it names exists (the first round's open creates it).
+    for unknown in [0x7F, 0x06] {
+        stream
+            .write_all(&raw_request(unknown, b"acme", b"doc"))
+            .unwrap();
+        let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(response.tag, tag::ERROR, "tag 0x{unknown:02x}");
+        let text = response.text();
+        let mut fields = text.split('\n');
+        assert_eq!(
+            fields.next(),
+            Some("unknown-tag"),
+            "full error payload: {text}"
+        );
+        assert_eq!(fields.next(), Some("final"), "full error payload: {text}");
+        // Framing was intact, so the connection stays usable: a valid open
+        // (which makes the tenant resident) and then a stats request on the
+        // same stream must both answer.
+        stream
+            .write_all(&raw_request(tag::OPEN, b"acme", b"doc\n<doc/>"))
+            .unwrap();
+        let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(response.tag, tag::OK);
+        stream
+            .write_all(&raw_request(tag::STATS, b"acme", b""))
+            .unwrap();
+        let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+        assert_eq!(response.tag, tag::STATS_DATA);
+    }
 
     assert_tenant_alive(&server);
     server.shutdown();

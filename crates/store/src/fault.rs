@@ -55,7 +55,7 @@ pub enum FaultOp {
     /// A device fsync round, consulted by the backend's fsync funnel.
     Fsync,
     /// A checkpoint write, consulted once where every save, fold and
-    /// `simplify` stages its new checkpoint.
+    /// explicit checkpoint stages its new checkpoint.
     Checkpoint,
 }
 

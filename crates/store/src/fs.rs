@@ -276,7 +276,7 @@ impl FsBackend {
     }
 
     /// The atomic checkpoint write itself, assuming the caller holds the
-    /// document's mutex. Every checkpoint — a save, a fold, `simplify`'s —
+    /// document's mutex. Every checkpoint — a save, a fold, an explicit one —
     /// is staged here, so this is where the fault plan's checkpoint door is:
     /// an injected fault (a torn write degrades to a plain error) fires
     /// before anything is staged, leaving the old checkpoint and the whole

@@ -1,20 +1,20 @@
 //! The configuration a warehouse is opened under: [`SessionConfig`] and the
 //! [`CompactionPolicy`] it carries.
 //!
+//! Every warehouse simplifies inline at commit, so a published document is
+//! always at its simplification fixpoint; what a configuration chooses is
+//! when the journal folds into a checkpoint and how commits become durable.
 //! The tests below drive the engine under the *default* configuration —
-//! inline simplification, compaction every 64 batches, per-commit fsyncs —
-//! which is what [`Warehouse::with_config`] callers get when they pass
-//! `SessionConfig::default()`; `warehouse.rs`'s own tests switch both
-//! maintenance policies off to see exactly what they committed.
+//! compaction every 64 batches, per-commit fsyncs — which is what
+//! [`Warehouse::with_config`] callers get when they pass
+//! `SessionConfig::default()`; `warehouse.rs`'s own tests switch compaction
+//! off to see exactly what they journaled.
 //!
 //! ```no_run
-//! use pxml_core::SimplifyPolicy;
 //! use pxml_warehouse::{CommitPolicy, CompactionPolicy, SessionConfig, Warehouse};
 //!
-//! // Leave simplification to explicit `simplify` calls, fold the journal
-//! // every 16 batches, and share fsyncs between documents.
+//! // Fold the journal every 16 batches, and share fsyncs between documents.
 //! let config = SessionConfig {
-//!     simplify: SimplifyPolicy::Never,
 //!     compaction: CompactionPolicy::EveryNBatches(16),
 //!     commit: CommitPolicy::Grouped {
 //!         window_max_batches: 8,
@@ -29,7 +29,6 @@
 //!
 //! [`Warehouse::with_config`]: crate::Warehouse::with_config
 
-use pxml_core::SimplifyPolicy;
 use pxml_store::CommitPolicy;
 
 /// When the commit pipeline folds a document's journal into a fresh
@@ -67,10 +66,6 @@ impl CompactionPolicy {
 /// maintenance policies and how its commits become durable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionConfig {
-    /// When the apply pipeline simplifies committed documents; defaults to
-    /// [`SimplifyPolicy::Inline`] so deletion-induced duplication is won back
-    /// where it is created.
-    pub simplify: SimplifyPolicy,
     /// When the commit pipeline folds the journal into a fresh checkpoint;
     /// defaults to [`CompactionPolicy::EveryNBatches`]`(64)`.
     pub compaction: CompactionPolicy,
@@ -89,7 +84,6 @@ pub struct SessionConfig {
 impl Default for SessionConfig {
     fn default() -> Self {
         SessionConfig {
-            simplify: SimplifyPolicy::Inline,
             compaction: CompactionPolicy::EveryNBatches(64),
             commit: CommitPolicy::Sync,
         }

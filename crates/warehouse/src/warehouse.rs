@@ -81,9 +81,9 @@
 //!
 //! A document is a function of its journal: what a checkpoint plus a
 //! journal denotes has one definition, every journaled update in order
-//! through the per-update step the commit itself ran (apply, then the
-//! configured [`SimplifyPolicy`]), and one private replay turns files into
-//! a published tree for the cold open and for `reopen_document` alike. So
+//! through the per-update step the commit itself ran (apply, then inline
+//! simplification), and one private replay turns files into a published
+//! tree for the cold open and for `reopen_document` alike. So
 //! the live tree, the cold-open tree and the reopened tree are the same
 //! bytes, and recovery costs what the history cost live — never the raw,
 //! unsimplified replay, whose size doubles with every round of conditional
@@ -91,8 +91,8 @@
 //! compare against).
 //!
 //! Every counter has one home. [`Warehouse::stats`] reads the engine's own
-//! atomics (updates, queries, simplifications, checkpoints) and carries the
-//! storage backend's [`DurabilityStats`] (fsync rounds, grouped commits and
+//! atomics (updates, queries, checkpoints) and carries the storage
+//! backend's [`DurabilityStats`] (fsync rounds, grouped commits and
 //! windows, and the one window-occupancy rule) as its `durability` field,
 //! unchanged; the journal's meters (batches, for compaction, and bytes)
 //! stay with the backend.
@@ -117,8 +117,8 @@ use std::sync::Arc;
 
 use parking_lot::{LockClass, Mutex, RwLock};
 use pxml_core::{
-    apply_batch, BatchStats, CoreError, FuzzyQueryResult, FuzzyTree, Simplifier, SimplifyPolicy,
-    SimplifyReport, UpdateTransaction,
+    apply_batch, BatchStats, CoreError, FuzzyQueryResult, FuzzyTree, SimplifyPolicy,
+    UpdateTransaction,
 };
 use pxml_query::Pattern;
 use pxml_store::{CommitTicket, DurabilityStats, FsBackend, FsOptions, StorageBackend, StoreError};
@@ -195,8 +195,8 @@ impl From<CoreError> for WarehouseError {
 
 /// Running counters exposed by [`Warehouse::stats`].
 ///
-/// The engine counters (updates, queries, simplifications, checkpoints) are
-/// lock-free atomics; `durability` is the storage backend's equally
+/// The engine counters (updates, queries, checkpoints) are lock-free
+/// atomics; `durability` is the storage backend's equally
 /// lock-free [`durability_stats`](pxml_store::StorageBackend::durability_stats)
 /// snapshot, all zero on backends without instrumentation (e.g.
 /// `MemBackend`).
@@ -206,8 +206,6 @@ pub struct WarehouseStats {
     pub updates_applied: usize,
     /// Queries evaluated.
     pub queries_evaluated: usize,
-    /// Automatic or explicit simplification runs.
-    pub simplifications: usize,
     /// Checkpoints written.
     pub checkpoints: usize,
     /// Fsync rounds and group-commit windows of the storage backend.
@@ -221,7 +219,6 @@ pub struct WarehouseStats {
 struct StatsCounters {
     updates_applied: AtomicUsize,
     queries_evaluated: AtomicUsize,
-    simplifications: AtomicUsize,
     checkpoints: AtomicUsize,
 }
 
@@ -230,7 +227,6 @@ impl StatsCounters {
         WarehouseStats {
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             queries_evaluated: self.queries_evaluated.load(Ordering::Relaxed),
-            simplifications: self.simplifications.load(Ordering::Relaxed),
             checkpoints: self.checkpoints.load(Ordering::Relaxed),
             durability,
         }
@@ -281,7 +277,7 @@ impl DocSnapshot {
     }
 
     /// The document's commit sequence number at the time of the pin: 0 at
-    /// creation/recovery, +1 per published commit (or simplify). Strictly
+    /// creation/recovery, +1 per published commit (or reopen). Strictly
     /// monotonic per document, so two pins can be ordered.
     pub fn seq(&self) -> u64 {
         self.inner.seq
@@ -310,8 +306,8 @@ struct DocState {
 struct DocSlot {
     /// Serializes writers: held across the whole apply → journal → swap →
     /// maintenance pipeline of [`Warehouse::commit_batch`] (and by
-    /// `simplify`/`checkpoint`/`drop_document`, which must not interleave
-    /// with a commit). Readers never touch it.
+    /// `checkpoint`/`reopen_document`/`drop_document`, which must not
+    /// interleave with a commit). Readers never touch it.
     commit: Mutex<()>,
     /// The published snapshot + tombstone. Only ever held long enough to
     /// clone or swap the snapshot `Arc` — O(1), never across an apply,
@@ -426,20 +422,20 @@ impl Warehouse {
 
     /// The document a checkpoint plus a journal denotes: every journaled
     /// update, in order, through the step the commit that journaled it ran
-    /// ([`pxml_core::apply_batch`]'s loop body under the configured policy),
-    /// in place on the loaded checkpoint. The cold open and
-    /// [`Warehouse::reopen_document`] publish only what this returns, so
-    /// both hold the tree the live warehouse held — the same bytes — and
-    /// recovery costs what the history cost live: a loaded checkpoint is
-    /// not marked as a simplification fixpoint, so under
-    /// [`SimplifyPolicy::Inline`] the first replayed update runs the
-    /// whole-document simplifier and every later one simplifies only what it
-    /// touched, as its live commit did. (A commit that overrode the policy
-    /// is the one exception: the override is not journaled.)
+    /// ([`pxml_core::apply_batch`]'s loop body under
+    /// [`SimplifyPolicy::Inline`]), in place on the loaded checkpoint. The
+    /// cold open and [`Warehouse::reopen_document`] publish only what this
+    /// returns, so both hold the tree the live warehouse held — the same
+    /// bytes — and recovery costs what the history cost live: a loaded
+    /// checkpoint is not marked as a simplification fixpoint, so the first
+    /// replayed update runs the whole-document simplifier and every later
+    /// one simplifies only what it touched, as its live commit did. (A
+    /// commit that passed `Some(SimplifyPolicy::Never)` is the one
+    /// exception: the override is not journaled.)
     fn replay(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
         let mut fuzzy = self.store.load_document(name)?;
         for update in self.store.read_journal(name)? {
-            update.apply_to_fuzzy_with(&mut fuzzy, self.config.simplify)?;
+            update.apply_to_fuzzy_with(&mut fuzzy, SimplifyPolicy::Inline)?;
         }
         Ok(fuzzy)
     }
@@ -639,13 +635,12 @@ impl Warehouse {
 
     /// Commits a batch of update transactions to a document atomically: the
     /// batch is applied to a copy-on-write clone of the current snapshot
-    /// through the policy-aware pipeline ([`pxml_core::apply_batch`];
-    /// `policy` overrides the configured policy when given), journaled as
-    /// one durable entry (the fsync'd journal-record append is the commit
-    /// point), and only then published
-    /// as the document's new snapshot by an O(1) pointer swap — an error
-    /// *before* the commit point leaves the published snapshot and the
-    /// journal exactly as they were. Configured maintenance (checkpoint
+    /// through the pipeline every replay runs ([`pxml_core::apply_batch`]
+    /// with inline simplification), journaled as one durable entry (the
+    /// fsync'd journal-record append is the commit point), and only then
+    /// published as the document's new snapshot by an O(1) pointer swap —
+    /// an error *before* the commit point leaves the published snapshot and
+    /// the journal exactly as they were. Configured maintenance (checkpoint
     /// folding) runs after the commit point and cannot fail the call:
     /// a fold that cannot be written leaves the old checkpoint and the full
     /// journal, the next blocking commit tries again, and the failure itself
@@ -666,10 +661,17 @@ impl Warehouse {
     /// update's footprint — what it inserted, copied and removed — so on a
     /// snapshot an earlier commit left simplified it costs what the update
     /// touched plus the depth of the tree, and gives the bytes a
-    /// whole-document [`Simplifier::run`] would. When deletions have left
-    /// the arena with more than `2 × live + SLOT_SLACK` slots, a compaction
-    /// is folded in before the swap, reclaiming the dead slots (the
-    /// snapshot stays a simplification fixpoint).
+    /// whole-document [`Simplifier::run`](pxml_core::Simplifier::run) would.
+    /// When deletions have left the arena with more than
+    /// `2 × live + SLOT_SLACK` slots, a compaction is folded in before the
+    /// swap, reclaiming the dead slots (the snapshot stays a simplification
+    /// fixpoint).
+    ///
+    /// `policy` is frozen for pxbench, whose trace compiles against this
+    /// signature: `None` means [`SimplifyPolicy::Inline`], and
+    /// `Some(SimplifyPolicy::Never)` is the one commit whose replay can
+    /// differ from the live tree, because the override is not journaled.
+    /// ROADMAP item 11 deletes the parameter.
     pub fn commit_batch(
         &self,
         name: &str,
@@ -693,7 +695,7 @@ impl Warehouse {
         policy: Option<SimplifyPolicy>,
         wait_durable: bool,
     ) -> Result<AsyncCommit, WarehouseError> {
-        let policy = policy.unwrap_or(self.config.simplify);
+        let policy = policy.unwrap_or(SimplifyPolicy::Inline);
         let slot = self.slot(name)?;
         let commit = slot.commit.lock();
         let base = Self::pin(&slot, name)?;
@@ -733,10 +735,6 @@ impl Warehouse {
         self.stats
             .updates_applied
             .fetch_add(batch.len(), Ordering::Relaxed);
-        let simplified = stats.updates.iter().filter(|u| u.simplify.is_some());
-        self.stats
-            .simplifications
-            .fetch_add(simplified.count(), Ordering::Relaxed);
         // Compaction rides the blocking pipeline (the async path skips it,
         // see `commit_batch_async`). The commit mutex is still held, so the
         // save + truncate cannot interleave with another commit's journal
@@ -808,6 +806,11 @@ impl Warehouse {
     /// force the window to flush early, defeating the coalescing. The next
     /// blocking commit (or an explicit [`Warehouse::checkpoint`]) picks the
     /// fold up.
+    ///
+    /// `policy` is [`Warehouse::commit_batch`]'s frozen parameter, with the
+    /// same meaning: `None` is [`SimplifyPolicy::Inline`], and
+    /// `Some(SimplifyPolicy::Never)` is not journaled, so its replay can
+    /// differ. ROADMAP item 11 deletes it.
     pub fn commit_batch_async(
         &self,
         name: &str,
@@ -823,25 +826,6 @@ impl Warehouse {
         let slot = self.slot(name)?;
         Self::pin(&slot, name)?;
         Ok(self.store.journal_size_bytes(name)?)
-    }
-
-    /// Runs the simplifier on a document and persists the result as a fresh
-    /// checkpoint. The simplifier works on a copy-on-write clone under the
-    /// commit mutex (it is a writer); readers keep querying the
-    /// pre-simplification snapshot until the result is published.
-    pub fn simplify(&self, name: &str) -> Result<SimplifyReport, WarehouseError> {
-        let slot = self.slot(name)?;
-        let commit = slot.commit.lock();
-        let base = Self::pin(&slot, name)?;
-        Self::check_quarantine(&slot, name)?;
-        let mut working = base.fuzzy().clone();
-        let report = Simplifier::new().run(&mut working)?;
-        self.store.checkpoint(name, &working)?;
-        Self::publish(&slot, &base, working);
-        drop(commit);
-        self.stats.simplifications.fetch_add(1, Ordering::Relaxed);
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(report)
     }
 
     /// Writes the current in-memory state of a document as a checkpoint and
@@ -1038,7 +1022,6 @@ impl AsyncCommit {
 mod tests {
     use super::*;
     use crate::session::CompactionPolicy;
-    use pxml_query::PNodeId;
     use pxml_tree::parse_data_tree;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicU64;
@@ -1099,11 +1082,10 @@ mod tests {
         warehouse.commit_batch(name, std::slice::from_ref(update), None)
     }
 
-    /// The engine defaults used by most tests: no background simplification
-    /// or compaction, so assertions see exactly what they committed.
+    /// The engine defaults used by most tests, without compaction: the
+    /// journal holds exactly what the test committed.
     fn plain_config() -> SessionConfig {
         SessionConfig {
-            simplify: SimplifyPolicy::Never,
             compaction: CompactionPolicy::Never,
             ..SessionConfig::default()
         }
@@ -1212,7 +1194,6 @@ mod tests {
         let warehouse = Warehouse::with_config(
             &dir,
             SessionConfig {
-                simplify: SimplifyPolicy::Never,
                 compaction: CompactionPolicy::EveryNBatches(2),
                 ..SessionConfig::default()
             },
@@ -1251,7 +1232,6 @@ mod tests {
         ] {
             let dir = scratch("fold-fails");
             let config = SessionConfig {
-                simplify: SimplifyPolicy::Never,
                 compaction: CompactionPolicy::EveryNBatches(2),
                 ..SessionConfig::default()
             };
@@ -1291,28 +1271,6 @@ mod tests {
             assert_eq!(reopened.query("people", &phones).unwrap().len(), 3);
             std::fs::remove_dir_all(dir).unwrap();
         }
-    }
-
-    #[test]
-    fn explicit_simplify_checkpoints_and_preserves_semantics() {
-        let dir = scratch("simplify");
-        let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
-        warehouse.create_document("people", directory()).unwrap();
-        // A conditional deletion that duplicates nodes.
-        let pattern = Pattern::parse("person { name[=\"alice\"], phone }").unwrap();
-        let ids: Vec<PNodeId> = pattern.node_ids().collect();
-        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
-        let retract = UpdateTransaction::new(pattern, 0.5)
-            .unwrap()
-            .with_delete(ids[2]);
-        commit_one(&warehouse, "people", &retract).unwrap();
-
-        let before = warehouse.document("people").unwrap();
-        warehouse.simplify("people").unwrap();
-        let after = warehouse.document("people").unwrap();
-        assert!(before.semantically_equivalent(&after, 1e-9).unwrap());
-        assert!(after.condition_literal_count() <= before.condition_literal_count());
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]
@@ -1970,10 +1928,6 @@ mod tests {
         ));
         assert!(matches!(
             warehouse.commit_batch_async("people", &[add_phone("bob", 0.6)], None),
-            Err(WarehouseError::Quarantined { .. })
-        ));
-        assert!(matches!(
-            warehouse.simplify("people"),
             Err(WarehouseError::Quarantined { .. })
         ));
         assert!(matches!(

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use pxml_core::{apply_batch, FuzzyTree, UpdateTransaction};
+use pxml_core::{apply_batch, FuzzyTree, SimplifyPolicy, UpdateTransaction};
 use pxml_query::Pattern;
 use pxml_store::{
     serialize_fuzzy_document, FaultKind, FaultOp, FaultPlan, FsBackend, FsOptions, StorageBackend,
@@ -239,12 +239,11 @@ proptest! {
         // One history, one tree: a warehouse over these files publishes the
         // acked batches applied in order to the created document, to the
         // byte — through every fold, reopen and rollback above.
-        let config = SessionConfig::default();
         let mut shadow = FuzzyTree::from_tree(parse_data_tree(DIRECTORY_XML).unwrap());
         for &tag in &acked {
-            shadow = apply_batch(&shadow, &tagged_batch(tag), config.simplify).unwrap().0;
+            shadow = apply_batch(&shadow, &tagged_batch(tag), SimplifyPolicy::Inline).unwrap().0;
         }
-        let cold = Warehouse::with_backend(Arc::new(reopened), config).unwrap();
+        let cold = Warehouse::with_backend(Arc::new(reopened), SessionConfig::default()).unwrap();
         let cold = cold.snapshot("doc").unwrap();
         prop_assert_eq!(
             serialize_fuzzy_document(cold.fuzzy(), false),

@@ -167,14 +167,15 @@ fn main() {
         .fold(0.0_f64, f64::max);
     println!("  P(the directory still records an e-mail) = {still_there:.3}");
 
-    // Housekeeping already happened inline (the default SimplifyPolicy), so
-    // an explicit pass has little left to do.
-    let report = warehouse
-        .simplify("directory")
-        .expect("simplification succeeds");
+    // Housekeeping already happened inline at every commit, so the document
+    // is at its simplification fixpoint; a checkpoint folds the journal into
+    // the stored document.
+    warehouse
+        .checkpoint("directory")
+        .expect("checkpoint succeeds");
     println!(
-        "\nexplicit simplification after inline maintenance: {} node(s) merged, {} event(s) dropped",
-        report.merged_nodes, report.removed_events
+        "\ncheckpoints written this session: {}",
+        warehouse.stats().checkpoints
     );
 
     println!("\n== Final document ==");

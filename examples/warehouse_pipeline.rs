@@ -20,7 +20,6 @@ fn main() {
     let warehouse = Warehouse::with_config(
         &storage,
         SessionConfig {
-            simplify: SimplifyPolicy::Inline,
             compaction: CompactionPolicy::EveryNBatches(16),
             ..SessionConfig::default()
         },
@@ -75,7 +74,8 @@ fn main() {
 
     // -----------------------------------------------------------------------
     // 4. Maintenance and persistence. Inline simplification already ran at
-    //    every commit; an explicit pass checkpoints on top.
+    //    every commit, so the document is at its fixpoint; an explicit
+    //    checkpoint folds the journal into the stored document.
     // -----------------------------------------------------------------------
     let snapshot = warehouse.document("people").expect("document exists");
     println!("\n== Document health ==");
@@ -85,17 +85,7 @@ fn main() {
         "  condition literals: {}",
         snapshot.condition_literal_count()
     );
-    let report = warehouse
-        .simplify("people")
-        .expect("simplification succeeds");
-    let after = warehouse.document("people").expect("document exists");
-    println!(
-        "  after explicit simplification: {} nodes, {} events, {} literals ({} passes)",
-        after.node_count(),
-        after.event_count(),
-        after.condition_literal_count(),
-        report.passes
-    );
+    warehouse.checkpoint("people").expect("checkpoint succeeds");
     println!("  warehouse stats: {:?}", warehouse.stats());
 
     // -----------------------------------------------------------------------

@@ -13,7 +13,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use pxml::core::SimplifyPolicy;
 use pxml::event::{EventId, Formula};
 use pxml::gen::scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
 use pxml::query::Pattern;
@@ -43,9 +42,7 @@ fn broad_queries_past_the_cliff_return_the_exact_probability() {
     let mut rng = StdRng::seed_from_u64(SEED);
     for _ in 0..UPDATES {
         let (update, _) = extraction_update(&mut rng, &scenario);
-        warehouse
-            .commit_batch("people", &[update], Some(SimplifyPolicy::Inline))
-            .unwrap();
+        warehouse.commit_batch("people", &[update], None).unwrap();
     }
 
     for text in ["person { phone }", "person { name, email }"] {

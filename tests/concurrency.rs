@@ -48,11 +48,10 @@ fn tagged_phone(person: usize, tag: &str, confidence: f64) -> UpdateTransaction 
         .with_insert(target, phone)
 }
 
-/// The replay-free configuration used throughout: what the threads
-/// committed is exactly what the journals hold and what recovery rebuilds.
+/// Compaction off throughout: the journals hold every commit the threads
+/// made, and recovery replays them all.
 fn plain_config() -> SessionConfig {
     SessionConfig {
-        simplify: SimplifyPolicy::Never,
         compaction: CompactionPolicy::Never,
         ..SessionConfig::default()
     }

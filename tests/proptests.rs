@@ -695,8 +695,8 @@ proptest! {
 ///   the grandparent of what the update inserted.
 ///
 /// Half of the documents are simplified first, so a history's first commit
-/// is scoped.
-fn history_start_strategy() -> impl Strategy<Value = FuzzyTree> {
+/// is scoped; the flag says which.
+fn history_start_strategy() -> impl Strategy<Value = (FuzzyTree, bool)> {
     (fuzzy_strategy_with(&[1.0, 0.0]), any::<bool>()).prop_map(|(mut fuzzy, simplified)| {
         let root = fuzzy.root();
         let person = fuzzy.add_element(root, "person");
@@ -725,7 +725,7 @@ fn history_start_strategy() -> impl Strategy<Value = FuzzyTree> {
         if simplified {
             Simplifier::new().run(&mut fuzzy).unwrap();
         }
-        fuzzy
+        (fuzzy, simplified)
     })
 }
 
@@ -805,18 +805,22 @@ proptest! {
     /// not (through `create_fuzzy_document`), and the histories draw
     /// confidence-1 and confidence-0 updates, updates that match nothing or
     /// only inconsistently, and the extract-then-clean loop.
+    ///
+    /// At the end of the history the published document is already what a
+    /// whole-document pass followed by a checkpoint would leave: a
+    /// checkpoint, a cold open of the same backend and a reopen each serve
+    /// its bytes, and once it has been simplified — at the start, or by any
+    /// commit — [`Simplifier::run`] over a copy finds nothing to do.
     #[test]
     fn scoped_simplification_equals_the_whole_document_run(
-        start in history_start_strategy(),
+        (start, simplified) in history_start_strategy(),
         steps in proptest::collection::vec((0u8..10, any::<u64>()), 1..12),
     ) {
-        let warehouse = Warehouse::with_backend(
-            std::sync::Arc::new(MemBackend::new()),
-            SessionConfig::default(),
-        )
-        .unwrap();
+        let backend = std::sync::Arc::new(MemBackend::new());
+        let warehouse = Warehouse::with_backend(backend.clone(), SessionConfig::default()).unwrap();
         warehouse.create_fuzzy_document("doc", start).unwrap();
         let bytes = |fuzzy: &FuzzyTree| serialize_fuzzy_document(fuzzy, false);
+        let mut took_a_commit = false;
         for (step, &(choice, seed)) in steps.iter().enumerate() {
             let tree = warehouse.document("doc").unwrap().tree().clone();
             for update in history_step(choice, seed, &tree) {
@@ -827,6 +831,7 @@ proptest! {
                 if applied.is_err() {
                     continue;
                 }
+                took_a_commit = true;
                 Simplifier::new().run(&mut oracle).unwrap();
                 let published = warehouse.document("doc").unwrap();
                 prop_assert!(
@@ -839,6 +844,20 @@ proptest! {
                 );
             }
         }
+
+        let mut published = warehouse.document("doc").unwrap();
+        let published_bytes = bytes(&published);
+        if simplified || took_a_commit {
+            let report = Simplifier::new().run(&mut published).unwrap();
+            prop_assert!(report.is_noop(), "a run over the published document: {:?}", report);
+            prop_assert!(bytes(&published) == published_bytes);
+        }
+        warehouse.checkpoint("doc").unwrap();
+        prop_assert!(bytes(&warehouse.document("doc").unwrap()) == published_bytes);
+        let cold = Warehouse::with_backend(backend, SessionConfig::default()).unwrap();
+        prop_assert!(bytes(&cold.document("doc").unwrap()) == published_bytes, "cold open");
+        warehouse.reopen_document("doc").unwrap();
+        prop_assert!(bytes(&warehouse.document("doc").unwrap()) == published_bytes, "reopen");
     }
 }
 

@@ -28,7 +28,6 @@ fn directory() -> Tree {
 
 fn plain_config() -> SessionConfig {
     SessionConfig {
-        simplify: SimplifyPolicy::Never,
         compaction: CompactionPolicy::Never,
         ..SessionConfig::default()
     }
@@ -97,7 +96,7 @@ proptest! {
         let mut legal = HashSet::new();
         legal.insert(state.fuzzy_canonical_string(state.root()));
         for batch in &batches {
-            state = apply_batch(&state, batch, SimplifyPolicy::Never).unwrap().0;
+            state = apply_batch(&state, batch, SimplifyPolicy::Inline).unwrap().0;
             legal.insert(state.fuzzy_canonical_string(state.root()));
         }
 
