@@ -100,7 +100,7 @@ use crate::format::{parse_fuzzy_document, serialize_fuzzy_document_with_epoch};
 use crate::group::{
     CommitPolicy, CommitSlot, CommitTicket, DurabilityStats, GroupCommitter, PendingAppend,
 };
-use crate::journal::{encode_record, EncodedRecord, SoundRecords, TEAR_BYTES};
+use crate::journal::{decode_records, encode_record, EncodedRecord, TEAR_BYTES};
 use crate::segment::{parse_segment_name, Cursor, Segments};
 
 /// Construction options for [`FsBackend`] ([`FsBackend::with_options`]).
@@ -588,10 +588,7 @@ impl StorageBackend for FsBackend {
             if meta.cursor.bytes == 0 {
                 return Ok(Vec::new());
             }
-            let bytes = fs::read(segments.journal_path(name, meta.epoch))?;
-            SoundRecords::new(&bytes)
-                .map(|record| record.decode())
-                .collect()
+            decode_records(&fs::read(segments.journal_path(name, meta.epoch))?)
         })
     }
 

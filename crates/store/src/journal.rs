@@ -33,7 +33,8 @@
 //! directions: `encode_record` frames a batch (header + payload) into an
 //! `EncodedRecord`, which is all the layers below the append entry point
 //! ever handle; `SoundRecords` is the one borrowing walk over a segment's
-//! whole records, used by replay (`SoundRecord::decode`, which checks the
+//! whole records, used by replay (`decode_records`, every backend's
+//! `read_batches`: `SoundRecord::decode` on each record, which checks the
 //! payload against the header's `update_count`) and by `scan_segment`
 //! (headers only — a fresh process rebuilds the journal meters without
 //! parsing a payload). A record whose header or payload is
@@ -199,17 +200,17 @@ pub(crate) fn encode_record(batch: &[UpdateTransaction]) -> EncodedRecord {
 }
 
 /// One whole record borrowed from a segment's bytes.
-pub(crate) struct SoundRecord<'a> {
+struct SoundRecord<'a> {
     /// The `<pxml:batch>` document ([`parse_batch`] decodes it).
-    pub(crate) payload: &'a str,
+    payload: &'a str,
     /// The header's update count.
-    pub(crate) updates: u32,
+    updates: u32,
 }
 
 impl SoundRecord<'_> {
     /// The record's batch: its payload decoded, refused as corrupt when it
     /// does not hold as many updates as the header says.
-    pub(crate) fn decode(&self) -> Result<Vec<UpdateTransaction>, StoreError> {
+    fn decode(&self) -> Result<Vec<UpdateTransaction>, StoreError> {
         let batch = parse_batch(self.payload)?;
         if batch.len() != self.updates as usize {
             return Err(StoreError::Format(format!(
@@ -226,13 +227,13 @@ impl SoundRecord<'_> {
 /// first record that is not wholly there — a short header, a payload shorter
 /// than its length prefix, a payload that is not UTF-8 — or at the end of the
 /// bytes; [`SoundRecords::sound_len`] then tells the two apart.
-pub(crate) struct SoundRecords<'a> {
+struct SoundRecords<'a> {
     bytes: &'a [u8],
     sound_len: usize,
 }
 
 impl<'a> SoundRecords<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         SoundRecords {
             bytes,
             sound_len: 0,
@@ -241,7 +242,7 @@ impl<'a> SoundRecords<'a> {
 
     /// Total bytes of the records yielded so far. Once the walk has ended
     /// this is the segment's sound length: anything beyond it is a torn tail.
-    pub(crate) fn sound_len(&self) -> usize {
+    fn sound_len(&self) -> usize {
         self.sound_len
     }
 }
@@ -261,6 +262,15 @@ impl<'a> Iterator for SoundRecords<'a> {
         self.sound_len += RECORD_HEADER_BYTES + payload_len;
         Some(SoundRecord { payload, updates })
     }
+}
+
+/// The batches of a journal's records, in order: the walk over its sound
+/// records, each decoded (a torn tail is not a record and decodes to
+/// nothing). Every backend's `read_batches` ends here.
+pub(crate) fn decode_records(bytes: &[u8]) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
+    SoundRecords::new(bytes)
+        .map(|record| record.decode())
+        .collect()
 }
 
 /// One segment's header walk: the record count and the byte length of the

@@ -30,7 +30,8 @@
 //!   the leader/follower window protocol coalescing many documents'
 //!   (already encoded) appends into one fsync round, and the
 //!   [`CommitTicket`] handle of an enqueued append;
-//! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benchmarks;
+//! * [`mem`] — [`MemBackend`]: the in-process backend for tests and benchmarks,
+//!   holding the checkpoint text and journal records [`FsBackend`] writes;
 //! * [`fault`] — deterministic fault injection: a seeded [`FaultPlan`]
 //!   installed through [`FsOptions::fault`] and consulted by [`FsBackend`]
 //!   at its append entry point and fsync funnel (the chaos battery and the

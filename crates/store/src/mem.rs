@@ -5,10 +5,15 @@
 //! (including the compaction policy, which reads the journal meters) without
 //! scratch directories.
 //!
-//! The batch payloads are round-tripped through the same `<pxml:batch>`
-//! serialization as [`FsBackend`](crate::FsBackend), so the journal meters
-//! (`journal_size_bytes` in particular) are comparable across backends and a
-//! workload that serializes wrongly fails here too.
+//! It stores what [`FsBackend`](crate::FsBackend) writes, and nothing else:
+//! a document is its checkpoint's PrXML text, its journal's framed records
+//! (`journal::encode_record`) and a record count. Both are read back the
+//! way the file-system backend reads its files — the checkpoint through
+//! [`parse_fuzzy_document`], the records through the journal module's one
+//! decoder — so the two backends report the same journal meters for the
+//! same history, a workload that serializes wrongly fails here too, and a
+//! cold open or a reopen over this backend loads an unmarked, unindexed
+//! document and replays it exactly as over the files.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,15 +23,19 @@ use pxml_core::{FuzzyTree, UpdateTransaction};
 
 use crate::backend::StorageBackend;
 use crate::error::StoreError;
+use crate::format::{parse_fuzzy_document, serialize_fuzzy_document};
 use crate::group::CommitTicket;
-use crate::journal::serialize_batch;
+use crate::journal::{decode_records, encode_record};
 
-/// One document's in-memory state.
-#[derive(Debug, Clone)]
+/// One document's stored bytes.
+#[derive(Debug, Default)]
 struct MemDoc {
-    checkpoint: FuzzyTree,
-    batches: Vec<Vec<UpdateTransaction>>,
-    bytes: u64,
+    /// The checkpoint's PrXML text.
+    checkpoint: String,
+    /// The journal's records, header and payload, back to back.
+    journal: Vec<u8>,
+    /// The number of records in `journal`.
+    batches: usize,
 }
 
 /// The in-memory storage backend (see the module docs).
@@ -35,7 +44,7 @@ struct MemDoc {
 /// store-wide mutex held only for the in-memory bookkeeping — strictly
 /// stronger than the per-document serialization the
 /// [`StorageBackend`] contract requires, and never held across I/O (there is
-/// none).
+/// none) or across the codec.
 #[derive(Debug, Clone)]
 pub struct MemBackend {
     docs: Arc<Mutex<HashMap<String, MemDoc>>>,
@@ -66,6 +75,12 @@ impl MemBackend {
             .ok_or_else(|| StoreError::MissingDocument(name.to_string()))?;
         Ok(body(doc))
     }
+
+    /// Reads a document's bytes. An unknown name reads as an empty document,
+    /// as over files: the engine polls the meters without checking existence.
+    fn read<R>(&self, name: &str, body: impl FnOnce(&MemDoc) -> R) -> R {
+        body(self.docs.lock().get(name).unwrap_or(&MemDoc::default()))
+    }
 }
 
 impl StorageBackend for MemBackend {
@@ -80,62 +95,48 @@ impl StorageBackend for MemBackend {
     }
 
     fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        let mut docs = self.docs.lock();
-        match docs.get_mut(name) {
-            // Overwriting a checkpoint leaves the journal untouched, exactly
-            // like the file-system backend.
-            Some(doc) => doc.checkpoint = fuzzy.clone(),
-            None => {
-                docs.insert(
-                    name.to_string(),
-                    MemDoc {
-                        checkpoint: fuzzy.clone(),
-                        batches: Vec::new(),
-                        bytes: 0,
-                    },
-                );
-            }
-        }
+        let checkpoint = serialize_fuzzy_document(fuzzy, true);
+        // Overwriting a checkpoint leaves the journal untouched, exactly like
+        // the file-system backend.
+        self.docs
+            .lock()
+            .entry(name.to_string())
+            .or_default()
+            .checkpoint = checkpoint;
         Ok(())
     }
 
     fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
-        self.with_doc(name, |doc| doc.checkpoint.clone())
+        parse_fuzzy_document(&self.with_doc(name, |doc| doc.checkpoint.clone())?)
     }
 
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
+        let record = encode_record(batch);
         CommitTicket::resolved(self.with_doc(name, |doc| {
-            doc.bytes += serialize_batch(batch).len() as u64;
-            doc.batches.push(batch.to_vec());
+            doc.journal.extend_from_slice(&record.bytes);
+            doc.batches += 1;
         }))
     }
 
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        match self.docs.lock().get(name) {
-            Some(doc) => Ok(doc.batches.clone()),
-            // Mirror the file-system backend: an unknown document simply has
-            // an empty journal.
-            None => Ok(Vec::new()),
-        }
+        decode_records(&self.read(name, |doc| doc.journal.clone()))
     }
 
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        Ok(self
-            .docs
-            .lock()
-            .get(name)
-            .map_or(0, |doc| doc.batches.len()))
+        Ok(self.read(name, |doc| doc.batches))
     }
 
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
-        Ok(self.docs.lock().get(name).map_or(0, |doc| doc.bytes))
+        Ok(self.read(name, |doc| doc.journal.len() as u64))
     }
 
     fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+        let checkpoint = serialize_fuzzy_document(fuzzy, true);
         self.with_doc(name, |doc| {
-            doc.checkpoint = fuzzy.clone();
-            doc.batches.clear();
-            doc.bytes = 0;
+            *doc = MemDoc {
+                checkpoint,
+                ..MemDoc::default()
+            }
         })
     }
 

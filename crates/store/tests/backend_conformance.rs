@@ -1,7 +1,9 @@
 //! The backend conformance suite: one set of behavioural checks run against
 //! every shipped [`StorageBackend`] implementation through a shared harness
 //! function, so `FsBackend` and `MemBackend` cannot drift apart on the
-//! semantics the warehouse engine relies on.
+//! semantics the warehouse engine relies on — plus one history run on both
+//! side by side, which pins the stored form itself: the same journal meters
+//! after every step, and checkpoints that load back to the bytes saved.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -194,6 +196,60 @@ fn conformance_suite(backend: &dyn StorageBackend) {
             .len(),
         0
     );
+}
+
+/// The two backends store one form: the same history — a create, appends,
+/// a checkpoint, more appends — leaves both with equal journal meters after
+/// every step, and each loads back the bytes of the tree it was last given.
+#[test]
+fn fs_and_mem_backends_store_the_same_bytes() {
+    let dir = scratch("same-bytes");
+    let fs = FsBackend::open(&dir).unwrap();
+    let mem = MemBackend::new();
+    let backends: [&dyn StorageBackend; 2] = [&fs, &mem];
+    let bytes = |fuzzy: &FuzzyTree| pxml_store::serialize_fuzzy_document(fuzzy, false);
+    let agree = |step: &str, saved: &FuzzyTree| {
+        let [fs, mem] = backends.map(|backend| {
+            assert_eq!(
+                bytes(&backend.load_document("people").unwrap()),
+                bytes(saved),
+                "{backend:?} loads what was saved, {step}"
+            );
+            (
+                backend.journal_batches("people").unwrap(),
+                backend.journal_size_bytes("people").unwrap(),
+            )
+        });
+        assert_eq!(fs, mem, "journal meters (batches, bytes), {step}");
+    };
+
+    let mut saved = sample_fuzzy();
+    for backend in backends {
+        backend.save_document("people", &saved).unwrap();
+    }
+    agree("after the create", &saved);
+    let history = [vec!["a1", "a2"], vec!["b"], vec![], vec!["c"]];
+    for (round, tags) in history.iter().enumerate() {
+        let batch: Vec<UpdateTransaction> = tags.iter().map(|tag| tagged_update(tag)).collect();
+        for backend in backends {
+            backend.append_batch("people", &batch).unwrap();
+        }
+        agree(&format!("after append {round}"), &saved);
+    }
+    saved = fs.recover_document("people").unwrap();
+    for backend in backends {
+        backend.checkpoint("people", &saved).unwrap();
+    }
+    agree("after the checkpoint", &saved);
+    for tag in ["d", "e"] {
+        for backend in backends {
+            backend
+                .append_batch("people", &[tagged_update(tag)])
+                .unwrap();
+        }
+        agree(&format!("after append {tag}"), &saved);
+    }
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 /// Concurrent same-document appends must serialize (none lost), and

@@ -2069,6 +2069,31 @@ mod tests {
         std::fs::remove_dir_all(dir).unwrap();
     }
 
+    /// A checkpoint loads back unmarked on every backend: the commit after a
+    /// cold open of a checkpointed document runs the whole-document
+    /// simplifier, and walks the same nodes over `MemBackend` as over
+    /// `FsBackend`.
+    #[test]
+    fn a_cold_opened_checkpoint_simplifies_alike_on_both_backends() {
+        let walked_after_cold_open = |store: Arc<dyn StorageBackend>| {
+            let warehouse = Warehouse::with_backend(store.clone(), plain_config()).unwrap();
+            warehouse.create_document("people", directory()).unwrap();
+            commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+            warehouse.checkpoint("people").unwrap();
+            let cold = Warehouse::with_backend(store, plain_config()).unwrap();
+            let stats = commit_one(&cold, "people", &add_email("bob", 0.7)).unwrap();
+            stats.updates[0].simplify.as_ref().unwrap().nodes_walked
+        };
+        let dir = scratch("cold-checkpoint-walk");
+        let over_fs = walked_after_cold_open(Arc::new(FsBackend::open(&dir).unwrap()));
+        let over_mem = walked_after_cold_open(Arc::new(pxml_store::MemBackend::new()));
+        assert_eq!(
+            over_mem, over_fs,
+            "nodes walked by the commit after a cold open"
+        );
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
     /// The paper's extraction-then-cleaning loop: three uncertain phones and
     /// an uncertain e-mail, then eleven rounds of "insert a phone" and
     /// "`person { phone, email }`, delete the e-mail". Every retraction

@@ -807,10 +807,12 @@ proptest! {
     /// only inconsistently, and the extract-then-clean loop.
     ///
     /// At the end of the history the published document is already what a
-    /// whole-document pass followed by a checkpoint would leave: a
-    /// checkpoint, a cold open of the same backend and a reopen each serve
-    /// its bytes, and once it has been simplified — at the start, or by any
-    /// commit — [`Simplifier::run`] over a copy finds nothing to do.
+    /// whole-document pass followed by a checkpoint would leave: a cold open
+    /// replaying the whole history from the journal, a checkpoint, a cold
+    /// open of that checkpoint and a reopen each serve its bytes — every
+    /// open crossing the stored text, as over files — and once it has been
+    /// simplified — at the start, or by any commit — [`Simplifier::run`]
+    /// over a copy finds nothing to do.
     #[test]
     fn scoped_simplification_equals_the_whole_document_run(
         (start, simplified) in history_start_strategy(),
@@ -852,6 +854,11 @@ proptest! {
             prop_assert!(report.is_noop(), "a run over the published document: {:?}", report);
             prop_assert!(bytes(&published) == published_bytes);
         }
+        let replayed = Warehouse::with_backend(backend.clone(), SessionConfig::default()).unwrap();
+        prop_assert!(
+            bytes(&replayed.document("doc").unwrap()) == published_bytes,
+            "cold open replaying the journal"
+        );
         warehouse.checkpoint("doc").unwrap();
         prop_assert!(bytes(&warehouse.document("doc").unwrap()) == published_bytes);
         let cold = Warehouse::with_backend(backend, SessionConfig::default()).unwrap();
