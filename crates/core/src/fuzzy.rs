@@ -317,10 +317,13 @@ impl FuzzyTree {
 
     /// Appends the literals of every condition on the root→`node` path to
     /// `out` (unsorted, possibly with duplicates — callers build one
-    /// [`Condition`] from the accumulated batch).
+    /// [`Condition`] from the accumulated batch). Follows parent links, so
+    /// it allocates nothing beyond `out`'s growth.
     pub fn extend_existence_literals(&self, node: NodeId, out: &mut Vec<Literal>) {
-        for n in self.tree.ancestors_or_self(node) {
+        let mut cur = Some(node);
+        while let Some(n) = cur {
             out.extend_from_slice(self.condition_literals(n));
+            cur = self.tree.parent(n);
         }
     }
 

@@ -3,7 +3,7 @@
 //! A TPWJ query is evaluated on the *underlying* data tree; every match is
 //! returned together with:
 //!
-//! * its minimal-subtree answer, and
+//! * the group of its minimal-subtree answer, and
 //! * its **match condition** — the conjunction of the existence conditions of
 //!   all mapped nodes (and of the text children supplying the values used by
 //!   value tests and joins) — whose probability is the probability that the
@@ -13,6 +13,14 @@
 //! of that *answer* is the probability of the **disjunction** of their match
 //! conditions, computed exactly; this is what makes the commutation theorem
 //! of slide 13 hold: `query(worlds(F)) = worlds(query(F))`.
+//!
+//! [`FuzzyTree::query`] computes each match's mapped nodes once, reads its
+//! condition from them, drops it if the condition is inconsistent, and
+//! otherwise files it with `pxml-query`'s [`AnswerGroups`]: one canonical
+//! key per match, written over the data tree, and one answer tree per
+//! group, in order of each group's first match. The result carries those
+//! trees; [`FuzzyQueryResult::merged_answers`] reads them and never
+//! re-derives the classes.
 //!
 //! The model's events are independent, so match conditions that share no
 //! event are independent as well — and the conditions of a broad query
@@ -26,19 +34,20 @@
 //! `1 − Π(1 − pᵢ)`. Nothing is cached between calls or kept on the tree.
 
 use pxml_event::{disjunction_probability, Condition, EventTable, Literal};
-use pxml_query::{Matching, Pattern};
-use pxml_tree::{isomorphism_classes, NodeId, Tree};
+use pxml_query::{AnswerGroups, Matching, Pattern};
+use pxml_tree::{NodeId, Tree};
 
 use crate::fuzzy::FuzzyTree;
 use crate::worlds::PossibleWorlds;
 
-/// A query match on a fuzzy tree, with its answer and probability.
+/// A query match on a fuzzy tree, with its answer's group and probability.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticMatch {
     /// The match (images of all pattern nodes in the underlying tree).
     pub matching: Matching,
-    /// The minimal subtree containing the mapped nodes.
-    pub answer: Tree,
+    /// The index in [`FuzzyQueryResult::answers`] of the minimal subtree
+    /// containing the mapped nodes, up to isomorphism.
+    pub group: usize,
     /// The condition under which this match exists.
     pub condition: Condition,
     /// `P(condition)` — the probability that the match exists.
@@ -50,6 +59,9 @@ pub struct ProbabilisticMatch {
 pub struct FuzzyQueryResult {
     /// One entry per consistent match.
     pub matches: Vec<ProbabilisticMatch>,
+    /// One answer tree per isomorphism class of the consistent matches'
+    /// answers, in order of each class's first match.
+    pub answers: Vec<Tree>,
 }
 
 impl FuzzyQueryResult {
@@ -63,23 +75,22 @@ impl FuzzyQueryResult {
         self.matches.is_empty()
     }
 
-    /// Groups unordered-isomorphic answers and computes, for each group, the
-    /// probability that *at least one* of its matches exists (the disjunction
-    /// of the group's match conditions, evaluated exactly by
-    /// [`disjunction_probability`]).
+    /// Each distinct answer with the probability that *at least one* of its
+    /// group's matches exists (the disjunction of the group's match
+    /// conditions, evaluated exactly by [`disjunction_probability`]).
     ///
-    /// Groups are the [`isomorphism_classes`] of the answers and come back in
-    /// first-match order, each with its first match's answer tree; no
-    /// condition is cloned.
+    /// Answers come in first-match order, each the tree its group was built
+    /// with; no condition is cloned.
     pub fn merged_answers(&self, events: &EventTable) -> Vec<(Tree, f64)> {
-        isomorphism_classes(self.matches.iter().map(|m| &m.answer))
-            .into_iter()
-            .map(|(_, members)| {
-                let conditions = members.iter().map(|&index| &self.matches[index].condition);
-                (
-                    self.matches[members[0]].answer.clone(),
-                    disjunction_probability(conditions, events),
-                )
+        let mut conditions: Vec<Vec<&Condition>> = vec![Vec::new(); self.answers.len()];
+        for m in &self.matches {
+            conditions[m.group].push(&m.condition);
+        }
+        self.answers
+            .iter()
+            .zip(conditions)
+            .map(|(answer, conditions)| {
+                (answer.clone(), disjunction_probability(conditions, events))
             })
             .collect()
     }
@@ -105,18 +116,20 @@ impl FuzzyQueryResult {
 }
 
 /// Computes the condition under which a given match exists: the existence
-/// conditions of every mapped node, plus the conditions of the text children
+/// conditions of every mapped node (`mapped`, the match's
+/// [`Matching::mapped_nodes`]), plus the conditions of the text children
 /// whose values are used by value tests or joins.
 pub(crate) fn match_condition(
     fuzzy: &FuzzyTree,
     pattern: &Pattern,
     matching: &Matching,
+    mapped: &[NodeId],
 ) -> Condition {
     // Accumulate every contributing literal first and sort/dedup once:
     // conjoining per-node `Condition`s in a loop re-sorts and re-allocates
     // at every step.
     let mut literals: Vec<Literal> = Vec::new();
-    for node in matching.mapped_nodes() {
+    for &node in mapped {
         fuzzy.extend_existence_literals(node, &mut literals);
     }
     for pattern_node in pattern.node_ids() {
@@ -149,24 +162,33 @@ impl FuzzyTree {
     /// Evaluates a TPWJ query over this fuzzy tree (slide 13): matches are
     /// found on the underlying tree and weighted by the probability of their
     /// match condition. Matches whose condition is inconsistent (they exist
-    /// in no world) are dropped.
+    /// in no world) are dropped; the rest are grouped by answer, with one
+    /// answer tree per group. Like [`pxml_query::answer::evaluate`], the
+    /// first query of a snapshot builds the tree's label index.
     pub fn query(&self, pattern: &Pattern) -> FuzzyQueryResult {
-        let answers = pattern.evaluate(self.tree());
-        let mut matches = Vec::with_capacity(answers.matches.len());
-        for answer in answers.matches {
-            let condition = match_condition(self, pattern, &answer.matching);
+        let tree = self.tree();
+        tree.label_index();
+        let found = pattern.find_matches(tree);
+        let mut groups = AnswerGroups::new(tree);
+        let mut matches = Vec::with_capacity(found.len());
+        for matching in found {
+            let mapped = matching.mapped_nodes();
+            let condition = match_condition(self, pattern, &matching, &mapped);
             if !condition.is_consistent() {
                 continue;
             }
             let probability = condition.probability(self.events());
             matches.push(ProbabilisticMatch {
-                matching: answer.matching,
-                answer: answer.answer,
+                group: groups.group_of(&mapped),
+                matching,
                 condition,
                 probability,
             });
         }
-        FuzzyQueryResult { matches }
+        FuzzyQueryResult {
+            matches,
+            answers: groups.into_answers(),
+        }
     }
 
     /// Convenience: the probability that `pattern` matches this document.
@@ -331,7 +353,7 @@ mod tests {
         let query = Pattern::parse("A { //X, C }").unwrap();
         let result = fuzzy.query(&query);
         assert_eq!(result.len(), 1);
-        let answer = &result.matches[0].answer;
+        let answer = &result.answers[result.matches[0].group];
         // A, B, X, C but not the text node "1".
         assert_eq!(answer.node_count(), 4);
     }

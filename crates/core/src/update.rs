@@ -263,7 +263,8 @@ impl UpdateTransaction {
         // Match conditions, computed against the *original* document.
         let mut applied: Vec<(Matching, Condition)> = Vec::new();
         for matching in matches {
-            let mut condition = match_condition(fuzzy, &self.pattern, &matching);
+            let mut condition =
+                match_condition(fuzzy, &self.pattern, &matching, &matching.mapped_nodes());
             if let Some(literal) = confidence_literal {
                 condition = condition.and_literal(literal);
             }

@@ -1,23 +1,33 @@
 //! Query answers: the minimal subtree containing the mapped nodes.
 //!
 //! Slide 6: *"Result: minimal subtree containing all the nodes mapped by the
-//! query."* For every match we build that subtree (a Steiner tree of the
-//! mapped nodes) as an independent [`Tree`]; the match itself keeps the data
-//! nodes, which is where probabilistic evaluation reads node conditions.
+//! query."* Slide 13 asks for answers *up to isomorphism*: the probability
+//! of an answer is that of the disjunction over every match whose answer is
+//! isomorphic to it. So a match's answer is only ever needed as a key.
+//! [`AnswerGroups`] writes each match's key over the data tree
+//! ([`steiner_canonical_string`]), groups matches by it in first-match
+//! order, and builds one answer tree ([`steiner_tree`]) per group, when the
+//! group's first match arrives. A match keeps its data nodes, which is where
+//! probabilistic evaluation reads node conditions, and the index of its
+//! group. This is the one place matches are grouped by answer: [`evaluate`]
+//! and `pxml-core`'s fuzzy-tree query both go through it.
+
+use std::collections::HashMap;
 
 use pxml_tree::path::steiner_tree;
-use pxml_tree::{isomorphism_classes, Tree};
+use pxml_tree::{steiner_canonical_string, NodeId, Tree};
 
 use crate::matcher::Matching;
 use crate::pattern::Pattern;
 
-/// The answer derived from a single match.
+/// One match and the group of its answer.
 #[derive(Debug, Clone)]
 pub struct MatchAnswer {
     /// The match itself (images of every pattern node).
     pub matching: Matching,
-    /// The minimal subtree of the data tree containing all mapped nodes.
-    pub answer: Tree,
+    /// The index in [`QueryAnswers::answers`] of the minimal subtree of the
+    /// data tree containing all mapped nodes, up to isomorphism.
+    pub group: usize,
 }
 
 /// The result of evaluating a query over a data tree.
@@ -25,6 +35,9 @@ pub struct MatchAnswer {
 pub struct QueryAnswers {
     /// One entry per match, in matcher order.
     pub matches: Vec<MatchAnswer>,
+    /// One answer tree per isomorphism class of the matches' answers, in
+    /// order of each class's first match.
+    pub answers: Vec<Tree>,
 }
 
 impl QueryAnswers {
@@ -38,36 +51,77 @@ impl QueryAnswers {
         self.matches.is_empty()
     }
 
-    /// Groups matches whose answers are unordered-isomorphic; returns one
-    /// representative tree per group together with the indices of the matches
-    /// producing it.
+    /// The distinct answers, in order of their first match: one tree per
+    /// group together with the indices of the matches producing it.
     pub fn distinct_answers(&self) -> Vec<(Tree, Vec<usize>)> {
-        isomorphism_classes(self.matches.iter().map(|m| &m.answer))
-            .into_iter()
-            .map(|(_, members)| (self.matches[members[0]].answer.clone(), members))
-            .collect()
+        let mut members = vec![Vec::new(); self.answers.len()];
+        for (index, answer) in self.matches.iter().enumerate() {
+            members[answer.group].push(index);
+        }
+        self.answers.iter().cloned().zip(members).collect()
     }
 }
 
-/// Evaluates a pattern over a tree: all matches plus their minimal-subtree
-/// answers. The first query of a snapshot builds the tree's label index,
-/// which every later query of that snapshot (and of its clones, until they
-/// mutate) reuses.
+/// The matches of one data tree grouped by answer up to isomorphism, with
+/// one answer tree per group.
+#[derive(Debug)]
+pub struct AnswerGroups<'t> {
+    tree: &'t Tree,
+    /// Each group's key: the canonical string of its answer.
+    groups: HashMap<String, usize>,
+    answers: Vec<Tree>,
+}
+
+impl<'t> AnswerGroups<'t> {
+    /// No groups yet, over `tree`.
+    pub fn new(tree: &'t Tree) -> Self {
+        AnswerGroups {
+            tree,
+            groups: HashMap::new(),
+            answers: Vec::new(),
+        }
+    }
+
+    /// The group of the answer to a match that maps `mapped` (its mapped
+    /// nodes, at least one): the group of an earlier match whose answer is
+    /// isomorphic, or a new group, whose answer tree is built now.
+    pub fn group_of(&mut self, mapped: &[NodeId]) -> usize {
+        let key =
+            steiner_canonical_string(self.tree, mapped).expect("a match maps at least one node");
+        let next = self.answers.len();
+        let group = *self.groups.entry(key).or_insert(next);
+        if group == next {
+            self.answers
+                .push(steiner_tree(self.tree, mapped).expect("a match maps at least one node"));
+        }
+        group
+    }
+
+    /// The answer trees, one per group, in order of their first match.
+    pub fn into_answers(self) -> Vec<Tree> {
+        self.answers
+    }
+}
+
+/// Evaluates a pattern over a tree: all matches, each with the group of its
+/// minimal-subtree answer, and one tree per group. The first query of a
+/// snapshot builds the tree's label index, which every later query of that
+/// snapshot (and of its clones, until they mutate) reuses.
 pub fn evaluate(pattern: &Pattern, tree: &Tree) -> QueryAnswers {
     tree.label_index();
+    let mut groups = AnswerGroups::new(tree);
     let matches = pattern
         .find_matches(tree)
         .into_iter()
-        .map(|matching| answer_for(tree, matching))
+        .map(|matching| {
+            let group = groups.group_of(&matching.mapped_nodes());
+            MatchAnswer { matching, group }
+        })
         .collect();
-    QueryAnswers { matches }
-}
-
-/// Builds the minimal-subtree answer for one match.
-fn answer_for(tree: &Tree, matching: Matching) -> MatchAnswer {
-    let mapped = matching.mapped_nodes();
-    let answer = steiner_tree(tree, &mapped).expect("a match maps at least one node");
-    MatchAnswer { matching, answer }
+    QueryAnswers {
+        matches,
+        answers: groups.into_answers(),
+    }
 }
 
 #[cfg(test)]
@@ -95,15 +149,14 @@ mod tests {
         pattern.add_child(pattern.root(), Axis::Child, Some("title"));
         let answers = evaluate(&pattern, &tree);
         assert_eq!(answers.len(), 2);
-        for answer in &answers.matches {
-            // book + author + title, but not the text values (they are not
-            // mapped by the pattern and lie below the mapped nodes).
-            assert_eq!(answer.answer.node_count(), 3);
-            assert_eq!(
-                answer.answer.label(answer.answer.root()).element_name(),
-                Some("book")
-            );
-        }
+        // Both books answer book(author, title): one group.
+        assert_eq!(answers.answers.len(), 1);
+        assert!(answers.matches.iter().all(|answer| answer.group == 0));
+        let answer = &answers.answers[0];
+        // book + author + title, but not the text values (they are not
+        // mapped by the pattern and lie below the mapped nodes).
+        assert_eq!(answer.node_count(), 3);
+        assert_eq!(answer.label(answer.root()).element_name(), Some("book"));
         assert!(!answers.is_empty());
     }
 
@@ -118,11 +171,8 @@ mod tests {
         let answers = evaluate(&pattern, &tree);
         // 2 authors × 3 titles.
         assert_eq!(answers.len(), 6);
-        for answer in &answers.matches {
-            assert_eq!(
-                answer.answer.label(answer.answer.root()).element_name(),
-                Some("library")
-            );
+        for answer in &answers.answers {
+            assert_eq!(answer.label(answer.root()).element_name(), Some("library"));
         }
     }
 

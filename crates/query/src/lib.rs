@@ -24,15 +24,17 @@
 //! let matches = query.find_matches(&tree);
 //! assert_eq!(matches.len(), 1);
 //!
-//! let answer = &query.evaluate(&tree).matches[0];
-//! assert_eq!(answer.answer.find_elements("author").len(), 1);
+//! // Each match names the group of its answer; each group has one tree.
+//! let answers = query.evaluate(&tree);
+//! let answer = &answers.answers[answers.matches[0].group];
+//! assert_eq!(answer.find_elements("author").len(), 1);
 //! ```
 //!
 //! The module split mirrors the processing pipeline:
 //! [`pattern`] (the query data structure and builder), [`parser`] (the text
 //! syntax), [`matcher`] (evaluation: every pattern node's candidates come
-//! from its parent's image), and [`answer`] (minimal-subtree answer
-//! construction).
+//! from its parent's image), and [`answer`] (matches grouped by
+//! minimal-subtree answer, one answer tree per group).
 
 pub mod answer;
 pub mod error;
@@ -40,7 +42,7 @@ pub mod matcher;
 pub mod parser;
 pub mod pattern;
 
-pub use answer::{MatchAnswer, QueryAnswers};
+pub use answer::{AnswerGroups, MatchAnswer, QueryAnswers};
 pub use error::QueryError;
 pub use matcher::Matching;
 pub use pattern::{Axis, JoinId, PNodeId, Pattern, PatternNode};

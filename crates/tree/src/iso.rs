@@ -5,9 +5,14 @@
 //! defines — the answers of a query, the worlds of a fuzzy tree, the
 //! same-body siblings the simplifier may merge — is a set *up to
 //! isomorphism*. This module decides isomorphism for all of them, by
-//! comparing canonical strings, and is the only place that writes one
-//! ([`subtree_canonical_string`]) or groups trees by one
-//! ([`isomorphism_classes`]).
+//! comparing canonical strings, and is the only place that writes one. Its
+//! one writer has two forms: [`subtree_canonical_string`] writes the whole
+//! subtree below a node, and [`steiner_canonical_string`] writes the minimal
+//! subtree containing a node set — a query answer — over the data tree
+//! itself, with each node's children restricted to that subtree, so no
+//! answer tree has to be built to be compared. [`isomorphism_classes`]
+//! groups whole trees by their strings; `pxml-query`'s `AnswerGroups`
+//! groups a query's matches by their answers' restricted strings.
 //!
 //! **The format.** The canonical string of a node is
 //!
@@ -35,14 +40,16 @@
 //! test, which leaves the subtree's own root unannotated).
 //!
 //! **The grouper** returns classes in order of their first member, never in
-//! hash or string order: answers are reported in document order of their
-//! first match, and nothing a caller prints may depend on a hasher's seed.
+//! hash or string order, as the answer grouper does (answers are reported
+//! in document order of their first match): nothing a caller prints may
+//! depend on a hasher's seed.
 //! Callers that want a total order (possible-world normalisation) sort the
 //! classes by [`CanonicalForm`] themselves.
 
 use std::collections::HashMap;
 
 use crate::label::Label;
+use crate::path::steiner_nodes;
 use crate::tree::{NodeId, Tree};
 
 /// The canonical form of a whole tree, unannotated: equal for isomorphic
@@ -70,15 +77,66 @@ pub fn subtree_canonical_string(
     node: NodeId,
     annotate: &mut impl FnMut(NodeId, &mut String),
 ) -> String {
-    let (kind, label) = match tree.label(node) {
-        Label::Element(name) => ('e', name),
-        Label::Text(value) => ('t', value),
-    };
-    // Room for the kind, the separator and the annotation's opening bracket.
-    let mut out = String::with_capacity(label.len() + 3);
+    let mut out = String::new();
+    write_canonical(
+        tree,
+        node,
+        &|n| tree.children(n).iter().copied(),
+        annotate,
+        &mut out,
+    );
+    out
+}
+
+/// The canonical string of the minimal subtree of `tree` containing every
+/// node of `nodes` — a query answer (slide 6) — written over `tree` itself:
+/// the nodes' lowest common ancestor, each node restricted to its children
+/// on a path down to one of `nodes`. Equal to
+/// `canonical_string(&steiner_tree(tree, nodes))` without building that
+/// tree; `None` when `nodes` is empty.
+pub fn steiner_canonical_string(tree: &Tree, nodes: &[NodeId]) -> Option<String> {
+    let (lca, keep) = steiner_nodes(tree, nodes)?;
+    // Each kept node's own bytes plus its separators, so that escapes are
+    // the only reason to grow.
+    let capacity = keep.iter().map(|&n| label_text(tree, n).len() + 4).sum();
+    let mut out = String::with_capacity(capacity);
+    write_canonical(
+        tree,
+        lca,
+        &|n| {
+            keep.iter()
+                .copied()
+                .filter(move |&k| tree.parent(k) == Some(n))
+        },
+        &mut |_, _| {},
+        &mut out,
+    );
+    Some(out)
+}
+
+fn label_text(tree: &Tree, node: NodeId) -> &str {
+    match tree.label(node) {
+        Label::Element(name) => name,
+        Label::Text(value) => value,
+    }
+}
+
+/// The one canonical writer: appends to `out` the canonical string of the
+/// subtree below `node` whose every node's children are those `children`
+/// yields for it (all of them for a whole subtree, the kept ones for a
+/// minimal subtree). Each child's form is written in place; a node with
+/// several children then sorts their forms within `out`.
+fn write_canonical<I: Iterator<Item = NodeId>>(
+    tree: &Tree,
+    node: NodeId,
+    children: &impl Fn(NodeId) -> I,
+    annotate: &mut impl FnMut(NodeId, &mut String),
+    out: &mut String,
+) {
+    let kind = if tree.is_element(node) { 'e' } else { 't' };
     out.push(kind);
     out.push('|');
-    for ch in label.chars() {
+    for ch in label_text(tree, node).chars() {
         if matches!(ch, '(' | ')' | ',' | '|' | '[' | ']' | '\\') {
             out.push('\\');
         }
@@ -86,7 +144,7 @@ pub fn subtree_canonical_string(
     }
     let unannotated = out.len();
     out.push('[');
-    annotate(node, &mut out);
+    annotate(node, out);
     if out.len() == unannotated + 1 {
         out.pop();
     } else {
@@ -96,24 +154,38 @@ pub fn subtree_canonical_string(
         );
         out.push(']');
     }
-    let mut child_forms: Vec<String> = tree
-        .children(node)
-        .iter()
-        .map(|&child| subtree_canonical_string(tree, child, annotate))
-        .collect();
-    if child_forms.is_empty() {
-        return out;
-    }
-    child_forms.sort_unstable();
     out.push('(');
-    for (i, form) in child_forms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let first = out.len();
+    // Each child's form, as a range of `out` past `first`. The list starts
+    // at the second child, so a node with at most one child allocates
+    // nothing here.
+    let mut first_form: Option<(usize, usize)> = None;
+    let mut forms: Vec<(usize, usize)> = Vec::new();
+    for child in children(node) {
+        let start = out.len() - first;
+        write_canonical(tree, child, children, annotate, out);
+        let form = (start, out.len() - first);
+        match first_form {
+            None => first_form = Some(form),
+            Some(only) if forms.is_empty() => forms.extend([only, form]),
+            Some(_) => forms.push(form),
         }
-        out.push_str(form);
+    }
+    if first_form.is_none() {
+        out.pop();
+        return;
+    }
+    if !forms.is_empty() {
+        let written = out.split_off(first);
+        forms.sort_unstable_by(|a, b| written[a.0..a.1].cmp(&written[b.0..b.1]));
+        for (i, &(start, end)) in forms.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&written[start..end]);
+        }
     }
     out.push(')');
-    out
 }
 
 /// The canonical string of the whole tree, unannotated.
@@ -272,6 +344,41 @@ mod tests {
         let mut fake = Tree::new("r");
         fake.add_element(fake.root(), "a[w0](t|x)");
         assert_eq!(canonical_string(&fake), r"e|r(e|a\[w0\]\(t\|x\))");
+    }
+
+    #[test]
+    fn steiner_keys_are_the_strings_of_the_built_subtrees() {
+        use crate::path::steiner_tree;
+        // r(a(b("x"), c), a(c, b("x")), d): the two `a`s are isomorphic.
+        let mut t = Tree::new("r");
+        let a1 = t.add_element(t.root(), "a");
+        let b1 = t.add_element(a1, "b");
+        let x1 = t.add_text(b1, "x");
+        let c1 = t.add_element(a1, "c");
+        let a2 = t.add_element(t.root(), "a");
+        let c2 = t.add_element(a2, "c");
+        let b2 = t.add_element(a2, "b");
+        let x2 = t.add_text(b2, "x");
+        let d = t.add_element(t.root(), "d");
+        let key = |nodes: &[NodeId]| steiner_canonical_string(&t, nodes).unwrap();
+        for nodes in [
+            &[x1, c1][..],
+            &[x2, c2],
+            &[b1, d],
+            &[a1],
+            &[x1, x2],
+            &[c1, c2, d],
+        ] {
+            assert_eq!(
+                key(nodes),
+                canonical_string(&steiner_tree(&t, nodes).unwrap())
+            );
+        }
+        assert_eq!(key(&[x1, c1]), "e|a(e|b(t|x),e|c)");
+        assert_eq!(key(&[x1, c1]), key(&[c2, x2]));
+        assert_ne!(key(&[x1, c1]), key(&[b1, c1]));
+        assert_eq!(key(&[x1, x2]), "e|r(e|a(e|b(t|x)),e|a(e|b(t|x)))");
+        assert_eq!(steiner_canonical_string(&t, &[]), None);
     }
 
     #[test]

@@ -1,60 +1,63 @@
 //! Minimal connecting subtrees.
 //!
-//! [`steiner_tree`] computes the *minimal subtree* of a
-//! data tree containing a given set of nodes, which is exactly how the paper
-//! defines the answer to a tree-pattern query (slide 6).
-
-use std::collections::{HashMap, HashSet};
+//! The paper defines the answer to a tree-pattern query as the *minimal
+//! subtree* of the data tree containing every node the match maps (slide
+//! 6): the nodes on the paths from the mapped nodes up to their lowest
+//! common ancestor. `steiner_nodes` finds them by following parent links
+//! from each mapped node, so the work is the paths' length, never the size
+//! of the subtree below the ancestor. [`steiner_tree`] builds that subtree
+//! as a fresh [`Tree`], and [`crate::iso::steiner_canonical_string`] writes
+//! its canonical string over the data tree without building it: the key a
+//! query groups its matches by, building one tree per distinct answer.
 
 use crate::tree::{NodeId, Tree};
 
-/// The node set of the minimal subtree of `tree` containing every node in
-/// `nodes`: the union, over all selected nodes, of the path from the lowest
-/// common ancestor of the whole set down to that node.
+/// The root of the minimal subtree of `tree` containing every node in
+/// `nodes` (their lowest common ancestor) and that subtree's nodes, in
+/// ascending id order: the union, over the selected nodes, of the path from
+/// the ancestor down to that node.
 ///
-/// Returns an empty vector when `nodes` is empty.
-fn steiner_nodes(tree: &Tree, nodes: &[NodeId]) -> Vec<NodeId> {
-    let Some(lca) = tree.lca_of(nodes) else {
-        return Vec::new();
-    };
-    let mut keep: HashSet<NodeId> = HashSet::new();
+/// Returns `None` when `nodes` is empty.
+pub(crate) fn steiner_nodes(tree: &Tree, nodes: &[NodeId]) -> Option<(NodeId, Vec<NodeId>)> {
+    let lca = tree.lca_of(nodes)?;
+    let mut keep = Vec::with_capacity(2 * nodes.len());
     for &node in nodes {
         let mut cur = node;
-        loop {
-            keep.insert(cur);
-            if cur == lca {
-                break;
-            }
+        while cur != lca {
+            keep.push(cur);
             cur = tree
                 .parent(cur)
                 .expect("selected node must be a descendant of the LCA");
         }
     }
-    // Return in preorder for determinism.
-    tree.descendants_or_self(lca)
-        .into_iter()
-        .filter(|n| keep.contains(n))
-        .collect()
+    keep.push(lca);
+    keep.sort_unstable();
+    keep.dedup();
+    Some((lca, keep))
 }
 
 /// Builds the minimal subtree of `tree` containing every node in `nodes` as a
-/// fresh [`Tree`].
+/// fresh [`Tree`]: the nodes of `steiner_nodes`, copied in preorder with
+/// every node's kept children in the data tree's order.
 ///
 /// Returns `None` when `nodes` is empty.
 pub fn steiner_tree(tree: &Tree, nodes: &[NodeId]) -> Option<Tree> {
-    let keep = steiner_nodes(tree, nodes);
-    let (&root, rest) = keep.split_first()?;
-    let mut out = Tree::new(tree.label(root).clone());
-    let mut mapping = HashMap::new();
-    mapping.insert(root, out.root());
-    // keep is in preorder, so every non-root node's parent was mapped already.
-    for &node in rest {
-        let parent = tree
-            .parent(node)
-            .expect("non-root steiner node has a parent");
-        let mapped_parent = mapping[&parent];
-        let copy = out.add_child(mapped_parent, tree.label(node).clone());
-        mapping.insert(node, copy);
+    let (lca, keep) = steiner_nodes(tree, nodes)?;
+    let mut out = Tree::new(tree.label(lca).clone());
+    // (data node, copy of its parent): popped in preorder, because kept
+    // children are pushed in reverse.
+    let mut stack = Vec::new();
+    let push_children = |stack: &mut Vec<(NodeId, NodeId)>, node: NodeId, copy: NodeId| {
+        for &child in tree.children(node).iter().rev() {
+            if keep.binary_search(&child).is_ok() {
+                stack.push((child, copy));
+            }
+        }
+    };
+    push_children(&mut stack, lca, out.root());
+    while let Some((node, parent_copy)) = stack.pop() {
+        let copy = out.add_child(parent_copy, tree.label(node).clone());
+        push_children(&mut stack, node, copy);
     }
     Some(out)
 }
@@ -82,8 +85,8 @@ mod tests {
     fn steiner_of_single_node_is_path_to_itself() {
         let t = sample();
         let c = t.find_elements("C")[0];
-        let nodes = steiner_nodes(&t, &[c]);
-        assert_eq!(nodes, vec![c]);
+        let (root, nodes) = steiner_nodes(&t, &[c]).unwrap();
+        assert_eq!((root, nodes), (c, vec![c]));
     }
 
     #[test]
@@ -91,8 +94,9 @@ mod tests {
         let t = sample();
         let c = t.find_elements("C")[0];
         let f = t.find_elements("F")[0];
-        let nodes = steiner_nodes(&t, &[c, f]);
+        let (root, nodes) = steiner_nodes(&t, &[c, f]).unwrap();
         // LCA is the root A: keep A, E, C, D, F.
+        assert_eq!(root, t.root());
         assert_eq!(nodes.len(), 5);
         assert!(nodes.contains(&t.root()));
         assert!(nodes.contains(&t.find_elements("E")[0]));
@@ -127,6 +131,6 @@ mod tests {
     fn steiner_of_empty_set_is_none() {
         let t = sample();
         assert!(steiner_tree(&t, &[]).is_none());
-        assert!(steiner_nodes(&t, &[]).is_empty());
+        assert!(steiner_nodes(&t, &[]).is_none());
     }
 }

@@ -526,18 +526,27 @@ impl Tree {
         out
     }
 
-    /// The depth of `id` (the root has depth 0).
+    /// The depth of `id` (the root has depth 0), counted along parent links.
     pub fn depth(&self, id: NodeId) -> usize {
-        self.ancestors(id).len()
+        let mut depth = 0;
+        let mut cur = id;
+        while let Some(parent) = self.parent(cur) {
+            depth += 1;
+            cur = parent;
+        }
+        depth
     }
 
-    /// The height of the tree (a single-node tree has height 0).
+    /// The height of the tree (a single-node tree has height 0): one
+    /// preorder pass carrying each node's depth.
     pub fn height(&self) -> usize {
-        self.nodes()
-            .into_iter()
-            .map(|n| self.depth(n))
-            .max()
-            .unwrap_or(0)
+        let mut height = 0;
+        let mut stack = vec![(self.root, 0)];
+        while let Some((node, depth)) = stack.pop() {
+            height = height.max(depth);
+            stack.extend(self.children(node).iter().map(|&child| (child, depth + 1)));
+        }
+        height
     }
 
     /// The number of nodes in the subtree rooted at `id`.
@@ -545,18 +554,24 @@ impl Tree {
         self.descendants_or_self(id).len()
     }
 
-    /// The lowest common ancestor of two nodes.
+    /// The lowest common ancestor of two nodes: until they meet, the deeper
+    /// of the two (`a` when level) steps to its parent. Follows parent links
+    /// only, so it allocates nothing.
     pub fn lca(&self, a: NodeId, b: NodeId) -> NodeId {
-        let path_a = self.ancestors_or_self(a);
-        let path_b: std::collections::HashSet<NodeId> =
-            self.ancestors_or_self(b).into_iter().collect();
-        for node in path_a {
-            if path_b.contains(&node) {
-                return node;
-            }
+        let (mut a, mut b) = (a, b);
+        let (mut depth_a, mut depth_b) = (self.depth(a), self.depth(b));
+        while a != b {
+            let (node, depth) = if depth_a >= depth_b {
+                (&mut a, &mut depth_a)
+            } else {
+                (&mut b, &mut depth_b)
+            };
+            *node = self
+                .parent(*node)
+                .expect("two distinct nodes are not both the root");
+            *depth -= 1;
         }
-        // Both paths end at the root, so this is unreachable for live nodes.
-        self.root
+        a
     }
 
     /// The lowest common ancestor of a non-empty set of nodes.
@@ -896,6 +911,76 @@ mod tests {
         assert_eq!(t.lca(c, e), e);
         assert_eq!(t.lca_of(&[c, d, e]), Some(t.root()));
         assert_eq!(t.lca_of(&[]), None);
+    }
+
+    /// A tree of `size` nodes, each attached to a pseudo-random earlier
+    /// node (a fixed linear congruential sequence per `seed`), so shapes
+    /// range from chains to stars.
+    fn random_tree(seed: u64, size: usize) -> Tree {
+        let mut state = seed;
+        let mut next = move |bound: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize % bound
+        };
+        let mut t = Tree::new("r");
+        let mut nodes = vec![t.root()];
+        for i in 1..size {
+            // Half the time hang the node off one of the last three, which
+            // builds deep chains; otherwise off any node.
+            let parent = if next(2) == 0 {
+                nodes[nodes.len() - 1 - next(nodes.len().min(3))]
+            } else {
+                nodes[next(nodes.len())]
+            };
+            nodes.push(t.add_element(parent, format!("n{i}")));
+        }
+        t
+    }
+
+    #[test]
+    fn lca_agrees_with_the_ancestor_set_reference() {
+        let reference = |t: &Tree, a: NodeId, b: NodeId| {
+            let above_b: std::collections::HashSet<NodeId> =
+                t.ancestors_or_self(b).into_iter().collect();
+            t.ancestors_or_self(a)
+                .into_iter()
+                .find(|n| above_b.contains(n))
+                .unwrap()
+        };
+        for seed in 0..40 {
+            let t = random_tree(seed, 1 + seed as usize * 3);
+            let nodes = t.nodes();
+            for &a in &nodes {
+                for &b in &nodes {
+                    assert_eq!(t.lca(a, b), reference(&t, a, b), "seed {seed}: {a}, {b}");
+                }
+                assert_eq!(t.lca(a, a), a);
+                assert_eq!(t.lca(a, t.root()), t.root());
+                for ancestor in t.ancestors(a) {
+                    assert_eq!(t.lca(a, ancestor), ancestor);
+                    assert_eq!(t.lca(ancestor, a), ancestor);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn height_and_depth_agree_with_the_ancestor_chains() {
+        for seed in 0..40 {
+            let t = random_tree(seed, 1 + seed as usize * 3);
+            for n in t.nodes() {
+                assert_eq!(t.depth(n), t.ancestors(n).len());
+            }
+            let reference = t
+                .nodes()
+                .into_iter()
+                .map(|n| t.ancestors(n).len())
+                .max()
+                .unwrap();
+            assert_eq!(t.height(), reference, "seed {seed}");
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! read back from a checkpoint. One update through `apply_batch` costs the
 //! same number of allocations on a 40-person and on a 1 320-person
 //! directory (the two sizes leave the arena's last chunk equally full, so
-//! both path copies copy the same slots).
+//! both path copies copy the same slots), and so does one retraction
+//! ([`RETRACTION`]).
 //!
 //! Queries are pinned on the indexed 200-person directory, in pxbench's
 //! three shapes: a point query ([`POINT_QUERY`]), a scan ([`SCAN_QUERY`])
@@ -24,7 +25,11 @@
 //! matches and answers only, so it costs the same on a 1 320-person
 //! directory. None of the query counts depends on how many candidates the
 //! matcher tests (it allocates nothing per candidate); the matcher's own
-//! unit tests count those.
+//! unit tests count those. A match's answer is a grouping key written over
+//! the data tree from the paths between its mapped nodes, and only a
+//! group's first match builds a tree, so a query whose every answer spans
+//! the root costs the same per match ([`JOIN_PER_MATCH`]) on a 200- and a
+//! 1 320-person directory.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -89,10 +94,12 @@ fn clone_and_drop(fuzzy: &FuzzyTree) -> u64 {
 /// A clone + drop of any fuzzy tree with events.
 const CLONE: u64 = 4;
 /// One confident phone insert, simplified inline.
-const INSERT: u64 = 273;
+const INSERT: u64 = 249;
 /// One phone insert of confidence 0, whose minted event the inline
 /// simplification collects again.
-const COLLECTED_INSERT: u64 = 268;
+const COLLECTED_INSERT: u64 = 246;
+/// One retraction of `person-17`'s phones, at confidence 0.9.
+const RETRACTION: u64 = 360;
 
 /// The 200-person `people_directory` after `updates` extraction commits,
 /// each through `apply_batch` with inline simplification: every event name
@@ -168,6 +175,15 @@ fn a_loaded_checkpoint_clones_at_the_same_constant() {
     }
 }
 
+/// A retraction of `person-17`'s phones.
+fn retraction(confidence: f64) -> UpdateTransaction {
+    let pattern = Pattern::parse("person { name[=\"person-17\"], phone }").unwrap();
+    let phone = pattern.node_ids().nth(2).unwrap();
+    UpdateTransaction::new(pattern, confidence)
+        .unwrap()
+        .with_delete(phone)
+}
+
 #[test]
 fn one_update_costs_the_same_at_both_table_sizes() {
     let mut costs = Vec::new();
@@ -192,6 +208,18 @@ fn one_update_costs_the_same_at_both_table_sizes() {
     );
 }
 
+#[test]
+fn one_retraction_costs_the_same_at_both_table_sizes() {
+    let costs = [40, 1320].map(|people| {
+        let (base, update) = (directory(people), [retraction(0.9)]);
+        let ((_, stats), retract) =
+            allocations(|| apply_batch(&base, &update, SimplifyPolicy::Inline).unwrap());
+        assert_eq!(stats.updates[0].removed_nodes, 4, "{:?}", stats.updates[0]);
+        retract
+    });
+    assert_eq!(costs, [RETRACTION; 2]);
+}
+
 /// Allocations of one query as the server's `QUERY` evaluates it: the
 /// matches with their conditions and probabilities, then the answers merged
 /// into distinct trees with their probabilities.
@@ -208,11 +236,11 @@ const SCAN: &str = "person { name, email }";
 const BROAD: &str = "person { phone }";
 
 /// A point query: two matches (one per phone of `person-17`).
-const POINT_QUERY: u64 = 114;
+const POINT_QUERY: u64 = 40;
 /// A scan: 200 matches.
-const SCAN_QUERY: u64 = 10_038;
+const SCAN_QUERY: u64 = 1_840;
 /// A broad query: 400 matches.
-const BROAD_QUERY: u64 = 14_442;
+const BROAD_QUERY: u64 = 2_842;
 
 /// [`directory`] with its label index built, as a snapshot's is after its
 /// first query.
@@ -235,4 +263,28 @@ fn queries_on_an_indexed_directory_cost_pinned_counts() {
 fn a_point_query_costs_the_same_at_both_directory_sizes() {
     let costs = [200, 1320].map(|people| query(&indexed_directory(people), POINT));
     assert_eq!(costs, [POINT_QUERY; 2]);
+}
+
+/// A query every answer of which spans the root: `person-17`'s name beside
+/// each phone of the directory (two answer groups: the two persons apart,
+/// and `person-17` with its own phone).
+const JOIN: &str = "directory { person { name[=\"person-17\"] }, person { phone } }";
+
+/// Allocations per match of [`JOIN`], rounded down (the result vectors'
+/// growth adds a logarithmic few).
+const JOIN_PER_MATCH: u64 = 9;
+
+#[test]
+fn a_root_spanning_query_costs_the_same_per_match_at_both_directory_sizes() {
+    let pattern = Pattern::parse(JOIN).unwrap();
+    let costs = [200, 1320].map(|people| {
+        let fuzzy = indexed_directory(people);
+        let ((matches, groups), allocated) = allocations(|| {
+            let result = fuzzy.query(&pattern);
+            (result.len(), result.merged_answers(fuzzy.events()).len())
+        });
+        assert_eq!((matches, groups), (2 * people, 2));
+        allocated / matches as u64
+    });
+    assert_eq!(costs, [JOIN_PER_MATCH; 2]);
 }

@@ -7,15 +7,18 @@
 //! possible-world equivalence agree with references written here without
 //! strings, probabilities computed by Shannon expansion agree with
 //! exhaustive enumeration, the matcher agrees with a brute force over all
-//! assignments, XML and PrXML round-trips preserve semantics, and
+//! assignments, a query's answer keys and groups agree with a Steiner tree
+//! built per match, XML and PrXML round-trips preserve semantics, and
 //! simplification never changes the possible-worlds semantics.
 
 use proptest::prelude::*;
-use pxml::event::EventError;
+use pxml::event::{disjunction_probability, EventError};
+use pxml::gen::{derived_query, random_fuzzy_tree, FuzzyGenConfig, QueryGenConfig};
 use pxml::prelude::*;
-use pxml::query::PNodeId;
+use pxml::query::{Matching, PNodeId};
 use pxml::store::{parse_fuzzy_document, serialize_fuzzy_document};
-use pxml::tree::{canonical_string, isomorphism_classes};
+use pxml::tree::path::steiner_tree;
+use pxml::tree::{canonical_string, isomorphism_classes, steiner_canonical_string};
 use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------------
@@ -904,5 +907,218 @@ fn condition_walk_agrees_with_the_three_passes_it_replaced() {
             (nodes, literals),
             "seed {seed}"
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Answers: one key per match, written in place; one tree per group.
+// ---------------------------------------------------------------------------
+
+/// The minimal subtree of `tree` containing `nodes`, built the way every
+/// match's answer was built before answers were grouped by key: the lowest
+/// common ancestor from ancestor lists, then that ancestor's whole subtree
+/// filtered down to the paths from it to `nodes`, copied in preorder.
+fn reference_steiner_tree(tree: &Tree, nodes: &[NodeId]) -> Tree {
+    let lca = tree
+        .ancestors_or_self(nodes[0])
+        .into_iter()
+        .find(|above| {
+            nodes
+                .iter()
+                .all(|&node| tree.ancestors_or_self(node).contains(above))
+        })
+        .unwrap();
+    let keep: std::collections::HashSet<NodeId> = nodes
+        .iter()
+        .flat_map(|&node| {
+            tree.ancestors_or_self(node)
+                .into_iter()
+                .take_while(|&above| above != lca)
+        })
+        .chain([lca])
+        .collect();
+    let mut answer = Tree::new(tree.label(lca).clone());
+    let mut copies = std::collections::HashMap::from([(lca, answer.root())]);
+    for node in tree.descendants_or_self(lca).into_iter().skip(1) {
+        if keep.contains(&node) {
+            let parent = copies[&tree.parent(node).unwrap()];
+            copies.insert(node, answer.add_child(parent, tree.label(node).clone()));
+        }
+    }
+    answer
+}
+
+/// `a` below `x` and `b` below `y` are the same *ordered* tree: equal
+/// labels, and children paired off in order.
+fn same_ordered_tree(a: &Tree, x: NodeId, b: &Tree, y: NodeId) -> bool {
+    a.label(x) == b.label(y)
+        && a.children(x).len() == b.children(y).len()
+        && a.children(x)
+            .iter()
+            .zip(b.children(y))
+            .all(|(&u, &v)| same_ordered_tree(a, u, b, v))
+}
+
+/// The condition under which `matching` exists, from its definition (slide
+/// 13): every condition on the root path of every mapped node, and the
+/// condition of the text child supplying a value a value test or a join
+/// reads.
+fn reference_match_condition(
+    fuzzy: &FuzzyTree,
+    pattern: &Pattern,
+    matching: &Matching,
+) -> Condition {
+    let tree = fuzzy.tree();
+    let mut literals = Vec::new();
+    for node in matching.mapped_nodes() {
+        for above in tree.ancestors_or_self(node) {
+            literals.extend_from_slice(fuzzy.condition(above).literals());
+        }
+    }
+    for id in pattern.node_ids() {
+        let (spec, image) = (pattern.node(id), matching.image(id));
+        let children = tree.children(image);
+        let valued = spec.value.is_some() || spec.join.is_some();
+        if valued && tree.is_element(image) && children.len() == 1 && tree.is_text(children[0]) {
+            literals.extend_from_slice(fuzzy.condition(children[0]).literals());
+        }
+    }
+    Condition::from_literals(literals)
+}
+
+proptest! {
+    // The stress job's release run draws eight times the debug run's cases.
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 64 } else { 512 }
+    ))]
+
+    /// A query groups its matches by a key written over the data tree and
+    /// builds one answer tree per group, and that is exact.
+    ///
+    /// *The key.* On a tree with hostile labels and text nodes, beside a
+    /// forged body and the honest one it spells (as in
+    /// `forged_bodies_never_collide`) and an element and a text node of one
+    /// label: for every single node, both honest leaves, the forged path
+    /// and random node sets, the key is the canonical string of the built
+    /// minimal subtree, that subtree is the reference's node for node and
+    /// in order, and two sets' keys are equal exactly when their reference
+    /// subtrees are isomorphic — decided without strings.
+    ///
+    /// *The groups.* On random fuzzy trees and derived patterns from
+    /// `pxml-gen` (value tests, joins, descendant axes, wildcards), the
+    /// matches `query` keeps are the consistent ones with their conditions
+    /// from the definition, and `merged_answers` returns the reference's
+    /// groups — a Steiner tree per match grouped by
+    /// [`isomorphism_classes`] — in the same order, each tree the same
+    /// bytes as its first match's, each probability bit-equal to the
+    /// disjunction over the group, and every match names its group.
+    #[test]
+    fn answer_keys_and_groups_agree_with_per_match_steiner_trees(
+        spec in spec_strategy(),
+        pool in hostile_pool_strategy(),
+        picks in proptest::collection::vec(proptest::collection::vec(any::<u32>(), 1..5), 1..8),
+        seed in any::<u64>(),
+    ) {
+        let mut tree = hostile(&FuzzyTree::from_tree(build(&spec)), &pool).tree().clone();
+        let root = tree.root();
+        let mut sets: Vec<Vec<NodeId>> = Vec::new();
+        let (a, p, q) = (pool[0].as_str(), pool[6].as_str(), pool[7].as_str());
+        for (b, c) in [(&pool[1], &pool[2]), (&pool[2], &pool[1])] {
+            let honest = tree.add_element(root, a);
+            let mut leaves = Vec::new();
+            for (element, text) in [(b.as_str(), p), (c.as_str(), q)] {
+                let node = tree.add_element(honest, element);
+                leaves.push(tree.add_text(node, text));
+            }
+            sets.push(leaves);
+            let forged = tree.add_element(root, a);
+            let node = tree.add_element(forged, b.as_str());
+            let text = tree.add_text(node, format!("{p}),e|{c}(t|{q}"));
+            sets.push(vec![forged, text]);
+        }
+        tree.add_element(root, pool[3].as_str());
+        let holder = tree.add_element(root, pool[4].as_str());
+        tree.add_text(holder, pool[3].as_str());
+
+        let nodes = tree.nodes();
+        sets.extend(nodes.iter().map(|&node| vec![node]));
+        sets.extend(picks.iter().map(|pick| {
+            let mut set: Vec<NodeId> = pick.iter().map(|&i| nodes[i as usize % nodes.len()]).collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        }));
+        let mut keyed = Vec::new();
+        for set in &sets {
+            let built = steiner_tree(&tree, set).unwrap();
+            let reference = reference_steiner_tree(&tree, set);
+            let key = steiner_canonical_string(&tree, set).unwrap();
+            prop_assert_eq!(&key, &canonical_string(&built));
+            prop_assert!(same_ordered_tree(&built, built.root(), &reference, reference.root()));
+            prop_assert_eq!(built.node_count(), reference.node_count());
+            keyed.push((key, FuzzyTree::from_tree(reference)));
+        }
+        for (key, x) in &keyed {
+            for (other_key, y) in &keyed {
+                prop_assert!(
+                    (key == other_key) == reference_isomorphic(x, x.root(), y, y.root()),
+                    "keys {} and {}",
+                    key,
+                    other_key
+                );
+            }
+        }
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let fuzzy = random_fuzzy_tree(&mut rng, &FuzzyGenConfig {
+            condition_probability: 0.45,
+            ..FuzzyGenConfig::sized(60, 6)
+        });
+        for _ in 0..4 {
+            let config = QueryGenConfig {
+                pattern_nodes: rng.gen_range(1..5),
+                descendant_probability: 0.4,
+                value_probability: 0.3,
+                join_probability: 0.5,
+                wildcard_probability: 0.2,
+            };
+            let query = derived_query(&mut rng, fuzzy.tree(), &config);
+            let result = fuzzy.query(&query);
+            let kept: Vec<(Matching, Condition)> = query
+                .find_matches(fuzzy.tree())
+                .into_iter()
+                .map(|matching| {
+                    let condition = reference_match_condition(&fuzzy, &query, &matching);
+                    (matching, condition)
+                })
+                .filter(|(_, condition)| condition.is_consistent())
+                .collect();
+            prop_assert_eq!(result.len(), kept.len());
+            for (found, (matching, condition)) in result.matches.iter().zip(&kept) {
+                prop_assert_eq!(found.matching.images(), matching.images());
+                prop_assert_eq!(&found.condition, condition);
+            }
+            let answers: Vec<Tree> = kept
+                .iter()
+                .map(|(matching, _)| reference_steiner_tree(fuzzy.tree(), &matching.mapped_nodes()))
+                .collect();
+            let classes = isomorphism_classes(&answers);
+            let merged = result.merged_answers(fuzzy.events());
+            prop_assert!(merged.len() == classes.len(), "{} groups: {}", query, merged.len());
+            for (group, ((answer, probability), (_, members))) in merged.iter().zip(&classes).enumerate() {
+                prop_assert_eq!(
+                    write_data_tree(answer, false),
+                    write_data_tree(&answers[members[0]], false)
+                );
+                let reference = disjunction_probability(
+                    members.iter().map(|&member| &kept[member].1),
+                    fuzzy.events(),
+                );
+                prop_assert_eq!(probability.to_bits(), reference.to_bits());
+                for &member in members {
+                    prop_assert_eq!(result.matches[member].group, group);
+                }
+            }
+        }
     }
 }
