@@ -16,11 +16,14 @@
 //!
 //! [`FuzzyTree::query`] computes each match's mapped nodes once, reads its
 //! condition from them, drops it if the condition is inconsistent, and
-//! otherwise files it with `pxml-query`'s [`AnswerGroups`]: one canonical
-//! key per match, written over the data tree, and one answer tree per
-//! group, in order of each group's first match. The result carries those
-//! trees; [`FuzzyQueryResult::merged_answers`] reads them and never
-//! re-derives the classes.
+//! otherwise files it with `pxml-query`'s [`AnswerGroups`]: a canonical
+//! key written over the data tree, and one answer tree per group, in order
+//! of each group's first match. For a child-only pattern (every node
+//! labelled, every edge a child edge) a match's answer is fixed by which
+//! pattern nodes share an image, so the key is written once per such
+//! partition, not once per match (`pxml_query::answer`'s module docs). The
+//! result carries the group trees; [`FuzzyQueryResult::merged_answers`]
+//! reads them and never re-derives the classes.
 //!
 //! The model's events are independent, so match conditions that share no
 //! event are independent as well — and the conditions of a broad query
@@ -169,7 +172,7 @@ impl FuzzyTree {
         let tree = self.tree();
         tree.label_index();
         let found = pattern.find_matches(tree);
-        let mut groups = AnswerGroups::new(tree);
+        let mut groups = AnswerGroups::new(tree, pattern);
         let mut matches = Vec::with_capacity(found.len());
         for matching in found {
             let mapped = matching.mapped_nodes();
@@ -179,7 +182,7 @@ impl FuzzyTree {
             }
             let probability = condition.probability(self.events());
             matches.push(ProbabilisticMatch {
-                group: groups.group_of(&mapped),
+                group: groups.group_of(matching.images()),
                 matching,
                 condition,
                 probability,

@@ -10,9 +10,13 @@
 //!
 //! * nodes live in an arena and are **hash-consed** through a unique table,
 //!   so structurally equal functions share one node;
-//! * [`Bdd::any_of`] builds a DNF one condition at a time — a condition is
-//!   one bottom-up chain of nodes, folded into the accumulated disjunction by
-//!   the classic memoized `apply` recursion for `∨`;
+//! * [`Bdd::any_of`] builds a DNF from its terms — a condition is one
+//!   bottom-up chain of nodes — deduplicated, then OR-ed pairwise in
+//!   balanced rounds by the classic memoized `apply` recursion for `∨`. An
+//!   ROBDD is canonical for its variable order (Bryant 1986), so any
+//!   association of the ORs reduces to the same diagram, and the
+//!   probability walk over it is bit for bit a left fold's; only the
+//!   intermediate diagrams, and so [`Bdd::node_count`], differ;
 //! * [`Bdd::probability`] is **one weighted model-counting walk** over the
 //!   DAG with a per-node cache — linear in BDD size, where Shannon expansion
 //!   pays `2^events`;
@@ -116,6 +120,9 @@ pub struct Bdd {
     /// topmost levels in listing order; unlisted events follow in id order.
     /// Empty = plain event-id order.
     levels: HashMap<u32, u64>,
+    /// Every call of `or`, the recursive ones included: a count of the
+    /// disjunctions' work that no timing noise can move.
+    or_steps: u64,
 }
 
 impl Default for Bdd {
@@ -145,6 +152,7 @@ impl Bdd {
             unique: HashMap::new(),
             or_cache: HashMap::new(),
             levels: HashMap::new(),
+            or_steps: 0,
         }
     }
 
@@ -215,15 +223,31 @@ impl Bdd {
         acc
     }
 
-    /// The disjunction of a set of conjunctive conditions (a DNF), built
-    /// incrementally — the existence condition of "at least one of these".
+    /// The disjunction of a set of conjunctive conditions (a DNF) — the
+    /// existence condition of "at least one of these". Every term is
+    /// compiled first, equal terms (one handle in one manager) are OR-ed
+    /// once, and the rest pairwise in rounds, in place in that one vector:
+    /// each `or` then walks two diagrams of comparable size, where a left
+    /// fold walks the whole accumulated one again for every term. The
+    /// result is the same handle either way (module docs).
     pub fn any_of<'a>(&mut self, conditions: impl IntoIterator<Item = &'a Condition>) -> BddRef {
-        let mut acc = BddRef::FALSE;
-        for condition in conditions {
-            let node = self.condition(condition);
-            acc = self.or(acc, node);
+        let mut terms: Vec<BddRef> = conditions
+            .into_iter()
+            .map(|condition| self.condition(condition))
+            .collect();
+        terms.sort_unstable();
+        terms.dedup();
+        while terms.len() > 1 {
+            let half = terms.len().div_ceil(2);
+            for i in 0..half {
+                terms[i] = match terms.get(2 * i + 1) {
+                    Some(&right) => self.or(terms[2 * i], right),
+                    None => terms[2 * i],
+                };
+            }
+            terms.truncate(half);
         }
-        acc
+        terms.first().copied().unwrap_or(BddRef::FALSE)
     }
 
     /// Splits `a` and `b` on their topmost variable: returns the variable and
@@ -249,6 +273,7 @@ impl Bdd {
 
     /// Memoized disjunction.
     fn or(&mut self, a: BddRef, b: BddRef) -> BddRef {
+        self.or_steps += 1;
         if a == b || b.is_false() {
             return a;
         }
@@ -676,5 +701,34 @@ mod tests {
         assert_eq!(reachable(&bdd, union), 34);
         let p = bdd.probability(union, &t);
         assert!((p - (1.0 - 0.5f64.powi(32))).abs() < 1e-12);
+    }
+
+    /// The count gate of the balanced OR: the `or` calls `any_of` makes on
+    /// the pair DNF (every `wᵢ ∧ wⱼ`, i ≠ j, in both orders: a self-join's
+    /// match conditions), pinned at two sizes. A left fold over the terms
+    /// as given made 584 and 14 808.
+    #[test]
+    fn the_pair_dnf_costs_pinned_or_steps_at_two_sizes() {
+        let steps = [8, 24].map(|n| {
+            let mut t = EventTable::new();
+            let events: Vec<EventId> = (0..n)
+                .map(|i| t.add_event(format!("w{i}"), 0.5).unwrap())
+                .collect();
+            let mut pairs = Vec::new();
+            for &a in &events {
+                for &b in &events {
+                    if a != b {
+                        pairs.push(Condition::from_literals([Literal::pos(a), Literal::pos(b)]));
+                    }
+                }
+            }
+            let mut bdd = Bdd::new();
+            let union = bdd.any_of(&pairs);
+            // At least two of n events: 1 − P(none) − P(exactly one).
+            let p = 1.0 - 0.5f64.powi(n) * (1.0 + f64::from(n));
+            assert!((bdd.probability(union, &t) - p).abs() < 1e-12);
+            bdd.or_steps
+        });
+        assert_eq!(steps, [219, 2_437]);
     }
 }

@@ -13,7 +13,11 @@
 //! a diagram built under any variable order ([`Bdd::with_order`]) must be
 //! pairwise disjoint and partition exactly the valuations the DNF accepts.
 //! The kernel is held to the same oracles, within 1e-12, on disjunctions
-//! constructed to split into event-independent blocks.
+//! constructed to split into event-independent blocks. [`Bdd::any_of`]'s
+//! deduplicated, balanced build is held to a left fold written here (the
+//! build it replaced): the same function and bit-equal probabilities, on
+//! random DNFs with repeated terms and on the pair, path and ladder
+//! families.
 
 use proptest::prelude::*;
 use pxml_event::{
@@ -274,4 +278,177 @@ fn single_component_ring_is_the_bdd_path() {
         disjunction_probability(&ring, &table),
         bdd.probability(whole, &table)
     );
+}
+
+/// A reference ROBDD written here, over the table's event indices in id
+/// order (the order of [`Bdd::new`]): nodes `0` (⊥) and `1` (⊤), a unique
+/// table, a memoized `∨`, and the disjunction of a DNF as a **left fold**
+/// over its terms in the order given. Its probability is the same recursion
+/// as [`Bdd::probability`], so on the same canonical diagram it gives the
+/// same bits.
+struct LeftFold {
+    /// `(variable, lo, hi)`; the two terminals carry `u32::MAX`.
+    nodes: Vec<(u32, usize, usize)>,
+    unique: std::collections::HashMap<(u32, usize, usize), usize>,
+    or_cache: std::collections::HashMap<(usize, usize), usize>,
+}
+
+impl LeftFold {
+    fn of(conditions: &[Condition]) -> (LeftFold, usize) {
+        let mut fold = LeftFold {
+            nodes: vec![(u32::MAX, 0, 0), (u32::MAX, 1, 1)],
+            unique: Default::default(),
+            or_cache: Default::default(),
+        };
+        let root = conditions.iter().fold(0, |acc, condition| {
+            let term = fold.term(condition);
+            fold.or(acc, term)
+        });
+        (fold, root)
+    }
+
+    fn mk(&mut self, var: u32, lo: usize, hi: usize) -> usize {
+        if lo == hi {
+            return lo;
+        }
+        let fresh = self.nodes.len();
+        let node = *self.unique.entry((var, lo, hi)).or_insert(fresh);
+        if node == fresh {
+            self.nodes.push((var, lo, hi));
+        }
+        node
+    }
+
+    fn term(&mut self, condition: &Condition) -> usize {
+        if !condition.is_consistent() {
+            return 0;
+        }
+        let mut literals = condition.literals().to_vec();
+        literals.sort_by_key(|literal| std::cmp::Reverse(literal.event.index()));
+        literals.iter().fold(1, |acc, literal| {
+            let var = literal.event.index() as u32;
+            if literal.positive {
+                self.mk(var, 0, acc)
+            } else {
+                self.mk(var, acc, 0)
+            }
+        })
+    }
+
+    fn or(&mut self, a: usize, b: usize) -> usize {
+        match (a, b) {
+            (0, other) | (other, 0) => return other,
+            (1, _) | (_, 1) => return 1,
+            _ if a == b => return a,
+            _ => {}
+        }
+        if let Some(&hit) = self.or_cache.get(&(a.min(b), a.max(b))) {
+            return hit;
+        }
+        let var = self.nodes[a].0.min(self.nodes[b].0);
+        let split = |node: usize| match self.nodes[node] {
+            (v, lo, hi) if v == var => (lo, hi),
+            _ => (node, node),
+        };
+        let ((a_lo, a_hi), (b_lo, b_hi)) = (split(a), split(b));
+        let lo = self.or(a_lo, b_lo);
+        let hi = self.or(a_hi, b_hi);
+        let result = self.mk(var, lo, hi);
+        self.or_cache.insert((a.min(b), a.max(b)), result);
+        result
+    }
+
+    fn holds(&self, node: usize, valuation: &Valuation, events: &[EventId]) -> bool {
+        match self.nodes[node] {
+            _ if node < 2 => node == 1,
+            (var, lo, hi) => {
+                let next = if valuation.get(events[var as usize]) {
+                    hi
+                } else {
+                    lo
+                };
+                self.holds(next, valuation, events)
+            }
+        }
+    }
+
+    fn probability(&self, node: usize, table: &EventTable, events: &[EventId]) -> f64 {
+        if node < 2 {
+            return node as f64;
+        }
+        let (var, lo, hi) = self.nodes[node];
+        let p = table.probability(events[var as usize]);
+        let lo = self.probability(lo, table, events);
+        let hi = self.probability(hi, table, events);
+        p * hi + (1.0 - p) * lo
+    }
+}
+
+/// The DNF families the balanced build is held to, over the first `n`
+/// events: `pair` (every `wᵢ ∧ wⱼ`, i ≠ j, in both orders: a self-join's
+/// conditions, each twice), `path` (`wᵢ ∧ wᵢ₊₁`, each also reversed: item
+/// 12's path 2-DNF) and `ladder` (`¬w₀ ∧ … ∧ ¬wₖ₋₁ ∧ wₖ`: a deletion
+/// ladder's rungs).
+fn family(kind: usize, n: u8) -> Vec<Vec<(u8, bool)>> {
+    match kind {
+        0 => (0..n)
+            .flat_map(|i| {
+                (0..n)
+                    .filter(move |&j| j != i)
+                    .map(move |j| vec![(i, true), (j, true)])
+            })
+            .collect(),
+        1 => (1..n)
+            .flat_map(|i| {
+                [
+                    vec![(i - 1, true), (i, true)],
+                    vec![(i, true), (i - 1, true)],
+                ]
+            })
+            .collect(),
+        _ => (0..n)
+            .map(|k| (0..k).map(|i| (i, false)).chain([(k, true)]).collect())
+            .collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(
+        if cfg!(debug_assertions) { 96 } else { 384 }
+    ))]
+
+    /// [`Bdd::any_of`]'s deduplicated, balanced build is the left fold's
+    /// function, bit for bit: on random DNFs with repeated terms and on the
+    /// pair, path and ladder families, its probability has the same bits as
+    /// [`LeftFold`]'s, and under every valuation its disjoint cover, the
+    /// fold's diagram and the DNF itself agree.
+    #[test]
+    fn a_balanced_any_of_is_the_left_fold(
+        dnf in dnf_strategy(),
+        repeats in proptest::collection::vec(any::<usize>(), 0..6),
+        (kind, n) in (0usize..3, 2u8..9),
+    ) {
+        let (table, events) = table();
+        let mut repeated = dnf.clone();
+        for &pick in repeats.iter().filter(|_| !dnf.is_empty()) {
+            repeated.push(dnf[pick % dnf.len()].clone());
+        }
+        let valuations = enumerate_valuations(&table).unwrap();
+        for blueprint in [repeated, family(kind, n)] {
+            let conditions = to_conditions(&blueprint, &events);
+            let mut bdd = Bdd::new();
+            let root = bdd.any_of(&conditions);
+            let (fold, folded) = LeftFold::of(&conditions);
+            prop_assert_eq!(
+                bdd.probability(root, &table).to_bits(),
+                fold.probability(folded, &table, &events).to_bits()
+            );
+            let cover = bdd.disjoint_cover(root, 1 << EVENTS).unwrap();
+            for valuation in &valuations {
+                let expected = holds(&conditions, valuation);
+                prop_assert_eq!(holds(&cover, valuation), expected);
+                prop_assert_eq!(fold.holds(folded, valuation, &events), expected);
+            }
+        }
+    }
 }

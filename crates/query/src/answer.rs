@@ -4,13 +4,30 @@
 //! query."* Slide 13 asks for answers *up to isomorphism*: the probability
 //! of an answer is that of the disjunction over every match whose answer is
 //! isomorphic to it. So a match's answer is only ever needed as a key.
-//! [`AnswerGroups`] writes each match's key over the data tree
+//! [`AnswerGroups`] writes a match's key over the data tree
 //! ([`steiner_canonical_string`]), groups matches by it in first-match
 //! order, and builds one answer tree ([`steiner_tree`]) per group, when the
 //! group's first match arrives. A match keeps its data nodes, which is where
 //! probabilistic evaluation reads node conditions, and the index of its
 //! group. This is the one place matches are grouped by answer: [`evaluate`]
 //! and `pxml-core`'s fuzzy-tree query both go through it.
+//!
+//! **One key per partition.** Call a pattern *child-only* when every node
+//! has a label and every edge is a child edge (`person { name, email }`).
+//! In a match of one, every non-root image is a child of its parent's
+//! image, so the images are closed under "parent, up to the root's image":
+//! their minimal subtree is exactly the image set, rooted at the root's
+//! image. Each image is an element carrying its pattern node's label, and
+//! no text is part of the answer. So the answer is the pattern tree with
+//! the nodes that share an image merged, and its key depends only on that
+//! partition of the pattern's nodes. For such a pattern [`AnswerGroups`]
+//! remembers, for each partition it has seen, the group the key of its
+//! first match fell in, and files a later match of that partition there
+//! without writing its key. Groups still merge by key, so two partitions
+//! with isomorphic quotients (`a { b, b, b }` mapping its first two `b`s
+//! to one element, or its last two) share one group, and groups keep
+//! first-match order. A pattern with a descendant edge or a wildcard keys
+//! every match: its answer also depends on the paths between the images.
 
 use std::collections::HashMap;
 
@@ -18,7 +35,7 @@ use pxml_tree::path::steiner_tree;
 use pxml_tree::{steiner_canonical_string, NodeId, Tree};
 
 use crate::matcher::Matching;
-use crate::pattern::Pattern;
+use crate::pattern::{Axis, Pattern};
 
 /// One match and the group of its answer.
 #[derive(Debug, Clone)]
@@ -70,29 +87,69 @@ pub struct AnswerGroups<'t> {
     /// Each group's key: the canonical string of its answer.
     groups: HashMap<String, usize>,
     answers: Vec<Tree>,
+    /// For a child-only pattern, the partitions of its nodes by image that
+    /// earlier matches showed, each with the group its key fell in (module
+    /// docs): a partition as, for every pattern node, the first pattern
+    /// node whose image is its own.
+    partitions: Option<Vec<(Vec<usize>, usize)>>,
+}
+
+/// How many partitions a query remembers. Past that, a match whose
+/// partition is not among them is keyed like any other match, so that a
+/// pattern of many same-label siblings, whose partitions are many, never
+/// pays more per match for the lookup than for its key.
+const REMEMBERED_PARTITIONS: usize = 16;
+
+/// The first pattern node whose image is `node`'s own.
+fn first_sharing(images: &[NodeId], node: usize) -> usize {
+    images
+        .iter()
+        .position(|&image| image == images[node])
+        .expect("a node shares its own image")
 }
 
 impl<'t> AnswerGroups<'t> {
-    /// No groups yet, over `tree`.
-    pub fn new(tree: &'t Tree) -> Self {
+    /// No groups yet, for the matches of `pattern` over `tree`.
+    pub fn new(tree: &'t Tree, pattern: &Pattern) -> Self {
+        let child_only = pattern.node_ids().all(|id| {
+            let node = pattern.node(id);
+            node.label.is_some() && node.parent.is_none_or(|(_, axis)| axis == Axis::Child)
+        });
         AnswerGroups {
             tree,
             groups: HashMap::new(),
             answers: Vec::new(),
+            partitions: child_only.then(Vec::new),
         }
     }
 
-    /// The group of the answer to a match that maps `mapped` (its mapped
-    /// nodes, at least one): the group of an earlier match whose answer is
-    /// isomorphic, or a new group, whose answer tree is built now.
-    pub fn group_of(&mut self, mapped: &[NodeId]) -> usize {
+    /// The group of the answer to a match whose pattern nodes map to
+    /// `images` (in pattern-node order, repeats allowed): the group of an
+    /// earlier match whose answer is isomorphic, or a new group, whose
+    /// answer tree is built now.
+    pub fn group_of(&mut self, images: &[NodeId]) -> usize {
+        let seen = self.partitions.iter().flatten().find(|(firsts, _)| {
+            firsts
+                .iter()
+                .enumerate()
+                .all(|(node, &first)| first_sharing(images, node) == first)
+        });
+        if let Some(&(_, group)) = seen {
+            return group;
+        }
         let key =
-            steiner_canonical_string(self.tree, mapped).expect("a match maps at least one node");
+            steiner_canonical_string(self.tree, images).expect("a match maps at least one node");
         let next = self.answers.len();
         let group = *self.groups.entry(key).or_insert(next);
         if group == next {
             self.answers
-                .push(steiner_tree(self.tree, mapped).expect("a match maps at least one node"));
+                .push(steiner_tree(self.tree, images).expect("a match maps at least one node"));
+        }
+        if let Some(partitions) = &mut self.partitions {
+            if partitions.len() < REMEMBERED_PARTITIONS {
+                let firsts = (0..images.len()).map(|node| first_sharing(images, node));
+                partitions.push((firsts.collect(), group));
+            }
         }
         group
     }
@@ -109,12 +166,12 @@ impl<'t> AnswerGroups<'t> {
 /// snapshot (and of its clones, until they mutate) reuses.
 pub fn evaluate(pattern: &Pattern, tree: &Tree) -> QueryAnswers {
     tree.label_index();
-    let mut groups = AnswerGroups::new(tree);
+    let mut groups = AnswerGroups::new(tree, pattern);
     let matches = pattern
         .find_matches(tree)
         .into_iter()
         .map(|matching| {
-            let group = groups.group_of(&matching.mapped_nodes());
+            let group = groups.group_of(matching.images());
             MatchAnswer { matching, group }
         })
         .collect();

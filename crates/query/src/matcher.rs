@@ -6,12 +6,16 @@
 //!
 //! - an anchored root has one candidate, the tree root;
 //! - an unanchored root named `X` on a tree that already has a
-//!   [`LabelIndex`] starts from its most selective node: with a value test
-//!   of its own, its candidates are its value postings; otherwise, if a
-//!   child-axis child of it is named and has a value test, they are the
-//!   parents of that child's postings (of the child with the fewest, when
-//!   several qualify), deduplicated and put in document order; otherwise
-//!   they are the elements named `X`;
+//!   [`LabelIndex`] starts from the most selective list the index holds
+//!   for it, by one rule. The lists are its own value postings if it has a
+//!   value test, else the group of elements named `X`; and, for each named
+//!   child-axis child, that child's postings if it has a value test, else
+//!   its label group, mapped to the hits' parents, deduplicated and put in
+//!   document order. Postings rank before any label group (a value names
+//!   few elements), and among lists of one kind the shortest wins; a tie
+//!   keeps the root's own list. So `person { name[="…"], phone }` starts
+//!   from the parent of one posting, and `person { name, email }` from the
+//!   few persons with an email;
 //! - an unanchored root on a tree without an index, like a wildcard root
 //!   always, walks the whole tree in preorder on an explicit stack, testing
 //!   each node as it goes;
@@ -20,11 +24,12 @@
 //!   so the structural edge holds by construction.
 //!
 //! Every candidate still goes through every test, so a posting that only
-//! shares its value's hash, or a parent of a hit that is not named `X`,
-//! costs one test and never a wrong match. The matcher never builds the
-//! index: the query evaluator ([`crate::answer::evaluate`]) does, once per
-//! snapshot, while update matching only uses an index its snapshot already
-//! had. Matches come back in document order either way.
+//! shares its value's hash, or a parent of a hit that is not named `X` (a
+//! child label also used under other parents), costs one test and never a
+//! wrong match. The matcher never builds the index: the query evaluator
+//! ([`crate::answer::evaluate`]) does, once per snapshot, while update
+//! matching only uses an index its snapshot already had. Matches come back
+//! in document order either way.
 
 use pxml_tree::{LabelIndex, NodeId, Tree};
 
@@ -126,43 +131,59 @@ impl<'a> Search<'a> {
     }
 
     /// Tries the candidates of an unanchored root named `name` from the
-    /// label index, starting from the most selective node (module docs).
+    /// label index: the most selective of the lists the module docs name.
     fn indexed_root(&mut self, next: usize, name: &str, index: &'a LabelIndex) {
-        let (pattern, tree) = (self.pattern, self.tree);
+        let pattern = self.pattern;
         let spec = pattern.node(PNodeId(next as u32));
-        if let Some(value) = &spec.value {
-            for candidate in index.postings(name, value) {
-                self.try_candidate(next, candidate);
-            }
-            return;
-        }
-        let selective = spec
+        // (a child's list, name, value test): the root's own list first.
+        let own = (false, name, spec.value.as_deref());
+        let children = spec
             .children
             .iter()
             .filter_map(|&child| match pattern.node(child) {
                 PatternNode {
                     parent: Some((_, Axis::Child)),
                     label: Some(label),
-                    value: Some(value),
+                    value,
                     ..
-                } => Some(index.postings(label, value)),
+                } => Some((true, label.as_str(), value.as_deref())),
                 _ => None,
-            })
-            .min_by_key(|hits| hits.clone().count());
-        let Some(hits) = selective else {
-            for &candidate in index.elements(name) {
+            });
+        // Postings rank before any label group: when a value test names
+        // postings, no label group is even looked up.
+        let valued = spec.value.is_some() || children.clone().any(|(_, _, value)| value.is_some());
+        let (from_child, (_, list)) = std::iter::once(own)
+            .chain(children)
+            .filter(|&(_, _, value)| value.is_some() == valued)
+            .map(|(from_child, name, value)| (from_child, hits(index, name, value)))
+            .min_by_key(|&(_, (len, _))| len)
+            .expect("the root's own list or a valued child's is of the kind that ranks first");
+        if from_child {
+            self.try_parents(next, list, index);
+        } else {
+            for candidate in list {
                 self.try_candidate(next, candidate);
             }
-            return;
-        };
-        let mut parents = hits.filter_map(|hit| tree.parent(hit));
+        }
+    }
+
+    /// Tries the parents of `children` (in document order), each once and
+    /// in document order.
+    fn try_parents(
+        &mut self,
+        next: usize,
+        children: impl Iterator<Item = NodeId>,
+        index: &LabelIndex,
+    ) {
+        let tree = self.tree;
+        let mut parents = children.filter_map(|child| tree.parent(child));
         match (parents.next(), parents.next()) {
             (None, _) => {}
             (Some(parent), None) => self.try_candidate(next, parent),
             (Some(first), Some(second)) => {
                 let mut parents: Vec<NodeId> = [first, second].into_iter().chain(parents).collect();
-                // The hits are in document order, but their parents are not
-                // when elements named `name` nest, and siblings share one.
+                // The children are in document order, but their parents are
+                // not when elements of one name nest, and siblings share one.
                 parents.sort_unstable_by_key(|&parent| index.position(parent));
                 parents.dedup();
                 for parent in parents {
@@ -213,6 +234,28 @@ impl<'a> Search<'a> {
         self.assign(next + 1);
         self.assignment[next] = None;
     }
+}
+
+/// The list an indexed start reads for a pattern node named `name`, in
+/// document order, and its length: its value postings when it has a value
+/// test, its label group otherwise.
+fn hits<'i>(
+    index: &'i LabelIndex,
+    name: &str,
+    value: Option<&str>,
+) -> (usize, impl Iterator<Item = NodeId> + 'i) {
+    let postings = value.map(|value| index.postings(name, value));
+    let group = match value {
+        Some(_) => &[],
+        None => index.elements(name),
+    };
+    let len = postings
+        .clone()
+        .map_or(group.len(), |postings| postings.count());
+    (
+        len,
+        postings.into_iter().flatten().chain(group.iter().copied()),
+    )
 }
 
 fn node_satisfies_tests(
@@ -410,6 +453,31 @@ mod tests {
             let matches = usize::from(!text.contains("phone"));
             assert_eq!(costs, [(matches, 1); 2], "{text}");
         }
+    }
+
+    /// The count gate of the rarest-child start: pxbench's scan shape on a
+    /// directory where the same few persons carry an email at every size
+    /// starts from the `email` group and considers those persons only.
+    /// Scanning the `person` group instead considers every person (200 and
+    /// 3 200).
+    #[test]
+    fn a_scan_considers_only_the_persons_its_rarest_child_names_at_any_directory_size() {
+        const EMAILS: usize = 7;
+        let pattern = Pattern::parse("person { name, email }").unwrap();
+        let costs = [200, 3200].map(|people| {
+            let mut tree = people_directory(people);
+            let persons = tree.children(tree.root()).to_vec();
+            for &person in persons.iter().step_by(people / EMAILS).take(EMAILS) {
+                let email = tree.add_element(person, "email");
+                tree.add_text(email, "someone@example.org");
+            }
+            let unindexed = find_matches(&pattern, &tree);
+            tree.label_index();
+            let search = search(&pattern, &tree);
+            assert_eq!(search.results, unindexed, "at {people}");
+            (search.results.len(), search.root_candidates)
+        });
+        assert_eq!(costs, [(EMAILS, EMAILS); 2]);
     }
 
     #[test]

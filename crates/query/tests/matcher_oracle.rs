@@ -4,17 +4,21 @@
 //! all elements of the tree for an unanchored root, a copied child list or
 //! a collected descendant list for an edge. The matcher under test streams
 //! the same candidates, and on a tree with a label index it starts an
-//! unanchored root from the index: from the root's value postings when the
-//! root has a value test, from the parents of a valued child's postings
-//! when one has, from the root's label group otherwise. Both must return the
-//! same matches in the same (document) order on a fresh tree, an indexed
-//! tree, a clone that shares the index, and that clone after each mutator.
+//! unanchored root by one rule: from the most selective of its own value
+//! postings (or label group) and each named child-axis child's postings (or
+//! label group), a child's list mapped to the hits' parents, deduplicated
+//! and put in document order, postings ranking before label groups and the
+//! shorter list first. Both must return the same matches in the same
+//! (document) order on a fresh tree, an indexed tree, a clone that shares
+//! the index, and that clone after each mutator.
 //!
-//! Half the trees are built to spring the two traps of starting from a
-//! child's postings: nested elements of one name, each with valued children
-//! (the hits are in document order, their parents are not), and siblings
-//! with equal values (two hits, one parent). Every tree is also queried
-//! with the pattern that walks into both, `l0 { l1[="v…"] }`.
+//! Half the trees are built to spring the traps of starting from a child's
+//! list: nested elements of one name, each with children of one name (the
+//! hits are in document order, their parents are not), siblings with equal
+//! values or no values (two hits, one parent), and elements of the child's
+//! name under parents of another name (a hit whose parent the root's label
+//! test rejects). Every tree is also queried with the two patterns that walk
+//! into all three, `l0 { l1[="v…"] }` and `l0 { l1 }`.
 
 use proptest::prelude::*;
 use pxml_query::{Axis, Pattern};
@@ -61,17 +65,18 @@ fn build(spec: &Spec) -> Tree {
     tree
 }
 
-/// A chain of one to three nested `l0` elements. Each holds up to three
-/// `l1` leaves drawn from two values or none, with the next `l0` at a random
-/// place among them.
+/// A chain of one to four nested elements, each `l0` or (one in three)
+/// `l2`. Each holds up to three `l1` leaves drawn from two values or none,
+/// with the next element at a random place among them.
 fn trap_strategy() -> impl Strategy<Value = Spec> {
     let level = (
+        0u8..3,
         proptest::collection::vec(proptest::option::of(0u8..2), 0..4),
         0usize..4,
     );
-    proptest::collection::vec(level, 1..4).prop_map(|levels| {
+    proptest::collection::vec(level, 1..5).prop_map(|levels| {
         let mut nested: Option<Spec> = None;
-        for (leaves, at) in levels {
+        for (label, leaves, at) in levels {
             let mut children: Vec<Spec> = leaves
                 .into_iter()
                 .map(|value| Spec {
@@ -84,7 +89,7 @@ fn trap_strategy() -> impl Strategy<Value = Spec> {
                 children.insert(at.min(children.len()), inner);
             }
             nested = Some(Spec {
-                label: 0,
+                label: if label == 2 { 2 } else { 0 },
                 value: None,
                 children,
             });
@@ -244,16 +249,16 @@ proptest! {
     /// Same matches, same order, in every state a tree's label index can be
     /// in: none, built, inherited by a clone, dropped by a mutation (and
     /// rebuilt from the mutated tree), for the random pattern and for the
-    /// probe `l0 { l1[="v…"] }`.
+    /// probes `l0 { l1[="v…"] }` and `l0 { l1 }`.
     #[test]
     fn streaming_matcher_agrees_with_the_materialising_oracle(
         (trap, random, trapped) in (any::<bool>(), spec_strategy(), trap_strategy()),
         pattern in pattern_strategy(),
-        (pick, other, label, probe) in (0usize..1000, 0usize..1000, 0u8..5, 0u8..2),
+        (pick, other, label, probe_value) in (0usize..1000, 0usize..1000, 0u8..5, 0u8..2),
     ) {
         let spec = if trap { trapped } else { random };
-        let probe = build_pattern(&(Some(0), None, false, vec![(0, false, Some(1), Some(probe), None)]));
-        for pattern in [build_pattern(&pattern), probe] {
+        let probe = |value| build_pattern(&(Some(0), None, false, vec![(0, false, Some(1), value, None)]));
+        for pattern in [build_pattern(&pattern), probe(Some(probe_value)), probe(None)] {
             let tree = build(&spec);
             let expected = oracle(&pattern, &tree);
 

@@ -986,6 +986,57 @@ fn reference_match_condition(
     Condition::from_literals(literals)
 }
 
+/// Child-only patterns whose same-label siblings force several partitions
+/// of their nodes by image: `p { c, c }`, `p { c, c, c }` and
+/// `p { c { g }, c { g } }`, named after an element of `tree` and a child
+/// of it that has a sibling of its own name (any element child, if no
+/// element has two of one name), and that child's first element child.
+/// Two siblings sharing an image and two apart answer differently, and
+/// `(c₁, c₁, c₂)` and `(c₁, c₂, c₂)` are two partitions of one answer.
+fn sibling_patterns(tree: &Tree, pick: usize) -> Vec<Pattern> {
+    let name = |node: NodeId| tree.label(node).element_name();
+    let edges: Vec<(NodeId, NodeId)> = tree
+        .nodes()
+        .into_iter()
+        .flat_map(|parent| {
+            tree.children(parent)
+                .iter()
+                .map(move |&child| (parent, child))
+        })
+        .filter(|&(parent, child)| name(parent).is_some() && name(child).is_some())
+        .collect();
+    let twins: Vec<(NodeId, NodeId)> = edges
+        .iter()
+        .copied()
+        .filter(|&(parent, child)| {
+            let siblings = tree.children(parent).iter();
+            siblings
+                .filter(|&&sibling| name(sibling) == name(child))
+                .count()
+                > 1
+        })
+        .collect();
+    let Some(&(parent, child)) = [twins, edges]
+        .iter()
+        .find(|edges| !edges.is_empty())
+        .map(|edges| &edges[pick % edges.len()])
+    else {
+        return Vec::new();
+    };
+    let (p, c) = (name(parent).unwrap(), name(child).unwrap());
+    let mut texts = vec![
+        format!("{p} {{ {c}, {c} }}"),
+        format!("{p} {{ {c}, {c}, {c} }}"),
+    ];
+    if let Some(g) = tree.children(child).iter().find_map(|&g| name(g)) {
+        texts.push(format!("{p} {{ {c} {{ {g} }}, {c} {{ {g} }} }}"));
+    }
+    texts
+        .iter()
+        .map(|text| Pattern::parse(text).unwrap())
+        .collect()
+}
+
 proptest! {
     // The stress job's release run draws eight times the debug run's cases.
     #![proptest_config(ProptestConfig::with_cases(
@@ -1004,8 +1055,11 @@ proptest! {
     /// in order, and two sets' keys are equal exactly when their reference
     /// subtrees are isomorphic — decided without strings.
     ///
-    /// *The groups.* On random fuzzy trees and derived patterns from
-    /// `pxml-gen` (value tests, joins, descendant axes, wildcards), the
+    /// *The groups.* On random fuzzy trees, for derived patterns from
+    /// `pxml-gen` (value tests, joins, descendant axes, wildcards) and for
+    /// the child-only [`sibling_patterns`], whose matches a query keys once
+    /// per partition of the pattern's nodes by image (several groups per
+    /// pattern, and several partitions per group), the
     /// matches `query` keeps are the consistent ones with their conditions
     /// from the definition, and `merged_answers` returns the reference's
     /// groups — a Steiner tree per match grouped by
@@ -1074,15 +1128,20 @@ proptest! {
             condition_probability: 0.45,
             ..FuzzyGenConfig::sized(60, 6)
         });
-        for _ in 0..4 {
-            let config = QueryGenConfig {
-                pattern_nodes: rng.gen_range(1..5),
-                descendant_probability: 0.4,
-                value_probability: 0.3,
-                join_probability: 0.5,
-                wildcard_probability: 0.2,
-            };
-            let query = derived_query(&mut rng, fuzzy.tree(), &config);
+        let mut queries: Vec<Pattern> = (0..4)
+            .map(|_| {
+                let config = QueryGenConfig {
+                    pattern_nodes: rng.gen_range(1..5),
+                    descendant_probability: 0.4,
+                    value_probability: 0.3,
+                    join_probability: 0.5,
+                    wildcard_probability: 0.2,
+                };
+                derived_query(&mut rng, fuzzy.tree(), &config)
+            })
+            .collect();
+        queries.extend(sibling_patterns(fuzzy.tree(), seed as usize));
+        for query in queries {
             let result = fuzzy.query(&query);
             let kept: Vec<(Matching, Condition)> = query
                 .find_matches(fuzzy.tree())
