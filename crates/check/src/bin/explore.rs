@@ -4,84 +4,45 @@
 //! cargo run -p pxml-check --bin explore [-- --json <dir>]
 //! ```
 //!
-//! Runs the full scenario battery, prints a coverage table, and exits
-//! non-zero if any schedule violates the durability/ordering invariants.
-//! With `--json <dir>` it also writes the coverage record `BENCH_LOOM.json`
-//! (`{"experiment", "quick", "tables"}`).
+//! Runs the full scenario battery over the real group committer, prints one
+//! coverage row per scenario, and exits non-zero if any schedule violates
+//! the durability/ordering invariants. With `--json <dir>` it also writes the
+//! coverage record `BENCH_LOOM.json` (`{"experiment", "quick", "tables"}`).
 
-use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pxml_check::loom::{explore, scenarios, ExploreStats};
-
-fn json_dir() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--json" {
-            return Some(PathBuf::from(args.next().unwrap_or_else(|| ".".into())));
-        }
-    }
-    None
-}
+use pxml_check::loom::{explore_all, scenarios, PREEMPTION_BOUND};
 
 fn main() -> ExitCode {
-    let results: Vec<(&'static str, ExploreStats)> = scenarios()
-        .iter()
-        .map(|scenario| (scenario.name, explore(scenario)))
-        .collect();
-
-    println!(
-        "{:<22} {:>8} {:>11} {:>10} {:>14} {:>12} {:>9}",
-        "scenario",
-        "states",
-        "transitions",
-        "memo-hits",
-        "local-fastpath",
-        "schedules",
-        "max-depth"
-    );
+    let mut rows = Vec::new();
     let mut violations = 0usize;
-    for (name, stats) in &results {
-        println!(
-            "{:<22} {:>8} {:>11} {:>10} {:>14} {:>12} {:>9}",
-            name,
-            stats.states,
-            stats.transitions,
-            stats.memo_hits,
-            stats.local_fastpaths,
+    for (name, stats) in explore_all(&scenarios()) {
+        let row = format!(
+            "{{\"scenario\": \"{name}\", \"preemption_bound\": {PREEMPTION_BOUND}, \
+             \"schedules\": {}, \"points\": {}, \"max_depth\": {}, \"timeouts\": {}, \
+             \"faults\": {}, \"violations\": {}}}",
             stats.schedules,
-            stats.max_depth
+            stats.points,
+            stats.max_depth,
+            stats.timeouts,
+            stats.faults,
+            stats.violations.len()
         );
+        println!("{row}");
+        rows.push(format!("      {row}"));
         violations += stats.violations.len();
         for violation in &stats.violations {
             eprintln!("VIOLATION {violation}");
         }
     }
 
-    if let Some(dir) = json_dir() {
-        let mut rows = String::new();
-        for (index, (name, stats)) in results.iter().enumerate() {
-            if index > 0 {
-                rows.push_str(",\n");
-            }
-            let _ = write!(
-                rows,
-                "      {{\"scenario\": \"{name}\", \"states\": {}, \"transitions\": {}, \
-                 \"memo_hits\": {}, \"local_fastpaths\": {}, \"terminals\": {}, \
-                 \"schedules\": {}, \"max_depth\": {}, \"violations\": {}}}",
-                stats.states,
-                stats.transitions,
-                stats.memo_hits,
-                stats.local_fastpaths,
-                stats.terminals,
-                stats.schedules,
-                stats.max_depth,
-                stats.violations.len()
-            );
-        }
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(at) = args.iter().position(|arg| arg == "--json") {
+        let dir = PathBuf::from(args.get(at + 1).map_or(".", String::as_str));
         let json = format!(
-            "{{\n  \"experiment\": \"loom\",\n  \"quick\": false,\n  \"tables\": {{\n    \"explorer\": [\n{rows}\n    ]\n  }}\n}}\n"
+            "{{\n  \"experiment\": \"loom\",\n  \"quick\": false,\n  \"tables\": {{\n    \"explorer\": [\n{}\n    ]\n  }}\n}}\n",
+            rows.join(",\n")
         );
         let path = dir.join("BENCH_LOOM.json");
         if let Err(error) = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, json))
@@ -95,7 +56,7 @@ fn main() -> ExitCode {
     if violations == 0 {
         println!(
             "explore: {} scenarios, all schedules uphold the durability invariants",
-            results.len()
+            rows.len()
         );
         ExitCode::SUCCESS
     } else {

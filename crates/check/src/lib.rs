@@ -8,18 +8,19 @@
 //!   shim, unwraps under a lock guard, constructs a lock without a witness
 //!   class, reads a protocol atomic with relaxed ordering, or codes a journal
 //!   record's bytes outside the store's `journal.rs`.
-//! - [`model`] + [`loom`] — a hand-rolled stateless model checker ("mini
-//!   loom") that exhaustively explores every bounded interleaving of a
-//!   faithful [`model`] of the store's group committer and asserts the
-//!   durability contract at every reachable state.
+//! - [`loom`] — a hand-rolled stateless schedule explorer ("mini loom")
+//!   that runs the store's real group committer on real threads, one at a
+//!   time under the `parking_lot` shim's scheduler, through every schedule
+//!   within a preemption bound, and asserts the durability contract at
+//!   every scheduling point.
 //! - the **lock-order witness** lives in `shims/parking_lot` behind the
 //!   `lock-witness` feature; this crate's `tests/lockdep.rs` proves the
 //!   witness actually catches ABBA deadlocks and declared-order inversions.
 //!
 //! None of this is wired into the hot path: the witness compiles to
-//! nothing without its feature, the model checker runs against a model, and
-//! the linter reads source text. See README § "Concurrency correctness".
+//! nothing without its feature, the scheduler hooks cost one atomic load
+//! per lock operation unless an explorer run is in progress, and the linter
+//! reads source text. See README § "Concurrency correctness".
 
 pub mod lint;
 pub mod loom;
-pub mod model;

@@ -55,9 +55,9 @@
 //! `// lint: allow(<rule>)` on the offending line or the line above.
 //!
 //! The same scanner backs [`ledger`], the size report simplicity PRs quote:
-//! per workspace crate, the non-test code lines and the `pub fn` /
-//! `pub struct` / `pub enum` / `pub trait` items of its `src/` tree
-//! (`lint -- --ledger`), so a PR's ledger is a diff of two CI logs.
+//! per workspace crate and per shim crate, the non-test code lines and the
+//! `pub fn` / `pub struct` / `pub enum` / `pub trait` items of its `src/`
+//! tree (`lint -- --ledger`), so a PR's ledger is a diff of two CI logs.
 //!
 //! The scanner blanks comments and string/char literals (preserving line
 //! structure), tracks brace depth to skip `#[cfg(test)]` / `#[test]`
@@ -474,21 +474,26 @@ pub fn lint_source(rel_path: &str, source: &str) -> Vec<Finding> {
 }
 
 /// The size ledger: one `(crate directory, non-test code lines, public
-/// items)` row per workspace crate with a `src/` tree under `root` — `src`
-/// itself is the root package — in sorted order. A code line is a line that
-/// is not blank once comments are blanked and lies outside every
-/// `#[cfg(test)]` / `#[test]` region; a public item is a `pub fn`,
-/// `pub struct`, `pub enum` or `pub trait` on such a line. `tests/`,
-/// `examples/` and `shims/` are not counted.
+/// items)` row per workspace crate and per `shims/` crate with a `src/` tree
+/// under `root` — `src` itself is the root package — in sorted order. A code
+/// line is a line that is not blank once comments are blanked and lies
+/// outside every `#[cfg(test)]` / `#[test]` region; a public item is a
+/// `pub fn`, `pub struct`, `pub enum` or `pub trait` on such a line.
+/// `tests/` and `examples/` are not counted.
 pub fn ledger(root: &Path) -> std::io::Result<Vec<(String, usize, usize)>> {
     let mut files = Vec::new();
     collect_rust_files(root, root, &mut files)?;
+    // The lint rules skip the shims; the ledger counts them like any crate.
+    let shims = root.join("shims");
+    if shims.is_dir() {
+        collect_rust_files(root, &shims, &mut files)?;
+    }
     let mut rows: std::collections::BTreeMap<String, (usize, usize)> = Default::default();
     for file in files {
         let rel = file.to_string_lossy().replace('\\', "/");
         let krate = match rel.split('/').collect::<Vec<_>>()[..] {
             ["src", ..] => "src".to_string(),
-            ["crates", name, "src", ..] => format!("crates/{name}"),
+            [home @ ("crates" | "shims"), name, "src", ..] => format!("{home}/{name}"),
             _ => continue,
         };
         let (lines, items) = ledger_source(&std::fs::read_to_string(root.join(&file))?);
@@ -1225,5 +1230,16 @@ mod tests {
                       #[cfg(test)]\nmod tests {\n    pub fn hidden() {}\n}\n";
         assert_eq!(ledger_source(source), (3, 1));
         assert_eq!(ledger_source("pub(crate) fn internal() {}\n"), (1, 0));
+    }
+
+    #[test]
+    fn ledger_has_a_row_per_shim_crate() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let rows = ledger(&root).expect("workspace sources readable");
+        for shim in ["shims/parking_lot", "shims/proptest", "shims/rand"] {
+            let row = rows.iter().find(|(krate, _, _)| krate == shim);
+            assert!(row.is_some_and(|&(_, lines, _)| lines > 0), "no {shim} row");
+        }
+        assert!(rows.iter().any(|(krate, _, _)| krate == "crates/check"));
     }
 }

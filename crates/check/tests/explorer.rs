@@ -1,135 +1,218 @@
-//! Mini-loom explorer suite: every scenario in the battery must uphold the
-//! durability/ordering invariants in **every** bounded schedule, and the
-//! invariant machinery must actually catch a seeded durability bug.
+//! Mini-loom explorer suite: every scenario of the real group committer
+//! must uphold the durability/ordering invariants in every schedule within
+//! the preemption bound, and the explorer must catch the concurrency bugs
+//! of small test-local programs built on the lock shim — and pass their
+//! fixed twins.
 
-use pxml_check::loom::{explore, scenarios, seeded_bug_scenario, seeded_fsyncgate_scenario};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
+
+use parking_lot::{Condvar, LockClass, Mutex};
+use pxml_check::loom::{explore, explore_all, scenarios, ExploreStats, Program, PREEMPTION_BOUND};
+
+/// The battery, explored once for every test of this binary that reads it.
+fn battery() -> &'static [(&'static str, ExploreStats)] {
+    static BATTERY: OnceLock<Vec<(&'static str, ExploreStats)>> = OnceLock::new();
+    BATTERY.get_or_init(|| explore_all(&scenarios()))
+}
+
+fn stats(name: &str) -> &'static ExploreStats {
+    let (_, stats) = battery()
+        .iter()
+        .find(|(scenario, _)| *scenario == name)
+        .unwrap_or_else(|| panic!("no scenario {name}"));
+    stats
+}
 
 #[test]
 fn every_scenario_upholds_the_invariants_in_every_schedule() {
-    for scenario in scenarios() {
-        let stats = explore(&scenario);
+    const { assert!(PREEMPTION_BOUND >= 2) };
+    assert_eq!(battery().len(), 8);
+    for (name, stats) in battery() {
         assert!(
             stats.violations.is_empty(),
-            "[{}] {} violation(s), first: {}",
-            scenario.name,
+            "[{name}] {} violation(s), first: {}",
             stats.violations.len(),
             stats.violations[0]
         );
-        // Exhaustiveness sanity: something was actually explored, and every
-        // explored schedule ran to completion (terminals reached).
-        assert!(stats.states > 1, "[{}] trivial exploration", scenario.name);
-        assert!(stats.schedules >= 1, "[{}] no schedules", scenario.name);
-        assert!(
-            stats.terminals >= 1,
-            "[{}] no terminal states",
-            scenario.name
-        );
+        // Something was explored: two threads interleave in many ways.
+        assert!(stats.schedules > 1, "[{name}] a single schedule");
     }
 }
 
 #[test]
 fn two_thread_same_doc_coverage_is_exhaustive() {
     // 2 threads x 2 commits on one doc: the canonical contention scenario.
-    // The numbers themselves are regression-pinned so a model or explorer
-    // change that silently shrinks coverage fails loudly.
-    let stats = explore(&scenarios()[0]);
-    assert_eq!(stats.states, 393);
-    assert_eq!(stats.schedules, 610);
-    assert!(stats.memo_hits > 0, "memoization never fired");
-    assert!(
-        stats.local_fastpaths > 0,
-        "persistent-set reduction never fired"
-    );
+    // The numbers are regression-pinned so an explorer or scheduler change
+    // that silently shrinks coverage fails loudly.
+    let stats = stats("2t-1doc-w2");
+    assert_eq!(stats.schedules, 512);
+    assert_eq!(stats.points, 16_068);
+    assert!(stats.timeouts > 0, "the fill-wait never offered a timeout");
 }
 
 #[test]
-fn window_bound_does_not_change_the_reachable_schedule_set() {
-    // `window_max_batches` only bounds how long a leader *waits*; since the
-    // explorer treats the fill timeout as always able to fire, the reachable
-    // schedules for window 1 and window 2 must be identical.
-    let battery = scenarios();
-    let w2 = battery.iter().find(|s| s.name == "2t-1doc-w2").unwrap();
-    let w1 = battery.iter().find(|s| s.name == "2t-1doc-w1").unwrap();
-    let (a, b) = (explore(w2), explore(w1));
-    assert_eq!(a.states, b.states);
-    assert_eq!(a.transitions, b.transitions);
-    assert_eq!(a.schedules, b.schedules);
-}
-
-#[test]
-fn seeded_ack_before_fsync_bug_is_detected() {
-    let stats = explore(&seeded_bug_scenario());
-    assert!(
-        !stats.violations.is_empty(),
-        "the explorer failed to catch the seeded ack-before-fsync bug"
-    );
-    assert!(
-        stats
-            .violations
-            .iter()
-            .any(|violation| violation.contains("not durable")),
-        "violations never mention durability: {:?}",
-        stats.violations
-    );
-    // Each recorded violation carries the schedule that exposed it.
-    assert!(
-        stats.violations[0].contains("t0:") || stats.violations[0].contains("t1:"),
-        "violation lacks a schedule trace: {}",
-        stats.violations[0]
-    );
+fn a_window_of_one_never_offers_a_timeout() {
+    // A window of one batch is full as soon as its leader holds it: the
+    // fill-wait never starts, so no schedule can time one out. A window of
+    // two does wait, and timing the wait out is a choice the explorer takes.
+    assert_eq!(stats("2t-1doc-w1").timeouts, 0);
+    assert!(stats("2t-1doc-w2").timeouts > 0);
 }
 
 #[test]
 fn failing_fsync_scenarios_are_explored_and_uphold_durability() {
-    // The failure scenarios are part of the battery (so the first test has
+    // The failure scenarios are part of the battery, so the first test has
     // already proven no schedule acks a non-durable record across the
-    // failure); here we additionally pin that the fault actually fires —
-    // a battery where the injected round is never reached would prove
-    // nothing.
-    let battery = scenarios();
-    let failing = battery
-        .iter()
-        .filter(|s| s.fsync_fails_at.is_some())
-        .collect::<Vec<_>>();
+    // failure; here we pin that the fault actually fires — a battery where
+    // the injected round is never reached would prove nothing.
+    let failing: Vec<_> = scenarios()
+        .into_iter()
+        .filter(|scenario| scenario.fsync_fails_at.is_some())
+        .collect();
     assert!(failing.len() >= 2, "failure scenarios missing from battery");
     for scenario in failing {
-        let stats = explore(scenario);
+        let stats = stats(scenario.name);
         assert!(
-            stats.violations.is_empty(),
-            "[{}] {:?}",
-            scenario.name,
-            stats.violations
+            stats.faults >= 1,
+            "[{}] the fault never fired",
+            scenario.name
         );
-        assert!(stats.terminals >= 1, "[{}] never terminates", scenario.name);
-        // More states than the fault-free twin would add nothing by itself;
-        // the meaningful signal is that exploration is non-trivial.
-        assert!(stats.states > 1 && stats.schedules > 1);
+        assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+    }
+}
+
+/// A two-thread program: `waiter` and `notifier` share a mutex, a condvar
+/// and a flag, and `finish` checks the end state.
+fn program(
+    waiter: fn(&Shared),
+    notifier: fn(&Shared),
+    finish: fn(&Shared) -> Result<(), String>,
+) -> Program {
+    let shared = Arc::new(Shared {
+        flag: AtomicBool::new(false),
+        ready: Mutex::with_class(LockClass::TestA, false),
+        wakeup: Condvar::new(),
+        counter: Mutex::with_class(LockClass::TestB, 0),
+    });
+    let (first, second, last) = (shared.clone(), shared.clone(), shared);
+    Program {
+        threads: vec![
+            Box::new(move || waiter(&first)),
+            Box::new(move || notifier(&second)),
+        ],
+        check: Box::new(|| Ok(())),
+        finish: Box::new(move || finish(&last)),
+    }
+}
+
+struct Shared {
+    flag: AtomicBool,
+    ready: Mutex<bool>,
+    wakeup: Condvar,
+    counter: Mutex<u32>,
+}
+
+fn nothing_to_check(_: &Shared) -> Result<(), String> {
+    Ok(())
+}
+
+/// The lost wakeup: the waiter checks the flag outside the mutex, so the
+/// notifier can set it and notify between the check and the wait.
+fn racy_waiter(shared: &Shared) {
+    if !shared.flag.load(Ordering::Acquire) {
+        let mut ready = shared.ready.lock();
+        shared.wakeup.wait(&mut ready);
+    }
+}
+
+fn racy_notifier(shared: &Shared) {
+    shared.flag.store(true, Ordering::Release);
+    let _ready = shared.ready.lock();
+    shared.wakeup.notify_all();
+}
+
+/// The fix: the flag lives under the mutex and is re-checked in a loop.
+fn fixed_waiter(shared: &Shared) {
+    let mut ready = shared.ready.lock();
+    while !*ready {
+        shared.wakeup.wait(&mut ready);
+    }
+}
+
+fn fixed_notifier(shared: &Shared) {
+    *shared.ready.lock() = true;
+    shared.wakeup.notify_all();
+}
+
+/// Check-then-act: the read and the write of the increment are two
+/// critical sections where one should be.
+fn racy_increment(shared: &Shared) {
+    let seen = *shared.counter.lock();
+    *shared.counter.lock() = seen + 1;
+}
+
+fn fixed_increment(shared: &Shared) {
+    *shared.counter.lock() += 1;
+}
+
+fn both_increments_landed(shared: &Shared) -> Result<(), String> {
+    match *shared.counter.lock() {
+        2 => Ok(()),
+        count => Err(format!("lost update: the counter ends at {count}, not 2")),
     }
 }
 
 #[test]
-fn seeded_ack_after_failed_fsync_bug_is_detected() {
-    // The fsyncgate pattern: fsync fails, the leader shrugs and acks. The
-    // records sit in the page cache (journal tail), not in the durable
-    // prefix — I1 must fire in some schedule, with the trace attached.
-    let stats = explore(&seeded_fsyncgate_scenario());
+fn lost_wakeup_is_reported_as_a_deadlock_with_its_schedule() {
+    let stats = explore("lost-wakeup", 2, || {
+        program(racy_waiter, racy_notifier, nothing_to_check)
+    });
     assert!(
         !stats.violations.is_empty(),
-        "the explorer failed to catch the seeded ack-after-failed-fsync bug"
+        "the lost wakeup went unnoticed"
+    );
+    let violation = &stats.violations[0];
+    assert!(
+        violation.contains("deadlock: thread 0 waits on a condvar"),
+        "{violation}"
+    );
+    assert!(violation.contains("(schedule: 0"), "{violation}");
+}
+
+#[test]
+fn check_then_act_trips_its_assertion_in_some_schedule() {
+    let stats = explore("check-then-act", 2, || {
+        program(racy_increment, racy_increment, both_increments_landed)
+    });
+    assert!(
+        !stats.violations.is_empty(),
+        "the lost update went unnoticed"
     );
     assert!(
-        stats
-            .violations
-            .iter()
-            .any(|violation| violation.contains("not durable")),
-        "violations never mention durability: {:?}",
-        stats.violations
-    );
-    assert!(
-        stats.violations[0].contains("t0:") || stats.violations[0].contains("t1:"),
-        "violation lacks a schedule trace: {}",
+        stats.violations[0].contains("lost update: the counter ends at 1"),
+        "{}",
         stats.violations[0]
     );
+    assert!(stats.violations[0].contains("(schedule: 0"));
+}
+
+#[test]
+fn fixed_wakeup_explores_clean() {
+    let stats = explore("fixed-wakeup", 2, || {
+        program(fixed_waiter, fixed_notifier, nothing_to_check)
+    });
+    assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+    assert!(stats.schedules > 1);
+}
+
+#[test]
+fn fixed_increment_explores_clean() {
+    let stats = explore("fixed-increment", 2, || {
+        program(fixed_increment, fixed_increment, both_increments_landed)
+    });
+    assert!(stats.violations.is_empty(), "{:?}", stats.violations);
+    assert!(stats.schedules > 1);
 }
 
 #[test]

@@ -380,13 +380,19 @@ impl GroupCommitter {
         let fill = fill_wait && (window.concurrency_hint || window.pending.len() > 1);
         if fill {
             let opened = window.opened_at.unwrap_or_else(Instant::now);
+            // A timed-out wait ends the fill without reading the clock again:
+            // the deadline has passed (or, under the schedule explorer, the
+            // explorer chose the timeout).
             while window.pending.len() < self.window_max_batches {
                 let elapsed = opened.elapsed();
-                if elapsed >= self.window_max_wait {
+                if elapsed >= self.window_max_wait
+                    || self
+                        .wakeup
+                        .wait_for(&mut window, self.window_max_wait - elapsed)
+                        .timed_out()
+                {
                     break;
                 }
-                self.wakeup
-                    .wait_for(&mut window, self.window_max_wait - elapsed);
             }
             if window.pending.len() == 1 {
                 // A full fill-wait still drained solo: the concurrency is

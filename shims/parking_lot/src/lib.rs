@@ -30,6 +30,16 @@
 //! like the plain shim. [`witness::enabled`] reports at runtime whether the
 //! build is instrumented, so witness self-tests can skip themselves in
 //! uninstrumented runs instead of failing.
+//!
+//! # Schedule explorer hooks
+//!
+//! Every `Mutex` lock, `Condvar` wait, `wait_for` or notify
+//! is also a scheduling point of [`sched`]: on a thread that
+//! [`sched::run`] started, the operation first hands control back to the
+//! run's chooser, which picks the one thread that runs until its next
+//! point. Every other thread — and every thread while no run is in
+//! progress — pays one atomic load per operation and behaves exactly like
+//! the plain shim. `RwLock` is not a scheduling point.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -107,44 +117,14 @@ impl LockClass {
     }
 
     /// Position in the declared acquisition order; `None` for classes that
-    /// are only cycle-checked.
+    /// are only cycle-checked. The ranked classes are declared first, in
+    /// rank order.
     pub const fn rank(self) -> Option<u8> {
-        match self {
-            LockClass::ServerConns => Some(0),
-            LockClass::ServerAdmission => Some(1),
-            LockClass::ServerTenants => Some(2),
-            LockClass::Shard => Some(3),
-            LockClass::DocCommit => Some(4),
-            LockClass::DocEntry => Some(5),
-            LockClass::GroupCommitter => Some(6),
-            LockClass::JournalRegistry => Some(7),
-            LockClass::Journal => Some(8),
-            LockClass::Device => Some(9),
-            LockClass::CommitSlot => Some(10),
-            LockClass::TestA | LockClass::TestB | LockClass::TestC | LockClass::Unclassified => {
-                None
-            }
-        }
-    }
-
-    #[cfg_attr(not(feature = "lock-witness"), allow(dead_code))]
-    const fn index(self) -> usize {
-        match self {
-            LockClass::ServerConns => 0,
-            LockClass::ServerAdmission => 1,
-            LockClass::ServerTenants => 2,
-            LockClass::Shard => 3,
-            LockClass::DocCommit => 4,
-            LockClass::DocEntry => 5,
-            LockClass::GroupCommitter => 6,
-            LockClass::JournalRegistry => 7,
-            LockClass::Journal => 8,
-            LockClass::Device => 9,
-            LockClass::CommitSlot => 10,
-            LockClass::TestA => 11,
-            LockClass::TestB => 12,
-            LockClass::TestC => 13,
-            LockClass::Unclassified => 14,
+        let index = self as u8;
+        if index <= LockClass::CommitSlot as u8 {
+            Some(index)
+        } else {
+            None
         }
     }
 }
@@ -162,7 +142,7 @@ impl fmt::Display for LockClass {
 pub mod witness {
     use super::LockClass;
     use std::cell::RefCell;
-    use std::sync::{Mutex as StdMutex, OnceLock};
+    use std::sync::Mutex as StdMutex;
 
     const CLASSES: usize = 15;
 
@@ -172,39 +152,24 @@ pub mod witness {
         static HELD: RefCell<Vec<LockClass>> = const { RefCell::new(Vec::new()) };
     }
 
-    /// Process-global acquisition-order graph: `edge[a][b]` records that
-    /// some thread acquired class `b` while holding class `a`.
-    struct Graph {
-        edge: [[bool; CLASSES]; CLASSES],
-    }
+    /// The acquisition-order graph over class indices: `[a][b]` records
+    /// that some thread acquired class `b` while holding class `a`.
+    type Graph = [[bool; CLASSES]; CLASSES];
 
-    fn graph() -> &'static StdMutex<Graph> {
-        static GRAPH: OnceLock<StdMutex<Graph>> = OnceLock::new();
-        GRAPH.get_or_init(|| {
-            StdMutex::new(Graph {
-                edge: [[false; CLASSES]; CLASSES],
-            })
-        })
-    }
+    /// The process-global graph.
+    static GRAPH: StdMutex<Graph> = StdMutex::new([[false; CLASSES]; CLASSES]);
 
     /// Is `to` reachable from `from` over recorded edges (`from == to`
     /// counts as reachable, so same-class nesting closes a cycle)?
     fn reaches(g: &Graph, from: usize, to: usize) -> bool {
-        if from == to {
-            return true;
-        }
-        let mut visited = [false; CLASSES];
+        let mut seen = [false; CLASSES];
         let mut stack = vec![from];
         while let Some(node) = stack.pop() {
-            for (next, &has_edge) in g.edge[node].iter().enumerate() {
-                if !has_edge || visited[next] {
-                    continue;
-                }
-                if next == to {
-                    return true;
-                }
-                visited[next] = true;
-                stack.push(next);
+            if node == to {
+                return true;
+            }
+            if !std::mem::replace(&mut seen[node], true) {
+                stack.extend((0..CLASSES).filter(|&next| g[node][next]));
             }
         }
         false
@@ -252,10 +217,10 @@ pub mod witness {
                 }
             }
         }
-        let mut g = graph().lock().unwrap_or_else(|e| e.into_inner());
+        let mut g = GRAPH.lock().unwrap_or_else(|e| e.into_inner());
         for &h in held {
-            let (from, to) = (h.index(), class.index());
-            if g.edge[from][to] {
+            let (from, to) = (h as usize, class as usize);
+            if g[from][to] {
                 continue;
             }
             if reaches(&g, to, from) {
@@ -265,7 +230,7 @@ pub mod witness {
                      already held, directly or transitively, while acquiring `{h}`)"
                 );
             }
-            g.edge[from][to] = true;
+            g[from][to] = true;
         }
     }
 }
@@ -285,6 +250,329 @@ pub mod witness {
 
     #[inline(always)]
     pub(crate) fn on_release(_class: LockClass) {}
+}
+
+/// Deterministic scheduling of real threads for the schedule explorer (see
+/// the crate docs). [`sched::run`] starts one managed thread per body and
+/// lets exactly one of them hold the baton at a time. At every scheduling
+/// point the holder parks, asks the run's chooser which
+/// [`sched::Runnable`] thread goes next and hands it the baton (often
+/// itself: then nothing sleeps). The lock and condvar state the chooser
+/// needs is kept here, so a thread is offered only when its operation can
+/// complete: a lock once it is free, a condvar waiter once it is notified
+/// or, for a `wait_for`, as a timeout.
+pub mod sched {
+    use std::cell::RefCell;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+
+    /// Runs in progress in the process: while it is zero, every hook is this
+    /// one load.
+    static RUNS: AtomicUsize = AtomicUsize::new(0);
+
+    thread_local! {
+        /// The run a managed thread belongs to, and its index in that run.
+        static MANAGED: RefCell<Option<(Arc<Run>, usize)>> = const { RefCell::new(None) };
+    }
+
+    /// A managed thread the chooser may hand the baton to.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct Runnable {
+        pub thread: usize,
+        /// Running it ends the thread's `Condvar::wait_for` with a timeout.
+        pub times_out: bool,
+    }
+
+    /// A run's chooser: given the runnable threads (never none), the one to
+    /// run next.
+    pub type Chooser<'a> = dyn FnMut(&[Runnable]) -> usize + Send + 'a;
+
+    /// Where a managed thread is parked.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum Status {
+        /// At a point that can always proceed: its start or a notify.
+        Ready,
+        /// About to acquire the lock at this address.
+        Lock(usize),
+        /// Waiting on a condvar, to reacquire `lock` when it wakes.
+        Wait {
+            cv: usize,
+            lock: usize,
+            timed: bool,
+            notified: bool,
+        },
+        Done,
+    }
+
+    struct State {
+        threads: Vec<Status>,
+        /// The managed thread allowed to run, if any.
+        baton: Option<usize>,
+        /// The addresses of the locks managed threads hold.
+        held: Vec<usize>,
+        panics: Vec<String>,
+        /// The chooser [`run`] was given, its lifetime erased so that the
+        /// parked thread itself can call it: handing the baton straight on
+        /// saves the two context switches of a round trip through `run`'s
+        /// thread at every point. `run` returns only once the run has ended,
+        /// after which no thread passes the baton again, and only the thread
+        /// passing it — one at a time, under this state's lock — calls it.
+        chooser: *mut Chooser<'static>,
+        /// How the run ended, once it has.
+        ended: Option<Result<(), String>>,
+    }
+
+    // SAFETY: every field but `chooser` is `Send`. `chooser` points at a
+    // `Send` closure that only the thread passing the baton calls, one at a
+    // time under the state's lock, while `run` keeps it alive (see the
+    // field).
+    unsafe impl Send for State {}
+
+    impl State {
+        fn runnable(&self) -> Vec<Runnable> {
+            let free = |lock: usize| !self.held.contains(&lock);
+            let mut runnable = Vec::new();
+            for (thread, status) in self.threads.iter().enumerate() {
+                let times_out = match *status {
+                    Status::Ready => false,
+                    Status::Lock(lock) if free(lock) => false,
+                    Status::Wait {
+                        lock,
+                        timed,
+                        notified,
+                        ..
+                    } if (notified || timed) && free(lock) => !notified,
+                    _ => continue,
+                };
+                runnable.push(Runnable { thread, times_out });
+            }
+            runnable
+        }
+
+        /// What each thread of a deadlocked run is stuck on.
+        fn deadlock(&self) -> String {
+            let mut stuck = Vec::new();
+            for (thread, status) in self.threads.iter().enumerate() {
+                let on = if let Status::Lock(_) = status {
+                    "for a lock"
+                } else {
+                    "on a condvar"
+                };
+                if *status != Status::Done {
+                    stuck.push(format!("thread {thread} waits {on}"));
+                }
+            }
+            format!("deadlock: {}", stuck.join(", "))
+        }
+    }
+
+    struct Run {
+        state: Mutex<State>,
+        /// One condvar per managed thread, then the one [`run`] waits on.
+        turns: Vec<Condvar>,
+    }
+
+    impl Run {
+        fn lock(&self) -> MutexGuard<'_, State> {
+            self.state.lock().unwrap_or_else(|e| e.into_inner())
+        }
+
+        /// Blocks until `me` holds the baton.
+        fn await_turn<'a>(
+            &self,
+            mut state: MutexGuard<'a, State>,
+            me: usize,
+        ) -> MutexGuard<'a, State> {
+            while state.baton != Some(me) {
+                state = self.turns[me]
+                    .wait(state)
+                    .unwrap_or_else(|e| e.into_inner());
+            }
+            state
+        }
+
+        /// Hands the baton on from `me`: to the thread the chooser picks, or
+        /// back to [`run`] once every thread is done or none can run.
+        fn pass(&self, state: &mut State, me: usize) {
+            let runnable = state.runnable();
+            if runnable.is_empty() {
+                let all_done = state.threads.iter().all(|&status| status == Status::Done);
+                state.ended = Some(if all_done {
+                    Ok(())
+                } else {
+                    Err(state.deadlock())
+                });
+                state.baton = None;
+                self.turns[state.threads.len()].notify_one();
+                return;
+            }
+            // SAFETY: the caller holds the state's lock, and the run has not
+            // ended, so `run` is still waiting and its chooser alive (see
+            // `State::chooser`).
+            let chosen = unsafe { (*state.chooser)(&runnable) };
+            assert!(
+                runnable.iter().any(|r| r.thread == chosen),
+                "the chooser picked thread {chosen}, which cannot run"
+            );
+            if let Status::Lock(lock) | Status::Wait { lock, .. } = state.threads[chosen] {
+                state.held.push(lock);
+            }
+            state.baton = Some(chosen);
+            if chosen != me {
+                self.turns[chosen].notify_one();
+            }
+        }
+
+        /// Parks `me` at a scheduling point with `status`, passes the baton,
+        /// and returns once `me` holds it again.
+        fn park(&self, me: usize, status: Status) -> MutexGuard<'_, State> {
+            let mut state = self.lock();
+            if let Status::Wait { lock, .. } = status {
+                state.held.retain(|&held| held != lock);
+            }
+            state.threads[me] = status;
+            self.pass(&mut state, me);
+            self.await_turn(state, me)
+        }
+    }
+
+    /// The calling thread's run and index, if [`run`] started it.
+    fn managed() -> Option<(Arc<Run>, usize)> {
+        if RUNS.load(Ordering::Relaxed) == 0 {
+            return None;
+        }
+        MANAGED.with(|managed| managed.borrow().clone())
+    }
+
+    /// `Mutex::lock`: returns once the lock at `lock` is free and recorded
+    /// as the caller's.
+    pub(crate) fn acquire(lock: usize) {
+        if let Some((run, me)) = managed() {
+            drop(run.park(me, Status::Lock(lock)));
+        }
+    }
+
+    /// A guard of the lock at `lock` dropped.
+    pub(crate) fn release(lock: usize) {
+        if let Some((run, _)) = managed() {
+            run.lock().held.retain(|&held| held != lock);
+        }
+    }
+
+    /// `Condvar::notify_*`: every waiter on `cv` wakes (a `notify_one` may
+    /// wake more than one, as a spurious wake-up can).
+    pub(crate) fn notify(cv: usize) {
+        if let Some((run, me)) = managed() {
+            let mut state = run.park(me, Status::Ready);
+            for status in &mut state.threads {
+                if let Status::Wait {
+                    cv: waited,
+                    notified,
+                    ..
+                } = status
+                {
+                    *notified |= *waited == cv;
+                }
+            }
+        }
+    }
+
+    /// `Condvar::wait` / `wait_for` off a run: hands the std `guard` back.
+    /// On a run it drops the guard, parks until the chooser wakes the caller
+    /// with the lock at `lock` free again and recorded as the caller's, and
+    /// returns whether the wait timed out.
+    pub(crate) fn wait<G>(cv: usize, lock: usize, timed: bool, guard: G) -> Result<bool, G> {
+        let Some((run, me)) = managed() else {
+            return Err(guard);
+        };
+        drop(guard);
+        let status = Status::Wait {
+            cv,
+            lock,
+            timed,
+            notified: false,
+        };
+        // A waiter the chooser ran before anyone notified it timed out.
+        let timed_out = run.park(me, status).threads[me] == status;
+        Ok(timed_out)
+    }
+
+    /// Runs `bodies` on managed threads, one at a time. At every scheduling
+    /// point — each thread's start and exit and every hooked operation —
+    /// `choose` picks the thread to run next. It runs on the thread passing
+    /// the baton, under the run's lock, so it must not touch a lock of this
+    /// crate. Returns the panics of the bodies, or a deadlock: threads left
+    /// with none runnable. The threads of a deadlocked run stay parked for
+    /// good.
+    pub fn run(
+        bodies: Vec<Box<dyn FnOnce() + Send>>,
+        choose: &mut Chooser<'_>,
+    ) -> Result<(), String> {
+        let count = bodies.len();
+        let run = Arc::new(Run {
+            state: Mutex::new(State {
+                threads: vec![Status::Ready; count],
+                baton: None,
+                held: Vec::new(),
+                panics: Vec::new(),
+                // SAFETY: only the lifetime is erased; see `State::chooser`.
+                chooser: unsafe {
+                    std::mem::transmute::<*mut Chooser<'_>, *mut Chooser<'static>>(choose)
+                },
+                ended: None,
+            }),
+            turns: (0..=count).map(|_| Condvar::new()).collect(),
+        });
+        RUNS.fetch_add(1, Ordering::Relaxed);
+        let mut handles = Vec::new();
+        for (me, body) in bodies.into_iter().enumerate() {
+            let run = Arc::clone(&run);
+            handles.push(std::thread::spawn(move || {
+                MANAGED.with(|managed| *managed.borrow_mut() = Some((Arc::clone(&run), me)));
+                drop(run.await_turn(run.lock(), me));
+                let outcome = catch_unwind(AssertUnwindSafe(body));
+                let mut state = run.lock();
+                if let Err(payload) = outcome {
+                    let text = payload.downcast_ref::<&str>().map(|text| text.to_string());
+                    let message = text.or_else(|| payload.downcast_ref::<String>().cloned());
+                    state.panics.push(format!(
+                        "thread {me} panicked: {}",
+                        message.unwrap_or_default()
+                    ));
+                }
+                state.threads[me] = Status::Done;
+                run.pass(&mut state, me);
+                drop(state);
+                MANAGED.with(|managed| managed.borrow_mut().take());
+            }));
+        }
+        let mut state = run.lock();
+        run.pass(&mut state, count);
+        let outcome = loop {
+            match state.ended.take() {
+                Some(outcome) => break outcome,
+                None => {
+                    state = run.turns[count]
+                        .wait(state)
+                        .unwrap_or_else(|e| e.into_inner())
+                }
+            }
+        };
+        let panics = std::mem::take(&mut state.panics);
+        drop(state);
+        RUNS.fetch_sub(1, Ordering::Relaxed);
+        if outcome.is_ok() {
+            for handle in handles {
+                // The bodies' panics were caught and are reported below.
+                let _ = handle.join();
+            }
+        }
+        match outcome {
+            Ok(()) if !panics.is_empty() => Err(panics.join("; ")),
+            outcome => outcome,
+        }
+    }
 }
 
 pub struct Mutex<T: ?Sized> {
@@ -316,37 +604,24 @@ impl<T: ?Sized> Mutex<T> {
         self.class
     }
 
+    /// The lock's identity for [`sched`].
+    fn addr(&self) -> usize {
+        self as *const Self as *const u8 as usize
+    }
+
+    fn lock_inner(&self) -> std::sync::MutexGuard<'_, T> {
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub fn lock(&self) -> MutexGuard<'_, T> {
         // Check before blocking: a would-be deadlock should panic with the
         // class pair, not hang.
         witness::on_acquire(self.class);
+        sched::acquire(self.addr());
         MutexGuard {
-            class: self.class,
-            inner: Some(self.inner.lock().unwrap_or_else(|e| e.into_inner())),
+            mutex: self,
+            inner: Some(self.lock_inner()),
         }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let inner = match self.inner.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => return None,
-        };
-        witness::on_acquire(self.class);
-        Some(MutexGuard {
-            class: self.class,
-            inner: Some(inner),
-        })
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for Mutex<T> {
-    fn default() -> Self {
-        Mutex::new(T::default())
     }
 }
 
@@ -360,7 +635,7 @@ impl<T: fmt::Debug> fmt::Debug for Mutex<T> {
 /// only so [`Condvar::wait`] can atomically give the lock up and take it
 /// back; user code always observes it present.
 pub struct MutexGuard<'a, T: ?Sized> {
-    class: LockClass,
+    mutex: &'a Mutex<T>,
     inner: Option<std::sync::MutexGuard<'a, T>>,
 }
 
@@ -380,15 +655,10 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 impl<T: ?Sized> Drop for MutexGuard<'_, T> {
     fn drop(&mut self) {
-        if self.inner.is_some() {
-            witness::on_release(self.class);
+        if self.inner.take().is_some() {
+            witness::on_release(self.mutex.class);
+            sched::release(self.mutex.addr());
         }
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for MutexGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
     }
 }
 
@@ -409,10 +679,6 @@ impl<T> RwLock<T> {
             inner: std::sync::RwLock::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -423,7 +689,7 @@ impl<T: ?Sized> RwLock<T> {
 
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
         witness::on_acquire(self.class);
-        RwLockReadGuard {
+        RwLockGuard {
             class: self.class,
             inner: self.inner.read().unwrap_or_else(|e| e.into_inner()),
         }
@@ -431,20 +697,10 @@ impl<T: ?Sized> RwLock<T> {
 
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         witness::on_acquire(self.class);
-        RwLockWriteGuard {
+        RwLockGuard {
             class: self.class,
             inner: self.inner.write().unwrap_or_else(|e| e.into_inner()),
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: Default> Default for RwLock<T> {
-    fn default() -> Self {
-        RwLock::new(T::default())
     }
 }
 
@@ -454,61 +710,35 @@ impl<T: fmt::Debug> fmt::Debug for RwLock<T> {
     }
 }
 
-/// Shared-read RAII guard of an [`RwLock`].
-pub struct RwLockReadGuard<'a, T: ?Sized> {
+/// RAII guard of an [`RwLock`] over `G`, the std read or write guard.
+pub struct RwLockGuard<G> {
     class: LockClass,
-    inner: std::sync::RwLockReadGuard<'a, T>,
+    inner: G,
 }
 
-impl<T: ?Sized> Deref for RwLockReadGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: ?Sized> Drop for RwLockReadGuard<'_, T> {
-    fn drop(&mut self) {
-        witness::on_release(self.class);
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockReadGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
-    }
-}
+/// Shared-read RAII guard of an [`RwLock`].
+pub type RwLockReadGuard<'a, T> = RwLockGuard<std::sync::RwLockReadGuard<'a, T>>;
 
 /// Exclusive-write RAII guard of an [`RwLock`].
-pub struct RwLockWriteGuard<'a, T: ?Sized> {
-    class: LockClass,
-    inner: std::sync::RwLockWriteGuard<'a, T>,
-}
+pub type RwLockWriteGuard<'a, T> = RwLockGuard<std::sync::RwLockWriteGuard<'a, T>>;
 
-impl<T: ?Sized> Deref for RwLockWriteGuard<'_, T> {
-    type Target = T;
+impl<G: Deref> Deref for RwLockGuard<G> {
+    type Target = G::Target;
 
-    fn deref(&self) -> &T {
+    fn deref(&self) -> &G::Target {
         &self.inner
     }
 }
 
-impl<T: ?Sized> DerefMut for RwLockWriteGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
+impl<G: DerefMut> DerefMut for RwLockGuard<G> {
+    fn deref_mut(&mut self) -> &mut G::Target {
         &mut self.inner
     }
 }
 
-impl<T: ?Sized> Drop for RwLockWriteGuard<'_, T> {
+impl<G> Drop for RwLockGuard<G> {
     fn drop(&mut self) {
         witness::on_release(self.class);
-    }
-}
-
-impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLockWriteGuard<'_, T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        (**self).fmt(f)
     }
 }
 
@@ -521,22 +751,24 @@ impl Condvar {
         Condvar(std::sync::Condvar::new())
     }
 
+    fn addr(&self) -> usize {
+        self as *const Self as usize
+    }
+
     pub fn notify_one(&self) {
+        sched::notify(self.addr());
         self.0.notify_one();
     }
 
     pub fn notify_all(&self) {
+        sched::notify(self.addr());
         self.0.notify_all();
     }
 
     /// Atomically releases the guard's lock and blocks until notified; the
     /// lock is reacquired (re-checked by the witness) before returning.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("mutex guard present");
-        witness::on_release(guard.class);
-        let inner = self.0.wait(inner).unwrap_or_else(|e| e.into_inner());
-        witness::on_acquire(guard.class);
-        guard.inner = Some(inner);
+        self.wait_inner(guard, None);
     }
 
     /// Like [`Condvar::wait`], but gives up after `timeout`.
@@ -545,30 +777,39 @@ impl Condvar {
         guard: &mut MutexGuard<'_, T>,
         timeout: Duration,
     ) -> WaitTimeoutResult {
+        WaitTimeoutResult(self.wait_inner(guard, Some(timeout)))
+    }
+
+    /// The wait of [`Condvar::wait`] and [`Condvar::wait_for`]; returns
+    /// whether `timeout` elapsed. On a [`sched`] run the run's chooser
+    /// decides when the wait ends, and whether by a timeout.
+    fn wait_inner<T>(&self, guard: &mut MutexGuard<'_, T>, timeout: Option<Duration>) -> bool {
         let inner = guard.inner.take().expect("mutex guard present");
-        witness::on_release(guard.class);
-        let (inner, timed_out) = match self.0.wait_timeout(inner, timeout) {
-            Ok((guard, result)) => (guard, result.timed_out()),
-            Err(poisoned) => {
-                let (guard, result) = poisoned.into_inner();
-                (guard, result.timed_out())
-            }
-        };
-        witness::on_acquire(guard.class);
+        let mutex = guard.mutex;
+        witness::on_release(mutex.class);
+        let (inner, timed_out) =
+            match sched::wait(self.addr(), mutex.addr(), timeout.is_some(), inner) {
+                Ok(timed_out) => (mutex.lock_inner(), timed_out),
+                Err(inner) => match timeout {
+                    None => (self.0.wait(inner).unwrap_or_else(|e| e.into_inner()), false),
+                    Some(timeout) => {
+                        let (inner, result) = self
+                            .0
+                            .wait_timeout(inner, timeout)
+                            .unwrap_or_else(|e| e.into_inner());
+                        (inner, result.timed_out())
+                    }
+                },
+            };
+        witness::on_acquire(mutex.class);
         guard.inner = Some(inner);
-        WaitTimeoutResult(timed_out)
+        timed_out
     }
 }
 
 impl Default for Condvar {
     fn default() -> Self {
         Condvar::new()
-    }
-}
-
-impl fmt::Debug for Condvar {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Condvar").finish_non_exhaustive()
     }
 }
 
@@ -584,7 +825,8 @@ impl WaitTimeoutResult {
 
 #[cfg(test)]
 mod tests {
-    use super::{Condvar, LockClass, Mutex, RwLock};
+    use super::{sched, Condvar, LockClass, Mutex, RwLock};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -637,6 +879,44 @@ mod tests {
         *guard = true;
         drop(guard);
         assert!(*m.lock());
+    }
+
+    #[test]
+    fn sched_runs_a_wait_for_timeout_as_a_choice() {
+        // One managed thread waits an hour on a condvar nobody notifies:
+        // the only move left is the timeout, and the run takes it at once.
+        let pair = Arc::new((Mutex::with_class(LockClass::TestA, ()), Condvar::new()));
+        let timed_out = Arc::new(AtomicBool::new(false));
+        let (waiter, flag) = (pair.clone(), timed_out.clone());
+        let mut offers = Vec::new();
+        let body = move || {
+            let (lock, cv) = &*waiter;
+            let mut guard = lock.lock();
+            let result = cv.wait_for(&mut guard, Duration::from_secs(3600));
+            flag.store(result.timed_out(), Ordering::SeqCst);
+        };
+        let outcome = sched::run(vec![Box::new(body)], &mut |runnable| {
+            offers.push(runnable.to_vec());
+            runnable[0].thread
+        });
+        assert_eq!(outcome, Ok(()));
+        assert!(timed_out.load(Ordering::SeqCst));
+        assert!(offers.iter().any(|runnable| runnable[0].times_out));
+    }
+
+    #[test]
+    fn sched_reports_a_thread_nobody_can_wake_as_a_deadlock() {
+        // The thread stays parked for good; the run reports and returns.
+        let pair = Arc::new((Mutex::with_class(LockClass::TestA, ()), Condvar::new()));
+        let body = move || {
+            let (lock, cv) = &*pair;
+            cv.wait(&mut lock.lock());
+        };
+        let outcome = sched::run(vec![Box::new(body)], &mut |runnable| runnable[0].thread);
+        assert_eq!(
+            outcome,
+            Err("deadlock: thread 0 waits on a condvar".to_string())
+        );
     }
 
     #[test]
