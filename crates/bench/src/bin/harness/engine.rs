@@ -585,10 +585,13 @@ pub fn e15_snapshot_reads(quick: bool) {
 /// email), on `MemBackend` and on a synced `FsBackend`. Beside the median
 /// commits it prints the whole-document simplification each commit paid
 /// before the inline pass was scoped to the update's footprint, and its
-/// counts. The commit still grows with the document through the matcher's
-/// element scan (ROADMAP item 4), so the gate is not a timing: the nodes the
-/// stream's simplifications walked and keyed must be the same at every size
-/// and on both backends.
+/// counts. Every published snapshot carries its label index, so a commit's
+/// match starts from the postings and its publish re-walks only the person
+/// it touched (ROADMAP item 13a); what still grows with the document is the
+/// patch's linear passes over the index's flat arrays and the arena's chunk
+/// table, so the gate is not a timing: the nodes the stream's
+/// simplifications walked and keyed must be the same at every size and on
+/// both backends.
 pub fn e22_commit_vs_size(quick: bool) {
     header(
         "E22",

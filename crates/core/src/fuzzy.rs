@@ -106,6 +106,14 @@ impl FuzzyTree {
         &self.tree
     }
 
+    /// Makes the tree's label index current and drops the base it was
+    /// patched from ([`Tree::refresh_label_index`]): a document about to
+    /// be published, or replayed, calls it so that its queries and its
+    /// next update's match start from the index.
+    pub fn refresh_label_index(&mut self) {
+        self.tree.refresh_label_index();
+    }
+
     /// The event table.
     pub fn events(&self) -> &EventTable {
         &self.events

@@ -166,8 +166,9 @@ impl FuzzyTree {
     /// found on the underlying tree and weighted by the probability of their
     /// match condition. Matches whose condition is inconsistent (they exist
     /// in no world) are dropped; the rest are grouped by answer, with one
-    /// answer tree per group. Like [`pxml_query::answer::evaluate`], the
-    /// first query of a snapshot builds the tree's label index.
+    /// answer tree per group. Like [`pxml_query::answer::evaluate`], it
+    /// makes the tree's label index current first; on a warehouse
+    /// snapshot, whose index its publish made current, that is a read.
     pub fn query(&self, pattern: &Pattern) -> FuzzyQueryResult {
         let tree = self.tree();
         tree.label_index();

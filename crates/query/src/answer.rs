@@ -161,9 +161,10 @@ impl<'t> AnswerGroups<'t> {
 }
 
 /// Evaluates a pattern over a tree: all matches, each with the group of its
-/// minimal-subtree answer, and one tree per group. The first query of a
-/// snapshot builds the tree's label index, which every later query of that
-/// snapshot (and of its clones, until they mutate) reuses.
+/// minimal-subtree answer, and one tree per group. The tree's label index
+/// is made current first ([`Tree::label_index`]): a warehouse snapshot's
+/// already is, so a query there reads it; a tree that never had one builds
+/// it, and one mutated since it had one patches it.
 pub fn evaluate(pattern: &Pattern, tree: &Tree) -> QueryAnswers {
     tree.label_index();
     let mut groups = AnswerGroups::new(tree, pattern);

@@ -26,10 +26,12 @@
 //! Every candidate still goes through every test, so a posting that only
 //! shares its value's hash, or a parent of a hit that is not named `X` (a
 //! child label also used under other parents), costs one test and never a
-//! wrong match. The matcher never builds the index: the query evaluator
-//! ([`crate::answer::evaluate`]) does, once per snapshot, while update
-//! matching only uses an index its snapshot already had. Matches come back
-//! in document order either way.
+//! wrong match. The matcher never builds or patches the index, it only
+//! reads a current one: the warehouse makes every snapshot's index current
+//! before it publishes or replays it (built when a document enters,
+//! patched from what each commit touched), so queries and update matches
+//! on a snapshot start from it. Matches come back in document order either
+//! way.
 
 use pxml_tree::{LabelIndex, NodeId, Tree};
 

@@ -8,12 +8,16 @@
 //!
 //! A tree may carry a [`LabelIndex`] — its element nodes grouped by name,
 //! in document order, each group with its value postings (its elements
-//! that carry a given value), and every node's position in document order.
-//! One preorder walk builds all of it. The index is built lazily by the
-//! first caller of [`Tree::label_index`] (the query evaluator), shared by
-//! every clone, and dropped by the first mutation, so it always describes
-//! exactly the nodes of the tree that holds it. It is never serialized and
-//! takes no part in equality.
+//! that carry a given value), and every node's position in document
+//! order. One preorder walk builds all of it, for a tree that
+//! never had one; it is shared by every clone. A mutation takes the index
+//! out of service and carries it as the *base* of the next one, noting the
+//! node it touched, and the next [`Tree::label_index`] patches the base:
+//! it re-walks only the subtrees of the topmost touched nodes and splices
+//! them in. So a current index always describes exactly the nodes of the
+//! tree that holds it, and the warehouse keeps one on every snapshot it
+//! publishes for the cost of what each commit touched. The index is never
+//! serialized and takes no part in equality.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -89,9 +93,23 @@ pub struct Tree {
     nodes: ChunkedVec<Slot>,
     root: NodeId,
     alive: usize,
-    /// Built by [`Tree::label_index`], shared by clones, dropped by
-    /// [`Tree::slot_mut`].
+    /// The current index: built or patched by [`Tree::label_index`], shared
+    /// by clones, taken out of service by [`Tree::touch`].
     index: OnceLock<Arc<LabelIndex>>,
+    /// The index the mutations since the last one took out of service, and
+    /// what they touched: what [`Tree::label_index`] patches.
+    carried: Option<Carried>,
+}
+
+/// An index that no longer describes its tree, and the nodes whose
+/// subtrees it describes wrongly.
+#[derive(Clone)]
+struct Carried {
+    base: Arc<LabelIndex>,
+    /// Nodes the base knows (ids below its slot count) whose children, or
+    /// whose children's labels, changed since it was current: in touch
+    /// order, consecutive repeats dropped.
+    touched: Vec<NodeId>,
 }
 
 impl fmt::Debug for Tree {
@@ -126,13 +144,106 @@ pub struct LabelIndex {
     /// A power of two of buckets, picked by a key's low bits, plus one:
     /// bucket `b` spans `postings[buckets[b]..buckets[b + 1]]`.
     buckets: Vec<u32>,
-    /// `(high half of the posting_key, element)` for every valued element,
+    /// `(low half of the posting_key, element)` for every valued element,
     /// by bucket, and within a bucket in document order. The bucket is
-    /// picked by the key's low bits, so two keys share a lookup only if
-    /// they agree on both.
+    /// picked by the low bits of the stored half, so a patch can re-file
+    /// the postings into another number of buckets; two keys share a
+    /// lookup only if their low halves agree.
     postings: Vec<(u32, NodeId)>,
     /// Each live node's position in preorder, by [`NodeId::index`].
     positions: Vec<u32>,
+    /// The number of live nodes: where the root's subtree ends.
+    len: u32,
+}
+
+/// A touched subtree of a patch's base: its preorder range in the base,
+/// where it ends in the patched index, and the size change of every region
+/// up to and including it.
+struct Region {
+    start: u32,
+    end: u32,
+    new_end: u32,
+    shift_after: i64,
+}
+
+/// The most regions a patch splices; past them a full build costs less
+/// than the per-node scans of the region list.
+const MAX_REGIONS: usize = 16;
+
+/// The new position of a node the base put at `old`, or `None` for a node
+/// inside one of `regions` (sorted and disjoint), re-walked if it is still
+/// live. Scans them from the last: a commit touches one or a few.
+fn moved(regions: &[Region], old: u32) -> Option<u32> {
+    for region in regions.iter().rev() {
+        if old >= region.end {
+            return Some(shifted(old, region.shift_after));
+        }
+        if old >= region.start {
+            return None;
+        }
+    }
+    Some(old)
+}
+
+fn shifted(position: u32, shift: i64) -> u32 {
+    (i64::from(position) + shift) as u32
+}
+
+#[cfg(test)]
+thread_local! {
+    /// This thread's full builds, and the nodes its builds and patches
+    /// walked: the count gate's private counters.
+    static BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    static WALKED: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// One preorder walk's output: positions written into an array of the
+/// whole tree's slots, and the elements it met, each by name and, if
+/// valued, by the low half of its posting key.
+struct Walker<'t> {
+    tree: &'t Tree,
+    positions: Vec<u32>,
+    named: Vec<(&'t str, NodeId)>,
+    valued: Vec<(u32, NodeId)>,
+    stack: Vec<NodeId>,
+}
+
+impl<'t> Walker<'t> {
+    fn new(tree: &'t Tree) -> Self {
+        Walker {
+            tree,
+            positions: vec![u32::MAX; tree.slot_count()],
+            named: Vec::new(),
+            valued: Vec::new(),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Walks the subtree of `top` in preorder, numbering it from `first`;
+    /// returns its size.
+    fn walk(&mut self, top: NodeId, first: u32) -> u32 {
+        let tree = self.tree;
+        let mut position = first;
+        self.stack.push(top);
+        while let Some(node) = self.stack.pop() {
+            let slot = tree.slot(node);
+            self.positions[node.index()] = position;
+            position += 1;
+            if let Some(name) = slot.label.element_name() {
+                self.named.push((name, node));
+                // `Tree::node_value` of an element, from the slot in hand.
+                if let [only] = slot.children[..] {
+                    if let Some(value) = tree.slot(only).label.text_value() {
+                        self.valued.push((posting_key(name, value) as u32, node));
+                    }
+                }
+            }
+            self.stack.extend(slot.children.iter().rev());
+        }
+        #[cfg(test)]
+        WALKED.with(|walked| walked.set(walked.get() + (position - first) as usize));
+        position - first
+    }
 }
 
 /// The 64-bit key of the postings of `(name, value)`: FxHash's word step
@@ -166,45 +277,228 @@ fn posting_key(name: &str, value: &str) -> u64 {
 }
 
 impl LabelIndex {
-    fn build(tree: &Tree) -> LabelIndex {
-        let mut named: Vec<(&str, NodeId)> = Vec::new();
-        let mut valued: Vec<(u64, NodeId)> = Vec::new();
-        let mut positions = vec![u32::MAX; tree.slot_count()];
-        let mut position = 0;
-        let mut stack = vec![tree.root];
-        while let Some(node) = stack.pop() {
-            let slot = tree.slot(node);
-            positions[node.index()] = position;
-            position += 1;
-            if let Some(name) = slot.label.element_name() {
-                named.push((name, node));
-                // `Tree::node_value` of an element, from the slot in hand.
-                if let [only] = slot.children[..] {
-                    if let Some(value) = tree.slot(only).label.text_value() {
-                        valued.push((posting_key(name, value), node));
-                    }
-                }
-            }
-            stack.extend(slot.children.iter().rev());
-        }
+    /// A fresh index of `tree` by one preorder walk, whatever index the
+    /// tree holds or carries: what [`Tree::label_index`]'s patches equal.
+    pub fn build(tree: &Tree) -> LabelIndex {
+        #[cfg(test)]
+        BUILDS.with(|builds| builds.set(builds.get() + 1));
+        let mut walker = Walker::new(tree);
+        let len = walker.walk(tree.root, 0);
         // Stable: each group keeps document order.
-        named.sort_by(|a, b| a.0.cmp(b.0));
-        let (buckets, postings) = file_postings(&valued);
+        walker.named.sort_by(|a, b| a.0.cmp(b.0));
+        let (buckets, postings) = file_postings(&walker.valued);
         let mut index = LabelIndex {
             names: String::new(),
             starts: Vec::new(),
-            nodes: Vec::with_capacity(named.len()),
+            nodes: Vec::with_capacity(walker.named.len()),
             buckets,
             postings,
-            positions,
+            positions: walker.positions,
+            len,
         };
-        for group in named.chunk_by(|a, b| a.0 == b.0) {
+        for group in walker.named.chunk_by(|a, b| a.0 == b.0) {
             index.push_start();
             index.names.push_str(group[0].0);
             index.nodes.extend(group.iter().map(|&(_, node)| node));
         }
         index.push_start();
         index
+    }
+
+    /// The index of `tree`, from `base` (the index of the tree before the
+    /// mutations since) and `touched` (what they touched): the subtrees of
+    /// the topmost live touched nodes are re-walked, their old entries
+    /// dropped and the re-walk spliced in at their place, and every other
+    /// position shifted by the size change of the regions before it. Equal
+    /// to [`LabelIndex::build`] of `tree`, field for field; a touched root,
+    /// or more than [`MAX_REGIONS`] regions, falls back to it.
+    ///
+    /// Sound because the tree only ever appends children, removes subtrees
+    /// and relabels nodes, each through [`Tree::touch`]: a node no touched
+    /// node is above kept its parent, its subtree and its place in document
+    /// order, and so did its ancestors' child lists.
+    fn patch(base: &LabelIndex, tree: &Tree, touched: &[NodeId]) -> LabelIndex {
+        // The regions: touched nodes still live and below no other one, in
+        // document order. A live node the base knows was live in the base.
+        let mut live: Vec<NodeId> = touched
+            .iter()
+            .copied()
+            .filter(|&node| tree.contains(node))
+            .collect();
+        live.sort_unstable();
+        live.dedup();
+        let mut tops: Vec<(u32, NodeId)> = Vec::with_capacity(live.len());
+        for &node in &live {
+            if node == tree.root {
+                return LabelIndex::build(tree);
+            }
+            let mut above = tree.parent(node);
+            while let Some(ancestor) = above.filter(|a| live.binary_search(a).is_err()) {
+                above = tree.parent(ancestor);
+            }
+            if above.is_none() {
+                tops.push((base.positions[node.index()], node));
+            }
+        }
+        if tops.len() > MAX_REGIONS {
+            return LabelIndex::build(tree);
+        }
+        tops.sort_unstable();
+        let mut walker = Walker::new(tree);
+        let mut regions = Vec::with_capacity(tops.len());
+        let mut shift = 0;
+        for (start, node) in tops {
+            let new_start = shifted(start, shift);
+            let new_end = new_start + walker.walk(node, new_start);
+            let end = base.end_of(tree, node);
+            shift += i64::from(new_end - new_start) - i64::from(end - start);
+            regions.push(Region {
+                start,
+                end,
+                new_end,
+                shift_after: shift,
+            });
+        }
+        for (position, &old) in walker.positions.iter_mut().zip(&base.positions) {
+            if old != u32::MAX {
+                if let Some(moved) = moved(&regions, old) {
+                    *position = moved;
+                }
+            }
+        }
+        let positions = &walker.positions;
+        let at = |node: NodeId| positions[node.index()];
+
+        // Groups: a group's entries inside a region are a run of it (both
+        // are in document order), so each kept run is copied whole and each
+        // region's re-walked entries of the name go in at its place; a name
+        // that empties drops out.
+        walker.named.sort_by(|a, b| a.0.cmp(b.0));
+        let mut index = LabelIndex {
+            names: String::with_capacity(
+                base.names.len()
+                    + walker
+                        .named
+                        .iter()
+                        .map(|(name, _)| name.len())
+                        .sum::<usize>(),
+            ),
+            starts: Vec::with_capacity(base.starts.len() + walker.named.len()),
+            nodes: Vec::with_capacity(base.nodes.len() + walker.named.len()),
+            buckets: Vec::new(),
+            postings: Vec::new(),
+            positions: Vec::new(),
+            len: shifted(base.len, shift),
+        };
+        let mut old = (0..base.starts.len() - 1).peekable();
+        let mut fresh = walker.named.chunk_by(|a, b| a.0 == b.0).peekable();
+        loop {
+            let heads = [
+                old.peek().map(|&i| base.name(i)),
+                fresh.peek().map(|group| group[0].0),
+            ];
+            let Some(name) = heads.into_iter().flatten().min() else {
+                break;
+            };
+            let old_group = old
+                .next_if(|&i| base.name(i) == name)
+                .map_or(&[][..], |i| base.group(i));
+            let fresh_group = fresh
+                .next_if(|group| group[0].0 == name)
+                .unwrap_or_default();
+            let start = (index.names.len() as u32, index.nodes.len() as u32);
+            let (mut kept, mut rewalked) = (old_group, fresh_group);
+            for region in &regions {
+                let before = |node: &NodeId| base.positions[node.index()] < region.start;
+                index
+                    .nodes
+                    .extend_from_slice(&kept[..kept.partition_point(before)]);
+                kept =
+                    &kept[kept.partition_point(|node| base.positions[node.index()] < region.end)..];
+                let here = rewalked.partition_point(|&(_, node)| at(node) < region.new_end);
+                index
+                    .nodes
+                    .extend(rewalked[..here].iter().map(|&(_, node)| node));
+                rewalked = &rewalked[here..];
+            }
+            index.nodes.extend_from_slice(kept);
+            if index.nodes.len() as u32 > start.1 {
+                index.starts.push(start);
+                index.names.push_str(name);
+            }
+        }
+        index.push_start();
+
+        // Postings: the kept ones keep their order (by bucket, and within a
+        // bucket by document order), the bucket starts move by what left
+        // and what came before them, and each re-walked posting goes in at
+        // its place; filed anew in the rare patch whose count moves the
+        // number of buckets.
+        let mask = base.buckets.len() - 2;
+        let bucket = |&(key, _): &(u32, NodeId)| key as usize & mask;
+        let mut postings = Vec::with_capacity(base.postings.len() + walker.valued.len());
+        // Each posting that left or came, by bucket: -1 or +1.
+        let mut moves: Vec<(usize, i64)> = Vec::with_capacity(walker.valued.len());
+        for &posting in &base.postings {
+            if moved(&regions, base.positions[posting.1.index()]).is_some() {
+                postings.push(posting);
+            } else {
+                moves.push((bucket(&posting), -1));
+            }
+        }
+        walker
+            .valued
+            .sort_unstable_by_key(|posting| (bucket(posting), at(posting.1)));
+        moves.extend(walker.valued.iter().map(|posting| (bucket(posting), 1)));
+        moves.sort_unstable();
+        let mut buckets = base.buckets.clone();
+        let mut shift = 0;
+        for (i, &(moved, by)) in moves.iter().enumerate() {
+            shift += by;
+            let next = moves
+                .get(i + 1)
+                .map_or(buckets.len() - 1, |&(next, _)| next);
+            for start in &mut buckets[moved + 1..=next] {
+                *start = shifted(*start, shift);
+            }
+        }
+        for posting in walker.valued.iter().copied() {
+            let (b, at_posting) = (bucket(&posting), at(posting.1));
+            let start = buckets[b] as usize;
+            let place = postings[start..]
+                .partition_point(|other| bucket(other) == b && at(other.1) < at_posting);
+            postings.insert(start + place, posting);
+        }
+        if postings.len().next_power_of_two() - 1 != mask {
+            (buckets, postings) = file_postings(&postings);
+            for bounds in buckets.windows(2) {
+                postings[bounds[0] as usize..bounds[1] as usize]
+                    .sort_unstable_by_key(|&(_, node)| at(node));
+            }
+        }
+        index.buckets = buckets;
+        index.postings = postings;
+        index.positions = walker.positions;
+        index
+    }
+
+    /// Where the subtree of `node` ends in this index: at the position of
+    /// the next node in document order that is not below it — the next
+    /// sibling of its nearest ancestor-or-self that has one — or at the
+    /// end. Read for a node no touched node is above, whose ancestors'
+    /// child lists are the ones this index saw, in document order.
+    fn end_of(&self, tree: &Tree, node: NodeId) -> u32 {
+        let mut node = node;
+        while let Some(parent) = tree.parent(node) {
+            let siblings = tree.children(parent);
+            let at = self.positions[node.index()];
+            let next = siblings.partition_point(|s| self.positions[s.index()] <= at);
+            if let Some(sibling) = siblings.get(next) {
+                return self.positions[sibling.index()];
+            }
+            node = parent;
+        }
+        self.len
     }
 
     fn push_start(&mut self) {
@@ -217,6 +511,10 @@ impl LabelIndex {
         &self.names[self.starts[i].0 as usize..self.starts[i + 1].0 as usize]
     }
 
+    fn group(&self, i: usize) -> &[NodeId] {
+        &self.nodes[self.starts[i].1 as usize..self.starts[i + 1].1 as usize]
+    }
+
     /// The element nodes named `name`, in document order.
     pub fn elements(&self, name: &str) -> &[NodeId] {
         let (mut low, mut high) = (0, self.starts.len() - 1);
@@ -225,10 +523,7 @@ impl LabelIndex {
             match self.name(mid).cmp(name) {
                 std::cmp::Ordering::Less => low = mid + 1,
                 std::cmp::Ordering::Greater => high = mid,
-                std::cmp::Ordering::Equal => {
-                    return &self.nodes
-                        [self.starts[mid].1 as usize..self.starts[mid + 1].1 as usize]
-                }
+                std::cmp::Ordering::Equal => return self.group(mid),
             }
         }
         &[]
@@ -239,11 +534,11 @@ impl LabelIndex {
     /// rarely (a key collision) one whose name or value is another.
     /// Callers re-test what they take from here.
     pub fn postings(&self, name: &str, value: &str) -> impl Iterator<Item = NodeId> + Clone + '_ {
-        let key = posting_key(name, value);
+        let key = posting_key(name, value) as u32;
         let bucket = key as usize & (self.buckets.len() - 2);
         self.postings[self.buckets[bucket] as usize..self.buckets[bucket + 1] as usize]
             .iter()
-            .filter(move |&&(high, _)| high == (key >> 32) as u32)
+            .filter(move |&&(low, _)| low == key)
             .map(|&(_, node)| node)
     }
 
@@ -259,10 +554,11 @@ impl LabelIndex {
     }
 }
 
-/// Files `valued` (in document order) into `LabelIndex::postings`' flat
-/// hash table: a counting sort by bucket, which keeps document order within
-/// each bucket. Returns the bucket starts and the filed postings.
-fn file_postings(valued: &[(u64, NodeId)]) -> (Vec<u32>, Vec<(u32, NodeId)>) {
+/// Files `valued` (`(low half of the posting_key, element)`) into
+/// `LabelIndex::postings`' flat hash table: a counting sort by bucket, which
+/// keeps the order of `valued` within each bucket. Returns the bucket
+/// starts and the filed postings.
+fn file_postings(valued: &[(u32, NodeId)]) -> (Vec<u32>, Vec<(u32, NodeId)>) {
     let mask = valued.len().next_power_of_two() - 1;
     let mut buckets = vec![0u32; mask + 2];
     for &(key, _) in valued {
@@ -274,7 +570,7 @@ fn file_postings(valued: &[(u64, NodeId)]) -> (Vec<u32>, Vec<(u32, NodeId)>) {
     let mut postings = vec![(0, NodeId(0)); valued.len()];
     for &(key, node) in valued {
         let next = &mut buckets[key as usize & mask];
-        postings[*next as usize] = ((key >> 32) as u32, node);
+        postings[*next as usize] = (key, node);
         *next += 1;
     }
     // Each bucket's start has moved to the next bucket's: shift them back.
@@ -300,6 +596,7 @@ impl Tree {
             root: NodeId(0),
             alive: 1,
             index: OnceLock::new(),
+            carried: None,
         }
     }
 
@@ -343,10 +640,10 @@ impl Tree {
         slot
     }
 
-    /// The one door to a mutable slot, so it drops the label index: every
+    /// The one door to a mutable slot, so it touches the node: every
     /// mutation passes here before it changes a node.
     fn slot_mut(&mut self, id: NodeId) -> &mut Slot {
-        self.index.take();
+        self.touch(id);
         let slot = self
             .nodes
             .get_mut(id.index())
@@ -363,9 +660,39 @@ impl Tree {
         &self.slot(id).label
     }
 
+    /// Notes that the subtree of `id` is about to change (its children, or
+    /// a child's label): takes the current label index out of service as
+    /// the base of the next one, and records `id` if the base knows it. A
+    /// node the base does not know hangs below one it knows and that was
+    /// touched when the new node was added. Past as many touches as the
+    /// base has slots, the base goes too and the next index is built.
+    fn touch(&mut self, id: NodeId) {
+        if let Some(index) = self.index.take() {
+            self.carried = Some(Carried {
+                base: index,
+                touched: Vec::new(),
+            });
+        }
+        if let Some(carried) = &mut self.carried {
+            let known = carried.base.positions.len();
+            if id.index() < known && carried.touched.last() != Some(&id) {
+                if carried.touched.len() == known {
+                    self.carried = None;
+                } else {
+                    carried.touched.push(id);
+                }
+            }
+        }
+    }
+
     /// Replaces the label of a node.
     // lint: allow(unreferenced-pub) — the one single-node mutation.
     pub fn set_label(&mut self, id: NodeId, label: impl Into<Label>) {
+        // A text label is its parent's value, and an element's name is
+        // filed in its parent's subtree.
+        if let Some(parent) = self.parent(id) {
+            self.touch(parent);
+        }
         self.slot_mut(id).label = label.into();
     }
 
@@ -610,14 +937,31 @@ impl Tree {
         self.label_index().names().map(str::to_string).collect()
     }
 
-    /// The label index of this tree, built by one preorder walk if neither
-    /// this tree nor the tree it was cloned from has one since its last
-    /// mutation. Concurrent first callers get the same index.
+    /// The label index of this tree: the current one if the tree (or the
+    /// tree it was cloned from) has one since its last mutation, else the
+    /// index the mutations took out of service, patched by re-walking what
+    /// they touched, else (a tree that never had one) one built by a
+    /// preorder walk. Concurrent first callers get the same index. The base
+    /// of a patch stays carried until the next mutation or
+    /// [`Tree::refresh_label_index`].
     pub fn label_index(&self) -> &LabelIndex {
-        self.index.get_or_init(|| Arc::new(LabelIndex::build(self)))
+        self.index.get_or_init(|| {
+            Arc::new(match &self.carried {
+                Some(carried) => LabelIndex::patch(&carried.base, self, &carried.touched),
+                None => LabelIndex::build(self),
+            })
+        })
     }
 
-    /// The label index if one is already built; never builds it.
+    /// Makes the label index current, as [`Tree::label_index`] does, and
+    /// lets go of the base it was patched from, so the tree holds one
+    /// index: what a document does before it is published as a snapshot.
+    pub fn refresh_label_index(&mut self) {
+        self.label_index();
+        self.carried = None;
+    }
+
+    /// The label index if it is current; never builds or patches it.
     pub fn built_label_index(&self) -> Option<&LabelIndex> {
         self.index.get().map(|index| &**index)
     }
@@ -774,6 +1118,8 @@ impl fmt::Display for Tree {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
 
     fn sample() -> Tree {
@@ -1233,5 +1579,135 @@ mod tests {
     fn element_names_are_sorted_and_unique() {
         let t = sample();
         assert_eq!(t.element_names(), vec!["A", "B", "C", "D", "E", "F"]);
+    }
+
+    /// Asserts that the tree's index (patched, if it carries a base) is a
+    /// fresh build's, field for field.
+    fn assert_patch_is_a_build(t: &Tree, step: &str) {
+        assert_eq!(
+            format!("{:?}", t.label_index()),
+            format!("{:?}", LabelIndex::build(t)),
+            "after {step}"
+        );
+    }
+
+    #[test]
+    fn a_patch_springs_no_trap_of_the_splice() {
+        // r(p(p(n("v")), n("w")), q)
+        let mut t = Tree::new("r");
+        let outer = t.add_element(t.root(), "p");
+        let inner = t.add_element(outer, "p");
+        let deep = t.add_element(inner, "n");
+        t.add_text(deep, "v");
+        let sibling = t.add_element(outer, "n");
+        t.add_text(sibling, "w");
+        let q = t.add_element(t.root(), "q");
+        t.label_index();
+        type Step = (&'static str, fn(&mut Tree, [NodeId; 4]));
+        let steps: [Step; 8] = [
+            // Nested elements of one name, the inner one touched.
+            ("a child of the inner p", |t, [_, inner, _, _]| {
+                t.add_element(inner, "m");
+            }),
+            // A text that becomes its parent's only child files a posting.
+            ("a removed sibling", |t, [_, _, _, q]| {
+                let value = t.add_text(q, "x");
+                let extra = t.add_element(q, "m");
+                t.label_index();
+                t.remove_subtree(extra).unwrap();
+                assert_eq!(t.node_value(q), Some("x"), "{value}");
+            }),
+            // A second child takes the parent's posting away.
+            ("a second child", |t, [_, _, _, q]| {
+                t.add_element(q, "m");
+            }),
+            // A name's first element.
+            ("a new name", |t, [outer, _, _, _]| {
+                let first = t.add_element(outer, "a");
+                t.add_text(first, "v");
+            }),
+            // A name's last element.
+            ("the last m gone", |t, _| {
+                for m in t.find_elements("m") {
+                    if t.contains(m) {
+                        t.remove_subtree(m).unwrap();
+                    }
+                }
+            }),
+            ("a relabelled text", |t, [_, _, deep, _]| {
+                let text = t.children(deep)[0];
+                t.set_label(text, Label::Text("u".into()));
+            }),
+            ("a relabelled element", |t, [_, inner, _, _]| {
+                t.set_label(inner, "q")
+            }),
+            ("the root touched", |t, [_, _, _, _]| {
+                let root = t.root();
+                t.add_element(root, "z");
+            }),
+        ];
+        for (step, mutate) in steps {
+            let snapshot = t.clone();
+            mutate(&mut t, [outer, inner, deep, q]);
+            assert!(t.built_label_index().is_none(), "{step}");
+            assert_patch_is_a_build(&t, step);
+            assert_patch_is_a_build(&snapshot, step);
+        }
+    }
+
+    /// A directory of `people` persons, each with a name, two phones and
+    /// an email (every one valued), as pxbench's documents are shaped.
+    fn directory(people: usize) -> Tree {
+        let mut t = Tree::new("directory");
+        for p in 0..people {
+            let person = t.add_element(t.root(), "person");
+            for (name, value) in [
+                ("name", format!("person-{p}")),
+                ("phone", format!("+33-{p}-0")),
+                ("phone", format!("+33-{p}-1")),
+                ("email", format!("p{p}@example.org")),
+            ] {
+                let field = t.add_element(person, name);
+                t.add_text(field, value);
+            }
+        }
+        t
+    }
+
+    /// The count gate of the carried index: what one extraction insert and
+    /// one phone retraction do to a published snapshot's tree (a phone
+    /// copied in under a person; the phone's conditional copy added beside
+    /// it and the phone removed), each followed by `label_index()`,
+    /// re-walks that person's subtree and nothing else, at 200 and at
+    /// 3 200 persons, and never builds. A refresh by a full build walks
+    /// every node (1 803 and 28 803).
+    #[test]
+    fn a_commit_re_walks_the_same_nodes_at_any_directory_size() {
+        let costs = [200, 3200].map(|people| {
+            let snapshot = directory(people);
+            snapshot.label_index();
+            let mut working = snapshot.clone();
+            let person = working.children(working.root())[17];
+            let mut phone = Tree::new("phone");
+            phone.add_text(phone.root(), "+33-17-new");
+            let counts = || (BUILDS.with(Cell::get), WALKED.with(Cell::get));
+            let before = counts();
+            working.copy_subtree_from(person, &phone, phone.root());
+            working.label_index();
+            let inserted = counts();
+            let retracted = working.children(person)[1];
+            working.copy_subtree_from(person, &snapshot, retracted);
+            working.remove_subtree(retracted).unwrap();
+            working.label_index();
+            let after = counts();
+            assert_patch_is_a_build(&working, "the retraction");
+            (
+                inserted.1 - before.1,
+                after.1 - inserted.1,
+                after.0 - before.0,
+            )
+        });
+        // The person, and its name, three phones and email with their texts.
+        assert_eq!(costs, [(11, 11, 0); 2]);
     }
 }

@@ -255,14 +255,21 @@ struct SnapshotInner {
 }
 
 impl DocSnapshot {
-    fn first(fuzzy: FuzzyTree) -> Self {
+    /// The first snapshot of a document entering the warehouse (created,
+    /// or opened cold), its label index current: queries never build one,
+    /// and the first commit's match starts from it.
+    fn first(mut fuzzy: FuzzyTree) -> Self {
+        fuzzy.refresh_label_index();
         DocSnapshot {
             inner: Arc::new(SnapshotInner { fuzzy, seq: 0 }),
         }
     }
 
-    /// The snapshot `fuzzy` as the successor of `self`.
-    fn successor(&self, fuzzy: FuzzyTree) -> Self {
+    /// The snapshot `fuzzy` as the successor of `self`, its label index
+    /// current: patched from the index `self` carried by re-walking what
+    /// the commit touched (built, after a compaction).
+    fn successor(&self, mut fuzzy: FuzzyTree) -> Self {
+        fuzzy.refresh_label_index();
         DocSnapshot {
             inner: Arc::new(SnapshotInner {
                 fuzzy,
@@ -316,13 +323,13 @@ struct DocSlot {
 }
 
 impl DocSlot {
-    fn live(fuzzy: FuzzyTree) -> Slot {
+    fn live(snapshot: DocSnapshot) -> Slot {
         Arc::new(DocSlot {
             commit: Mutex::with_class(LockClass::DocCommit, ()),
             state: RwLock::with_class(
                 LockClass::DocEntry,
                 DocState {
-                    snapshot: DocSnapshot::first(fuzzy),
+                    snapshot,
                     dropped: false,
                     quarantined: None,
                 },
@@ -410,12 +417,12 @@ impl Warehouse {
             stats: StatsCounters::default(),
         };
         for name in warehouse.store.list_documents()? {
-            let fuzzy = warehouse.replay(&name)?;
+            let snapshot = DocSnapshot::first(warehouse.replay(&name)?);
             warehouse
                 .shard(&name)
                 .slots
                 .write()
-                .insert(name, DocSlot::live(fuzzy));
+                .insert(name, DocSlot::live(snapshot));
         }
         Ok(warehouse)
     }
@@ -432,10 +439,16 @@ impl Warehouse {
     /// one simplifies only what it touched, as its live commit did. (A
     /// commit that passed `Some(SimplifyPolicy::Never)` is the one
     /// exception: the override is not journaled.)
+    ///
+    /// The label index is built once over the loaded checkpoint and patched
+    /// after every replayed update, so each replayed match starts from it,
+    /// as its live commit's did, and the tree returned is indexed.
     fn replay(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
         let mut fuzzy = self.store.load_document(name)?;
+        fuzzy.refresh_label_index();
         for update in self.store.read_journal(name)? {
             update.apply_to_fuzzy_with(&mut fuzzy, SimplifyPolicy::Inline)?;
+            fuzzy.refresh_label_index();
         }
         Ok(fuzzy)
     }
@@ -493,12 +506,14 @@ impl Warehouse {
         name: &str,
         fuzzy: FuzzyTree,
     ) -> Result<(), WarehouseError> {
+        // The label index is built before the shard lock is taken.
+        let snapshot = DocSnapshot::first(fuzzy);
         let mut slots = self.shard(name).slots.write();
         if slots.contains_key(name) {
             return Err(WarehouseError::DuplicateDocument(name.to_string()));
         }
-        self.store.save_document(name, &fuzzy)?;
-        slots.insert(name.to_string(), DocSlot::live(fuzzy));
+        self.store.save_document(name, snapshot.fuzzy())?;
+        slots.insert(name.to_string(), DocSlot::live(snapshot));
         Ok(())
     }
 
@@ -864,14 +879,15 @@ impl Warehouse {
     pub fn reopen_document(&self, name: &str) -> Result<(), WarehouseError> {
         let slot = self.slot(name)?;
         let _commit = slot.commit.lock();
-        Self::pin(&slot, name)?;
+        // The commit mutex keeps the published snapshot (and its sequence
+        // number) from moving until the swap below.
+        let current = Self::pin(&slot, name)?;
         self.store.reopen_document(name)?;
-        let recovered = self.replay(name)?;
+        let next = current.successor(self.replay(name)?);
         let mut state = slot.state.write();
         if state.dropped {
             return Err(WarehouseError::UnknownDocument(name.to_string()));
         }
-        let next = state.snapshot.successor(recovered);
         state.snapshot = next;
         state.quarantined = None;
         Ok(())

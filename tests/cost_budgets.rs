@@ -5,9 +5,10 @@
 //! before any benchmark run.
 //!
 //! The counter is per thread (a `const`-initialised thread-local), so the
-//! tests of this binary may run in parallel. Only `pxml-core` calls are
-//! measured: they take no lock, so the counts are the same with the
-//! `lock-witness` feature on, and in debug and release builds.
+//! tests of this binary may run in parallel. Apart from one warehouse
+//! commit, only `pxml-core` calls are measured: they take no lock, so the
+//! counts are the same with the `lock-witness` feature on, and in debug and
+//! release builds.
 //!
 //! The pins: a clone + drop of a fuzzy tree is [`CLONE`] allocations —
 //! the tree's chunk table, the conditions' chunk table, and the event
@@ -31,9 +32,17 @@
 //! nodes by image is new, and only a group's first match builds a tree: a
 //! query whose every answer spans the root costs the same per match
 //! ([`JOIN_PER_MATCH`]) on a 200- and a 1 320-person directory.
+//!
+//! One commit through a `MemBackend` warehouse — match, apply, journal
+//! append, the label index patched from what the commit touched, publish —
+//! costs the same count at 40 and 1 320 persons ([`COMMIT`] without the
+//! lock-order witness, which allocates per nested lock), and the first
+//! point query on the published snapshot costs exactly [`POINT_QUERY`]: the
+//! snapshot's index is current, so the query path does no index work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use pxml::gen::scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
 use pxml::gen::uncertain_directory;
@@ -131,13 +140,18 @@ fn directory(people: usize) -> FuzzyTree {
 
 /// A new phone for `person-17`.
 fn phone(confidence: f64) -> UpdateTransaction {
-    let pattern = Pattern::parse("person { name[=\"person-17\"] }").unwrap();
-    let person = pattern.root();
+    phone_for(17, confidence)
+}
+
+/// A new phone for `person-<person>`.
+fn phone_for(person: usize, confidence: f64) -> UpdateTransaction {
+    let pattern = Pattern::parse(&format!("person {{ name[=\"person-{person}\"] }}")).unwrap();
+    let target = pattern.root();
     UpdateTransaction::new(pattern, confidence)
         .unwrap()
         .with_insert(
-            person,
-            parse_data_tree("<phone>+33-17-new</phone>").unwrap(),
+            target,
+            parse_data_tree(&format!("<phone>+33-{person}-new</phone>")).unwrap(),
         )
 }
 
@@ -288,4 +302,53 @@ fn a_root_spanning_query_costs_the_same_per_match_at_both_directory_sizes() {
         allocated / matches as u64
     });
     assert_eq!(costs, [JOIN_PER_MATCH; 2]);
+}
+
+/// One commit of [`phone_for`] through a `MemBackend` warehouse: the match
+/// from the document's postings, the apply with inline simplification, the
+/// journal append, the label index patched from what the commit touched,
+/// and the publish. Pinned where the lock-order witness is off (it
+/// allocates per nested lock).
+const COMMIT: u64 = 327;
+
+/// A warehouse over `MemBackend` holding [`directory`] as `doc`, after one
+/// commit (so a measured commit finds the document's journal started).
+fn warehouse(people: usize) -> Warehouse {
+    let warehouse =
+        Warehouse::with_backend(Arc::new(MemBackend::new()), SessionConfig::default()).unwrap();
+    warehouse
+        .create_fuzzy_document("doc", directory(people))
+        .unwrap();
+    warehouse
+        .commit_batch("doc", &[phone_for(3, 0.8)], None)
+        .unwrap();
+    warehouse
+}
+
+/// Every published snapshot carries a current label index: a commit costs
+/// the same count at 40 and 1 320 persons (a full build's walk grows its
+/// lists by the document's size), the first point query after it costs
+/// exactly [`POINT_QUERY`], so the query path does no index work, and the
+/// snapshot's clone + drop stays [`CLONE`].
+#[test]
+fn a_warehouse_commit_patches_the_index_the_next_query_reads() {
+    let costs = [40, 1320].map(|people| {
+        let warehouse = warehouse(people);
+        let (stats, commit) = allocations(|| {
+            warehouse
+                .commit_batch("doc", &[phone_for(5, 0.8)], None)
+                .unwrap()
+        });
+        assert_eq!(stats.updates[0].inserted_nodes, 2);
+        let snapshot = warehouse.snapshot("doc").unwrap();
+        assert!(snapshot.fuzzy().tree().built_label_index().is_some());
+        let point = query(snapshot.fuzzy(), POINT);
+        assert_eq!(clone_and_drop(snapshot.fuzzy()), CLONE);
+        (commit, point)
+    });
+    assert_eq!(costs[0], costs[1], "at 40 and 1 320 persons");
+    assert_eq!(costs[0].1, POINT_QUERY);
+    if !cfg!(feature = "lock-witness") {
+        assert_eq!(costs[0].0, COMMIT);
+    }
 }
