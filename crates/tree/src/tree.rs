@@ -453,12 +453,12 @@ impl LabelIndex {
         moves.sort_unstable();
         let mut buckets = base.buckets.clone();
         let mut shift = 0;
-        for (i, &(moved, by)) in moves.iter().enumerate() {
+        for (i, &(changed, by)) in moves.iter().enumerate() {
             shift += by;
             let next = moves
                 .get(i + 1)
                 .map_or(buckets.len() - 1, |&(next, _)| next);
-            for start in &mut buckets[moved + 1..=next] {
+            for start in &mut buckets[changed + 1..=next] {
                 *start = shifted(*start, shift);
             }
         }
