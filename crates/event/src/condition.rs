@@ -88,11 +88,13 @@ impl Condition {
     }
 
     /// Builds a condition from literals (duplicates removed, order irrelevant).
+    /// Sorted and deduplicated in place: one vector, and none for a `Vec`
+    /// input, whose buffer the `collect` reuses.
     pub fn from_literals(literals: impl IntoIterator<Item = Literal>) -> Self {
-        let set: BTreeSet<Literal> = literals.into_iter().collect();
-        Condition {
-            literals: set.into_iter().collect(),
-        }
+        let mut literals: Vec<Literal> = literals.into_iter().collect();
+        literals.sort_unstable();
+        literals.dedup();
+        Condition { literals }
     }
 
     /// A condition with a single literal.

@@ -23,15 +23,15 @@
 //!   and a descendant edge walks the subtree below that image in preorder,
 //!   so the structural edge holds by construction.
 //!
-//! Every candidate still goes through every test, so a posting that only
-//! shares its value's hash, or a parent of a hit that is not named `X` (a
-//! child label also used under other parents), costs one test and never a
-//! wrong match. The matcher never builds or patches the index, it only
-//! reads a current one: the warehouse makes every snapshot's index current
-//! before it publishes or replays it (built when a document enters,
-//! patched from what each commit touched), so queries and update matches
-//! on a snapshot start from it. Matches come back in document order either
-//! way.
+//! Every candidate still goes through every test, so a list entry that
+//! only shares its key (the index files names and values by a 32-bit hash),
+//! or a parent of a hit that is not named `X` (a child label also used
+//! under other parents), costs one test and never a wrong match. The
+//! matcher never builds or patches the index, it only reads a current
+//! one: the warehouse makes every snapshot's index current before it
+//! publishes or replays it (built when a document enters, patched from
+//! what each commit touched), so queries and update matches on a snapshot
+//! start from it. Matches come back in document order either way.
 
 use pxml_tree::{LabelIndex, NodeId, Tree};
 
@@ -154,16 +154,16 @@ impl<'a> Search<'a> {
         // Postings rank before any label group: when a value test names
         // postings, no label group is even looked up.
         let valued = spec.value.is_some() || children.clone().any(|(_, _, value)| value.is_some());
-        let (from_child, (_, list)) = std::iter::once(own)
+        let (from_child, list) = std::iter::once(own)
             .chain(children)
             .filter(|&(_, _, value)| value.is_some() == valued)
             .map(|(from_child, name, value)| (from_child, hits(index, name, value)))
-            .min_by_key(|&(_, (len, _))| len)
+            .min_by_key(|&(_, list)| list.len())
             .expect("the root's own list or a valued child's is of the kind that ranks first");
         if from_child {
             self.try_parents(next, list, index);
         } else {
-            for candidate in list {
+            for &candidate in list {
                 self.try_candidate(next, candidate);
             }
         }
@@ -171,14 +171,9 @@ impl<'a> Search<'a> {
 
     /// Tries the parents of `children` (in document order), each once and
     /// in document order.
-    fn try_parents(
-        &mut self,
-        next: usize,
-        children: impl Iterator<Item = NodeId>,
-        index: &LabelIndex,
-    ) {
+    fn try_parents(&mut self, next: usize, children: &[NodeId], index: &LabelIndex) {
         let tree = self.tree;
-        let mut parents = children.filter_map(|child| tree.parent(child));
+        let mut parents = children.iter().filter_map(|&child| tree.parent(child));
         match (parents.next(), parents.next()) {
             (None, _) => {}
             (Some(parent), None) => self.try_candidate(next, parent),
@@ -239,25 +234,13 @@ impl<'a> Search<'a> {
 }
 
 /// The list an indexed start reads for a pattern node named `name`, in
-/// document order, and its length: its value postings when it has a value
-/// test, its label group otherwise.
-fn hits<'i>(
-    index: &'i LabelIndex,
-    name: &str,
-    value: Option<&str>,
-) -> (usize, impl Iterator<Item = NodeId> + 'i) {
-    let postings = value.map(|value| index.postings(name, value));
-    let group = match value {
-        Some(_) => &[],
+/// document order: its value postings when it has a value test, its label
+/// group otherwise. Both are one key's run of the index, one binary search.
+fn hits<'i>(index: &'i LabelIndex, name: &str, value: Option<&str>) -> &'i [NodeId] {
+    match value {
+        Some(value) => index.postings(name, value),
         None => index.elements(name),
-    };
-    let len = postings
-        .clone()
-        .map_or(group.len(), |postings| postings.count());
-    (
-        len,
-        postings.into_iter().flatten().chain(group.iter().copied()),
-    )
+    }
 }
 
 fn node_satisfies_tests(

@@ -275,7 +275,7 @@ proptest! {
             let target = targets[pick % targets.len()];
             let all = tree.nodes();
             let source = all[other % all.len()];
-            let mutators: [Mutator; 4] = [
+            let mutators: [Mutator; 3] = [
                 ("add_child", Box::new(|t: &mut Tree| {
                     t.add_element(target, format!("l{label}"));
                 })),
@@ -283,10 +283,9 @@ proptest! {
                     if source != t.root() {
                         t.remove_subtree(source).unwrap();
                     } else {
-                        t.set_label(target, "l0");
+                        t.add_element(target, "l0");
                     }
                 })),
-                ("set_label", Box::new(|t: &mut Tree| t.set_label(target, format!("l{label}")))),
                 ("copy_subtree_from", Box::new(|t: &mut Tree| {
                     t.copy_subtree_from(target, &tree, source);
                 })),

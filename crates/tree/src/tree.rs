@@ -6,21 +6,24 @@
 //! unordered: equality between trees and subtrees is unordered isomorphism
 //! (see [`crate::iso`]).
 //!
-//! A tree may carry a [`LabelIndex`] — its element nodes grouped by name,
-//! in document order, each group with its value postings (its elements
-//! that carry a given value), and every node's position in document
-//! order. One preorder walk builds all of it, for a tree that
-//! never had one; it is shared by every clone. A mutation takes the index
-//! out of service and carries it as the *base* of the next one, noting the
-//! node it touched, and the next [`Tree::label_index`] patches the base:
-//! it re-walks only the subtrees of the topmost touched nodes and splices
-//! them in. So a current index always describes exactly the nodes of the
+//! A tree may carry a [`LabelIndex`] — one run of entries sorted by key,
+//! each key's entries in document order: its element nodes under the key
+//! of their name, its valued elements again under the key of their name and
+//! value (their value postings) — and every node's position in document
+//! order. One preorder walk and one sort build it, for a tree that never
+//! had one; it is shared by every clone. A mutation takes the index out of
+//! service and carries it as the *base* of the next one, noting the node it
+//! touched, and the next [`Tree::label_index`] patches the base: it
+//! re-walks only the subtrees of the topmost touched nodes, then one pass
+//! drops the base's entries inside them and merges the re-walked ones in.
+//! So a current index always describes exactly the nodes of the
 //! tree that holds it, and the warehouse keeps one on every snapshot it
 //! publishes for the cost of what each commit touched. The index is never
 //! serialized and takes no part in equality.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use crate::chunk::ChunkedVec;
@@ -106,9 +109,9 @@ pub struct Tree {
 #[derive(Clone)]
 struct Carried {
     base: Arc<LabelIndex>,
-    /// Nodes the base knows (ids below its slot count) whose children, or
-    /// whose children's labels, changed since it was current: in touch
-    /// order, consecutive repeats dropped.
+    /// Nodes the base knows (ids below its slot count) whose children
+    /// changed since it was current: in touch order, consecutive repeats
+    /// dropped.
     touched: Vec<NodeId>,
 }
 
@@ -122,34 +125,24 @@ impl fmt::Debug for Tree {
     }
 }
 
-/// The element nodes of one tree grouped by name, each group in document
-/// (pre)order: what "the elements named X" means, computed by one walk.
+/// The element nodes of one tree by name, and its valued elements by name
+/// and value, each list in document (pre)order: what "the elements named
+/// X" means, computed by one walk.
 ///
-/// Every group sits back to back in one id vector; a table sorted by name
-/// maps a name to its group's range. Beside the groups sit the **value
-/// postings**: every element that has a [`node_value`](Tree::node_value),
-/// under a 64-bit key of its name and value, in a hash table laid out flat
-/// by a counting sort (so filing them sorts nothing). The same walk records
-/// every node's position in document order, so that a caller can put any
-/// set of the tree's nodes in that order.
+/// Every list sits in one run of entries, sorted by a 32-bit key and,
+/// within a key, in document order, so a list is the run of one key,
+/// found by a binary search. Every element goes in once under the key of
+/// its name, and an element with a [`node_value`](Tree::node_value) again
+/// under the key of its name and value (its **value postings**). The same
+/// walk records every node's position in document order, so that a caller
+/// can put any set of the tree's nodes in that order.
 #[derive(Debug)]
 pub struct LabelIndex {
-    /// The distinct element names, concatenated in sorted order.
-    names: String,
-    /// `(start of the name in names, start of its group in nodes)`, one
-    /// entry per name plus a closing `(names.len(), nodes.len())`, so entry
-    /// `i` spans `starts[i]..starts[i + 1]`.
-    starts: Vec<(u32, u32)>,
+    /// The entries' keys (see [`key`]), sorted.
+    keys: Vec<u32>,
+    /// The entries' elements, beside their keys: within a key, in
+    /// document order.
     nodes: Vec<NodeId>,
-    /// A power of two of buckets, picked by a key's low bits, plus one:
-    /// bucket `b` spans `postings[buckets[b]..buckets[b + 1]]`.
-    buckets: Vec<u32>,
-    /// `(low half of the posting_key, element)` for every valued element,
-    /// by bucket, and within a bucket in document order. The bucket is
-    /// picked by the low bits of the stored half, so a patch can re-file
-    /// the postings into another number of buckets; two keys share a
-    /// lookup only if their low halves agree.
-    postings: Vec<(u32, NodeId)>,
     /// Each live node's position in preorder, by [`NodeId::index`].
     positions: Vec<u32>,
     /// The number of live nodes: where the root's subtree ends.
@@ -157,17 +150,15 @@ pub struct LabelIndex {
 }
 
 /// A touched subtree of a patch's base: its preorder range in the base,
-/// where it ends in the patched index, and the size change of every region
-/// up to and including it.
+/// and the size change of every region up to and including it.
 struct Region {
     start: u32,
     end: u32,
-    new_end: u32,
     shift_after: i64,
 }
 
-/// The most regions a patch splices; past them a full build costs less
-/// than the per-node scans of the region list.
+/// The most regions a patch merges; past them a full build costs less
+/// than the per-entry scans of the region list.
 const MAX_REGIONS: usize = 16;
 
 /// The new position of a node the base put at `old`, or `None` for a node
@@ -198,13 +189,12 @@ thread_local! {
 }
 
 /// One preorder walk's output: positions written into an array of the
-/// whole tree's slots, and the elements it met, each by name and, if
-/// valued, by the low half of its posting key.
+/// whole tree's slots, and the entries of the elements it met, in document
+/// order.
 struct Walker<'t> {
     tree: &'t Tree,
     positions: Vec<u32>,
-    named: Vec<(&'t str, NodeId)>,
-    valued: Vec<(u32, NodeId)>,
+    entries: Vec<(u32, NodeId)>,
     stack: Vec<NodeId>,
 }
 
@@ -213,8 +203,7 @@ impl<'t> Walker<'t> {
         Walker {
             tree,
             positions: vec![u32::MAX; tree.slot_count()],
-            named: Vec::new(),
-            valued: Vec::new(),
+            entries: Vec::new(),
             stack: Vec::new(),
         }
     }
@@ -230,11 +219,11 @@ impl<'t> Walker<'t> {
             self.positions[node.index()] = position;
             position += 1;
             if let Some(name) = slot.label.element_name() {
-                self.named.push((name, node));
+                self.entries.push((key(name, None), node));
                 // `Tree::node_value` of an element, from the slot in hand.
                 if let [only] = slot.children[..] {
                     if let Some(value) = tree.slot(only).label.text_value() {
-                        self.valued.push((posting_key(name, value) as u32, node));
+                        self.entries.push((key(name, Some(value)), node));
                     }
                 }
             }
@@ -246,12 +235,13 @@ impl<'t> Walker<'t> {
     }
 }
 
-/// The 64-bit key of the postings of `(name, value)`: FxHash's word step
-/// over both strings and their lengths, then SplitMix64's finaliser so that
-/// its low bits can pick a bucket. Keys can collide, and values come from
-/// documents, so a lookup may return an element with another name or value
-/// (at worst, every element that has a value); every caller re-tests both.
-fn posting_key(name: &str, value: &str) -> u64 {
+/// The key of the elements named `name` or, with a `value`, of their value
+/// postings: the low half of FxHash's word step over the strings, seeded
+/// with their lengths (so a tail's zero bytes count), then SplitMix64's
+/// finaliser. Keys can collide, and names and values come from documents,
+/// so a list may hold an element of another name or value (at worst, every
+/// element); every caller re-tests what it takes.
+fn key(name: &str, value: Option<&str>) -> u32 {
     fn step(hash: u64, word: u64) -> u64 {
         (hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
     }
@@ -269,11 +259,16 @@ fn posting_key(name: &str, value: &str) -> u64 {
             tail.fold(0, |word, &byte| word << 8 | u64::from(byte)),
         )
     }
-    let lengths = (name.len() as u64) << 32 | value.len() as u64;
-    let mut hash = words(words(lengths, name), value);
+    let mut hash = match value {
+        None => words(!(name.len() as u64), name),
+        Some(value) => words(
+            words((name.len() as u64) << 32 | value.len() as u64, name),
+            value,
+        ),
+    };
     hash = (hash ^ (hash >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     hash = (hash ^ (hash >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    hash ^ (hash >> 31)
+    (hash ^ (hash >> 31)) as u32
 }
 
 impl LabelIndex {
@@ -284,39 +279,30 @@ impl LabelIndex {
         BUILDS.with(|builds| builds.set(builds.get() + 1));
         let mut walker = Walker::new(tree);
         let len = walker.walk(tree.root, 0);
-        // Stable: each group keeps document order.
-        walker.named.sort_by(|a, b| a.0.cmp(b.0));
-        let (buckets, postings) = file_postings(&walker.valued);
-        let mut index = LabelIndex {
-            names: String::new(),
-            starts: Vec::new(),
-            nodes: Vec::with_capacity(walker.named.len()),
-            buckets,
-            postings,
+        // Stable: each key's entries keep document order.
+        walker.entries.sort_by_key(|&(key, _)| key);
+        let (keys, nodes) = walker.entries.into_iter().unzip();
+        LabelIndex {
+            keys,
+            nodes,
             positions: walker.positions,
             len,
-        };
-        for group in walker.named.chunk_by(|a, b| a.0 == b.0) {
-            index.push_start();
-            index.names.push_str(group[0].0);
-            index.nodes.extend(group.iter().map(|&(_, node)| node));
         }
-        index.push_start();
-        index
     }
 
     /// The index of `tree`, from `base` (the index of the tree before the
     /// mutations since) and `touched` (what they touched): the subtrees of
-    /// the topmost live touched nodes are re-walked, their old entries
-    /// dropped and the re-walk spliced in at their place, and every other
-    /// position shifted by the size change of the regions before it. Equal
-    /// to [`LabelIndex::build`] of `tree`, field for field; a touched root,
-    /// or more than [`MAX_REGIONS`] regions, falls back to it.
+    /// the topmost live touched nodes are re-walked, every other position
+    /// is shifted by the size change of the regions before it, and one
+    /// pass drops the base's entries inside the regions and merges the
+    /// re-walked ones in at their `(key, position)` place. Equal to
+    /// [`LabelIndex::build`] of `tree`, field for field; a touched root, or
+    /// more than [`MAX_REGIONS`] regions, falls back to it.
     ///
-    /// Sound because the tree only ever appends children, removes subtrees
-    /// and relabels nodes, each through [`Tree::touch`]: a node no touched
-    /// node is above kept its parent, its subtree and its place in document
-    /// order, and so did its ancestors' child lists.
+    /// Sound because the tree only ever appends children and removes
+    /// subtrees, each through [`Tree::touch`]: a node no touched node is
+    /// above kept its parent, its subtree and its place in document order,
+    /// and so did its ancestors' child lists.
     fn patch(base: &LabelIndex, tree: &Tree, touched: &[NodeId]) -> LabelIndex {
         // The regions: touched nodes still live and below no other one, in
         // document order. A live node the base knows was live in the base.
@@ -349,13 +335,12 @@ impl LabelIndex {
         let mut shift = 0;
         for (start, node) in tops {
             let new_start = shifted(start, shift);
-            let new_end = new_start + walker.walk(node, new_start);
+            let size = walker.walk(node, new_start);
             let end = base.end_of(tree, node);
-            shift += i64::from(new_end - new_start) - i64::from(end - start);
+            shift += i64::from(size) - i64::from(end - start);
             regions.push(Region {
                 start,
                 end,
-                new_end,
                 shift_after: shift,
             });
         }
@@ -366,120 +351,50 @@ impl LabelIndex {
                 }
             }
         }
-        let positions = &walker.positions;
-        let at = |node: NodeId| positions[node.index()];
 
-        // Groups: a group's entries inside a region are a run of it (both
-        // are in document order), so each kept run is copied whole and each
-        // region's re-walked entries of the name go in at its place; a name
-        // that empties drops out.
-        walker.named.sort_by(|a, b| a.0.cmp(b.0));
-        let mut index = LabelIndex {
-            names: String::with_capacity(
-                base.names.len()
-                    + walker
-                        .named
-                        .iter()
-                        .map(|(name, _)| name.len())
-                        .sum::<usize>(),
-            ),
-            starts: Vec::with_capacity(base.starts.len() + walker.named.len()),
-            nodes: Vec::with_capacity(base.nodes.len() + walker.named.len()),
-            buckets: Vec::new(),
-            postings: Vec::new(),
-            positions: Vec::new(),
-            len: shifted(base.len, shift),
-        };
-        let mut old = (0..base.starts.len() - 1).peekable();
-        let mut fresh = walker.named.chunk_by(|a, b| a.0 == b.0).peekable();
-        loop {
-            let heads = [
-                old.peek().map(|&i| base.name(i)),
-                fresh.peek().map(|group| group[0].0),
-            ];
-            let Some(name) = heads.into_iter().flatten().min() else {
-                break;
-            };
-            let old_group = old
-                .next_if(|&i| base.name(i) == name)
-                .map_or(&[][..], |i| base.group(i));
-            let fresh_group = fresh
-                .next_if(|group| group[0].0 == name)
-                .unwrap_or_default();
-            let start = (index.names.len() as u32, index.nodes.len() as u32);
-            let (mut kept, mut rewalked) = (old_group, fresh_group);
-            for region in &regions {
-                let before = |node: &NodeId| base.positions[node.index()] < region.start;
-                index
-                    .nodes
-                    .extend_from_slice(&kept[..kept.partition_point(before)]);
-                kept =
-                    &kept[kept.partition_point(|node| base.positions[node.index()] < region.end)..];
-                let here = rewalked.partition_point(|&(_, node)| at(node) < region.new_end);
-                index
-                    .nodes
-                    .extend(rewalked[..here].iter().map(|&(_, node)| node));
-                rewalked = &rewalked[here..];
-            }
-            index.nodes.extend_from_slice(kept);
-            if index.nodes.len() as u32 > start.1 {
-                index.starts.push(start);
-                index.names.push_str(name);
-            }
-        }
-        index.push_start();
-
-        // Postings: the kept ones keep their order (by bucket, and within a
-        // bucket by document order), the bucket starts move by what left
-        // and what came before them, and each re-walked posting goes in at
-        // its place; filed anew in the rare patch whose count moves the
-        // number of buckets.
-        let mask = base.buckets.len() - 2;
-        let bucket = |&(key, _): &(u32, NodeId)| key as usize & mask;
-        let mut postings = Vec::with_capacity(base.postings.len() + walker.valued.len());
-        // Each posting that left or came, by bucket: -1 or +1.
-        let mut moves: Vec<(usize, i64)> = Vec::with_capacity(walker.valued.len());
-        for &posting in &base.postings {
-            if moved(&regions, base.positions[posting.1.index()]).is_some() {
-                postings.push(posting);
-            } else {
-                moves.push((bucket(&posting), -1));
-            }
-        }
+        // The base's entries inside a region leave, and the rest are copied
+        // in runs. A re-walked entry goes in after the base's entries of
+        // smaller keys, and of its own key those before its region (a key's
+        // entries are in document order): two binary searches.
+        let at = |node: NodeId| walker.positions[node.index()];
         walker
-            .valued
-            .sort_unstable_by_key(|posting| (bucket(posting), at(posting.1)));
-        moves.extend(walker.valued.iter().map(|posting| (bucket(posting), 1)));
-        moves.sort_unstable();
-        let mut buckets = base.buckets.clone();
-        let mut shift = 0;
-        for (i, &(changed, by)) in moves.iter().enumerate() {
-            shift += by;
-            let next = moves
-                .get(i + 1)
-                .map_or(buckets.len() - 1, |&(next, _)| next);
-            for start in &mut buckets[changed + 1..=next] {
-                *start = shifted(*start, shift);
+            .entries
+            .sort_unstable_by_key(|&(key, node)| (key, at(node)));
+        let capacity = base.keys.len() + walker.entries.len();
+        let (mut keys, mut nodes) = (Vec::with_capacity(capacity), Vec::with_capacity(capacity));
+        let inside = |node: &NodeId| moved(&regions, base.positions[node.index()]).is_none();
+        let copy_kept = |keys: &mut Vec<u32>, nodes: &mut Vec<NodeId>, mut run: Range<usize>| {
+            while let Some(dropped) = base.nodes[run.clone()].iter().position(inside) {
+                keys.extend_from_slice(&base.keys[run.start..run.start + dropped]);
+                nodes.extend_from_slice(&base.nodes[run.start..run.start + dropped]);
+                run.start += dropped + 1;
             }
+            keys.extend_from_slice(&base.keys[run.clone()]);
+            nodes.extend_from_slice(&base.nodes[run]);
+        };
+        let mut run = 0;
+        for (key, node) in walker.entries {
+            let position = at(node);
+            let region = regions
+                .iter()
+                .find(|region| position < shifted(region.end, region.shift_after))
+                .expect("a re-walked node is inside its region");
+            let list = base.span(key);
+            let place = list.start
+                + base.nodes[list]
+                    .partition_point(|node| base.positions[node.index()] < region.start);
+            copy_kept(&mut keys, &mut nodes, run..place);
+            keys.push(key);
+            nodes.push(node);
+            run = place;
         }
-        for posting in walker.valued.iter().copied() {
-            let (b, at_posting) = (bucket(&posting), at(posting.1));
-            let start = buckets[b] as usize;
-            let place = postings[start..]
-                .partition_point(|other| bucket(other) == b && at(other.1) < at_posting);
-            postings.insert(start + place, posting);
+        copy_kept(&mut keys, &mut nodes, run..base.keys.len());
+        LabelIndex {
+            keys,
+            nodes,
+            positions: walker.positions,
+            len: shifted(base.len, shift),
         }
-        if postings.len().next_power_of_two() - 1 != mask {
-            (buckets, postings) = file_postings(&postings);
-            for bounds in buckets.windows(2) {
-                postings[bounds[0] as usize..bounds[1] as usize]
-                    .sort_unstable_by_key(|&(_, node)| at(node));
-            }
-        }
-        index.buckets = buckets;
-        index.postings = postings;
-        index.positions = walker.positions;
-        index
     }
 
     /// Where the subtree of `node` ends in this index: at the position of
@@ -501,45 +416,24 @@ impl LabelIndex {
         self.len
     }
 
-    fn push_start(&mut self) {
-        // Node ids are u32, and names are bounded by the nodes carrying them.
-        self.starts
-            .push((self.names.len() as u32, self.nodes.len() as u32));
+    /// Where the entries under `key` sit in the run (in document order).
+    fn span(&self, key: u32) -> Range<usize> {
+        let start = self.keys.partition_point(|&k| k < key);
+        start..start + self.keys[start..].partition_point(|&k| k == key)
     }
 
-    fn name(&self, i: usize) -> &str {
-        &self.names[self.starts[i].0 as usize..self.starts[i + 1].0 as usize]
-    }
-
-    fn group(&self, i: usize) -> &[NodeId] {
-        &self.nodes[self.starts[i].1 as usize..self.starts[i + 1].1 as usize]
-    }
-
-    /// The element nodes named `name`, in document order.
+    /// The element nodes named `name`, in document order, and rarely (a
+    /// key collision) others. Callers re-test what they take from here.
     pub fn elements(&self, name: &str) -> &[NodeId] {
-        let (mut low, mut high) = (0, self.starts.len() - 1);
-        while low < high {
-            let mid = (low + high) / 2;
-            match self.name(mid).cmp(name) {
-                std::cmp::Ordering::Less => low = mid + 1,
-                std::cmp::Ordering::Greater => high = mid,
-                std::cmp::Ordering::Equal => return self.group(mid),
-            }
-        }
-        &[]
+        &self.nodes[self.span(key(name, None))]
     }
 
     /// The postings of `(name, value)`, in document order: every element
     /// named `name` whose [`node_value`](Tree::node_value) is `value`, and
-    /// rarely (a key collision) one whose name or value is another.
-    /// Callers re-test what they take from here.
-    pub fn postings(&self, name: &str, value: &str) -> impl Iterator<Item = NodeId> + Clone + '_ {
-        let key = posting_key(name, value) as u32;
-        let bucket = key as usize & (self.buckets.len() - 2);
-        self.postings[self.buckets[bucket] as usize..self.buckets[bucket + 1] as usize]
-            .iter()
-            .filter(move |&&(low, _)| low == key)
-            .map(|&(_, node)| node)
+    /// rarely (a key collision) another element. Callers re-test what they
+    /// take from here.
+    pub fn postings(&self, name: &str, value: &str) -> &[NodeId] {
+        &self.nodes[self.span(key(name, Some(value)))]
     }
 
     /// The position of a live node of the tree in document (pre)order, the
@@ -547,36 +441,6 @@ impl LabelIndex {
     pub fn position(&self, node: NodeId) -> u32 {
         self.positions[node.index()]
     }
-
-    /// The distinct element names, sorted.
-    pub fn names(&self) -> impl Iterator<Item = &str> {
-        (0..self.starts.len() - 1).map(|i| self.name(i))
-    }
-}
-
-/// Files `valued` (`(low half of the posting_key, element)`) into
-/// `LabelIndex::postings`' flat hash table: a counting sort by bucket, which
-/// keeps the order of `valued` within each bucket. Returns the bucket
-/// starts and the filed postings.
-fn file_postings(valued: &[(u32, NodeId)]) -> (Vec<u32>, Vec<(u32, NodeId)>) {
-    let mask = valued.len().next_power_of_two() - 1;
-    let mut buckets = vec![0u32; mask + 2];
-    for &(key, _) in valued {
-        buckets[(key as usize & mask) + 1] += 1;
-    }
-    for b in 1..buckets.len() {
-        buckets[b] += buckets[b - 1];
-    }
-    let mut postings = vec![(0, NodeId(0)); valued.len()];
-    for &(key, node) in valued {
-        let next = &mut buckets[key as usize & mask];
-        postings[*next as usize] = (key, node);
-        *next += 1;
-    }
-    // Each bucket's start has moved to the next bucket's: shift them back.
-    buckets.rotate_right(1);
-    buckets[0] = 0;
-    (buckets, postings)
 }
 
 impl Tree {
@@ -660,8 +524,8 @@ impl Tree {
         &self.slot(id).label
     }
 
-    /// Notes that the subtree of `id` is about to change (its children, or
-    /// a child's label): takes the current label index out of service as
+    /// Notes that the subtree of `id` is about to change (its children):
+    /// takes the current label index out of service as
     /// the base of the next one, and records `id` if the base knows it. A
     /// node the base does not know hangs below one it knows and that was
     /// touched when the new node was added. Past as many touches as the
@@ -683,17 +547,6 @@ impl Tree {
                 }
             }
         }
-    }
-
-    /// Replaces the label of a node.
-    // lint: allow(unreferenced-pub) — the one single-node mutation.
-    pub fn set_label(&mut self, id: NodeId, label: impl Into<Label>) {
-        // A text label is its parent's value, and an element's name is
-        // filed in its parent's subtree.
-        if let Some(parent) = self.parent(id) {
-            self.touch(parent);
-        }
-        self.slot_mut(id).label = label.into();
     }
 
     /// The parent of a node, or `None` for the root.
@@ -928,13 +781,9 @@ impl Tree {
     /// All element nodes whose tag equals `name`, in document order (from
     /// the label index, built now if the tree has none).
     pub fn find_elements(&self, name: &str) -> Vec<NodeId> {
-        self.label_index().elements(name).to_vec()
-    }
-
-    /// All element tag names occurring in the tree, deduplicated and sorted
-    /// (from the label index, built now if the tree has none).
-    pub fn element_names(&self) -> Vec<String> {
-        self.label_index().names().map(str::to_string).collect()
+        let mut elements = self.label_index().elements(name).to_vec();
+        elements.retain(|&node| self.label(node).element_name() == Some(name));
+        elements
     }
 
     /// The label index of this tree: the current one if the tree (or the
@@ -1157,8 +1006,6 @@ mod tests {
         assert!(t.is_leaf(v));
         assert!(!t.is_leaf(x));
         assert_eq!(t.label(x).element_name(), Some("x"));
-        t.set_label(x, "y");
-        assert_eq!(t.label(x).element_name(), Some("y"));
     }
 
     #[test]
@@ -1368,15 +1215,16 @@ mod tests {
         let chunks = t.slot_count().div_ceil(64) as u64;
         let snapshot = t.clone();
         let before = t.chunk_copies();
-        // A single-label edit touches exactly one chunk.
-        t.set_label(leaves[7], "renamed");
+        // Removing a leaf touches exactly one chunk: its own and its
+        // parent's.
+        t.remove_subtree(leaves[7]).unwrap();
         let copied = t.chunk_copies() - before;
-        assert_eq!(copied, 1, "one chunk copy for one touched node");
+        assert_eq!(copied, 1, "one chunk copy for one removed leaf");
         assert!(copied < chunks, "far fewer copies than total chunks");
-        // The snapshot still sees the old label, untouched.
+        // The snapshot still sees the leaf, untouched.
         assert_eq!(snapshot.label(leaves[7]).element_name(), Some("leaf7"));
-        assert_eq!(t.label(leaves[7]).element_name(), Some("renamed"));
-        assert_eq!(snapshot.node_count(), t.node_count());
+        assert!(!t.contains(leaves[7]));
+        assert_eq!(snapshot.node_count(), t.node_count() + 1);
         assert!(snapshot.validate().is_ok());
         assert!(t.validate().is_ok());
     }
@@ -1483,12 +1331,11 @@ mod tests {
         let shared = Arc::clone(t.shared_label_index().unwrap());
         let e = t.find_elements("E")[0];
         type Mutator = (&'static str, fn(&mut Tree, NodeId));
-        let mutators: [Mutator; 4] = [
+        let mutators: [Mutator; 3] = [
             ("add_child", |c, e| {
                 c.add_child(e, "B");
             }),
             ("remove_subtree", |c, e| c.remove_subtree(e).unwrap()),
-            ("set_label", |c, e| c.set_label(e, "B")),
             ("copy_subtree_from", |c, e| {
                 let source = sample();
                 c.copy_subtree_from(e, &source, source.root());
@@ -1525,7 +1372,6 @@ mod tests {
         assert_eq!(t.find_elements("x"), [late, moved, nested]);
         assert!(t.find_elements("v").is_empty(), "text is not an element");
         assert!(t.find_elements("z").is_empty());
-        assert_eq!(t.element_names(), ["r", "x", "y"]);
     }
 
     #[test]
@@ -1544,41 +1390,41 @@ mod tests {
         let moved = t.add_element(inner, "n");
         t.add_text(moved, "v");
         let index = t.label_index();
-        let postings = |name, value| index.postings(name, value).collect::<Vec<_>>();
-        assert_eq!(postings("n", "v"), [deep, moved, late]);
-        assert_eq!(postings("n", "w"), [other]);
-        assert!(postings("n", "").is_empty());
-        assert!(postings("p", "v").is_empty(), "p has element children");
-        assert!(postings("m", "v").is_empty());
+        assert_eq!(index.postings("n", "v"), [deep, moved, late]);
+        assert_eq!(index.postings("n", "w"), [other]);
+        assert!(index.postings("n", "").is_empty());
+        assert!(
+            index.postings("p", "v").is_empty(),
+            "p has element children"
+        );
+        assert!(index.postings("m", "v").is_empty());
         assert_eq!(index.elements("n"), [deep, moved, other, late, empty]);
         let positions: Vec<u32> = t.nodes().iter().map(|&n| index.position(n)).collect();
         assert_eq!(positions, (0..t.node_count() as u32).collect::<Vec<_>>());
     }
 
+    /// Every name's key, and every name-and-value key, differs from every
+    /// other one in the table: `"name"` and `"name\0"` read as the same
+    /// word but for their lengths.
     #[test]
     fn posting_keys_separate_names_lengths_and_tails() {
         let values = [
-            "",
-            "a",
-            "a\0",
-            "person-17",
-            "person-171",
-            "12345678",
-            "123456789",
+            None,
+            Some(""),
+            Some("a"),
+            Some("a\0"),
+            Some("person-17"),
+            Some("person-171"),
+            Some("12345678"),
+            Some("123456789"),
         ];
         let names = ["n", "name", "name\0", "namename"];
-        let keys: std::collections::HashSet<u64> = names
+        let keys: std::collections::HashSet<u32> = names
             .iter()
-            .flat_map(|name| values.map(|value| posting_key(name, value)))
+            .flat_map(|name| values.map(|value| key(name, value)))
             .collect();
         assert_eq!(keys.len(), names.len() * values.len());
-        assert_ne!(posting_key("ab", "c"), posting_key("a", "bc"));
-    }
-
-    #[test]
-    fn element_names_are_sorted_and_unique() {
-        let t = sample();
-        assert_eq!(t.element_names(), vec!["A", "B", "C", "D", "E", "F"]);
+        assert_ne!(key("ab", Some("c")), key("a", Some("bc")));
     }
 
     /// Asserts that the tree's index (patched, if it carries a base) is a
@@ -1604,7 +1450,7 @@ mod tests {
         let q = t.add_element(t.root(), "q");
         t.label_index();
         type Step = (&'static str, fn(&mut Tree, [NodeId; 4]));
-        let steps: [Step; 8] = [
+        let steps: [Step; 7] = [
             // Nested elements of one name, the inner one touched.
             ("a child of the inner p", |t, [_, inner, _, _]| {
                 t.add_element(inner, "m");
@@ -1634,12 +1480,17 @@ mod tests {
                     }
                 }
             }),
-            ("a relabelled text", |t, [_, _, deep, _]| {
-                let text = t.children(deep)[0];
-                t.set_label(text, Label::Text("u".into()));
-            }),
-            ("a relabelled element", |t, [_, inner, _, _]| {
-                t.set_label(inner, "q")
+            // Two regions, the first grown by more than the second's size:
+            // the second's re-walked `n` goes in before the `n` kept after
+            // it, which its new position has passed.
+            ("two regions, the first grown", |t, [outer, inner, _, _]| {
+                let sibling = t.children(outer)[1];
+                t.add_element(outer, "n");
+                t.label_index();
+                for _ in 0..6 {
+                    t.add_element(inner, "m");
+                }
+                t.add_element(sibling, "m");
             }),
             ("the root touched", |t, [_, _, _, _]| {
                 let root = t.root();

@@ -2,7 +2,7 @@
 //!
 //! A tree carries its label index across mutations and patches it: the
 //! next `label_index()` re-walks only the subtrees of the topmost nodes the
-//! mutations touched and splices them into the old index. The property
+//! mutations touched and merges them into the old index. The property
 //! below runs random histories over a fuzzy document (a people directory
 //! with a random tree grafted beside its persons) and, after every step,
 //! holds the patched index to [`LabelIndex::build`] of the same tree, field
@@ -12,13 +12,12 @@
 //! The steps mix the tree's mutators through the fuzzy tree (an element, a
 //! text, a grafted copy of any subtree, a duplicated subtree, a chain of
 //! removals, an element under every first, second or third element, which
-//! touches more subtrees than a patch splices), `pxml-gen` extraction
-//! streams through `apply_to_fuzzy_with(Inline)`, and relabellings on a
-//! side branch (the fuzzy tree has no relabelling mutator). Every history also springs the
-//! traps of the splice: nested elements of one name, a removed sibling that
-//! leaves a text its parent's only child (the parent gains a posting), a
-//! second child that takes a parent's posting away, and a name's first
-//! element and its last.
+//! touches more subtrees than a patch merges) and `pxml-gen` extraction
+//! streams through `apply_to_fuzzy_with(Inline)`. Every history also
+//! springs the traps of the merge: nested elements of one name, a removed
+//! sibling that leaves a text its parent's only child (the parent gains a
+//! posting), a second child that takes a parent's posting away, and a
+//! name's first element and its last.
 
 use proptest::prelude::*;
 use pxml::gen::scenarios::{extraction_update, people_directory, PeopleScenarioConfig};
@@ -73,7 +72,6 @@ enum Step {
     Duplicate(usize),
     Removals(usize, usize, usize),
     Extraction(u64),
-    Relabel(usize, u8),
     /// An element under every `n`-th element but the root: many regions at
     /// once.
     Scatter(usize),
@@ -98,9 +96,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             2 => Step::Graft(a, b),
             3 => Step::Duplicate(a),
             4 => Step::Removals(a, b, c),
-            5 | 6 => Step::Extraction(seed),
             7 if small == 0 => Step::Scatter(1 + b % 3),
-            _ => Step::Relabel(a, small),
+            _ => Step::Extraction(seed),
         }
     })
 }
@@ -203,15 +200,6 @@ fn run(
             for parent in parents {
                 fuzzy.add_element(parent, "l3");
             }
-        }
-        Step::Relabel(at, label) => {
-            let mut tree = fuzzy.tree().clone();
-            let node = pick(&tree, at, false);
-            match tree.label(node) {
-                Label::Element(_) => tree.set_label(node, format!("l{label}")),
-                Label::Text(_) => tree.set_label(node, Label::Text(format!("v{label}"))),
-            }
-            check(&tree, &name)?;
         }
         Step::Nested(at) => {
             let parent = pick(fuzzy.tree(), at, true);

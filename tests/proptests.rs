@@ -589,9 +589,15 @@ proptest! {
     /// worlds in which the node's subtree pattern occurs at least as often.
     #[test]
     fn selection_probability_matches_worlds(fuzzy in fuzzy_strategy()) {
-        // Use the most common label as the query.
-        let names = fuzzy.tree().element_names();
-        let label = names.first().cloned().unwrap_or_else(|| "l0".to_string());
+        // Use the first element name in sorted order as the query.
+        let tree = fuzzy.tree();
+        let label = tree
+            .nodes()
+            .into_iter()
+            .filter_map(|node| tree.label(node).element_name())
+            .min()
+            .unwrap_or("l0")
+            .to_string();
         let query = Pattern::element(&label);
         let via_fuzzy = fuzzy.selection_probability(&query);
         let via_worlds = fuzzy
