@@ -483,6 +483,23 @@ mod tests {
     }
 
     #[test]
+    fn an_element_whose_two_keys_collide_matches_once() {
+        // `v592710628`'s key under `a` is `a`'s own (a brute-force find).
+        let tree = parse_data_tree("<r><a>v592710628</a><a/></r>").unwrap();
+        let patterns = ["a", "a[=\"v592710628\"]", "r { a[=\"v592710628\"] }"]
+            .map(|text| Pattern::parse(text).unwrap());
+        let unindexed = patterns
+            .each_ref()
+            .map(|pattern| find_matches(pattern, &tree));
+        tree.label_index();
+        for ((pattern, unindexed), count) in patterns.iter().zip(unindexed).zip([2, 1, 1]) {
+            let indexed = search(pattern, &tree).results;
+            assert_eq!(indexed.len(), count);
+            assert_eq!(indexed, unindexed);
+        }
+    }
+
+    #[test]
     fn mapped_nodes_are_deduplicated() {
         let tree = parse_data_tree("<a><b/></a>").unwrap();
         // Two pattern nodes can map to the same data node via // + *.

@@ -133,9 +133,10 @@ impl fmt::Debug for Tree {
 /// within a key, in document order, so a list is the run of one key,
 /// found by a binary search. Every element goes in once under the key of
 /// its name, and an element with a [`node_value`](Tree::node_value) again
-/// under the key of its name and value (its **value postings**). The same
-/// walk records every node's position in document order, so that a caller
-/// can put any set of the tree's nodes in that order.
+/// under the key of its name and value (its **value postings**) unless the
+/// two keys collide, so no list holds a node twice. The same walk records
+/// every node's position in document order, so that a caller can put any
+/// set of the tree's nodes in that order.
 #[derive(Debug)]
 pub struct LabelIndex {
     /// The entries' keys (see [`key`]), sorted.
@@ -219,11 +220,17 @@ impl<'t> Walker<'t> {
             self.positions[node.index()] = position;
             position += 1;
             if let Some(name) = slot.label.element_name() {
-                self.entries.push((key(name, None), node));
+                let named = key(name, None);
+                self.entries.push((named, node));
                 // `Tree::node_value` of an element, from the slot in hand.
                 if let [only] = slot.children[..] {
                     if let Some(value) = tree.slot(only).label.text_value() {
-                        self.entries.push((key(name, Some(value)), node));
+                        // Under a colliding key the node is already there:
+                        // no list holds a node twice.
+                        let valued = key(name, Some(value));
+                        if valued != named {
+                            self.entries.push((valued, node));
+                        }
                     }
                 }
             }
@@ -1425,6 +1432,27 @@ mod tests {
             .collect();
         assert_eq!(keys.len(), names.len() * values.len());
         assert_ne!(key("ab", Some("c")), key("a", Some("bc")));
+    }
+
+    #[test]
+    fn an_element_whose_two_keys_collide_is_listed_once() {
+        // A value whose key under `a` is `a`'s own, found by a brute-force
+        // search over `v0`, `v1`, …: keys come from documents, so a
+        // document can hold one.
+        const A_KEYED_VALUE: &str = "v592710628";
+        assert_eq!(key("a", Some(A_KEYED_VALUE)), key("a", None));
+        let mut t = Tree::new("r");
+        let valued = t.add_element(t.root(), "a");
+        let other = t.add_element(t.root(), "a");
+        t.label_index();
+        t.add_text(valued, A_KEYED_VALUE);
+        assert_patch_is_a_build(&t, "the colliding value");
+        let index = t.label_index();
+        assert_eq!(index.elements("a"), [valued, other]);
+        // `other` shares the key; a reader re-tests it.
+        assert_eq!(index.postings("a", A_KEYED_VALUE), [valued, other]);
+        assert_eq!(t.find_elements("a"), [valued, other]);
+        assert_eq!(LabelIndex::build(&t).elements("a"), [valued, other]);
     }
 
     /// Asserts that the tree's index (patched, if it carries a base) is a

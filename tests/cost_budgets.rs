@@ -8,14 +8,9 @@
 //! tests of this binary may run in parallel. Apart from one warehouse
 //! commit, only `pxml-core` calls are measured: they take no lock, so the
 //! counts are the same with the `lock-witness` feature on, and in debug and
-//! release builds. Debug and release agree because
-//! `Condition::from_literals`, which every match and every conjunction
-//! calls, sorts and dedups its input in place, so a `Vec` input costs no
-//! allocation at all. It used to collect into a `BTreeSet` and then a
-//! vector: two short-lived allocations that an optimised build may elide
-//! (Rust lets it, counting allocator or not), and a release build did elide
-//! them wherever the inlining of the day allowed, so its counts read lower
-//! than a debug build's once an unrelated change moved that inlining.
+//! release builds. Debug and release agree only while no measured call
+//! makes an allocation that lives inside it alone, which an optimised
+//! build may elide: so `Condition::from_literals` sorts and dedups in place.
 //!
 //! The pins: a clone + drop of a fuzzy tree is [`CLONE`] allocations —
 //! the tree's chunk table, the conditions' chunk table, and the event
