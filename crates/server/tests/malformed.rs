@@ -12,7 +12,8 @@ use std::time::{Duration, Instant};
 use pxml_core::{FuzzyTree, SimplifyPolicy, UpdateTransaction};
 use pxml_query::Pattern;
 use pxml_server::frame::{read_response, tag, FrameError, DEFAULT_MAX_FRAME_BYTES};
-use pxml_server::{Client, Server, ServerConfig};
+use pxml_server::{Client, ClientError, Server, ServerConfig};
+use pxml_store::{parse_batch, StoreError};
 use pxml_tree::parse_data_tree;
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -305,6 +306,50 @@ fn deeply_nested_commit_batch_is_a_typed_error() {
 fn deeply_nested_query_pattern_is_a_typed_error() {
     let payload = format!("doc\n{}a{}", "a{".repeat(100_000), "}".repeat(100_000));
     assert_deep_payload_is_refused("deep-query", tag::QUERY, payload, "bad-pattern");
+}
+
+/// `pxml:text` is the element a checkpoint wraps conditional text in, so a
+/// data element of that name would come back from the next fold or restart
+/// as bare text: OPEN and COMMIT refuse it as a final `bad-payload` on a
+/// connection that keeps serving, and the two parsers behind them return
+/// their typed errors.
+#[test]
+fn the_reserved_text_element_is_refused_at_open_and_commit() {
+    let reserved = "<r><a><pxml:text>hi</pxml:text></a></r>";
+    assert!(parse_data_tree(reserved).is_err());
+    assert!(parse_data_tree("<r><a pxml:text=\"hi\"/></r>").is_err());
+    let batch = format!(
+        "<pxml:batch><pxml:update confidence=\"0.5\" query=\"a\">\
+         <pxml:insert target=\"0\">{reserved}</pxml:insert></pxml:update></pxml:batch>"
+    );
+    assert!(matches!(parse_batch(&batch), Err(StoreError::Xml(_))));
+
+    let dir = scratch("reserved-text");
+    let server = Server::start(ServerConfig::new(&dir)).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    match client.open("doc", Some(reserved)) {
+        Err(ClientError::Server { code, message, .. }) => {
+            assert_eq!(code, "bad-payload");
+            assert!(message.contains("pxml:text"), "{message}");
+        }
+        other => panic!("expected a bad-payload error, got {other:?}"),
+    }
+    client.open("doc", Some("<r><a/></r>")).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .write_all(&raw_request(
+            tag::COMMIT,
+            b"acme",
+            format!("doc\n{batch}").as_bytes(),
+        ))
+        .unwrap();
+    expect_error_code(&mut stream, "bad-payload");
+    let answers = client.query("doc", "a { * }").unwrap();
+    assert!(answers.answers.is_empty(), "nothing was inserted");
+
+    assert_tenant_alive(&server);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

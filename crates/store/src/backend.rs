@@ -24,10 +24,9 @@ use crate::group::{CommitTicket, DurabilityStats};
 ///
 /// * **Mutations serialize per document.** Two concurrent calls to
 ///   [`append_batch_enqueue`](StorageBackend::append_batch_enqueue),
-///   [`save_document`](StorageBackend::save_document),
-///   [`checkpoint`](StorageBackend::checkpoint) or
-///   [`remove_document`](StorageBackend::remove_document) for the *same*
-///   document must behave as if executed one after the other; mutations of
+///   [`save_document`](StorageBackend::save_document) or
+///   [`checkpoint`](StorageBackend::checkpoint) for the *same* document
+///   must behave as if executed one after the other; mutations of
 ///   *distinct* documents should be able to proceed in parallel (the
 ///   warehouse engine relies on this for multi-document throughput).
 ///   Backends are handed out as `Arc<dyn StorageBackend>` shared across
@@ -92,9 +91,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// Checkpoints a document: writes `fuzzy` as the new checkpoint and
     /// empties the journal, atomically in the sense of the trait contract.
     fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError>;
-
-    /// Deletes a document, its checkpoint and its journal.
-    fn remove_document(&self, name: &str) -> Result<(), StoreError>;
 
     /// Durably appends one committed transaction batch and returns once it
     /// is durable: [`append_batch_enqueue`](StorageBackend::append_batch_enqueue)

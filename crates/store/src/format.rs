@@ -32,6 +32,8 @@
 //! rename and the deletion of the folded segments harmless (see
 //! [`crate::fs`]). Documents without the attribute are epoch 0.
 
+use std::path::Path;
+
 use pxml_core::FuzzyTree;
 use pxml_event::Condition;
 use pxml_tree::{Label, NodeId, XmlDocument, XmlElement, XmlNode};
@@ -40,8 +42,9 @@ use crate::error::StoreError;
 
 /// Attribute carrying a node condition.
 pub const CONDITION_ATTRIBUTE: &str = "pxml:cond";
-/// Wrapper element for conditional text nodes.
-pub const TEXT_ELEMENT: &str = "pxml:text";
+/// Wrapper element for conditional text nodes: the name the data-tree
+/// import reserves, so no data element can be read back as one.
+pub const TEXT_ELEMENT: &str = pxml_tree::RESERVED_ELEMENT;
 /// Attribute on `<pxml:document>` carrying the journal epoch the checkpoint
 /// folded (absent = epoch 0).
 pub const EPOCH_ATTRIBUTE: &str = "pxml:epoch";
@@ -77,19 +80,21 @@ pub fn serialize_fuzzy_document_with_epoch(fuzzy: &FuzzyTree, pretty: bool, epoc
 
 /// Extracts the journal epoch from serialized PrXML text without parsing the
 /// whole document: the attribute lives in the opening `<pxml:document>` tag,
-/// so only the text up to the first `>` is scanned. Returns 0 when the
-/// attribute is absent (plain or pre-segment documents).
-pub fn extract_epoch(input: &str) -> u64 {
+/// so only the text up to the first `>` is scanned. An absent attribute is
+/// epoch 0 (plain or pre-segment documents); a present one that is not a
+/// `u64` is a [`StoreError::Format`] naming `file`, where the text was read
+/// from — taken as 0, it would make the live journal look stale.
+pub fn extract_epoch(input: &str, file: &Path) -> Result<u64, StoreError> {
     let Some(open) = input.find("<pxml:document") else {
-        return 0;
+        return Ok(0);
     };
     let rest = &input[open..];
     let Some(tag_end) = rest.find('>') else {
-        return 0;
+        return Ok(0);
     };
     let tag = &rest[..tag_end];
     let Some(at) = tag.find(EPOCH_ATTRIBUTE) else {
-        return 0;
+        return Ok(0);
     };
     tag[at + EPOCH_ATTRIBUTE.len()..]
         .trim_start()
@@ -98,7 +103,12 @@ pub fn extract_epoch(input: &str) -> u64 {
         .and_then(|rest| rest.strip_prefix('"'))
         .and_then(|rest| rest.split('"').next())
         .and_then(|value| value.parse().ok())
-        .unwrap_or(0)
+        .ok_or_else(|| {
+            StoreError::Format(format!(
+                "{}: its {EPOCH_ATTRIBUTE} attribute is not a journal epoch",
+                file.display()
+            ))
+        })
 }
 
 fn format_probability(probability: f64) -> String {

@@ -64,14 +64,15 @@
 //!
 //! [`FsBackend::open`] also sweeps stale debris: `.tmp` staging files of
 //! checkpoints/compactions that never reached their rename, and orphaned
-//! segment files whose checkpoint is gone (the remains of a document removal
-//! killed halfway). One segment file per epoch is the **only** journal layout
-//! it reads: a root holding a pre-segment monolithic `<name>.journal` beside
-//! a live `<name>.pxml` is refused at open, and a current-epoch segment with
-//! a nonzero sequence (a journal an earlier build rolled into several files)
-//! at the document's first touch — each with a typed [`StoreError::Format`]
-//! naming the file, which stays in place, rather than opened with that
-//! journal silently ignored.
+//! segment files whose checkpoint is gone (deleted by an operator, or left
+//! by an earlier build's document removal killed halfway), which a
+//! same-name create must never replay. One segment file per epoch is the
+//! **only** journal layout it reads: a root holding a pre-segment
+//! monolithic `<name>.journal` beside a live `<name>.pxml` is refused at
+//! open, and a current-epoch segment with a nonzero sequence (a journal an
+//! earlier build rolled into several files) at the document's first touch —
+//! each with a typed [`StoreError::Format`] naming the file, which stays in
+//! place, rather than opened with that journal silently ignored.
 //!
 //! # Concurrency
 //!
@@ -171,9 +172,9 @@ pub struct FsBackend {
 
 impl FsBackend {
     /// Opens (creating it if needed) a store rooted at `root` and sweeps
-    /// stale debris (`.tmp` staging files, orphaned segments of removed
-    /// documents). Refuses a root that holds a pre-segment monolithic
-    /// `<name>.journal` beside a live checkpoint (see the module docs).
+    /// stale debris (`.tmp` staging files, segments without a checkpoint).
+    /// Refuses a root that holds a pre-segment monolithic `<name>.journal`
+    /// beside a live checkpoint (see the module docs).
     pub fn open(root: impl AsRef<Path>) -> Result<Self, StoreError> {
         Self::with_options(root, FsOptions::default())
     }
@@ -211,7 +212,7 @@ impl FsBackend {
     }
 
     /// The open-time sweep: discard commit debris that never reached a
-    /// rename commit point and drop segments orphaned by a half-done removal.
+    /// rename commit point and drop segments that have no checkpoint.
     fn sweep(&self) -> Result<(), StoreError> {
         let mut checkpoints: Vec<String> = Vec::new();
         let mut segments: Vec<(PathBuf, String)> = Vec::new();
@@ -252,9 +253,10 @@ impl FsBackend {
                 _ => {}
             }
         }
-        // Orphaned segments: a document removal deletes the checkpoint first,
-        // so segments without a checkpoint belong to a removal that died
-        // before finishing.
+        // Orphaned segments: without their checkpoint they replay onto
+        // nothing, and a later create of the same name would inherit them.
+        // An operator who deleted a checkpoint, or an earlier build's
+        // removal killed between its two deletions, leaves them behind.
         for (path, document) in &segments {
             if !checkpoints.contains(document) {
                 fs::remove_file(path)?;
@@ -552,36 +554,6 @@ impl StorageBackend for FsBackend {
         parse_fuzzy_document(&text)
     }
 
-    /// The name's meta mutex deliberately stays in the registry: dropping it
-    /// would let a thread still holding the old `Arc` interleave its append
-    /// with a writer of a same-named *re-created* document under a fresh
-    /// mutex, silently corrupting a segment. One retained mutex per name ever
-    /// removed is a bounded price for that guarantee.
-    fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        // Settle any in-flight group-commit window first (before the meta
-        // lock — the flush needs it): a window flushing after the removal
-        // would resurrect segment files for the deleted document.
-        self.group_barrier();
-        let segments = self.segments();
-        let meta = segments.meta(name);
-        let mut meta = meta.lock();
-        let path = segments.document_path(name);
-        if !path.exists() {
-            return Err(StoreError::MissingDocument(name.to_string()));
-        }
-        // Checkpoint first: if the removal dies halfway, the leftover
-        // segments are recognizably orphaned (no checkpoint) and swept at the
-        // next open. The directory flush pins that ordering against power
-        // loss too.
-        fs::remove_file(path)?;
-        segments.sync_dir()?;
-        for (segment, _) in segments.segments_of(name)? {
-            fs::remove_file(segment)?;
-        }
-        meta.forget();
-        Ok(())
-    }
-
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
         let segments = self.segments();
         segments.with_loaded(name, |meta| {
@@ -618,7 +590,6 @@ impl StorageBackend for FsBackend {
             }
         };
         // Fail a missing document eagerly, before it can poison a window.
-        // (A removal racing the window is still caught by the flush itself.)
         if !self.contains(name) {
             return CommitTicket::resolved(Err(StoreError::MissingDocument(name.to_string())));
         }
@@ -721,6 +692,11 @@ mod tests {
         std::env::temp_dir().join(unique)
     }
 
+    /// The journal epoch a checkpoint file carries.
+    fn epoch_of(checkpoint: &Path) -> u64 {
+        extract_epoch(&fs::read_to_string(checkpoint).unwrap(), checkpoint).unwrap()
+    }
+
     fn sample_fuzzy() -> FuzzyTree {
         use pxml_event::{Condition, Literal};
         let mut fuzzy = FuzzyTree::new("directory");
@@ -780,10 +756,6 @@ mod tests {
         ));
         assert!(matches!(
             store.append_batch("ghost", &[sample_update()]),
-            Err(StoreError::MissingDocument(_))
-        ));
-        assert!(matches!(
-            store.remove_document("ghost"),
             Err(StoreError::MissingDocument(_))
         ));
         fs::remove_dir_all(dir).unwrap();
@@ -860,8 +832,11 @@ mod tests {
         store.checkpoint("people", &recovered).unwrap();
         assert_eq!(store.journal_batches("people").unwrap(), 0);
         assert!(segment_files(&dir).is_empty(), "folded segments deleted");
-        let text = fs::read_to_string(dir.join("people.pxml")).unwrap();
-        assert_eq!(extract_epoch(&text), 1, "checkpoint carries the new epoch");
+        assert_eq!(
+            epoch_of(&dir.join("people.pxml")),
+            1,
+            "checkpoint carries the new epoch"
+        );
         let loaded = store.load_document("people").unwrap();
         assert_eq!(loaded.tree().find_elements("email").len(), 1);
 
@@ -884,22 +859,7 @@ mod tests {
         store.save_document("doc", &sample_fuzzy()).unwrap();
         store.checkpoint("doc", &sample_fuzzy()).unwrap();
         store.save_document("doc", &sample_fuzzy()).unwrap();
-        let text = fs::read_to_string(dir.join("doc.pxml")).unwrap();
-        assert_eq!(extract_epoch(&text), 1);
-        fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn remove_document_deletes_files() {
-        let dir = scratch("remove");
-        let store = FsBackend::open(&dir).unwrap();
-        store.save_document("doc", &sample_fuzzy()).unwrap();
-        store.append_batch("doc", &[sample_update()]).unwrap();
-        store.remove_document("doc").unwrap();
-        assert!(!store.contains("doc"));
-        assert!(store.list_documents().unwrap().is_empty());
-        assert!(segment_files(&dir).is_empty());
-        assert_eq!(store.journal_batches("doc").unwrap(), 0);
+        assert_eq!(epoch_of(&dir.join("doc.pxml")), 1);
         fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1120,22 +1080,6 @@ mod tests {
         fs::remove_dir_all(dir).unwrap();
     }
 
-    /// `remove_document` barriers the window first: a batch enqueued before
-    /// the removal flushes durably (its ticket resolves Ok), and the removal
-    /// then deletes everything — no segment file is resurrected afterwards.
-    #[test]
-    fn removal_barriers_in_flight_grouped_appends() {
-        let dir = scratch("grouped-remove-barrier");
-        let store = grouped(&dir, 8);
-        store.save_document("people", &sample_fuzzy()).unwrap();
-        let ticket = store.append_batch_enqueue("people", &[sample_update()]);
-        store.remove_document("people").unwrap();
-        ticket.wait().unwrap();
-        assert!(!store.contains("people"));
-        assert!(segment_files(&dir).is_empty());
-        fs::remove_dir_all(dir).unwrap();
-    }
-
     /// `checkpoint` barriers the window first: a batch enqueued before the
     /// fold is flushed into the pre-fold epoch, so replay sees it exactly
     /// once (inside the checkpoint, not double-applied on top).
@@ -1227,8 +1171,7 @@ mod tests {
                 let checkpointed = handle.load_document("people").unwrap();
                 assert!(checkpointed.tree().find_elements("email").is_empty());
             }
-            let text = fs::read_to_string(dir.join("people.pxml")).unwrap();
-            assert_eq!(extract_epoch(&text), 0);
+            assert_eq!(epoch_of(&dir.join("people.pxml")), 0);
             assert!(!dir.join(".people.pxml.tmp").exists(), "nothing was staged");
         }
         store.checkpoint("people", &recovered).unwrap();

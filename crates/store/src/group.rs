@@ -328,11 +328,11 @@ impl GroupCommitter {
     }
 
     /// Quiesces the committer: waits out any in-flight window and flushes
-    /// everything enqueued, leaving no batch buffered. Operations that must
-    /// observe a settled journal (compaction folds, document removal) run
-    /// this first — otherwise a window flushing *after* e.g. a checkpoint
-    /// fold would land pre-fold batches in the post-fold epoch and replay
-    /// would double-apply them.
+    /// everything enqueued, leaving no batch buffered. An operation that
+    /// must observe a settled journal (a compaction fold) runs this
+    /// first — otherwise a window flushing *after* the fold would land
+    /// pre-fold batches in the post-fold epoch and replay would
+    /// double-apply them.
     pub(crate) fn barrier(&self, backend: &FsBackend) {
         loop {
             let window = self.lock();

@@ -139,12 +139,4 @@ impl StorageBackend for MemBackend {
             }
         })
     }
-
-    fn remove_document(&self, name: &str) -> Result<(), StoreError> {
-        self.docs
-            .lock()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| StoreError::MissingDocument(name.to_string()))
-    }
 }

@@ -102,9 +102,8 @@ pub(crate) fn parse_segment_name(file_name: &str) -> Option<SegmentName> {
 #[derive(Debug)]
 pub(crate) struct Segments {
     root: PathBuf,
-    /// One meta + write mutex per document name; never held for two
-    /// documents at once. A name's entry deliberately survives document
-    /// removal (see `FsBackend::remove_document`).
+    /// One meta + write mutex per document name, kept for the store's
+    /// lifetime; never held for two documents at once.
     metas: Mutex<HashMap<String, Arc<Mutex<DocMeta>>>>,
 }
 
@@ -171,9 +170,8 @@ impl Segments {
     }
 
     /// All segment files of one document (any epoch), found by scanning the
-    /// store directory — O(total store entries), so reserved for the paths
-    /// that genuinely need to see stale or orphaned files (the first load of
-    /// a document and its removal).
+    /// store directory — O(total store entries), so reserved for the first
+    /// load of a document, which must see its stale-epoch files.
     pub(crate) fn segments_of(
         &self,
         name: &str,
@@ -194,18 +192,19 @@ impl Segments {
     }
 
     /// Rebuilds a document's cursor from disk if this is the first touch:
-    /// reads the checkpoint's epoch, refuses a rolled current-epoch journal
-    /// (before touching any file), drops segments of older epochs (the
-    /// debris of a compaction killed between its rename commit point and the
-    /// segment deletion — their batches are already folded into the
-    /// checkpoint), truncates a torn tail record, and sums the headers.
+    /// reads the checkpoint's epoch, refuses an unreadable epoch or a rolled
+    /// current-epoch journal (before touching any file), drops segments of
+    /// older epochs (the debris of a compaction killed between its rename
+    /// commit point and the segment deletion — their batches are already
+    /// folded into the checkpoint), truncates a torn tail record, and sums
+    /// the headers.
     fn ensure_loaded(&self, name: &str, meta: &mut DocMeta) -> Result<(), StoreError> {
         if meta.loaded {
             return Ok(());
         }
         let checkpoint = self.document_path(name);
         let epoch = if checkpoint.exists() {
-            extract_epoch(&fs::read_to_string(&checkpoint)?)
+            extract_epoch(&fs::read_to_string(&checkpoint)?, &checkpoint)?
         } else {
             0
         };

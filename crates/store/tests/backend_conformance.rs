@@ -81,10 +81,6 @@ fn conformance_suite(backend: &dyn StorageBackend) {
         backend.append_batch("people", &[tagged_update("a")]),
         Err(StoreError::MissingDocument(_))
     ));
-    assert!(matches!(
-        backend.remove_document("people"),
-        Err(StoreError::MissingDocument(_))
-    ));
     // An unknown document has an empty journal rather than an error: the
     // engine polls the meters without first checking existence.
     assert_eq!(backend.journal_batches("people").unwrap(), 0);
@@ -178,24 +174,6 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     assert_eq!(backend.list_documents().unwrap(), vec!["other", "people"]);
     assert_eq!(backend.journal_batches("people").unwrap(), 1);
     assert_eq!(backend.journal_batches("other").unwrap(), 1);
-
-    // --- removal deletes checkpoint and journal ---------------------------
-    backend.remove_document("people").unwrap();
-    assert!(!backend.contains("people"));
-    assert_eq!(backend.list_documents().unwrap(), vec!["other"]);
-    assert_eq!(backend.journal_batches("people").unwrap(), 0);
-    // A same-named re-created document starts clean.
-    backend.save_document("people", &sample_fuzzy()).unwrap();
-    assert!(backend.read_batches("people").unwrap().is_empty());
-    assert_eq!(
-        backend
-            .recover_document("people")
-            .unwrap()
-            .tree()
-            .find_elements("email")
-            .len(),
-        0
-    );
 }
 
 /// The two backends store one form: the same history — a create, appends,

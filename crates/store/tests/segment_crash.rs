@@ -1,9 +1,10 @@
 //! The segment-level crash battery: every kill-point of the append-only
 //! journal and its compaction protocol, simulated by leaving the exact disk
 //! state the killed process would have left, then recovering through a fresh
-//! [`FsBackend`]. Also covers the open-time debris sweep and the refusal of
-//! the two journal layouts this build no longer reads: the pre-segment
-//! monolithic journal and a journal rolled into several segment files.
+//! [`FsBackend`]. Also covers the open-time debris sweep, the refusal of
+//! the two journal layouts this build no longer reads (the pre-segment
+//! monolithic journal and a journal rolled into several segment files), and
+//! the refusal of a checkpoint whose journal epoch cannot be read.
 
 use std::fs;
 use std::path::PathBuf;
@@ -150,9 +151,10 @@ fn stale_epoch_segments_after_a_compaction_crash_are_ignored() {
     fs::remove_dir_all(dir).unwrap();
 }
 
-/// Kill during a document removal (checkpoint deleted, segments not yet):
-/// the orphaned segments are swept at the next open instead of leaking into
-/// a same-named re-created document.
+/// Segments whose checkpoint is gone — deleted by an operator, or left by
+/// an earlier build's document removal killed between its two deletions —
+/// are swept at the next open instead of leaking into a same-named
+/// re-created document.
 #[test]
 fn orphaned_segments_without_a_checkpoint_are_swept_at_open() {
     let dir = scratch("orphan-segments");
@@ -162,7 +164,7 @@ fn orphaned_segments_without_a_checkpoint_are_swept_at_open() {
         store
             .append_batch("doc", &[tagged_update("ghost")])
             .unwrap();
-        // The crash mid-removal: the checkpoint is gone, the segment stays.
+        // The checkpoint is gone, the segment stays.
         fs::remove_file(dir.join("doc.pxml")).unwrap();
     }
     let reopened = FsBackend::open(&dir).unwrap();
@@ -170,6 +172,46 @@ fn orphaned_segments_without_a_checkpoint_are_swept_at_open() {
     // A re-created document starts clean.
     reopened.save_document("doc", &sample_fuzzy()).unwrap();
     assert!(recovered_tags(&reopened, "doc").is_empty());
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// A checkpoint whose `pxml:epoch` is present but not a number names no
+/// journal: the document's first touch is refused with a typed format error
+/// naming the checkpoint, before any file is removed. Read as epoch 0, it
+/// made the live epoch-1 journal look stale, and the touch deleted it with
+/// every acknowledged commit since the fold.
+#[test]
+fn a_malformed_checkpoint_epoch_is_refused_and_the_journal_kept() {
+    let dir = scratch("malformed-epoch");
+    let checkpoint = dir.join("doc.pxml");
+    let segment = dir.join("doc.journal.1.0.seg");
+    {
+        let store = FsBackend::open(&dir).unwrap();
+        store.save_document("doc", &sample_fuzzy()).unwrap();
+        store
+            .append_batch("doc", &[tagged_update("folded")])
+            .unwrap();
+        let folded = store.recover_document("doc").unwrap();
+        store.checkpoint("doc", &folded).unwrap();
+        store.append_batch("doc", &[tagged_update("live")]).unwrap();
+    }
+    let text = fs::read_to_string(&checkpoint).unwrap();
+    assert!(text.contains("pxml:epoch=\"1\""), "{text}");
+    fs::write(
+        &checkpoint,
+        text.replace("pxml:epoch=\"1\"", "pxml:epoch=\"1x\""),
+    )
+    .unwrap();
+    let journal = fs::read(&segment).unwrap();
+
+    let store = FsBackend::open(&dir).unwrap();
+    match store.read_batches("doc") {
+        Err(StoreError::Format(message)) => {
+            assert!(message.contains("doc.pxml"), "got: {message}")
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
+    assert_eq!(fs::read(&segment).unwrap(), journal, "the journal stays");
     fs::remove_dir_all(dir).unwrap();
 }
 

@@ -6,30 +6,55 @@
 //! `value`. Text content becomes text nodes (whitespace-trimmed), comments
 //! are dropped. Exporting a data tree to XML is the inverse, except that
 //! former attributes stay elements (the distinction is deliberately lost).
+//!
+//! One element name is reserved: [`RESERVED_ELEMENT`], the wrapper a PrXML
+//! checkpoint writes around a conditional text node. A data element of that
+//! name would read back from the checkpoint as text, so the import refuses
+//! it (as an element or as an attribute).
 
 use crate::error::XmlError;
 use crate::label::Label;
 use crate::tree::{NodeId, Tree, MAX_TREE_DEPTH};
 use crate::xml::{parse, XmlDocument, XmlElement, XmlNode};
 
-/// Converts a parsed XML document into a data tree.
-pub fn xml_to_data_tree(doc: &XmlDocument) -> Tree {
-    let mut tree = Tree::new(Label::Element(doc.root.name.clone()));
+/// The element name no data tree may use: PrXML checkpoints (`pxml-store`'s
+/// `format::TEXT_ELEMENT`) wrap each conditional text node in an element of
+/// this name.
+pub const RESERVED_ELEMENT: &str = "pxml:text";
+
+/// Converts a parsed XML document into a data tree, refusing an element or
+/// attribute named [`RESERVED_ELEMENT`].
+pub fn xml_to_data_tree(doc: &XmlDocument) -> Result<Tree, XmlError> {
+    let mut tree = Tree::new(Label::Element(unreserved(&doc.root.name)?));
     let root = tree.root();
-    convert_children(&doc.root, &mut tree, root);
-    tree
+    convert_children(&doc.root, &mut tree, root)?;
+    Ok(tree)
 }
 
-fn convert_children(element: &XmlElement, tree: &mut Tree, node: NodeId) {
+/// `name` as an element name, unless it is [`RESERVED_ELEMENT`].
+fn unreserved(name: &str) -> Result<String, XmlError> {
+    if name == RESERVED_ELEMENT {
+        return Err(XmlError::new(
+            format!(
+                "the element name `{RESERVED_ELEMENT}` is reserved for PrXML's conditional text"
+            ),
+            1,
+            1,
+        ));
+    }
+    Ok(name.to_string())
+}
+
+fn convert_children(element: &XmlElement, tree: &mut Tree, node: NodeId) -> Result<(), XmlError> {
     for (name, value) in &element.attributes {
-        let attr_node = tree.add_element(node, name.clone());
+        let attr_node = tree.add_element(node, unreserved(name)?);
         tree.add_text(attr_node, value.clone());
     }
     for child in &element.children {
         match child {
             XmlNode::Element(el) => {
-                let child_node = tree.add_element(node, el.name.clone());
-                convert_children(el, tree, child_node);
+                let child_node = tree.add_element(node, unreserved(&el.name)?);
+                convert_children(el, tree, child_node)?;
             }
             XmlNode::Text(text) => {
                 let trimmed = text.trim();
@@ -40,6 +65,7 @@ fn convert_children(element: &XmlElement, tree: &mut Tree, node: NodeId) {
             XmlNode::Comment(_) => {}
         }
     }
+    Ok(())
 }
 
 /// Converts a data tree into an XML document (all nodes become elements or
@@ -68,9 +94,10 @@ fn build_element(tree: &Tree, node: NodeId) -> XmlElement {
 }
 
 /// Parses an XML string directly into a data tree, refusing one with a node
-/// below [`MAX_TREE_DEPTH`] (it could be stored but never read back).
+/// below [`MAX_TREE_DEPTH`] or an element named [`RESERVED_ELEMENT`]
+/// (neither would read back from a checkpoint as it was stored).
 pub fn parse_data_tree(input: &str) -> Result<Tree, XmlError> {
-    let tree = xml_to_data_tree(&parse(input)?);
+    let tree = xml_to_data_tree(&parse(input)?)?;
     let height = tree.height();
     if height > MAX_TREE_DEPTH {
         return Err(XmlError::new(

@@ -46,7 +46,9 @@ pub mod tree;
 pub mod xml;
 
 pub use chunk::ChunkedVec;
-pub use convert::{data_tree_to_xml, parse_data_tree, write_data_tree, xml_to_data_tree};
+pub use convert::{
+    data_tree_to_xml, parse_data_tree, write_data_tree, xml_to_data_tree, RESERVED_ELEMENT,
+};
 pub use error::{TreeError, XmlError};
 pub use iso::{
     canonical_string, isomorphism_classes, steiner_canonical_string, subtree_canonical_string,

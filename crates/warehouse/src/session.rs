@@ -319,24 +319,4 @@ mod tests {
         let phones = Pattern::parse("person { phone }").unwrap();
         assert_eq!(recovered.query("people", &phones).unwrap().len(), 1);
     }
-
-    #[test]
-    fn unknown_documents_are_rejected() {
-        let dir = scratch("unknown");
-        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
-        assert!(matches!(
-            warehouse.snapshot("ghost"),
-            Err(WarehouseError::UnknownDocument(_))
-        ));
-        warehouse.create_document("people", directory()).unwrap();
-        let pinned = warehouse.snapshot("people").unwrap();
-        warehouse.drop_document("people").unwrap();
-        // The name now reports the document as gone; the pin outlives it.
-        assert!(matches!(
-            warehouse.query("people", &Pattern::parse("person").unwrap()),
-            Err(WarehouseError::UnknownDocument(_))
-        ));
-        assert_eq!(pinned.fuzzy().tree().find_elements("person").len(), 2);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
 }

@@ -17,11 +17,11 @@
 //! ```text
 //! Warehouse
 //! ├── shards[hash(name) % N]: RwLock<HashMap<String, Arc<DocSlot>>>
-//! │        │  (held only to look up / insert / remove a slot)
+//! │        │  (held only to look up / insert a slot)
 //! │        └── slot: Arc<DocSlot>
 //! │             ├── commit: Mutex<()>        (one writer pipeline at a time)
 //! │             └── state: RwLock<DocState>  (published Arc<snapshot> +
-//! │                                           tombstone; held O(1) only)
+//! │                                           quarantine; held O(1) only)
 //! ├── stats: atomic counters (never block anything)
 //! └── store: Arc<dyn StorageBackend> (per-document serialization per the
 //!            trait contract; FsBackend by default)
@@ -61,13 +61,9 @@
 //! are reclaimed by folding a compaction into the commit pipeline once the
 //! slot count outgrows the live count (see [`Warehouse::commit_batch`]).
 //!
-//! Removal is tombstone-based: [`Warehouse::drop_document`] waits out
-//! in-flight work on the document (its commit mutex), deletes the files,
-//! marks the entry dropped under an O(1) state write lock, and only then
-//! unlinks the name from its shard. Every path re-checks the tombstone when
-//! pinning a snapshot, so a caller that resolved the slot before the drop —
-//! or that races a same-name re-create — reports `UnknownDocument` instead
-//! of leaking work into the wrong document.
+//! A document is never removed: once created (or recovered) its slot stays
+//! in its shard for the warehouse's lifetime, so a resolved slot is always
+//! the name's current one and pinning it cannot fail.
 //!
 //! Failure handling is quarantine-based: a commit whose durable append
 //! fails never publishes (MVCC rollback is dropping the working copy), and
@@ -294,12 +290,6 @@ impl DocSnapshot {
 /// The published, swappable part of a document slot.
 struct DocState {
     snapshot: DocSnapshot,
-    /// Tombstone set by [`Warehouse::drop_document`] under the state lock.
-    /// A caller that resolved this slot *before* the drop re-checks it when
-    /// pinning: without the check, a commit racing a drop + a same-name
-    /// re-create would apply its batch to this orphaned entry while
-    /// journaling it against the unrelated new document.
-    dropped: bool,
     /// Set when a commit's durable append failed: the in-memory snapshot and
     /// the journal may disagree, so every *write* path refuses with
     /// [`WarehouseError::Quarantined`] until [`Warehouse::reopen_document`]
@@ -313,10 +303,10 @@ struct DocState {
 struct DocSlot {
     /// Serializes writers: held across the whole apply → journal → swap →
     /// maintenance pipeline of [`Warehouse::commit_batch`] (and by
-    /// `checkpoint`/`reopen_document`/`drop_document`, which must not
-    /// interleave with a commit). Readers never touch it.
+    /// `checkpoint`/`reopen_document`, which must not interleave with a
+    /// commit). Readers never touch it.
     commit: Mutex<()>,
-    /// The published snapshot + tombstone. Only ever held long enough to
+    /// The published snapshot + quarantine. Only ever held long enough to
     /// clone or swap the snapshot `Arc` — O(1), never across an apply,
     /// a query, or storage I/O.
     state: RwLock<DocState>,
@@ -330,7 +320,6 @@ impl DocSlot {
                 LockClass::DocEntry,
                 DocState {
                     snapshot,
-                    dropped: false,
                     quarantined: None,
                 },
             ),
@@ -361,7 +350,7 @@ impl Default for Shard {
 }
 
 /// Number of registry shards. Sixteen keeps the birthday-collision rate of
-/// *registry* operations (create/drop/lookup) low for the document counts
+/// *registry* operations (create/lookup) low for the document counts
 /// the warehouse targets; note that post-lookup work never holds a shard
 /// lock, so shard collisions only cost contention on the name lookup itself.
 const SHARD_COUNT: usize = 16;
@@ -517,49 +506,10 @@ impl Warehouse {
         Ok(())
     }
 
-    /// Removes a document from the warehouse and from storage.
-    ///
-    /// Ordering matters: the document's commit mutex is taken *first*
-    /// (waiting out any in-flight commit pipeline, and excluding writers
-    /// until the drop is done), the files are deleted, the entry is
-    /// tombstoned under an O(1) state write lock, and only then — after the
-    /// locks are released — is the name unlinked from its shard. The state
-    /// lock is never held across the removal's storage I/O (which may flush
-    /// another document's group-commit window), so readers of this document
-    /// and the quarantine listing never wait on it. Until the
-    /// unlink, a concurrent `create` of the same name reports
-    /// `DuplicateDocument`, so no new document can interleave with the
-    /// deletion; afterwards, any caller still holding the old slot sees the
-    /// tombstone and reports `UnknownDocument` instead of touching the
-    /// store. Readers that pinned a snapshot before the drop keep their
-    /// (now-orphaned) snapshot — dropping a document never tears state out
-    /// from under a running query.
-    pub fn drop_document(&self, name: &str) -> Result<(), WarehouseError> {
-        let slot = self.slot(name)?;
-        {
-            let _commit = slot.commit.lock();
-            // A concurrent drop that won the race for the same slot left its
-            // tombstone; the commit mutex keeps it from changing under us.
-            Self::pin(&slot, name)?;
-            self.store.remove_document(name)?;
-            slot.state.write().dropped = true;
-        }
-        // The tombstone guarantees this mapping still points at `slot`: a
-        // same-name create cannot have replaced it while the name was mapped.
-        self.shard(name).slots.write().remove(name);
-        Ok(())
-    }
-
     /// Pins the slot's current snapshot — an `Arc` bump under the briefly
-    /// held state read lock. Returns `UnknownDocument` if the entry was
-    /// tombstoned by a concurrent [`Warehouse::drop_document`] after this
-    /// caller resolved the slot.
-    fn pin(slot: &DocSlot, name: &str) -> Result<DocSnapshot, WarehouseError> {
-        let state = slot.state.read();
-        if state.dropped {
-            return Err(WarehouseError::UnknownDocument(name.to_string()));
-        }
-        Ok(state.snapshot.clone())
+    /// held state read lock.
+    fn pin(slot: &DocSlot) -> DocSnapshot {
+        slot.state.read().snapshot.clone()
     }
 
     /// Write-path gate: a quarantined document refuses every mutation with
@@ -586,11 +536,11 @@ impl Warehouse {
     }
 
     /// Pins the current snapshot of a document: O(1), and the returned
-    /// handle stays valid (and immutable) no matter what commits, drops or
-    /// re-creates happen afterwards.
+    /// handle stays valid (and immutable) no matter what commits or reopens
+    /// happen afterwards.
     pub fn snapshot(&self, name: &str) -> Result<DocSnapshot, WarehouseError> {
         let slot = self.slot(name)?;
-        Self::pin(&slot, name)
+        Ok(Self::pin(&slot))
     }
 
     /// A copy of a document's current fuzzy tree. This pins the current
@@ -713,7 +663,7 @@ impl Warehouse {
         let policy = policy.unwrap_or(SimplifyPolicy::Inline);
         let slot = self.slot(name)?;
         let commit = slot.commit.lock();
-        let base = Self::pin(&slot, name)?;
+        let base = Self::pin(&slot);
         Self::check_quarantine(&slot, name)?;
         if batch.is_empty() {
             return Ok(AsyncCommit {
@@ -838,8 +788,7 @@ impl Warehouse {
     /// Serialized size of a document's journal in bytes — O(1) from the
     /// backend's journal meters.
     pub fn journal_size_bytes(&self, name: &str) -> Result<u64, WarehouseError> {
-        let slot = self.slot(name)?;
-        Self::pin(&slot, name)?;
+        self.slot(name)?;
         Ok(self.store.journal_size_bytes(name)?)
     }
 
@@ -852,7 +801,7 @@ impl Warehouse {
             // commits, whose journal appends must not interleave with the
             // save + truncate. Readers are unaffected.
             let _commit = slot.commit.lock();
-            let snapshot = Self::pin(&slot, name)?;
+            let snapshot = Self::pin(&slot);
             Self::check_quarantine(&slot, name)?;
             self.store.checkpoint(name, snapshot.fuzzy())?;
         }
@@ -881,13 +830,10 @@ impl Warehouse {
         let _commit = slot.commit.lock();
         // The commit mutex keeps the published snapshot (and its sequence
         // number) from moving until the swap below.
-        let current = Self::pin(&slot, name)?;
+        let current = Self::pin(&slot);
         self.store.reopen_document(name)?;
         let next = current.successor(self.replay(name)?);
         let mut state = slot.state.write();
-        if state.dropped {
-            return Err(WarehouseError::UnknownDocument(name.to_string()));
-        }
         state.snapshot = next;
         state.quarantined = None;
         Ok(())
@@ -942,8 +888,8 @@ impl Warehouse {
     }
 
     /// Test hook: runs `body` while holding `name`'s commit mutex — a writer
-    /// frozen mid-pipeline — proving what the mutex does (serialize writers,
-    /// gate drops) and does not (block readers) cover.
+    /// frozen mid-pipeline — proving what the mutex does (serialize writers)
+    /// and does not (block readers) cover.
     #[cfg(test)]
     pub(crate) fn with_document_commit_locked<R>(
         &self,
@@ -1181,7 +1127,7 @@ mod tests {
             Err(WarehouseError::UnknownDocument(_))
         ));
         assert!(matches!(
-            warehouse.drop_document("ghost"),
+            warehouse.snapshot("ghost"),
             Err(WarehouseError::UnknownDocument(_))
         ));
         std::fs::remove_dir_all(dir).unwrap();
@@ -1287,19 +1233,6 @@ mod tests {
             assert_eq!(reopened.query("people", &phones).unwrap().len(), 3);
             std::fs::remove_dir_all(dir).unwrap();
         }
-    }
-
-    #[test]
-    fn drop_document_removes_it_everywhere() {
-        let dir = scratch("drop");
-        let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
-        warehouse.create_document("people", directory()).unwrap();
-        warehouse.drop_document("people").unwrap();
-        assert!(warehouse.document_names().is_empty());
-        assert!(!warehouse.contains("people"));
-        let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
-        assert!(reopened.document_names().is_empty());
-        std::fs::remove_dir_all(dir).unwrap();
     }
 
     /// Documents hash across shards, and the registry behaves identically
@@ -1491,125 +1424,6 @@ mod tests {
             assert!(reads > 0, "the stats reader must actually have run");
         });
         assert_eq!(warehouse.stats().updates_applied, writers * per_writer);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    /// Dropping and re-creating a name must never let work routed through a
-    /// *stale* slot leak into the new document: the drop tombstones the old
-    /// entry under its write lock, so any engine path that resolved the slot
-    /// before the drop reports `UnknownDocument` instead of touching the
-    /// store, and the re-created document's journal stays its own.
-    #[test]
-    fn drop_and_recreate_tombstones_the_stale_slot() {
-        let dir = scratch("drop-recreate");
-        let warehouse = Warehouse::with_config(&dir, plain_config()).unwrap();
-        warehouse.create_document("people", directory()).unwrap();
-        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
-
-        // The race window: a slot resolved before the drop.
-        let stale = warehouse.slot("people").unwrap();
-        warehouse.drop_document("people").unwrap();
-        assert!(
-            stale.state.read().dropped,
-            "drop must tombstone the old entry"
-        );
-        warehouse.create_document("people", directory()).unwrap();
-
-        // Fresh-name traffic works and starts from the clean re-created state.
-        let phones = Pattern::parse("person { phone }").unwrap();
-        assert!(warehouse.query("people", &phones).unwrap().is_empty());
-        commit_one(&warehouse, "people", &add_phone("bob", 0.6)).unwrap();
-        assert_eq!(warehouse.query("people", &phones).unwrap().len(), 1);
-        // The new document's journal holds exactly its own single batch.
-        let store = pxml_store::FsBackend::open(&dir).unwrap();
-        assert_eq!(store.read_batches("people").unwrap().len(), 1);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    /// A drop issued while another thread holds the document's commit mutex
-    /// (a commit in flight) waits for that work; once it completes, every
-    /// path — including callers still holding the old slot — reports
-    /// `UnknownDocument`.
-    #[test]
-    fn drop_waits_for_in_flight_work_then_invalidates_the_slot() {
-        let dir = scratch("drop-waits");
-        let warehouse = std::sync::Arc::new(Warehouse::with_config(&dir, plain_config()).unwrap());
-        warehouse.create_document("people", directory()).unwrap();
-        let (dropped_tx, dropped_rx) = mpsc::channel();
-        let dropper = warehouse
-            .with_document_commit_locked("people", || {
-                let shared = warehouse.clone();
-                let dropper = std::thread::spawn(move || {
-                    shared.drop_document("people").unwrap();
-                    dropped_tx.send(()).unwrap();
-                });
-                assert!(
-                    dropped_rx.recv_timeout(Duration::from_millis(100)).is_err(),
-                    "drop must wait for the in-flight document lock"
-                );
-                dropper
-            })
-            .unwrap();
-        dropper.join().unwrap();
-        dropped_rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert!(matches!(
-            warehouse.query("people", &Pattern::parse("person").unwrap()),
-            Err(WarehouseError::UnknownDocument(_))
-        ));
-        assert!(!warehouse.contains("people"));
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    /// Dropping a document never holds its state lock across storage I/O.
-    /// The removal runs the group-commit barrier, which here flushes another
-    /// document's pending window behind a 300 ms simulated fsync; readers of
-    /// the dropped document keep pinning in O(1) all the while, until the
-    /// tombstone turns their pins into `UnknownDocument`.
-    #[test]
-    fn drop_document_never_stalls_readers_behind_storage_io() {
-        let dir = scratch("drop-no-stall");
-        let backend = FsBackend::with_options(
-            &dir,
-            FsOptions {
-                commit: pxml_store::CommitPolicy::Grouped {
-                    window_max_batches: 64,
-                    window_max_wait: Duration::from_millis(50),
-                },
-                simulated_sync_latency: Duration::from_millis(300),
-                ..FsOptions::default()
-            },
-        )
-        .unwrap();
-        let warehouse = Warehouse::with_backend(Arc::new(backend), plain_config()).unwrap();
-        warehouse.create_document("a", directory()).unwrap();
-        warehouse.create_document("b", directory()).unwrap();
-        // Left pending: the drop's barrier is what flushes this window.
-        let pending = warehouse
-            .commit_batch_async("b", &[add_phone("alice", 0.8)], None)
-            .unwrap();
-        let started = Barrier::new(2);
-        let longest_pin = std::thread::scope(|scope| {
-            let reader = scope.spawn(|| {
-                started.wait();
-                let mut longest = Duration::ZERO;
-                loop {
-                    let pinned_at = std::time::Instant::now();
-                    let pinned = warehouse.snapshot("a");
-                    longest = longest.max(pinned_at.elapsed());
-                    if pinned.is_err() {
-                        return longest;
-                    }
-                }
-            });
-            started.wait();
-            warehouse.drop_document("a").unwrap();
-            reader.join().unwrap()
-        });
-        pending.wait().unwrap();
-        assert!(
-            longest_pin < Duration::from_millis(100),
-            "a reader of the dropped document waited {longest_pin:?} to pin"
-        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 
