@@ -319,4 +319,46 @@ mod tests {
         let phones = Pattern::parse("person { phone }").unwrap();
         assert_eq!(recovered.query("people", &phones).unwrap().len(), 1);
     }
+
+    /// Every per-document entry point refuses a name that was never
+    /// created — including an empty batch, which would otherwise commit
+    /// nothing and succeed — and leaves the known document untouched.
+    #[test]
+    fn unknown_documents_are_rejected() {
+        let dir = scratch("unknown");
+        let warehouse = Warehouse::with_config(&dir, SessionConfig::default()).unwrap();
+        assert!(matches!(
+            warehouse.snapshot("ghost"),
+            Err(WarehouseError::UnknownDocument(_))
+        ));
+        warehouse.create_document("people", directory()).unwrap();
+        let pinned = warehouse.snapshot("people").unwrap();
+        assert!(!warehouse.contains("ghost"));
+        assert!(matches!(
+            warehouse.commit_batch("ghost", &[], None),
+            Err(WarehouseError::UnknownDocument(_))
+        ));
+        assert!(matches!(
+            warehouse.commit_batch_async(
+                "ghost",
+                &[add_fact("alice", "phone", "+33-1", 0.8)],
+                None
+            ),
+            Err(WarehouseError::UnknownDocument(_))
+        ));
+        assert!(matches!(
+            warehouse.journal_size_bytes("ghost"),
+            Err(WarehouseError::UnknownDocument(_))
+        ));
+        assert!(matches!(
+            warehouse.checkpoint("ghost"),
+            Err(WarehouseError::UnknownDocument(_))
+        ));
+        assert_eq!(warehouse.document_names(), vec!["people"]);
+        assert_eq!(warehouse.stats().updates_applied, 0);
+        let persons = Pattern::parse("person").unwrap();
+        assert_eq!(warehouse.query("people", &persons).unwrap().len(), 2);
+        assert_eq!(pinned.fuzzy().tree().find_elements("person").len(), 2);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
 }
