@@ -24,6 +24,10 @@ pub enum CoreError {
     /// An insertion would put a node at this depth, below
     /// [`pxml_tree::MAX_TREE_DEPTH`].
     InsertionTooDeep(usize),
+    /// A document or an inserted subtree holds an element named
+    /// [`pxml_tree::RESERVED_ELEMENT`], the wrapper a stored document puts
+    /// around conditional text: stored, it would read back as text.
+    ReservedElement,
     /// Possible-worlds sets can only be encoded into a fuzzy tree when all
     /// worlds share the same root label.
     HeterogeneousRoots,
@@ -55,6 +59,11 @@ impl fmt::Display for CoreError {
                 f,
                 "insertion would put a node at depth {depth}, the deepest allowed is {}",
                 pxml_tree::MAX_TREE_DEPTH
+            ),
+            CoreError::ReservedElement => write!(
+                f,
+                "the element name `{}` is reserved for PrXML's conditional text",
+                pxml_tree::RESERVED_ELEMENT
             ),
             CoreError::HeterogeneousRoots => write!(
                 f,

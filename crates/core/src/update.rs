@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use pxml_event::{Condition, EventId, Literal};
 use pxml_query::{Matching, PNodeId, Pattern};
-use pxml_tree::{NodeId, Tree, MAX_TREE_DEPTH};
+use pxml_tree::{NodeId, Tree, MAX_TREE_DEPTH, RESERVED_ELEMENT};
 
 use crate::error::CoreError;
 use crate::fuzzy::FuzzyTree;
@@ -243,6 +243,15 @@ impl UpdateTransaction {
         footprint: &mut Footprint,
     ) -> Result<UpdateStats, CoreError> {
         let mut stats = UpdateStats::default();
+        // Refused whether or not it matches: the journal stores the update,
+        // and a stored `pxml:text` element reads back as text.
+        for operation in &self.operations {
+            if let UpdateOperation::Insert { subtree, .. } = operation {
+                if subtree.has_element_named(RESERVED_ELEMENT) {
+                    return Err(CoreError::ReservedElement);
+                }
+            }
+        }
         let matches = self.pattern.find_matches(fuzzy.tree());
         stats.match_count = matches.len();
         if matches.is_empty() {

@@ -10,12 +10,17 @@
 //! least-recently-used tenant that no request currently holds — the
 //! registry's `Arc` is the sole reference (`Arc::strong_count == 1`),
 //! checked while the registry lock is held, so no new holder can appear
-//! mid-decision — drains its group-commit pipeline
-//! ([`Warehouse::group_barrier`]) and drops it; a later request re-opens
-//! it from storage via normal crash recovery. If every tenant is held the
-//! registry temporarily overshoots rather than evicting a warehouse a
-//! request still references, which would let a re-opened backend race the
-//! old one on the same journal files.
+//! mid-decision — and whose warehouse has no fold in flight
+//! ([`Warehouse::fold_in_flight`]; only a request's commit begins one, so
+//! an unheld tenant cannot start one either). It drains the victim's
+//! group-commit pipeline ([`Warehouse::group_barrier`]) and drops it; a
+//! later request re-opens it from storage via normal crash recovery. If
+//! every other tenant is held or folding, the registry temporarily
+//! overshoots rather than evicting a warehouse that can still write, which
+//! would let a re-opened backend race the old one on the same files: the
+//! new backend's open-time sweep would delete the fold's staged
+//! checkpoint, and its first touch would scan journals the old folder is
+//! about to delete.
 //!
 //! # Admission control
 //!
@@ -52,6 +57,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, LockClass, Mutex};
+use pxml_core::CoreError;
 use pxml_query::Pattern;
 use pxml_store::{parse_batch, serialize_fuzzy_document, FsBackend, FsOptions};
 use pxml_tree::{data_tree_to_xml, parse_data_tree, XmlElement};
@@ -476,6 +482,11 @@ fn engine_error(err: WarehouseError) -> RawResponse {
         // disk that later clears) are the transient class the retry
         // guidance in README "Failure model & recovery" is about.
         err @ WarehouseError::Store(_) => error_response("engine", true, &err.to_string()),
+        // A payload the wire import let through but no stored document can
+        // hold: the client's to fix, not the engine's.
+        err @ WarehouseError::Core(CoreError::ReservedElement) => {
+            error_response("bad-payload", false, &err.to_string())
+        }
         other => error_response("engine", false, &other.to_string()),
     }
 }
@@ -606,13 +617,19 @@ impl ServerInner {
                     // is about to use. With the registry lock held,
                     // `strong_count == 1` means the map entry is the sole
                     // reference and no new holder can appear until the
-                    // lock is released. If every other tenant is held,
-                    // overshoot instead: dropping a warehouse a request
-                    // still references would let a re-opened backend race
-                    // it on the same journal files.
+                    // lock is released. A tenant whose warehouse is writing
+                    // a checkpoint is skipped the same way, and no unheld
+                    // tenant can begin a fold. If every other tenant is held
+                    // or folding, overshoot instead: dropping a warehouse
+                    // that can still write would let a re-opened backend
+                    // race it on the same files.
                     let victim = tenants
                         .values()
-                        .filter(|t| t.name != name && Arc::strong_count(t) == 1)
+                        .filter(|t| {
+                            t.name != name
+                                && Arc::strong_count(t) == 1
+                                && !t.warehouse.fold_in_flight()
+                        })
                         .min_by_key(|t| t.last_used.load(Ordering::Acquire))
                         .map(|t| t.name.clone());
                     if let Some(victim) = victim {

@@ -2,7 +2,8 @@
 //! live server must quarantine exactly one document, keep readers and every
 //! other tenant serving, surface typed retryable errors on the wire, and
 //! heal through the backoff-gated auto-reopen — all observable through
-//! `stats` and recoverable with one `RetryPolicy`-wrapped call.
+//! `stats` and recoverable with one `RetryPolicy`-wrapped call. A slowed
+//! checkpoint write keeps its tenant resident until its fold has landed.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -12,7 +13,7 @@ use std::time::Duration;
 use pxml_core::UpdateTransaction;
 use pxml_query::Pattern;
 use pxml_server::{Client, ClientError, RetryPolicy, Server, ServerConfig, MAX_PENDING_ASYNC};
-use pxml_store::{CommitPolicy, FaultOp, FaultPlan};
+use pxml_store::{CommitPolicy, FaultKind, FaultOp, FaultPlan};
 use pxml_tree::parse_data_tree;
 use pxml_warehouse::CompactionPolicy;
 
@@ -186,6 +187,56 @@ fn a_failed_post_commit_fold_is_not_a_failed_commit_over_the_wire() {
     );
     assert_eq!(client.stats().unwrap().quarantined_docs, 0);
 
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A tenant whose warehouse is writing a checkpoint is never evicted: a
+/// backend re-opened over its directory would sweep the fold's staged
+/// checkpoint and scan journals the old folder is about to delete. With one
+/// resident tenant allowed and alpha's fold slowed to 500 ms, opening beta
+/// overshoots the registry; once the fold has landed, the next new tenant
+/// evicts alpha, and alpha re-opens with both commits.
+#[test]
+fn a_folding_tenant_is_not_evicted() {
+    let dir = scratch("evict-folding");
+    let mut config = ServerConfig::new(&dir);
+    config.max_tenants = 1;
+    config.session.compaction = CompactionPolicy::EveryNBatches(2);
+    // Checkpoint #1 is alpha's create, #2 the fold its second commit begins.
+    config.fs.fault = Some(Arc::new(FaultPlan::new().fail_nth_with(
+        FaultOp::Checkpoint,
+        2,
+        FaultKind::Latency(Duration::from_millis(500)),
+    )));
+    let server = Server::start(config).unwrap();
+    let mut alpha = Client::connect(server.local_addr(), "alpha").unwrap();
+    alpha.open("doc", Some(PEOPLE_XML)).unwrap();
+    alpha.commit("doc", &phone_batch(0.8)).unwrap();
+    alpha.commit("doc", &phone_batch(0.7)).unwrap();
+
+    let mut beta = Client::connect(server.local_addr(), "beta").unwrap();
+    beta.open("doc", Some(PEOPLE_XML)).unwrap();
+    assert_eq!(server.resident_tenants(), vec!["alpha", "beta"]);
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while alpha.stats().unwrap().checkpoints == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the fold never landed"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut gamma = Client::connect(server.local_addr(), "gamma").unwrap();
+    gamma.open("doc", Some(PEOPLE_XML)).unwrap();
+    assert_eq!(server.resident_tenants(), vec!["beta", "gamma"]);
+
+    // 1-(1-0.8)(1-0.7) = 0.94: both commits survive the eviction.
+    let answers = alpha.query("doc", "person { phone }").unwrap();
+    assert!(
+        (answers.selection - 0.94).abs() < 1e-9,
+        "answers: {answers:?}"
+    );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -16,7 +16,9 @@ use crate::group::{CommitTicket, DurabilityStats};
 
 /// A store of named probabilistic XML documents, each a **checkpoint** (the
 /// last materialized fuzzy tree) plus a **journal** of committed update
-/// batches applied since that checkpoint.
+/// batches applied since that checkpoint. The journal is a sequence of
+/// **epochs**: a fold begins by rotating appends to a new epoch, and its
+/// checkpoint, once written, holds every batch of the epochs before it.
 ///
 /// # Locking and atomicity contract
 ///
@@ -24,9 +26,11 @@ use crate::group::{CommitTicket, DurabilityStats};
 ///
 /// * **Mutations serialize per document.** Two concurrent calls to
 ///   [`append_batch_enqueue`](StorageBackend::append_batch_enqueue),
-///   [`save_document`](StorageBackend::save_document) or
-///   [`checkpoint`](StorageBackend::checkpoint) for the *same* document
-///   must behave as if executed one after the other; mutations of
+///   [`save_document`](StorageBackend::save_document),
+///   [`begin_checkpoint`](StorageBackend::begin_checkpoint) or the locked
+///   step of [`finish_checkpoint`](StorageBackend::finish_checkpoint) for
+///   the *same* document must behave as if executed one after the other;
+///   mutations of
 ///   *distinct* documents should be able to proceed in parallel (the
 ///   warehouse engine relies on this for multi-document throughput).
 ///   Backends are handed out as `Arc<dyn StorageBackend>` shared across
@@ -37,16 +41,25 @@ use crate::group::{CommitTicket, DurabilityStats};
 ///   batch or none of it — never a partial or reordered batch. Durable
 ///   backends must have flushed the batch to stable storage before the
 ///   ticket resolves.
-/// * **`checkpoint` folds atomically.** The new checkpoint replaces the old
-///   one and empties the journal as one logical step: a crash at any point
-///   leaves recovery with either (old checkpoint + full journal) or (new
-///   checkpoint + empty journal) — journal batches are never replayed on top
-///   of a checkpoint that already contains them, and never lost.
+/// * **A fold commits atomically, and appends go on beside it.**
+///   `begin_checkpoint` rotates the journal: every batch appended after it
+///   lands in the new epoch. `finish_checkpoint` writes a tree holding
+///   exactly the batches appended before the rotation as the checkpoint of
+///   that epoch, and must not block appends while it writes. Its commit
+///   point is one logical step: a crash at any point leaves recovery with
+///   either (old checkpoint + every un-folded epoch) or (new checkpoint +
+///   the epochs from the new one on) — journal batches are never replayed on
+///   top of a checkpoint that already contains them, and never lost. The
+///   caller keeps at most one fold of a document in flight, saves nothing
+///   over it beside a fold, and does not pair a checkpoint read with the
+///   journal (a replay) while one is in flight.
 /// * **Reads are torn-free.** [`load_document`](StorageBackend::load_document),
 ///   [`read_batches`](StorageBackend::read_batches) and the two journal
 ///   meters — [`journal_batches`](StorageBackend::journal_batches) (for
 ///   compaction) and [`journal_size_bytes`](StorageBackend::journal_size_bytes)
-///   — observe some committed state, never a half-written one.
+///   — observe some committed state, never a half-written one. The journal
+///   reads and meters cover every un-folded epoch: exactly what a cold open
+///   would replay.
 ///
 /// The contract deliberately does **not** require cross-document atomicity or
 /// a global snapshot: the engine's per-document locks provide all ordering
@@ -78,19 +91,47 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// accumulated length — O(batch).
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket;
 
-    /// The committed batches of a document's journal, in commit order.
+    /// The committed batches of a document's journal — every un-folded
+    /// epoch's, oldest first — in commit order.
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError>;
 
-    /// Number of journaled batches awaiting a checkpoint (O(1); drives
+    /// Number of journaled batches awaiting a checkpoint, over every
+    /// un-folded epoch (O(1) in the journal's length; drives
     /// `CompactionPolicy::EveryNBatches`).
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError>;
 
-    /// Total serialized size of the journal in bytes (O(1)).
+    /// Total serialized size of the un-folded journal in bytes (O(1) in the
+    /// journal's length).
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError>;
 
-    /// Checkpoints a document: writes `fuzzy` as the new checkpoint and
-    /// empties the journal, atomically in the sense of the trait contract.
-    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError>;
+    /// The first half of a fold: settles anything the backend has in flight
+    /// for the document, then rotates its journal so later appends go to a
+    /// new epoch, and returns that epoch. O(1), and it writes no file.
+    fn begin_checkpoint(&self, name: &str) -> Result<u64, StoreError>;
+
+    /// The second half of the fold `begin_checkpoint` returned `epoch` for:
+    /// writes `fuzzy` — a tree holding exactly the batches appended before
+    /// that rotation — as the checkpoint of `epoch`, then drops the journal
+    /// of every older epoch, atomically in the sense of the trait contract.
+    /// Appends to the new epoch may run beside it. On failure the old
+    /// checkpoint and every un-folded epoch stay; a later fold folds them
+    /// all.
+    fn finish_checkpoint(
+        &self,
+        name: &str,
+        fuzzy: &FuzzyTree,
+        epoch: u64,
+    ) -> Result<(), StoreError>;
+
+    /// Checkpoints a document synchronously: `fuzzy` — the document with
+    /// every journaled batch applied — becomes the checkpoint and the
+    /// journal is emptied, [`begin_checkpoint`](StorageBackend::begin_checkpoint)
+    /// and [`finish_checkpoint`](StorageBackend::finish_checkpoint) back to
+    /// back.
+    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+        let epoch = self.begin_checkpoint(name)?;
+        self.finish_checkpoint(name, fuzzy, epoch)
+    }
 
     /// Durably appends one committed transaction batch and returns once it
     /// is durable: [`append_batch_enqueue`](StorageBackend::append_batch_enqueue)

@@ -25,12 +25,14 @@
 //! header.
 //!
 //! Checkpoints written by the segment-journal store additionally carry a
-//! `pxml:epoch` attribute on the root: the journal generation this checkpoint
-//! folded. It rides the checkpoint file itself so the checkpoint rename stays
-//! the *single* atomic commit point of a compaction — recovery replays only
-//! segments of the checkpoint's own epoch, which makes a crash between the
-//! rename and the deletion of the folded segments harmless (see
-//! [`crate::fs`]). Documents without the attribute are epoch 0.
+//! `pxml:epoch` attribute on the root: the first journal epoch this
+//! checkpoint does *not* hold — the one its fold rotated appends to. It
+//! rides the checkpoint file itself so the checkpoint rename stays the
+//! *single* atomic commit point of a fold — recovery replays the segments of
+//! the checkpoint's own epoch and of every newer one, in epoch order, and
+//! ignores older ones, which makes a crash between the rename and the
+//! deletion of the folded segments harmless (see [`crate::fs`]). Documents
+//! without the attribute are epoch 0.
 
 use std::path::Path;
 
@@ -45,8 +47,8 @@ pub const CONDITION_ATTRIBUTE: &str = "pxml:cond";
 /// Wrapper element for conditional text nodes: the name the data-tree
 /// import reserves, so no data element can be read back as one.
 pub const TEXT_ELEMENT: &str = pxml_tree::RESERVED_ELEMENT;
-/// Attribute on `<pxml:document>` carrying the journal epoch the checkpoint
-/// folded (absent = epoch 0).
+/// Attribute on `<pxml:document>` carrying the oldest journal epoch the
+/// checkpoint does not hold (absent = epoch 0).
 pub const EPOCH_ATTRIBUTE: &str = "pxml:epoch";
 
 /// Serializes a fuzzy tree to the PrXML textual format (epoch 0).

@@ -6,12 +6,14 @@
 //! ```text
 //! dir/
 //!   <name>.pxml                   -- last checkpoint (PrXML; carries pxml:epoch)
-//!   <name>.journal.<e>.0.seg      -- the journal of checkpoint epoch <e>
+//!   <name>.journal.<e>.0.seg      -- the journal of epoch <e>
 //! ```
 //!
-//! A document keeps exactly one journal file per checkpoint epoch; a fold
-//! starts the next epoch's file. The `.0` in the name is a sequence number
-//! that is always zero (see `segment.rs`).
+//! A document keeps one journal file per epoch. A fold first rotates
+//! appends to the next epoch's file, then writes that epoch's checkpoint,
+//! so while the checkpoint is in flight — or after it failed — the files of
+//! two or more un-folded epochs sit on disk. The `.0` in the name is a
+//! sequence number that is always zero (see `segment.rs`).
 //!
 //! # Who owns what
 //!
@@ -23,10 +25,11 @@
 //!   counts as torn);
 //! * `segment.rs` — the **per-document segment state**: file naming, the
 //!   journal cursor behind each document's write mutex, the one-time load
-//!   that rebuilds it from disk (dropping stale-epoch segments, truncating a
-//!   torn tail), writing one record, and undoing records no fsync covered;
-//! * this module — the **backend**: options, the open-time sweep,
-//!   checkpoints, the fsync round, the two append arms and the
+//!   that rebuilds it from disk (dropping folded segments, truncating a
+//!   torn tail), writing one record, undoing records no fsync covered, and
+//!   the bookkeeping of a fold's rotation and of its renamed checkpoint;
+//! * this module — the **backend**: options, the open-time sweep, the two
+//!   halves of a fold, the fsync round, the two append arms and the
 //!   [`StorageBackend`] implementation.
 //!
 //! A batch is encoded **once**, by the committing thread, in
@@ -48,19 +51,34 @@
 //! and shares one round, with the committer's one-window-at-a-time rule
 //! standing in for the lock.
 //!
+//! # Folds
+//!
+//! A fold has two halves. [`StorageBackend::begin_checkpoint`] settles any
+//! open group-commit window and **rotates** the document's journal: later
+//! appends go to epoch `e + 1`'s file. It is O(1) and touches no file.
+//! [`StorageBackend::finish_checkpoint`] then writes the checkpoint of
+//! epoch `e + 1` — from a tree holding exactly the batches of the epochs
+//! before it — through tmp + `sync_all` + rename + directory fsync,
+//! **without** the document's write lock, so appends to epoch `e + 1` go on
+//! while it runs; only then does it take the lock to forget the folded
+//! epochs and delete their files. [`StorageBackend::checkpoint`] is the
+//! two halves back to back.
+//!
 //! # Crash recovery
 //!
-//! Recovery replays the checkpoint plus the records of the journal file of
-//! the checkpoint's **epoch**, in file order:
+//! Recovery replays the checkpoint plus the records of the journal files of
+//! the checkpoint's **epoch and of every newer epoch**, in epoch order and
+//! file order within each:
 //!
 //! * a **torn tail record** (the process died mid-append: a short header or
 //!   fewer payload bytes than the length prefix promises) is discarded and
 //!   truncated away — the batch never reached its commit point;
-//! * a **compaction** ([`FsBackend::checkpoint`]) writes the new checkpoint
-//!   (tmp + rename, stamped with `epoch + 1`) and only then deletes the
-//!   folded segments. The rename is the single commit point: a crash in
-//!   between leaves old-epoch segments on disk, which recovery ignores (their
-//!   batches are already inside the checkpoint) and the next open sweeps.
+//! * a fold killed **before its rename** leaves the old checkpoint of epoch
+//!   `e` and the files of `e`, `e + 1`, …: each replays once, in order;
+//! * a fold killed **between its rename and the deletions** leaves files of
+//!   epochs older than the new checkpoint's. The rename is the single commit
+//!   point: recovery ignores them (their batches are already inside the
+//!   checkpoint) and the next touch sweeps them.
 //!
 //! [`FsBackend::open`] also sweeps stale debris: `.tmp` staging files of
 //! checkpoints/compactions that never reached their rename, and orphaned
@@ -69,7 +87,7 @@
 //! same-name create must never replay. One segment file per epoch is the
 //! **only** journal layout it reads: a root holding a pre-segment
 //! monolithic `<name>.journal` beside a live `<name>.pxml` is refused at
-//! open, and a current-epoch segment with a nonzero sequence (a journal an
+//! open, and an un-folded segment with a nonzero sequence (a journal an
 //! earlier build rolled into several files) at the document's first touch —
 //! each with a typed [`StoreError::Format`] naming the file, which stays in
 //! place, rather than opened with that journal silently ignored.
@@ -79,9 +97,14 @@
 //! Every operation on a document takes a **per-document** mutex (shared by
 //! all clones of the backend) that also guards the document's journal cursor,
 //! so same-document operations serialize while unrelated documents proceed in
-//! parallel — there is no store-wide lock held across I/O. Checkpoint reads
-//! are rename-safe: a concurrent compaction swaps the file atomically, so a
-//! reader sees either the previous or the new checkpoint, never a torn file.
+//! parallel — there is no store-wide lock held across I/O except an append's
+//! own write and fsync. A fold's checkpoint write holds no lock at all: the
+//! caller guarantees one fold in flight per document, and no save of that
+//! document beside it. Checkpoint reads are rename-safe: a concurrent fold
+//! swaps the file atomically, so a reader sees either the previous or the
+//! new checkpoint, never a torn file. A reader that pairs the checkpoint
+//! with the journal (a replay) must not run beside a fold of the same
+//! document: the warehouse waits its folds out before replaying.
 
 use std::collections::HashMap;
 use std::fs;
@@ -277,9 +300,11 @@ impl FsBackend {
         self.shared.fault.as_ref()?.decide(op)
     }
 
-    /// The atomic checkpoint write itself, assuming the caller holds the
-    /// document's mutex. Every checkpoint — a save, a fold, an explicit one —
-    /// is staged here, so this is where the fault plan's checkpoint door is:
+    /// The atomic checkpoint write itself; the caller guarantees no other
+    /// write of the same document's checkpoint runs beside it (a save holds
+    /// the document's mutex, a fold is the document's one fold in flight).
+    /// Every checkpoint — a save, a fold, an explicit one — is staged here,
+    /// so this is where the fault plan's checkpoint door is:
     /// an injected fault (a torn write degrades to a plain error) fires
     /// before anything is staged, leaving the old checkpoint and the whole
     /// journal.
@@ -299,9 +324,9 @@ impl FsBackend {
         file.sync_all()?;
         drop(file);
         fs::rename(&temporary, &target)?;
-        // Make the rename itself power-loss durable. For a compaction this is
-        // also an ordering barrier: the folded segments are deleted only
-        // after this, so the deletions can never reach disk ahead of the new
+        // Make the rename itself power-loss durable. For a fold this is also
+        // an ordering barrier: the folded segments are deleted only after
+        // this, so the deletions can never reach disk ahead of the new
         // checkpoint.
         self.segments().sync_dir()
     }
@@ -508,16 +533,18 @@ impl FsBackend {
         }
     }
 
-    /// Number of journaled batches awaiting a checkpoint (O(1)).
+    /// Number of journaled batches a cold open would replay: those of every
+    /// un-folded epoch (O(1) in the journal's length).
     pub fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
         self.segments()
-            .with_loaded(name, |meta| Ok(meta.cursor.batches))
+            .with_loaded(name, |meta| Ok(meta.unfolded().batches))
     }
 
-    /// Total record bytes in the journal file (O(1)).
+    /// Total record bytes a cold open would replay, over every un-folded
+    /// epoch's journal file (O(1) in the journal's length).
     pub fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
         self.segments()
-            .with_loaded(name, |meta| Ok(meta.cursor.bytes))
+            .with_loaded(name, |meta| Ok(meta.unfolded().bytes))
     }
 }
 
@@ -541,8 +568,9 @@ impl StorageBackend for FsBackend {
     }
 
     fn save_document(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        self.segments()
-            .with_loaded(name, |meta| self.write_checkpoint(name, fuzzy, meta.epoch))
+        self.segments().with_loaded(name, |meta| {
+            self.write_checkpoint(name, fuzzy, meta.checkpoint_epoch())
+        })
     }
 
     fn load_document(&self, name: &str) -> Result<FuzzyTree, StoreError> {
@@ -557,10 +585,15 @@ impl StorageBackend for FsBackend {
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
         let segments = self.segments();
         segments.with_loaded(name, |meta| {
-            if meta.cursor.bytes == 0 {
-                return Ok(Vec::new());
+            let mut batches = Vec::new();
+            for (epoch, cursor) in meta.epochs() {
+                if cursor.bytes > 0 {
+                    batches.extend(decode_records(&fs::read(
+                        segments.journal_path(name, epoch),
+                    )?)?);
+                }
             }
-            decode_records(&fs::read(segments.journal_path(name, meta.epoch))?)
+            Ok(batches)
         })
     }
 
@@ -629,30 +662,39 @@ impl StorageBackend for FsBackend {
         Ok(())
     }
 
-    /// Checkpoints a document: writes `fuzzy` as the new checkpoint (stamped
-    /// with the next journal epoch) and deletes the folded journal file. The
-    /// checkpoint rename is the single commit point — a crash before it keeps
-    /// the old checkpoint + journal, a crash after it leaves a stale-epoch
-    /// segment that recovery ignores and the next open/scan sweeps.
-    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
-        // Settle any in-flight group-commit window first (before the meta
-        // lock — the flush needs it): a pre-fold batch flushing *after* the
-        // fold would land in the new epoch and be double-applied by replay.
+    /// Rotates the document's journal to the next epoch and returns it.
+    /// Settles any in-flight group-commit window first (before the meta
+    /// lock — the flush needs it): a pre-rotation batch flushing *after* the
+    /// rotation would land in the new epoch, and replay would apply it on
+    /// top of the checkpoint that already holds it.
+    fn begin_checkpoint(&self, name: &str) -> Result<u64, StoreError> {
         self.group_barrier();
+        self.segments().with_loaded(name, |meta| Ok(meta.rotate()))
+    }
+
+    /// Writes `fuzzy` as the checkpoint of `epoch` with no lock held, then,
+    /// under the document's lock, forgets the epochs before `epoch` and
+    /// deletes their files. The rename is the single commit point — a crash
+    /// before it keeps the old checkpoint and every un-folded epoch's file,
+    /// a crash after it leaves folded segments that recovery ignores and the
+    /// next touch sweeps. A failure leaves the same state as the crash
+    /// before the rename; the rotation is not undone, so the document keeps
+    /// one more un-folded epoch until a later fold lands.
+    fn finish_checkpoint(
+        &self,
+        name: &str,
+        fuzzy: &FuzzyTree,
+        epoch: u64,
+    ) -> Result<(), StoreError> {
+        self.write_checkpoint(name, fuzzy, epoch)?;
         let segments = self.segments();
         segments.with_loaded(name, |meta| {
-            // The folded file, named from the epoch and cursor *before* the
-            // fold — no directory scan on this per-compaction path (the load
-            // already swept any stale-epoch stragglers at first touch).
-            let folded = (meta.cursor.bytes > 0).then(|| segments.journal_path(name, meta.epoch));
-            let next_epoch = meta.epoch + 1;
-            self.write_checkpoint(name, fuzzy, next_epoch)?;
-            // From here on the checkpoint owns the journal's content; the old
-            // file is garbage whether or not this deletion completes.
-            meta.epoch = next_epoch;
-            meta.cursor = Cursor::default();
-            if let Some(folded) = folded {
-                fs::remove_file(folded)?;
+            // From here on the checkpoint owns the folded epochs' content;
+            // their files are garbage whether or not the deletions complete.
+            for (folded, cursor) in meta.fold_through(epoch) {
+                if cursor.bytes > 0 {
+                    fs::remove_file(segments.journal_path(name, folded))?;
+                }
             }
             Ok(())
         })

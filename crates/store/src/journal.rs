@@ -18,7 +18,7 @@
 //! # Record framing
 //!
 //! The journal has exactly one layout: one segment file per document and
-//! checkpoint epoch, holding a sequence of **records**, one per committed
+//! epoch, holding a sequence of **records**, one per committed
 //! batch —
 //!
 //! ```text

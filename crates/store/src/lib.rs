@@ -13,19 +13,21 @@
 //! * [`mod@format`] — the **PrXML** textual format: a fuzzy tree is written as an
 //!   ordinary XML document whose uncertain nodes carry a `pxml:cond`
 //!   attribute, whose event table is stored in a `pxml:events` header, and
-//!   whose root carries the journal epoch its checkpoint folded;
+//!   whose root carries the first journal epoch its checkpoint does not hold;
 //! * [`journal`] — the textual form of probabilistic update transactions,
 //!   and the **record codec** of the segment journal: the only module that
 //!   knows a journal record's bytes (header + `<pxml:batch>` payload, the
 //!   walk over a segment's whole records, what counts as a torn tail);
 //! * [`fs`] — [`FsBackend`]: the durable file-system backend with an
-//!   **append-only segment journal**, one file per document and checkpoint
-//!   epoch (O(batch) commits, torn-tail crash recovery). It encodes a batch
+//!   **append-only segment journal**, one file per document and epoch
+//!   (O(batch) commits, torn-tail crash recovery, folds whose checkpoint is
+//!   written while appends go on in the next epoch). It encodes a batch
 //!   once, at its append entry point, and owns options, the open-time sweep,
-//!   checkpoints, the fsync round and the two append arms; the per-document
-//!   segment state under it (file naming, the journal cursor behind each
-//!   document's write mutex, load + torn-tail truncation, the record write
-//!   and its rollback) is the private `segment` module;
+//!   the two halves of a fold, the fsync round and the two append arms; the
+//!   per-document segment state under it (file naming, the journal cursors
+//!   behind each document's write mutex, load + torn-tail truncation, the
+//!   record write and its rollback, the rotation) is the private `segment`
+//!   module;
 //! * [`group`] — the cross-document **group-commit** layer: [`CommitPolicy`],
 //!   the leader/follower window protocol coalescing many documents'
 //!   (already encoded) appends into one fsync round, and the

@@ -6,8 +6,11 @@
 //! scratch directories.
 //!
 //! It stores what [`FsBackend`](crate::FsBackend) writes, and nothing else:
-//! a document is its checkpoint's PrXML text, its journal's framed records
-//! (`journal::encode_record`) and a record count. Both are read back the
+//! a document is its checkpoint's PrXML text and, per un-folded epoch, its
+//! journal's framed records (`journal::encode_record`) and a record count.
+//! A fold splits the same way as over files: its first half starts a new
+//! epoch under the lock, its second serializes outside it and then swaps
+//! the checkpoint in and drops the older epochs. Both are read back the
 //! way the file-system backend reads its files — the checkpoint through
 //! [`parse_fuzzy_document`], the records through the journal module's one
 //! decoder — so the two backends report the same journal meters for the
@@ -27,15 +30,40 @@ use crate::format::{parse_fuzzy_document, serialize_fuzzy_document};
 use crate::group::CommitTicket;
 use crate::journal::{decode_records, encode_record};
 
-/// One document's stored bytes.
+/// One epoch's journal.
 #[derive(Debug, Default)]
-struct MemDoc {
-    /// The checkpoint's PrXML text.
-    checkpoint: String,
-    /// The journal's records, header and payload, back to back.
+struct MemEpoch {
+    epoch: u64,
+    /// The epoch's records, header and payload, back to back.
     journal: Vec<u8>,
     /// The number of records in `journal`.
     batches: usize,
+}
+
+/// One document's stored bytes.
+#[derive(Debug)]
+struct MemDoc {
+    /// The checkpoint's PrXML text.
+    checkpoint: String,
+    /// The un-folded epochs, oldest first (the checkpoint's own epoch, then
+    /// each a fold began since); appends go to the last.
+    epochs: Vec<MemEpoch>,
+}
+
+impl Default for MemDoc {
+    fn default() -> Self {
+        MemDoc {
+            checkpoint: String::new(),
+            epochs: vec![MemEpoch::default()],
+        }
+    }
+}
+
+impl MemDoc {
+    /// The epoch appends go to.
+    fn current(&mut self) -> &mut MemEpoch {
+        self.epochs.last_mut().expect("a document has an epoch")
+    }
 }
 
 /// The in-memory storage backend (see the module docs).
@@ -76,10 +104,14 @@ impl MemBackend {
         Ok(body(doc))
     }
 
-    /// Reads a document's bytes. An unknown name reads as an empty document,
-    /// as over files: the engine polls the meters without checking existence.
-    fn read<R>(&self, name: &str, body: impl FnOnce(&MemDoc) -> R) -> R {
-        body(self.docs.lock().get(name).unwrap_or(&MemDoc::default()))
+    /// Sums `field` over a document's un-folded epochs. An unknown name
+    /// reads as an empty document, as over files: the engine polls the
+    /// meters without checking existence.
+    fn sum(&self, name: &str, field: impl Fn(&MemEpoch) -> usize) -> usize {
+        self.docs
+            .lock()
+            .get(name)
+            .map_or(0, |doc| doc.epochs.iter().map(field).sum())
     }
 }
 
@@ -113,30 +145,54 @@ impl StorageBackend for MemBackend {
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
         let record = encode_record(batch);
         CommitTicket::resolved(self.with_doc(name, |doc| {
-            doc.journal.extend_from_slice(&record.bytes);
-            doc.batches += 1;
+            let current = doc.current();
+            current.journal.extend_from_slice(&record.bytes);
+            current.batches += 1;
         }))
     }
 
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError> {
-        decode_records(&self.read(name, |doc| doc.journal.clone()))
+        let journal = match self.docs.lock().get(name) {
+            Some(doc) => doc
+                .epochs
+                .iter()
+                .map(|epoch| &epoch.journal[..])
+                .collect::<Vec<_>>()
+                .concat(),
+            None => Vec::new(),
+        };
+        decode_records(&journal)
     }
 
     fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        Ok(self.read(name, |doc| doc.batches))
+        Ok(self.sum(name, |epoch| epoch.batches))
     }
 
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
-        Ok(self.read(name, |doc| doc.journal.len() as u64))
+        Ok(self.sum(name, |epoch| epoch.journal.len()) as u64)
     }
 
-    fn checkpoint(&self, name: &str, fuzzy: &FuzzyTree) -> Result<(), StoreError> {
+    fn begin_checkpoint(&self, name: &str) -> Result<u64, StoreError> {
+        self.with_doc(name, |doc| {
+            let epoch = doc.current().epoch + 1;
+            doc.epochs.push(MemEpoch {
+                epoch,
+                ..MemEpoch::default()
+            });
+            epoch
+        })
+    }
+
+    fn finish_checkpoint(
+        &self,
+        name: &str,
+        fuzzy: &FuzzyTree,
+        epoch: u64,
+    ) -> Result<(), StoreError> {
         let checkpoint = serialize_fuzzy_document(fuzzy, true);
         self.with_doc(name, |doc| {
-            *doc = MemDoc {
-                checkpoint,
-                ..MemDoc::default()
-            }
+            doc.checkpoint = checkpoint;
+            doc.epochs.retain(|kept| kept.epoch >= epoch);
         })
     }
 }

@@ -1,23 +1,30 @@
 //! Per-document journal state of [`FsBackend`](crate::FsBackend): where a
 //! document's files live, what its journal looks like right now, and the
-//! only two mutations of a journal's tail — writing one record and undoing
-//! the records no fsync covered.
+//! only mutations of a journal: writing one record, undoing the records no
+//! fsync covered, and the two halves of a fold — rotating appends to the
+//! next epoch, and forgetting the epochs a renamed checkpoint folded.
 //!
 //! ```text
 //! dir/
 //!   <name>.pxml                   -- last checkpoint (PrXML; carries pxml:epoch)
-//!   <name>.journal.<e>.0.seg      -- the journal of checkpoint epoch <e>
+//!   <name>.journal.<e>.0.seg      -- the journal of epoch <e>
 //! ```
 //!
-//! A document has exactly one journal file per checkpoint epoch. The `.0`
+//! A document has one journal file per epoch, and a cold open replays the
+//! files of the checkpoint's epoch and of every newer epoch, in epoch
+//! order. A fold rotates appends to the next epoch before its checkpoint
+//! is written, so while that checkpoint is in flight (or after it failed)
+//! two or more un-folded epochs sit on disk. Once the checkpoint of epoch
+//! `e` is renamed, the files of the epochs before `e` are garbage. The `.0`
 //! is a sequence number that is always zero: earlier builds rolled a long
 //! journal into `.1`, `.2`, … files, and keeping the name keeps every store
-//! they wrote without rolling readable as is. A current-epoch file with any
-//! other sequence is refused at first touch (see [`Segments::with_loaded`]).
+//! they wrote without rolling readable as is. An un-folded epoch's file
+//! with any other sequence is refused at first touch (see
+//! [`Segments::with_loaded`]).
 //!
 //! [`Segments`] owns the naming, the registry of per-document [`DocMeta`]s
-//! (the journal [`Cursor`] behind the document's write mutex), the one-time
-//! load that rebuilds a cursor from disk — dropping stale-epoch segments and
+//! (the journal [`Cursor`]s behind the document's write mutex), the one-time
+//! load that rebuilds them from disk — dropping folded segments and
 //! truncating a torn tail — and [`Segments::with_loaded`], the single way an
 //! operation gets at a document's loaded state. It handles **encoded**
 //! records only: what a record's bytes mean is [`crate::journal`]'s business,
@@ -37,7 +44,7 @@ use crate::journal::{scan_segment, EncodedRecord};
 
 /// A journal's append cursor and meters. One `Copy` value, so taking it
 /// before records are written, putting it back after a failed fsync and
-/// zeroing it at a fold are assignments.
+/// zeroing it at a rotation are assignments.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cursor {
     /// Committed batches awaiting a checkpoint.
@@ -54,9 +61,14 @@ pub(crate) struct Cursor {
 pub(crate) struct DocMeta {
     /// Whether the on-disk state has been scanned into the fields below.
     loaded: bool,
-    /// The journal epoch of the document's checkpoint.
+    /// The epoch appends go to: the newest one a cold open replays.
     pub(crate) epoch: u64,
+    /// The journal cursor of `epoch`.
     pub(crate) cursor: Cursor,
+    /// The older un-folded epochs, oldest first, with their cursors: the
+    /// checkpoint's own epoch, then each epoch a fold rotated past whose
+    /// checkpoint has not been renamed. Nothing appends to them any more.
+    sealed: Vec<(u64, Cursor)>,
 }
 
 impl DocMeta {
@@ -64,6 +76,55 @@ impl DocMeta {
     /// (truncating any torn tail) instead of trusting it.
     pub(crate) fn forget(&mut self) {
         *self = DocMeta::default();
+    }
+
+    /// The epoch the document's checkpoint carries: the oldest un-folded
+    /// one.
+    pub(crate) fn checkpoint_epoch(&self) -> u64 {
+        self.sealed.first().map_or(self.epoch, |&(epoch, _)| epoch)
+    }
+
+    /// Every un-folded epoch with its cursor, in replay order.
+    pub(crate) fn epochs(&self) -> impl Iterator<Item = (u64, Cursor)> + '_ {
+        let current = (self.epoch, self.cursor);
+        self.sealed.iter().copied().chain(std::iter::once(current))
+    }
+
+    /// What a cold open would replay: the batches and bytes of every
+    /// un-folded epoch.
+    pub(crate) fn unfolded(&self) -> Cursor {
+        self.epochs()
+            .fold(Cursor::default(), |sum, (_, cursor)| Cursor {
+                batches: sum.batches + cursor.batches,
+                bytes: sum.bytes + cursor.bytes,
+            })
+    }
+
+    /// Seals the current epoch and makes `epoch`, holding `cursor`, the one
+    /// appends go to.
+    fn advance(&mut self, epoch: u64, cursor: Cursor) {
+        self.sealed.push((self.epoch, self.cursor));
+        self.epoch = epoch;
+        self.cursor = cursor;
+    }
+
+    /// The first half of a fold: later appends go to a fresh epoch, whose
+    /// number is returned — the epoch the fold's checkpoint will carry.
+    pub(crate) fn rotate(&mut self) -> u64 {
+        self.advance(self.epoch + 1, Cursor::default());
+        self.epoch
+    }
+
+    /// The bookkeeping of a renamed checkpoint of `epoch`: forgets the
+    /// epochs before it, whose batches the checkpoint holds, and returns
+    /// them so their files can go.
+    pub(crate) fn fold_through(&mut self, epoch: u64) -> Vec<(u64, Cursor)> {
+        let kept = self
+            .sealed
+            .iter()
+            .position(|&(sealed, _)| sealed >= epoch)
+            .unwrap_or(self.sealed.len());
+        self.sealed.drain(..kept).collect()
     }
 }
 
@@ -145,10 +206,10 @@ impl Segments {
 
     /// Runs `body` on the document's journal state with its write lock held
     /// and the state loaded from disk — the prelude of every operation that
-    /// reads or moves a cursor. The first touch of a document whose current
-    /// epoch holds a rolled journal (a segment with a nonzero sequence)
-    /// fails with [`StoreError::Format`] naming the file, and keeps failing
-    /// until an operator deals with it.
+    /// reads or moves a cursor. The first touch of a document one of whose
+    /// un-folded epochs holds a rolled journal (a segment with a nonzero
+    /// sequence) fails with [`StoreError::Format`] naming the file, and keeps
+    /// failing until an operator deals with it.
     pub(crate) fn with_loaded<R>(
         &self,
         name: &str,
@@ -164,14 +225,14 @@ impl Segments {
         self.root.join(format!("{name}.pxml"))
     }
 
-    /// The journal file of one checkpoint epoch.
+    /// The journal file of one epoch.
     pub(crate) fn journal_path(&self, name: &str, epoch: u64) -> PathBuf {
         self.root.join(format!("{name}.journal.{epoch}.0.seg"))
     }
 
     /// All segment files of one document (any epoch), found by scanning the
     /// store directory — O(total store entries), so reserved for the first
-    /// load of a document, which must see its stale-epoch files.
+    /// load of a document, which must see its folded and un-folded files.
     pub(crate) fn segments_of(
         &self,
         name: &str,
@@ -191,31 +252,30 @@ impl Segments {
         Ok(segments)
     }
 
-    /// Rebuilds a document's cursor from disk if this is the first touch:
+    /// Rebuilds a document's cursors from disk if this is the first touch:
     /// reads the checkpoint's epoch, refuses an unreadable epoch or a rolled
-    /// current-epoch journal (before touching any file), drops segments of
-    /// older epochs (the debris of a compaction killed between its rename
-    /// commit point and the segment deletion — their batches are already
-    /// folded into the checkpoint), truncates a torn tail record, and sums
-    /// the headers.
+    /// un-folded journal (before touching any file), drops segments of
+    /// epochs older than the checkpoint's (the debris of a fold killed
+    /// between its rename commit point and the segment deletion — their
+    /// batches are already folded into the checkpoint), truncates torn tail
+    /// records, and sums the headers of the checkpoint's epoch and of every
+    /// newer one, in epoch order.
     fn ensure_loaded(&self, name: &str, meta: &mut DocMeta) -> Result<(), StoreError> {
         if meta.loaded {
             return Ok(());
         }
         let checkpoint = self.document_path(name);
-        let epoch = if checkpoint.exists() {
+        let folded = if checkpoint.exists() {
             extract_epoch(&fs::read_to_string(&checkpoint)?, &checkpoint)?
         } else {
             0
         };
-        meta.epoch = epoch;
-        meta.cursor = Cursor::default();
-        let segments = self.segments_of(name)?;
+        let mut segments = self.segments_of(name)?;
         // Replaying only the first file of a rolled journal would silently
         // serve a different distribution.
         if let Some((path, _)) = segments
             .iter()
-            .find(|(_, parsed)| parsed.epoch == epoch && parsed.seq != 0)
+            .find(|(_, parsed)| parsed.epoch >= folded && parsed.seq != 0)
         {
             return Err(StoreError::Format(format!(
                 "{} belongs to a journal rolled into several files, a layout this \
@@ -224,8 +284,11 @@ impl Segments {
                 path.display()
             )));
         }
+        segments.sort_by_key(|(_, parsed)| parsed.epoch);
+        meta.forget();
+        meta.epoch = folded;
         for (path, parsed) in segments {
-            if parsed.epoch != epoch {
+            if parsed.epoch < folded {
                 fs::remove_file(&path)?;
                 continue;
             }
@@ -238,10 +301,15 @@ impl Segments {
                 file.set_len(scan.sound_bytes)?;
                 file.sync_all()?;
             }
-            meta.cursor = Cursor {
+            let cursor = Cursor {
                 batches: scan.batches,
                 bytes: scan.sound_bytes,
             };
+            if parsed.epoch == meta.epoch {
+                meta.cursor = cursor;
+            } else {
+                meta.advance(parsed.epoch, cursor);
+            }
         }
         meta.loaded = true;
         Ok(())

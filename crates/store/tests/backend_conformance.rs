@@ -1,8 +1,9 @@
 //! The backend conformance suite: one set of behavioural checks run against
 //! every shipped [`StorageBackend`] implementation through a shared harness
 //! function, so `FsBackend` and `MemBackend` cannot drift apart on the
-//! semantics the warehouse engine relies on — plus one history run on both
-//! side by side, which pins the stored form itself: the same journal meters
+//! semantics the warehouse engine relies on — plus two histories run on both
+//! side by side (one with a fold in flight between its rotation and its
+//! checkpoint), which pin the stored form itself: the same journal meters
 //! after every step, and checkpoints that load back to the bytes saved.
 
 use std::path::PathBuf;
@@ -227,6 +228,68 @@ fn fs_and_mem_backends_store_the_same_bytes() {
         }
         agree(&format!("after append {tag}"), &saved);
     }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// The same split holds with a fold in flight: between its rotation and its
+/// checkpoint both backends keep the old checkpoint, count the folded and
+/// the new epoch's batches alike, and replay them in order; once the
+/// checkpoint lands they count only the new epoch's.
+#[test]
+fn fs_and_mem_backends_agree_with_a_fold_in_flight() {
+    let dir = scratch("fold-in-flight");
+    let fs = FsBackend::open(&dir).unwrap();
+    let mem = MemBackend::new();
+    let backends: [&dyn StorageBackend; 2] = [&fs, &mem];
+    let bytes = |fuzzy: &FuzzyTree| pxml_store::serialize_fuzzy_document(fuzzy, false);
+    let agree = |step: &str, saved: &FuzzyTree, tags: &[&str]| {
+        let [fs, mem] = backends.map(|backend| {
+            assert_eq!(
+                bytes(&backend.load_document("people").unwrap()),
+                bytes(saved),
+                "{backend:?} loads what was saved, {step}"
+            );
+            let expected: Vec<String> = tags.iter().map(|t| format!("{t}@example.org")).collect();
+            assert_eq!(journal_tags(backend, "people"), expected, "{step}");
+            (
+                backend.journal_batches("people").unwrap(),
+                backend.journal_size_bytes("people").unwrap(),
+            )
+        });
+        assert_eq!(fs, mem, "journal meters (batches, bytes), {step}");
+        assert_eq!(fs.0, tags.len(), "{step}");
+    };
+
+    let created = sample_fuzzy();
+    for backend in backends {
+        backend.save_document("people", &created).unwrap();
+        backend
+            .append_batch("people", &[tagged_update("a")])
+            .unwrap();
+    }
+    agree("before the fold", &created, &["a"]);
+    let folded = fs.recover_document("people").unwrap();
+    let epochs = backends.map(|backend| backend.begin_checkpoint("people").unwrap());
+    assert_eq!(epochs[0], epochs[1]);
+    agree("after the rotation", &created, &["a"]);
+    for tag in ["b", "c"] {
+        for backend in backends {
+            backend
+                .append_batch("people", &[tagged_update(tag)])
+                .unwrap();
+        }
+    }
+    agree("appending beside the fold", &created, &["a", "b", "c"]);
+    for (backend, epoch) in backends.into_iter().zip(epochs) {
+        backend.finish_checkpoint("people", &folded, epoch).unwrap();
+    }
+    agree("after the fold lands", &folded, &["b", "c"]);
+    for backend in backends {
+        backend
+            .append_batch("people", &[tagged_update("d")])
+            .unwrap();
+    }
+    agree("after the fold", &folded, &["b", "c", "d"]);
     std::fs::remove_dir_all(dir).unwrap();
 }
 

@@ -1,6 +1,7 @@
 //! The segment-level crash battery: every kill-point of the append-only
-//! journal and its compaction protocol, simulated by leaving the exact disk
-//! state the killed process would have left, then recovering through a fresh
+//! journal and of a fold's two halves (the rotation, then the checkpoint
+//! written while appends go on), simulated by leaving the exact disk state
+//! the killed process would have left, then recovering through a fresh
 //! [`FsBackend`]. Also covers the open-time debris sweep, the refusal of
 //! the two journal layouts this build no longer reads (the pre-segment
 //! monolithic journal and a journal rolled into several segment files), and
@@ -386,5 +387,135 @@ fn crash_after_append_returns_replays_the_batch() {
     }
     let reopened = FsBackend::open(&dir).unwrap();
     assert_eq!(recovered_tags(&reopened, "doc"), vec!["a", "b"]);
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// The e-mail tags of a document's journal, in replay order.
+fn journal_tags(store: &FsBackend, name: &str) -> Vec<String> {
+    store
+        .read_journal(name)
+        .unwrap()
+        .iter()
+        .map(|update| match &update.operations()[0] {
+            pxml_core::UpdateOperation::Insert { subtree, .. } => subtree
+                .node_value(subtree.root())
+                .unwrap_or_default()
+                .to_string(),
+            _ => unreachable!("crash-battery updates are inserts"),
+        })
+        .collect()
+}
+
+/// Kill point: a fold rotated the journal (epoch 1 took acknowledged
+/// appends) and its checkpoint of epoch 1 was never renamed — the process
+/// died while the folder was writing it, leaving only a staging file.
+/// Recovery replays the epoch-0 journal, then the epoch-1 one, each batch
+/// exactly once, and the next fold folds both.
+#[test]
+fn a_fold_killed_before_its_rename_replays_both_epochs_once() {
+    let dir = scratch("rotated-unrenamed");
+    {
+        let store = FsBackend::open(&dir).unwrap();
+        store.save_document("doc", &sample_fuzzy()).unwrap();
+        store.append_batch("doc", &[tagged_update("e0")]).unwrap();
+        assert_eq!(store.begin_checkpoint("doc").unwrap(), 1);
+        store.append_batch("doc", &[tagged_update("e1a")]).unwrap();
+        store.append_batch("doc", &[tagged_update("e1b")]).unwrap();
+        // The meters count what a cold open replays: both epochs.
+        assert_eq!(store.journal_batches("doc").unwrap(), 3);
+        // The crash: the folder died mid-write of the epoch-1 checkpoint.
+        fs::write(dir.join(".doc.pxml.tmp"), "half a checkpoi").unwrap();
+    }
+    assert!(dir.join("doc.journal.0.0.seg").exists());
+    assert!(dir.join("doc.journal.1.0.seg").exists());
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert!(!dir.join(".doc.pxml.tmp").exists(), "staging debris swept");
+    assert_eq!(journal_tags(&reopened, "doc"), vec!["e0", "e1a", "e1b"]);
+    assert_eq!(recovered_tags(&reopened, "doc"), vec!["e0", "e1a", "e1b"]);
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 3);
+
+    // Appends go on in epoch 1, and the next fold folds both epochs.
+    reopened
+        .append_batch("doc", &[tagged_update("after")])
+        .unwrap();
+    let folded = reopened.recover_document("doc").unwrap();
+    reopened.checkpoint("doc", &folded).unwrap();
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 0);
+    assert!(!dir.join("doc.journal.0.0.seg").exists());
+    assert!(!dir.join("doc.journal.1.0.seg").exists());
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert_eq!(
+        recovered_tags(&reopened, "doc"),
+        vec!["after", "e0", "e1a", "e1b"]
+    );
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// Kill point: the checkpoint of epoch 1 was renamed (the fold's commit
+/// point) but the epoch-0 journal not yet deleted, while epoch 1 holds an
+/// acknowledged append. Epoch 0 is ignored — its batch is inside the
+/// checkpoint — and swept, and epoch 1 replays.
+#[test]
+fn a_fold_killed_after_its_rename_ignores_the_folded_epoch() {
+    let dir = scratch("renamed-undeleted");
+    let folded_segment = dir.join("doc.journal.0.0.seg");
+    {
+        let store = FsBackend::open(&dir).unwrap();
+        store.save_document("doc", &sample_fuzzy()).unwrap();
+        store.append_batch("doc", &[tagged_update("e0")]).unwrap();
+        let folded = store.recover_document("doc").unwrap();
+        let folded_bytes = fs::read(&folded_segment).unwrap();
+        let epoch = store.begin_checkpoint("doc").unwrap();
+        store.append_batch("doc", &[tagged_update("e1")]).unwrap();
+        store.finish_checkpoint("doc", &folded, epoch).unwrap();
+        assert!(!folded_segment.exists());
+        assert_eq!(store.journal_batches("doc").unwrap(), 1);
+        // The crash: the epoch-0 journal the fold deleted is put back, as
+        // if the process died between the rename and the deletion.
+        fs::write(&folded_segment, folded_bytes).unwrap();
+    }
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert_eq!(journal_tags(&reopened, "doc"), vec!["e1"]);
+    assert_eq!(recovered_tags(&reopened, "doc"), vec!["e0", "e1"]);
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 1);
+    assert!(!folded_segment.exists(), "folded epoch swept");
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// Kill point: a fold's checkpoint write failed (epoch 1 stays un-folded),
+/// a second fold rotated to epoch 2, and the process died before that
+/// fold's rename. All three epochs replay, in epoch order.
+#[test]
+fn a_failed_fold_then_a_second_rotation_replays_three_epochs_in_order() {
+    use pxml_store::{FaultOp, FaultPlan, FsOptions};
+    use std::sync::Arc;
+    let dir = scratch("failed-then-rotated");
+    {
+        // Checkpoint #1 is the save, #2 the first fold's write.
+        let plan = FaultPlan::new().fail_nth(FaultOp::Checkpoint, 2);
+        let options = FsOptions {
+            fault: Some(Arc::new(plan)),
+            ..FsOptions::default()
+        };
+        let store = FsBackend::with_options(&dir, options).unwrap();
+        store.save_document("doc", &sample_fuzzy()).unwrap();
+        store.append_batch("doc", &[tagged_update("a")]).unwrap();
+        let folded = store.recover_document("doc").unwrap();
+        let epoch = store.begin_checkpoint("doc").unwrap();
+        store.append_batch("doc", &[tagged_update("b")]).unwrap();
+        assert!(store.finish_checkpoint("doc", &folded, epoch).is_err());
+        store.append_batch("doc", &[tagged_update("c")]).unwrap();
+        assert_eq!(store.begin_checkpoint("doc").unwrap(), 2);
+        store.append_batch("doc", &[tagged_update("d")]).unwrap();
+        assert_eq!(store.journal_batches("doc").unwrap(), 4);
+        // The crash, before the second fold's checkpoint is written.
+    }
+    for epoch in 0..3 {
+        assert!(dir.join(format!("doc.journal.{epoch}.0.seg")).exists());
+    }
+    let reopened = FsBackend::open(&dir).unwrap();
+    assert_eq!(journal_tags(&reopened, "doc"), vec!["a", "b", "c", "d"]);
+    assert_eq!(recovered_tags(&reopened, "doc"), vec!["a", "b", "c", "d"]);
+    assert_eq!(reopened.journal_batches("doc").unwrap(), 4);
     fs::remove_dir_all(dir).unwrap();
 }

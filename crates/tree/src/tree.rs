@@ -785,6 +785,16 @@ impl Tree {
         }
     }
 
+    /// Whether a live element of the tree is named `name`: one pass over the
+    /// arena's slots, with no allocation and no label index.
+    pub fn has_element_named(&self, name: &str) -> bool {
+        (0..self.nodes.len()).any(|index| {
+            self.nodes
+                .get(index)
+                .is_some_and(|slot| slot.alive && slot.label.element_name() == Some(name))
+        })
+    }
+
     /// All element nodes whose tag equals `name`, in document order (from
     /// the label index, built now if the tree has none).
     pub fn find_elements(&self, name: &str) -> Vec<NodeId> {

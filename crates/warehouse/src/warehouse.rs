@@ -23,6 +23,8 @@
 //! │             └── state: RwLock<DocState>  (published Arc<snapshot> +
 //! │                                           quarantine; held O(1) only)
 //! ├── stats: atomic counters (never block anything)
+//! ├── folder: Arc<Folder>    (fold queue + the folder thread that writes
+//! │                           checkpoints off the reply path)
 //! └── store: Arc<dyn StorageBackend> (per-document serialization per the
 //!            trait contract; FsBackend by default)
 //! ```
@@ -52,7 +54,19 @@
 //! 2. within one document, the commit mutex is acquired before the state
 //!    lock, never the reverse;
 //! 3. no document lock is ever held while acquiring a shard lock, and no
-//!    method ever holds two documents' locks at once.
+//!    method ever holds two documents' locks at once;
+//! 4. the folder's queue lock is taken under at most a commit mutex, and
+//!    nothing is acquired under it: the folder thread drops it before it
+//!    writes a checkpoint.
+//!
+//! Folding the journal into a checkpoint is split in two. A due commit
+//! *begins* the fold under its commit mutex — the backend rotates the
+//! journal, so later appends go to a new epoch — and replies; the folder
+//! thread (one per warehouse, started at its first due fold) writes the
+//! checkpoint of the snapshot that commit published while later commits
+//! append to the new epoch. A document has at most one fold in flight, and
+//! [`Warehouse::checkpoint`], [`Warehouse::reopen_document`],
+//! [`Warehouse::group_barrier`] and dropping the warehouse wait for it.
 //!
 //! Memory reclamation is reference-counted: a published snapshot stays
 //! alive exactly as long as some reader still pins it (or it is current);
@@ -104,14 +118,16 @@
 //! README § "Concurrency correctness".
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
-use parking_lot::{LockClass, Mutex, RwLock};
+use parking_lot::{Condvar, LockClass, Mutex, RwLock};
 use pxml_core::{
     apply_batch, BatchStats, CoreError, FuzzyQueryResult, FuzzyTree, SimplifyPolicy,
     UpdateTransaction,
@@ -210,21 +226,147 @@ pub struct WarehouseStats {
 
 /// The engine-internal counters behind [`WarehouseStats`]: plain atomics, so
 /// recording an update or reading a snapshot never takes any lock and can
-/// never block (or be blocked by) a commit.
+/// never block (or be blocked by) a commit. The checkpoint count lives with
+/// the [`Folder`], whose fold body writes every checkpoint.
 #[derive(Default)]
 struct StatsCounters {
     updates_applied: AtomicUsize,
     queries_evaluated: AtomicUsize,
-    checkpoints: AtomicUsize,
 }
 
 impl StatsCounters {
-    fn snapshot(&self, durability: DurabilityStats) -> WarehouseStats {
+    fn snapshot(&self, checkpoints: usize, durability: DurabilityStats) -> WarehouseStats {
         WarehouseStats {
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             queries_evaluated: self.queries_evaluated.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
+            checkpoints,
             durability,
+        }
+    }
+}
+
+/// A begun fold: the document, the published snapshot whose tree becomes
+/// its checkpoint, and the epoch the rotation returned.
+struct Fold {
+    name: String,
+    snapshot: DocSnapshot,
+    epoch: u64,
+}
+
+/// The folder's shared state.
+#[derive(Default)]
+struct FoldQueue {
+    /// Begun folds the folder thread has not started, oldest first.
+    jobs: VecDeque<Fold>,
+    /// The documents with a fold begun and not finished, queued or running:
+    /// at most one fold per document is ever in flight.
+    in_flight: HashSet<String>,
+    /// Set by `Drop`: the thread drains the queue, then exits.
+    closing: bool,
+    /// The folder thread, started at the warehouse's first due fold.
+    thread: Option<JoinHandle<()>>,
+}
+
+/// The second half of every fold, and the thread that runs it off the reply
+/// path. A due commit begins a fold under its commit mutex (the O(1)
+/// journal rotation) and queues it here; the folder thread writes the
+/// checkpoint while later commits append to the new epoch. The explicit
+/// [`Warehouse::checkpoint`] runs the same [`Folder::finish`] on its own
+/// thread.
+struct Folder {
+    queue: Mutex<FoldQueue>,
+    /// Signalled when a fold is queued, when one settles, and at close.
+    changed: Condvar,
+    /// Checkpoints written.
+    checkpoints: AtomicUsize,
+}
+
+impl Folder {
+    fn new() -> Self {
+        Folder {
+            queue: Mutex::with_class(LockClass::Folder, FoldQueue::default()),
+            changed: Condvar::new(),
+            checkpoints: AtomicUsize::new(0),
+        }
+    }
+
+    /// The one fold body: writes the checkpoint a begun fold promised and
+    /// counts it.
+    fn finish(&self, store: &dyn StorageBackend, fold: &Fold) -> Result<(), StoreError> {
+        store.finish_checkpoint(&fold.name, fold.snapshot.fuzzy(), fold.epoch)?;
+        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Whether a fold of `name` is in flight.
+    fn in_flight(&self, name: &str) -> bool {
+        self.queue.lock().in_flight.contains(name)
+    }
+
+    /// Hands a begun fold to the folder thread, starting the thread if this
+    /// is the warehouse's first. A thread that cannot be started fails the
+    /// fold, as a failed write would.
+    fn submit(
+        folder: &Arc<Folder>,
+        store: &Arc<dyn StorageBackend>,
+        fold: Fold,
+    ) -> Result<(), StoreError> {
+        let mut queue = folder.queue.lock();
+        if queue.thread.is_none() {
+            let (folder, store) = (Arc::clone(folder), Arc::clone(store));
+            queue.thread = Some(
+                std::thread::Builder::new()
+                    .name("pxml-folder".to_string())
+                    .spawn(move || folder.run(&*store))?,
+            );
+        }
+        queue.in_flight.insert(fold.name.clone());
+        queue.jobs.push_back(fold);
+        folder.changed.notify_all();
+        Ok(())
+    }
+
+    /// The folder thread: finishes queued folds in order until the queue is
+    /// empty and the warehouse is closing. A fold that fails (or panics)
+    /// leaves the old checkpoint and every un-folded epoch; the meter stays
+    /// due, so the next due commit begins another, and an explicit
+    /// [`Warehouse::checkpoint`] is where a failure is reported.
+    fn run(&self, store: &dyn StorageBackend) {
+        loop {
+            let fold = {
+                let mut queue = self.queue.lock();
+                loop {
+                    if let Some(fold) = queue.jobs.pop_front() {
+                        break fold;
+                    }
+                    if queue.closing {
+                        return;
+                    }
+                    self.changed.wait(&mut queue);
+                }
+            };
+            // lint: allow(io-result-drop)
+            let _ = catch_unwind(AssertUnwindSafe(|| self.finish(store, &fold)));
+            let Fold { name, snapshot, .. } = fold;
+            drop(snapshot);
+            self.queue.lock().in_flight.remove(&name);
+            self.changed.notify_all();
+        }
+    }
+
+    /// Blocks until no fold of `name` is in flight.
+    fn wait_for(&self, name: &str) {
+        let mut queue = self.queue.lock();
+        while queue.in_flight.contains(name) {
+            self.changed.wait(&mut queue);
+        }
+    }
+
+    /// Blocks until no fold is in flight.
+    fn wait_all(&self) {
+        let mut queue = self.queue.lock();
+        while !queue.in_flight.is_empty() {
+            self.changed.wait(&mut queue);
         }
     }
 }
@@ -369,6 +511,7 @@ pub struct Warehouse {
     config: SessionConfig,
     shards: Vec<Shard>,
     stats: StatsCounters,
+    folder: Arc<Folder>,
 }
 
 impl Warehouse {
@@ -404,6 +547,7 @@ impl Warehouse {
             config,
             shards,
             stats: StatsCounters::default(),
+            folder: Arc::new(Folder::new()),
         };
         for name in warehouse.store.list_documents()? {
             let snapshot = DocSnapshot::first(warehouse.replay(&name)?);
@@ -484,7 +628,10 @@ impl Warehouse {
         self.create_fuzzy_document(name, FuzzyTree::from_tree(tree))
     }
 
-    /// Creates a new document from an existing fuzzy tree.
+    /// Creates a new document from an existing fuzzy tree. A tree holding an
+    /// element named [`pxml_tree::RESERVED_ELEMENT`] is refused with
+    /// [`CoreError::ReservedElement`]: its checkpoint would read back with
+    /// that element turned into text.
     ///
     /// The shard's write lock is held across the (fast, atomic) initial save
     /// so a duplicate-name race cannot create the same document twice; this
@@ -495,6 +642,9 @@ impl Warehouse {
         name: &str,
         fuzzy: FuzzyTree,
     ) -> Result<(), WarehouseError> {
+        if fuzzy.tree().has_element_named(pxml_tree::RESERVED_ELEMENT) {
+            return Err(CoreError::ReservedElement.into());
+        }
         // The label index is built before the shard lock is taken.
         let snapshot = DocSnapshot::first(fuzzy);
         let mut slots = self.shard(name).slots.write();
@@ -606,10 +756,14 @@ impl Warehouse {
     /// published as the document's new snapshot by an O(1) pointer swap —
     /// an error *before* the commit point leaves the published snapshot and
     /// the journal exactly as they were. Configured maintenance (checkpoint
-    /// folding) runs after the commit point and cannot fail the call:
-    /// a fold that cannot be written leaves the old checkpoint and the full
-    /// journal, the next blocking commit tries again, and the failure itself
-    /// is what an explicit [`Warehouse::checkpoint`] returns.
+    /// folding) runs after the commit point and cannot fail the call, and
+    /// the call does not wait for it: a due commit only *begins* the fold —
+    /// an O(1) rotation of the journal to a new epoch — and the warehouse's
+    /// folder thread writes the checkpoint of the published snapshot while
+    /// later commits append to the new epoch. A fold that cannot be written
+    /// leaves the old checkpoint and every un-folded epoch, the next due
+    /// blocking commit tries again, and the failure itself is what an
+    /// explicit [`Warehouse::checkpoint`] returns.
     ///
     /// Locking: the document's commit mutex is held start to finish, so
     /// writers to the same document serialize (no lost updates); the state
@@ -651,7 +805,7 @@ impl Warehouse {
     /// mutex, base pin, quarantine gate, apply to a copy-on-write clone
     /// (rollback = dropping the clone), ticketed journal append — and the
     /// paths differ only in `wait_durable`: the blocking path waits out the
-    /// ticket, publishes, then runs due compaction under the commit mutex;
+    /// ticket, publishes, then begins a due fold under the commit mutex;
     /// the async path publishes and hands the unresolved ticket back.
     fn commit(
         &self,
@@ -702,15 +856,15 @@ impl Warehouse {
             .fetch_add(batch.len(), Ordering::Relaxed);
         // Compaction rides the blocking pipeline (the async path skips it,
         // see `commit_batch_async`). The commit mutex is still held, so the
-        // save + truncate cannot interleave with another commit's journal
-        // append.
+        // rotation cannot interleave with another commit's journal append.
         if wait_durable {
             // The batch is journaled and published, so nothing from here on
             // may fail the call: told `Err`, a client retries and the batch
             // is applied twice. A fold that fails leaves "old checkpoint +
-            // full journal", which the backend contract keeps consistent,
-            // and the meter stays due, so the next blocking commit retries
-            // it; `Warehouse::checkpoint` is where the failure is reported.
+            // every un-folded epoch", which the backend contract keeps
+            // consistent, and the meter stays due, so the next blocking
+            // commit retries it; `Warehouse::checkpoint` is where the
+            // failure is reported.
             // lint: allow(io-result-drop)
             let _ = self.fold_if_due(name, &published);
         }
@@ -722,20 +876,28 @@ impl Warehouse {
         })
     }
 
-    /// Folds the journal into a checkpoint of `snapshot` when the configured
-    /// [`CompactionPolicy`](crate::session::CompactionPolicy) says it is due
-    /// — one O(1) meter read otherwise. Caller must hold the slot's commit
-    /// mutex.
+    /// Begins a fold of the journal into a checkpoint of `snapshot` when the
+    /// configured [`CompactionPolicy`](crate::session::CompactionPolicy) says
+    /// it is due — one O(1) meter read otherwise — and hands it to the
+    /// folder thread. A document whose fold is still in flight skips: its
+    /// meter stays due, so a later commit folds what this one would have.
+    /// Caller must hold the slot's commit mutex.
     fn fold_if_due(&self, name: &str, snapshot: &DocSnapshot) -> Result<(), StoreError> {
-        if self
+        if !self
             .config
             .compaction
             .is_due(self.store.journal_batches(name)?)
+            || self.folder.in_flight(name)
         {
-            self.store.checkpoint(name, snapshot.fuzzy())?;
-            self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
         }
-        Ok(())
+        let epoch = self.store.begin_checkpoint(name)?;
+        let fold = Fold {
+            name: name.to_string(),
+            snapshot: snapshot.clone(),
+            epoch,
+        };
+        Folder::submit(&self.folder, &self.store, fold)
     }
 
     /// Publishes `working` as the document's next snapshot (reclaiming dead
@@ -793,25 +955,32 @@ impl Warehouse {
     }
 
     /// Writes the current in-memory state of a document as a checkpoint and
-    /// truncates its journal.
+    /// truncates its journal, on the calling thread: a fold of the document
+    /// already in flight lands first, then the journal rotates and the
+    /// folder's one fold body writes the checkpoint.
     pub fn checkpoint(&self, name: &str) -> Result<(), WarehouseError> {
         let slot = self.slot(name)?;
-        {
-            // The commit mutex — not the state lock — excludes concurrent
-            // commits, whose journal appends must not interleave with the
-            // save + truncate. Readers are unaffected.
-            let _commit = slot.commit.lock();
-            let snapshot = Self::pin(&slot);
-            Self::check_quarantine(&slot, name)?;
-            self.store.checkpoint(name, snapshot.fuzzy())?;
-        }
-        self.stats.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        // The commit mutex — not the state lock — excludes concurrent
+        // commits, whose journal appends must not interleave with the
+        // rotation, and keeps a commit from beginning another fold while
+        // this one runs. Readers are unaffected.
+        let _commit = slot.commit.lock();
+        self.folder.wait_for(name);
+        let snapshot = Self::pin(&slot);
+        Self::check_quarantine(&slot, name)?;
+        let epoch = self.store.begin_checkpoint(name)?;
+        let fold = Fold {
+            name: name.to_string(),
+            snapshot,
+            epoch,
+        };
+        Ok(self.folder.finish(&*self.store, &fold)?)
     }
 
     /// Lifts a document out of quarantine: takes the commit mutex (waiting
-    /// out any in-flight writer), has the backend reset what it holds about
-    /// the document ([`StorageBackend::reopen_document`]: a poisoned commit
+    /// out any in-flight writer) and waits out a fold of the document in
+    /// flight, then has the backend reset what it holds about the document
+    /// ([`StorageBackend::reopen_document`]: a poisoned commit
     /// pipeline cleared, the journal rescanned and any unsynced or torn tail
     /// truncated at the next read), and publishes the replay of the
     /// checkpoint and the surviving journal — the one a cold open of the
@@ -819,7 +988,8 @@ impl Warehouse {
     /// next snapshot with the quarantine cleared. No acknowledged commit is
     /// lost: everything the journal holds is replayed, and the failing
     /// append was rolled back before it ever resolved. The work is that of
-    /// the journaled commits themselves, so at most a fold interval's worth.
+    /// the journaled commits themselves: a fold interval's worth while folds
+    /// land.
     ///
     /// Readers that pinned a pre-reopen snapshot keep it unchanged; the
     /// published sequence number still advances, so pins stay ordered. Safe
@@ -828,6 +998,9 @@ impl Warehouse {
     pub fn reopen_document(&self, name: &str) -> Result<(), WarehouseError> {
         let slot = self.slot(name)?;
         let _commit = slot.commit.lock();
+        // The replay pairs the checkpoint with the journal, which a fold in
+        // flight is about to change.
+        self.folder.wait_for(name);
         // The commit mutex keeps the published snapshot (and its sequence
         // number) from moving until the swap below.
         let current = Self::pin(&slot);
@@ -873,18 +1046,31 @@ impl Warehouse {
     /// Running counters since the warehouse was opened. Reads atomics only —
     /// never blocks, and never delays a commit.
     pub fn stats(&self) -> WarehouseStats {
-        self.stats.snapshot(self.store.durability_stats())
+        let checkpoints = self.folder.checkpoints.load(Ordering::Relaxed);
+        self.stats
+            .snapshot(checkpoints, self.store.durability_stats())
     }
 
-    /// Drains the storage backend's group-commit pipeline (see
-    /// [`StorageBackend::group_barrier`]): every async commit whose handle
-    /// was issued before this call is durable when it returns. Long-running
-    /// embedders call this before dropping the warehouse — the `pxml-server`
-    /// tenant LRU runs it on eviction and graceful shutdown so pipelined
-    /// commits are never abandoned mid-window. A no-op on `Sync`-policy and
-    /// in-memory backends.
+    /// Waits out every fold in flight, then drains the storage backend's
+    /// group-commit pipeline (see [`StorageBackend::group_barrier`]): every
+    /// fold begun and every async commit whose handle was issued before this
+    /// call has settled when it returns. Long-running embedders call this
+    /// before dropping the warehouse — the `pxml-server` tenant LRU runs it
+    /// on eviction and graceful shutdown so pipelined commits are never
+    /// abandoned mid-window. Returns at once on a `Sync`-policy or in-memory
+    /// backend with no fold in flight.
     pub fn group_barrier(&self) {
+        self.folder.wait_all();
         self.store.group_barrier();
+    }
+
+    /// Whether the folder thread has a fold of some document in flight. Only
+    /// a blocking commit begins one, so on a warehouse nobody else holds the
+    /// answer can only go from `true` to `false` — what the `pxml-server`
+    /// tenant LRU relies on to never evict a warehouse whose checkpoint is
+    /// still being written beside a re-opened backend.
+    pub fn fold_in_flight(&self) -> bool {
+        !self.folder.queue.lock().in_flight.is_empty()
     }
 
     /// Test hook: runs `body` while holding `name`'s commit mutex — a writer
@@ -899,6 +1085,23 @@ impl Warehouse {
         let slot = self.slot(name)?;
         let _commit = slot.commit.lock();
         Ok(body())
+    }
+}
+
+/// Dropping a warehouse waits for its folder thread to finish every fold in
+/// flight.
+impl Drop for Warehouse {
+    fn drop(&mut self) {
+        let thread = {
+            let mut queue = self.folder.queue.lock();
+            queue.closing = true;
+            queue.thread.take()
+        };
+        self.folder.changed.notify_all();
+        if let Some(thread) = thread {
+            // lint: allow(io-result-drop)
+            let _ = thread.join();
+        }
     }
 }
 
@@ -1165,7 +1368,9 @@ mod tests {
         commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
         assert_eq!(warehouse.store.journal_batches("people").unwrap(), 1);
         commit_one(&warehouse, "people", &add_phone("bob", 0.9)).unwrap();
-        // After the second batch the journal is folded into the checkpoint.
+        // After the second batch the journal is folded into the checkpoint,
+        // on the folder thread, which the barrier waits out.
+        warehouse.group_barrier();
         assert_eq!(warehouse.stats().checkpoints, 1);
         assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
@@ -1214,6 +1419,7 @@ mod tests {
                 .expect("the batch is durable and published: a failed fold is not its failure");
             assert_eq!(stats.len(), 1);
             assert!(!warehouse.is_quarantined("people"));
+            warehouse.group_barrier();
             assert_eq!(warehouse.stats().checkpoints, 0);
             assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
             assert!(matches!(
@@ -1225,6 +1431,7 @@ mod tests {
                 std::fs::remove_dir(obstruction).unwrap();
             }
             commit_one(&warehouse, "people", &add_phone("alice", 0.5)).unwrap();
+            warehouse.group_barrier();
             assert_eq!(warehouse.stats().checkpoints, 1);
             assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
             drop(warehouse);
@@ -1233,6 +1440,134 @@ mod tests {
             assert_eq!(reopened.query("people", &phones).unwrap().len(), 3);
             std::fs::remove_dir_all(dir).unwrap();
         }
+    }
+
+    /// A warehouse over a sync `FsBackend` with `plan` installed, folding
+    /// every second batch.
+    fn folding_warehouse(dir: &Path, plan: pxml_store::FaultPlan) -> Warehouse {
+        use pxml_store::{FsBackend, FsOptions};
+        let options = FsOptions {
+            fault: Some(Arc::new(plan)),
+            ..FsOptions::default()
+        };
+        let backend = FsBackend::with_options(dir, options).unwrap();
+        let config = SessionConfig {
+            compaction: CompactionPolicy::EveryNBatches(2),
+            ..SessionConfig::default()
+        };
+        Warehouse::with_backend(Arc::new(backend), config).unwrap()
+    }
+
+    /// The mechanism of the off-path fold: checkpoint #2 — the fold due at
+    /// the second commit; #1 is the document's creation — sleeps 300 ms
+    /// before it writes. The commit that makes the fold due replies well
+    /// before that, and so do the commits after it, which append to the new
+    /// epoch while the fold is in flight (and skip their own due point). The
+    /// barrier waits the fold out; one checkpoint was written, the journal
+    /// holds exactly the two commits after the rotation, and a cold open
+    /// serves the live bytes.
+    #[test]
+    fn a_due_commit_replies_before_its_fold_is_written() {
+        use pxml_store::{FaultKind, FaultOp, FaultPlan};
+        let dir = scratch("fold-off-path");
+        let latency = Duration::from_millis(300);
+        let plan =
+            FaultPlan::new().fail_nth_with(FaultOp::Checkpoint, 2, FaultKind::Latency(latency));
+        let warehouse = folding_warehouse(&dir, plan);
+        warehouse.create_document("people", directory()).unwrap();
+        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+        let started = std::time::Instant::now();
+        commit_one(&warehouse, "people", &add_phone("bob", 0.9)).unwrap();
+        commit_one(&warehouse, "people", &add_email("alice", 0.7)).unwrap();
+        commit_one(&warehouse, "people", &add_email("bob", 0.6)).unwrap();
+        let replied = started.elapsed();
+        assert!(
+            replied < latency / 2,
+            "three commits took {replied:?} beside a {latency:?} fold"
+        );
+        assert!(warehouse.fold_in_flight());
+        warehouse.group_barrier();
+        assert!(!warehouse.fold_in_flight());
+        assert_eq!(warehouse.stats().checkpoints, 1);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+        let live = serialized(&warehouse.snapshot("people").unwrap());
+        drop(warehouse);
+        let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
+        assert_eq!(serialized(&reopened.snapshot("people").unwrap()), live);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A background fold whose checkpoint write fails costs the commit
+    /// nothing: it returns `Ok`, the old checkpoint and both epochs stay,
+    /// and the next due commit begins the fold again and lands it. A cold
+    /// open replays exactly the acknowledged commits.
+    #[test]
+    fn a_failed_background_fold_is_landed_by_the_next_due_commit() {
+        use pxml_store::{FaultOp, FaultPlan};
+        let dir = scratch("fold-retried");
+        let warehouse = folding_warehouse(&dir, FaultPlan::new().fail_nth(FaultOp::Checkpoint, 2));
+        warehouse.create_document("people", directory()).unwrap();
+        commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
+        commit_one(&warehouse, "people", &add_phone("bob", 0.9))
+            .expect("a failed fold is not the commit's failure");
+        warehouse.group_barrier();
+        assert_eq!(warehouse.stats().checkpoints, 0);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+        assert!(!warehouse.is_quarantined("people"));
+
+        commit_one(&warehouse, "people", &add_email("alice", 0.7)).unwrap();
+        warehouse.group_barrier();
+        assert_eq!(warehouse.stats().checkpoints, 1);
+        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+        let live = serialized(&warehouse.snapshot("people").unwrap());
+        drop(warehouse);
+        let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
+        assert_eq!(serialized(&reopened.snapshot("people").unwrap()), live);
+        let phones = Pattern::parse("person { phone }").unwrap();
+        assert_eq!(reopened.query("people", &phones).unwrap().len(), 2);
+        let emails = Pattern::parse("person { email }").unwrap();
+        assert_eq!(reopened.query("people", &emails).unwrap().len(), 1);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// `pxml:text` is the element a stored document wraps conditional text
+    /// in, so the library refuses it as the wire import does: in an insert
+    /// built with `Tree::add_element`, whether or not it matches, and in a
+    /// created document. Nothing is stored, so a later cold open of the
+    /// warehouse still succeeds.
+    #[test]
+    fn the_reserved_text_element_is_refused_at_the_library_door() {
+        use pxml_store::MemBackend;
+        let store = MemBackend::new();
+        let warehouse = Warehouse::with_backend(Arc::new(store.clone()), plain_config()).unwrap();
+        warehouse.create_document("people", directory()).unwrap();
+        for name in ["alice", "nobody"] {
+            let mut subtree = Tree::new("phone");
+            subtree.add_element(subtree.root(), pxml_tree::RESERVED_ELEMENT);
+            let pattern = Pattern::parse(&format!("person {{ name[=\"{name}\"] }}")).unwrap();
+            let target = pattern.root();
+            let insert = UpdateTransaction::new(pattern, 0.5)
+                .unwrap()
+                .with_insert(target, subtree);
+            assert!(matches!(
+                commit_one(&warehouse, "people", &insert),
+                Err(WarehouseError::Core(CoreError::ReservedElement))
+            ));
+        }
+        assert!(!warehouse.is_quarantined("people"));
+        let mut reserved = directory();
+        let root = reserved.root();
+        reserved.add_element(root, pxml_tree::RESERVED_ELEMENT);
+        assert!(matches!(
+            warehouse.create_document("reserved", reserved),
+            Err(WarehouseError::Core(CoreError::ReservedElement))
+        ));
+        assert!(!warehouse.contains("reserved"));
+        let live = serialized(&warehouse.snapshot("people").unwrap());
+        drop(warehouse);
+        let reopened = Warehouse::with_backend(Arc::new(store), plain_config()).unwrap();
+        assert_eq!(reopened.document_names(), vec!["people"]);
+        assert_eq!(serialized(&reopened.snapshot("people").unwrap()), live);
     }
 
     /// Documents hash across shards, and the registry behaves identically

@@ -201,8 +201,12 @@ proptest! {
                             acked.push(op);
                             // The raw replay is the other definition of what
                             // the files denote: where its worlds can still be
-                            // enumerated, it is the same distribution.
+                            // enumerated, it is the same distribution. It
+                            // pairs the checkpoint with the journal, so it
+                            // waits out a fold the commit began (the storage
+                            // contract: no replay beside a fold in flight).
                             if acked.len() == ORACLE_COMMITS {
+                                warehouse.group_barrier();
                                 let raw = store.recover_document("doc").unwrap();
                                 let live = warehouse.snapshot("doc").unwrap();
                                 let live = live.fuzzy();

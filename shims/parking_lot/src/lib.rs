@@ -13,7 +13,7 @@
 //!
 //! - a **declared order** over the ranked classes
 //!   (server-conns → server-admission → server-tenants → shard → doc-commit →
-//!   doc-entry → group-committer → journal-registry →
+//!   folder → doc-entry → group-committer → journal-registry →
 //!   journal → device → commit-slot): acquiring a class at or below the highest rank
 //!   already held by the current thread panics immediately, even if the
 //!   schedule happened not to deadlock this time;
@@ -71,18 +71,22 @@ pub enum LockClass {
     /// One document's commit pipeline — the writer-serialization mutex held
     /// across apply → journal → snapshot swap (rank 4).
     DocCommit,
+    /// A warehouse's fold queue — the documents whose checkpoint its folder
+    /// thread has yet to write; held only to queue, settle or wait, never
+    /// across storage I/O (rank 5).
+    Folder,
     /// One document's published-state cell behind its shard slot; only ever
-    /// held for the O(1) snapshot read or pointer swap (rank 5).
+    /// held for the O(1) snapshot read or pointer swap (rank 6).
     DocEntry,
-    /// The group committer's shared window (rank 6).
+    /// The group committer's shared window (rank 7).
     GroupCommitter,
-    /// The store's name → journal-handle registry (rank 7).
+    /// The store's name → journal-handle registry (rank 8).
     JournalRegistry,
-    /// One document's journal write handle (rank 8).
+    /// One document's journal write handle (rank 9).
     Journal,
-    /// The simulated storage device gate (rank 9).
+    /// The simulated storage device gate (rank 10).
     Device,
-    /// A group-commit slot's error cell (rank 10).
+    /// A group-commit slot's error cell (rank 11).
     CommitSlot,
     /// Unranked class for witness self-tests.
     TestA,
@@ -103,6 +107,7 @@ impl LockClass {
             LockClass::ServerTenants => "server-tenants",
             LockClass::Shard => "shard",
             LockClass::DocCommit => "doc-commit",
+            LockClass::Folder => "folder",
             LockClass::DocEntry => "doc-entry",
             LockClass::GroupCommitter => "group-committer",
             LockClass::JournalRegistry => "journal-registry",
@@ -144,7 +149,7 @@ pub mod witness {
     use std::cell::RefCell;
     use std::sync::Mutex as StdMutex;
 
-    const CLASSES: usize = 15;
+    const CLASSES: usize = 16;
 
     thread_local! {
         /// Classes of the locks the current thread holds, in acquisition
@@ -210,7 +215,7 @@ pub mod witness {
                     panic!(
                         "lock-order witness: acquiring `{class}` while holding `{h}` \
                          violates the declared order server-conns -> server-admission -> \
-                         server-tenants -> shard -> doc-commit -> doc-entry -> \
+                         server-tenants -> shard -> doc-commit -> folder -> doc-entry -> \
                          group-committer -> journal-registry -> journal -> device -> \
                          commit-slot"
                     );
