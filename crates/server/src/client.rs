@@ -138,6 +138,9 @@ pub struct RemoteStats {
     pub updates_applied: usize,
     pub queries_evaluated: usize,
     pub checkpoints: usize,
+    /// Folds whose checkpoint was not written (see
+    /// [`pxml_warehouse::WarehouseStats::folds_failed`]).
+    pub folds_failed: usize,
     pub fsyncs: usize,
     pub grouped_commits: usize,
     pub grouped_windows: usize,
@@ -465,6 +468,7 @@ fn parse_stats(text: &str) -> Result<RemoteStats, ClientError> {
         updates_applied: attr_usize("updates_applied")?,
         queries_evaluated: attr_usize("queries_evaluated")?,
         checkpoints: attr_usize("checkpoints")?,
+        folds_failed: attr_usize("folds_failed")?,
         fsyncs: attr_usize("fsyncs")?,
         grouped_commits: attr_usize("grouped_commits")?,
         grouped_windows: attr_usize("grouped_windows")?,

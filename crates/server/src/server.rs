@@ -846,6 +846,7 @@ fn stats_response(warehouse: &Warehouse) -> RawResponse {
         .with_attribute("updates_applied", stats.updates_applied.to_string())
         .with_attribute("queries_evaluated", stats.queries_evaluated.to_string())
         .with_attribute("checkpoints", stats.checkpoints.to_string())
+        .with_attribute("folds_failed", stats.folds_failed.to_string())
         .with_attribute("fsyncs", durability.fsyncs.to_string())
         .with_attribute("grouped_commits", durability.grouped_commits.to_string())
         .with_attribute("grouped_windows", durability.grouped_windows.to_string())

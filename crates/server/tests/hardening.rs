@@ -3,7 +3,8 @@
 //! other tenant serving, surface typed retryable errors on the wire, and
 //! heal through the backoff-gated auto-reopen — all observable through
 //! `stats` and recoverable with one `RetryPolicy`-wrapped call. A slowed
-//! checkpoint write keeps its tenant resident until its fold has landed.
+//! checkpoint write keeps its tenant resident until its fold has landed,
+//! and a failed one is counted in `stats`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,6 +187,45 @@ fn a_failed_post_commit_fold_is_not_a_failed_commit_over_the_wire() {
         "answers: {answers:?}"
     );
     assert_eq!(client.stats().unwrap().quarantined_docs, 0);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A failed fold is counted where a client can read it: `STATS` serves
+/// `folds_failed`. Checkpoint #1 is the tenant's create and #2 the fold its
+/// second commit begins, which fails; the commit is still acknowledged, and
+/// two more commits are the next due point, whose fold lands.
+#[test]
+fn a_failed_fold_is_counted_in_stats_over_the_wire() {
+    let dir = scratch("folds-failed");
+    let mut config = ServerConfig::new(&dir);
+    config.session.compaction = CompactionPolicy::EveryNBatches(2);
+    config.fs.fault = Some(Arc::new(FaultPlan::new().fail_nth(FaultOp::Checkpoint, 2)));
+    let server = Server::start(config).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    client.open("doc", Some(PEOPLE_XML)).unwrap();
+    client.commit("doc", &phone_batch(0.8)).unwrap();
+    client.commit("doc", &phone_batch(0.7)).unwrap();
+
+    let settled = |client: &mut Client, landed: usize| {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let stats = client.stats().unwrap();
+            if stats.folds_failed + stats.checkpoints == landed + 1 {
+                return stats;
+            }
+            assert!(std::time::Instant::now() < deadline, "stats: {stats:?}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    let stats = settled(&mut client, 0);
+    assert_eq!((stats.folds_failed, stats.checkpoints), (1, 0));
+    client.commit("doc", &phone_batch(0.6)).unwrap();
+    client.commit("doc", &phone_batch(0.5)).unwrap();
+    let stats = settled(&mut client, 1);
+    assert_eq!((stats.folds_failed, stats.checkpoints), (1, 1));
+    assert_eq!(stats.quarantined_docs, 0);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

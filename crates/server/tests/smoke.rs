@@ -448,8 +448,8 @@ fn stats_frame_is_pinned_for_a_grouped_tenant() {
     assert_eq!(
         response.text(),
         "<pxml:stats quarantined_docs=\"0\" quarantined=\"\" updates_applied=\"3\" \
-         queries_evaluated=\"0\" checkpoints=\"0\" fsyncs=\"3\" grouped_commits=\"3\" \
-         grouped_windows=\"3\" mean_window_occupancy=\"1.0000\"/>"
+         queries_evaluated=\"0\" checkpoints=\"0\" folds_failed=\"0\" fsyncs=\"3\" \
+         grouped_commits=\"3\" grouped_windows=\"3\" mean_window_occupancy=\"1.0000\"/>"
     );
     assert_eq!(
         client.stats().unwrap(),
@@ -457,6 +457,7 @@ fn stats_frame_is_pinned_for_a_grouped_tenant() {
             updates_applied: 3,
             queries_evaluated: 0,
             checkpoints: 0,
+            folds_failed: 0,
             fsyncs: 3,
             grouped_commits: 3,
             grouped_windows: 3,

@@ -54,12 +54,11 @@ use crate::group::{CommitTicket, DurabilityStats};
 ///   over it beside a fold, and does not pair a checkpoint read with the
 ///   journal (a replay) while one is in flight.
 /// * **Reads are torn-free.** [`load_document`](StorageBackend::load_document),
-///   [`read_batches`](StorageBackend::read_batches) and the two journal
-///   meters — [`journal_batches`](StorageBackend::journal_batches) (for
-///   compaction) and [`journal_size_bytes`](StorageBackend::journal_size_bytes)
-///   — observe some committed state, never a half-written one. The journal
-///   reads and meters cover every un-folded epoch: exactly what a cold open
-///   would replay.
+///   [`read_batches`](StorageBackend::read_batches) and the journal meter
+///   [`journal_size_bytes`](StorageBackend::journal_size_bytes) observe some
+///   committed state, never a half-written one. The journal read and the
+///   meter cover every un-folded epoch: exactly what a cold open would
+///   replay.
 ///
 /// The contract deliberately does **not** require cross-document atomicity or
 /// a global snapshot: the engine's per-document locks provide all ordering
@@ -94,11 +93,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// The committed batches of a document's journal — every un-folded
     /// epoch's, oldest first — in commit order.
     fn read_batches(&self, name: &str) -> Result<Vec<Vec<UpdateTransaction>>, StoreError>;
-
-    /// Number of journaled batches awaiting a checkpoint, over every
-    /// un-folded epoch (O(1) in the journal's length; drives
-    /// `CompactionPolicy::EveryNBatches`).
-    fn journal_batches(&self, name: &str) -> Result<usize, StoreError>;
 
     /// Total serialized size of the un-folded journal in bytes (O(1) in the
     /// journal's length).

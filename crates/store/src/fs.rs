@@ -12,8 +12,11 @@
 //! A document keeps one journal file per epoch. A fold first rotates
 //! appends to the next epoch's file, then writes that epoch's checkpoint,
 //! so while the checkpoint is in flight — or after it failed — the files of
-//! two or more un-folded epochs sit on disk. The `.0` in the name is a
-//! sequence number that is always zero (see `segment.rs`).
+//! two or more un-folded epochs sit on disk. When a fold begins is the
+//! caller's decision: the warehouse begins one per fold interval, so a
+//! checkpoint that keeps failing adds one epoch file per interval, not per
+//! commit. The `.0` in the name is a sequence number that is always zero
+//! (see `segment.rs`).
 //!
 //! # Who owns what
 //!
@@ -534,7 +537,9 @@ impl FsBackend {
     }
 
     /// Number of journaled batches a cold open would replay: those of every
-    /// un-folded epoch (O(1) in the journal's length).
+    /// un-folded epoch (O(1) in the journal's length). Not on the storage
+    /// trait — the warehouse counts its fold interval itself — but pxbench
+    /// and the crash suites read it on a concrete backend.
     pub fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
         self.segments()
             .with_loaded(name, |meta| Ok(meta.unfolded().batches))
@@ -702,11 +707,6 @@ impl StorageBackend for FsBackend {
 
     // Inherent too: pxbench calls it on a concrete `FsBackend` without the
     // trait in scope.
-    fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        FsBackend::journal_batches(self, name)
-    }
-
-    // Inherent too, for the same reason.
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
         FsBackend::journal_size_bytes(self, name)
     }

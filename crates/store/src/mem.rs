@@ -1,19 +1,18 @@
 //! [`MemBackend`]: the in-process storage backend.
 //!
 //! Holds checkpoints and journals in a shared map — nothing touches the file
-//! system, so tests and benches can exercise the full warehouse pipeline
-//! (including the compaction policy, which reads the journal meters) without
-//! scratch directories.
+//! system, so tests and benches can exercise the full warehouse pipeline,
+//! folds included, without scratch directories.
 //!
 //! It stores what [`FsBackend`](crate::FsBackend) writes, and nothing else:
 //! a document is its checkpoint's PrXML text and, per un-folded epoch, its
-//! journal's framed records (`journal::encode_record`) and a record count.
+//! journal's framed records (`journal::encode_record`).
 //! A fold splits the same way as over files: its first half starts a new
 //! epoch under the lock, its second serializes outside it and then swaps
 //! the checkpoint in and drops the older epochs. Both are read back the
 //! way the file-system backend reads its files — the checkpoint through
 //! [`parse_fuzzy_document`], the records through the journal module's one
-//! decoder — so the two backends report the same journal meters for the
+//! decoder — so the two backends report the same journal meter for the
 //! same history, a workload that serializes wrongly fails here too, and a
 //! cold open or a reopen over this backend loads an unmarked, unindexed
 //! document and replays it exactly as over the files.
@@ -36,8 +35,6 @@ struct MemEpoch {
     epoch: u64,
     /// The epoch's records, header and payload, back to back.
     journal: Vec<u8>,
-    /// The number of records in `journal`.
-    batches: usize,
 }
 
 /// One document's stored bytes.
@@ -103,16 +100,6 @@ impl MemBackend {
             .ok_or_else(|| StoreError::MissingDocument(name.to_string()))?;
         Ok(body(doc))
     }
-
-    /// Sums `field` over a document's un-folded epochs. An unknown name
-    /// reads as an empty document, as over files: the engine polls the
-    /// meters without checking existence.
-    fn sum(&self, name: &str, field: impl Fn(&MemEpoch) -> usize) -> usize {
-        self.docs
-            .lock()
-            .get(name)
-            .map_or(0, |doc| doc.epochs.iter().map(field).sum())
-    }
 }
 
 impl StorageBackend for MemBackend {
@@ -145,9 +132,7 @@ impl StorageBackend for MemBackend {
     fn append_batch_enqueue(&self, name: &str, batch: &[UpdateTransaction]) -> CommitTicket {
         let record = encode_record(batch);
         CommitTicket::resolved(self.with_doc(name, |doc| {
-            let current = doc.current();
-            current.journal.extend_from_slice(&record.bytes);
-            current.batches += 1;
+            doc.current().journal.extend_from_slice(&record.bytes);
         }))
     }
 
@@ -164,12 +149,14 @@ impl StorageBackend for MemBackend {
         decode_records(&journal)
     }
 
-    fn journal_batches(&self, name: &str) -> Result<usize, StoreError> {
-        Ok(self.sum(name, |epoch| epoch.batches))
-    }
-
+    /// An unknown name reads as an empty document, as over files.
     fn journal_size_bytes(&self, name: &str) -> Result<u64, StoreError> {
-        Ok(self.sum(name, |epoch| epoch.journal.len()) as u64)
+        Ok(self.docs.lock().get(name).map_or(0, |doc| {
+            doc.epochs
+                .iter()
+                .map(|epoch| epoch.journal.len() as u64)
+                .sum()
+        }))
     }
 
     fn begin_checkpoint(&self, name: &str) -> Result<u64, StoreError> {

@@ -13,14 +13,15 @@
 //! A document has one journal file per epoch, and a cold open replays the
 //! files of the checkpoint's epoch and of every newer epoch, in epoch
 //! order. A fold rotates appends to the next epoch before its checkpoint
-//! is written, so while that checkpoint is in flight (or after it failed)
-//! two or more un-folded epochs sit on disk. Once the checkpoint of epoch
-//! `e` is renamed, the files of the epochs before `e` are garbage. The `.0`
-//! is a sequence number that is always zero: earlier builds rolled a long
-//! journal into `.1`, `.2`, … files, and keeping the name keeps every store
-//! they wrote without rolling readable as is. An un-folded epoch's file
-//! with any other sequence is refused at first touch (see
-//! [`Segments::with_loaded`]).
+//! is written, so while that checkpoint is in flight (or after it failed,
+//! until a later fold lands; the warehouse begins at most one per fold
+//! interval) two or more un-folded epochs sit on disk. Once the
+//! checkpoint of epoch `e` is renamed, the files of the epochs before `e`
+//! are garbage. The `.0` is a sequence number that is always zero:
+//! earlier builds rolled a long journal into `.1`, `.2`, … files, and
+//! keeping the name keeps every store they wrote without rolling readable
+//! as is. An un-folded epoch's file with any other sequence is refused at
+//! first touch (see [`Segments::with_loaded`]).
 //!
 //! [`Segments`] owns the naming, the registry of per-document [`DocMeta`]s
 //! (the journal [`Cursor`]s behind the document's write mutex), the one-time
@@ -47,7 +48,8 @@ use crate::journal::{scan_segment, EncodedRecord};
 /// zeroing it at a rotation are assignments.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Cursor {
-    /// Committed batches awaiting a checkpoint.
+    /// Committed batches awaiting a checkpoint: read only by the inherent
+    /// [`FsBackend::journal_batches`](crate::FsBackend::journal_batches).
     pub(crate) batches: usize,
     /// Record bytes in the epoch's journal file: the offset the next record
     /// lands at.

@@ -3,8 +3,8 @@
 //! function, so `FsBackend` and `MemBackend` cannot drift apart on the
 //! semantics the warehouse engine relies on — plus two histories run on both
 //! side by side (one with a fold in flight between its rotation and its
-//! checkpoint), which pin the stored form itself: the same journal meters
-//! after every step, and checkpoints that load back to the bytes saved.
+//! checkpoint), which pin the stored form itself: the same batches read
+//! back and the same journal bytes after every step, and checkpoints that load back to the bytes saved.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,9 +82,7 @@ fn conformance_suite(backend: &dyn StorageBackend) {
         backend.append_batch("people", &[tagged_update("a")]),
         Err(StoreError::MissingDocument(_))
     ));
-    // An unknown document has an empty journal rather than an error: the
-    // engine polls the meters without first checking existence.
-    assert_eq!(backend.journal_batches("people").unwrap(), 0);
+    // An unknown document has an empty journal rather than an error.
     assert_eq!(backend.journal_size_bytes("people").unwrap(), 0);
     assert!(backend.read_batches("people").unwrap().is_empty());
 
@@ -103,7 +101,7 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     backend
         .append_batch("people", &[tagged_update("b2u1")])
         .unwrap();
-    assert_eq!(backend.journal_batches("people").unwrap(), 2);
+    assert_eq!(backend.read_batches("people").unwrap().len(), 2);
     assert!(backend.journal_size_bytes("people").unwrap() > 0);
     let batches = backend.read_batches("people").unwrap();
     assert_eq!(batches.len(), 2);
@@ -133,12 +131,12 @@ fn conformance_suite(backend: &dyn StorageBackend) {
 
     // --- overwriting a checkpoint leaves the journal alone ----------------
     backend.save_document("people", &sample_fuzzy()).unwrap();
-    assert_eq!(backend.journal_batches("people").unwrap(), 2);
+    assert_eq!(backend.read_batches("people").unwrap().len(), 2);
 
     // --- checkpoint folds the journal atomically --------------------------
     let folded = backend.recover_document("people").unwrap();
     backend.checkpoint("people", &folded).unwrap();
-    assert_eq!(backend.journal_batches("people").unwrap(), 0);
+    assert_eq!(backend.read_batches("people").unwrap().len(), 0);
     assert_eq!(backend.journal_size_bytes("people").unwrap(), 0);
     assert!(backend.read_batches("people").unwrap().is_empty());
     assert_eq!(
@@ -154,7 +152,7 @@ fn conformance_suite(backend: &dyn StorageBackend) {
     backend
         .append_batch("people", &[tagged_update("post")])
         .unwrap();
-    assert_eq!(backend.journal_batches("people").unwrap(), 1);
+    assert_eq!(backend.read_batches("people").unwrap().len(), 1);
     assert_eq!(
         backend
             .recover_document("people")
@@ -173,13 +171,14 @@ fn conformance_suite(backend: &dyn StorageBackend) {
         .append_batch("other", &[tagged_update("o")])
         .unwrap();
     assert_eq!(backend.list_documents().unwrap(), vec!["other", "people"]);
-    assert_eq!(backend.journal_batches("people").unwrap(), 1);
-    assert_eq!(backend.journal_batches("other").unwrap(), 1);
+    assert_eq!(backend.read_batches("people").unwrap().len(), 1);
+    assert_eq!(backend.read_batches("other").unwrap().len(), 1);
 }
 
 /// The two backends store one form: the same history — a create, appends,
-/// a checkpoint, more appends — leaves both with equal journal meters after
-/// every step, and each loads back the bytes of the tree it was last given.
+/// a checkpoint, more appends — leaves both with as many batches read back
+/// and as many journal bytes after every step, and each loads back the
+/// bytes of the tree it was last given.
 #[test]
 fn fs_and_mem_backends_store_the_same_bytes() {
     let dir = scratch("same-bytes");
@@ -195,11 +194,11 @@ fn fs_and_mem_backends_store_the_same_bytes() {
                 "{backend:?} loads what was saved, {step}"
             );
             (
-                backend.journal_batches("people").unwrap(),
+                backend.read_batches("people").unwrap().len(),
                 backend.journal_size_bytes("people").unwrap(),
             )
         });
-        assert_eq!(fs, mem, "journal meters (batches, bytes), {step}");
+        assert_eq!(fs, mem, "journal (batches read, bytes), {step}");
     };
 
     let mut saved = sample_fuzzy();
@@ -252,11 +251,11 @@ fn fs_and_mem_backends_agree_with_a_fold_in_flight() {
             let expected: Vec<String> = tags.iter().map(|t| format!("{t}@example.org")).collect();
             assert_eq!(journal_tags(backend, "people"), expected, "{step}");
             (
-                backend.journal_batches("people").unwrap(),
+                backend.read_batches("people").unwrap().len(),
                 backend.journal_size_bytes("people").unwrap(),
             )
         });
-        assert_eq!(fs, mem, "journal meters (batches, bytes), {step}");
+        assert_eq!(fs, mem, "journal (batches read, bytes), {step}");
         assert_eq!(fs.0, tags.len(), "{step}");
     };
 
@@ -320,7 +319,7 @@ fn concurrent_conformance(backend: Arc<dyn StorageBackend>) {
         }
     });
     assert_eq!(
-        backend.journal_batches("shared").unwrap(),
+        backend.read_batches("shared").unwrap().len(),
         threads * per_thread
     );
     assert_eq!(

@@ -37,23 +37,32 @@ use pxml_store::CommitPolicy;
 ///
 /// Compaction trades a periodic O(document) checkpoint write for bounded
 /// journal replay at recovery; between compactions every commit stays
-/// O(batch) in the segment journal. The policy is evaluated *after* the
-/// batch is durable and published, so a compaction failure neither loses the
-/// commit nor fails it: the journal stays as it was, the next commit tries
-/// the fold again, and [`Warehouse::checkpoint`] reports why it fails.
+/// O(batch) in the segment journal. The policy is tested *after* the batch
+/// is durable and published, against the batches journaled since the
+/// document's last rotation — a count the warehouse keeps under the
+/// document's commit mutex, not a store meter. A compaction failure neither
+/// loses the commit nor fails it: the journal keeps every batch, the
+/// failure is counted in [`WarehouseStats::folds_failed`], the next due
+/// point, N batches after the failed fold's rotation, tries the fold again,
+/// and [`Warehouse::checkpoint`] reports why it fails. A fold that keeps
+/// failing therefore adds one journal epoch per N batches, not one per
+/// commit.
 ///
+/// [`WarehouseStats::folds_failed`]: crate::WarehouseStats::folds_failed
 /// [`Warehouse::checkpoint`]: crate::Warehouse::checkpoint
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompactionPolicy {
     /// Never compact; the journal grows until an explicit
     /// [`Warehouse::checkpoint`](crate::Warehouse::checkpoint).
     Never,
-    /// Compact once the journal holds this many committed batches.
+    /// Compact once this many batches were journaled since the last
+    /// rotation (a cold open counts the batches it replayed).
     EveryNBatches(usize),
 }
 
 impl CompactionPolicy {
-    /// Whether a journal holding this many batches is due for compaction.
+    /// Whether this many batches journaled since the last rotation are due
+    /// for compaction.
     pub fn is_due(&self, batches: usize) -> bool {
         match self {
             CompactionPolicy::Never => false,
@@ -298,7 +307,7 @@ mod tests {
     }
 
     /// A warehouse over the in-memory backend runs the full pipeline —
-    /// create, batch commit, query, journal meters — and a second warehouse
+    /// create, batch commit, query, the journal — and a second warehouse
     /// over the *same* backend recovers the documents from checkpoint +
     /// journal replay, exactly like a file-system reopen.
     #[test]
@@ -313,7 +322,7 @@ mod tests {
         warehouse
             .commit_batch("people", &[add_fact("alice", "phone", "+33-1", 0.8)], None)
             .unwrap();
-        assert_eq!(backend.journal_batches("people").unwrap(), 1);
+        assert_eq!(backend.read_batches("people").unwrap().len(), 1);
 
         let recovered = Warehouse::with_backend(backend, config).unwrap();
         let phones = Pattern::parse("person { phone }").unwrap();

@@ -19,7 +19,8 @@
 //! ├── shards[hash(name) % N]: RwLock<HashMap<String, Arc<DocSlot>>>
 //! │        │  (held only to look up / insert a slot)
 //! │        └── slot: Arc<DocSlot>
-//! │             ├── commit: Mutex<()>        (one writer pipeline at a time)
+//! │             ├── commit: Mutex<usize>     (one writer pipeline at a time;
+//! │             │                             the fold meter)
 //! │             └── state: RwLock<DocState>  (published Arc<snapshot> +
 //! │                                           quarantine; held O(1) only)
 //! ├── stats: atomic counters (never block anything)
@@ -101,11 +102,14 @@
 //! compare against).
 //!
 //! Every counter has one home. [`Warehouse::stats`] reads the engine's own
-//! atomics (updates, queries, checkpoints) and carries the storage
-//! backend's [`DurabilityStats`] (fsync rounds, grouped commits and
-//! windows, and the one window-occupancy rule) as its `durability` field,
-//! unchanged; the journal's meters (batches, for compaction, and bytes)
-//! stay with the backend.
+//! atomics (updates, queries, and the folder's checkpoints written and
+//! folds failed) and carries the storage backend's [`DurabilityStats`]
+//! (fsync rounds, grouped commits and windows, and the one window-occupancy
+//! rule) as its `durability` field, unchanged. The fold meter lives where
+//! the fold is decided: each document's commit mutex holds the batches
+//! journaled since its last rotation, which
+//! [`CompactionPolicy`](crate::CompactionPolicy) tests. The journal's byte
+//! meter stays with the backend.
 //!
 //! These rules are not just prose: every lock here carries a
 //! `parking_lot::LockClass` (`Shard`, `DocEntry`, …) and the whole test
@@ -121,7 +125,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -220,14 +224,20 @@ pub struct WarehouseStats {
     pub queries_evaluated: usize,
     /// Checkpoints written.
     pub checkpoints: usize,
+    /// Folds begun whose checkpoint was not written: a fold body that
+    /// returned an error or panicked, or a fold the folder thread could not
+    /// be handed. Each leaves the old checkpoint and the un-folded epochs;
+    /// the next fold is due a whole interval after the failed one's
+    /// rotation.
+    pub folds_failed: usize,
     /// Fsync rounds and group-commit windows of the storage backend.
     pub durability: DurabilityStats,
 }
 
 /// The engine-internal counters behind [`WarehouseStats`]: plain atomics, so
 /// recording an update or reading a snapshot never takes any lock and can
-/// never block (or be blocked by) a commit. The checkpoint count lives with
-/// the [`Folder`], whose fold body writes every checkpoint.
+/// never block (or be blocked by) a commit. The fold counts live with the
+/// [`Folder`], whose fold body writes every checkpoint.
 #[derive(Default)]
 struct StatsCounters {
     updates_applied: AtomicUsize,
@@ -235,11 +245,12 @@ struct StatsCounters {
 }
 
 impl StatsCounters {
-    fn snapshot(&self, checkpoints: usize, durability: DurabilityStats) -> WarehouseStats {
+    fn snapshot(&self, folder: &Folder, durability: DurabilityStats) -> WarehouseStats {
         WarehouseStats {
             updates_applied: self.updates_applied.load(Ordering::Relaxed),
             queries_evaluated: self.queries_evaluated.load(Ordering::Relaxed),
-            checkpoints,
+            checkpoints: folder.checkpoints.load(Ordering::Relaxed),
+            folds_failed: folder.folds_failed.load(Ordering::Relaxed),
             durability,
         }
     }
@@ -279,6 +290,8 @@ struct Folder {
     changed: Condvar,
     /// Checkpoints written.
     checkpoints: AtomicUsize,
+    /// Begun folds whose checkpoint was not written.
+    folds_failed: AtomicUsize,
 }
 
 impl Folder {
@@ -287,15 +300,23 @@ impl Folder {
             queue: Mutex::with_class(LockClass::Folder, FoldQueue::default()),
             changed: Condvar::new(),
             checkpoints: AtomicUsize::new(0),
+            folds_failed: AtomicUsize::new(0),
         }
     }
 
     /// The one fold body: writes the checkpoint a begun fold promised and
-    /// counts it.
+    /// counts it as written or as failed; a panic counts as a failure and
+    /// unwinds on.
     fn finish(&self, store: &dyn StorageBackend, fold: &Fold) -> Result<(), StoreError> {
-        store.finish_checkpoint(&fold.name, fold.snapshot.fuzzy(), fold.epoch)?;
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            store.finish_checkpoint(&fold.name, fold.snapshot.fuzzy(), fold.epoch)
+        }));
+        let counter = match outcome {
+            Ok(Ok(())) => &self.checkpoints,
+            _ => &self.folds_failed,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        outcome.unwrap_or_else(|panic| resume_unwind(panic))
     }
 
     /// Whether a fold of `name` is in flight.
@@ -305,7 +326,7 @@ impl Folder {
 
     /// Hands a begun fold to the folder thread, starting the thread if this
     /// is the warehouse's first. A thread that cannot be started fails the
-    /// fold, as a failed write would.
+    /// fold, as a failed write would, and is counted as one.
     fn submit(
         folder: &Arc<Folder>,
         store: &Arc<dyn StorageBackend>,
@@ -313,12 +334,17 @@ impl Folder {
     ) -> Result<(), StoreError> {
         let mut queue = folder.queue.lock();
         if queue.thread.is_none() {
-            let (folder, store) = (Arc::clone(folder), Arc::clone(store));
-            queue.thread = Some(
-                std::thread::Builder::new()
-                    .name("pxml-folder".to_string())
-                    .spawn(move || folder.run(&*store))?,
-            );
+            let (owner, store) = (Arc::clone(folder), Arc::clone(store));
+            let spawned = std::thread::Builder::new()
+                .name("pxml-folder".to_string())
+                .spawn(move || owner.run(&*store));
+            match spawned {
+                Ok(thread) => queue.thread = Some(thread),
+                Err(error) => {
+                    folder.folds_failed.fetch_add(1, Ordering::Relaxed);
+                    return Err(error.into());
+                }
+            }
         }
         queue.in_flight.insert(fold.name.clone());
         queue.jobs.push_back(fold);
@@ -327,10 +353,11 @@ impl Folder {
     }
 
     /// The folder thread: finishes queued folds in order until the queue is
-    /// empty and the warehouse is closing. A fold that fails (or panics)
-    /// leaves the old checkpoint and every un-folded epoch; the meter stays
-    /// due, so the next due commit begins another, and an explicit
-    /// [`Warehouse::checkpoint`] is where a failure is reported.
+    /// empty and the warehouse is closing. A fold that fails (or panics) is
+    /// counted and leaves the old checkpoint and every un-folded epoch; its
+    /// rotation already zeroed the document's fold meter, so the next fold
+    /// begins a whole interval later, and an explicit
+    /// [`Warehouse::checkpoint`] is where a failure's cause is reported.
     fn run(&self, store: &dyn StorageBackend) {
         loop {
             let fold = {
@@ -446,8 +473,11 @@ struct DocSlot {
     /// Serializes writers: held across the whole apply → journal → swap →
     /// maintenance pipeline of [`Warehouse::commit_batch`] (and by
     /// `checkpoint`/`reopen_document`, which must not interleave with a
-    /// commit). Readers never touch it.
-    commit: Mutex<()>,
+    /// commit). Readers never touch it. It holds the fold meter: the batches
+    /// journaled since the document's last rotation — every commit that
+    /// journals one adds one, a cold open and a reopen start it at the
+    /// batches they replayed, and a begun fold zeroes it.
+    commit: Mutex<usize>,
     /// The published snapshot + quarantine. Only ever held long enough to
     /// clone or swap the snapshot `Arc` — O(1), never across an apply,
     /// a query, or storage I/O.
@@ -455,9 +485,9 @@ struct DocSlot {
 }
 
 impl DocSlot {
-    fn live(snapshot: DocSnapshot) -> Slot {
+    fn live(snapshot: DocSnapshot, journaled: usize) -> Slot {
         Arc::new(DocSlot {
-            commit: Mutex::with_class(LockClass::DocCommit, ()),
+            commit: Mutex::with_class(LockClass::DocCommit, journaled),
             state: RwLock::with_class(
                 LockClass::DocEntry,
                 DocState {
@@ -550,12 +580,9 @@ impl Warehouse {
             folder: Arc::new(Folder::new()),
         };
         for name in warehouse.store.list_documents()? {
-            let snapshot = DocSnapshot::first(warehouse.replay(&name)?);
-            warehouse
-                .shard(&name)
-                .slots
-                .write()
-                .insert(name, DocSlot::live(snapshot));
+            let (fuzzy, journaled) = warehouse.replay(&name)?;
+            let slot = DocSlot::live(DocSnapshot::first(fuzzy), journaled);
+            warehouse.shard(&name).slots.write().insert(name, slot);
         }
         Ok(warehouse)
     }
@@ -575,15 +602,18 @@ impl Warehouse {
     ///
     /// The label index is built once over the loaded checkpoint and patched
     /// after every replayed update, so each replayed match starts from it,
-    /// as its live commit's did, and the tree returned is indexed.
-    fn replay(&self, name: &str) -> Result<FuzzyTree, WarehouseError> {
+    /// as its live commit's did, and the tree returned is indexed. The
+    /// number of batches replayed comes back beside it: the document's fold
+    /// meter.
+    fn replay(&self, name: &str) -> Result<(FuzzyTree, usize), WarehouseError> {
         let mut fuzzy = self.store.load_document(name)?;
         fuzzy.refresh_label_index();
-        for update in self.store.read_journal(name)? {
+        let batches = self.store.read_batches(name)?;
+        for update in batches.iter().flatten() {
             update.apply_to_fuzzy_with(&mut fuzzy, SimplifyPolicy::Inline)?;
             fuzzy.refresh_label_index();
         }
-        Ok(fuzzy)
+        Ok((fuzzy, batches.len()))
     }
 
     /// The shard a document name maps to.
@@ -652,7 +682,7 @@ impl Warehouse {
             return Err(WarehouseError::DuplicateDocument(name.to_string()));
         }
         self.store.save_document(name, snapshot.fuzzy())?;
-        slots.insert(name.to_string(), DocSlot::live(snapshot));
+        slots.insert(name.to_string(), DocSlot::live(snapshot, 0));
         Ok(())
     }
 
@@ -761,9 +791,10 @@ impl Warehouse {
     /// an O(1) rotation of the journal to a new epoch — and the warehouse's
     /// folder thread writes the checkpoint of the published snapshot while
     /// later commits append to the new epoch. A fold that cannot be written
-    /// leaves the old checkpoint and every un-folded epoch, the next due
-    /// blocking commit tries again, and the failure itself is what an
-    /// explicit [`Warehouse::checkpoint`] returns.
+    /// is counted in [`WarehouseStats::folds_failed`] and leaves the old
+    /// checkpoint and every un-folded epoch; the next due point, N batches
+    /// after the failed fold's rotation, tries again, and the failure itself
+    /// is what an explicit [`Warehouse::checkpoint`] returns.
     ///
     /// Locking: the document's commit mutex is held start to finish, so
     /// writers to the same document serialize (no lost updates); the state
@@ -816,7 +847,7 @@ impl Warehouse {
     ) -> Result<AsyncCommit, WarehouseError> {
         let policy = policy.unwrap_or(SimplifyPolicy::Inline);
         let slot = self.slot(name)?;
-        let commit = slot.commit.lock();
+        let mut journaled = slot.commit.lock();
         let base = Self::pin(&slot);
         Self::check_quarantine(&slot, name)?;
         if batch.is_empty() {
@@ -851,6 +882,7 @@ impl Warehouse {
         let published = Self::publish(&slot, &base, working);
 
         // The commit happened: record it before any maintenance can fail.
+        *journaled += 1;
         self.stats
             .updates_applied
             .fetch_add(batch.len(), Ordering::Relaxed);
@@ -862,13 +894,13 @@ impl Warehouse {
             // may fail the call: told `Err`, a client retries and the batch
             // is applied twice. A fold that fails leaves "old checkpoint +
             // every un-folded epoch", which the backend contract keeps
-            // consistent, and the meter stays due, so the next blocking
-            // commit retries it; `Warehouse::checkpoint` is where the
-            // failure is reported.
+            // consistent; it is counted, its rotation zeroed the meter, so
+            // the next due point is a whole interval away, and
+            // `Warehouse::checkpoint` is where the cause is reported.
             // lint: allow(io-result-drop)
-            let _ = self.fold_if_due(name, &published);
+            let _ = self.fold_if_due(name, &published, &mut journaled);
         }
-        drop(commit);
+        drop(journaled);
         Ok(AsyncCommit {
             stats,
             ticket,
@@ -878,20 +910,22 @@ impl Warehouse {
 
     /// Begins a fold of the journal into a checkpoint of `snapshot` when the
     /// configured [`CompactionPolicy`](crate::session::CompactionPolicy) says
-    /// it is due — one O(1) meter read otherwise — and hands it to the
-    /// folder thread. A document whose fold is still in flight skips: its
-    /// meter stays due, so a later commit folds what this one would have.
-    /// Caller must hold the slot's commit mutex.
-    fn fold_if_due(&self, name: &str, snapshot: &DocSnapshot) -> Result<(), StoreError> {
-        if !self
-            .config
-            .compaction
-            .is_due(self.store.journal_batches(name)?)
-            || self.folder.in_flight(name)
-        {
+    /// the `journaled` batches since the last rotation — the meter the
+    /// caller's commit mutex guards — are due, and hands it to the folder
+    /// thread. A document whose fold is still in flight skips: its meter
+    /// stays due, so a later commit folds what this one would have. A
+    /// rotation zeroes the meter, whether or not its fold lands.
+    fn fold_if_due(
+        &self,
+        name: &str,
+        snapshot: &DocSnapshot,
+        journaled: &mut usize,
+    ) -> Result<(), StoreError> {
+        if !self.config.compaction.is_due(*journaled) || self.folder.in_flight(name) {
             return Ok(());
         }
         let epoch = self.store.begin_checkpoint(name)?;
+        *journaled = 0;
         let fold = Fold {
             name: name.to_string(),
             snapshot: snapshot.clone(),
@@ -928,11 +962,11 @@ impl Warehouse {
     /// returned. Callers must not acknowledge the commit to *their* clients
     /// until `wait` returns `Ok`.
     ///
-    /// Post-commit maintenance (compaction) is skipped on this path: the
-    /// journal meters only settle at the fsync, and a compaction here would
-    /// force the window to flush early, defeating the coalescing. The next
-    /// blocking commit (or an explicit [`Warehouse::checkpoint`]) picks the
-    /// fold up.
+    /// Post-commit maintenance (compaction) is skipped on this path: a
+    /// fold's rotation settles the open window first, and a compaction here
+    /// would force it to flush early, defeating the coalescing. The batch
+    /// still counts toward the fold meter; the next blocking commit (or an
+    /// explicit [`Warehouse::checkpoint`]) picks the fold up.
     ///
     /// `policy` is [`Warehouse::commit_batch`]'s frozen parameter, with the
     /// same meaning: `None` is [`SimplifyPolicy::Inline`], and
@@ -948,7 +982,7 @@ impl Warehouse {
     }
 
     /// Serialized size of a document's journal in bytes — O(1) from the
-    /// backend's journal meters.
+    /// backend's journal meter.
     pub fn journal_size_bytes(&self, name: &str) -> Result<u64, WarehouseError> {
         self.slot(name)?;
         Ok(self.store.journal_size_bytes(name)?)
@@ -964,11 +998,12 @@ impl Warehouse {
         // commits, whose journal appends must not interleave with the
         // rotation, and keeps a commit from beginning another fold while
         // this one runs. Readers are unaffected.
-        let _commit = slot.commit.lock();
+        let mut journaled = slot.commit.lock();
         self.folder.wait_for(name);
         let snapshot = Self::pin(&slot);
         Self::check_quarantine(&slot, name)?;
         let epoch = self.store.begin_checkpoint(name)?;
+        *journaled = 0;
         let fold = Fold {
             name: name.to_string(),
             snapshot,
@@ -997,7 +1032,7 @@ impl Warehouse {
     /// state.
     pub fn reopen_document(&self, name: &str) -> Result<(), WarehouseError> {
         let slot = self.slot(name)?;
-        let _commit = slot.commit.lock();
+        let mut journaled = slot.commit.lock();
         // The replay pairs the checkpoint with the journal, which a fold in
         // flight is about to change.
         self.folder.wait_for(name);
@@ -1005,7 +1040,9 @@ impl Warehouse {
         // number) from moving until the swap below.
         let current = Self::pin(&slot);
         self.store.reopen_document(name)?;
-        let next = current.successor(self.replay(name)?);
+        let (fuzzy, replayed) = self.replay(name)?;
+        *journaled = replayed;
+        let next = current.successor(fuzzy);
         let mut state = slot.state.write();
         state.snapshot = next;
         state.quarantined = None;
@@ -1046,9 +1083,8 @@ impl Warehouse {
     /// Running counters since the warehouse was opened. Reads atomics only —
     /// never blocks, and never delays a commit.
     pub fn stats(&self) -> WarehouseStats {
-        let checkpoints = self.folder.checkpoints.load(Ordering::Relaxed);
         self.stats
-            .snapshot(checkpoints, self.store.durability_stats())
+            .snapshot(&self.folder, self.store.durability_stats())
     }
 
     /// Waits out every fold in flight, then drains the storage backend's
@@ -1366,13 +1402,13 @@ mod tests {
         .unwrap();
         warehouse.create_document("people", directory()).unwrap();
         commit_one(&warehouse, "people", &add_phone("alice", 0.8)).unwrap();
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 1);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 1);
         commit_one(&warehouse, "people", &add_phone("bob", 0.9)).unwrap();
         // After the second batch the journal is folded into the checkpoint,
         // on the folder thread, which the barrier waits out.
         warehouse.group_barrier();
         assert_eq!(warehouse.stats().checkpoints, 1);
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 0);
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
         let phones = Pattern::parse("person { phone }").unwrap();
         assert_eq!(reopened.query("people", &phones).unwrap().len(), 2);
@@ -1381,11 +1417,13 @@ mod tests {
 
     /// A commit that is journaled and published is `Ok` whatever happens to
     /// the fold that follows it: told `Err`, a retrying client would apply
-    /// the batch twice. The failed fold leaves the journal whole, the
-    /// explicit verb says why it fails, and the next commit folds once the
-    /// cause is gone. Two causes: the checkpoint's staging path made
-    /// un-creatable, and a fault plan failing checkpoints #2 (the due fold)
-    /// and #3 (the explicit verb) — #1 is the document's creation.
+    /// the batch twice. The failed fold leaves the journal whole and is
+    /// counted, the explicit verb says why it fails (and counts again), and
+    /// once the cause is gone the next due point — two batches after the
+    /// explicit verb's rotation — folds. Two causes: the checkpoint's
+    /// staging path made un-creatable, and a fault plan failing checkpoints
+    /// #2 (the due fold) and #3 (the explicit verb) — #1 is the document's
+    /// creation.
     #[test]
     fn a_failed_post_commit_fold_does_not_fail_the_commit() {
         use pxml_store::{FaultOp, FaultPlan, FsBackend, FsOptions};
@@ -1421,19 +1459,23 @@ mod tests {
             assert!(!warehouse.is_quarantined("people"));
             warehouse.group_barrier();
             assert_eq!(warehouse.stats().checkpoints, 0);
-            assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+            assert_eq!(warehouse.stats().folds_failed, 1);
+            assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 2);
             assert!(matches!(
                 warehouse.checkpoint("people"),
                 Err(WarehouseError::Store(_))
             ));
+            assert_eq!(warehouse.stats().folds_failed, 2);
 
             if let Some(obstruction) = &obstruction {
                 std::fs::remove_dir(obstruction).unwrap();
             }
             commit_one(&warehouse, "people", &add_phone("alice", 0.5)).unwrap();
+            commit_one(&warehouse, "people", &add_email("bob", 0.6)).unwrap();
             warehouse.group_barrier();
             assert_eq!(warehouse.stats().checkpoints, 1);
-            assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+            assert_eq!(warehouse.stats().folds_failed, 2);
+            assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 0);
             drop(warehouse);
             let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
             let phones = Pattern::parse("person { phone }").unwrap();
@@ -1489,7 +1531,7 @@ mod tests {
         warehouse.group_barrier();
         assert!(!warehouse.fold_in_flight());
         assert_eq!(warehouse.stats().checkpoints, 1);
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 2);
         let live = serialized(&warehouse.snapshot("people").unwrap());
         drop(warehouse);
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
@@ -1499,8 +1541,10 @@ mod tests {
 
     /// A background fold whose checkpoint write fails costs the commit
     /// nothing: it returns `Ok`, the old checkpoint and both epochs stay,
-    /// and the next due commit begins the fold again and lands it. A cold
-    /// open replays exactly the acknowledged commits.
+    /// the failure is counted, and the next due commit — two batches after
+    /// the failed fold's rotation, not the very next one — begins the fold
+    /// again and lands it. A cold open replays exactly the acknowledged
+    /// commits.
     #[test]
     fn a_failed_background_fold_is_landed_by_the_next_due_commit() {
         use pxml_store::{FaultOp, FaultPlan};
@@ -1512,13 +1556,18 @@ mod tests {
             .expect("a failed fold is not the commit's failure");
         warehouse.group_barrier();
         assert_eq!(warehouse.stats().checkpoints, 0);
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 2);
+        assert_eq!(warehouse.stats().folds_failed, 1);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 2);
         assert!(!warehouse.is_quarantined("people"));
 
         commit_one(&warehouse, "people", &add_email("alice", 0.7)).unwrap();
         warehouse.group_barrier();
+        assert_eq!(warehouse.stats().checkpoints, 0, "one batch is not due");
+        commit_one(&warehouse, "people", &add_email("bob", 0.6)).unwrap();
+        warehouse.group_barrier();
         assert_eq!(warehouse.stats().checkpoints, 1);
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+        assert_eq!(warehouse.stats().folds_failed, 1);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 0);
         let live = serialized(&warehouse.snapshot("people").unwrap());
         drop(warehouse);
         let reopened = Warehouse::with_config(&dir, plain_config()).unwrap();
@@ -1526,7 +1575,88 @@ mod tests {
         let phones = Pattern::parse("person { phone }").unwrap();
         assert_eq!(reopened.query("people", &phones).unwrap().len(), 2);
         let emails = Pattern::parse("person { email }").unwrap();
-        assert_eq!(reopened.query("people", &emails).unwrap().len(), 1);
+        assert_eq!(reopened.query("people", &emails).unwrap().len(), 2);
+        std::fs::remove_dir_all(dir).unwrap();
+    }
+
+    /// A fold that keeps failing rotates the journal once per fold
+    /// interval, not once per commit. Every checkpoint write fails while
+    /// 200 single-insert commits fold every 4 batches: the store directory
+    /// holds at most 200 / 4 + 2 files, the failures are counted, the
+    /// explicit verb returns the injected error, and a cold open without
+    /// the fault serves the live bytes. Reopened under a plan that fails
+    /// only the first two checkpoint writes, the third due fold lands, and
+    /// the directory is back to one checkpoint and one journal file.
+    #[test]
+    fn a_failing_fold_rotates_once_per_interval_and_is_counted() {
+        use pxml_store::{is_injected, FaultOp, FaultPlan, FsBackend, FsOptions};
+        const COMMITS: usize = 200;
+        const INTERVAL: usize = 4;
+        let dir = scratch("fold-fails-every-time");
+        let files = || std::fs::read_dir(&dir).unwrap().count();
+        let config = SessionConfig {
+            compaction: CompactionPolicy::EveryNBatches(INTERVAL),
+            ..SessionConfig::default()
+        };
+        let open = |plan: FaultPlan| {
+            let options = FsOptions {
+                fault: Some(Arc::new(plan)),
+                ..FsOptions::default()
+            };
+            let backend = FsBackend::with_options(&dir, options).unwrap();
+            Warehouse::with_backend(Arc::new(backend), config).unwrap()
+        };
+        Warehouse::with_config(&dir, plain_config())
+            .unwrap()
+            .create_document("people", directory())
+            .unwrap();
+
+        let warehouse = open(FaultPlan::new().fail_rate(FaultOp::Checkpoint, 1.0));
+        for round in 0..COMMITS {
+            let who = if round % 2 == 0 { "alice" } else { "bob" };
+            commit_one(&warehouse, "people", &add_phone(who, 0.5)).unwrap();
+        }
+        warehouse.group_barrier();
+        let stats = warehouse.stats();
+        assert_eq!(stats.checkpoints, 0);
+        assert!(stats.folds_failed > 0, "{stats:?}");
+        assert!(files() <= COMMITS / INTERVAL + 2, "{} files", files());
+        match warehouse.checkpoint("people") {
+            Err(WarehouseError::Store(error)) => assert!(is_injected(&error), "{error}"),
+            other => panic!("expected the injected fault, got {other:?}"),
+        }
+        assert_eq!(warehouse.stats().folds_failed, stats.folds_failed + 1);
+        assert!(files() <= COMMITS / INTERVAL + 2, "{} files", files());
+        let live = serialized(&warehouse.snapshot("people").unwrap());
+        drop(warehouse);
+        let cold = Warehouse::with_config(&dir, plain_config()).unwrap();
+        assert_eq!(serialized(&cold.snapshot("people").unwrap()), live);
+        drop(cold);
+
+        // The cold open's meter holds all 200 batches, so the first commit
+        // is due: its fold and the one an interval later fail, the third
+        // lands. The barriers keep each fold from being skipped in flight.
+        let warehouse = open(
+            FaultPlan::new()
+                .fail_nth(FaultOp::Checkpoint, 1)
+                .fail_nth(FaultOp::Checkpoint, 2),
+        );
+        let mut commits = 0;
+        while warehouse.stats().checkpoints == 0 {
+            assert!(commits < 3 * INTERVAL, "the fold never landed");
+            commit_one(&warehouse, "people", &add_email("alice", 0.5)).unwrap();
+            warehouse.group_barrier();
+            commits += 1;
+        }
+        assert_eq!(commits, 1 + 2 * INTERVAL);
+        assert_eq!(warehouse.stats().folds_failed, 2);
+        commit_one(&warehouse, "people", &add_email("bob", 0.5)).unwrap();
+        assert_eq!(files(), 2, "one checkpoint and one journal file");
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 1);
+        let live = serialized(&warehouse.snapshot("people").unwrap());
+        drop(warehouse);
+        let cold = Warehouse::with_config(&dir, plain_config()).unwrap();
+        assert_eq!(serialized(&cold.snapshot("people").unwrap()), live);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -1887,7 +2017,7 @@ mod tests {
             .unwrap();
         assert!(handle.is_durable());
         handle.wait().unwrap();
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 1);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 1);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -2366,7 +2496,7 @@ mod tests {
             pxml_store::serialize_fuzzy_document(after.fuzzy(), false),
             bytes
         );
-        assert_eq!(warehouse.store.journal_batches("people").unwrap(), 0);
+        assert_eq!(warehouse.store.read_batches("people").unwrap().len(), 0);
         assert_eq!(warehouse.stats().updates_applied, 0);
         assert!(!warehouse.is_quarantined("people"));
     }
