@@ -11,7 +11,8 @@ pub enum CoreError {
     /// Propagated event/condition error (probability bounds, unknown events,
     /// exhaustive enumeration caps, parsing).
     Event(EventError),
-    /// Propagated tree manipulation error.
+    /// Propagated tree error; [`TreeError::Unstorable`] is a created
+    /// document or an inserted subtree the store could not carry back.
     Tree(TreeError),
     /// The root of a fuzzy tree must be certain (empty condition).
     RootConditionNotAllowed,
@@ -24,10 +25,6 @@ pub enum CoreError {
     /// An insertion would put a node at this depth, below
     /// [`pxml_tree::MAX_TREE_DEPTH`].
     InsertionTooDeep(usize),
-    /// A document or an inserted subtree holds an element named
-    /// [`pxml_tree::RESERVED_ELEMENT`], the wrapper a stored document puts
-    /// around conditional text: stored, it would read back as text.
-    ReservedElement,
     /// Possible-worlds sets can only be encoded into a fuzzy tree when all
     /// worlds share the same root label.
     HeterogeneousRoots,
@@ -59,11 +56,6 @@ impl fmt::Display for CoreError {
                 f,
                 "insertion would put a node at depth {depth}, the deepest allowed is {}",
                 pxml_tree::MAX_TREE_DEPTH
-            ),
-            CoreError::ReservedElement => write!(
-                f,
-                "the element name `{}` is reserved for PrXML's conditional text",
-                pxml_tree::RESERVED_ELEMENT
             ),
             CoreError::HeterogeneousRoots => write!(
                 f,

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use pxml_event::{Condition, EventId, Literal};
 use pxml_query::{Matching, PNodeId, Pattern};
-use pxml_tree::{NodeId, Tree, MAX_TREE_DEPTH, RESERVED_ELEMENT};
+use pxml_tree::{NodeId, Tree, MAX_TREE_DEPTH};
 
 use crate::error::CoreError;
 use crate::fuzzy::FuzzyTree;
@@ -244,12 +244,10 @@ impl UpdateTransaction {
     ) -> Result<UpdateStats, CoreError> {
         let mut stats = UpdateStats::default();
         // Refused whether or not it matches: the journal stores the update,
-        // and a stored `pxml:text` element reads back as text.
+        // and a cold open replays what the journal reads back.
         for operation in &self.operations {
             if let UpdateOperation::Insert { subtree, .. } = operation {
-                if subtree.has_element_named(RESERVED_ELEMENT) {
-                    return Err(CoreError::ReservedElement);
-                }
+                subtree.check_storable()?;
             }
         }
         let matches = self.pattern.find_matches(fuzzy.tree());

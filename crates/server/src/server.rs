@@ -60,7 +60,7 @@ use parking_lot::{Condvar, LockClass, Mutex};
 use pxml_core::CoreError;
 use pxml_query::Pattern;
 use pxml_store::{parse_batch, serialize_fuzzy_document, FsBackend, FsOptions};
-use pxml_tree::{data_tree_to_xml, parse_data_tree, XmlElement};
+use pxml_tree::{data_tree_to_xml, parse_data_tree, TreeError, XmlElement};
 use pxml_warehouse::{AsyncCommit, SessionConfig, Warehouse, WarehouseError};
 
 use crate::frame::{
@@ -381,8 +381,9 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     };
     let mut reader = stream;
     let mut backlog = AsyncBacklog::default();
+    let cap = inner.config.max_frame_bytes;
     loop {
-        let request = match read_request(&mut reader, inner.config.max_frame_bytes) {
+        let request = match read_request(&mut reader, cap) {
             Ok(request) => request,
             // Clean close, mid-frame disconnect, transport error, idle
             // deadline: nothing sensible to answer on; drop the connection
@@ -395,6 +396,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
                 let _ = respond(
                     &mut writer,
                     error_response("malformed", false, &err.to_string()),
+                    cap,
                 );
                 break;
             }
@@ -403,6 +405,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
             let _ = respond(
                 &mut writer,
                 error_response("shutdown", true, "server is shutting down"),
+                cap,
             );
             break;
         }
@@ -414,11 +417,12 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
                     tag: tag::OK,
                     payload: summary.into_bytes(),
                 },
+                cap,
             );
             break;
         }
         let response = inner.execute(&request, &mut backlog);
-        if respond(&mut writer, response).is_err() {
+        if respond(&mut writer, response, cap).is_err() {
             break;
         }
     }
@@ -429,7 +433,17 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     inner.conns.lock().streams.remove(&conn_id);
 }
 
-fn respond(writer: &mut impl Write, response: RawResponse) -> io::Result<()> {
+/// Writes `response`, or in its place a final `too-large` error if its
+/// frame would exceed `cap`, the bound requests get: a client refuses a
+/// frame past its own cap as a framing error, and the connection with it.
+fn respond(writer: &mut impl Write, response: RawResponse, cap: u32) -> io::Result<()> {
+    let len = 1 + response.payload.len();
+    let response = if len > cap as usize {
+        let message = format!("the reply is {len} bytes, past the {cap}-byte frame cap");
+        error_response("too-large", false, &message)
+    } else {
+        response
+    };
     write_response(writer, response.tag, &response.payload)
 }
 
@@ -482,11 +496,11 @@ fn engine_error(err: WarehouseError) -> RawResponse {
         // disk that later clears) are the transient class the retry
         // guidance in README "Failure model & recovery" is about.
         err @ WarehouseError::Store(_) => error_response("engine", true, &err.to_string()),
-        // A payload the wire import let through but no stored document can
-        // hold: the client's to fix, not the engine's.
-        err @ WarehouseError::Core(CoreError::ReservedElement) => {
-            error_response("bad-payload", false, &err.to_string())
-        }
+        // A tree no stored document can hold, or an insert that would land
+        // too deep: the client's to fix, not the engine's.
+        err @ WarehouseError::Core(
+            CoreError::Tree(TreeError::Unstorable(_)) | CoreError::InsertionTooDeep(_),
+        ) => error_response("bad-payload", false, &err.to_string()),
         other => error_response("engine", false, &other.to_string()),
     }
 }

@@ -9,12 +9,15 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use pxml_core::{FuzzyTree, SimplifyPolicy, UpdateTransaction};
+use std::sync::Arc;
+
+use pxml_core::{CoreError, FuzzyTree, SimplifyPolicy, UpdateTransaction};
 use pxml_query::Pattern;
 use pxml_server::frame::{read_response, tag, FrameError, DEFAULT_MAX_FRAME_BYTES};
-use pxml_server::{Client, ClientError, Server, ServerConfig};
-use pxml_store::{parse_batch, StoreError};
-use pxml_tree::parse_data_tree;
+use pxml_server::{Client, ClientConfig, ClientError, Server, ServerConfig};
+use pxml_store::{parse_batch, MemBackend};
+use pxml_tree::{parse_data_tree, TreeError, MAX_TREE_DEPTH};
+use pxml_warehouse::{SessionConfig, Warehouse, WarehouseError};
 
 static COUNTER: AtomicU64 = AtomicU64::new(0);
 
@@ -308,21 +311,40 @@ fn deeply_nested_query_pattern_is_a_typed_error() {
     assert_deep_payload_is_refused("deep-query", tag::QUERY, payload, "bad-pattern");
 }
 
+/// Whether `result` is the engine's refusal of a tree the store could not
+/// carry back.
+fn unstorable<T>(result: Result<T, WarehouseError>) -> bool {
+    matches!(
+        result,
+        Err(WarehouseError::Core(CoreError::Tree(
+            TreeError::Unstorable(_)
+        )))
+    )
+}
+
 /// `pxml:text` is the element a checkpoint wraps conditional text in, so a
 /// data element of that name would come back from the next fold or restart
 /// as bare text: OPEN and COMMIT refuse it as a final `bad-payload` on a
-/// connection that keeps serving, and the two parsers behind them return
-/// their typed errors.
+/// connection that keeps serving. The parsers behind them read it (as an
+/// element or an attribute); the engine refuses what they built, at create
+/// and at the insert apply.
 #[test]
 fn the_reserved_text_element_is_refused_at_open_and_commit() {
     let reserved = "<r><a><pxml:text>hi</pxml:text></a></r>";
-    assert!(parse_data_tree(reserved).is_err());
-    assert!(parse_data_tree("<r><a pxml:text=\"hi\"/></r>").is_err());
     let batch = format!(
         "<pxml:batch><pxml:update confidence=\"0.5\" query=\"a\">\
          <pxml:insert target=\"0\">{reserved}</pxml:insert></pxml:update></pxml:batch>"
     );
-    assert!(matches!(parse_batch(&batch), Err(StoreError::Xml(_))));
+    let engine =
+        Warehouse::with_backend(Arc::new(MemBackend::new()), SessionConfig::default()).unwrap();
+    for xml in [reserved, "<r><a pxml:text=\"hi\"/></r>"] {
+        let tree = parse_data_tree(xml).unwrap();
+        assert!(unstorable(engine.create_document("doc", tree)), "{xml}");
+    }
+    let tree = parse_data_tree("<r><a/></r>").unwrap();
+    engine.create_document("doc", tree).unwrap();
+    let updates = parse_batch(&batch).unwrap();
+    assert!(unstorable(engine.commit_batch("doc", &updates, None)));
 
     let dir = scratch("reserved-text");
     let server = Server::start(ServerConfig::new(&dir)).unwrap();
@@ -344,6 +366,77 @@ fn the_reserved_text_element_is_refused_at_open_and_commit() {
         ))
         .unwrap();
     expect_error_code(&mut stream, "bad-payload");
+    let answers = client.query("doc", "a { * }").unwrap();
+    assert!(answers.answers.is_empty(), "nothing was inserted");
+
+    assert_tenant_alive(&server);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An element with two texts parses, but a checkpoint would write them as
+/// one run of characters: deleting `b` from `<r><a>x<b/>y</a></r>` served
+/// `a[="xy"]` no match before a fold and one after the restart. OPEN
+/// answers a final `bad-payload` naming the rule, and no document is
+/// created, in the warehouse or on disk.
+#[test]
+fn an_element_with_two_texts_is_refused_at_open() {
+    let dir = scratch("two-texts");
+    let server = Server::start(ServerConfig::new(&dir)).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    match client.open("doc", Some("<r><a>x<b/>y</a></r>")) {
+        Err(ClientError::Server {
+            code,
+            retryable,
+            message,
+        }) => {
+            assert_eq!((code.as_str(), retryable), ("bad-payload", false));
+            assert!(message.contains("more than one text child"), "{message}");
+        }
+        other => panic!("expected a bad-payload error, got {other:?}"),
+    }
+    match client.open("doc", None) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "unknown-doc"),
+        other => panic!("expected no document, got {other:?}"),
+    }
+    assert!(!dir.join("acme").join("doc.pxml").exists());
+
+    assert_tenant_alive(&server);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An insert that would land a node past `MAX_TREE_DEPTH` is the client's
+/// to fix: a final `bad-payload` on a connection that keeps serving, and
+/// nothing inserted. The subtree itself is storable (252 levels below its
+/// root, the deepest a batch frame can carry); landing under `a` at depth 1
+/// puts its deepest node at 254.
+#[test]
+fn an_insert_landing_past_the_depth_bound_is_a_bad_payload() {
+    let dir = scratch("too-deep-insert");
+    let server = Server::start(ServerConfig::new(&dir)).unwrap();
+    let mut client = Client::connect(server.local_addr(), "acme").unwrap();
+    client.open("doc", Some("<r><a/></r>")).unwrap();
+    let levels = MAX_TREE_DEPTH;
+    let batch = format!(
+        "doc\n<pxml:batch><pxml:update confidence=\"1\" query=\"a\">\
+         <pxml:insert target=\"0\">{}</pxml:insert></pxml:update></pxml:batch>",
+        deep_xml(levels)
+    );
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .write_all(&raw_request(tag::COMMIT, b"acme", batch.as_bytes()))
+        .unwrap();
+    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(response.tag, tag::ERROR);
+    let text = response.text();
+    assert!(text.starts_with("bad-payload\nfinal\n"), "{text}");
+    assert!(text.contains(&format!("depth {}", levels + 1)), "{text}");
+    stream
+        .write_all(&raw_request(tag::STATS, b"acme", b""))
+        .unwrap();
+    let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
+    assert_eq!(response.tag, tag::STATS_DATA);
     let answers = client.query("doc", "a { * }").unwrap();
     assert!(answers.answers.is_empty(), "nothing was inserted");
 
@@ -374,6 +467,40 @@ fn oversized_client_frame_is_capped_by_config() {
         .unwrap();
     let response = read_response(&mut stream, DEFAULT_MAX_FRAME_BYTES).unwrap();
     assert_eq!(response.tag, tag::OK);
+
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Replies get the bound requests get: a SNAPSHOT past `max_frame_bytes`
+/// is answered with a final `too-large` error, not written for the client
+/// to refuse as a broken frame, and the connection keeps serving.
+#[test]
+fn a_reply_past_the_frame_cap_is_a_typed_error() {
+    let dir = scratch("reply-cap");
+    let mut config = ServerConfig::new(&dir);
+    config.max_frame_bytes = 1024;
+    let server = Server::start(config).unwrap();
+    let client_config = ClientConfig {
+        max_frame_bytes: 1024,
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(server.local_addr(), "acme", client_config).unwrap();
+    client.open("doc", Some("<r/>")).unwrap();
+    let pattern = Pattern::parse("r").unwrap();
+    let root = pattern.root();
+    let entry = parse_data_tree(&format!("<entry>{}</entry>", "v".repeat(200))).unwrap();
+    for _ in 0..6 {
+        let insert = UpdateTransaction::certain(pattern.clone()).with_insert(root, entry.clone());
+        client.commit("doc", &[insert]).unwrap();
+    }
+    match client.snapshot("doc") {
+        Err(ClientError::Server {
+            code, retryable, ..
+        }) => assert_eq!((code.as_str(), retryable), ("too-large", false)),
+        other => panic!("expected a too-large error, got {other:?}"),
+    }
+    assert_eq!(client.stats().unwrap().updates_applied, 6);
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -44,8 +44,8 @@ use crate::error::StoreError;
 
 /// Attribute carrying a node condition.
 pub const CONDITION_ATTRIBUTE: &str = "pxml:cond";
-/// Wrapper element for conditional text nodes: the name the data-tree
-/// import reserves, so no data element can be read back as one.
+/// Wrapper element for conditional text nodes: the name
+/// `Tree::check_storable` refuses, so no data element is read back as one.
 pub const TEXT_ELEMENT: &str = pxml_tree::RESERVED_ELEMENT;
 /// Attribute on `<pxml:document>` carrying the oldest journal epoch the
 /// checkpoint does not hold (absent = epoch 0).

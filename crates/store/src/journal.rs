@@ -118,7 +118,7 @@ fn update_from_element(element: &XmlElement) -> Result<UpdateTransaction, StoreE
                     .child_elements()
                     .next()
                     .ok_or_else(|| StoreError::Format("<pxml:insert> without a subtree".into()))?;
-                let subtree = xml_to_data_tree(&XmlDocument::new(subtree_element.clone()))?;
+                let subtree = xml_to_data_tree(&XmlDocument::new(subtree_element.clone()));
                 update.push_operation(UpdateOperation::Insert { target, subtree });
             }
             "pxml:delete" => {

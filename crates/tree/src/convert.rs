@@ -7,54 +7,34 @@
 //! are dropped. Exporting a data tree to XML is the inverse, except that
 //! former attributes stay elements (the distinction is deliberately lost).
 //!
-//! One element name is reserved: [`RESERVED_ELEMENT`], the wrapper a PrXML
-//! checkpoint writes around a conditional text node. A data element of that
-//! name would read back from the checkpoint as text, so the import refuses
-//! it (as an element or as an attribute).
+//! The import checks nothing beyond the XML syntax: what a stored document
+//! may hold is [`Tree::check_storable`]'s to decide, at the engine's doors
+//! (a created document, an inserted subtree), whichever decoder built the
+//! tree.
 
 use crate::error::XmlError;
 use crate::label::Label;
-use crate::tree::{NodeId, Tree, MAX_TREE_DEPTH};
+use crate::tree::{NodeId, Tree};
 use crate::xml::{parse, XmlDocument, XmlElement, XmlNode};
 
-/// The element name no data tree may use: PrXML checkpoints (`pxml-store`'s
-/// `format::TEXT_ELEMENT`) wrap each conditional text node in an element of
-/// this name.
-pub const RESERVED_ELEMENT: &str = "pxml:text";
-
-/// Converts a parsed XML document into a data tree, refusing an element or
-/// attribute named [`RESERVED_ELEMENT`].
-pub fn xml_to_data_tree(doc: &XmlDocument) -> Result<Tree, XmlError> {
-    let mut tree = Tree::new(Label::Element(unreserved(&doc.root.name)?));
+/// Converts a parsed XML document into a data tree.
+pub fn xml_to_data_tree(doc: &XmlDocument) -> Tree {
+    let mut tree = Tree::new(Label::Element(doc.root.name.clone()));
     let root = tree.root();
-    convert_children(&doc.root, &mut tree, root)?;
-    Ok(tree)
+    convert_children(&doc.root, &mut tree, root);
+    tree
 }
 
-/// `name` as an element name, unless it is [`RESERVED_ELEMENT`].
-fn unreserved(name: &str) -> Result<String, XmlError> {
-    if name == RESERVED_ELEMENT {
-        return Err(XmlError::new(
-            format!(
-                "the element name `{RESERVED_ELEMENT}` is reserved for PrXML's conditional text"
-            ),
-            1,
-            1,
-        ));
-    }
-    Ok(name.to_string())
-}
-
-fn convert_children(element: &XmlElement, tree: &mut Tree, node: NodeId) -> Result<(), XmlError> {
+fn convert_children(element: &XmlElement, tree: &mut Tree, node: NodeId) {
     for (name, value) in &element.attributes {
-        let attr_node = tree.add_element(node, unreserved(name)?);
+        let attr_node = tree.add_element(node, name.clone());
         tree.add_text(attr_node, value.clone());
     }
     for child in &element.children {
         match child {
             XmlNode::Element(el) => {
-                let child_node = tree.add_element(node, unreserved(&el.name)?);
-                convert_children(el, tree, child_node)?;
+                let child_node = tree.add_element(node, el.name.clone());
+                convert_children(el, tree, child_node);
             }
             XmlNode::Text(text) => {
                 let trimmed = text.trim();
@@ -65,7 +45,6 @@ fn convert_children(element: &XmlElement, tree: &mut Tree, node: NodeId) -> Resu
             XmlNode::Comment(_) => {}
         }
     }
-    Ok(())
 }
 
 /// Converts a data tree into an XML document (all nodes become elements or
@@ -93,22 +72,9 @@ fn build_element(tree: &Tree, node: NodeId) -> XmlElement {
     element
 }
 
-/// Parses an XML string directly into a data tree, refusing one with a node
-/// below [`MAX_TREE_DEPTH`] or an element named [`RESERVED_ELEMENT`]
-/// (neither would read back from a checkpoint as it was stored).
+/// Parses an XML string directly into a data tree.
 pub fn parse_data_tree(input: &str) -> Result<Tree, XmlError> {
-    let tree = xml_to_data_tree(&parse(input)?)?;
-    let height = tree.height();
-    if height > MAX_TREE_DEPTH {
-        return Err(XmlError::new(
-            format!(
-                "document has a node at depth {height}, the deepest allowed is {MAX_TREE_DEPTH}"
-            ),
-            1,
-            1,
-        ));
-    }
-    Ok(tree)
+    Ok(xml_to_data_tree(&parse(input)?))
 }
 
 /// Serializes a data tree to XML text (pretty-printed when `pretty` is true).
@@ -126,7 +92,7 @@ mod tests {
         assert_eq!(tree.node_count(), 4);
         let b = tree.find_elements("b")[0];
         assert_eq!(tree.node_value(b), Some("foo"));
-        assert!(tree.check_data_model().is_ok());
+        assert!(tree.check_storable().is_ok());
     }
 
     #[test]

@@ -11,8 +11,11 @@ pub enum TreeError {
     CannotRemoveRoot,
     /// Attempted to give children to a text node.
     TextNodeHasNoChildren(u32),
-    /// The tree violates the paper's data model (e.g. mixed content).
+    /// The arena's structure is inconsistent (see [`crate::Tree::validate`]).
     DataModelViolation(String),
+    /// The tree holds a shape the PrXML codec cannot carry back unchanged
+    /// (see [`crate::Tree::check_storable`]); the reason names it.
+    Unstorable(String),
 }
 
 impl fmt::Display for TreeError {
@@ -24,6 +27,7 @@ impl fmt::Display for TreeError {
                 write!(f, "text node {id} cannot have children")
             }
             TreeError::DataModelViolation(msg) => write!(f, "data model violation: {msg}"),
+            TreeError::Unstorable(reason) => write!(f, "the tree cannot be stored: {reason}"),
         }
     }
 }
@@ -81,6 +85,7 @@ mod tests {
         assert!(TreeError::DataModelViolation("x".into())
             .to_string()
             .contains("x"));
+        assert!(TreeError::Unstorable("y".into()).to_string().contains('y'));
         assert!(TreeError::TextNodeHasNoChildren(7)
             .to_string()
             .contains('7'));

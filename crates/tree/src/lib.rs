@@ -46,14 +46,12 @@ pub mod tree;
 pub mod xml;
 
 pub use chunk::ChunkedVec;
-pub use convert::{
-    data_tree_to_xml, parse_data_tree, write_data_tree, xml_to_data_tree, RESERVED_ELEMENT,
-};
+pub use convert::{data_tree_to_xml, parse_data_tree, write_data_tree, xml_to_data_tree};
 pub use error::{TreeError, XmlError};
 pub use iso::{
     canonical_string, isomorphism_classes, steiner_canonical_string, subtree_canonical_string,
     CanonicalForm,
 };
 pub use label::Label;
-pub use tree::{LabelIndex, NodeId, Tree, MAX_NESTING_DEPTH, MAX_TREE_DEPTH};
+pub use tree::{LabelIndex, NodeId, Tree, MAX_NESTING_DEPTH, MAX_TREE_DEPTH, RESERVED_ELEMENT};
 pub use xml::{XmlDocument, XmlElement, XmlNode};

@@ -36,14 +36,20 @@ use crate::label::Label;
 /// thread.
 pub const MAX_NESTING_DEPTH: usize = 256;
 
-/// The deepest node (the root is at depth 0) a data tree may gain from
-/// outside: an `OPEN` content or an insertion. Derived, not a second bound:
+/// The deepest node (the root is at depth 0) a stored tree may hold
+/// ([`Tree::check_storable`]), and an insertion may land. Derived, not a
+/// second bound:
 /// a node at depth `d` sits `d + 1` elements deep and storage wraps a tree
 /// in up to three more (`pxml:document`/`pxml:content` plus `pxml:text`
 /// around a conditional text node; `pxml:batch`/`pxml:update`/`pxml:insert`
 /// around an inserted subtree), so every checkpoint and journal record of
 /// such a tree stays within [`MAX_NESTING_DEPTH`] and parses back.
 pub const MAX_TREE_DEPTH: usize = MAX_NESTING_DEPTH - 3;
+
+/// The element name no data tree may use: PrXML checkpoints (`pxml-store`'s
+/// `format::TEXT_ELEMENT`) wrap each conditional text node in an element of
+/// this name, so a data element of that name would read back as text.
+pub const RESERVED_ELEMENT: &str = "pxml:text";
 
 /// A handle to a node of a [`Tree`].
 ///
@@ -83,8 +89,11 @@ struct Slot {
 /// A finite, unordered, labelled data tree.
 ///
 /// This is the data model of the paper: element and text nodes, no attribute
-/// nodes, no mixed content (the latter is not enforced on every mutation but
-/// can be checked with [`Tree::check_data_model`]).
+/// nodes, texts only at leaves. An element may hold element children beside
+/// its text (mixed content: an insert under a valued element makes it).
+/// What the PrXML codec carries back unchanged is narrower, and
+/// [`Tree::check_storable`] decides it; the engine calls it wherever a tree
+/// enters a document.
 ///
 /// The arena is stored in [`ChunkedVec`] chunks behind `Arc`s, so cloning a
 /// tree is O(slots / chunk-size) pointer bumps and the clone shares every
@@ -785,16 +794,6 @@ impl Tree {
         }
     }
 
-    /// Whether a live element of the tree is named `name`: one pass over the
-    /// arena's slots, with no allocation and no label index.
-    pub fn has_element_named(&self, name: &str) -> bool {
-        (0..self.nodes.len()).any(|index| {
-            self.nodes
-                .get(index)
-                .is_some_and(|slot| slot.alive && slot.label.element_name() == Some(name))
-        })
-    }
-
     /// All element nodes whose tag equals `name`, in document order (from
     /// the label index, built now if the tree has none).
     pub fn find_elements(&self, name: &str) -> Vec<NodeId> {
@@ -910,34 +909,73 @@ impl Tree {
         Ok(())
     }
 
-    /// Checks the paper's data-model restrictions: text nodes are leaves, and
-    /// there is no mixed content (an element has either element children or a
-    /// single text child).
-    pub fn check_data_model(&self) -> Result<(), TreeError> {
-        for node in self.nodes() {
-            match self.label(node) {
-                Label::Text(_) => {
-                    if !self.is_leaf(node) {
-                        return Err(TreeError::TextNodeHasNoChildren(node.0));
-                    }
+    /// Checks that the tree is one the PrXML codec stores and reads back
+    /// node for node, in order; a tree that fails would be served as
+    /// another tree after a cold open, or would fail it. The rules:
+    ///
+    /// * the root is an element;
+    /// * every element name is a name the XML parser reads back, and not
+    ///   [`RESERVED_ELEMENT`];
+    /// * every text is a leaf, non-empty and equal to its trim (the import
+    ///   trims texts and drops empty ones);
+    /// * an element has at most one text child (two certain texts would be
+    ///   written as one run of characters, and no engine step adds a text to
+    ///   an element that exists, so two texts never become adjacent);
+    /// * no node is deeper than [`MAX_TREE_DEPTH`].
+    ///
+    /// Characters XML 1.0 forbids (a NUL) round-trip through this crate's
+    /// parser and are not refused here.
+    pub fn check_storable(&self) -> Result<(), TreeError> {
+        if self.is_text(self.root) {
+            return Err(TreeError::Unstorable("the root is a text node".to_string()));
+        }
+        self.check_storable_from(self.root, 0)
+    }
+
+    /// [`Tree::check_storable`]'s walk below `node`, at `depth`: recursive,
+    /// so a commit's check allocates nothing, and never deeper than
+    /// [`MAX_TREE_DEPTH`] + 1 frames.
+    fn check_storable_from(&self, node: NodeId, depth: usize) -> Result<(), TreeError> {
+        let unstorable = |reason: String| Err(TreeError::Unstorable(reason));
+        if depth > MAX_TREE_DEPTH {
+            return unstorable(format!(
+                "node {node} is at depth {depth}, the deepest allowed is {MAX_TREE_DEPTH}"
+            ));
+        }
+        let children = self.children(node);
+        match self.label(node) {
+            Label::Text(value) => {
+                if !children.is_empty() {
+                    return unstorable(format!("text node {node} has children"));
                 }
-                Label::Element(name) => {
-                    let children = self.children(node);
-                    let text_children = children.iter().filter(|&&c| self.is_text(c)).count();
-                    if text_children > 0 && children.len() != text_children {
-                        return Err(TreeError::DataModelViolation(format!(
-                            "element <{name}> ({node}) has mixed content"
-                        )));
-                    }
-                    if text_children > 1 {
-                        return Err(TreeError::DataModelViolation(format!(
-                            "element <{name}> ({node}) has more than one text child"
-                        )));
-                    }
+                if value.is_empty() || value.trim() != value {
+                    return unstorable(format!("text {value:?} ({node}) is empty or not trimmed"));
+                }
+            }
+            Label::Element(name) => {
+                if name == RESERVED_ELEMENT {
+                    return unstorable(format!(
+                        "the element name `{RESERVED_ELEMENT}` is reserved for PrXML's conditional text"
+                    ));
+                }
+                if !crate::xml::is_name(name) {
+                    return unstorable(format!("element name {name:?} is not an XML name"));
+                }
+                if children
+                    .iter()
+                    .filter(|&&child| self.is_text(child))
+                    .count()
+                    > 1
+                {
+                    return unstorable(format!(
+                        "element <{name}> ({node}) has more than one text child"
+                    ));
                 }
             }
         }
-        Ok(())
+        children
+            .iter()
+            .try_for_each(|&child| self.check_storable_from(child, depth + 1))
     }
 
     /// Unordered-isomorphism test; see [`crate::iso`].
@@ -1010,7 +1048,7 @@ mod tests {
         assert_eq!(t.node_count(), 11);
         assert_eq!(t.children(t.root()).len(), 4);
         assert!(t.validate().is_ok());
-        assert!(t.check_data_model().is_ok());
+        assert!(t.check_storable().is_ok());
     }
 
     #[test]
@@ -1304,14 +1342,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_content_is_detected() {
+    fn mixed_content_is_storable() {
         let mut t = Tree::new("a");
         t.add_text(t.root(), "v");
         t.add_element(t.root(), "b");
-        assert!(matches!(
-            t.check_data_model(),
-            Err(TreeError::DataModelViolation(_))
-        ));
+        assert_eq!(t.check_storable(), Ok(()));
     }
 
     #[test]
@@ -1319,7 +1354,43 @@ mod tests {
         let mut t = Tree::new("a");
         t.add_text(t.root(), "v");
         t.add_text(t.root(), "w");
-        assert!(t.check_data_model().is_err());
+        assert!(matches!(t.check_storable(), Err(TreeError::Unstorable(_))));
+    }
+
+    #[test]
+    fn only_what_the_codec_reads_back_is_storable() {
+        let named = |name: &str| Tree::new(Label::Element(name.to_string())).check_storable();
+        for name in ["a", "_a", ":a", "a-1.b", "pxml:cond", "é", "名前"] {
+            assert_eq!(named(name), Ok(()), "{name:?}");
+        }
+        for name in ["a b", "", "a>", "1a", "-a", RESERVED_ELEMENT] {
+            assert!(
+                matches!(named(name), Err(TreeError::Unstorable(_))),
+                "{name:?}"
+            );
+        }
+        let texted = |value: &str| {
+            let mut t = Tree::new("a");
+            t.add_text(t.root(), value);
+            t.check_storable()
+        };
+        for value in ["v", "x y", "a\0b", "a\rb"] {
+            assert_eq!(texted(value), Ok(()), "{value:?}");
+        }
+        for value in ["", " hi ", "hi\n", "\t"] {
+            assert!(texted(value).is_err(), "{value:?}");
+        }
+        assert!(Tree::new(Label::Text("v".into())).check_storable().is_err());
+        let chain = |depth: usize| {
+            let mut t = Tree::new("a");
+            let mut node = t.root();
+            for _ in 0..depth {
+                node = t.add_element(node, "a");
+            }
+            t.check_storable()
+        };
+        assert_eq!(chain(MAX_TREE_DEPTH), Ok(()));
+        assert!(chain(MAX_TREE_DEPTH + 1).is_err());
     }
 
     #[test]

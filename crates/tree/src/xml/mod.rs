@@ -15,6 +15,7 @@
 mod parser;
 mod writer;
 
+pub(crate) use parser::is_name;
 pub use parser::parse;
 pub use writer::{escape_attribute, escape_text};
 

@@ -23,6 +23,21 @@ pub fn parse(input: &str) -> Result<XmlDocument, XmlError> {
     Ok(XmlDocument { root })
 }
 
+/// Whether `name` is a name this parser reads back: a name-start byte, then
+/// name bytes (every byte of a non-ASCII character counts as both).
+pub(crate) fn is_name(name: &str) -> bool {
+    let mut bytes = name.bytes();
+    bytes.next().is_some_and(is_name_start) && bytes.all(is_name_char)
+}
+
+fn is_name_start(byte: u8) -> bool {
+    byte.is_ascii_alphabetic() || byte == b'_' || byte == b':' || byte >= 0x80
+}
+
+fn is_name_char(byte: u8) -> bool {
+    is_name_start(byte) || byte.is_ascii_digit() || byte == b'-' || byte == b'.'
+}
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
@@ -116,23 +131,15 @@ impl<'a> Parser<'a> {
         Err(self.error(format!("unterminated construct, expected `{terminator}`")))
     }
 
-    fn is_name_start(byte: u8) -> bool {
-        byte.is_ascii_alphabetic() || byte == b'_' || byte == b':' || byte >= 0x80
-    }
-
-    fn is_name_char(byte: u8) -> bool {
-        Self::is_name_start(byte) || byte.is_ascii_digit() || byte == b'-' || byte == b'.'
-    }
-
     fn parse_name(&mut self) -> Result<String, XmlError> {
         let start = self.pos;
         match self.peek() {
-            Some(byte) if Self::is_name_start(byte) => {
+            Some(byte) if is_name_start(byte) => {
                 self.bump();
             }
             _ => return Err(self.error("expected a name")),
         }
-        while matches!(self.peek(), Some(byte) if Self::is_name_char(byte)) {
+        while matches!(self.peek(), Some(byte) if is_name_char(byte)) {
             self.bump();
         }
         let raw = &self.input[start..self.pos];
@@ -163,7 +170,7 @@ impl<'a> Parser<'a> {
                     self.bump();
                     break;
                 }
-                Some(byte) if Self::is_name_start(byte) => {
+                Some(byte) if is_name_start(byte) => {
                     let attr_name = self.parse_name()?;
                     self.skip_whitespace();
                     self.expect_str("=")?;

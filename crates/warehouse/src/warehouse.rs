@@ -658,10 +658,11 @@ impl Warehouse {
         self.create_fuzzy_document(name, FuzzyTree::from_tree(tree))
     }
 
-    /// Creates a new document from an existing fuzzy tree. A tree holding an
-    /// element named [`pxml_tree::RESERVED_ELEMENT`] is refused with
-    /// [`CoreError::ReservedElement`]: its checkpoint would read back with
-    /// that element turned into text.
+    /// Creates a new document from an existing fuzzy tree. A tree the store
+    /// could not carry back node for node is refused, and nothing is saved:
+    /// [`pxml_tree::Tree::check_storable`]'s error, as
+    /// [`CoreError::Tree`]. Every insert a commit applies is checked the
+    /// same way.
     ///
     /// The shard's write lock is held across the (fast, atomic) initial save
     /// so a duplicate-name race cannot create the same document twice; this
@@ -672,9 +673,7 @@ impl Warehouse {
         name: &str,
         fuzzy: FuzzyTree,
     ) -> Result<(), WarehouseError> {
-        if fuzzy.tree().has_element_named(pxml_tree::RESERVED_ELEMENT) {
-            return Err(CoreError::ReservedElement.into());
-        }
+        fuzzy.tree().check_storable().map_err(CoreError::Tree)?;
         // The label index is built before the shard lock is taken.
         let snapshot = DocSnapshot::first(fuzzy);
         let mut slots = self.shard(name).slots.write();
@@ -1661,10 +1660,10 @@ mod tests {
     }
 
     /// `pxml:text` is the element a stored document wraps conditional text
-    /// in, so the library refuses it as the wire import does: in an insert
-    /// built with `Tree::add_element`, whether or not it matches, and in a
-    /// created document. Nothing is stored, so a later cold open of the
-    /// warehouse still succeeds.
+    /// in, so the engine refuses it as unstorable: in an insert built with
+    /// `Tree::add_element`, whether or not it matches, and in a created
+    /// document. Nothing is stored, so a later cold open of the warehouse
+    /// still succeeds.
     #[test]
     fn the_reserved_text_element_is_refused_at_the_library_door() {
         use pxml_store::MemBackend;
@@ -1681,7 +1680,9 @@ mod tests {
                 .with_insert(target, subtree);
             assert!(matches!(
                 commit_one(&warehouse, "people", &insert),
-                Err(WarehouseError::Core(CoreError::ReservedElement))
+                Err(WarehouseError::Core(CoreError::Tree(
+                    pxml_tree::TreeError::Unstorable(_)
+                )))
             ));
         }
         assert!(!warehouse.is_quarantined("people"));
@@ -1690,7 +1691,9 @@ mod tests {
         reserved.add_element(root, pxml_tree::RESERVED_ELEMENT);
         assert!(matches!(
             warehouse.create_document("reserved", reserved),
-            Err(WarehouseError::Core(CoreError::ReservedElement))
+            Err(WarehouseError::Core(CoreError::Tree(
+                pxml_tree::TreeError::Unstorable(_)
+            )))
         ));
         assert!(!warehouse.contains("reserved"));
         let live = serialized(&warehouse.snapshot("people").unwrap());
@@ -1698,6 +1701,57 @@ mod tests {
         let reopened = Warehouse::with_backend(Arc::new(store), plain_config()).unwrap();
         assert_eq!(reopened.document_names(), vec!["people"]);
         assert_eq!(serialized(&reopened.snapshot("people").unwrap()), live);
+    }
+
+    /// Whether `x` in `a` and `y` in `b` are the same subtree node for node,
+    /// in order: labels, conditions (by event name) and child lists.
+    fn same_nodes(
+        a: &FuzzyTree,
+        x: pxml_tree::NodeId,
+        b: &FuzzyTree,
+        y: pxml_tree::NodeId,
+    ) -> bool {
+        let (ta, tb) = (a.tree(), b.tree());
+        ta.label(x) == tb.label(y)
+            && a.condition(x).display(a.events()) == b.condition(y).display(b.events())
+            && ta.children(x).len() == tb.children(y).len()
+            && (ta.children(x).iter())
+                .zip(tb.children(y))
+                .all(|(&u, &v)| same_nodes(a, u, b, v))
+    }
+
+    /// An insert under a valued element makes mixed content (a text beside
+    /// an element), which the codec carries: after a conditional delete of
+    /// the inserted element and a checkpoint, a cold open serves the live
+    /// tree node for node, in order.
+    #[test]
+    fn mixed_content_from_an_insert_survives_a_checkpoint_node_for_node() {
+        use pxml_store::MemBackend;
+        let store = MemBackend::new();
+        let warehouse = Warehouse::with_backend(Arc::new(store.clone()), plain_config()).unwrap();
+        let tree = parse_data_tree("<r><name>v</name></r>").unwrap();
+        warehouse.create_document("doc", tree).unwrap();
+        let pattern = Pattern::parse("name").unwrap();
+        let name = pattern.root();
+        let insert =
+            UpdateTransaction::certain(pattern).with_insert(name, parse_data_tree("<x/>").unwrap());
+        commit_one(&warehouse, "doc", &insert).unwrap();
+        let pattern = Pattern::parse("name { x }").unwrap();
+        let x = pattern.node_ids().nth(1).unwrap();
+        let delete = UpdateTransaction::new(pattern, 0.5).unwrap().with_delete(x);
+        commit_one(&warehouse, "doc", &delete).unwrap();
+        warehouse.checkpoint("doc").unwrap();
+        let live = warehouse.document("doc").unwrap();
+        let name = live.tree().children(live.root())[0];
+        let kinds: Vec<bool> = (live.tree().children(name).iter())
+            .map(|&child| live.tree().is_text(child))
+            .collect();
+        assert_eq!(kinds, [true, false], "mixed content: the text, then `x`");
+        assert!(!live.condition(live.tree().children(name)[1]).is_empty());
+        drop(warehouse);
+        let cold = Warehouse::with_backend(Arc::new(store), plain_config()).unwrap();
+        let served = cold.document("doc").unwrap();
+        assert!(same_nodes(&live, live.root(), &served, served.root()));
     }
 
     /// Documents hash across shards, and the registry behaves identically
