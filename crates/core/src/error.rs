@@ -12,7 +12,8 @@ pub enum CoreError {
     /// exhaustive enumeration caps, parsing).
     Event(EventError),
     /// Propagated tree error; [`TreeError::Unstorable`] is a created
-    /// document or an inserted subtree the store could not carry back.
+    /// document or an inserted subtree the store could not carry back
+    /// (the warehouse's doors refuse it).
     Tree(TreeError),
     /// The root of a fuzzy tree must be certain (empty condition).
     RootConditionNotAllowed,

@@ -243,13 +243,6 @@ impl UpdateTransaction {
         footprint: &mut Footprint,
     ) -> Result<UpdateStats, CoreError> {
         let mut stats = UpdateStats::default();
-        // Refused whether or not it matches: the journal stores the update,
-        // and a cold open replays what the journal reads back.
-        for operation in &self.operations {
-            if let UpdateOperation::Insert { subtree, .. } = operation {
-                subtree.check_storable()?;
-            }
-        }
         let matches = self.pattern.find_matches(fuzzy.tree());
         stats.match_count = matches.len();
         if matches.is_empty() {

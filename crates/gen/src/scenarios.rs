@@ -191,7 +191,7 @@ mod tests {
         let tree = people_directory(&config);
         assert_eq!(tree.find_elements("person").len(), 7);
         assert_eq!(tree.find_elements("name").len(), 7);
-        assert!(tree.check_storable().is_ok());
+        assert!(tree.check_storable(|_, _| false).is_ok());
         // Names are unique.
         let mut names: Vec<String> = tree
             .find_elements("name")

@@ -111,7 +111,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let tree = random_tree(&mut rng, &config);
             assert!(tree.validate().is_ok());
-            assert!(tree.check_storable().is_ok());
+            assert!(tree.check_storable(|_, _| false).is_ok());
             let elements = tree
                 .nodes()
                 .into_iter()

@@ -396,7 +396,6 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
                 let _ = respond(
                     &mut writer,
                     error_response("malformed", false, &err.to_string()),
-                    cap,
                 );
                 break;
             }
@@ -405,7 +404,6 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
             let _ = respond(
                 &mut writer,
                 error_response("shutdown", true, "server is shutting down"),
-                cap,
             );
             break;
         }
@@ -417,12 +415,17 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
                     tag: tag::OK,
                     payload: summary.into_bytes(),
                 },
-                cap,
             );
             break;
         }
-        let response = inner.execute(&request, &mut backlog);
-        if respond(&mut writer, response, cap).is_err() {
+        let mut response = inner.execute(&request, &mut backlog);
+        // A reply gets the bound a request gets: a client refuses a frame
+        // past its cap as a framing error, and the connection with it. The
+        // error in its place carries its code alone, a 17-byte frame.
+        if 1 + response.payload.len() > cap as usize {
+            response = error_response("too-large", false, "");
+        }
+        if respond(&mut writer, response).is_err() {
             break;
         }
     }
@@ -433,17 +436,7 @@ fn handle_connection(inner: Arc<ServerInner>, stream: TcpStream, conn_id: u64) {
     inner.conns.lock().streams.remove(&conn_id);
 }
 
-/// Writes `response`, or in its place a final `too-large` error if its
-/// frame would exceed `cap`, the bound requests get: a client refuses a
-/// frame past its own cap as a framing error, and the connection with it.
-fn respond(writer: &mut impl Write, response: RawResponse, cap: u32) -> io::Result<()> {
-    let len = 1 + response.payload.len();
-    let response = if len > cap as usize {
-        let message = format!("the reply is {len} bytes, past the {cap}-byte frame cap");
-        error_response("too-large", false, &message)
-    } else {
-        response
-    };
+fn respond(writer: &mut impl Write, response: RawResponse) -> io::Result<()> {
     write_response(writer, response.tag, &response.payload)
 }
 

@@ -327,7 +327,7 @@ fn unstorable<T>(result: Result<T, WarehouseError>) -> bool {
 /// as bare text: OPEN and COMMIT refuse it as a final `bad-payload` on a
 /// connection that keeps serving. The parsers behind them read it (as an
 /// element or an attribute); the engine refuses what they built, at create
-/// and at the insert apply.
+/// and at the commit.
 #[test]
 fn the_reserved_text_element_is_refused_at_open_and_commit() {
     let reserved = "<r><a><pxml:text>hi</pxml:text></a></r>";
@@ -474,7 +474,8 @@ fn oversized_client_frame_is_capped_by_config() {
 
 /// Replies get the bound requests get: a SNAPSHOT past `max_frame_bytes`
 /// is answered with a final `too-large` error, not written for the client
-/// to refuse as a broken frame, and the connection keeps serving.
+/// to refuse as a broken frame, and the connection keeps serving. The
+/// error carries its code alone, so it fits a cap of 17 bytes.
 #[test]
 fn a_reply_past_the_frame_cap_is_a_typed_error() {
     let dir = scratch("reply-cap");
@@ -501,6 +502,24 @@ fn a_reply_past_the_frame_cap_is_a_typed_error() {
         other => panic!("expected a too-large error, got {other:?}"),
     }
     assert_eq!(client.stats().unwrap().updates_applied, 6);
+    server.shutdown();
+
+    let mut config = ServerConfig::new(&dir);
+    config.max_frame_bytes = 17;
+    let server = Server::start(config).unwrap();
+    let client_config = ClientConfig {
+        max_frame_bytes: 17,
+        ..ClientConfig::default()
+    };
+    let mut client = Client::connect_with(server.local_addr(), "acme", client_config).unwrap();
+    for _ in 0..2 {
+        match client.stats() {
+            Err(ClientError::Server {
+                code, retryable, ..
+            }) => assert_eq!((code.as_str(), retryable), ("too-large", false)),
+            other => panic!("expected a too-large error, got {other:?}"),
+        }
+    }
 
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

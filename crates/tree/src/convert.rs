@@ -92,7 +92,7 @@ mod tests {
         assert_eq!(tree.node_count(), 4);
         let b = tree.find_elements("b")[0];
         assert_eq!(tree.node_value(b), Some("foo"));
-        assert!(tree.check_storable().is_ok());
+        assert!(tree.check_storable(|_, _| false).is_ok());
     }
 
     #[test]

@@ -918,24 +918,44 @@ impl Tree {
     ///   [`RESERVED_ELEMENT`];
     /// * every text is a leaf, non-empty and equal to its trim (the import
     ///   trims texts and drops empty ones);
-    /// * an element has at most one text child (two certain texts would be
-    ///   written as one run of characters, and no engine step adds a text to
-    ///   an element that exists, so two texts never become adjacent);
+    /// * the texts of an element are pairwise `exclusive`: no world holds
+    ///   two of them;
     /// * no node is deeper than [`MAX_TREE_DEPTH`].
+    ///
+    /// A checkpoint writes a certain text as bare characters, so two
+    /// certain texts of one element would read back as one, and wraps each
+    /// conditional text in its own [`RESERVED_ELEMENT`]. Texts that can
+    /// exist together can all become certain: a simplification resolves a
+    /// literal over an event of probability 1 and merges same-text siblings
+    /// whose conditions cover each other. Exclusive texts cannot: when one
+    /// becomes certain, the others are removed as impossible. No engine
+    /// step breaks the rule: an insert is rooted at an element, and a
+    /// deletion only strengthens conditions. `exclusive(a, b)` says
+    /// whether texts `a` and `b` are exclusive; a plain tree, whose nodes
+    /// are all certain, passes `|_, _| false`, so its elements hold at most
+    /// one text each.
     ///
     /// Characters XML 1.0 forbids (a NUL) round-trip through this crate's
     /// parser and are not refused here.
-    pub fn check_storable(&self) -> Result<(), TreeError> {
+    pub fn check_storable(
+        &self,
+        exclusive: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Result<(), TreeError> {
         if self.is_text(self.root) {
             return Err(TreeError::Unstorable("the root is a text node".to_string()));
         }
-        self.check_storable_from(self.root, 0)
+        self.check_storable_from(self.root, 0, &exclusive)
     }
 
     /// [`Tree::check_storable`]'s walk below `node`, at `depth`: recursive,
     /// so a commit's check allocates nothing, and never deeper than
     /// [`MAX_TREE_DEPTH`] + 1 frames.
-    fn check_storable_from(&self, node: NodeId, depth: usize) -> Result<(), TreeError> {
+    fn check_storable_from(
+        &self,
+        node: NodeId,
+        depth: usize,
+        exclusive: &impl Fn(NodeId, NodeId) -> bool,
+    ) -> Result<(), TreeError> {
         let unstorable = |reason: String| Err(TreeError::Unstorable(reason));
         if depth > MAX_TREE_DEPTH {
             return unstorable(format!(
@@ -961,21 +981,19 @@ impl Tree {
                 if !crate::xml::is_name(name) {
                     return unstorable(format!("element name {name:?} is not an XML name"));
                 }
-                if children
-                    .iter()
-                    .filter(|&&child| self.is_text(child))
-                    .count()
-                    > 1
-                {
-                    return unstorable(format!(
-                        "element <{name}> ({node}) has more than one text child"
-                    ));
+                for (index, &a) in children.iter().enumerate() {
+                    let meets = |&b: &NodeId| self.is_text(b) && !exclusive(a, b);
+                    if self.is_text(a) && children[index + 1..].iter().any(meets) {
+                        return unstorable(format!(
+                            "element <{name}> ({node}) has more than one text child in one world"
+                        ));
+                    }
                 }
             }
         }
         children
             .iter()
-            .try_for_each(|&child| self.check_storable_from(child, depth + 1))
+            .try_for_each(|&child| self.check_storable_from(child, depth + 1, exclusive))
     }
 
     /// Unordered-isomorphism test; see [`crate::iso`].
@@ -1048,7 +1066,7 @@ mod tests {
         assert_eq!(t.node_count(), 11);
         assert_eq!(t.children(t.root()).len(), 4);
         assert!(t.validate().is_ok());
-        assert!(t.check_storable().is_ok());
+        assert!(t.check_storable(|_, _| false).is_ok());
     }
 
     #[test]
@@ -1346,20 +1364,28 @@ mod tests {
         let mut t = Tree::new("a");
         t.add_text(t.root(), "v");
         t.add_element(t.root(), "b");
-        assert_eq!(t.check_storable(), Ok(()));
+        assert_eq!(t.check_storable(|_, _| false), Ok(()));
     }
 
     #[test]
     fn two_text_children_are_detected() {
         let mut t = Tree::new("a");
         t.add_text(t.root(), "v");
-        t.add_text(t.root(), "w");
-        assert!(matches!(t.check_storable(), Err(TreeError::Unstorable(_))));
+        let w = t.add_text(t.root(), "w");
+        assert!(matches!(
+            t.check_storable(|_, _| false),
+            Err(TreeError::Unstorable(_))
+        ));
+        assert_eq!(t.check_storable(|_, _| true), Ok(()), "exclusive texts");
+        let u = t.add_text(t.root(), "u");
+        let apart = |a, b| (a, b) != (w, u);
+        assert!(t.check_storable(apart).is_err(), "`w` and `u` can meet");
     }
 
     #[test]
     fn only_what_the_codec_reads_back_is_storable() {
-        let named = |name: &str| Tree::new(Label::Element(name.to_string())).check_storable();
+        let named =
+            |name: &str| Tree::new(Label::Element(name.to_string())).check_storable(|_, _| false);
         for name in ["a", "_a", ":a", "a-1.b", "pxml:cond", "é", "名前"] {
             assert_eq!(named(name), Ok(()), "{name:?}");
         }
@@ -1372,7 +1398,7 @@ mod tests {
         let texted = |value: &str| {
             let mut t = Tree::new("a");
             t.add_text(t.root(), value);
-            t.check_storable()
+            t.check_storable(|_, _| false)
         };
         for value in ["v", "x y", "a\0b", "a\rb"] {
             assert_eq!(texted(value), Ok(()), "{value:?}");
@@ -1380,14 +1406,16 @@ mod tests {
         for value in ["", " hi ", "hi\n", "\t"] {
             assert!(texted(value).is_err(), "{value:?}");
         }
-        assert!(Tree::new(Label::Text("v".into())).check_storable().is_err());
+        assert!(Tree::new(Label::Text("v".into()))
+            .check_storable(|_, _| false)
+            .is_err());
         let chain = |depth: usize| {
             let mut t = Tree::new("a");
             let mut node = t.root();
             for _ in 0..depth {
                 node = t.add_element(node, "a");
             }
-            t.check_storable()
+            t.check_storable(|_, _| false)
         };
         assert_eq!(chain(MAX_TREE_DEPTH), Ok(()));
         assert!(chain(MAX_TREE_DEPTH + 1).is_err());

@@ -134,11 +134,11 @@ use std::thread::JoinHandle;
 use parking_lot::{Condvar, LockClass, Mutex, RwLock};
 use pxml_core::{
     apply_batch, BatchStats, CoreError, FuzzyQueryResult, FuzzyTree, SimplifyPolicy,
-    UpdateTransaction,
+    UpdateOperation, UpdateTransaction,
 };
 use pxml_query::Pattern;
 use pxml_store::{CommitTicket, DurabilityStats, FsBackend, FsOptions, StorageBackend, StoreError};
-use pxml_tree::Tree;
+use pxml_tree::{NodeId, Tree};
 
 use crate::session::SessionConfig;
 
@@ -660,8 +660,9 @@ impl Warehouse {
 
     /// Creates a new document from an existing fuzzy tree. A tree the store
     /// could not carry back node for node is refused, and nothing is saved:
-    /// [`pxml_tree::Tree::check_storable`]'s error, as
-    /// [`CoreError::Tree`]. Every insert a commit applies is checked the
+    /// [`pxml_tree::Tree::check_storable`]'s error, as [`CoreError::Tree`],
+    /// with sibling texts exclusive when their conditions hold one event
+    /// with opposite signs. Every insert a commit journals is checked the
     /// same way.
     ///
     /// The shard's write lock is held across the (fast, atomic) initial save
@@ -673,7 +674,11 @@ impl Warehouse {
         name: &str,
         fuzzy: FuzzyTree,
     ) -> Result<(), WarehouseError> {
-        fuzzy.tree().check_storable().map_err(CoreError::Tree)?;
+        let exclusive = |a: NodeId, b: NodeId| {
+            let theirs = fuzzy.condition_literals(b);
+            (fuzzy.condition_literals(a).iter()).any(|literal| theirs.contains(&literal.negated()))
+        };
+        (fuzzy.tree().check_storable(exclusive)).map_err(CoreError::Tree)?;
         // The label index is built before the shard lock is taken.
         let snapshot = DocSnapshot::first(fuzzy);
         let mut slots = self.shard(name).slots.write();
@@ -855,6 +860,17 @@ impl Warehouse {
                 ticket: CommitTicket::resolved(Ok(())),
                 guard: None,
             });
+        }
+        // Every insert is checked before the batch is applied or journaled,
+        // whether or not it matches: a cold open replays what the journal
+        // reads back. Replay does not check again, so every journal already
+        // written replays as before.
+        for operation in batch.iter().flat_map(UpdateTransaction::operations) {
+            if let UpdateOperation::Insert { subtree, .. } = operation {
+                subtree
+                    .check_storable(|_, _| false)
+                    .map_err(CoreError::Tree)?;
+            }
         }
         let (working, stats) = apply_batch(base.fuzzy(), batch, policy)?;
         // The ticketed append lets the backend share this batch's fsync with

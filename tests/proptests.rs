@@ -330,7 +330,7 @@ proptest! {
     fn generated_trees_validate(spec in spec_strategy()) {
         let tree = build(&spec);
         prop_assert!(tree.validate().is_ok());
-        prop_assert!(tree.check_storable().is_ok());
+        prop_assert!(tree.check_storable(|_, _| false).is_ok());
     }
 
     /// The matcher returns exactly the matches of the definition, in document

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use pxml::prelude::*;
-use pxml::store::serialize_fuzzy_document;
+use pxml::store::{parse_fuzzy_document, serialize_fuzzy_document};
 use pxml::tree::{TreeError, MAX_TREE_DEPTH};
 use pxml::warehouse::WarehouseError;
 use rand::rngs::StdRng;
@@ -438,4 +438,124 @@ fn the_probed_shapes_are_refused_at_both_doors() {
             let _ = std::fs::remove_dir_all(dir);
         }
     }
+}
+
+/// A created fuzzy tree may hold several texts in one element when they are
+/// exclusive: `encode_possible_worlds` of `<A>1</A>` and `<A>2</A>` grafts
+/// `1 [s1]` and `2 [¬s1]` under the root. The checkpoint wraps each in its
+/// own element, and after a conditional delete beside them and a
+/// checkpoint a cold open serves them node for node, over both stores.
+#[test]
+fn exclusive_texts_of_encoded_worlds_are_created_and_served() {
+    let world = |value: &str| parse_data_tree(&format!("<A>{value}</A>")).unwrap();
+    let mut worlds = PossibleWorlds::from_worlds([(world("1"), 0.4), (world("2"), 0.6)]).unwrap();
+    worlds.push(parse_data_tree("<A><name>v</name></A>").unwrap(), 0.5);
+    let encoded = encode_possible_worlds(&worlds).unwrap();
+    let root = encoded.root();
+    let texts = (encoded.tree().children(root).iter())
+        .filter(|&&child| encoded.tree().is_text(child))
+        .count();
+    assert_eq!(texts, 2);
+    let dir = std::env::temp_dir().join(format!("pxml-storable-worlds-{}", std::process::id()));
+    for store in [
+        Store::Mem(Arc::new(MemBackend::new())),
+        Store::Fs(dir.clone()),
+    ] {
+        let warehouse = store.open();
+        let healthy_doc = parse_data_tree("<r><name>v</name><x/></r>").unwrap();
+        warehouse.create_document("healthy", healthy_doc).unwrap();
+        warehouse
+            .create_fuzzy_document("doc", encoded.clone())
+            .unwrap();
+        let warehouse = cold_open(warehouse, &store, "create");
+        let delete = UpdateTransaction::new(Pattern::parse("name").unwrap(), 0.5).unwrap();
+        let target = delete.pattern().root();
+        let delete = delete.with_delete(target);
+        warehouse.commit_batch("doc", &[delete], None).unwrap();
+        warehouse.checkpoint("doc").unwrap();
+        drop(cold_open(warehouse, &store, "delete and checkpoint"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Texts of one element that can exist together are refused at create even
+/// when both are conditional, because a simplification can make both
+/// certain: here it merges `x [w1]` with `x [¬w1]` and `y [w2]` with
+/// `y [¬w2]`, and the checkpoint of the result reads back one text, `xy`.
+#[test]
+fn texts_that_can_meet_are_refused_at_create() {
+    let mut fuzzy = FuzzyTree::new("r");
+    let root = fuzzy.root();
+    for (value, event) in [("x", "w1"), ("y", "w2")] {
+        let event = fuzzy.add_event(event, 0.5).unwrap();
+        for literal in [Literal::pos(event), Literal::neg(event)] {
+            let node = fuzzy.add_text(root, value);
+            fuzzy
+                .set_condition(node, Condition::from_literal(literal))
+                .unwrap();
+        }
+    }
+    let warehouse = Store::Mem(Arc::new(MemBackend::new())).open();
+    let created = warehouse.create_fuzzy_document("doc", fuzzy.clone());
+    assert!(refused_as_unstorable(&created), "{created:?}");
+    assert!(!warehouse.contains("doc"));
+
+    Simplifier::new().run(&mut fuzzy).unwrap();
+    let texts = |fuzzy: &FuzzyTree| fuzzy.tree().children(fuzzy.root()).len();
+    assert_eq!(texts(&fuzzy), 2, "both texts are certain");
+    let stored = serialize_fuzzy_document(&fuzzy, false);
+    assert_eq!(
+        texts(&parse_fuzzy_document(&stored).unwrap()),
+        1,
+        "{stored}"
+    );
+}
+
+/// The refusal of an insert is made at the commit door, before the batch
+/// is applied or journaled, and replay does not make it again: a journal
+/// written before the door refused two texts apart — here an insert of
+/// `<a>x<b/>y</a>`, appended through the backend in the journal format the
+/// store has always written — still replays on a cold open, beside a
+/// healthy document, over both stores.
+#[test]
+fn a_journaled_insert_of_two_texts_still_replays() {
+    let dir = std::env::temp_dir().join(format!("pxml-storable-journal-{}", std::process::id()));
+    for store in [
+        Store::Mem(Arc::new(MemBackend::new())),
+        Store::Fs(dir.clone()),
+    ] {
+        let warehouse = store.open();
+        let healthy_doc = parse_data_tree("<r><name>v</name><x/></r>").unwrap();
+        warehouse.create_document("healthy", healthy_doc).unwrap();
+        warehouse
+            .create_document("doc", parse_data_tree("<r/>").unwrap())
+            .unwrap();
+        drop(warehouse);
+        let backend: Arc<dyn StorageBackend> = match &store {
+            Store::Mem(backend) => backend.clone(),
+            Store::Fs(dir) => Arc::new(FsBackend::open(dir).unwrap()),
+        };
+        let subtree = parse_data_tree("<a>x<b/>y</a>").unwrap();
+        let pattern = Pattern::parse("r").unwrap();
+        let root = pattern.root();
+        let insert = UpdateTransaction::certain(pattern).with_insert(root, subtree);
+        backend.append_batch("doc", &[insert]).unwrap();
+        drop(backend);
+
+        let reopened = store.open();
+        assert_eq!(reopened.document_names(), ["doc", "healthy"]);
+        let doc = reopened.document("doc").unwrap();
+        let tree = doc.tree();
+        let a = tree.children(doc.root())[0];
+        let labels: Vec<&Label> = tree.children(a).iter().map(|&c| tree.label(c)).collect();
+        assert_eq!(
+            labels,
+            [
+                &Label::Text("x".into()),
+                &Label::Element("b".into()),
+                &Label::Text("y".into())
+            ]
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
